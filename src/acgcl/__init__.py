@@ -15,7 +15,7 @@ from .losses import (LossWeights, SinkhornConfig, balance_loss, inter_graph_loss
                      intra_graph_loss, per_sample_loss, sinkhorn_w1,
                      weighted_total_loss)
 from .sampler import (ImportanceScores, Subgraph, column_normalize, compute_ppr_scores,
-                      extract_subgraph, sample_all_subgraphs, top_rank)
+                      extract_subgraph, sample_all_subgraphs, top_k_indices)
 from .trainer import (OptimizerState, TrainReport, adam_step, evaluate_probe,
                       export_embeddings, train)
 

@@ -9,7 +9,7 @@ Subcommands:
 
 Every command exits nonzero on error, printing one "ErrorClass: message"
 line to stderr. The ACGCL_THREADS environment variable caps worker
-parallelism inside the heavier commands.
+parallelism for mirror-graph regeneration in train and validate-difficulty.
 """
 
 from __future__ import annotations

@@ -29,10 +29,6 @@ class EmptyDistributionError(AcgclError, ValueError):
     """No valid node pair was available to estimate a distance distribution."""
 
 
-class ConvergenceError(AcgclError, RuntimeError):
-    """An iterative solver did not converge within its iteration budget."""
-
-
 class ContractError(AcgclError, ValueError):
     """An API precondition was violated (e.g. backward from a non-scalar)."""
 

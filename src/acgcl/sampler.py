@@ -2,11 +2,12 @@
 
 Scores follow the teleport resolvent S = t * (I - (1 - t) * An)^-1 with An the
 column-normalized adjacency, so column j of S is the stationary visit
-distribution of a random walk restarting at node j. Small graphs use a dense
-solve; larger ones an all-rows power iteration on the same fixed point.
+distribution of a random walk restarting at node j. S comes from one dense
+solve at every graph size, so it takes O(n^2) memory.
 
 Each node gets a subgraph of exactly ``k`` nodes: the node itself first, then
-the k-1 best-scoring nodes of its score row. When fewer than k nodes are
+the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
+ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
 costs O(k^2) downstream regardless of graph shape.
 """
@@ -19,14 +20,12 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, GraphParseError, SizeError
+from .errors import GraphParseError, SizeError
 from .graph import Graph
-from .util import parallel_map
 
-DENSE_CUTOFF = 2000
-POWER_MAX_ITERS = 1000
-POWER_TOL = 1e-6          # l1 residual per row
 DEFAULT_TELEPORT = 0.15
+RANK_BLOCK_ROWS = 256
+REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are unreachable
 
 
 @dataclass(frozen=True)
@@ -54,58 +53,42 @@ def column_normalize(adjacency: sp.csr_array) -> sp.csr_array:
     return (adjacency @ sp.diags_array(inv)).tocsr()
 
 
-def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT,
-                       method: str = "auto") -> ImportanceScores:
-    """Full score matrix. method: "auto" (dense below DENSE_CUTOFF), "dense",
-    or "power"."""
+def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT) -> ImportanceScores:
+    """Full score matrix from a dense solve of the teleport resolvent."""
     if not (0.0 < teleport < 1.0):
         raise ValueError(f"teleport must be in (0, 1), got {teleport}")
-    if method not in ("auto", "dense", "power"):
-        raise ValueError(f"unknown method {method!r}")
     n = graph.n_nodes
     normalized = column_normalize(graph.adjacency)
-    if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "power"
-    if method == "dense":
-        system = np.eye(n) - (1.0 - teleport) * normalized.toarray()
-        scores = np.linalg.solve(system, teleport * np.eye(n))
-    else:
-        scores = _power_iteration_scores(normalized, teleport)
+    system = np.eye(n) - (1.0 - teleport) * normalized.toarray()
+    scores = np.linalg.solve(system, teleport * np.eye(n))
     np.maximum(scores, 0.0, out=scores)   # clear solver noise below zero
     return ImportanceScores(matrix=scores, teleport=teleport)
 
 
-def _power_iteration_scores(normalized: sp.csr_array, teleport: float,
-                            tol: float = POWER_TOL, max_iters: int = POWER_MAX_ITERS) -> np.ndarray:
-    # Row i solves z = teleport * e_i + (1 - teleport) * z @ An; iterating all
-    # rows at once is the same fixed point stacked.
-    n = normalized.shape[0]
-    target = teleport * np.eye(n)
-    scores = target.copy()
-    for _ in range(max_iters):
-        updated = target + (1.0 - teleport) * (scores @ normalized)
-        residual = np.abs(updated - scores).sum(axis=1).max()
-        scores = updated
-        if residual < tol:
-            return scores
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol} within {max_iters} iterations")
+def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) subgraph ids: row i is node i, then the k-1 best-scoring nodes
+    of score row i, descending, ties by ascending id.
 
-
-def top_rank(score_row: np.ndarray, k: int, center: int) -> np.ndarray:
-    """Indices of the k largest scores, descending, ties by ascending id;
-    the center is always forced into position 0."""
-    score_row = np.asarray(score_row, dtype=np.float64)
-    n = score_row.shape[0]
+    Nodes scoring at or below REACH_RTOL of the row maximum are unreachable;
+    their slots, and the slots past n when k > n, hold the center instead.
+    """
     if k < 1:
         raise SizeError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise SizeError(f"k={k} exceeds node count {n}")
-    if not (0 <= center < n):
-        raise IndexError(f"center {center} out of range [0, {n})")
-    order = np.lexsort((np.arange(n), -score_row))
-    order = order[order != center]
-    return np.concatenate([[center], order[: k - 1]]).astype(np.int64)
+    n = matrix.shape[0]
+    width = min(k, n)
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, RANK_BLOCK_ROWS):
+        block = matrix[start:start + RANK_BLOCK_ROWS]
+        centers = np.arange(start, start + len(block))
+        negated = -block
+        negated[np.arange(len(block)), centers] = -np.inf    # the center ranks first
+        ranked = np.argsort(negated, axis=1, kind="stable")[:, :width]
+        cutoff = block.max(axis=1, keepdims=True) * REACH_RTOL
+        reachable = np.take_along_axis(block, ranked, axis=1) > cutoff
+        rows = out[start:start + len(block)]
+        rows[:, :width] = np.where(reachable, ranked, centers[:, None])
+        rows[:, width:] = centers[:, None]
+    return out
 
 
 def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
@@ -125,31 +108,17 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
     )
 
 
-def sample_all_subgraphs(graph: Graph, k: int, teleport: float = DEFAULT_TELEPORT,
-                         method: str = "auto", scores: ImportanceScores | None = None,
-                         workers: int | None = None) -> list[Subgraph]:
+def sample_all_subgraphs(graph: Graph, k: int,
+                         teleport: float = DEFAULT_TELEPORT) -> list[Subgraph]:
     """One size-k subgraph per node, deterministically.
 
-    Only strictly positive scores count as reachable; the center pads the
-    remainder when a component runs out of nodes.
+    Only scores above REACH_RTOL of a row's maximum count as reachable; the
+    center pads the remainder when a component runs out of nodes.
     """
     if k < 1:
         raise SizeError(f"k must be >= 1, got {k}")
-    if scores is None:
-        scores = compute_ppr_scores(graph, teleport, method)
-    matrix = scores.matrix
-    n = graph.n_nodes
-
-    def indices_for(node: int) -> np.ndarray:
-        row = matrix[node]
-        ranked = top_rank(row, min(k, n), node)
-        cutoff = row.max() * 1e-12
-        keep = ranked[(ranked == node) | (row[ranked] > cutoff)]
-        if keep.size < k:
-            keep = np.concatenate([keep, np.full(k - keep.size, node, dtype=np.int64)])
-        return keep
-
-    return parallel_map(lambda i: extract_subgraph(graph, indices_for(i)), range(n), workers)
+    indices = top_k_indices(compute_ppr_scores(graph, teleport).matrix, k)
+    return [extract_subgraph(graph, ids) for ids in indices]
 
 
 def save_subgraph_indices(subgraphs: list[Subgraph], path) -> None:

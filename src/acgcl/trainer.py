@@ -2,13 +2,13 @@
 inner steps with curriculum reweighting and Adam updates, early stopping on
 a validation probe, plus embedding export.
 
-Every epoch re-estimates the pair-distance distribution with a fixed
+The pair-distance distribution is estimated once per run with a fixed
 per-run seed (the subgraph set never changes, so the distance threshold is a
-deterministic, non-decreasing function of the paced difficulty), regenerates
-the mirror graphs, then runs ``inner_steps`` mini-batch updates. Thresholds
-are initialized from the first step's observed losses each epoch and widen
-every step. Patience decrements whenever validation accuracy fails to
-improve; it never resets.
+deterministic, non-decreasing function of the paced difficulty). Every epoch
+regenerates the mirror graphs at its threshold, then runs ``inner_steps``
+mini-batch updates. Thresholds are initialized from the first step's observed
+losses each epoch and widen every step. Patience decrements whenever
+validation accuracy fails to improve; it never resets.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .util import (ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE,
                    parallel_map, rng_for)
 
 CHECKPOINT_VERSION = 1
+EMBED_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +105,18 @@ def encoded_views(subgraphs: list[Subgraph], adjacencies=None) -> EncodedViews:
 
 
 def compute_center_embeddings(params: GcnParams, subgraphs: list[Subgraph]) -> np.ndarray:
-    """Embedding of every node = center row of its own subgraph embedding."""
-    views = encoded_views(subgraphs)
-    k = views.a_hat.shape[1]
-    ids = np.arange(len(subgraphs))
-    a_hat, feats = views.batch(ids)
-    h = gcn_forward_batched(params, a_hat, feats)
-    return h.value[ids * k].copy()
+    """Embedding of every node = center row of its own subgraph embedding.
+
+    Subgraphs are encoded EMBED_BLOCK at a time, so the stacked inputs never
+    exceed one block's worth.
+    """
+    blocks = []
+    for start in range(0, len(subgraphs), EMBED_BLOCK):
+        views = encoded_views(subgraphs[start:start + EMBED_BLOCK])
+        b, k = views.a_hat.shape[:2]
+        h = gcn_forward_batched(params, views.a_hat, views.features.reshape(b * k, -1))
+        blocks.append(h.value[np.arange(b) * k])
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +344,10 @@ def train(graph: Graph, config: TrainConfig,
     patience_left = config.patience
     best_val = -np.inf
     try:
+        dist = estimate_distance_distribution(
+            subgraphs, config.distance_metric, config.dis_sample_budget, dis_seed)
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, pacing)
-            dist = estimate_distance_distribution(
-                subgraphs, config.distance_metric, config.dis_sample_budget, dis_seed)
             gamma = quantile(dist, theta)
             mirrors = parallel_map(
                 lambda s: mirror_augment(s, gamma, semantics, config.distance_metric),

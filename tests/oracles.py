@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from acgcl.errors import SizeError
+
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polarity):
     """Plain double loop over ordered candidate pairs (c, d)."""
@@ -44,6 +46,49 @@ def _dist(x, y, metric):
     if nx == 0 or ny == 0:
         return 1.0
     return float(1.0 - np.dot(x, y) / (nx * ny))
+
+
+def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):
+    """Personalized-PageRank scores by fixed-point iteration on all rows.
+
+    Row i solves z = teleport * e_i + (1 - teleport) * z @ An, with An the
+    adjacency divided by its column sums (zero-degree columns stay zero).
+    Stops once the largest per-row l1 change is below ``tol``.
+    """
+    adjacency = graph.adjacency.toarray()
+    degree = adjacency.sum(axis=0)
+    normalized = adjacency / np.where(degree > 0, degree, 1.0)
+    target = teleport * np.eye(len(adjacency))
+    scores = target.copy()
+    for _ in range(max_iters):
+        updated = target + (1.0 - teleport) * (scores @ normalized)
+        residual = np.abs(updated - scores).sum(axis=1).max()
+        scores = updated
+        if residual < tol:
+            return scores
+    raise AssertionError(f"power iteration did not reach {tol} within {max_iters} iterations")
+
+
+def top_rank(score_row, k, center):
+    """Indices of the k largest scores, descending, ties by ascending id;
+    the center is always forced into position 0."""
+    score_row = np.asarray(score_row, dtype=np.float64)
+    n = score_row.shape[0]
+    if not (1 <= k <= n):
+        raise SizeError(f"k={k} outside [1, {n}]")
+    order = np.lexsort((np.arange(n), -score_row))
+    order = order[order != center]
+    return np.concatenate([[center], order[: k - 1]]).astype(np.int64)
+
+
+def subgraph_indices(score_row, k, center):
+    """One node's k subgraph ids: ``top_rank``, minus nodes scoring at or
+    below 1e-12 of the row maximum, padded with the center to length k."""
+    score_row = np.asarray(score_row, dtype=np.float64)
+    ranked = top_rank(score_row, min(k, len(score_row)), center)
+    cutoff = score_row.max() * 1e-12
+    keep = [int(i) for i in ranked if i == center or score_row[i] > cutoff]
+    return np.array(keep + [center] * (k - len(keep)), dtype=np.int64)
 
 
 def exact_w1_1d(xs, ys):

@@ -8,8 +8,9 @@ from acgcl.errors import SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
 from acgcl.sampler import (column_normalize, compute_ppr_scores, extract_subgraph,
                            load_subgraph_indices, sample_all_subgraphs,
-                           save_subgraph_indices, top_rank)
+                           save_subgraph_indices, top_k_indices)
 from conftest import graph_from_edges, random_graph
+from oracles import power_iteration_ppr, subgraph_indices, top_rank
 
 
 class TestColumnNormalize:
@@ -45,13 +46,13 @@ class TestPprScores:
     def test_power_matches_dense(self, rng):
         for _ in range(5):
             g = random_graph(rng, n=int(rng.integers(10, 60)))
-            dense = compute_ppr_scores(g, 0.15, method="dense").matrix
-            power = compute_ppr_scores(g, 0.15, method="power").matrix
+            dense = compute_ppr_scores(g, 0.15).matrix
+            power = power_iteration_ppr(g, 0.15)
             assert np.abs(dense - power).max() < 1e-5
 
     def test_columns_sum_to_one(self, rng):
         g = random_graph(rng, n=40)
-        scores = compute_ppr_scores(g, 0.15, method="dense").matrix
+        scores = compute_ppr_scores(g, 0.15).matrix
         assert np.abs(scores.sum(axis=0) - 1.0).max() < 1e-8
         assert scores.min() >= 0.0
 
@@ -95,6 +96,78 @@ class TestTopRank:
         ranked = sorted(range(n), key=lambda i: (-scores[i], i))
         expected = [center % n] + [i for i in ranked if i != center % n][: k - 1]
         assert out.tolist() == expected
+
+
+def oracle_indices(matrix, k):
+    return np.stack([subgraph_indices(row, k, i) for i, row in enumerate(matrix)])
+
+
+def cycle_graph(n):
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph(n):
+    return graph_from_edges(n, [(0, i) for i in range(1, n)])
+
+
+class TestBlockRanking:
+    """top_k_indices ranks whole blocks of rows; the oracle ranks one row."""
+
+    def test_random_graphs(self, rng):
+        for _ in range(5):
+            n = int(rng.integers(5, 80))
+            g = random_graph(rng, n=n, p=float(rng.uniform(0.02, 0.3)),
+                             min_degree_ring=bool(rng.integers(2)))
+            matrix = compute_ppr_scores(g, 0.15).matrix
+            for k in (1, 2, int(rng.integers(1, n + 1)), 20):
+                assert np.array_equal(top_k_indices(matrix, k), oracle_indices(matrix, k))
+
+    def test_isolated_nodes_and_small_components_pad(self):
+        g = graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)])  # 8 isolated
+        matrix = compute_ppr_scores(g, 0.15).matrix
+        out = top_k_indices(matrix, 5)
+        assert np.array_equal(out, oracle_indices(matrix, 5))
+        assert out[8].tolist() == [8] * 5
+        assert out[3].tolist() == [3, 4, 3, 3, 3]
+
+    def test_scores_at_the_cutoff_are_unreachable(self):
+        matrix = np.array([[1.0, 1e-12, 0.5], [0.5, 1.0, 2e-12], [0.0, 0.0, 1.0]])
+        out = top_k_indices(matrix, 3)
+        assert out.tolist() == [[0, 2, 0], [1, 0, 2], [2, 2, 2]]
+        assert np.array_equal(out, oracle_indices(matrix, 3))
+
+    def test_k_equals_and_exceeds_n(self, rng):
+        g = random_graph(rng, n=12, p=0.2)
+        matrix = compute_ppr_scores(g, 0.15).matrix
+        for k in (12, 15):
+            out = top_k_indices(matrix, k)
+            assert np.array_equal(out, oracle_indices(matrix, k))
+            assert all(sorted(set(row.tolist())) == list(range(12)) for row in out)
+
+    def test_partial_last_block(self, rng):
+        for n in (257, 513):
+            g = random_graph(rng, n=n, p=6.0 / n)
+            matrix = compute_ppr_scores(g, 0.15).matrix
+            assert np.array_equal(top_k_indices(matrix, 10), oracle_indices(matrix, 10))
+
+    def test_exact_ties(self, rng):
+        for g in (cycle_graph(11), cycle_graph(300), star_graph(9), star_graph(300)):
+            matrix = compute_ppr_scores(g, 0.15).matrix
+            for k in (4, 9):
+                assert np.array_equal(top_k_indices(matrix, k), oracle_indices(matrix, k))
+        # Exact ties and unreachable zeros by construction, across two blocks.
+        matrix = rng.integers(0, 3, size=(300, 300)).astype(float)
+        np.fill_diagonal(matrix, 1.0)
+        assert np.array_equal(top_k_indices(matrix, 7), oracle_indices(matrix, 7))
+        assert top_k_indices(np.ones((4, 4)), 4).tolist() == [
+            [0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]]
+
+    def test_large_graph_through_sampler(self, rng):
+        g = random_graph(rng, n=2100, p=3.0 / 2100, dim=1)
+        matrix = compute_ppr_scores(g, 0.15).matrix
+        subs = sample_all_subgraphs(g, k=8)
+        parents = np.stack([s.parent_indices for s in subs])
+        assert np.array_equal(parents, oracle_indices(matrix, 8))
 
 
 class TestExtractSubgraph:

@@ -5,7 +5,7 @@ import pytest
 
 from acgcl.augment import mirror_augment, semantic_assignment
 from acgcl.config import TrainConfig
-from acgcl.encoder import init_gcn_params
+from acgcl.encoder import gcn_forward_batched, init_gcn_params
 from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import SbmConfig, Splits, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
@@ -131,6 +131,20 @@ class TestTrainLoop:
         assert r1.loss_column() == r2.loss_column()
         assert [r.val_accuracy for r in r1.rows] == [r.val_accuracy for r in r2.rows]
 
+    def test_distance_distribution_estimated_once(self, monkeypatch):
+        import acgcl.trainer as trainer
+        calls = []
+        estimate = trainer.estimate_distance_distribution
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "estimate_distance_distribution", counting)
+        _, report = train(small_graph(), small_config(epochs=3))
+        assert len(report.rows) == 3
+        assert len(calls) == 1
+
     def test_metrics_jsonl_schema(self, tmp_path):
         g = small_graph()
         path = tmp_path / "metrics.jsonl"
@@ -211,6 +225,17 @@ class TestExport:
         expected = compute_center_embeddings(params, subs)
         loaded = np.array([[float(v) for v in row[1:]] for row in rows])
         assert np.abs(loaded - expected).max() < 1e-6
+
+    def test_center_embeddings_across_blocks_match_one_batch(self):
+        g = small_graph(n_per_block=150)     # 300 subgraphs: a full and a partial block
+        cfg = small_config()
+        subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
+        params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 2, 0)
+        views = encoded_views(subs)
+        k = cfg.subgraph_size
+        ids = np.arange(len(subs))
+        h = gcn_forward_batched(params, *views.batch(ids)).value
+        assert np.array_equal(compute_center_embeddings(params, subs), h[ids * k])
 
     def test_re_export_identical(self, tmp_path):
         g = small_graph()

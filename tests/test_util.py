@@ -29,13 +29,10 @@ def test_parallel_map_preserves_order():
 
 def test_threaded_pipeline_matches_serial(rng, monkeypatch):
     g = random_graph(rng, n=30)
-    serial_subs = sample_all_subgraphs(g, k=5, workers=1)
-    threaded_subs = sample_all_subgraphs(g, k=5, workers=3)
-    for a, b in zip(serial_subs, threaded_subs):
-        assert np.array_equal(a.parent_indices, b.parent_indices)
+    subs = sample_all_subgraphs(g, k=5)
     sem = semantic_assignment(g, "label")
-    serial = [mirror_augment(s, 1.0, sem) for s in serial_subs]
-    threaded = parallel_map(lambda s: mirror_augment(s, 1.0, sem), serial_subs, workers=3)
+    serial = [mirror_augment(s, 1.0, sem) for s in subs]
+    threaded = parallel_map(lambda s: mirror_augment(s, 1.0, sem), subs, workers=3)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.positive_adjacency, b.positive_adjacency)
         assert np.array_equal(a.negative_adjacency, b.negative_adjacency)
