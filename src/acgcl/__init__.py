@@ -1,8 +1,8 @@
 """Adversarial curriculum graph contrastive learning on sampled subgraphs."""
 
-from .augment import (DistanceDistribution, MirrorGraphs, SemanticAssignment,
-                      estimate_distance_distribution, find_mirror_pair,
-                      mirror_augment, pair_distance, quantile, semantic_assignment)
+from .augment import (DistanceDistribution, MirrorGraphs, MirrorSearch, SemanticAssignment,
+                      estimate_distance_distribution, mirror_augment, mirror_search,
+                      quantile, semantic_assignment)
 from .config import TrainConfig, parse_config
 from .curriculum import (AclThresholds, PacingConfig, SampleWeights, decay_thresholds,
                          hard_acl_weights, init_thresholds, pacing_difficulty,

@@ -10,8 +10,10 @@ with no admissible mirror keep their original edge, so gamma = 0 is the
 identity augmentation. Mirror graphs share the node set and features of the
 source subgraph; only edges move.
 
-The search is restricted to the subgraph's own nodes, which keeps the cost
-O(k^2) per pair and O(k^4) per subgraph (chunked to O(k^3) memory).
+Gamma only bounds a pair's best sum, so ``mirror_search`` finds each pair's
+best mirror once per run, among the subgraph's own nodes: O(k^2) per pair and
+O(k^4) per subgraph, chunked to O(k^3) memory. Each new gamma then costs one
+threshold over the stored sums (``MirrorSearch.adjacencies``).
 """
 
 from __future__ import annotations
@@ -21,34 +23,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDistributionError, ShapeError, SizeError
+from .errors import ConfigError, EmptyDistributionError, SizeError
 from .graph import Graph
 from .sampler import Subgraph
 
 METRICS = ("euclidean", "manhattan", "cosine")
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 
 def _check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ConfigError(f"distance_metric: unknown metric {metric!r}, expected one of {METRICS}")
-
-
-def pair_distance(x_a: np.ndarray, x_b: np.ndarray, metric: str = "euclidean") -> float:
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    if x_a.shape != x_b.shape:
-        raise ShapeError(f"feature shapes differ: {x_a.shape} vs {x_b.shape}")
-    _check_metric(metric)
-    if metric == "euclidean":
-        return float(np.sqrt(np.sum((x_a - x_b) ** 2)))
-    if metric == "manhattan":
-        return float(np.sum(np.abs(x_a - x_b)))
-    na, nb = np.linalg.norm(x_a), np.linalg.norm(x_b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0   # zero vectors have no direction
-    return float(1.0 - np.dot(x_a, x_b) / (na * nb))
 
 
 def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.ndarray:
@@ -185,90 +169,101 @@ class MirrorGraphs:
     stats: MirrorStats
 
 
-def _candidate_masks(subgraph: Subgraph, semantics: SemanticAssignment):
-    parents = subgraph.parent_indices
-    labels = semantics.values[parents]
-    parent_neq = parents[:, None] != parents[None, :]
-    label_eq = labels[:, None] == labels[None, :]
-    return parents, labels, parent_neq, label_eq
 
 
-def find_mirror_pair(subgraph: Subgraph, pair: tuple[int, int], gamma: float,
-                     semantics: SemanticAssignment, metric: str = "euclidean",
-                     polarity: str = POSITIVE,
-                     dmat: np.ndarray | None = None) -> tuple[int, int] | None:
-    """Best admissible mirror of (a, b), or None. Positions index the
-    subgraph; ties break to the lexicographically smallest (c, d)."""
-    a, b = pair
-    k = subgraph.size
-    if not (0 <= a < k and 0 <= b < k) or a == b:
-        raise ValueError(f"pair {pair} invalid for subgraph of size {k}")
-    if polarity not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"polarity must be '{POSITIVE}' or '{NEGATIVE}'")
-    if dmat is None:
-        dmat = pairwise_distances(subgraph.features, metric)
-    parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
+@dataclass(frozen=True)
+class MirrorSearch:
+    """Best mirror of every pair of equal-size subgraphs, valid at every gamma.
 
-    sums = dmat[:, a][:, None] + dmat[:, b][None, :]
-    excluded = (parents == parents[a]) | (parents == parents[b])
-    valid = (~excluded[:, None]) & (~excluded[None, :]) & parent_neq
-    if polarity == POSITIVE:
-        valid &= label_eq[:, a][:, None] & label_eq[:, b][None, :]
-    else:
-        valid &= (~label_eq[:, a][:, None]) | (~label_eq[:, b][None, :])
-    valid &= sums < 2.0 * gamma
-    if not valid.any():
-        return None
-    masked = np.where(valid, sums, np.inf)
-    flat = int(np.argmin(masked))   # first minimum in row-major order = lexicographic
-    return flat // k, flat % k
+    The leading axis is the polarity: 0 positive, 1 negative. For subgraph i
+    and a pair (a, b) with distinct parents, ``best[p, i, a, b]`` is the
+    smallest admissible distance sum, ``argmin`` its first row-major position
+    c * k + d and ``edge`` the mirror edge adjacency[c, d]. The tables are
+    symmetric in (a, b); pairs without an admissible mirror, the diagonal and
+    padded duplicates hold an infinite sum, so no gamma replaces them.
+    """
+    adjacency: np.ndarray      # (n, k, k) source adjacencies
+    best: np.ndarray           # (2, n, k, k)
+    argmin: np.ndarray         # (2, n, k, k)
+    edge: np.ndarray           # (2, n, k, k)
+    pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
+
+    def adjacencies(self, gamma: float) -> np.ndarray:
+        """(2, n, k, k): positive then negative mirror adjacencies at gamma,
+        symmetric with a zero diagonal."""
+        out = np.where(self.best < 2.0 * gamma, self.edge, self.adjacency)
+        diagonal = np.arange(out.shape[-1])
+        out[..., diagonal, diagonal] = 0.0
+        return out
+
+    def match_rates(self, gamma: float) -> tuple[float, float]:
+        """Share of real pairs with a positive, and a negative, mirror at gamma."""
+        total = int(self.pair_counts.sum())
+        if total == 0:
+            return 0.0, 0.0
+        matched = np.count_nonzero(self.best < 2.0 * gamma, axis=(1, 2, 3)) // 2
+        return float(matched[0] / total), float(matched[1] / total)
+
+
+def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
+                  metric: str = "euclidean") -> MirrorSearch:
+    """Find every pair's best positive and negative mirror once, for all gamma.
+
+    Gamma only bounds the best sum (it must be below 2 * gamma), so the
+    (c, d) minimizing the sum over the admissible mirrors does not depend on
+    it; ``MirrorSearch.adjacencies`` then thresholds. Ties break to the
+    lexicographically smallest (c, d).
+    """
+    _check_metric(metric)
+    adjacency = np.stack([s.adjacency for s in subgraphs])
+    n, k = adjacency.shape[:2]
+    best = np.full((2, n, k, k), np.inf)
+    argmin = np.zeros((2, n, k, k), dtype=np.int64)
+    pair_counts = np.zeros(n, dtype=np.int64)
+    for i, sub in enumerate(subgraphs):
+        dmat = pairwise_distances(sub.features, metric)
+        parents = sub.parent_indices
+        labels = semantics.values[parents]
+        parent_neq = parents[:, None] != parents[None, :]
+        label_eq = labels[:, None] == labels[None, :]
+        # Chunk over the first pair element: (b, c, d) tensors over the
+        # partners b > a with a parent other than a's.
+        for a in range(k - 1):
+            bs = a + 1 + np.flatnonzero(parent_neq[a, a + 1:])
+            if bs.size == 0:
+                continue
+            pair_counts[i] += bs.size
+            sums = dmat[a][None, :, None] + dmat[bs][:, None, :]   # dmat[a, c] + dmat[b, d]
+            ok = parent_neq[a][None, :] & parent_neq[bs]            # ok[b, c]
+            valid = ok[:, :, None] & ok[:, None, :] & parent_neq[None, :, :]
+            same = label_eq[a][None, :, None] & label_eq[bs][:, None, :]
+            rows = np.arange(bs.size)
+            for p, mask in enumerate((valid & same, valid & ~same)):
+                masked = np.where(mask, sums, np.inf).reshape(bs.size, k * k)
+                flat = masked.argmin(axis=1)   # first minimum in row-major order
+                best[p, i, a, bs] = best[p, i, bs, a] = masked[rows, flat]
+                argmin[p, i, a, bs] = argmin[p, i, bs, a] = flat
+    edge = np.take_along_axis(adjacency.reshape(1, n, k * k),
+                              argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
+    return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
+                        pair_counts=pair_counts)
 
 
 def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignment,
                    metric: str = "euclidean") -> MirrorGraphs:
-    """Build the positive and negative mirror adjacencies of a subgraph.
-
-    Each unordered pair is processed exactly once; results are symmetric with
-    a zero diagonal and the features are untouched.
-    """
+    """Positive and negative mirror adjacencies of one subgraph at gamma, with
+    the replacement log in (a, b) order. Features are untouched."""
+    search = mirror_search([subgraph], semantics, metric)
+    (positive,), (negative,) = search.adjacencies(gamma)
     k = subgraph.size
-    adj = subgraph.adjacency
-    dmat = pairwise_distances(subgraph.features, metric)
-    parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
-    excluded_by = parents[:, None] == parents[None, :]   # excluded_by[a, c]
-
-    pos_adj = adj.copy()
-    neg_adj = adj.copy()
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)
     stats = MirrorStats(gamma=float(gamma))
-
-    # Chunk over the first pair element: (b, c, d) tensors of shape (k, k, k).
-    base_valid = parent_neq[None, :, :]                   # c != d by parent
-    for a in range(k):
-        # sums[b, c, d] = dmat[a, c] + dmat[b, d]
-        sums = dmat[a][None, :, None] + dmat[:, None, :]
-        ok_c = ~(excluded_by[a][None, :] | excluded_by)   # ok_c[b, c]
-        valid = ok_c[:, :, None] & ok_c[:, None, :] & base_valid & (sums < 2.0 * gamma)
-        pos_valid = valid & label_eq[a][None, :, None] & label_eq[:, None, :]
-        neg_valid = valid & ((~label_eq[a])[None, :, None] | (~label_eq)[:, None, :])
-        for mask, target, replaced, unmatched_attr in (
-            (pos_valid, pos_adj, stats.pos_replacements, "pos_unmatched"),
-            (neg_valid, neg_adj, stats.neg_replacements, "neg_unmatched"),
-        ):
-            masked = np.where(mask, sums, np.inf).reshape(k, k * k)
-            best = masked.min(axis=1)
-            best_flat = masked.argmin(axis=1)
-            for b in range(a + 1, k):
-                if not parent_neq[a, b]:
-                    continue   # padded duplicates are not a real pair
-                if np.isfinite(best[b]):
-                    c, d = int(best_flat[b] // k), int(best_flat[b] % k)
-                    edge = adj[c, d]
-                    target[a, b] = target[b, a] = edge
-                    replaced.append(Replacement(a, b, c, d, float(best[b]),
-                                                int(adj[a, b]), int(edge)))
-                else:
-                    setattr(stats, unmatched_attr, getattr(stats, unmatched_attr) + 1)
-
-    np.fill_diagonal(pos_adj, 0.0)
-    np.fill_diagonal(neg_adj, 0.0)
-    return MirrorGraphs(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
+    for p, replaced in enumerate((stats.pos_replacements, stats.neg_replacements)):
+        best, flat, edge = search.best[p, 0], search.argmin[p, 0], search.edge[p, 0]
+        for a, b in zip(*np.nonzero(upper & (best < 2.0 * gamma))):
+            replaced.append(Replacement(int(a), int(b), int(flat[a, b] // k), int(flat[a, b] % k),
+                                        float(best[a, b]), int(subgraph.adjacency[a, b]),
+                                        int(edge[a, b])))
+    stats.pos_unmatched = int(search.pair_counts[0]) - len(stats.pos_replacements)
+    stats.neg_unmatched = int(search.pair_counts[0]) - len(stats.neg_replacements)
+    return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, stats=stats)

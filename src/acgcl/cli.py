@@ -8,8 +8,7 @@ Subcommands:
   gen-sbm              write a synthetic block-model dataset
 
 Every command exits nonzero on error, printing one "ErrorClass: message"
-line to stderr. The ACGCL_THREADS environment variable caps worker
-parallelism for mirror-graph regeneration in train and validate-difficulty.
+line to stderr.
 """
 
 from __future__ import annotations

@@ -82,13 +82,31 @@ def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
         centers = np.arange(start, start + len(block))
         negated = -block
         negated[np.arange(len(block)), centers] = -np.inf    # the center ranks first
-        ranked = np.argsort(negated, axis=1, kind="stable")[:, :width]
+        ranked = _smallest_first(negated, width)
         cutoff = block.max(axis=1, keepdims=True) * REACH_RTOL
         reachable = np.take_along_axis(block, ranked, axis=1) > cutoff
         rows = out[start:start + len(block)]
         rows[:, :width] = np.where(reachable, ranked, centers[:, None])
         rows[:, width:] = centers[:, None]
     return out
+
+
+def _smallest_first(rows: np.ndarray, width: int) -> np.ndarray:
+    """Column ids of each row's ``width`` smallest entries, ascending, ties by
+    ascending id: the first ``width`` columns of a stable argsort.
+
+    A partition finds the kept set. Rows with more than ``width`` entries at
+    or below their width-th value have ties across the cut, so they alone
+    take the full stable sort.
+    """
+    kept = np.argpartition(rows, width - 1, axis=1)[:, :width]
+    kept.sort(axis=1)                      # ascending ids break value ties
+    values = np.take_along_axis(rows, kept, axis=1)
+    ranked = np.take_along_axis(kept, np.argsort(values, axis=1, kind="stable"), axis=1)
+    tied = np.count_nonzero(rows <= values.max(axis=1, keepdims=True), axis=1) > width
+    if tied.any():
+        ranked[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :width]
+    return ranked
 
 
 def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:

@@ -1,14 +1,15 @@
-"""Training loop: per-epoch mirror regeneration at the paced difficulty,
-inner steps with curriculum reweighting and Adam updates, early stopping on
-a validation probe, plus embedding export.
+"""Training loop: per-epoch mirror graphs at the paced difficulty, inner
+steps with curriculum reweighting and Adam updates, early stopping on a
+validation probe, plus embedding export.
 
-The pair-distance distribution is estimated once per run with a fixed
-per-run seed (the subgraph set never changes, so the distance threshold is a
-deterministic, non-decreasing function of the paced difficulty). Every epoch
-regenerates the mirror graphs at its threshold, then runs ``inner_steps``
-mini-batch updates. Thresholds are initialized from the first step's observed
-losses each epoch and widen every step. Patience decrements whenever
-validation accuracy fails to improve; it never resets.
+The pair-distance distribution and every pair's best mirror are computed
+once per run, the distribution with a fixed per-run seed (the subgraph set
+never changes, so the distance threshold is a deterministic, non-decreasing
+function of the paced difficulty). Every epoch thresholds the stored mirrors
+at its distance, then runs ``inner_steps`` mini-batch updates. Thresholds
+are initialized from the first step's observed losses each epoch and widen
+every step. Patience decrements whenever validation accuracy fails to
+improve; it never resets.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (MirrorGraphs, estimate_distance_distribution, mirror_augment,
-                      quantile, semantic_assignment)
+from .augment import (estimate_distance_distribution, mirror_search, quantile,
+                      semantic_assignment)
 from .config import TrainConfig
 from .curriculum import (AclThresholds, decay_thresholds, init_thresholds,
                          pacing_difficulty, weights_for_mode)
@@ -34,8 +35,7 @@ from .losses import (balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
 from .sampler import Subgraph, sample_all_subgraphs
-from .util import (ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE,
-                   parallel_map, rng_for)
+from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for
 
 CHECKPOINT_VERSION = 1
 EMBED_BLOCK = 256
@@ -96,10 +96,8 @@ class EncodedViews:
         return self.a_hat[ids], feats
 
 
-def encoded_views(subgraphs: list[Subgraph], adjacencies=None) -> EncodedViews:
-    if adjacencies is None:
-        adjacencies = [s.adjacency for s in subgraphs]
-    a_hat = np.stack([sym_normalized_adjacency(a) for a in adjacencies])
+def encoded_views(subgraphs: list[Subgraph]) -> EncodedViews:
+    a_hat = np.stack([sym_normalized_adjacency(s.adjacency) for s in subgraphs])
     features = np.stack([s.features for s in subgraphs])
     return EncodedViews(a_hat=a_hat, features=features)
 
@@ -309,9 +307,12 @@ def _epoch_thresholds(first_losses: np.ndarray, config: TrainConfig) -> AclThres
     return thresholds
 
 
-def mirror_views(subgraphs: list[Subgraph], mirrors: list[MirrorGraphs]):
-    pos = encoded_views(subgraphs, [m.positive_adjacency for m in mirrors])
-    neg = encoded_views(subgraphs, [m.negative_adjacency for m in mirrors])
+def mirror_views(views: EncodedViews,
+                 adjacencies: np.ndarray) -> tuple[EncodedViews, EncodedViews]:
+    """Positive and negative views from ``MirrorSearch.adjacencies``; mirror
+    graphs keep the features of ``views``."""
+    pos, neg = (EncodedViews(a_hat=np.stack([sym_normalized_adjacency(a) for a in stack]),
+                             features=views.features) for stack in adjacencies)
     return pos, neg
 
 
@@ -346,13 +347,12 @@ def train(graph: Graph, config: TrainConfig,
     try:
         dist = estimate_distance_distribution(
             subgraphs, config.distance_metric, config.dis_sample_budget, dis_seed)
+        search = mirror_search(subgraphs, semantics, config.distance_metric)
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, pacing)
             gamma = quantile(dist, theta)
-            mirrors = parallel_map(
-                lambda s: mirror_augment(s, gamma, semantics, config.distance_metric),
-                subgraphs)
-            pos_views, neg_views = mirror_views(subgraphs, mirrors)
+            pos_views, neg_views = mirror_views(views, search.adjacencies(gamma))
+            pos_rate, neg_rate = search.match_rates(gamma)
 
             thresholds: AclThresholds | None = None
             epoch_losses, epoch_active = [], []
@@ -415,6 +415,7 @@ def train(graph: Graph, config: TrainConfig,
                 "mean_loss": row.mean_loss, "active_fraction": row.active_fraction,
                 "val_accuracy": None if np.isnan(val_acc) else val_acc,
                 "patience_left": patience_left,
+                "pos_match_rate": pos_rate, "neg_match_rate": neg_rate,
             })
             if patience_left <= 0:
                 break
@@ -434,18 +435,16 @@ def _weight_histogram(values: np.ndarray) -> dict[str, float]:
 # Difficulty curve (frozen encoder, varying difficulty)
 
 def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], semantics,
-                     metric: str, dist, theta_grid, xi: float,
-                     workers: int | None = None) -> list[tuple[float, float, float]]:
+                     metric: str, dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """Mean and std of the per-subgraph inter-graph loss at each difficulty."""
     views = encoded_views(subgraphs)
     k = views.a_hat.shape[1]
     ids = np.arange(len(subgraphs))
+    search = mirror_search(subgraphs, semantics, metric)
     rows = []
     for theta in theta_grid:
         gamma = quantile(dist, float(theta))
-        mirrors = parallel_map(lambda s: mirror_augment(s, gamma, semantics, metric),
-                               subgraphs, workers)
-        pos_views, neg_views = mirror_views(subgraphs, mirrors)
+        pos_views, neg_views = mirror_views(views, search.adjacencies(gamma))
         a_o, feats = views.batch(ids)
         h = gcn_forward_batched(params, a_o, feats)
         h_pos = gcn_forward_batched(params, pos_views.batch(ids)[0], feats)

@@ -1,4 +1,4 @@
-"""Seed fan-out and worker-pool helpers.
+"""Seed fan-out.
 
 All randomness in a run flows from one integer seed. Components derive their
 own generators with ``rng_for(seed, role, *indices)`` where ``role`` is one of
@@ -7,9 +7,6 @@ Two runs with the same seed therefore draw identical streams everywhere.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,23 +23,3 @@ ROLE_PROBE = 8
 def rng_for(seed: int, role: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(role), *[int(i) for i in indices]])
 
-
-def worker_count() -> int:
-    """Parallelism cap from ACGCL_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("ACGCL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items, workers: int | None = None) -> list:
-    """Order-preserving map, threaded when workers > 1."""
-    if workers is None:
-        workers = worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -1,14 +1,19 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is deliberately naive (python loops, exhaustive enumeration,
-grids) and shares no code with the production paths it checks.
+grids) and shares no code with the production paths it checks, apart from
+``pairwise_distances``: the per-pair mirror oracles take the distance matrix
+from the package so that their sums compare bit for bit with the search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from acgcl.errors import SizeError
+from acgcl.augment import (MirrorGraphs, MirrorStats, Replacement, SemanticAssignment,
+                           pairwise_distances)
+from acgcl.errors import ConfigError, ShapeError, SizeError
+from acgcl.sampler import Subgraph
 
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polarity):
@@ -46,6 +51,108 @@ def _dist(x, y, metric):
     if nx == 0 or ny == 0:
         return 1.0
     return float(1.0 - np.dot(x, y) / (nx * ny))
+
+
+def pair_distance(x_a, x_b, metric="euclidean") -> float:
+    x_a = np.asarray(x_a, dtype=np.float64)
+    x_b = np.asarray(x_b, dtype=np.float64)
+    if x_a.shape != x_b.shape:
+        raise ShapeError(f"feature shapes differ: {x_a.shape} vs {x_b.shape}")
+    if metric not in ("euclidean", "manhattan", "cosine"):
+        raise ConfigError(f"distance_metric: unknown metric {metric!r}")
+    if metric == "euclidean":
+        return float(np.sqrt(np.sum((x_a - x_b) ** 2)))
+    if metric == "manhattan":
+        return float(np.sum(np.abs(x_a - x_b)))
+    na, nb = np.linalg.norm(x_a), np.linalg.norm(x_b)
+    if na == 0.0 or nb == 0.0:
+        return 1.0   # zero vectors have no direction
+    return float(1.0 - np.dot(x_a, x_b) / (na * nb))
+
+
+def _candidate_masks(subgraph: Subgraph, semantics: SemanticAssignment):
+    parents = subgraph.parent_indices
+    labels = semantics.values[parents]
+    parent_neq = parents[:, None] != parents[None, :]
+    label_eq = labels[:, None] == labels[None, :]
+    return parents, labels, parent_neq, label_eq
+
+
+def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: SemanticAssignment,
+                     metric="euclidean", polarity="positive", dmat=None):
+    """Best admissible mirror of (a, b), or None. Positions index the
+    subgraph; ties break to the lexicographically smallest (c, d)."""
+    a, b = pair
+    k = subgraph.size
+    if not (0 <= a < k and 0 <= b < k) or a == b:
+        raise ValueError(f"pair {pair} invalid for subgraph of size {k}")
+    if polarity not in ("positive", "negative"):
+        raise ValueError("polarity must be 'positive' or 'negative'")
+    if dmat is None:
+        dmat = pairwise_distances(subgraph.features, metric)
+    parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
+
+    sums = dmat[:, a][:, None] + dmat[:, b][None, :]
+    excluded = (parents == parents[a]) | (parents == parents[b])
+    valid = (~excluded[:, None]) & (~excluded[None, :]) & parent_neq
+    if polarity == "positive":
+        valid &= label_eq[:, a][:, None] & label_eq[:, b][None, :]
+    else:
+        valid &= (~label_eq[:, a][:, None]) | (~label_eq[:, b][None, :])
+    valid &= sums < 2.0 * gamma
+    if not valid.any():
+        return None
+    masked = np.where(valid, sums, np.inf)
+    flat = int(np.argmin(masked))   # first minimum in row-major order = lexicographic
+    return flat // k, flat % k
+
+
+def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssignment,
+                            metric="euclidean") -> MirrorGraphs:
+    """Mirror adjacencies of one subgraph by a fresh search at this gamma,
+    one Python step per pair (a, b): the bit-exact reference for
+    ``acgcl.augment.mirror_search`` and ``mirror_augment``."""
+    k = subgraph.size
+    adj = subgraph.adjacency
+    dmat = pairwise_distances(subgraph.features, metric)
+    parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
+    excluded_by = parents[:, None] == parents[None, :]   # excluded_by[a, c]
+
+    pos_adj = adj.copy()
+    neg_adj = adj.copy()
+    stats = MirrorStats(gamma=float(gamma))
+
+    # Chunk over the first pair element: (b, c, d) tensors of shape (k, k, k).
+    base_valid = parent_neq[None, :, :]                   # c != d by parent
+    for a in range(k):
+        # sums[b, c, d] = dmat[a, c] + dmat[b, d]
+        sums = dmat[a][None, :, None] + dmat[:, None, :]
+        ok_c = ~(excluded_by[a][None, :] | excluded_by)   # ok_c[b, c]
+        valid = ok_c[:, :, None] & ok_c[:, None, :] & base_valid & (sums < 2.0 * gamma)
+        pos_valid = valid & label_eq[a][None, :, None] & label_eq[:, None, :]
+        neg_valid = valid & ((~label_eq[a])[None, :, None] | (~label_eq)[:, None, :])
+        for mask, target, replaced, unmatched_attr in (
+            (pos_valid, pos_adj, stats.pos_replacements, "pos_unmatched"),
+            (neg_valid, neg_adj, stats.neg_replacements, "neg_unmatched"),
+        ):
+            masked = np.where(mask, sums, np.inf).reshape(k, k * k)
+            best = masked.min(axis=1)
+            best_flat = masked.argmin(axis=1)
+            for b in range(a + 1, k):
+                if not parent_neq[a, b]:
+                    continue   # padded duplicates are not a real pair
+                if np.isfinite(best[b]):
+                    c, d = int(best_flat[b] // k), int(best_flat[b] % k)
+                    edge = adj[c, d]
+                    target[a, b] = target[b, a] = edge
+                    replaced.append(Replacement(a, b, c, d, float(best[b]),
+                                                int(adj[a, b]), int(edge)))
+                else:
+                    setattr(stats, unmatched_attr, getattr(stats, unmatched_attr) + 1)
+
+    np.fill_diagonal(pos_adj, 0.0)
+    np.fill_diagonal(neg_adj, 0.0)
+    return MirrorGraphs(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
 
 
 def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):

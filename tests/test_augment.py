@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl.augment import (estimate_distance_distribution, find_mirror_pair,
-                           mirror_augment, pair_distance, pairwise_distances,
-                           quantile, semantic_assignment, DistanceDistribution,
-                           SemanticAssignment)
+from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
+                           pairwise_distances, quantile, semantic_assignment,
+                           DistanceDistribution, SemanticAssignment)
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, random_graph
-from oracles import exhaustive_mirror_pair
+from oracles import (exhaustive_mirror_pair, find_mirror_pair, pair_distance,
+                     per_pair_mirror_augment)
 
 
 def make_subgraph(features, adjacency, parents=None):
@@ -274,3 +274,62 @@ class TestMirrorAugment:
         m = mirror_augment(sub, 100.0, sem)
         pairs = {(r.a, r.b) for r in m.stats.pos_replacements}
         assert (0, 2) not in pairs   # same parent twice is not a pair
+
+
+class TestMirrorSearch:
+    """The once-per-run search, thresholded at a gamma, against a fresh
+    per-pair search at that gamma."""
+    THETAS = (0.0, 15.0, 30.0, 50.0, 80.0, 100.0)
+
+    def assert_matches_oracle(self, subs, sem, metric="euclidean"):
+        search = mirror_search(subs, sem, metric)
+        dist = estimate_distance_distribution(subs, metric, 100_000, seed=0)
+        for theta in self.THETAS:
+            gamma = quantile(dist, theta)
+            positive, negative = search.adjacencies(gamma)
+            matched, unmatched = [0, 0], [0, 0]
+            for i, sub in enumerate(subs):
+                want = per_pair_mirror_augment(sub, gamma, sem, metric)
+                assert positive[i].dtype == want.positive_adjacency.dtype
+                assert np.array_equal(positive[i], want.positive_adjacency)
+                assert np.array_equal(negative[i], want.negative_adjacency)
+                assert mirror_augment(sub, gamma, sem, metric).stats == want.stats
+                for p, replaced in enumerate((want.stats.pos_replacements,
+                                              want.stats.neg_replacements)):
+                    matched[p] += len(replaced)
+                unmatched[0] += want.stats.pos_unmatched
+                unmatched[1] += want.stats.neg_unmatched
+            rates = search.match_rates(gamma)
+            for p in range(2):
+                total = matched[p] + unmatched[p]
+                assert rates[p] == (matched[p] / total if total else 0.0)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_all_metrics(self, rng, metric):
+        g = random_graph(rng, n=30)
+        self.assert_matches_oracle(sample_all_subgraphs(g, k=6), semantic_assignment(g), metric)
+
+    def test_degree_bucket_semantics(self, rng):
+        g = random_graph(rng, n=30, p=0.2)
+        sem = semantic_assignment(g, "degree-bucket", n_buckets=3)
+        self.assert_matches_oracle(sample_all_subgraphs(g, k=7), sem)
+
+    def test_subgraphs_padded_with_repeated_centres(self, rng):
+        edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
+        g = graph_from_edges(13, edges, features=rng.standard_normal((13, 2)),
+                             labels=rng.integers(0, 2, size=13))
+        subs = sample_all_subgraphs(g, k=6)
+        assert any(len(set(s.parent_indices.tolist())) < s.size for s in subs)
+        self.assert_matches_oracle(subs, semantic_assignment(g))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_small_k(self, rng, k):
+        g = random_graph(rng, n=20)
+        self.assert_matches_oracle(sample_all_subgraphs(g, k=k), semantic_assignment(g))
+
+    def test_duplicated_feature_rows_tie_exactly(self, rng):
+        g = random_graph(rng, n=30, p=0.25, n_classes=2)
+        g = graph_from_edges(30, zip(*np.nonzero(np.triu(g.adjacency.toarray(), 1))),
+                             features=rng.integers(0, 2, size=(30, 2)).astype(float),
+                             labels=g.labels)
+        self.assert_matches_oracle(sample_all_subgraphs(g, k=8), semantic_assignment(g))

@@ -3,17 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from acgcl.augment import mirror_augment, semantic_assignment
+from acgcl.augment import (estimate_distance_distribution, mirror_search, quantile,
+                           semantic_assignment)
 from acgcl.config import TrainConfig
-from acgcl.encoder import gcn_forward_batched, init_gcn_params
+from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import SbmConfig, Splits, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
+from acgcl.losses import inter_graph_losses_grouped
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
-                           encoded_views, evaluate_probe, export_embeddings,
+                           difficulty_curve, encoded_views, evaluate_probe, export_embeddings,
                            init_optimizer, load_checkpoint, mirror_views,
                            run_inner_step, save_checkpoint, train)
 from acgcl.util import rng_for
+from oracles import per_pair_mirror_augment
 
 
 def small_graph(seed=0, n_per_block=25, p_intra=0.25, p_inter=0.02, noise=0.5):
@@ -145,6 +148,35 @@ class TestTrainLoop:
         assert len(report.rows) == 3
         assert len(calls) == 1
 
+    def test_mirror_search_once_per_run(self, monkeypatch):
+        import acgcl.trainer as trainer
+        calls = []
+        search = trainer.mirror_search
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "mirror_search", counting)
+        _, report = train(small_graph(), small_config(epochs=3))
+        assert len(report.rows) == 3
+        assert len(calls) == 1
+
+    def test_epoch_match_rates_count_oracle_replacements(self, tmp_path):
+        g = small_graph()
+        cfg = small_config(epochs=3)
+        path = tmp_path / "metrics.jsonl"
+        train(g, cfg, metrics_path=path)
+        subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
+        sem = semantic_assignment(g, cfg.semantics)
+        epochs = [r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "epoch"]
+        assert len(epochs) == 3
+        for record in epochs:
+            stats = [per_pair_mirror_augment(s, record["gamma"], sem).stats for s in subs]
+            pairs = sum(len(s.pos_replacements) + s.pos_unmatched for s in stats)
+            assert record["pos_match_rate"] == sum(len(s.pos_replacements) for s in stats) / pairs
+            assert record["neg_match_rate"] == sum(len(s.neg_replacements) for s in stats) / pairs
+
     def test_metrics_jsonl_schema(self, tmp_path):
         g = small_graph()
         path = tmp_path / "metrics.jsonl"
@@ -183,8 +215,7 @@ class TestTrainLoop:
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 0)
         params.weights[0].value = np.full_like(params.weights[0].value, np.nan)
         views = encoded_views(subs)
-        mirrors = [mirror_augment(s, 0.5, sem) for s in subs]
-        pos, neg = mirror_views(subs, mirrors)
+        pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.5))
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(10)
         with pytest.raises(TrainingDiverged, match="batch"):
@@ -198,9 +229,8 @@ class TestDegeneratePipeline:
         cfg = small_config(seed=2, acl_mode="uniform", xi=1.0, alpha=1.0)
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         sem = semantic_assignment(g, "label")
-        mirrors = [mirror_augment(s, 0.0, sem) for s in subs]   # identity mirrors
         views = encoded_views(subs)
-        pos, neg = mirror_views(subs, mirrors)
+        pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.0))   # identity mirrors
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(20)
@@ -209,6 +239,28 @@ class TestDegeneratePipeline:
         # identical mirrors: inter-graph loss is exactly the margin per sample
         assert result.mean_inter == pytest.approx(cfg.xi, abs=1e-12)
         assert result.balance < 0.25   # transport between identical sets: bias only
+
+
+class TestDifficultyCurve:
+    def test_matches_per_theta_oracle_loop(self):
+        g = small_graph(seed=3)
+        subs = sample_all_subgraphs(g, 6)
+        sem = semantic_assignment(g, "label")
+        dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
+        params = init_gcn_params(g.feature_dim, 8, 2, 3)
+        grid = [0.0, 15.0, 30.0, 50.0, 80.0, 100.0]
+        curve = difficulty_curve(params, subs, sem, "euclidean", dist, grid, xi=0.5)
+
+        views = encoded_views(subs)
+        feats = views.features.reshape(len(subs) * 6, -1)
+        h = gcn_forward_batched(params, views.a_hat, feats)
+        for theta, (got_theta, mean, std) in zip(grid, curve):
+            mirrors = [per_pair_mirror_augment(s, quantile(dist, theta), sem) for s in subs]
+            h_pos, h_neg = (gcn_forward_batched(
+                params, np.stack([sym_normalized_adjacency(getattr(m, side)) for m in mirrors]),
+                feats) for side in ("positive_adjacency", "negative_adjacency"))
+            losses = inter_graph_losses_grouped(h, h_pos, h_neg, 0.5, 6).value
+            assert (got_theta, mean, std) == (theta, float(losses.mean()), float(losses.std()))
 
 
 class TestExport:
