@@ -7,13 +7,10 @@ from .config import TrainConfig, parse_config
 from .curriculum import (AclThresholds, PacingConfig, SampleWeights, decay_thresholds,
                          hard_acl_weights, init_thresholds, pacing_difficulty,
                          soft_acl_weights, spl_weights)
-from .encoder import (GcnParams, encode_triple, gcn_forward, init_gcn_params,
-                      readout_mean, shuffle_negatives)
+from .encoder import GcnParams, init_gcn_params
 from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                     make_splits, save_dataset, validate_graph)
-from .losses import (LossWeights, SinkhornConfig, balance_loss, inter_graph_loss,
-                     intra_graph_loss, per_sample_loss, sinkhorn_w1,
-                     weighted_total_loss)
+from .losses import LossWeights, SinkhornConfig, balance_loss, sinkhorn_w1, weighted_total_loss
 from .sampler import (ImportanceScores, Subgraph, column_normalize, compute_ppr_scores,
                       extract_subgraph, sample_all_subgraphs, top_k_indices)
 from .trainer import (OptimizerState, TrainReport, adam_step, evaluate_probe,

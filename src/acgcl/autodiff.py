@@ -36,22 +36,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -108,11 +92,6 @@ def mul(a, b) -> Tensor:
     return _node(value, (a, b), backward_fn)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.value, (a,), lambda g: (-g,))
-
-
 def scale(a, factor: float) -> Tensor:
     a = as_tensor(a)
     factor = float(factor)
@@ -166,11 +145,6 @@ def sum_axis(a, axis: int) -> Tensor:
         return (np.expand_dims(g, axis).repeat(a.shape[axis], axis=axis),)
 
     return _node(value, (a,), backward_fn)
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    return scale(sum_all(a), 1.0 / a.value.size)
 
 
 def mean_axis(a, axis: int) -> Tensor:
@@ -235,10 +209,6 @@ def sigmoid(a) -> Tensor:
         return (g * value * (1.0 - value),)
 
     return _node(value, (a,), backward_fn)
-
-
-def dot(a, b) -> Tensor:
-    return sum_all(mul(a, b))
 
 
 def row_sq_norm(a) -> Tensor:

@@ -85,7 +85,6 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     params, report = train(graph, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(params, config, out / "checkpoint.json")
-    report.checkpoint = str(out / "checkpoint.json")
     report.to_csv(out / "report.csv")
     print(f"epochs_run={len(report.rows)}")
     print(f"final_val_accuracy={report.final_val_accuracy!r}")

@@ -1,26 +1,22 @@
-"""GCN encoder producing node embeddings for a subgraph and its mirrors.
+"""GCN encoder producing node embeddings for stacks of subgraphs and their
+mirrors.
 
 Propagation per layer: H <- prelu(An @ H @ W, slope) where An is the
-symmetrically normalized adjacency with self loops added. One or two layers;
-slopes are learnable scalars initialized at 0.25; weights use seeded uniform
-Glorot initialization.
+symmetrically normalized adjacency with self loops added. Every subgraph of a
+batch has the same size k, so a batch is one (n, k, k) stack of An blocks and
+one (n * k, d) feature matrix. One or two layers; slopes are learnable scalars
+initialized at 0.25; weights use seeded uniform Glorot initialization.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .augment import MirrorGraphs
-from .errors import ConfigError, ShapeError, SizeError
-from .sampler import Subgraph
+from .errors import ConfigError, SizeError
 from .util import ROLE_PARAMS, rng_for
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -55,59 +51,26 @@ def init_gcn_params(in_dim: int, out_dim: int, n_layers: int = 1, seed: int = 0)
 
 
 def sym_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self loops."""
-    a_hat = np.asarray(adjacency, dtype=np.float64) + np.eye(adjacency.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor:
-    """Embed one subgraph: (k, k) adjacency and (k, in_dim) features -> (k, d)."""
-    features = ad.as_tensor(features)
-    if adjacency.shape[0] != adjacency.shape[1] or adjacency.shape[0] != features.shape[0]:
-        raise ShapeError(f"adjacency {adjacency.shape} vs features {features.shape}")
-    a_hat = sym_normalized_adjacency(adjacency)
-    h = features
-    for weight, slope in zip(params.weights, params.slopes):
-        h = ad.prelu(ad.matmul(ad.Tensor(a_hat), ad.matmul(h, weight)), slope)
-    return h
-
-
-@dataclass
-class EmbeddingTriple:
-    original: ad.Tensor    # (k, d)
-    positive: ad.Tensor
-    negative: ad.Tensor
-
-
-def encode_triple(params: GcnParams, subgraph: Subgraph, mirrors: MirrorGraphs) -> EmbeddingTriple:
-    """Three forward passes sharing one parameter set."""
-    return EmbeddingTriple(
-        original=gcn_forward(params, subgraph.adjacency, subgraph.features),
-        positive=gcn_forward(params, mirrors.positive_adjacency, subgraph.features),
-        negative=gcn_forward(params, mirrors.negative_adjacency, subgraph.features),
-    )
+    """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self loops, for
+    one (k, k) adjacency or a (..., k, k) stack of them."""
+    a_hat = np.asarray(adjacency, dtype=np.float64) + np.eye(adjacency.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    a_hat *= inv_sqrt[..., :, None]
+    a_hat *= inv_sqrt[..., None, :]
+    return a_hat
 
 
 def gcn_forward_batched(params: GcnParams, a_hat_blocks: np.ndarray, features_flat) -> ad.Tensor:
     """Embed many subgraphs at once.
 
     a_hat_blocks: (n_subgraphs, k, k) normalized adjacencies (constants);
-    features_flat: (n_subgraphs * k, in_dim). Matches stacking per-subgraph
-    gcn_forward outputs row-block by row-block.
+    features_flat: (n_subgraphs * k, in_dim). Row block i of the result is
+    the (k, d) embedding of subgraph i.
     """
     h = ad.as_tensor(features_flat)
     for weight, slope in zip(params.weights, params.slopes):
         h = ad.prelu(ad.block_matmul(a_hat_blocks, ad.matmul(h, weight)), slope)
     return h
-
-
-def readout_mean(embeddings) -> ad.Tensor:
-    """Mean-pool node embeddings into one summary vector."""
-    embeddings = ad.as_tensor(embeddings)
-    if embeddings.shape[0] < 1:
-        raise SizeError("readout needs at least one row")
-    return ad.mean_axis(embeddings, 0)
 
 
 def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,36 +86,3 @@ def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
     elif fixed.size > 1:
         perm[fixed] = perm[np.roll(fixed, -1)]
     return perm
-
-
-def shuffle_negatives(summaries, seed: int) -> list:
-    """Reorder subgraph summaries so nobody keeps its own position."""
-    items = list(summaries)
-    perm = derangement(len(items), np.random.default_rng(seed))
-    return [items[p] for p in perm]
-
-
-def params_to_payload(params: GcnParams) -> dict:
-    return {
-        "format_version": CHECKPOINT_VERSION,
-        "n_layers": params.n_layers,
-        "weights": [w.value.tolist() for w in params.weights],
-        "slopes": [float(s.value) for s in params.slopes],
-    }
-
-
-def params_from_payload(payload: dict) -> GcnParams:
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint: unsupported format version {version!r}")
-    weights = [ad.parameter(np.asarray(w, dtype=np.float64)) for w in payload["weights"]]
-    slopes = [ad.parameter(np.asarray(s, dtype=np.float64)) for s in payload["slopes"]]
-    return GcnParams(weights=weights, slopes=slopes)
-
-
-def save_gcn_params(params: GcnParams, path) -> None:
-    Path(path).write_text(json.dumps(params_to_payload(params)))
-
-
-def load_gcn_params(path) -> GcnParams:
-    return params_from_payload(json.loads(Path(path).read_text()))

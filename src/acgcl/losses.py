@@ -1,15 +1,16 @@
-"""Contrastive losses and their composition.
+"""Contrastive losses and their composition, over a batch of subgraphs.
 
 * inter-graph: per-node margin triplet between a subgraph's embeddings and
-  its positive/negative mirror embeddings, averaged over the subgraph.
+  its positive/negative mirror embeddings, one mean per subgraph of the
+  batch (rows come in blocks of k per subgraph).
 * balance: entropically regularized transport cost (log-domain Sinkhorn
   scaling, euclidean ground cost, uniform marginals) between batch embedding
   sets, summed for the positive and negative mirrors.
-* intra-graph: margin triplet pushing a center node toward its own subgraph
-  summary and away from a shuffled one.
+* intra-graph: margin triplet pushing each center node toward its own
+  subgraph summary and away from a shuffled one, one value per row.
 
-The per-sample loss is ``l_intra + alpha * balance / n + beta * l_inter`` and
-the training objective is the weighted sum of per-sample losses.
+The (n,) per-sample losses are ``l_intra + alpha * balance / n + beta *
+l_inter`` and the training objective is their weighted sum.
 
 Sinkhorn gradients are exact for the value actually returned: the backward
 pass replays the recorded scaling iterations in reverse, so finite
@@ -57,18 +58,14 @@ class SinkhornConfig:
             raise ConfigError("sinkhorn_tol: must be >= 0")
 
 
-def inter_graph_loss(h, h_pos, h_neg, xi: float) -> ad.Tensor:
-    """Mean over nodes of [|h - h+|^2 - |h - h-|^2 + xi]_+ ."""
+def inter_graph_losses_grouped(h, h_pos, h_neg, xi: float, group_size: int) -> ad.Tensor:
+    """Mean over each subgraph's nodes of [|h - h+|^2 - |h - h-|^2 + xi]_+ .
+    Rows come in blocks of ``group_size`` per subgraph; returns one value per
+    subgraph."""
     h, h_pos, h_neg = ad.as_tensor(h), ad.as_tensor(h_pos), ad.as_tensor(h_neg)
     if not (h.shape == h_pos.shape == h_neg.shape):
         raise ShapeError(f"embedding shapes differ: {h.shape}, {h_pos.shape}, {h_neg.shape}")
-    return ad.mean_all(_triplet_hinge_rows(h, h_pos, h_neg, xi))
-
-
-def inter_graph_losses_grouped(h, h_pos, h_neg, xi: float, group_size: int) -> ad.Tensor:
-    """Batched variant: rows come in blocks of ``group_size`` per subgraph;
-    returns one mean hinge per subgraph."""
-    hinge = _triplet_hinge_rows(ad.as_tensor(h), ad.as_tensor(h_pos), ad.as_tensor(h_neg), xi)
+    hinge = _triplet_hinge_rows(h, h_pos, h_neg, xi)
     n = hinge.shape[0]
     if n % group_size != 0:
         raise ShapeError(f"{n} rows do not split into groups of {group_size}")
@@ -81,16 +78,9 @@ def _triplet_hinge_rows(h, h_pos, h_neg, xi: float) -> ad.Tensor:
     return ad.relu(ad.add(ad.sub(pos, neg), ad.Tensor(float(xi))))
 
 
-def intra_graph_loss(h_center, summary, summary_neg, epsilon: float) -> ad.Tensor:
-    """[sigmoid(h . s~) - sigmoid(h . s) + epsilon]_+ for one center node."""
-    h = ad.as_tensor(h_center)
-    pos = ad.sigmoid(ad.dot(h, summary))
-    neg = ad.sigmoid(ad.dot(h, summary_neg))
-    return ad.relu(ad.add(ad.sub(neg, pos), ad.Tensor(float(epsilon))))
-
-
 def intra_graph_losses_batched(h_centers, summaries, summaries_neg, epsilon: float) -> ad.Tensor:
-    """Row-wise variant over a batch: (n, d) inputs -> (n,) losses."""
+    """[sigmoid(h . s~) - sigmoid(h . s) + epsilon]_+ per row: (n, d) inputs
+    -> (n,) losses."""
     h = ad.as_tensor(h_centers)
     pos = ad.sigmoid(ad.sum_axis(ad.mul(h, summaries), 1))
     neg = ad.sigmoid(ad.sum_axis(ad.mul(h, summaries_neg), 1))
@@ -202,25 +192,6 @@ def balance_loss(h, h_pos, h_neg, config: SinkhornConfig | None = None) -> ad.Te
     return ad.add(sinkhorn_w1(h, h_pos, config), sinkhorn_w1(h, h_neg, config))
 
 
-@dataclass(frozen=True)
-class SampleLossBreakdown:
-    intra: float
-    inter: float
-    balance_share: float
-    total: float
-
-
-def per_sample_loss(l_intra, l_inter, l_balance, weights: LossWeights, n: int) -> ad.Tensor:
-    """l_intra + alpha * l_balance / n + beta * l_inter for one sample."""
-    if n < 1:
-        raise ShapeError(f"n must be >= 1, got {n}")
-    return ad.add(
-        ad.as_tensor(l_intra),
-        ad.add(ad.scale(ad.as_tensor(l_balance), weights.alpha / n),
-               ad.scale(ad.as_tensor(l_inter), weights.beta)),
-    )
-
-
 def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, weights: LossWeights,
                               n: int) -> ad.Tensor:
     """(n,) per-sample losses from batched components and one shared balance."""
@@ -229,20 +200,13 @@ def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, weights: Loss
 
 
 def weighted_total_loss(sample_losses, weights, normalize: bool = False) -> ad.Tensor:
-    """Sum of w_i * L_i. ``sample_losses`` is a (n,) tensor or a list of
-    scalar tensors; ``weights`` an array-like (detached constants)."""
+    """Sum of w_i * L_i over a (n,) loss tensor; ``weights`` is an array-like
+    of detached constants."""
     values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
-    if isinstance(sample_losses, (list, tuple)):
-        if len(sample_losses) != values.size:
-            raise ShapeError(f"{len(sample_losses)} losses vs {values.size} weights")
-        total = ad.Tensor(0.0)
-        for loss, w in zip(sample_losses, values):
-            total = ad.add(total, ad.scale(ad.as_tensor(loss), float(w)))
-    else:
-        losses = ad.as_tensor(sample_losses)
-        if losses.shape != values.shape:
-            raise ShapeError(f"loss shape {losses.shape} vs weights {values.shape}")
-        total = ad.sum_all(ad.mul(losses, ad.Tensor(values)))
+    losses = ad.as_tensor(sample_losses)
+    if losses.shape != values.shape:
+        raise ShapeError(f"loss shape {losses.shape} vs weights {values.shape}")
+    total = ad.sum_all(ad.mul(losses, ad.Tensor(values)))
     if normalize:
         active = int(np.count_nonzero(values))
         total = ad.scale(total, 1.0 / max(1, active))

@@ -15,12 +15,11 @@ costs O(k^2) downstream regardless of graph shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphParseError, SizeError
+from .errors import SizeError
 from .graph import Graph
 
 DEFAULT_TELEPORT = 0.15
@@ -137,24 +136,3 @@ def sample_all_subgraphs(graph: Graph, k: int,
         raise SizeError(f"k must be >= 1, got {k}")
     indices = top_k_indices(compute_ppr_scores(graph, teleport).matrix, k)
     return [extract_subgraph(graph, ids) for ids in indices]
-
-
-def save_subgraph_indices(subgraphs: list[Subgraph], path) -> None:
-    """Cache format: one line per node, comma-separated parent ids, center first."""
-    with Path(path).open("w") as fh:
-        for sub in subgraphs:
-            fh.write(",".join(str(int(i)) for i in sub.parent_indices) + "\n")
-
-
-def load_subgraph_indices(path, graph: Graph) -> list[Subgraph]:
-    subgraphs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            ids = np.asarray([int(p) for p in text.split(",")], dtype=np.int64)
-        except ValueError:
-            raise GraphParseError(f"{path}:{lineno}: non-integer subgraph index") from None
-        subgraphs.append(extract_subgraph(graph, ids))
-    return subgraphs

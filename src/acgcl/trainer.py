@@ -24,10 +24,9 @@ from . import autodiff as ad
 from .augment import (estimate_distance_distribution, mirror_search, quantile,
                       semantic_assignment)
 from .config import TrainConfig
-from .curriculum import (AclThresholds, decay_thresholds, init_thresholds,
+from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, init_thresholds,
                          pacing_difficulty, weights_for_mode)
-from .encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
-                      derangement, params_from_payload, params_to_payload,
+from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .graph import Graph, Splits, load_dataset, make_splits
@@ -97,7 +96,7 @@ class EncodedViews:
 
 
 def encoded_views(subgraphs: list[Subgraph]) -> EncodedViews:
-    a_hat = np.stack([sym_normalized_adjacency(s.adjacency) for s in subgraphs])
+    a_hat = sym_normalized_adjacency(np.stack([s.adjacency for s in subgraphs]))
     features = np.stack([s.features for s in subgraphs])
     return EncodedViews(a_hat=a_hat, features=features)
 
@@ -174,7 +173,6 @@ class EpochStats:
 @dataclass
 class TrainReport:
     rows: list[EpochStats] = field(default_factory=list)
-    checkpoint: str | None = None    # set once the trained params are saved
 
     @property
     def final_val_accuracy(self) -> float:
@@ -216,7 +214,7 @@ class MetricsWriter:
 @dataclass
 class StepResult:
     sample_losses: np.ndarray
-    weights: np.ndarray
+    weights: SampleWeights
     active_fraction: float
     weighted_loss: float
     balance: float
@@ -283,7 +281,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
 
     result = StepResult(
         sample_losses=detached,
-        weights=weights.values,
+        weights=weights,
         active_fraction=weights.active_fraction(),
         weighted_loss=float(total.value),
         balance=float(l_bal.value),
@@ -311,8 +309,8 @@ def mirror_views(views: EncodedViews,
                  adjacencies: np.ndarray) -> tuple[EncodedViews, EncodedViews]:
     """Positive and negative views from ``MirrorSearch.adjacencies``; mirror
     graphs keep the features of ``views``."""
-    pos, neg = (EncodedViews(a_hat=np.stack([sym_normalized_adjacency(a) for a in stack]),
-                             features=views.features) for stack in adjacencies)
+    pos, neg = (EncodedViews(a_hat=a_hat, features=views.features)
+                for a_hat in sym_normalized_adjacency(adjacencies))
     return pos, neg
 
 
@@ -367,7 +365,7 @@ def train(graph: Graph, config: TrainConfig,
                     init_thresholds_from_losses=(step == 0))
                 epoch_losses.append(result.sample_losses.mean())
                 epoch_active.append(result.active_fraction)
-                hist = _weight_histogram(result.weights)
+                hist = result.weights.histogram()
                 metrics.write({
                     "kind": "step", "epoch": epoch, "step": step,
                     "theta": theta, "gamma": gamma,
@@ -424,13 +422,6 @@ def train(graph: Graph, config: TrainConfig,
     return params, report
 
 
-def _weight_histogram(values: np.ndarray) -> dict[str, float]:
-    n = max(1, values.size)
-    zero = float(np.sum(values == 0.0)) / n
-    one = float(np.sum(values == 1.0)) / n
-    return {"zero": zero, "fractional": 1.0 - zero - one, "one": one}
-
-
 # ---------------------------------------------------------------------------
 # Difficulty curve (frozen encoder, varying difficulty)
 
@@ -441,12 +432,12 @@ def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], semantics,
     k = views.a_hat.shape[1]
     ids = np.arange(len(subgraphs))
     search = mirror_search(subgraphs, semantics, metric)
+    a_o, feats = views.batch(ids)
+    h = gcn_forward_batched(params, a_o, feats)
     rows = []
     for theta in theta_grid:
         gamma = quantile(dist, float(theta))
         pos_views, neg_views = mirror_views(views, search.adjacencies(gamma))
-        a_o, feats = views.batch(ids)
-        h = gcn_forward_batched(params, a_o, feats)
         h_pos = gcn_forward_batched(params, pos_views.batch(ids)[0], feats)
         h_neg = gcn_forward_batched(params, neg_views.batch(ids)[0], feats)
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
@@ -458,10 +449,17 @@ def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], semantics,
 # Checkpointing and export
 
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
+    """JSON of the config and every weight matrix and slope. The params
+    object repeats the format version; only the outer one is read."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "params": params_to_payload(params),
+        "params": {
+            "format_version": CHECKPOINT_VERSION,
+            "n_layers": params.n_layers,
+            "weights": [w.value.tolist() for w in params.weights],
+            "slopes": [float(s.value) for s in params.slopes],
+        },
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -470,7 +468,11 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
     payload = json.loads(Path(path).read_text())
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint: unsupported format version {payload.get('format_version')!r}")
-    return params_from_payload(payload["params"]), TrainConfig.from_dict(payload["config"])
+    stored = payload["params"]
+    params = GcnParams(
+        weights=[ad.parameter(np.asarray(w, dtype=np.float64)) for w in stored["weights"]],
+        slopes=[ad.parameter(np.asarray(s, dtype=np.float64)) for s in stored["slopes"]])
+    return params, TrainConfig.from_dict(payload["config"])
 
 
 def export_embeddings(params: GcnParams, graph: Graph, config: TrainConfig, out_path) -> Path:

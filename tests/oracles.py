@@ -1,18 +1,30 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent references used by the tests.
 
-Everything here is deliberately naive (python loops, exhaustive enumeration,
-grids) and shares no code with the production paths it checks, apart from
-``pairwise_distances``: the per-pair mirror oracles take the distance matrix
-from the package so that their sums compare bit for bit with the search.
+Most of what is here is deliberately naive (python loops, exhaustive
+enumeration, grids) and shares no code with the production paths it checks.
+Two groups share some:
+
+* the per-pair mirror oracles take the distance matrix from
+  ``acgcl.augment.pairwise_distances``, so that their sums compare bit for bit
+  with the search;
+* the single-item references for the batched encoder and losses
+  (``gcn_forward``, ``inter_graph_loss``, ``intra_graph_loss``,
+  ``per_sample_loss``) handle one subgraph, one center or one sample at a
+  time. They are built from ``acgcl.autodiff`` operations, so their gradients
+  can be checked too, and ``gcn_forward`` normalizes with
+  ``acgcl.encoder.sym_normalized_adjacency``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from acgcl import autodiff as ad
 from acgcl.augment import (MirrorGraphs, MirrorStats, Replacement, SemanticAssignment,
                            pairwise_distances)
+from acgcl.encoder import GcnParams, sym_normalized_adjacency
 from acgcl.errors import ConfigError, ShapeError, SizeError
+from acgcl.losses import LossWeights
 from acgcl.sampler import Subgraph
 
 
@@ -155,6 +167,52 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssign
     return MirrorGraphs(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
 
 
+def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor:
+    """Embed one subgraph: (k, k) adjacency and (k, in_dim) features -> (k, d);
+    the reference for one block of ``acgcl.encoder.gcn_forward_batched``."""
+    features = ad.as_tensor(features)
+    if adjacency.shape[0] != adjacency.shape[1] or adjacency.shape[0] != features.shape[0]:
+        raise ShapeError(f"adjacency {adjacency.shape} vs features {features.shape}")
+    a_hat = sym_normalized_adjacency(adjacency)
+    h = features
+    for weight, slope in zip(params.weights, params.slopes):
+        h = ad.prelu(ad.matmul(ad.Tensor(a_hat), ad.matmul(h, weight)), slope)
+    return h
+
+
+def inter_graph_loss(h, h_pos, h_neg, xi: float) -> ad.Tensor:
+    """Mean over nodes of [|h - h+|^2 - |h - h-|^2 + xi]_+ for one subgraph;
+    the reference for one group of ``inter_graph_losses_grouped``."""
+    h, h_pos, h_neg = ad.as_tensor(h), ad.as_tensor(h_pos), ad.as_tensor(h_neg)
+    if not (h.shape == h_pos.shape == h_neg.shape):
+        raise ShapeError(f"embedding shapes differ: {h.shape}, {h_pos.shape}, {h_neg.shape}")
+    pos = ad.row_sq_norm(ad.sub(h, h_pos))
+    neg = ad.row_sq_norm(ad.sub(h, h_neg))
+    hinge = ad.relu(ad.add(ad.sub(pos, neg), ad.Tensor(float(xi))))
+    return ad.scale(ad.sum_all(hinge), 1.0 / hinge.value.size)
+
+
+def intra_graph_loss(h_center, summary, summary_neg, epsilon: float) -> ad.Tensor:
+    """[sigmoid(h . s~) - sigmoid(h . s) + epsilon]_+ for one center node;
+    the reference for one row of ``intra_graph_losses_batched``."""
+    h = ad.as_tensor(h_center)
+    pos = ad.sigmoid(ad.sum_all(ad.mul(h, summary)))
+    neg = ad.sigmoid(ad.sum_all(ad.mul(h, summary_neg)))
+    return ad.relu(ad.add(ad.sub(neg, pos), ad.Tensor(float(epsilon))))
+
+
+def per_sample_loss(l_intra, l_inter, l_balance, weights: LossWeights, n: int) -> ad.Tensor:
+    """l_intra + alpha * l_balance / n + beta * l_inter for one sample; the
+    reference for one entry of ``per_sample_losses_batched``."""
+    if n < 1:
+        raise ShapeError(f"n must be >= 1, got {n}")
+    return ad.add(
+        ad.as_tensor(l_intra),
+        ad.add(ad.scale(ad.as_tensor(l_balance), weights.alpha / n),
+               ad.scale(ad.as_tensor(l_inter), weights.beta)),
+    )
+
+
 def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):
     """Personalized-PageRank scores by fixed-point iteration on all rows.
 
@@ -243,8 +301,6 @@ def directional_grad_check(fn, values, rng, step=1e-5, n_directions=3):
     """Compare reverse-mode directional derivatives against central finite
     differences. ``fn(values) -> (loss_tensor, tensors)`` rebuilds the graph
     from plain arrays. Returns the worst relative error."""
-    from acgcl import autodiff as ad
-
     loss, tensors = fn(values)
     grads = ad.gradients(loss, tensors)
     worst = 0.0

@@ -13,11 +13,11 @@ from acgcl.augment import (estimate_distance_distribution, mirror_augment, quant
                            semantic_assignment)
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, hard_acl_weights, soft_acl_weights
-from acgcl.encoder import init_gcn_params, gcn_forward
+from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
-from acgcl.losses import (SinkhornConfig, LossWeights, balance_loss, inter_graph_loss,
-                          intra_graph_loss, per_sample_losses_batched, sinkhorn_w1,
-                          weighted_total_loss)
+from acgcl.losses import (SinkhornConfig, LossWeights, balance_loss,
+                          inter_graph_losses_grouped, intra_graph_losses_batched,
+                          per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
 from acgcl.trainer import (compute_center_embeddings, difficulty_curve, evaluate_probe,
                            train)
@@ -165,18 +165,22 @@ def test_criterion_4_sinkhorn_accuracy():
 
 def test_criterion_5_gradient_checks():
     """Every loss and the GCN forward pass match central finite differences
-    (step 1e-5) with relative error < 1e-4, 20 random instances each."""
+    (step 1e-5) with relative error < 1e-4, 20 random instances each. The
+    cases run the batched functions the trainer runs, on one subgraph: one
+    group of inter-graph losses, one row of intra-graph losses, one block of
+    the forward pass."""
     rng = np.random.default_rng(500)
     sink_cfg = SinkhornConfig(reg=0.2, max_iters=250, tol=0.0)
     loss_cfg = LossWeights(alpha=0.7, beta=1.3, xi=0.8, epsilon=0.2)
 
     def inter_case(values):
         h, hp, hn = (ad.parameter(v) for v in values)
-        return inter_graph_loss(h, hp, hn, xi=0.8), [h, hp, hn]
+        one_group = inter_graph_losses_grouped(h, hp, hn, 0.8, values[0].shape[0])
+        return ad.reshape(one_group, ()), [h, hp, hn]
 
     def intra_case(values):
         h, s, sn = (ad.parameter(v) for v in values)
-        return intra_graph_loss(h, s, sn, epsilon=0.2), [h, s, sn]
+        return ad.reshape(intra_graph_losses_batched(h, s, sn, epsilon=0.2), ()), [h, s, sn]
 
     def sinkhorn_case(values):
         p, q = (ad.parameter(v) for v in values)
@@ -189,13 +193,13 @@ def test_criterion_5_gradient_checks():
     def composite_case(values):
         # per-sample losses combined into the weighted training objective
         h, hp, hn = (ad.parameter(v) for v in values)
-        inter = inter_graph_loss(h, hp, hn, loss_cfg.xi)
-        center = ad.reshape(ad.take_rows(h, np.array([0])), (values[0].shape[1],))
-        intra = intra_graph_loss(center, ad.mean_axis(h, 0), ad.mean_axis(hp, 0),
-                                 loss_cfg.epsilon)
+        k, d = values[0].shape
+        inter = inter_graph_losses_grouped(h, hp, hn, loss_cfg.xi, k)
+        center = ad.take_rows(h, np.array([0]))
+        summary, summary_neg = (ad.mean_axis(ad.reshape(v, (1, k, d)), 1) for v in (h, hp))
+        intra = intra_graph_losses_batched(center, summary, summary_neg, loss_cfg.epsilon)
         bal = balance_loss(h, hp, hn, sink_cfg)
-        vec = per_sample_losses_batched(ad.reshape(intra, (1,)), ad.reshape(inter, (1,)),
-                                        bal, loss_cfg, 1)
+        vec = per_sample_losses_batched(intra, inter, bal, loss_cfg, 1)
         return weighted_total_loss(vec, np.array([0.7])), [h, hp, hn]
 
     def gcn_case(values):
@@ -203,14 +207,14 @@ def test_criterion_5_gradient_checks():
         params = init_gcn_params(values[0].shape[1], 3, n_layers=2, seed=0)
         params.weights = [w1, w2]
         params.slopes = [s1, s2]
-        out = gcn_forward(params, ADJ, x)
+        out = gcn_forward_batched(params, sym_normalized_adjacency(ADJ)[None], x)
         return ad.sum_all(ad.mul(out, ad.Tensor(MIX))), [x, w1, w2, s1, s2]
 
     global ADJ, MIX
     worst = {}
     for name, case, shapes in [
         ("inter", inter_case, [(4, 3)] * 3),
-        ("intra", intra_case, [(5,)] * 3),
+        ("intra", intra_case, [(1, 5)] * 3),
         ("sinkhorn", sinkhorn_case, [(5, 2), (6, 2)]),
         ("balance", balance_case, [(5, 2)] * 3),
         ("composite", composite_case, [(4, 3)] * 3),

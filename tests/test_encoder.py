@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from acgcl import autodiff as ad
-from acgcl.augment import MirrorGraphs, MirrorStats, mirror_augment, SemanticAssignment
-from acgcl.encoder import (GcnParams, derangement, encode_triple,
-                           gcn_forward, gcn_forward_batched, init_gcn_params,
-                           load_gcn_params, readout_mean, save_gcn_params,
-                           shuffle_negatives, sym_normalized_adjacency)
+from acgcl.augment import SemanticAssignment, mirror_search
+from acgcl.config import TrainConfig
+from acgcl.encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
+                           sym_normalized_adjacency)
 from acgcl.errors import ConfigError, SizeError
-from acgcl.sampler import Subgraph, sample_all_subgraphs
-from conftest import random_graph
+from acgcl.sampler import sample_all_subgraphs
+from acgcl.trainer import encoded_views, load_checkpoint, mirror_views, save_checkpoint
+from conftest import graph_from_edges, random_graph
+from oracles import gcn_forward
 
 
 def identity_params(dim):
@@ -19,22 +20,44 @@ def identity_params(dim):
                      slopes=[ad.parameter(np.asarray(1.0))])
 
 
-def make_subgraph(features, adjacency):
-    features = np.asarray(features, dtype=float)
-    return Subgraph(parent_indices=np.arange(len(features), dtype=np.int64),
-                    features=features, adjacency=np.asarray(adjacency, dtype=float),
-                    center=0)
+def forward_one(params, adjacency, features):
+    """One subgraph through the batched forward pass, as a one-block stack."""
+    return gcn_forward_batched(params, sym_normalized_adjacency(adjacency)[None], features)
+
+
+class TestSymNormalizedAdjacency:
+    @staticmethod
+    def per_block(adjacency):
+        a_hat = adjacency + np.eye(adjacency.shape[0])
+        inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+        return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+    def test_stack_matches_per_block(self, rng):
+        padded = graph_from_edges(9, [(0, 1), (1, 2), (3, 4)])   # nodes 5-8 isolated
+        for graph, k in ((random_graph(rng, n=40), 1), (random_graph(rng, n=40), 6),
+                         (padded, 4), (padded, 1)):
+            subgraphs = sample_all_subgraphs(graph, k)
+            if graph is padded and k > 1:
+                assert subgraphs[0].parent_indices.tolist() == [0, 1, 2, 0]   # center-padded
+            stack = np.stack([s.adjacency for s in subgraphs])
+            stacked = sym_normalized_adjacency(stack)
+            for block, adjacency in zip(stacked, stack):
+                assert np.array_equal(block, sym_normalized_adjacency(adjacency))
+                assert np.array_equal(block, self.per_block(adjacency))
+            pair = sym_normalized_adjacency(np.stack([stack, stack[::-1]]))
+            assert np.array_equal(pair[0], stacked)
+            assert np.array_equal(pair[1], stacked[::-1])
 
 
 class TestGcnForward:
     def test_identity_configuration(self):
-        out = gcn_forward(identity_params(3), np.zeros((1, 1)), np.array([[1.0, -2.0, 0.5]]))
+        out = forward_one(identity_params(3), np.zeros((1, 1)), np.array([[1.0, -2.0, 0.5]]))
         assert np.allclose(out.value, [[1.0, -2.0, 0.5]])
 
     def test_zero_weights_zero_output(self, rng):
         params = GcnParams(weights=[ad.parameter(np.zeros((4, 2)))],
                            slopes=[ad.parameter(np.asarray(0.25))])
-        out = gcn_forward(params, np.zeros((3, 3)), rng.standard_normal((3, 4)))
+        out = forward_one(params, np.zeros((3, 3)), rng.standard_normal((3, 4)))
         assert np.array_equal(out.value, np.zeros((3, 2)))
 
     def test_three_node_hand_computation(self, rng):
@@ -46,7 +69,7 @@ class TestGcnForward:
         a_hat = sym_normalized_adjacency(adj)
         pre = a_hat @ x @ w
         expected = np.where(pre > 0, pre, slope * pre)
-        assert np.abs(gcn_forward(params, adj, x).value - expected).max() < 1e-10
+        assert np.abs(forward_one(params, adj, x).value - expected).max() < 1e-10
 
     def test_permutation_equivariance(self, rng):
         adj = (rng.random((6, 6)) < 0.5).astype(float)
@@ -55,8 +78,8 @@ class TestGcnForward:
         x = rng.standard_normal((6, 5))
         params = init_gcn_params(5, 3, n_layers=2, seed=0)
         perm = rng.permutation(6)
-        base = gcn_forward(params, adj, x).value
-        permuted = gcn_forward(params, adj[np.ix_(perm, perm)], x[perm]).value
+        base = forward_one(params, adj, x).value
+        permuted = forward_one(params, adj[np.ix_(perm, perm)], x[perm]).value
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
     def test_batched_matches_per_subgraph(self, rng):
@@ -76,75 +99,96 @@ class TestGcnForward:
 
 
 class TestEncodeTriple:
-    def _identity_mirrors(self, sub):
-        return MirrorGraphs(positive_adjacency=sub.adjacency.copy(),
-                            negative_adjacency=sub.adjacency.copy(),
-                            stats=MirrorStats(gamma=0.0))
+    """Original, positive and negative views through one parameter set."""
+
+    @staticmethod
+    def encode(params, views, pos, neg):
+        ids = np.arange(len(views.a_hat))
+        a_o, feats = views.batch(ids)
+        return tuple(gcn_forward_batched(params, a, feats).value
+                     for a in (a_o, pos.batch(ids)[0], neg.batch(ids)[0]))
+
+    @staticmethod
+    def identity_adjacencies(subs):
+        adjacency = np.stack([s.adjacency for s in subs])
+        return np.stack([adjacency, adjacency])
 
     def test_identity_augmentation_identical_embeddings(self, rng):
         g = random_graph(rng, n=12)
-        sub = sample_all_subgraphs(g, k=4)[0]
+        subs = sample_all_subgraphs(g, k=4)
         params = init_gcn_params(g.feature_dim, 3, seed=0)
-        triple = encode_triple(params, sub, self._identity_mirrors(sub))
-        assert np.array_equal(triple.original.value, triple.positive.value)
-        assert np.array_equal(triple.original.value, triple.negative.value)
+        views = encoded_views(subs)
+        original, positive, negative = self.encode(
+            params, views, *mirror_views(views, self.identity_adjacencies(subs)))
+        assert np.array_equal(original, positive)
+        assert np.array_equal(original, negative)
 
     def test_negative_perturbation_leaves_others(self, rng):
         g = random_graph(rng, n=12)
-        sub = sample_all_subgraphs(g, k=4)[0]
+        subs = sample_all_subgraphs(g, k=4)
         params = init_gcn_params(g.feature_dim, 3, seed=0)
-        mirrors = self._identity_mirrors(sub)
-        perturbed = mirrors.negative_adjacency.copy()
-        perturbed[0, 1] = perturbed[1, 0] = 1.0 - perturbed[0, 1]
-        mirrors2 = MirrorGraphs(mirrors.positive_adjacency, perturbed, mirrors.stats)
-        a = encode_triple(params, sub, mirrors)
-        b = encode_triple(params, sub, mirrors2)
-        assert np.array_equal(a.original.value, b.original.value)
-        assert np.array_equal(a.positive.value, b.positive.value)
+        views = encoded_views(subs)
+        adjacencies = self.identity_adjacencies(subs)
+        perturbed = adjacencies.copy()
+        perturbed[1, 0, 0, 1] = perturbed[1, 0, 1, 0] = 1.0 - perturbed[1, 0, 0, 1]
+        a = self.encode(params, views, *mirror_views(views, adjacencies))
+        b = self.encode(params, views, *mirror_views(views, perturbed))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[2][4:], b[2][4:])    # other subgraphs' negatives
 
     def test_shapes(self, rng):
         g = random_graph(rng, n=10)
-        sub = sample_all_subgraphs(g, k=5)[2]
+        subs = sample_all_subgraphs(g, k=5)
         params = init_gcn_params(g.feature_dim, 7, seed=3)
         sem = SemanticAssignment(kind="label", values=np.zeros(10, dtype=np.int64))
-        triple = encode_triple(params, sub, mirror_augment(sub, 0.5, sem))
-        for emb in (triple.original, triple.positive, triple.negative):
-            assert emb.shape == (5, 7)
+        views = encoded_views(subs)
+        pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.5))
+        for emb in self.encode(params, views, pos, neg):
+            assert emb.shape == (10 * 5, 7)
 
 
 class TestReadout:
+    """The trainer's summary: mean over each k-row block of the embeddings."""
+
+    @staticmethod
+    def readout(rows, k):
+        rows = np.asarray(rows, dtype=float)
+        return ad.mean_axis(ad.reshape(ad.Tensor(rows), (len(rows) // k, k, rows.shape[1])), 1)
+
     def test_mean_rows(self):
-        out = readout_mean(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(out.value, [2.0, 3.0])
+        out = self.readout([[1.0, 2.0], [3.0, 4.0]], k=2)
+        assert np.allclose(out.value, [[2.0, 3.0]])
 
     def test_single_row(self):
-        assert np.allclose(readout_mean(np.array([[5.0, 6.0]])).value, [5.0, 6.0])
+        assert np.allclose(self.readout([[5.0, 6.0]], k=1).value, [[5.0, 6.0]])
 
     def test_constant_rows(self):
         rows = np.tile([1.5, -2.0], (4, 1))
-        assert np.allclose(readout_mean(rows).value, [1.5, -2.0])
+        assert np.allclose(self.readout(rows, k=2).value, [[1.5, -2.0], [1.5, -2.0]])
 
 
 class TestShuffleNegatives:
+    """Negative summaries are reordered by ``derangement``."""
+
     def test_two_elements_swap(self):
-        out = shuffle_negatives(["a", "b"], seed=0)
-        assert out == ["b", "a"]
+        assert derangement(2, np.random.default_rng(0)).tolist() == [1, 0]
 
     def test_derangement_property(self):
         for seed in range(40):
-            items = list(range(7))
-            out = shuffle_negatives(items, seed=seed)
-            assert sorted(out) == items
-            assert all(out[i] != items[i] for i in range(7))
+            perm = derangement(7, np.random.default_rng(seed))
+            assert sorted(perm.tolist()) == list(range(7))
+            assert (perm != np.arange(7)).all()
 
     def test_deterministic(self):
-        a = shuffle_negatives(list(range(10)), seed=5)
-        b = shuffle_negatives(list(range(10)), seed=5)
-        assert a == b
+        a = derangement(10, np.random.default_rng(5))
+        b = derangement(10, np.random.default_rng(5))
+        assert np.array_equal(a, b)
 
     def test_too_short(self):
-        with pytest.raises(SizeError):
-            shuffle_negatives(["only"], seed=0)
+        for n in (0, 1):
+            with pytest.raises(SizeError):
+                derangement(n, np.random.default_rng(0))
 
     def test_derangement_uniform_permutation_repair(self, rng):
         for n in (2, 3, 5, 11):
@@ -155,19 +199,46 @@ class TestShuffleNegatives:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path, rng):
+    def test_round_trip_exact(self, tmp_path):
         params = init_gcn_params(5, 4, n_layers=2, seed=11)
-        path = tmp_path / "params.json"
-        save_gcn_params(params, path)
-        back = load_gcn_params(path)
+        config = TrainConfig(seed=11, embedding_dim=4, gcn_layers=2)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, config, path)
+        back, back_config = load_checkpoint(path)
         assert back.n_layers == 2
+        assert back_config == config
         for w1, w2 in zip(params.weights, back.weights):
             assert np.array_equal(w1.value, w2.value)
         for s1, s2 in zip(params.slopes, back.slopes):
             assert np.array_equal(s1.value, s2.value)
 
     def test_version_checked(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps({"format_version": 99, "weights": [], "slopes": []}))
-        with pytest.raises(ConfigError):
-            load_gcn_params(path)
+        path = tmp_path / "checkpoint.json"
+        params = {"format_version": 1, "n_layers": 0, "weights": [], "slopes": []}
+        for version in (99, None):
+            payload = {"config": {}, "params": params}
+            if version is not None:
+                payload["format_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ConfigError, match="format version"):
+                load_checkpoint(path)
+
+    def test_loads_earlier_format_and_rewrites_it_byte_for_byte(self, tmp_path):
+        # The layout every release so far has written, nested params version included.
+        text = ('{"format_version": 1, "config": {"seed": 3, "embedding_dim": 2}, '
+                '"params": {"format_version": 1, "n_layers": 1, '
+                '"weights": [[[0.5, -0.25], [0.125, 1.0], [-2.0, 0.0]]], "slopes": [0.25]}}')
+        path = tmp_path / "checkpoint.json"
+        path.write_text(text)
+        params, config = load_checkpoint(path)
+        assert (config.seed, config.embedding_dim) == (3, 2)
+        assert params.n_layers == 1 and params.out_dim == 2
+        assert np.array_equal(params.weights[0].value,
+                              [[0.5, -0.25], [0.125, 1.0], [-2.0, 0.0]])
+        assert params.slopes[0].value == 0.25
+        save_checkpoint(params, config, path)
+        written = json.loads(path.read_text())
+        expected = json.loads(text)
+        expected["config"] = config.to_dict()
+        assert path.read_text() == json.dumps(expected)
+        assert list(written) == ["format_version", "config", "params"]

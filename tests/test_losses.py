@@ -3,27 +3,42 @@ import pytest
 
 from acgcl import autodiff as ad
 from acgcl.errors import ConfigError, ShapeError
-from acgcl.losses import (LossWeights, SampleLossBreakdown, SinkhornConfig, balance_loss,
-                          inter_graph_loss, inter_graph_losses_grouped, intra_graph_loss,
-                          intra_graph_losses_batched, per_sample_loss,
+from acgcl.losses import (LossWeights, SinkhornConfig, balance_loss,
+                          inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
-from oracles import directional_grad_check, exact_w1_1d
+from oracles import (directional_grad_check, exact_w1_1d, inter_graph_loss, intra_graph_loss,
+                     per_sample_loss)
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def inter_one_group(h, h_pos, h_neg, xi):
+    """The inter-graph loss of one subgraph: every row in a single group."""
+    return inter_graph_losses_grouped(h, h_pos, h_neg, xi, np.shape(h)[0])
+
+
+def intra_one_row(h, s, s_neg, epsilon):
+    """The intra-graph loss of one center: (d,) inputs as a one-row batch."""
+    return intra_graph_losses_batched(*(np.reshape(v, (1, -1)) for v in (h, s, s_neg)), epsilon)
+
+
+def per_sample_one(l_intra, l_inter, l_balance, weights, n):
+    return per_sample_losses_batched(np.array([l_intra]), np.array([l_inter]), l_balance,
+                                     weights, n)
+
+
 class TestInterGraphLoss:
     def test_hinge_inactive(self, rng):
         h = rng.standard_normal((4, 3))
         h_neg = h + 10.0   # |h - h-|^2 well above the margin
-        assert inter_graph_loss(h, h.copy(), h_neg, xi=1.0).item() == 0.0
+        assert inter_one_group(h, h.copy(), h_neg, xi=1.0).value.tolist() == [0.0]
 
     def test_equal_mirrors_give_margin(self, rng):
         h = rng.standard_normal((5, 2))
         other = rng.standard_normal((5, 2))
-        assert inter_graph_loss(h, other, other.copy(), xi=0.7).item() == pytest.approx(0.7)
+        assert inter_one_group(h, other, other.copy(), xi=0.7).value == pytest.approx([0.7])
 
     def test_matches_hand_sum(self, rng):
         h, hp, hn = (rng.standard_normal((2, 3)) for _ in range(3))
@@ -31,11 +46,13 @@ class TestInterGraphLoss:
             max(0.0, ((h[i] - hp[i]) ** 2).sum() - ((h[i] - hn[i]) ** 2).sum() + 0.5)
             for i in range(2)
         ])
-        assert inter_graph_loss(h, hp, hn, xi=0.5).item() == pytest.approx(expected, abs=1e-12)
+        assert inter_one_group(h, hp, hn, xi=0.5).value == pytest.approx([expected], abs=1e-12)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            inter_graph_loss(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)), 1.0)
+            inter_graph_losses_grouped(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)), 1.0, 1)
+        with pytest.raises(ShapeError):
+            inter_graph_losses_grouped(np.ones((6, 2)), np.ones((6, 2)), np.ones((6, 2)), 1.0, 4)
 
     def test_grouped_matches_per_subgraph(self, rng):
         h, hp, hn = (rng.standard_normal((6, 4)) for _ in range(3))
@@ -50,17 +67,18 @@ class TestIntraGraphLoss:
     def test_equal_summaries_give_margin(self, rng):
         h = rng.standard_normal(4)
         s = rng.standard_normal(4)
-        assert intra_graph_loss(h, s, s.copy(), epsilon=0.2).item() == pytest.approx(0.2)
+        assert intra_one_row(h, s, s.copy(), epsilon=0.2).value == pytest.approx([0.2])
 
     def test_saturated_hinge_zero(self):
         h = np.array([30.0])
-        assert intra_graph_loss(h, np.array([1.0]), np.array([-1.0]), epsilon=0.5).item() == 0.0
+        got = intra_one_row(h, np.array([1.0]), np.array([-1.0]), epsilon=0.5)
+        assert got.value.tolist() == [0.0]
 
     def test_scalar_arithmetic_case(self):
         h, s, s_neg = np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
         expected = max(0.0, sigmoid(0.0) - sigmoid(1.0) + 0.1)
-        got = intra_graph_loss(h, s, s_neg, epsilon=0.1).item()
-        assert got == pytest.approx(expected) == 0.0
+        got = intra_one_row(h, s, s_neg, epsilon=0.1).value
+        assert got.tolist() == [0.0] and expected == 0.0
 
     def test_batched_matches_single(self, rng):
         h, s, sn = (rng.standard_normal((5, 3)) for _ in range(3))
@@ -132,22 +150,20 @@ class TestBalanceLoss:
 class TestPerSampleLoss:
     def test_arithmetic(self):
         w = LossWeights(alpha=1.0, beta=2.0, xi=1.0, epsilon=0.1)
-        got = per_sample_loss(0.2, 0.5, 1.0, w, n=10).item()
-        assert got == pytest.approx(0.2 + 0.1 + 1.0)
+        got = per_sample_one(0.2, 0.5, 1.0, w, n=10).value
+        assert got == pytest.approx([0.2 + 0.1 + 1.0])
 
     def test_zero_weights_leave_intra(self):
         w = LossWeights(alpha=0.0, beta=0.0)
-        assert per_sample_loss(0.7, 9.0, 9.0, w, n=3).item() == pytest.approx(0.7)
+        assert per_sample_one(0.7, 9.0, 9.0, w, n=3).value == pytest.approx([0.7])
 
     def test_breakdown_identity(self, rng):
         w = LossWeights(alpha=0.8, beta=1.7)
         n = 6
         for _ in range(10):
-            li, lc, lb = rng.random(3)
-            total = per_sample_loss(li, lc, lb, w, n).item()
-            b = SampleLossBreakdown(intra=li, inter=lc, balance_share=w.alpha * lb / n,
-                                    total=total)
-            assert abs(b.total - (b.intra + b.balance_share + w.beta * b.inter)) < 1e-10
+            li, lc, lb = rng.random(n), rng.random(n), rng.random()
+            total = per_sample_losses_batched(li, lc, lb, w, n).value
+            assert np.abs(total - (li + w.alpha * lb / n + w.beta * lc)).max() < 1e-10
 
     def test_batched_matches_scalar(self, rng):
         w = LossWeights(alpha=0.5, beta=2.0)
@@ -164,14 +180,14 @@ class TestPerSampleLoss:
         n = 5
         li, lc = rng.random(n), rng.random(n)
         lb = 0.4
-        total = sum(per_sample_loss(li[i], lc[i], lb, w, n).item() for i in range(n))
+        total = per_sample_losses_batched(li, lc, lb, w, n).value.sum()
         expected = li.sum() + w.alpha * lb + w.beta * lc.sum()
         assert total == pytest.approx(expected, abs=1e-10)
 
 
 class TestWeightedTotal:
     def test_masking(self):
-        losses = [ad.Tensor(2.0), ad.Tensor(3.0)]
+        losses = ad.Tensor(np.array([2.0, 3.0]))
         assert weighted_total_loss(losses, np.array([1.0, 0.0])).item() == pytest.approx(2.0)
 
     def test_all_ones_plain_sum(self, rng):
@@ -189,7 +205,7 @@ class TestWeightedTotal:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            weighted_total_loss([ad.Tensor(1.0)], np.array([1.0, 2.0]))
+            weighted_total_loss(ad.Tensor(np.array([1.0])), np.array([1.0, 2.0]))
 
     def test_normalize_by_active(self):
         losses = ad.Tensor(np.array([1.0, 2.0, 3.0]))
@@ -201,15 +217,15 @@ class TestLossGradients:
     def test_inter_graph_gradcheck(self, rng):
         def build(values):
             h, hp, hn = (ad.parameter(v) for v in values)
-            return inter_graph_loss(h, hp, hn, xi=0.8), [h, hp, hn]
+            return ad.sum_all(inter_one_group(h, hp, hn, xi=0.8)), [h, hp, hn]
         values = [rng.standard_normal((4, 3)) for _ in range(3)]
         assert directional_grad_check(build, values, rng) < 1e-4
 
     def test_intra_graph_gradcheck(self, rng):
         def build(values):
             h, s, sn = (ad.parameter(v) for v in values)
-            return intra_graph_loss(h, s, sn, epsilon=0.3), [h, s, sn]
-        values = [rng.standard_normal(5) * 0.5 for _ in range(3)]
+            return ad.sum_all(intra_graph_losses_batched(h, s, sn, epsilon=0.3)), [h, s, sn]
+        values = [rng.standard_normal((3, 5)) * 0.5 for _ in range(3)]
         assert directional_grad_check(build, values, rng) < 1e-4
 
     def test_balance_gradcheck(self, rng):

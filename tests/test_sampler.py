@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from acgcl.errors import SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
 from acgcl.sampler import (column_normalize, compute_ppr_scores, extract_subgraph,
-                           load_subgraph_indices, sample_all_subgraphs,
-                           save_subgraph_indices, top_k_indices)
+                           sample_all_subgraphs, top_k_indices)
 from conftest import graph_from_edges, random_graph
 from oracles import power_iteration_ppr, subgraph_indices, top_rank
 
@@ -229,16 +228,3 @@ class TestSampleAllSubgraphs:
         a = sample_all_subgraphs(g, k=4)
         b = sample_all_subgraphs(g, k=4)
         assert all(np.array_equal(x.parent_indices, y.parent_indices) for x, y in zip(a, b))
-
-
-class TestSubgraphCache:
-    def test_round_trip(self, tmp_path, rng):
-        g = random_graph(rng, n=12)
-        subs = sample_all_subgraphs(g, k=4)
-        path = tmp_path / "subgraphs.csv"
-        save_subgraph_indices(subs, path)
-        back = load_subgraph_indices(path, g)
-        assert len(back) == len(subs)
-        for x, y in zip(subs, back):
-            assert np.array_equal(x.parent_indices, y.parent_indices)
-            assert np.array_equal(x.adjacency, y.adjacency)
