@@ -18,8 +18,7 @@ threshold over the stored sums (``MirrorSearch.adjacencies``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,34 +142,6 @@ def quantile(dist: DistanceDistribution, theta: float) -> float:
     return float(np.percentile(dist.values, theta))
 
 
-class Replacement(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-    distance_sum: float
-    original_edge: int
-    mirror_edge: int
-
-
-@dataclass
-class MirrorStats:
-    gamma: float
-    pos_replacements: list[Replacement] = field(default_factory=list)
-    neg_replacements: list[Replacement] = field(default_factory=list)
-    pos_unmatched: int = 0
-    neg_unmatched: int = 0
-
-
-@dataclass(frozen=True)
-class MirrorGraphs:
-    positive_adjacency: np.ndarray
-    negative_adjacency: np.ndarray
-    stats: MirrorStats
-
-
-
-
 @dataclass(frozen=True)
 class MirrorSearch:
     """Best mirror of every pair of equal-size subgraphs, valid at every gamma.
@@ -203,6 +174,27 @@ class MirrorSearch:
             return 0.0, 0.0
         matched = np.count_nonzero(self.best < 2.0 * gamma, axis=(1, 2, 3)) // 2
         return float(matched[0] / total), float(matched[1] / total)
+
+    def replacements(self, gamma: float, i: int = 0) -> list[tuple[np.ndarray, ...]]:
+        """The replacement log of subgraph i at gamma, positive then negative:
+        columns a, b, c, d, distance_sum, original_edge, mirror_edge over the
+        pairs a < b that gamma replaces, in row-major (a, b) order."""
+        k = self.best.shape[-1]
+        log = []
+        for p in range(2):
+            a, b = np.nonzero(np.triu(self.best[p, i] < 2.0 * gamma, 1))
+            c, d = np.divmod(self.argmin[p, i, a, b], k)
+            log.append((a, b, c, d, self.best[p, i, a, b],
+                        self.adjacency[i, a, b].astype(np.int64),
+                        self.edge[p, i, a, b].astype(np.int64)))
+        return log
+
+
+@dataclass(frozen=True)
+class MirrorGraphs:
+    positive_adjacency: np.ndarray
+    negative_adjacency: np.ndarray
+    search: MirrorSearch       # the one-subgraph tables both were thresholded from
 
 
 def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
@@ -251,19 +243,8 @@ def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
 
 def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignment,
                    metric: str = "euclidean") -> MirrorGraphs:
-    """Positive and negative mirror adjacencies of one subgraph at gamma, with
-    the replacement log in (a, b) order. Features are untouched."""
+    """Positive and negative mirror adjacencies of one subgraph at gamma, and
+    the search they came from; features are untouched."""
     search = mirror_search([subgraph], semantics, metric)
     (positive,), (negative,) = search.adjacencies(gamma)
-    k = subgraph.size
-    upper = np.triu(np.ones((k, k), dtype=bool), 1)
-    stats = MirrorStats(gamma=float(gamma))
-    for p, replaced in enumerate((stats.pos_replacements, stats.neg_replacements)):
-        best, flat, edge = search.best[p, 0], search.argmin[p, 0], search.edge[p, 0]
-        for a, b in zip(*np.nonzero(upper & (best < 2.0 * gamma))):
-            replaced.append(Replacement(int(a), int(b), int(flat[a, b] // k), int(flat[a, b] % k),
-                                        float(best[a, b]), int(subgraph.adjacency[a, b]),
-                                        int(edge[a, b])))
-    stats.pos_unmatched = int(search.pair_counts[0]) - len(stats.pos_replacements)
-    stats.neg_unmatched = int(search.pair_counts[0]) - len(stats.neg_replacements)
-    return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, stats=stats)
+    return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, search=search)

@@ -17,14 +17,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .augment import estimate_distance_distribution, mirror_augment, quantile, semantic_assignment
+import numpy as np
+
+from .augment import mirror_augment, quantile
 from .config import TrainConfig, parse_config
 from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
-from .sampler import sample_all_subgraphs
-from .trainer import (difficulty_curve, evaluate_checkpoint, load_checkpoint,
-                      save_checkpoint, train)
-from .util import ROLE_DISTANCES, rng_for
+from .trainer import (curriculum_inputs, difficulty_curve, evaluate_checkpoint,
+                      load_checkpoint, save_checkpoint, train)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,11 +103,7 @@ def _cmd_augment_inspect(args) -> int:
     config, graph = _load_config_and_graph(args.config, args.overrides)
     if not (0 <= args.node < graph.n_nodes):
         raise ConfigError(f"node: {args.node} out of range [0, {graph.n_nodes})")
-    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
-    dis_seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
-    dist = estimate_distance_distribution(subgraphs, config.distance_metric,
-                                          config.dis_sample_budget, dis_seed)
+    subgraphs, semantics, dist = curriculum_inputs(graph, config)
     gamma = quantile(dist, args.theta)
     sub = subgraphs[args.node]
     mirrors = mirror_augment(sub, gamma, semantics, config.distance_metric)
@@ -116,23 +112,19 @@ def _cmd_augment_inspect(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, adj in (("positive_adjacency.csv", mirrors.positive_adjacency),
                       ("negative_adjacency.csv", mirrors.negative_adjacency)):
-        with (out / name).open("w") as fh:
-            for row in adj:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+        np.savetxt(out / name, adj, fmt="%d", delimiter=",")
     parents = sub.parent_indices
+    log = mirrors.search.replacements(gamma)
     with (out / "replacements.csv").open("w") as fh:
         fh.write("polarity,a,b,a_parent,b_parent,c,d,c_parent,d_parent,"
                  "distance_sum,original_edge,mirror_edge\n")
-        for polarity, items in (("positive", mirrors.stats.pos_replacements),
-                                ("negative", mirrors.stats.neg_replacements)):
-            for r in items:
+        for polarity, columns in zip(("positive", "negative"), log):
+            for a, b, c, d, distance_sum, original, mirror in zip(*columns):
                 fh.write(",".join(map(str, (
-                    polarity, r.a, r.b, parents[r.a], parents[r.b],
-                    r.c, r.d, parents[r.c], parents[r.d],
-                    repr(r.distance_sum), r.original_edge, r.mirror_edge))) + "\n")
+                    polarity, a, b, parents[a], parents[b], c, d, parents[c], parents[d],
+                    repr(float(distance_sum)), original, mirror))) + "\n")
     print(f"node={args.node} theta={args.theta} gamma={gamma!r}")
-    print(f"positive_replacements={len(mirrors.stats.pos_replacements)} "
-          f"negative_replacements={len(mirrors.stats.neg_replacements)}")
+    print(f"positive_replacements={len(log[0][0])} negative_replacements={len(log[1][0])}")
     print(f"out={out}")
     return 0
 
@@ -149,11 +141,7 @@ def _cmd_validate_difficulty(args) -> int:
         params, _ = load_checkpoint(args.checkpoint)
     else:
         params, _ = train(graph, config)
-    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
-    dis_seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
-    dist = estimate_distance_distribution(subgraphs, config.distance_metric,
-                                          config.dis_sample_budget, dis_seed)
+    subgraphs, semantics, dist = curriculum_inputs(graph, config)
     rows = difficulty_curve(params, subgraphs, semantics, config.distance_metric,
                             dist, grid, config.xi)
     out = Path(args.out)

@@ -149,7 +149,10 @@ def _read_features(path: Path) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise GraphParseError(f"{path}: no feature rows")
-    return np.asarray(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise GraphParseError(f"{path}: non-finite feature value")
+    return features
 
 
 def _read_edges(path: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,14 +213,22 @@ def load_dataset(directory) -> Graph:
     )
     split_path = directory / SPLIT_FILE
     if split_path.exists():
-        raw = json.loads(split_path.read_text())
-        splits = Splits(
-            train=np.asarray(raw["train"], dtype=np.int64),
-            val=np.asarray(raw["val"], dtype=np.int64),
-            test=np.asarray(raw["test"], dtype=np.int64),
-        )
-        graph = Graph(graph.features, graph.adjacency, graph.labels, splits)
+        try:   # bad JSON, keys or ids; ids out of range or in two splits
+            graph = with_splits(graph, _parse_splits(json.loads(split_path.read_text())))
+            validate_graph(graph, allow_self_loops=True)
+        except (ValueError, OverflowError) as exc:
+            raise GraphParseError(f"{split_path}: {exc}") from None
     return graph
+
+
+def _parse_splits(raw) -> Splits:
+    parts = {}
+    for name in ("train", "val", "test"):
+        ids = raw.get(name) if isinstance(raw, dict) else None
+        if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+            raise GraphParseError(f"'{name}' must be a list of integer node ids")
+        parts[name] = np.asarray(ids, dtype=np.int64)
+    return Splits(**parts)
 
 
 def save_dataset(graph: Graph, directory) -> None:

@@ -28,12 +28,6 @@ REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are
 
 
 @dataclass(frozen=True)
-class ImportanceScores:
-    matrix: np.ndarray       # (n, n), entries >= 0
-    teleport: float
-
-
-@dataclass(frozen=True)
 class Subgraph:
     parent_indices: np.ndarray   # (k,) parent node ids, center first
     features: np.ndarray         # (k, dim)
@@ -52,16 +46,15 @@ def column_normalize(adjacency: sp.csr_array) -> sp.csr_array:
     return (adjacency @ sp.diags_array(inv)).tocsr()
 
 
-def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT) -> ImportanceScores:
-    """Full score matrix from a dense solve of the teleport resolvent."""
+def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT) -> np.ndarray:
+    """(n, n) scores, entries >= 0, from a dense solve of the teleport resolvent."""
     if not (0.0 < teleport < 1.0):
         raise ValueError(f"teleport must be in (0, 1), got {teleport}")
     n = graph.n_nodes
     normalized = column_normalize(graph.adjacency)
     system = np.eye(n) - (1.0 - teleport) * normalized.toarray()
     scores = np.linalg.solve(system, teleport * np.eye(n))
-    np.maximum(scores, 0.0, out=scores)   # clear solver noise below zero
-    return ImportanceScores(matrix=scores, teleport=teleport)
+    return np.maximum(scores, 0.0, out=scores)   # clear solver noise below zero
 
 
 def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -134,5 +127,5 @@ def sample_all_subgraphs(graph: Graph, k: int,
     """
     if k < 1:
         raise SizeError(f"k must be >= 1, got {k}")
-    indices = top_k_indices(compute_ppr_scores(graph, teleport).matrix, k)
+    indices = top_k_indices(compute_ppr_scores(graph, teleport), k)
     return [extract_subgraph(graph, ids) for ids in indices]

@@ -1,15 +1,16 @@
 """Training loop: per-epoch mirror graphs at the paced difficulty, inner
 steps with curriculum reweighting and Adam updates, early stopping on a
-validation probe, plus embedding export.
+validation probe.
 
-The pair-distance distribution and every pair's best mirror are computed
-once per run, the distribution with a fixed per-run seed (the subgraph set
-never changes, so the distance threshold is a deterministic, non-decreasing
-function of the paced difficulty). Every epoch thresholds the stored mirrors
-at its distance, then runs ``inner_steps`` mini-batch updates. Thresholds
-are initialized from the first step's observed losses each epoch and widen
-every step. Patience decrements whenever validation accuracy fails to
-improve; it never resets.
+``curriculum_inputs`` is the run set-up that train, augment-inspect and
+validate-difficulty share. Its distance distribution has a fixed per-run
+seed (the subgraph set never changes, so the distance threshold is a
+deterministic, non-decreasing function of the paced difficulty). Every
+pair's best mirror is searched once per run; each epoch thresholds the
+stored mirrors at its distance, then runs ``inner_steps`` mini-batch
+updates. Thresholds are initialized from the first step's observed losses
+each epoch and widen every step. Patience decrements whenever validation
+accuracy fails to improve; it never resets.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (estimate_distance_distribution, mirror_search, quantile,
-                      semantic_assignment)
+from .augment import (DistanceDistribution, SemanticAssignment, estimate_distance_distribution,
+                      mirror_search, quantile, semantic_assignment)
 from .config import TrainConfig
 from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, init_thresholds,
                          pacing_difficulty, weights_for_mode)
@@ -178,9 +179,6 @@ class TrainReport:
     def final_val_accuracy(self) -> float:
         return self.rows[-1].val_accuracy if self.rows else float("nan")
 
-    def loss_column(self) -> list[float]:
-        return [r.mean_loss for r in self.rows]
-
     def to_csv(self, path) -> None:
         header = "epoch,theta,gamma,lambda1,lambda2,mean_loss,active_fraction,val_accuracy"
         lines = [header]
@@ -314,6 +312,20 @@ def mirror_views(views: EncodedViews,
     return pos, neg
 
 
+def curriculum_inputs(graph: Graph, config: TrainConfig
+                      ) -> tuple[list[Subgraph], SemanticAssignment, DistanceDistribution]:
+    """The run's subgraphs, node semantics and pair-distance distribution.
+
+    The distribution's seed derives from ``config.seed`` and ROLE_DISTANCES,
+    so every command maps a difficulty theta to the same gamma."""
+    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
+    semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
+    seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
+    dist = estimate_distance_distribution(subgraphs, config.distance_metric,
+                                          config.dis_sample_budget, seed)
+    return subgraphs, semantics, dist
+
+
 def train(graph: Graph, config: TrainConfig,
           metrics_path=None) -> tuple[GcnParams, TrainReport]:
     config.validate()
@@ -322,30 +334,26 @@ def train(graph: Graph, config: TrainConfig,
         return init_gcn_params(graph.feature_dim, config.embedding_dim,
                                config.gcn_layers, config.seed), report
 
-    metrics = MetricsWriter(metrics_path)
     n = graph.n_nodes
     batch_size = min(config.batch_size, n)
     if batch_size < 2:
         raise ConfigError("batch_size: graph too small for a batch of 2 subgraphs")
 
-    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
+    subgraphs, semantics, dist = curriculum_inputs(graph, config)
     splits = graph.splits if graph.splits is not None else make_splits(
         graph, config.seed, config.split_train, config.split_val)
     views = encoded_views(subgraphs)
     pacing = config.pacing()
-    dis_seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
+    search = mirror_search(subgraphs, semantics, config.distance_metric)
 
     params = init_gcn_params(graph.feature_dim, config.embedding_dim,
                              config.gcn_layers, config.seed)
     opt = init_optimizer([t.value for t in params.all_parameters()])
 
+    metrics = MetricsWriter(metrics_path)
     patience_left = config.patience
     best_val = -np.inf
     try:
-        dist = estimate_distance_distribution(
-            subgraphs, config.distance_metric, config.dis_sample_budget, dis_seed)
-        search = mirror_search(subgraphs, semantics, config.distance_metric)
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, pacing)
             gamma = quantile(dist, theta)
@@ -446,7 +454,7 @@ def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], semantics,
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing and export
+# Checkpointing
 
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
     """JSON of the config and every weight matrix and slope. The params
@@ -473,20 +481,6 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
         weights=[ad.parameter(np.asarray(w, dtype=np.float64)) for w in stored["weights"]],
         slopes=[ad.parameter(np.asarray(s, dtype=np.float64)) for s in stored["slopes"]])
     return params, TrainConfig.from_dict(payload["config"])
-
-
-def export_embeddings(params: GcnParams, graph: Graph, config: TrainConfig, out_path) -> Path:
-    """CSV of node_id followed by the node's center embedding."""
-    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    embeddings = compute_center_embeddings(params, subgraphs)
-    out_path = Path(out_path)
-    try:
-        with out_path.open("w") as fh:
-            for node, row in enumerate(embeddings):
-                fh.write(",".join([str(node)] + [repr(float(v)) for v in row]) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write embeddings to {out_path}: {exc}") from exc
-    return out_path
 
 
 def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# Each value is part of its streams' seeds; renumbering one changes every run.
 ROLE_PARAMS = 1
-ROLE_SBM = 2
 ROLE_SPLITS = 3
 ROLE_DISTANCES = 4
 ROLE_BATCH = 5
 ROLE_SHUFFLE = 6
 ROLE_BALANCE = 7
-ROLE_PROBE = 8
 
 
 def rng_for(seed: int, role: int, *indices: int) -> np.random.Generator:

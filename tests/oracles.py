@@ -17,11 +17,13 @@ Two groups share some:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
 from acgcl import autodiff as ad
-from acgcl.augment import (MirrorGraphs, MirrorStats, Replacement, SemanticAssignment,
-                           pairwise_distances)
+from acgcl.augment import SemanticAssignment, pairwise_distances
 from acgcl.encoder import GcnParams, sym_normalized_adjacency
 from acgcl.errors import ConfigError, ShapeError, SizeError
 from acgcl.losses import LossWeights
@@ -119,11 +121,38 @@ def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: SemanticAssignm
     return flat // k, flat % k
 
 
+class Replacement(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
+    distance_sum: float
+    original_edge: int
+    mirror_edge: int
+
+
+@dataclass
+class MirrorStats:
+    gamma: float
+    pos_replacements: list[Replacement] = field(default_factory=list)
+    neg_replacements: list[Replacement] = field(default_factory=list)
+    pos_unmatched: int = 0
+    neg_unmatched: int = 0
+
+
+@dataclass(frozen=True)
+class PerPairMirrors:
+    positive_adjacency: np.ndarray
+    negative_adjacency: np.ndarray
+    stats: MirrorStats
+
+
 def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssignment,
-                            metric="euclidean") -> MirrorGraphs:
+                            metric="euclidean") -> PerPairMirrors:
     """Mirror adjacencies of one subgraph by a fresh search at this gamma,
-    one Python step per pair (a, b): the bit-exact reference for
-    ``acgcl.augment.mirror_search`` and ``mirror_augment``."""
+    one Python step per pair (a, b), with the replacement log in (a, b)
+    order: the bit-exact reference for ``acgcl.augment.mirror_search``, its
+    thresholded adjacencies and ``MirrorSearch.replacements``."""
     k = subgraph.size
     adj = subgraph.adjacency
     dmat = pairwise_distances(subgraph.features, metric)
@@ -164,7 +193,7 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssign
 
     np.fill_diagonal(pos_adj, 0.0)
     np.fill_diagonal(neg_adj, 0.0)
-    return MirrorGraphs(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
+    return PerPairMirrors(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
 
 
 def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor:

@@ -9,8 +9,16 @@ from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirro
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, random_graph
-from oracles import (exhaustive_mirror_pair, find_mirror_pair, pair_distance,
+from oracles import (Replacement, exhaustive_mirror_pair, find_mirror_pair, pair_distance,
                      per_pair_mirror_augment)
+
+
+def logged(search, gamma, i=0):
+    """The package's replacement log of subgraph i at gamma, positive then
+    negative, as oracle records."""
+    return [[Replacement(int(a), int(b), int(c), int(d), float(s), int(o), int(m))
+             for a, b, c, d, s, o, m in zip(*columns)]
+            for columns in search.replacements(gamma, i)]
 
 
 def make_subgraph(features, adjacency, parents=None):
@@ -208,7 +216,7 @@ class TestMirrorAugment:
         m = mirror_augment(sub, 0.0, sem)
         assert np.array_equal(m.positive_adjacency, sub.adjacency)
         assert np.array_equal(m.negative_adjacency, sub.adjacency)
-        assert not m.stats.pos_replacements and not m.stats.neg_replacements
+        assert logged(m.search, 0.0) == [[], []]
 
     def test_symmetric_zero_diagonal(self, rng):
         sub, sem = self._random_case(rng)
@@ -233,23 +241,22 @@ class TestMirrorAugment:
     def test_replacement_records_satisfy_constraints(self, rng):
         sub, sem = self._random_case(rng, k=10)
         gamma = 1.2
-        m = mirror_augment(sub, gamma, sem)
+        pos_log, neg_log = logged(mirror_augment(sub, gamma, sem).search, gamma)
         labels = sem.values[sub.parent_indices]
-        assert m.stats.pos_replacements   # loose sanity: something was replaced
-        for r in m.stats.pos_replacements:
+        assert pos_log   # loose sanity: something was replaced
+        for r in pos_log:
             assert labels[r.c] == labels[r.a] and labels[r.d] == labels[r.b]
             assert r.distance_sum < 2 * gamma
             assert r.mirror_edge == sub.adjacency[r.c, r.d]
-        for r in m.stats.neg_replacements:
+        for r in neg_log:
             assert labels[r.c] != labels[r.a] or labels[r.d] != labels[r.b]
             assert r.distance_sum < 2 * gamma
 
     def test_monotone_reach(self, rng):
         sub, sem = self._random_case(rng, k=9)
         def replaced_pairs(gamma):
-            m = mirror_augment(sub, gamma, sem)
-            return ({(r.a, r.b) for r in m.stats.pos_replacements},
-                    {(r.a, r.b) for r in m.stats.neg_replacements})
+            pos_log, neg_log = logged(mirror_augment(sub, gamma, sem).search, gamma)
+            return {(r.a, r.b) for r in pos_log}, {(r.a, r.b) for r in neg_log}
         lo_pos, lo_neg = replaced_pairs(0.6)
         hi_pos, hi_neg = replaced_pairs(1.4)
         assert lo_pos <= hi_pos
@@ -271,8 +278,8 @@ class TestMirrorAugment:
     def test_padded_duplicates_not_paired(self):
         sub = make_subgraph([[0.0], [1.0], [0.0]], np.zeros((3, 3)), parents=[4, 7, 4])
         sem = SemanticAssignment(kind="label", values=np.zeros(10, dtype=np.int64))
-        m = mirror_augment(sub, 100.0, sem)
-        pairs = {(r.a, r.b) for r in m.stats.pos_replacements}
+        pos_log, _ = logged(mirror_augment(sub, 100.0, sem).search, 100.0)
+        pairs = {(r.a, r.b) for r in pos_log}
         assert (0, 2) not in pairs   # same parent twice is not a pair
 
 
@@ -293,10 +300,13 @@ class TestMirrorSearch:
                 assert positive[i].dtype == want.positive_adjacency.dtype
                 assert np.array_equal(positive[i], want.positive_adjacency)
                 assert np.array_equal(negative[i], want.negative_adjacency)
-                assert mirror_augment(sub, gamma, sem, metric).stats == want.stats
-                for p, replaced in enumerate((want.stats.pos_replacements,
-                                              want.stats.neg_replacements)):
-                    matched[p] += len(replaced)
+                want_log = [want.stats.pos_replacements, want.stats.neg_replacements]
+                assert logged(search, gamma, i) == want_log
+                assert logged(mirror_augment(sub, gamma, sem, metric).search, gamma) == want_log
+                assert search.pair_counts[i] - len(want_log[0]) == want.stats.pos_unmatched
+                assert search.pair_counts[i] - len(want_log[1]) == want.stats.neg_unmatched
+                for p in range(2):
+                    matched[p] += len(want_log[p])
                 unmatched[0] += want.stats.pos_unmatched
                 unmatched[1] += want.stats.neg_unmatched
             rates = search.match_rates(gamma)

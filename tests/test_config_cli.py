@@ -1,10 +1,15 @@
 import json
+import re
 
 import pytest
 
+from acgcl.augment import semantic_assignment
 from acgcl.cli import main
 from acgcl.config import TrainConfig, parse_config, parse_overrides
 from acgcl.errors import ConfigError
+from acgcl.graph import load_dataset
+from acgcl.sampler import sample_all_subgraphs
+from oracles import per_pair_mirror_augment
 
 
 class TestParseConfig:
@@ -127,15 +132,56 @@ class TestCli:
         assert saved["config"]["epochs"] == 1
 
     def test_augment_inspect_outputs(self, tmp_path, config_file, capsys):
-        out = tmp_path / "inspect"
-        assert main(["augment-inspect", "--config", str(config_file), "--node", "3",
-                     "--theta", "40", "--out", str(out)]) == 0
-        assert (out / "positive_adjacency.csv").exists()
-        assert (out / "negative_adjacency.csv").exists()
-        log = (out / "replacements.csv").read_text().splitlines()
-        assert log[0].startswith("polarity,a,b")
-        adj = [line.split(",") for line in (out / "positive_adjacency.csv").read_text().splitlines()]
-        assert len(adj) == 5 and len(adj[0]) == 5
+        """Both adjacency CSVs and every replacement row equal the per-pair
+        oracle at the printed gamma."""
+        config = parse_config(config_file)
+        graph = load_dataset(config.data_dir)
+        subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
+        semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
+        for node in (4, 35):   # both have positive and negative replacements at theta 40
+            out = tmp_path / f"inspect-{node}"
+            assert main(["augment-inspect", "--config", str(config_file), "--node", str(node),
+                         "--theta", "40", "--out", str(out)]) == 0
+            printed = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+            sub = subgraphs[node]
+            want = per_pair_mirror_augment(sub, float(printed["gamma"]), semantics,
+                                           config.distance_metric)
+            for name, adj in (("positive_adjacency.csv", want.positive_adjacency),
+                              ("negative_adjacency.csv", want.negative_adjacency)):
+                assert adj.shape == (5, 5)
+                rows = [",".join(str(int(v)) for v in row) for row in adj]
+                assert (out / name).read_text().splitlines() == rows
+            parents = sub.parent_indices
+            rows = ["polarity,a,b,a_parent,b_parent,c,d,c_parent,d_parent,"
+                    "distance_sum,original_edge,mirror_edge"]
+            for polarity, log in (("positive", want.stats.pos_replacements),
+                                  ("negative", want.stats.neg_replacements)):
+                assert log, f"node {node}: no {polarity} replacement to compare"
+                rows += [",".join(map(str, (
+                    polarity, r.a, r.b, parents[r.a], parents[r.b], r.c, r.d,
+                    parents[r.c], parents[r.d], repr(float(r.distance_sum)),
+                    r.original_edge, r.mirror_edge))) for r in log]
+            assert (out / "replacements.csv").read_text().splitlines() == rows
+            assert printed["positive_replacements"] == str(len(want.stats.pos_replacements))
+            assert printed["negative_replacements"] == str(len(want.stats.neg_replacements))
+
+    def test_augment_inspect_gamma_matches_training(self, tmp_path, config_file, capsys):
+        """Both commands map a difficulty to gamma through the same run set-up.
+        The pair budget is below the pair count, so the estimate depends on
+        its seed."""
+        budget = ["--set", "dis_sample_budget=100"]
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--out", str(out)] + budget) == 0
+        records = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
+        epochs = [r for r in records if r["kind"] == "epoch"]
+        assert len(epochs) == 2
+        capsys.readouterr()
+        for record in epochs:
+            assert main(["augment-inspect", "--config", str(config_file), "--node", "0",
+                         "--theta", repr(record["theta"]), "--out", str(tmp_path / "inspect")]
+                        + budget) == 0
+            printed = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+            assert float(printed["gamma"]) == record["gamma"]
 
     def test_validate_difficulty_single_theta_and_determinism(self, tmp_path, config_file,
                                                               capsys):
@@ -162,3 +208,39 @@ class TestCli:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "theta0" in capsys.readouterr().err
+
+
+def _drop_val(raw):
+    del raw["val"]
+
+
+class TestMalformedSplits:
+    """A bad ``splits.json`` fails ``evaluate`` with one line that names it."""
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (_drop_val, "'val'"),
+        (lambda raw: raw["test"].append(999), "out-of-range"),     # 60-node graph
+        (lambda raw: raw["train"].append(1.5), "integer"),
+        (lambda raw: raw["test"].append(raw["train"][0]), "overlaps"),
+        (lambda raw: "truncated", "line 1"),
+    ], ids=["missing-val", "id-out-of-range", "non-integer-id", "train-id-in-test",
+            "truncated-json"])
+    def test_evaluate_fails_with_one_line(self, tmp_path, config_file, dataset_dir,
+                                          capsys, corrupt, reason):
+        out = tmp_path / "ckpt"
+        assert main(["train", "--config", str(config_file), "--set", "patience=0",
+                     "--out", str(out)]) == 0
+        path = dataset_dir / "splits.json"
+        text = path.read_text()
+        raw = json.loads(text)
+        if corrupt(raw) == "truncated":
+            path.write_text(text[:len(text) // 2])
+        else:
+            path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(out / "checkpoint.json"),
+                     "--data", str(dataset_dir)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and re.match(r"\w+Error: \S", err[0]), err
+        assert "splits.json" in err[0] and reason in err[0]

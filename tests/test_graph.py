@@ -55,6 +55,18 @@ class TestLoadGraph:
         with pytest.raises(ShapeError, match="features.csv:2"):
             load_graph(e, f)
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        e, f, _ = write_dataset(tmp_path, "", "1\nnan\n")
+        with pytest.raises(GraphParseError, match="features.csv"):
+            load_graph(e, f)
+
+    def test_valid_splits_load_beside_a_self_loop(self, tmp_path):
+        write_dataset(tmp_path, "0 0\n0 1\n", "1\n2\n3\n")
+        (tmp_path / "splits.json").write_text('{"train": [0], "val": [1], "test": [2]}')
+        g = load_dataset(tmp_path)
+        assert g.adjacency[0, 0] == 1
+        assert [list(part) for part in (g.splits.train, g.splits.val, g.splits.test)] == [[0], [1], [2]]
+
     def test_labels_loaded_and_gaps_rejected(self, tmp_path):
         e, f, l = write_dataset(tmp_path, "0 1\n", "1\n2\n", "0,1\n1,0\n")
         g = load_graph(e, f, l)

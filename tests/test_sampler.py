@@ -31,12 +31,12 @@ class TestPprScores:
     def test_self_loop_fixed_point(self):
         g = Graph(features=np.zeros((1, 1)), adjacency=sp.csr_array(np.ones((1, 1))))
         scores = compute_ppr_scores(g, teleport=0.15)
-        assert np.allclose(scores.matrix, [[1.0]])
+        assert np.allclose(scores, [[1.0]])
 
     def test_two_node_closed_form(self):
         # (I - 0.85 * [[0,1],[1,0]])^-1 scaled by 0.15
         g = graph_from_edges(2, [(0, 1)])
-        scores = compute_ppr_scores(g, teleport=0.15).matrix
+        scores = compute_ppr_scores(g, teleport=0.15)
         expected = (0.15 / (1 - 0.85 ** 2)) * np.array([[1.0, 0.85], [0.85, 1.0]])
         assert np.allclose(scores, expected, atol=1e-5)
         assert abs(scores[0, 0] - 0.54054) < 1e-5
@@ -45,13 +45,13 @@ class TestPprScores:
     def test_power_matches_dense(self, rng):
         for _ in range(5):
             g = random_graph(rng, n=int(rng.integers(10, 60)))
-            dense = compute_ppr_scores(g, 0.15).matrix
+            dense = compute_ppr_scores(g, 0.15)
             power = power_iteration_ppr(g, 0.15)
             assert np.abs(dense - power).max() < 1e-5
 
     def test_columns_sum_to_one(self, rng):
         g = random_graph(rng, n=40)
-        scores = compute_ppr_scores(g, 0.15).matrix
+        scores = compute_ppr_scores(g, 0.15)
         assert np.abs(scores.sum(axis=0) - 1.0).max() < 1e-8
         assert scores.min() >= 0.0
 
@@ -117,13 +117,13 @@ class TestBlockRanking:
             n = int(rng.integers(5, 80))
             g = random_graph(rng, n=n, p=float(rng.uniform(0.02, 0.3)),
                              min_degree_ring=bool(rng.integers(2)))
-            matrix = compute_ppr_scores(g, 0.15).matrix
+            matrix = compute_ppr_scores(g, 0.15)
             for k in (1, 2, int(rng.integers(1, n + 1)), 20):
                 assert np.array_equal(top_k_indices(matrix, k), oracle_indices(matrix, k))
 
     def test_isolated_nodes_and_small_components_pad(self):
         g = graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)])  # 8 isolated
-        matrix = compute_ppr_scores(g, 0.15).matrix
+        matrix = compute_ppr_scores(g, 0.15)
         out = top_k_indices(matrix, 5)
         assert np.array_equal(out, oracle_indices(matrix, 5))
         assert out[8].tolist() == [8] * 5
@@ -137,7 +137,7 @@ class TestBlockRanking:
 
     def test_k_equals_and_exceeds_n(self, rng):
         g = random_graph(rng, n=12, p=0.2)
-        matrix = compute_ppr_scores(g, 0.15).matrix
+        matrix = compute_ppr_scores(g, 0.15)
         for k in (12, 15):
             out = top_k_indices(matrix, k)
             assert np.array_equal(out, oracle_indices(matrix, k))
@@ -146,12 +146,12 @@ class TestBlockRanking:
     def test_partial_last_block(self, rng):
         for n in (257, 513):
             g = random_graph(rng, n=n, p=6.0 / n)
-            matrix = compute_ppr_scores(g, 0.15).matrix
+            matrix = compute_ppr_scores(g, 0.15)
             assert np.array_equal(top_k_indices(matrix, 10), oracle_indices(matrix, 10))
 
     def test_exact_ties(self, rng):
         for g in (cycle_graph(11), cycle_graph(300), star_graph(9), star_graph(300)):
-            matrix = compute_ppr_scores(g, 0.15).matrix
+            matrix = compute_ppr_scores(g, 0.15)
             for k in (4, 9):
                 assert np.array_equal(top_k_indices(matrix, k), oracle_indices(matrix, k))
         # Exact ties and unreachable zeros by construction, across two blocks.
@@ -163,7 +163,7 @@ class TestBlockRanking:
 
     def test_large_graph_through_sampler(self, rng):
         g = random_graph(rng, n=2100, p=3.0 / 2100, dim=1)
-        matrix = compute_ppr_scores(g, 0.15).matrix
+        matrix = compute_ppr_scores(g, 0.15)
         subs = sample_all_subgraphs(g, k=8)
         parents = np.stack([s.parent_indices for s in subs])
         assert np.array_equal(parents, oracle_indices(matrix, 8))
