@@ -56,30 +56,27 @@ def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.nd
 @dataclass(frozen=True)
 class SemanticAssignment:
     """Per-node integer semantics: class labels, or equal-frequency degree buckets."""
-    kind: str                 # "label" or "degree-bucket"
     values: np.ndarray        # one integer per parent-graph node
-    n_buckets: int | None = None
 
 
 def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -> SemanticAssignment:
     if kind == "label":
         if graph.labels is None:
             raise ConfigError("semantics: kind 'label' requires a labeled graph")
-        return SemanticAssignment(kind="label", values=graph.labels.astype(np.int64))
+        return SemanticAssignment(values=graph.labels.astype(np.int64))
     if kind == "degree-bucket":
         if n_buckets < 1:
             raise ConfigError("degree_buckets: must be >= 1")
         degrees = graph.degrees()
         edges = np.quantile(degrees, np.linspace(0, 1, n_buckets + 1)[1:-1])
         values = np.searchsorted(edges, degrees, side="right")
-        return SemanticAssignment(kind="degree-bucket", values=values.astype(np.int64), n_buckets=n_buckets)
+        return SemanticAssignment(values=values.astype(np.int64))
     raise ConfigError(f"semantics: unknown kind {kind!r}, expected 'label' or 'degree-bucket'")
 
 
 @dataclass(frozen=True)
 class DistanceDistribution:
     values: np.ndarray        # sorted ascending
-    sample_budget: int
 
 
 def estimate_distance_distribution(subgraphs: list[Subgraph], metric: str,
@@ -116,7 +113,7 @@ def estimate_distance_distribution(subgraphs: list[Subgraph], metric: str,
         xb = subgraphs[sg].features[iv[sel]]
         values[owner == sg] = _rowwise_distance(xa, xb, metric)
     values.sort()
-    return DistanceDistribution(values=values, sample_budget=sample_budget)
+    return DistanceDistribution(values=values)
 
 
 def _rowwise_distance(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:

@@ -217,19 +217,36 @@ def row_sq_norm(a) -> Tensor:
     return sum_axis(mul(a, a), 1)
 
 
+# Pairs whose squared distance is at most this fraction of |p|^2 + |q|^2 are
+# recomputed from their row differences: there the Gram form cancels.
+_NEAR = 1e-4
+
+
 def pairwise_euclidean(p, q) -> Tensor:
-    """(m, d), (n, d) -> (m, n) euclidean distances. Gradient at coincident
-    points is taken as 0."""
+    """(m, d), (n, d) -> (m, n) euclidean distances, from the Gram form
+    |p|^2 + |q|^2 - 2 p.q. Near pairs (coincident rows among them) take their
+    value and gradient from the exact row difference, so coincident points
+    have distance 0 and gradient 0."""
     p, q = as_tensor(p), as_tensor(q)
     if p.value.ndim != 2 or q.value.ndim != 2 or p.shape[1] != q.shape[1]:
         raise ShapeError(f"pairwise_euclidean shapes {p.shape} and {q.shape}")
-    diff = p.value[:, None, :] - q.value[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    pv, qv = p.value, q.value
+    norms = np.einsum("ij,ij->i", pv, pv)[:, None] + np.einsum("ij,ij->i", qv, qv)[None, :]
+    sq = norms - 2.0 * (pv @ qv.T)
+    rows, cols = np.nonzero(sq <= _NEAR * norms)
+    diff = pv[rows] - qv[cols]
+    sq[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+    dist = np.sqrt(sq)
 
     def backward_fn(g):
-        inv = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), 0.0)
-        weighted = (g * inv)[:, :, None] * diff
-        return weighted.sum(axis=1), -weighted.sum(axis=0)
+        w = np.divide(g, dist, out=np.zeros_like(dist), where=dist > 0)
+        near = w[rows, cols][:, None] * diff
+        w[rows, cols] = 0.0
+        grad_p = w.sum(axis=1)[:, None] * pv - w @ qv
+        grad_q = w.sum(axis=0)[:, None] * qv - w.T @ pv
+        np.add.at(grad_p, rows, near)
+        np.add.at(grad_q, cols, -near)
+        return grad_p, grad_q
 
     return _node(dist, (p, q), backward_fn)
 

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import mirror_augment, quantile
+from .augment import mirror_augment, mirror_search, quantile
 from .config import TrainConfig, parse_config
 from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
-from .trainer import (curriculum_inputs, difficulty_curve, evaluate_checkpoint,
-                      load_checkpoint, save_checkpoint, train)
+from .trainer import (check_feature_width, curriculum_inputs, difficulty_curve,
+                      evaluate_checkpoint, load_checkpoint, save_checkpoint, train)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,11 +139,12 @@ def _cmd_validate_difficulty(args) -> int:
         raise ConfigError("grid: needs at least one difficulty value")
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
-    else:
-        params, _ = train(graph, config)
+        check_feature_width(params, graph, args.checkpoint)
     subgraphs, semantics, dist = curriculum_inputs(graph, config)
-    rows = difficulty_curve(params, subgraphs, semantics, config.distance_metric,
-                            dist, grid, config.xi)
+    search = mirror_search(subgraphs, semantics, config.distance_metric)
+    if not args.checkpoint:
+        params, _ = train(graph, config, inputs=(subgraphs, dist, search))
+    rows = difficulty_curve(params, subgraphs, search, dist, grid, config.xi)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

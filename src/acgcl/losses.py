@@ -3,9 +3,12 @@
 * inter-graph: per-node margin triplet between a subgraph's embeddings and
   its positive/negative mirror embeddings, one mean per subgraph of the
   batch (rows come in blocks of k per subgraph).
-* balance: entropically regularized transport cost (log-domain Sinkhorn
-  scaling, euclidean ground cost, uniform marginals) between batch embedding
-  sets, summed for the positive and negative mirrors.
+* balance: entropically regularized transport cost (Sinkhorn scaling,
+  euclidean ground cost, uniform marginals) between batch embedding sets,
+  summed for the positive and negative mirrors. The scaling runs on the
+  kernel exp(-C/reg) while max(C)/reg <= KERNEL_MAX_RATIO, and on log-domain
+  potentials beyond that; both paths give the same iterates up to rounding
+  and report a ``SinkhornStats``.
 * intra-graph: margin triplet pushing each center node toward its own
   subgraph summary and away from a shuffled one, one value per row.
 
@@ -13,7 +16,8 @@ The (n,) per-sample losses are ``l_intra + alpha * balance / n + beta *
 l_inter`` and the training objective is their weighted sum.
 
 Sinkhorn gradients are exact for the value actually returned: the backward
-pass replays the recorded scaling iterations in reverse, so finite
+pass replays the recorded scaling iterations in reverse (in the kernel
+domain, two matvecs per iteration and one GEMM for the cost), so finite
 differences and reverse mode agree as long as the iteration count does not
 change under perturbation (set ``tol=0`` to pin it at ``max_iters``).
 The adaptive regularization (``reg=None`` selects 5% of the median ground
@@ -96,12 +100,21 @@ def _resolve_reg(cost: np.ndarray, config: SinkhornConfig) -> float:
     return 0.05 * scale
 
 
-def sinkhorn_w1(points_a, points_b, config: SinkhornConfig | None = None) -> ad.Tensor:
+@dataclass(frozen=True)
+class SinkhornStats:
+    """How one transport solve ended."""
+    iters: int              # scaling iterations run
+    marginal_err: float     # l1 row-marginal violation of the returned plan
+
+
+def sinkhorn_w1(points_a, points_b, config: SinkhornConfig | None = None,
+                stats: list | None = None) -> ad.Tensor:
     """Entropically regularized transport cost between two point sets.
 
     Uniform marginals, euclidean ground cost; value is the transport cost of
     the converged plan. Symmetric by construction: the two sets are put in a
     canonical order before solving, so argument order never changes the value.
+    When ``stats`` is a list, the call appends its ``SinkhornStats``.
     """
     config = config or SinkhornConfig()
     a = ad.as_tensor(points_a)
@@ -116,10 +129,16 @@ def sinkhorn_w1(points_a, points_b, config: SinkhornConfig | None = None) -> ad.
     if _canonical_order_swapped(a.value, b.value):
         a, b = b, a
     cost = ad.pairwise_euclidean(a, b)
-    if cost.value.max() == 0.0:
-        return ad.scale(ad.sum_all(cost), 0.0)   # identical multisets: zero cost
-    reg = _resolve_reg(cost.value, config)
-    return _sinkhorn_cost_node(cost, reg, config.max_iters, config.tol)
+    peak = cost.value.max()
+    if peak == 0.0:
+        out, info = ad.scale(ad.sum_all(cost), 0.0), SinkhornStats(0, 0.0)   # identical multisets
+    else:
+        reg = _resolve_reg(cost.value, config)
+        node = _sinkhorn_kernel_node if peak / reg <= KERNEL_MAX_RATIO else _sinkhorn_log_node
+        out, info = node(cost, reg, config.max_iters, config.tol)
+    if stats is not None:
+        stats.append(info)
+    return out
 
 
 def _canonical_order_swapped(a: np.ndarray, b: np.ndarray) -> bool:
@@ -137,8 +156,73 @@ def _canonical_order_swapped(a: np.ndarray, b: np.ndarray) -> bool:
 
 _TOL_CHECK_EVERY = 10
 
+# Largest max(C)/reg solved in the kernel domain. The kernel exp(-C/reg) then
+# stays above e^-200, far from float64 underflow (about e^-745). The automatic
+# reg (5% of the median cost) makes the ratio 20 * max / median, 46-63 on the
+# balance costs of training.
+KERNEL_MAX_RATIO = 200.0
 
-def _sinkhorn_cost_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float) -> ad.Tensor:
+
+def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float
+                          ) -> tuple[ad.Tensor, SinkhornStats]:
+    """Sinkhorn scaling on K = exp(-C/reg): u = 1/(b Kv), v = 1/(a K^T u).
+
+    The same iterates as ``_sinkhorn_log_node`` with u = exp(f/reg) and
+    v = exp(g/reg); its replay is two matvecs per step, and the cost
+    gradient of all steps is one GEMM of the stacked replay factors.
+    """
+    m, n = cost.value.shape
+    c = cost.value
+    c_over = c / reg
+    kernel = np.exp(-c_over)
+    a, b = 1.0 / m, 1.0 / n
+
+    def marginal_err(u, v):     # l1 row-marginal violation of the plan ab u K v
+        return float(np.abs(a * b * u * (kernel @ v) - a).sum())
+
+    u_hist = np.zeros((max_iters, m))
+    v_hist = np.ones((max_iters + 1, n))    # v_hist[0] is the all-ones start
+    v = v_hist[0]
+    used = 0
+    for t in range(max_iters):
+        u = 1.0 / (b * (kernel @ v))
+        v = 1.0 / (a * (kernel.T @ u))
+        u_hist[t] = u
+        v_hist[t + 1] = v
+        used = t + 1
+        if tol > 0 and used % _TOL_CHECK_EVERY == 0 and marginal_err(u, v) < tol:
+            break
+    u, v = u_hist[used - 1], v_hist[used]
+    plan = (a * b) * u[:, None] * kernel * v[None, :]
+    value = float((plan * c).sum())
+
+    def backward_fn(upstream):
+        # Step t computed u_t from v_t, then v_{t+1} from u_t. Each step adds
+        # K * outer(left, right) twice to the cost gradient: once through
+        # v_{t+1} (left a u_t, right v_{t+1} lam_g) and once through u_t
+        # (left b u_t lam_f, right v_t).
+        left = np.empty((2 * used, m))
+        right = np.empty((2 * used, n))
+        lam_f = upstream * (plan * c).sum(axis=1) / reg
+        lam_g = upstream * (plan * c).sum(axis=0) / reg
+        for t in range(used - 1, -1, -1):
+            left[2 * t] = a * u_hist[t]
+            right[2 * t] = v_hist[t + 1] * lam_g
+            lam_f = lam_f - left[2 * t] * (kernel @ right[2 * t])
+            left[2 * t + 1] = b * u_hist[t] * lam_f
+            right[2 * t + 1] = v_hist[t]
+            lam_g = -(kernel.T @ left[2 * t + 1]) * v_hist[t]
+            lam_f = 0.0
+        return (upstream * plan * (1.0 - c_over) + kernel * (left.T @ right),)
+
+    stats = SinkhornStats(used, marginal_err(u, v))
+    return ad._node(np.asarray(value), (cost,), backward_fn), stats
+
+
+def _sinkhorn_log_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float
+                       ) -> tuple[ad.Tensor, SinkhornStats]:
+    """Log-domain Sinkhorn scaling on the potentials f, g; for costs whose
+    max(C)/reg is beyond the kernel domain's range."""
     m, n = cost.value.shape
     c = cost.value
     c_over = c / reg                 # shared by every update and the replay
@@ -179,7 +263,8 @@ def _sinkhorn_cost_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float)
             lam_f = np.zeros(m)
         return (grad_c,)
 
-    return ad._node(np.asarray(value), (cost,), backward_fn)
+    stats = SinkhornStats(used, float(np.abs(plan.sum(axis=1) - weight_a).sum()))
+    return ad._node(np.asarray(value), (cost,), backward_fn), stats
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -187,9 +272,11 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def balance_loss(h, h_pos, h_neg, config: SinkhornConfig | None = None) -> ad.Tensor:
-    """Transport cost from the original embedding set to each mirror set."""
-    return ad.add(sinkhorn_w1(h, h_pos, config), sinkhorn_w1(h, h_neg, config))
+def balance_loss(h, h_pos, h_neg, config: SinkhornConfig | None = None,
+                 stats: list | None = None) -> ad.Tensor:
+    """Transport cost from the original embedding set to each mirror set;
+    ``stats`` collects the two solves' ``SinkhornStats``."""
+    return ad.add(sinkhorn_w1(h, h_pos, config, stats), sinkhorn_w1(h, h_neg, config, stats))
 
 
 def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, weights: LossWeights,

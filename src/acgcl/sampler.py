@@ -32,7 +32,6 @@ class Subgraph:
     parent_indices: np.ndarray   # (k,) parent node ids, center first
     features: np.ndarray         # (k, dim)
     adjacency: np.ndarray        # (k, k) dense 0/1
-    center: int
 
     @property
     def size(self) -> int:
@@ -114,7 +113,6 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
         parent_indices=indices,
         features=graph.features[indices],
         adjacency=np.asarray(sub_adj, dtype=np.float64),
-        center=int(indices[0]),
     )
 
 

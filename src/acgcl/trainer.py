@@ -22,14 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (DistanceDistribution, SemanticAssignment, estimate_distance_distribution,
-                      mirror_search, quantile, semantic_assignment)
+from .augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
+                      estimate_distance_distribution, mirror_search, quantile,
+                      semantic_assignment)
 from .config import TrainConfig
 from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, init_thresholds,
                          pacing_difficulty, weights_for_mode)
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from .graph import Graph, Splits, load_dataset, make_splits
 from .losses import (balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
@@ -218,6 +219,8 @@ class StepResult:
     balance: float
     mean_intra: float
     mean_inter: float
+    sinkhorn_iters: int             # max over the step's two balance solves
+    sinkhorn_marginal_err: float    # likewise
 
 
 def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
@@ -254,8 +257,9 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
     total_rows = b * k
     cap = min(config.balance_max_points, total_rows)
     rows = np.sort(balance_rng.choice(total_rows, size=cap, replace=False))
+    solves: list = []
     l_bal = balance_loss(ad.take_rows(h, rows), ad.take_rows(h_pos, rows),
-                         ad.take_rows(h_neg, rows), config.sinkhorn())
+                         ad.take_rows(h_neg, rows), config.sinkhorn(), solves)
 
     sample_losses = per_sample_losses_batched(intra_vec, inter_vec, l_bal, weights_cfg, b)
     detached = sample_losses.value.copy()
@@ -285,6 +289,8 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
         balance=float(l_bal.value),
         mean_intra=float(intra_vec.value.mean()),
         mean_inter=float(inter_vec.value.mean()),
+        sinkhorn_iters=max(s.iters for s in solves),
+        sinkhorn_marginal_err=max(s.marginal_err for s in solves),
     )
     return result, opt, thresholds
 
@@ -326,8 +332,12 @@ def curriculum_inputs(graph: Graph, config: TrainConfig
     return subgraphs, semantics, dist
 
 
-def train(graph: Graph, config: TrainConfig,
-          metrics_path=None) -> tuple[GcnParams, TrainReport]:
+def train(graph: Graph, config: TrainConfig, metrics_path=None,
+          inputs: tuple[list[Subgraph], DistanceDistribution, MirrorSearch] | None = None,
+          ) -> tuple[GcnParams, TrainReport]:
+    """Curriculum training. ``inputs`` is the run's (subgraphs, distance
+    distribution, mirror search) for this graph and config, as built from
+    ``curriculum_inputs`` and ``mirror_search``; None builds them here."""
     config.validate()
     report = TrainReport()
     if config.patience == 0:
@@ -339,12 +349,14 @@ def train(graph: Graph, config: TrainConfig,
     if batch_size < 2:
         raise ConfigError("batch_size: graph too small for a batch of 2 subgraphs")
 
-    subgraphs, semantics, dist = curriculum_inputs(graph, config)
+    if inputs is None:
+        subgraphs, semantics, dist = curriculum_inputs(graph, config)
+        inputs = subgraphs, dist, mirror_search(subgraphs, semantics, config.distance_metric)
+    subgraphs, dist, search = inputs
     splits = graph.splits if graph.splits is not None else make_splits(
         graph, config.seed, config.split_train, config.split_val)
     views = encoded_views(subgraphs)
     pacing = config.pacing()
-    search = mirror_search(subgraphs, semantics, config.distance_metric)
 
     params = init_gcn_params(graph.feature_dim, config.embedding_dim,
                              config.gcn_layers, config.seed)
@@ -388,6 +400,8 @@ def train(graph: Graph, config: TrainConfig,
                     "weight_zero_frac": hist["zero"],
                     "weight_fractional_frac": hist["fractional"],
                     "weight_one_frac": hist["one"],
+                    "sinkhorn_iters": result.sinkhorn_iters,
+                    "sinkhorn_marginal_err": result.sinkhorn_marginal_err,
                 })
                 if thresholds is not None:
                     thresholds = decay_thresholds(thresholds)
@@ -433,13 +447,13 @@ def train(graph: Graph, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # Difficulty curve (frozen encoder, varying difficulty)
 
-def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], semantics,
-                     metric: str, dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
-    """Mean and std of the per-subgraph inter-graph loss at each difficulty."""
+def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], search: MirrorSearch,
+                     dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
+    """Mean and std of the per-subgraph inter-graph loss at each difficulty;
+    ``search`` is the ``mirror_search`` of ``subgraphs``."""
     views = encoded_views(subgraphs)
     k = views.a_hat.shape[1]
     ids = np.arange(len(subgraphs))
-    search = mirror_search(subgraphs, semantics, metric)
     a_o, feats = views.batch(ids)
     h = gcn_forward_batched(params, a_o, feats)
     rows = []
@@ -483,11 +497,21 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
     return params, TrainConfig.from_dict(payload["config"])
 
 
+def check_feature_width(params: GcnParams, graph: Graph, checkpoint_path) -> None:
+    """Fail in one line when a checkpoint's encoder does not take the
+    graph's node features."""
+    width = params.weights[0].shape[0]
+    if width != graph.feature_dim:
+        raise ShapeError(f"{checkpoint_path}: checkpoint takes {width} features per node, "
+                         f"the data has {graph.feature_dim}")
+
+
 def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:
     """Recompute embeddings from a checkpoint and probe them; matches the
     validation accuracy reported at the end of training for the same data."""
     params, config = load_checkpoint(checkpoint_path)
     graph = load_dataset(data_dir)
+    check_feature_width(params, graph, checkpoint_path)
     splits = graph.splits if graph.splits is not None else make_splits(
         graph, config.seed, config.split_train, config.split_val)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)

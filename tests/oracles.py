@@ -13,6 +13,9 @@ Two groups share some:
   time. They are built from ``acgcl.autodiff`` operations, so their gradients
   can be checked too, and ``gcn_forward`` normalizes with
   ``acgcl.encoder.sym_normalized_adjacency``.
+
+``pairwise_euclidean_diff`` is the difference-tensor form that the package's
+Gram-form ``pairwise_euclidean`` replaced.
 """
 
 from __future__ import annotations
@@ -283,6 +286,22 @@ def subgraph_indices(score_row, k, center):
     cutoff = score_row.max() * 1e-12
     keep = [int(i) for i in ranked if i == center or score_row[i] > cutoff]
     return np.array(keep + [center] * (k - len(keep)), dtype=np.int64)
+
+
+def pairwise_euclidean_diff(p, q) -> ad.Tensor:
+    """(m, d), (n, d) -> (m, n) euclidean distances from the explicit
+    (m, n, d) difference tensor, in both passes; gradient 0 at coincident
+    points."""
+    p, q = ad.as_tensor(p), ad.as_tensor(q)
+    diff = p.value[:, None, :] - q.value[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+
+    def backward_fn(g):
+        inv = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), 0.0)
+        weighted = (g * inv)[:, :, None] * diff
+        return weighted.sum(axis=1), -weighted.sum(axis=0)
+
+    return ad._node(dist, (p, q), backward_fn)
 
 
 def exact_w1_1d(xs, ys):

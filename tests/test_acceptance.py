@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 7-9 share one
 module-scoped fixture that trains ten encoders (five seeds, each with
 ``soft_acl`` and ``uniform``), so the first of them pays the training cost
-once. The whole tier-1 suite took 116 s on a 2-core machine, most of it in
+once. The whole tier-1 suite took 83 s on a 2-core machine, 68 s of it in
 this fixture.
 """
 
@@ -62,17 +62,18 @@ def sbm_runs():
         raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits, "test")
 
         config = experiment_config(seed)
-        params, _ = train(graph, config)
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
+        search = mirror_search(subgraphs, semantics, config.distance_metric)
+        params, _ = train(graph, config, inputs=(subgraphs, dist, search))
         soft_acc = evaluate_probe(compute_center_embeddings(params, subgraphs),
                                   graph.labels, graph.splits, "test")
 
-        curve = difficulty_curve(params, subgraphs, semantics, config.distance_metric,
-                                 dist, THETA_GRID, config.xi)
+        curve = difficulty_curve(params, subgraphs, search, dist, THETA_GRID, config.xi)
         rho = spearman(THETA_GRID, [row[1] for row in curve])
 
         uniform_cfg = experiment_config(seed, mode="uniform", theta0=50.0)
-        uniform_params, _ = train(graph, uniform_cfg)
+        # mode and theta0 do not enter the set-up, so the uniform run shares it
+        uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, dist, search))
         uniform_acc = evaluate_probe(compute_center_embeddings(uniform_params, subgraphs),
                                      graph.labels, graph.splits, "test")
         runs.append({"raw": raw_acc, "soft": soft_acc, "uniform": uniform_acc,

@@ -28,12 +28,11 @@ def make_subgraph(features, adjacency, parents=None):
         parents = np.arange(k, dtype=np.int64)
     return Subgraph(parent_indices=np.asarray(parents, dtype=np.int64),
                     features=features,
-                    adjacency=np.asarray(adjacency, dtype=float),
-                    center=int(parents[0]))
+                    adjacency=np.asarray(adjacency, dtype=float))
 
 
 def semantics_of(values):
-    return SemanticAssignment(kind="label", values=np.asarray(values, dtype=np.int64))
+    return SemanticAssignment(values=np.asarray(values, dtype=np.int64))
 
 
 FOUR_NODE = make_subgraph(
@@ -144,7 +143,7 @@ class TestDistanceDistribution:
 
 
 class TestQuantile:
-    DIST = DistanceDistribution(values=np.arange(1.0, 11.0), sample_budget=10)
+    DIST = DistanceDistribution(values=np.arange(1.0, 11.0))
 
     def test_extremes(self):
         assert quantile(self.DIST, 0) == 1.0
@@ -277,7 +276,7 @@ class TestMirrorAugment:
 
     def test_padded_duplicates_not_paired(self):
         sub = make_subgraph([[0.0], [1.0], [0.0]], np.zeros((3, 3)), parents=[4, 7, 4])
-        sem = SemanticAssignment(kind="label", values=np.zeros(10, dtype=np.int64))
+        sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
         pos_log, _ = logged(mirror_augment(sub, 100.0, sem).search, 100.0)
         pairs = {(r.a, r.b) for r in pos_log}
         assert (0, 2) not in pairs   # same parent twice is not a pair

@@ -3,7 +3,7 @@ import pytest
 
 from acgcl import autodiff as ad
 from acgcl.errors import ContractError, ShapeError
-from oracles import directional_grad_check
+from oracles import directional_grad_check, pairwise_euclidean_diff
 
 
 def test_sum_of_parameter_gives_ones():
@@ -130,3 +130,53 @@ def test_finite_difference_per_op(op_name, rng):
         values = [rng.standard_normal((3, 4))]
     worst = directional_grad_check(build, values, rng)
     assert worst < 1e-4
+
+
+class TestPairwiseEuclidean:
+    """The Gram form against the (m, n, d) difference form."""
+
+    @staticmethod
+    def both(p, q, mix):
+        out = []
+        for fn in (ad.pairwise_euclidean, pairwise_euclidean_diff):
+            tp, tq = ad.parameter(p), ad.parameter(q)
+            dist = fn(tp, tq)
+            out.append((dist.value, *ad.gradients(ad.sum_all(ad.mul(dist, ad.Tensor(mix))),
+                                                   [tp, tq])))
+        return out
+
+    @staticmethod
+    def assert_close(got, want, rtol):
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+    def test_generic_rows(self, rng):
+        p, q = rng.standard_normal((40, 16)), rng.standard_normal((30, 16)) + 0.5
+        got, want = self.both(p, q, rng.standard_normal((40, 30)))
+        self.assert_close(got, want, 1e-12)
+
+    def test_coincident_and_near_rows(self, rng):
+        # rows 0-19 of q repeat p's, rows 20-29 are 1e-9 away, the rest are generic
+        p = rng.standard_normal((40, 16))
+        q = np.concatenate([p[:20], p[20:30] + 1e-9 * rng.standard_normal((10, 16)),
+                            rng.standard_normal((10, 16))])
+        got, want = self.both(p, q, rng.standard_normal((40, 40)))
+        self.assert_close(got, want, 1e-12)
+        near = np.arange(20, 30)
+        assert np.allclose(got[0][near, near], want[0][near, near], rtol=1e-12, atol=0)
+        assert np.all(got[0][near, near] > 0)
+        same = np.arange(20)
+        assert np.all(got[0][same, same] == 0.0)
+
+    def test_coincident_rows_give_zero_distance_and_gradient(self, rng):
+        p = rng.standard_normal((6, 5)) * 1e3
+        q = p[::-1].copy()
+        mix = np.zeros((6, 6))
+        mix[np.arange(6), np.arange(6)[::-1]] = 1.0     # only the coincident pairs
+        (dist, gp, gq), _ = self.both(p, q, mix)
+        assert np.all(dist[np.arange(6), np.arange(6)[::-1]] == 0.0)
+        assert np.all(gp == 0.0) and np.all(gq == 0.0)
+
+    def test_zero_rows(self):
+        (dist, gp, gq), _ = self.both(np.zeros((2, 3)), np.zeros((3, 3)), np.ones((2, 3)))
+        assert np.all(dist == 0.0) and np.all(gp == 0.0) and np.all(gq == 0.0)

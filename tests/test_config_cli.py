@@ -210,6 +210,56 @@ class TestCli:
         assert "theta0" in capsys.readouterr().err
 
 
+class TestCheckpointFeatureWidth:
+    """A checkpoint trained on another feature width fails in one line that
+    names the checkpoint and both widths."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
+    def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command):
+        wide = tmp_path / "wide"
+        assert main(["gen-sbm", "--blocks", "30,30", "--p-intra", "0.25", "--p-inter", "0.02",
+                     "--feature-dim", "7", "--seed", "1", "--out", str(wide)]) == 0
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--config", str(config_file), "--set", f"data_dir={wide}",
+                     "--set", "patience=0", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        path = ckpt / "checkpoint.json"
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(path), "--data", str(dataset_dir)]
+        else:
+            argv = ["validate-difficulty", "--config", str(config_file), "--checkpoint",
+                    str(path), "--out", str(tmp_path / "curve.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"ShapeError: {path}: ")
+        assert "takes 7 features" in err[0] and "has 4" in err[0]
+
+
+class TestValidateDifficultySetUp:
+    def test_trains_and_draws_the_curve_from_one_set_up(self, tmp_path, config_file,
+                                                        monkeypatch):
+        """Without a checkpoint, the run set-up and the mirror search run once
+        and serve both the training and the curve."""
+        import acgcl.cli
+        import acgcl.trainer
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (acgcl.cli, acgcl.trainer):
+            for name in ("curriculum_inputs", "mirror_search"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert main(["validate-difficulty", "--config", str(config_file), "--grid", "20,40",
+                     "--set", "epochs=1", "--out", str(tmp_path / "curve.csv")]) == 0
+        assert sorted(calls) == ["curriculum_inputs", "mirror_search"]
+
+
 def _drop_val(raw):
     del raw["val"]
 

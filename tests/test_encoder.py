@@ -141,7 +141,7 @@ class TestEncodeTriple:
         g = random_graph(rng, n=10)
         subs = sample_all_subgraphs(g, k=5)
         params = init_gcn_params(g.feature_dim, 7, seed=3)
-        sem = SemanticAssignment(kind="label", values=np.zeros(10, dtype=np.int64))
+        sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
         views = encoded_views(subs)
         pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.5))
         for emb in self.encode(params, views, pos, neg):

@@ -3,9 +3,11 @@ import pytest
 
 from acgcl import autodiff as ad
 from acgcl.errors import ConfigError, ShapeError
-from acgcl.losses import (LossWeights, SinkhornConfig, balance_loss,
-                          inter_graph_losses_grouped, intra_graph_losses_batched,
-                          per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
+from acgcl.losses import (KERNEL_MAX_RATIO, LossWeights, SinkhornConfig, SinkhornStats,
+                          _canonical_order_swapped, _resolve_reg, _sinkhorn_kernel_node,
+                          _sinkhorn_log_node, balance_loss, inter_graph_losses_grouped,
+                          intra_graph_losses_batched, per_sample_losses_batched, sinkhorn_w1,
+                          weighted_total_loss)
 from oracles import (directional_grad_check, exact_w1_1d, inter_graph_loss, intra_graph_loss,
                      per_sample_loss)
 
@@ -132,6 +134,93 @@ class TestSinkhorn:
             SinkhornConfig(reg=0.0)
         with pytest.raises(ConfigError):
             SinkhornConfig(max_iters=0)
+
+
+def half_shared_sets(rng, m=256, d=64):
+    """Two (m, d) sets sharing about half of their rows, as h and h_neg do."""
+    h = rng.standard_normal((m, d))
+    other = h.copy()
+    moved = rng.random(m) < 0.5
+    other[moved] += 0.5 * rng.standard_normal((int(moved.sum()), d))
+    return h, other
+
+
+def log_domain(points_a, points_b, reg, max_iters, tol):
+    """``_sinkhorn_log_node`` on the euclidean cost of two point tensors, in
+    ``sinkhorn_w1``'s canonical order."""
+    a, b = ad.as_tensor(points_a), ad.as_tensor(points_b)
+    if _canonical_order_swapped(a.value, b.value):
+        a, b = b, a
+    return _sinkhorn_log_node(ad.pairwise_euclidean(a, b), reg, max_iters, tol)
+
+
+class TestSinkhornPaths:
+    """The kernel-domain node against the log-domain node, and the switch
+    between them at KERNEL_MAX_RATIO."""
+
+    def test_kernel_matches_log_domain_at_automatic_reg(self, rng):
+        h, other = half_shared_sets(rng)
+        a, b = (other, h) if _canonical_order_swapped(h, other) else (h, other)
+        cost = ad.pairwise_euclidean(a, b).value
+        reg = _resolve_reg(cost, SinkhornConfig())
+        assert cost.max() / reg <= KERNEL_MAX_RATIO
+
+        stats = []
+        pa, pb = ad.parameter(h), ad.parameter(other)
+        got = sinkhorn_w1(pa, pb, SinkhornConfig(tol=0.0), stats)
+        got_grads = ad.gradients(got, [pa, pb])
+        wa, wb = ad.parameter(h), ad.parameter(other)
+        want, want_stats = log_domain(wa, wb, reg, 200, 0.0)
+        want_grads = ad.gradients(want, [wa, wb])
+
+        # the automatic reg takes the kernel path, which agrees with the log domain
+        assert got.item() == _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0].item()
+        assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+        for g, w in zip(got_grads, want_grads):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
+        assert stats[0].iters == want_stats.iters == 200
+        assert stats[0].marginal_err == pytest.approx(want_stats.marginal_err, rel=1e-9)
+
+    def test_large_ratio_takes_the_log_domain_path(self, rng):
+        h, other = half_shared_sets(rng, m=24, d=4)
+        peak = ad.pairwise_euclidean(h, other).value.max()
+        config = SinkhornConfig(reg=peak / (1.5 * KERNEL_MAX_RATIO), max_iters=300, tol=1e-9)
+        a, b = ad.parameter(h), ad.parameter(other)
+        stats = []
+        got = sinkhorn_w1(a, b, config, stats)
+        got_grads = ad.gradients(got, [a, b])
+        wa, wb = ad.parameter(h), ad.parameter(other)
+        want, want_stats = log_domain(wa, wb, config.reg, config.max_iters, config.tol)
+        want_grads = ad.gradients(want, [wa, wb])
+        assert got.item() == want.item()
+        assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
+        assert stats == [want_stats]
+
+
+class TestSinkhornStats:
+    def test_tol_zero_runs_the_budget(self, rng):
+        stats = []
+        sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)),
+                    SinkhornConfig(max_iters=37, tol=0.0), stats)
+        assert len(stats) == 1 and stats[0].iters == 37 and stats[0].marginal_err >= 0.0
+
+    def test_early_stop_is_below_tol(self, rng):
+        stats = []
+        config = SinkhornConfig(reg=0.5, max_iters=5000, tol=1e-8)
+        sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)), config, stats)
+        assert stats[0].iters < 5000 and stats[0].iters % 10 == 0
+        assert stats[0].marginal_err < 1e-8
+
+    def test_balance_loss_reports_both_solves(self, rng):
+        h, hp, hn = (rng.standard_normal((6, 3)) for _ in range(3))
+        stats = []
+        balance_loss(h, hp, hn, SinkhornConfig(max_iters=20, tol=0.0), stats)
+        assert [s.iters for s in stats] == [20, 20]
+
+    def test_identical_points_report_no_iterations(self):
+        stats = []
+        sinkhorn_w1(np.ones((4, 2)), np.ones((3, 2)), stats=stats)
+        assert stats == [SinkhornStats(0, 0.0)]
 
 
 class TestBalanceLoss:

@@ -175,7 +175,7 @@ class TestExtractSubgraph:
         sub = extract_subgraph(g, np.array([1, 0]))
         assert np.array_equal(sub.adjacency, [[0, 1], [1, 0]])
         assert np.array_equal(sub.features, [[20.0], [10.0]])
-        assert sub.center == 1
+        assert sub.parent_indices.tolist() == [1, 0]
 
     def test_singleton(self):
         g = graph_from_edges(3, [(0, 1)])

@@ -10,7 +10,7 @@ from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_a
 from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import SbmConfig, Splits, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.losses import inter_graph_losses_grouped
+from acgcl.losses import balance_loss, inter_graph_losses_grouped
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            difficulty_curve, encoded_views, evaluate_probe, init_optimizer,
                            load_checkpoint, mirror_views,
@@ -187,11 +187,38 @@ class TestTrainLoop:
         step = next(r for r in records if r["kind"] == "step")
         for key in ("epoch", "step", "theta", "gamma", "mean_sample_loss", "weighted_loss",
                     "balance_loss", "active_fraction", "weight_zero_frac",
-                    "weight_fractional_frac", "weight_one_frac"):
+                    "weight_fractional_frac", "weight_one_frac", "sinkhorn_iters",
+                    "sinkhorn_marginal_err"):
             assert key in step
         epoch = next(r for r in records if r["kind"] == "epoch")
         for key in ("epoch", "theta", "gamma", "mean_loss", "val_accuracy", "patience_left"):
             assert key in epoch
+
+    def test_step_records_report_sinkhorn_convergence(self, tmp_path, monkeypatch):
+        """Each step records the larger iteration count and the larger
+        marginal error of its two balance solves."""
+        import acgcl.trainer
+        solved = []
+
+        def recording(*args):
+            out = balance_loss(*args)
+            solved.append(list(args[-1]))
+            return out
+
+        monkeypatch.setattr(acgcl.trainer, "balance_loss", recording)
+        path = tmp_path / "metrics.jsonl"
+        train(small_graph(), small_config(epochs=2, sinkhorn_tol=1e-2, sinkhorn_iters=60),
+              metrics_path=path)
+        steps = [r for r in map(json.loads, path.read_text().splitlines())
+                 if r["kind"] == "step"]
+        assert len(steps) == len(solved) == 6
+        for record, pair in zip(steps, solved):
+            assert len(pair) == 2
+            assert record["sinkhorn_iters"] == max(s.iters for s in pair)
+            assert record["sinkhorn_marginal_err"] == max(s.marginal_err for s in pair)
+        # the solves differ, and some stop early while others use the budget
+        assert any(a.iters != b.iters for a, b in solved)
+        assert {s.iters for pair in solved for s in pair} > {10, 60}
 
     def test_hard_acl_active_fraction_non_decreasing_within_epoch(self, tmp_path):
         g = small_graph(seed=1, n_per_block=40)
@@ -249,7 +276,8 @@ class TestDifficultyCurve:
         dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
         params = init_gcn_params(g.feature_dim, 8, 2, 3)
         grid = [0.0, 15.0, 30.0, 50.0, 80.0, 100.0]
-        curve = difficulty_curve(params, subs, sem, "euclidean", dist, grid, xi=0.5)
+        curve = difficulty_curve(params, subs, mirror_search(subs, sem, "euclidean"), dist, grid,
+                                 xi=0.5)
 
         views = encoded_views(subs)
         feats = views.features.reshape(len(subs) * 6, -1)
