@@ -11,9 +11,11 @@ identity augmentation. Mirror graphs share the node set and features of the
 source subgraph; only edges move.
 
 Gamma only bounds a pair's best sum, so ``mirror_search`` finds each pair's
-best mirror once per run, among the subgraph's own nodes: O(k^2) per pair and
-O(k^4) per subgraph, chunked to O(k^3) memory. Each new gamma then costs one
-threshold over the stored sums (``MirrorSearch.adjacencies``).
+best mirror once per run, among the subgraph's own nodes. A sum is separable
+in c and d, so an exact scan finds it in O(k) per pair and O(k^3) per
+subgraph, with the same first row-major (c, d) on ties as the O(k^2) sweep
+of every (c, d). Each new gamma then costs one threshold over the stored
+sums (``MirrorSearch.adjacencies``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .graph import Graph
 from .sampler import Subgraph
 
 METRICS = ("euclidean", "manhattan", "cosine")
+SEARCH_BLOCK_PAIRS = 1 << 12   # mirror-search rows per block: about k * 32 kB per (pairs, k) array
 
 
 def _check_metric(metric: str) -> None:
@@ -201,7 +204,17 @@ def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
     Gamma only bounds the best sum (it must be below 2 * gamma), so the
     (c, d) minimizing the sum over the admissible mirrors does not depend on
     it; ``MirrorSearch.adjacencies`` then thresholds. Ties break to the
-    lexicographically smallest (c, d).
+    lexicographically smallest (c, d), the first minimum in row-major order.
+
+    Each sum is fl(D[a, c] + D[b, d]), and rounded addition is monotone in
+    each argument, so the admissible mirrors of a pair are scanned in O(k)
+    rather than O(k^2) (``_separable_min``). A positive mirror has a
+    separable candidate set: c of a's semantics times d of b's, minus the
+    pairs with c and d on one parent. A negative mirror's set is the union
+    of two such sets, c of another semantics than a's with any d, and any c
+    with d of another semantics than b's; their minima merge by value, then
+    by the smaller position. Pairs are scanned as (pairs, k) rows over
+    blocks of SEARCH_BLOCK_PAIRS pairs' worth of whole subgraphs.
     """
     _check_metric(metric)
     adjacency = np.stack([s.adjacency for s in subgraphs])
@@ -209,33 +222,61 @@ def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
     best = np.full((2, n, k, k), np.inf)
     argmin = np.zeros((2, n, k, k), dtype=np.int64)
     pair_counts = np.zeros(n, dtype=np.int64)
-    for i, sub in enumerate(subgraphs):
-        dmat = pairwise_distances(sub.features, metric)
-        parents = sub.parent_indices
+    step = max(1, SEARCH_BLOCK_PAIRS // max(1, k * (k - 1) // 2))
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)
+    for start in range(0, n, step):
+        block = subgraphs[start:start + step]
+        dmat = np.stack([pairwise_distances(s.features, metric) for s in block])
+        parents = np.stack([s.parent_indices for s in block])
         labels = semantics.values[parents]
-        parent_neq = parents[:, None] != parents[None, :]
-        label_eq = labels[:, None] == labels[None, :]
-        # Chunk over the first pair element: (b, c, d) tensors over the
-        # partners b > a with a parent other than a's.
-        for a in range(k - 1):
-            bs = a + 1 + np.flatnonzero(parent_neq[a, a + 1:])
-            if bs.size == 0:
-                continue
-            pair_counts[i] += bs.size
-            sums = dmat[a][None, :, None] + dmat[bs][:, None, :]   # dmat[a, c] + dmat[b, d]
-            ok = parent_neq[a][None, :] & parent_neq[bs]            # ok[b, c]
-            valid = ok[:, :, None] & ok[:, None, :] & parent_neq[None, :, :]
-            same = label_eq[a][None, :, None] & label_eq[bs][:, None, :]
-            rows = np.arange(bs.size)
-            for p, mask in enumerate((valid & same, valid & ~same)):
-                masked = np.where(mask, sums, np.inf).reshape(bs.size, k * k)
-                flat = masked.argmin(axis=1)   # first minimum in row-major order
-                best[p, i, a, bs] = best[p, i, bs, a] = masked[rows, flat]
-                argmin[p, i, a, bs] = argmin[p, i, bs, a] = flat
+        pairs = upper & (parents[:, :, None] != parents[:, None, :])
+        pair_counts[start:start + len(block)] = pairs.sum(axis=(1, 2))
+        g, a, b = np.nonzero(pairs)          # pairs a < b with distinct parents
+        x, y = dmat[g, a], dmat[g, b]        # x[r, c] = D[a, c], y[r, d] = D[b, d]
+        par, lab = parents[g], labels[g]
+        free = (par != parents[g, a][:, None]) & (par != parents[g, b][:, None])
+        same_a = lab == labels[g, a][:, None]
+        same_b = lab == labels[g, b][:, None]
+        pos = _separable_min(x, y, free & same_a, free & same_b, par)
+        neg_c = _separable_min(x, y, free & ~same_a, free, par)
+        neg_d = _separable_min(x, y, free, free & ~same_b, par)
+        neg_best = np.minimum(neg_c[0], neg_d[0])
+        neg_flat = np.where(neg_c[0] < neg_d[0], neg_c[1],
+                            np.where(neg_d[0] < neg_c[0], neg_d[1],
+                                     np.minimum(neg_c[1], neg_d[1])))
+        i = start + g
+        for p, (value, flat) in enumerate((pos, (neg_best, neg_flat))):
+            best[p, i, a, b] = best[p, i, b, a] = value
+            argmin[p, i, a, b] = argmin[p, i, b, a] = np.where(value < np.inf, flat, 0)
     edge = np.take_along_axis(adjacency.reshape(1, n, k * k),
                               argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
                         pair_counts=pair_counts)
+
+
+def _separable_min(x: np.ndarray, y: np.ndarray, c_ok: np.ndarray, d_ok: np.ndarray,
+                   parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the smallest fl(x[c] + y[d]) over c_ok[c], d_ok[d] and
+    parents[c] != parents[d], and its first row-major position c * k + d.
+
+    By monotone rounding, row c's smallest sum is fl(x[c] + m), with m the
+    smallest admissible y: m1 at its first position d1, or, when c shares
+    d1's parent, m2, the smallest y on any other parent. The first c whose
+    row minimum is the best sum comes first, and within its row the first d
+    whose own sum is, because rounding alone can make distinct x (or y) tie.
+    Rows without an admissible (c, d) get an infinite sum.
+    """
+    rows = np.arange(len(x))
+    y_ok = np.where(d_ok, y, np.inf)
+    d1 = y_ok.argmin(axis=1)
+    on_d1 = parents == parents[rows, d1][:, None]
+    m1 = y_ok[rows, d1][:, None]
+    m2 = np.where(on_d1, np.inf, y_ok).min(axis=1, keepdims=True)
+    row_min = np.where(c_ok, x + np.where(on_d1, m2, m1), np.inf)
+    c = row_min.argmin(axis=1)
+    d_ok_c = d_ok & (parents != parents[rows, c][:, None])
+    d = np.where(d_ok_c, x[rows, c][:, None] + y, np.inf).argmin(axis=1)
+    return row_min[rows, c], c * x.shape[1] + d
 
 
 def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignment,

@@ -4,7 +4,8 @@ Most of what is here is deliberately naive (python loops, exhaustive
 enumeration, grids) and shares no code with the production paths it checks.
 Two groups share some:
 
-* the per-pair mirror oracles take the distance matrix from
+* the per-pair mirror oracles and ``chunked_mirror_search`` (the O(k^4)
+  sweep the separable scan replaced) take the distance matrix from
   ``acgcl.augment.pairwise_distances``, so that their sums compare bit for bit
   with the search;
 * the single-item references for the batched encoder and losses
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from acgcl import autodiff as ad
-from acgcl.augment import SemanticAssignment, pairwise_distances
+from acgcl.augment import MirrorSearch, SemanticAssignment, pairwise_distances
 from acgcl.encoder import GcnParams, sym_normalized_adjacency
 from acgcl.errors import ConfigError, ShapeError, SizeError
 from acgcl.losses import LossWeights
@@ -197,6 +198,46 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssign
     np.fill_diagonal(pos_adj, 0.0)
     np.fill_diagonal(neg_adj, 0.0)
     return PerPairMirrors(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
+
+
+def chunked_mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
+                          metric: str = "euclidean") -> MirrorSearch:
+    """The O(k^4) search that ``acgcl.augment.mirror_search`` replaced: one
+    (b, c, d) chunk of every sum per first pair element a, minimized in
+    row-major order. Its four tables are the bit-exact reference for the
+    separable scan."""
+    adjacency = np.stack([s.adjacency for s in subgraphs])
+    n, k = adjacency.shape[:2]
+    best = np.full((2, n, k, k), np.inf)
+    argmin = np.zeros((2, n, k, k), dtype=np.int64)
+    pair_counts = np.zeros(n, dtype=np.int64)
+    for i, sub in enumerate(subgraphs):
+        dmat = pairwise_distances(sub.features, metric)
+        parents = sub.parent_indices
+        labels = semantics.values[parents]
+        parent_neq = parents[:, None] != parents[None, :]
+        label_eq = labels[:, None] == labels[None, :]
+        # Chunk over the first pair element: (b, c, d) tensors over the
+        # partners b > a with a parent other than a's.
+        for a in range(k - 1):
+            bs = a + 1 + np.flatnonzero(parent_neq[a, a + 1:])
+            if bs.size == 0:
+                continue
+            pair_counts[i] += bs.size
+            sums = dmat[a][None, :, None] + dmat[bs][:, None, :]   # dmat[a, c] + dmat[b, d]
+            ok = parent_neq[a][None, :] & parent_neq[bs]            # ok[b, c]
+            valid = ok[:, :, None] & ok[:, None, :] & parent_neq[None, :, :]
+            same = label_eq[a][None, :, None] & label_eq[bs][:, None, :]
+            rows = np.arange(bs.size)
+            for p, mask in enumerate((valid & same, valid & ~same)):
+                masked = np.where(mask, sums, np.inf).reshape(bs.size, k * k)
+                flat = masked.argmin(axis=1)   # first minimum in row-major order
+                best[p, i, a, bs] = best[p, i, bs, a] = masked[rows, flat]
+                argmin[p, i, a, bs] = argmin[p, i, bs, a] = flat
+    edge = np.take_along_axis(adjacency.reshape(1, n, k * k),
+                              argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
+    return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
+                        pair_counts=pair_counts)
 
 
 def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor:

@@ -9,8 +9,8 @@ from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirro
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, random_graph
-from oracles import (Replacement, exhaustive_mirror_pair, find_mirror_pair, pair_distance,
-                     per_pair_mirror_augment)
+from oracles import (Replacement, chunked_mirror_search, exhaustive_mirror_pair,
+                     find_mirror_pair, pair_distance, per_pair_mirror_augment)
 
 
 def logged(search, gamma, i=0):
@@ -342,3 +342,52 @@ class TestMirrorSearch:
                              features=rng.integers(0, 2, size=(30, 2)).astype(float),
                              labels=g.labels)
         self.assert_matches_oracle(sample_all_subgraphs(g, k=8), semantic_assignment(g))
+
+
+def assert_same_tables(got, want):
+    for name in ("adjacency", "best", "argmin", "edge", "pair_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestSeparableScan:
+    """The separable scan against the O(k^4) chunked search, table for table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["euclidean", "manhattan", "cosine"]),
+           st.integers(2, 12), st.integers(-8, 8))
+    def test_tables_match_chunked_search(self, seed, metric, k, exponent):
+        rng = np.random.default_rng(seed)
+        n_parents = int(rng.integers(2, 2 * k + 1))
+        subs = []
+        for _ in range(3):
+            parents = rng.integers(0, n_parents, size=k)
+            padded = int(rng.integers(0, k))
+            if padded:
+                parents[k - padded:] = parents[0]      # centre padding
+            rows = rng.integers(-2, 3, size=(int(rng.integers(1, k + 1)), 2))
+            features = rows[rng.integers(0, len(rows), size=k)] * 10.0 ** exponent
+            adjacency = np.triu((rng.random((k, k)) < 0.5).astype(float), 1)
+            subs.append(make_subgraph(features, adjacency + adjacency.T, parents))
+        sem = semantics_of(rng.integers(0, 2, size=n_parents))
+        assert_same_tables(mirror_search(subs, sem, metric), chunked_mirror_search(subs, sem, metric))
+
+    def test_rounding_tie_takes_first_row_major_mirror(self):
+        # Manhattan on a line: D[a, 0] = 1 + 2^-52, D[a, 1] = 1 and D[b, 4] = 3,
+        # so both rows sum to fl(4 + 2^-52) = 4 = 1 + 3, and c = 0 comes first
+        # although c = 1 is closer to a.
+        sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [0.0], [10.0], [13.0]], np.zeros((5, 5)))
+        sem = semantics_of([0] * 5)
+        search = mirror_search([sub], sem, "manhattan")
+        assert_same_tables(search, chunked_mirror_search([sub], sem, "manhattan"))
+        assert search.best[0, 0, 2, 3] == 4.0
+        assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (0, 4)
+
+    def test_rounding_tie_takes_first_partner_in_the_row(self):
+        # The same tie on the partner's side: D[b, 0] = 1 + 2^-52, D[b, 1] = 1
+        # and D[a, 4] = 3, so d = 0 comes first in row c = 4.
+        sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [10.0], [0.0], [13.0]], np.zeros((5, 5)))
+        sem = semantics_of([0] * 5)
+        search = mirror_search([sub], sem, "manhattan")
+        assert_same_tables(search, chunked_mirror_search([sub], sem, "manhattan"))
+        assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (4, 0)
