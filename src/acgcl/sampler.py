@@ -9,7 +9,9 @@ Each node gets a subgraph of exactly ``k`` nodes: the node itself first, then
 the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
 ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
-costs O(k^2) downstream regardless of graph shape.
+costs O(k^2) downstream regardless of graph shape. The n induced (k, k)
+adjacencies and their features are gathered together in one pass, with
+O(n k^2) memory; ``extract_subgraph`` is the one-subgraph form.
 """
 
 from __future__ import annotations
@@ -126,4 +128,19 @@ def sample_all_subgraphs(graph: Graph, k: int,
     if k < 1:
         raise SizeError(f"k must be >= 1, got {k}")
     indices = top_k_indices(compute_ppr_scores(graph, teleport), k)
-    return [extract_subgraph(graph, ids) for ids in indices]
+    n = graph.n_nodes
+    # Every (n, k, k) adjacency entry is looked up at once in the sorted keys
+    # row * n + col of the stored entries, closed by a sentinel n * n, so no
+    # n x n array is built.
+    coo = graph.adjacency.tocoo(copy=True)
+    coo.sum_duplicates()
+    keys = np.append(coo.row.astype(np.int64) * n + coo.col, n * n)
+    values = np.append(coo.data.astype(np.float64), 0.0)
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    wanted = indices[:, :, None] * n + indices[:, None, :]
+    at = np.searchsorted(keys, wanted)
+    adjacency = np.where(keys[at] == wanted, values[at], 0.0)
+    features = graph.features[indices]
+    return [Subgraph(parent_indices=ids, features=x, adjacency=a)
+            for ids, x, a in zip(indices, features, adjacency)]

@@ -223,6 +223,19 @@ class TestSampleAllSubgraphs:
             assert sub.size == 5
             assert np.array_equal(sub.adjacency, sub.adjacency.T)
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)], []])
+    def test_one_pass_gather_matches_extract_subgraph(self, rng, edges):
+        # Padded subgraphs, isolated nodes and an edgeless graph included.
+        for g in (random_graph(rng, n=30), graph_from_edges(10, edges)):
+            for k in (1, 4, 12):
+                subs = sample_all_subgraphs(g, k=k)
+                indices = top_k_indices(compute_ppr_scores(g), k)
+                for sub, ids in zip(subs, indices, strict=True):
+                    want = extract_subgraph(g, ids)
+                    for name in ("parent_indices", "features", "adjacency"):
+                        got, ref = getattr(sub, name), getattr(want, name)
+                        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
     def test_deterministic(self, rng):
         g = random_graph(rng, n=15)
         a = sample_all_subgraphs(g, k=4)
