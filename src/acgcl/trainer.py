@@ -16,6 +16,7 @@ accuracy fails to improve; it never resets.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -187,7 +188,7 @@ class TrainReport:
             lines.append(",".join(repr(v) for v in (
                 r.epoch, r.theta, r.gamma, r.lambda1, r.lambda2,
                 r.mean_loss, r.active_fraction, r.val_accuracy)))
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 class MetricsWriter:
@@ -470,6 +471,18 @@ def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], search: Mirro
 # ---------------------------------------------------------------------------
 # Checkpointing
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then move it into place,
+    so a write that fails leaves the previous file whole and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
     """JSON of the config and every weight matrix and slope. The params
     object repeats the format version; only the outer one is read."""
@@ -483,7 +496,7 @@ def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
             "slopes": [float(s.value) for s in params.slopes],
         },
     }
-    Path(path).write_text(json.dumps(payload))
+    write_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +316,34 @@ class TestCheckpointRoundTrip:
         assert back_cfg == cfg
         for w1, w2 in zip(params.weights, back_params.weights):
             assert np.array_equal(w1.value, w2.value)
+
+
+    def test_failed_writes_keep_the_previous_files(self, tmp_path, monkeypatch):
+        g = small_graph()
+        params, report = train(g, small_config(epochs=1))
+        later, later_report = train(g, small_config(epochs=2))
+        cfg = small_config(epochs=1)
+        save_checkpoint(params, cfg, tmp_path / "checkpoint.json")
+        report.to_csv(tmp_path / "report.csv")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def half_then_full_disk(self, text):
+            with open(self, "w") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_full_disk)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(later, cfg, tmp_path / "checkpoint.json")
+        with pytest.raises(OSError, match="no space"):
+            later_report.to_csv(tmp_path / "report.csv")
+        monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        save_checkpoint(later, cfg, tmp_path / "checkpoint.json")
+        later_report.to_csv(tmp_path / "report.csv")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.json", "report.csv"]
+        assert load_checkpoint(tmp_path / "checkpoint.json")[0].weights[0].value.tolist() == \
+            later.weights[0].value.tolist()
 
 
 class TestNoSplitDataset:
