@@ -123,10 +123,10 @@ def block_matmul(blocks: np.ndarray, h) -> Tensor:
     if k != k2 or h.shape[0] != n_blocks * k:
         raise ShapeError(f"block_matmul: blocks {blocks.shape} incompatible with h {h.shape}")
     d = h.shape[1]
-    value = np.einsum("bij,bjd->bid", blocks, h.value.reshape(n_blocks, k, d)).reshape(n_blocks * k, d)
+    value = (blocks @ h.value.reshape(n_blocks, k, d)).reshape(n_blocks * k, d)
 
     def backward_fn(g):
-        gb = np.einsum("bji,bjd->bid", blocks, g.reshape(n_blocks, k, d))
+        gb = blocks.transpose(0, 2, 1) @ g.reshape(n_blocks, k, d)
         return (gb.reshape(n_blocks * k, d),)
 
     return _node(value, (h,), backward_fn)

@@ -60,6 +60,20 @@ def test_block_matmul_matches_loop(rng):
         assert np.allclose(out[4 * i:4 * (i + 1)], blocks[i] @ h[4 * i:4 * (i + 1)])
 
 
+@pytest.mark.parametrize("shape", [(300, 30, 64), (256, 20, 128), (3, 1, 2)])
+def test_block_matmul_matches_einsum(rng, shape):
+    n_blocks, k, d = shape
+    blocks = rng.standard_normal((n_blocks, k, k))
+    h = ad.parameter(rng.standard_normal((n_blocks * k, d)))
+    g = rng.standard_normal((n_blocks * k, d))
+    out = ad.block_matmul(blocks, h)
+    grad = ad.gradients(ad.sum_all(ad.mul(out, ad.Tensor(g))), [h])[0]
+    want = np.einsum("bij,bjd->bid", blocks, h.value.reshape(n_blocks, k, d))
+    want_grad = np.einsum("bji,bjd->bid", blocks, g.reshape(n_blocks, k, d))
+    np.testing.assert_allclose(out.value, want.reshape(-1, d), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, want_grad.reshape(-1, d), rtol=0, atol=1e-12)
+
+
 def test_broadcast_add_unbroadcasts(rng):
     a = ad.parameter(rng.standard_normal((4, 3)))
     b = ad.parameter(rng.standard_normal(()))
