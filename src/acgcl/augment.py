@@ -261,9 +261,9 @@ def _separable_min(x: np.ndarray, y: np.ndarray, c_ok: np.ndarray, d_ok: np.ndar
 
     By monotone rounding, row c's smallest sum is fl(x[c] + m), with m the
     smallest admissible y: m1 at its first position d1, or, when c shares
-    d1's parent, m2, the smallest y on any other parent. The first c whose
-    row minimum is the best sum comes first, and within its row the first d
-    whose own sum is, because rounding alone can make distinct x (or y) tie.
+    d1's parent, m2, the smallest y on any other parent. c is the first row
+    whose minimum is the best sum, and d the first position in that row
+    whose own sum is: rounding alone can make distinct x (or y) tie.
     Rows without an admissible (c, d) get an infinite sum.
     """
     rows = np.arange(len(x))

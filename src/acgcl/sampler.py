@@ -133,11 +133,9 @@ def sample_all_subgraphs(graph: Graph, k: int,
     # row * n + col of the stored entries, closed by a sentinel n * n, so no
     # n x n array is built.
     coo = graph.adjacency.tocoo(copy=True)
-    coo.sum_duplicates()
+    coo.sum_duplicates()                 # canonical: unique, in row-major order
     keys = np.append(coo.row.astype(np.int64) * n + coo.col, n * n)
     values = np.append(coo.data.astype(np.float64), 0.0)
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
     wanted = indices[:, :, None] * n + indices[:, None, :]
     at = np.searchsorted(keys, wanted)
     adjacency = np.where(keys[at] == wanted, values[at], 0.0)

@@ -188,7 +188,7 @@ class TrainReport:
             lines.append(",".join(repr(v) for v in (
                 r.epoch, r.theta, r.gamma, r.lambda1, r.lambda2,
                 r.mean_loss, r.active_fraction, r.val_accuracy)))
-        write_atomic(path, "\n".join(lines) + "\n")
+        _write_atomic(path, "\n".join(lines) + "\n")
 
 
 class MetricsWriter:
@@ -471,7 +471,7 @@ def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], search: Mirro
 # ---------------------------------------------------------------------------
 # Checkpointing
 
-def write_atomic(path, text: str) -> None:
+def _write_atomic(path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then move it into place,
     so a write that fails leaves the previous file whole and no temp file."""
     path = Path(path)
@@ -496,7 +496,7 @@ def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
             "slopes": [float(s.value) for s in params.slopes],
         },
     }
-    write_atomic(path, json.dumps(payload))
+    _write_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:

@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 7-9 share one
 module-scoped fixture that trains ten encoders (five seeds, each with
-``soft_acl`` and ``uniform``), so the first of them pays the training cost
-once. The whole tier-1 suite took 83 s on a 2-core machine, 68 s of it in
-this fixture.
+``soft_acl`` and ``uniform`` on one shared set-up and mirror search), so the
+first of them pays the training cost once. The whole tier-1 suite took 72-88 s on a 2-core machine, about 71 s
+of it in this fixture.
 """
 
 import numpy as np
