@@ -15,7 +15,9 @@ best mirror once per run, among the subgraph's own nodes. A sum is separable
 in c and d, so an exact scan finds it in O(k) per pair and O(k^3) per
 subgraph, with the same first row-major (c, d) on ties as the O(k^2) sweep
 of every (c, d). Each new gamma then costs one threshold over the stored
-sums (``MirrorSearch.adjacencies``).
+sums (``MirrorSearch.adjacencies``). The search and the distance estimate
+read the stacked arrays of a ``SubgraphSet``; ``mirror_augment`` searches
+one ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 
 from .errors import ConfigError, EmptyDistributionError, SizeError
 from .graph import Graph
-from .sampler import Subgraph
+from .sampler import Subgraph, SubgraphSet
 
 METRICS = ("euclidean", "manhattan", "cosine")
-SEARCH_BLOCK_PAIRS = 1 << 12   # mirror-search rows per block: about k * 32 kB per (pairs, k) array
+PAIR_BLOCK = 1 << 12   # pair rows per block: k * 32 kB per (pairs, k) array, dim * 32 kB per gather
 
 
 def _check_metric(metric: str) -> None:
@@ -38,22 +40,21 @@ def _check_metric(metric: str) -> None:
 
 
 def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """(k, k) distance matrix between feature rows."""
+    """(..., k, k) distance matrices between the feature rows of a
+    (..., k, dim) stack."""
     _check_metric(metric)
     x = np.asarray(features, dtype=np.float64)
     if metric == "euclidean":
-        diff = x[:, None, :] - x[None, :, :]
+        diff = x[..., :, None, :] - x[..., None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=-1))
     if metric == "manhattan":
-        return np.abs(x[:, None, :] - x[None, :, :]).sum(axis=-1)
-    norms = np.linalg.norm(x, axis=1)
+        return np.abs(x[..., :, None, :] - x[..., None, :, :]).sum(axis=-1)
+    norms = np.linalg.norm(x, axis=-1)
     safe = np.where(norms > 0, norms, 1.0)
-    cos = (x @ x.T) / np.outer(safe, safe)
-    dist = 1.0 - np.clip(cos, -1.0, 1.0)
+    cos = (x @ np.swapaxes(x, -1, -2)) / (safe[..., :, None] * safe[..., None, :])
     zero = norms == 0
-    dist[zero, :] = 1.0
-    dist[:, zero] = 1.0
-    return dist
+    zero = zero[..., :, None] | zero[..., None, :]
+    return np.where(zero, 1.0, 1.0 - np.clip(cos, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -82,39 +83,31 @@ class DistanceDistribution:
     values: np.ndarray        # sorted ascending
 
 
-def estimate_distance_distribution(subgraphs: list[Subgraph], metric: str,
+def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
                                    sample_budget: int, seed: int) -> DistanceDistribution:
     """Pool up to ``sample_budget`` uniformly sampled within-subgraph pair
-    distances (distinct parent nodes only), deterministically per seed."""
+    distances (distinct parent nodes only), deterministically per seed.
+    Pairs are numbered by subgraph, then a < b row-major; the chosen ones
+    are measured PAIR_BLOCK at a time."""
     if sample_budget < 1:
         raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
     _check_metric(metric)
-    pair_lists = []
-    counts = []
-    for sub in subgraphs:
-        iu, iv = np.triu_indices(sub.size, k=1)
-        distinct = sub.parent_indices[iu] != sub.parent_indices[iv]
-        pair_lists.append((iu[distinct], iv[distinct]))
-        counts.append(int(distinct.sum()))
-    total = int(np.sum(counts))
+    parents = subgraphs.parent_indices
+    iu, iv = np.triu_indices(parents.shape[1], k=1)
+    owner, pair = np.nonzero(parents[:, iu] != parents[:, iv])
+    total = len(owner)
     if total == 0:
         raise EmptyDistributionError("no subgraph contains two distinct nodes")
 
     rng = np.random.default_rng(seed)
-    if sample_budget >= total:
-        chosen = np.arange(total)
-    else:
+    if sample_budget < total:
         chosen = np.sort(rng.choice(total, size=sample_budget, replace=False))
-
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    owner = np.searchsorted(offsets, chosen, side="right") - 1
-    values = np.empty(len(chosen))
-    for sg in np.unique(owner):
-        sel = chosen[owner == sg] - offsets[sg]
-        iu, iv = pair_lists[sg]
-        xa = subgraphs[sg].features[iu[sel]]
-        xb = subgraphs[sg].features[iv[sel]]
-        values[owner == sg] = _rowwise_distance(xa, xb, metric)
+        owner, pair = owner[chosen], pair[chosen]
+    x = subgraphs.features
+    values = np.empty(len(owner))
+    for start in range(0, len(owner), PAIR_BLOCK):
+        g, p = owner[start:start + PAIR_BLOCK], pair[start:start + PAIR_BLOCK]
+        values[start:start + PAIR_BLOCK] = _rowwise_distance(x[g, iu[p]], x[g, iv[p]], metric)
     values.sort()
     return DistanceDistribution(values=values)
 
@@ -197,7 +190,7 @@ class MirrorGraphs:
     search: MirrorSearch       # the one-subgraph tables both were thresholded from
 
 
-def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
+def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                   metric: str = "euclidean") -> MirrorSearch:
     """Find every pair's best positive and negative mirror once, for all gamma.
 
@@ -214,23 +207,22 @@ def mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
     of two such sets, c of another semantics than a's with any d, and any c
     with d of another semantics than b's; their minima merge by value, then
     by the smaller position. Pairs are scanned as (pairs, k) rows over
-    blocks of SEARCH_BLOCK_PAIRS pairs' worth of whole subgraphs.
+    blocks of PAIR_BLOCK pairs' worth of whole subgraphs.
     """
     _check_metric(metric)
-    adjacency = np.stack([s.adjacency for s in subgraphs])
+    adjacency = subgraphs.adjacency
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
     argmin = np.zeros((2, n, k, k), dtype=np.int64)
     pair_counts = np.zeros(n, dtype=np.int64)
-    step = max(1, SEARCH_BLOCK_PAIRS // max(1, k * (k - 1) // 2))
+    step = max(1, PAIR_BLOCK // max(1, k * (k - 1) // 2))
     upper = np.triu(np.ones((k, k), dtype=bool), 1)
     for start in range(0, n, step):
-        block = subgraphs[start:start + step]
-        dmat = np.stack([pairwise_distances(s.features, metric) for s in block])
-        parents = np.stack([s.parent_indices for s in block])
+        dmat = pairwise_distances(subgraphs.features[start:start + step], metric)
+        parents = subgraphs.parent_indices[start:start + step]
         labels = semantics.values[parents]
         pairs = upper & (parents[:, :, None] != parents[:, None, :])
-        pair_counts[start:start + len(block)] = pairs.sum(axis=(1, 2))
+        pair_counts[start:start + len(parents)] = pairs.sum(axis=(1, 2))
         g, a, b = np.nonzero(pairs)          # pairs a < b with distinct parents
         x, y = dmat[g, a], dmat[g, b]        # x[r, c] = D[a, c], y[r, d] = D[b, d]
         par, lab = parents[g], labels[g]
@@ -283,6 +275,8 @@ def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignme
                    metric: str = "euclidean") -> MirrorGraphs:
     """Positive and negative mirror adjacencies of one subgraph at gamma, and
     the search they came from; features are untouched."""
-    search = mirror_search([subgraph], semantics, metric)
+    one = SubgraphSet(subgraph.parent_indices[None], subgraph.features[None],
+                      subgraph.adjacency[None])
+    search = mirror_search(one, semantics, metric)
     (positive,), (negative,) = search.adjacencies(gamma)
     return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, search=search)

@@ -286,9 +286,9 @@ def backward(root: Tensor) -> None:
         for parent, contrib in zip(node._parents, contributions):
             if not parent.requires_grad or contrib is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + contrib
+            # No node updates a gradient in place, so a first contribution
+            # shared with another parent is safe to keep as it is.
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:

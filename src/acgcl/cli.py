@@ -105,15 +105,14 @@ def _cmd_augment_inspect(args) -> int:
         raise ConfigError(f"node: {args.node} out of range [0, {graph.n_nodes})")
     subgraphs, semantics, dist = curriculum_inputs(graph, config)
     gamma = quantile(dist, args.theta)
-    sub = subgraphs[args.node]
-    mirrors = mirror_augment(sub, gamma, semantics, config.distance_metric)
+    mirrors = mirror_augment(subgraphs[args.node], gamma, semantics, config.distance_metric)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, adj in (("positive_adjacency.csv", mirrors.positive_adjacency),
                       ("negative_adjacency.csv", mirrors.negative_adjacency)):
         np.savetxt(out / name, adj, fmt="%d", delimiter=",")
-    parents = sub.parent_indices
+    parents = subgraphs.parent_indices[args.node]
     log = mirrors.search.replacements(gamma)
     with (out / "replacements.csv").open("w") as fh:
         fh.write("polarity,a,b,a_parent,b_parent,c,d,c_parent,d_parent,"

@@ -15,7 +15,8 @@ File formats (one directory per dataset):
   every node exactly once.
 * ``splits.json`` : optional, ``{"train": [...], "val": [...], "test": [...]}``.
 
-Graphs are immutable after construction and safe to share across workers.
+A :class:`Graph` is a frozen dataclass; ``with_splits`` returns a new graph
+rather than changing its argument.
 """
 
 from __future__ import annotations

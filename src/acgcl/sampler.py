@@ -9,14 +9,17 @@ Each node gets a subgraph of exactly ``k`` nodes: the node itself first, then
 the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
 ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
-costs O(k^2) downstream regardless of graph shape. The n induced (k, k)
-adjacencies and their features are gathered together in one pass, with
-O(n k^2) memory; ``extract_subgraph`` is the one-subgraph form.
+costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
+``SubgraphSet`` of (n, k) ids, (n, k, dim) features and (n, k, k) induced
+adjacencies, gathered in one pass with O(n k^2) memory; the pipeline reads
+these arrays directly. ``extract_subgraph`` gives one ``Subgraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +41,23 @@ class Subgraph:
     @property
     def size(self) -> int:
         return len(self.parent_indices)
+
+
+@dataclass(frozen=True)
+class SubgraphSet:
+    """n subgraphs of one size k, stacked: subgraph i is row i of each array.
+    An int index, and iteration, give a ``Subgraph``; a slice, a ``SubgraphSet``."""
+    parent_indices: np.ndarray   # (n, k) parent node ids, centers first
+    features: np.ndarray         # (n, k, dim)
+    adjacency: np.ndarray        # (n, k, k) dense 0/1
+
+    def __len__(self) -> int:
+        return len(self.parent_indices)
+
+    def __getitem__(self, index):
+        rows = index if isinstance(index, slice) else operator.index(index)
+        parts = (self.parent_indices[rows], self.features[rows], self.adjacency[rows])
+        return SubgraphSet(*parts) if isinstance(index, slice) else Subgraph(*parts)
 
 
 def column_normalize(adjacency: sp.csr_array) -> sp.csr_array:
@@ -119,8 +139,8 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
 
 
 def sample_all_subgraphs(graph: Graph, k: int,
-                         teleport: float = DEFAULT_TELEPORT) -> list[Subgraph]:
-    """One size-k subgraph per node, deterministically.
+                         teleport: float = DEFAULT_TELEPORT) -> SubgraphSet:
+    """One size-k subgraph per node, deterministically; row i is node i's.
 
     Only scores above REACH_RTOL of a row's maximum count as reachable; the
     center pads the remainder when a component runs out of nodes.
@@ -139,6 +159,5 @@ def sample_all_subgraphs(graph: Graph, k: int,
     wanted = indices[:, :, None] * n + indices[:, None, :]
     at = np.searchsorted(keys, wanted)
     adjacency = np.where(keys[at] == wanted, values[at], 0.0)
-    features = graph.features[indices]
-    return [Subgraph(parent_indices=ids, features=x, adjacency=a)
-            for ids, x, a in zip(indices, features, adjacency)]
+    return SubgraphSet(parent_indices=indices, features=graph.features[indices],
+                       adjacency=adjacency)

@@ -11,6 +11,9 @@ stored mirrors at its distance, then runs ``inner_steps`` mini-batch
 updates. Thresholds are initialized from the first step's observed losses
 each epoch and widen every step. Patience decrements whenever validation
 accuracy fails to improve; it never resets.
+
+The encoder reads the run's ``SubgraphSet`` arrays. A subgraph's three views
+differ only in their normalized adjacency, so a step gathers features once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .graph import Graph, Splits, load_dataset, make_splits
 from .losses import (balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
-from .sampler import Subgraph, sample_all_subgraphs
+from .sampler import SubgraphSet, sample_all_subgraphs
 from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for
 
 CHECKPOINT_VERSION = 1
@@ -86,35 +89,29 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # ---------------------------------------------------------------------------
 # Batched encoding helpers
 
-@dataclass
-class EncodedViews:
-    """Constant per-subgraph inputs for the batched forward pass."""
-    a_hat: np.ndarray          # (n, k, k)
-    features: np.ndarray       # (n, k, dim)
-
-    def batch(self, ids: np.ndarray):
-        k = self.a_hat.shape[1]
-        feats = self.features[ids].reshape(len(ids) * k, -1)
-        return self.a_hat[ids], feats
+def encoded_views(subgraphs: SubgraphSet) -> np.ndarray:
+    """(n, k, k) normalized adjacencies: with ``subgraphs.features``, the
+    constant inputs of the batched forward pass."""
+    return sym_normalized_adjacency(subgraphs.adjacency)
 
 
-def encoded_views(subgraphs: list[Subgraph]) -> EncodedViews:
-    a_hat = sym_normalized_adjacency(np.stack([s.adjacency for s in subgraphs]))
-    features = np.stack([s.features for s in subgraphs])
-    return EncodedViews(a_hat=a_hat, features=features)
+def mirror_views(adjacencies: np.ndarray) -> np.ndarray:
+    """(2, n, k, k) normalized positive and negative adjacencies from
+    ``MirrorSearch.adjacencies``; mirror graphs keep the subgraph features."""
+    return sym_normalized_adjacency(adjacencies)
 
 
-def compute_center_embeddings(params: GcnParams, subgraphs: list[Subgraph]) -> np.ndarray:
+def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.ndarray:
     """Embedding of every node = center row of its own subgraph embedding.
 
-    Subgraphs are encoded EMBED_BLOCK at a time, so the stacked inputs never
-    exceed one block's worth.
+    Subgraphs are encoded EMBED_BLOCK at a time, so the normalized
+    adjacencies and activations never exceed one block's worth.
     """
     blocks = []
     for start in range(0, len(subgraphs), EMBED_BLOCK):
-        views = encoded_views(subgraphs[start:start + EMBED_BLOCK])
-        b, k = views.a_hat.shape[:2]
-        h = gcn_forward_batched(params, views.a_hat, views.features.reshape(b * k, -1))
+        block = subgraphs[start:start + EMBED_BLOCK]
+        b, k = block.parent_indices.shape
+        h = gcn_forward_batched(params, encoded_views(block), block.features.reshape(b * k, -1))
         blocks.append(h.value[np.arange(b) * k])
     return np.concatenate(blocks)
 
@@ -224,27 +221,24 @@ class StepResult:
     sinkhorn_marginal_err: float    # likewise
 
 
-def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
-                   pos_views: EncodedViews, neg_views: EncodedViews, ids: np.ndarray,
-                   config: TrainConfig, thresholds: AclThresholds | None,
+def run_inner_step(params: GcnParams, opt: OptimizerState, features: np.ndarray,
+                   a_hat: np.ndarray, pos_hat: np.ndarray, neg_hat: np.ndarray,
+                   ids: np.ndarray, config: TrainConfig, thresholds: AclThresholds | None,
                    shuffle_rng: np.random.Generator, balance_rng: np.random.Generator,
                    init_thresholds_from_losses: bool = False,
                    ) -> tuple[StepResult, OptimizerState, AclThresholds | None]:
-    """One reweighted gradient step on a batch of subgraph ids.
+    """One reweighted gradient step on a batch of subgraph ids; the three
+    (n, k, k) normalized adjacencies share the (n, k, dim) ``features``.
 
     With ``init_thresholds_from_losses`` the admission window is initialized
     from this step's observed losses before the weights are computed.
     """
-    k = views.a_hat.shape[1]
-    b = len(ids)
+    b, k = len(ids), a_hat.shape[1]
     weights_cfg = config.loss_weights()
 
-    a_o, feats = views.batch(ids)
-    a_p, _ = pos_views.batch(ids)
-    a_n, _ = neg_views.batch(ids)
-    h = gcn_forward_batched(params, a_o, feats)
-    h_pos = gcn_forward_batched(params, a_p, feats)
-    h_neg = gcn_forward_batched(params, a_n, feats)
+    feats = features[ids].reshape(b * k, -1)
+    h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats)
+                       for a in (a_hat, pos_hat, neg_hat))
 
     inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, weights_cfg.xi, k)
 
@@ -255,9 +249,8 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
     summaries_neg = ad.take_rows(summaries, perm)
     intra_vec = intra_graph_losses_batched(centers, summaries, summaries_neg, weights_cfg.epsilon)
 
-    total_rows = b * k
-    cap = min(config.balance_max_points, total_rows)
-    rows = np.sort(balance_rng.choice(total_rows, size=cap, replace=False))
+    cap = min(config.balance_max_points, b * k)
+    rows = np.sort(balance_rng.choice(b * k, size=cap, replace=False))
     solves: list = []
     l_bal = balance_loss(ad.take_rows(h, rows), ad.take_rows(h_pos, rows),
                          ad.take_rows(h_neg, rows), config.sinkhorn(), solves)
@@ -282,7 +275,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
     for tensor, value in zip(tensors, new_values):
         tensor.value = value
 
-    result = StepResult(
+    return StepResult(
         sample_losses=detached,
         weights=weights,
         active_fraction=weights.active_fraction(),
@@ -292,15 +285,12 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, views: EncodedViews,
         mean_inter=float(inter_vec.value.mean()),
         sinkhorn_iters=max(s.iters for s in solves),
         sinkhorn_marginal_err=max(s.marginal_err for s in solves),
-    )
-    return result, opt, thresholds
+    ), opt, thresholds
 
 
 def _epoch_thresholds(first_losses: np.ndarray, config: TrainConfig) -> AclThresholds | None:
     """Thresholds from the first step's losses; None when they would be
     degenerate (all-zero losses), which falls back to uniform weighting."""
-    if config.acl_mode == "uniform":
-        return None
     try:
         thresholds = init_thresholds(first_losses, config.eta1, config.eta2)
     except ConfigError:
@@ -310,17 +300,8 @@ def _epoch_thresholds(first_losses: np.ndarray, config: TrainConfig) -> AclThres
     return thresholds
 
 
-def mirror_views(views: EncodedViews,
-                 adjacencies: np.ndarray) -> tuple[EncodedViews, EncodedViews]:
-    """Positive and negative views from ``MirrorSearch.adjacencies``; mirror
-    graphs keep the features of ``views``."""
-    pos, neg = (EncodedViews(a_hat=a_hat, features=views.features)
-                for a_hat in sym_normalized_adjacency(adjacencies))
-    return pos, neg
-
-
 def curriculum_inputs(graph: Graph, config: TrainConfig
-                      ) -> tuple[list[Subgraph], SemanticAssignment, DistanceDistribution]:
+                      ) -> tuple[SubgraphSet, SemanticAssignment, DistanceDistribution]:
     """The run's subgraphs, node semantics and pair-distance distribution.
 
     The distribution's seed derives from ``config.seed`` and ROLE_DISTANCES,
@@ -334,7 +315,7 @@ def curriculum_inputs(graph: Graph, config: TrainConfig
 
 
 def train(graph: Graph, config: TrainConfig, metrics_path=None,
-          inputs: tuple[list[Subgraph], DistanceDistribution, MirrorSearch] | None = None,
+          inputs: tuple[SubgraphSet, DistanceDistribution, MirrorSearch] | None = None,
           ) -> tuple[GcnParams, TrainReport]:
     """Curriculum training. ``inputs`` is the run's (subgraphs, distance
     distribution, mirror search) for this graph and config, as built from
@@ -356,7 +337,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     subgraphs, dist, search = inputs
     splits = graph.splits if graph.splits is not None else make_splits(
         graph, config.seed, config.split_train, config.split_val)
-    views = encoded_views(subgraphs)
+    a_hat = encoded_views(subgraphs)
     pacing = config.pacing()
 
     params = init_gcn_params(graph.feature_dim, config.embedding_dim,
@@ -370,7 +351,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, pacing)
             gamma = quantile(dist, theta)
-            pos_views, neg_views = mirror_views(views, search.adjacencies(gamma))
+            pos_hat, neg_hat = mirror_views(search.adjacencies(gamma))
             pos_rate, neg_rate = search.match_rates(gamma)
 
             thresholds: AclThresholds | None = None
@@ -381,7 +362,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                 shuffle_rng = rng_for(config.seed, ROLE_SHUFFLE, epoch, step)
                 balance_rng = rng_for(config.seed, ROLE_BALANCE, epoch, step)
                 result, opt, thresholds = run_inner_step(
-                    params, opt, views, pos_views, neg_views, ids, config,
+                    params, opt, subgraphs.features, a_hat, pos_hat, neg_hat, ids, config,
                     thresholds, shuffle_rng, balance_rng,
                     init_thresholds_from_losses=(step == 0))
                 epoch_losses.append(result.sample_losses.mean())
@@ -423,11 +404,9 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                 val_accuracy=val_acc,
             )
             report.rows.append(row)
-            if np.isnan(val_acc):
-                pass
-            elif val_acc > best_val + config.improvement_tol:
+            if val_acc > best_val + config.improvement_tol:
                 best_val = val_acc
-            else:
+            elif not np.isnan(val_acc):
                 patience_left -= 1
             metrics.write({
                 "kind": "epoch", "epoch": epoch, "theta": theta, "gamma": gamma,
@@ -448,21 +427,19 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
 # ---------------------------------------------------------------------------
 # Difficulty curve (frozen encoder, varying difficulty)
 
-def difficulty_curve(params: GcnParams, subgraphs: list[Subgraph], search: MirrorSearch,
+def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
                      dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """Mean and std of the per-subgraph inter-graph loss at each difficulty;
     ``search`` is the ``mirror_search`` of ``subgraphs``."""
-    views = encoded_views(subgraphs)
-    k = views.a_hat.shape[1]
-    ids = np.arange(len(subgraphs))
-    a_o, feats = views.batch(ids)
-    h = gcn_forward_batched(params, a_o, feats)
+    a_hat = encoded_views(subgraphs)
+    n, k = a_hat.shape[:2]
+    feats = subgraphs.features.reshape(n * k, -1)
+    h = gcn_forward_batched(params, a_hat, feats)
     rows = []
     for theta in theta_grid:
         gamma = quantile(dist, float(theta))
-        pos_views, neg_views = mirror_views(views, search.adjacencies(gamma))
-        h_pos = gcn_forward_batched(params, pos_views.batch(ids)[0], feats)
-        h_neg = gcn_forward_batched(params, neg_views.batch(ids)[0], feats)
+        h_pos, h_neg = (gcn_forward_batched(params, a_mirror, feats)
+                        for a_mirror in mirror_views(search.adjacencies(gamma)))
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
         rows.append((float(theta), float(losses.mean()), float(losses.std())))
     return rows
@@ -500,14 +477,23 @@ def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint: unsupported format version {payload.get('format_version')!r}")
-    stored = payload["params"]
-    params = GcnParams(
-        weights=[ad.parameter(np.asarray(w, dtype=np.float64)) for w in stored["weights"]],
-        slopes=[ad.parameter(np.asarray(s, dtype=np.float64)) for s in stored["slopes"]])
-    return params, TrainConfig.from_dict(payload["config"])
+    """The params and config of a checkpoint; a bad file fails in one line."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported format version {version!r}")
+        stored = payload["params"]
+        params = GcnParams(
+            weights=[ad.parameter(np.asarray(w, dtype=np.float64)) for w in stored["weights"]],
+            slopes=[ad.parameter(np.asarray(s, dtype=np.float64)) for s in stored["slopes"]])
+        if not params.weights or len(params.slopes) != params.n_layers:
+            raise ConfigError(f"{params.n_layers} weight matrices and {len(params.slopes)} slopes")
+        return params, TrainConfig.from_dict(payload["config"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: checkpoint has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:     # not JSON, or a bad entry or config
+        raise ConfigError(f"{path}: bad checkpoint: {exc}") from None
 
 
 def check_feature_width(params: GcnParams, graph: Graph, checkpoint_path) -> None:

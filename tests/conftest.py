@@ -8,6 +8,7 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).parent))
 
 from acgcl.graph import Graph
+from acgcl.sampler import SubgraphSet
 
 
 @pytest.fixture
@@ -27,6 +28,12 @@ def graph_from_edges(n, edges, features=None, labels=None):
         adjacency=sp.csr_array(dense),
         labels=None if labels is None else np.asarray(labels, dtype=np.int64),
     )
+
+
+def stack_subgraphs(subgraphs):
+    """A ``SubgraphSet`` of equal-size ``Subgraph`` objects, in order."""
+    return SubgraphSet(*(np.stack([getattr(s, name) for s in subgraphs])
+                         for name in ("parent_indices", "features", "adjacency")))
 
 
 def random_graph(rng, n, p=0.15, dim=4, n_classes=3, min_degree_ring=True):

@@ -16,7 +16,9 @@ Two groups share some:
   ``acgcl.encoder.sym_normalized_adjacency``.
 
 ``pairwise_euclidean_diff`` is the difference-tensor form that the package's
-Gram-form ``pairwise_euclidean`` replaced.
+Gram-form ``pairwise_euclidean`` replaced. ``per_subgraph_distance_distribution``
+is the per-subgraph form of the stacked distance estimate; it measures its
+pairs with the package's ``_rowwise_distance``, so the two compare bit for bit.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from typing import NamedTuple
 import numpy as np
 
 from acgcl import autodiff as ad
-from acgcl.augment import MirrorSearch, SemanticAssignment, pairwise_distances
+from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
+                           _rowwise_distance, pairwise_distances)
 from acgcl.encoder import GcnParams, sym_normalized_adjacency
-from acgcl.errors import ConfigError, ShapeError, SizeError
+from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError, SizeError
 from acgcl.losses import LossWeights
-from acgcl.sampler import Subgraph
+from acgcl.sampler import Subgraph, SubgraphSet
 
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polarity):
@@ -200,13 +203,13 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssign
     return PerPairMirrors(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
 
 
-def chunked_mirror_search(subgraphs: list[Subgraph], semantics: SemanticAssignment,
+def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                           metric: str = "euclidean") -> MirrorSearch:
     """The O(k^4) search that ``acgcl.augment.mirror_search`` replaced: one
     (b, c, d) chunk of every sum per first pair element a, minimized in
     row-major order. Its four tables are the bit-exact reference for the
     separable scan."""
-    adjacency = np.stack([s.adjacency for s in subgraphs])
+    adjacency = subgraphs.adjacency
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
     argmin = np.zeros((2, n, k, k), dtype=np.int64)
@@ -430,3 +433,41 @@ def spearman(xs, ys):
     ry -= ry.mean()
     denom = np.sqrt((rx ** 2).sum() * (ry ** 2).sum())
     return float((rx * ry).sum() / denom) if denom > 0 else 0.0
+
+
+def per_subgraph_distance_distribution(subgraphs, metric, sample_budget, seed):
+    """The per-subgraph loops that the stacked
+    ``acgcl.augment.estimate_distance_distribution`` replaced: pairs a < b
+    with distinct parents are numbered subgraph by subgraph, the budget is
+    drawn from that numbering, and each subgraph's chosen pairs are measured
+    together."""
+    if sample_budget < 1:
+        raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
+    pair_lists = []
+    counts = []
+    for sub in subgraphs:
+        iu, iv = np.triu_indices(sub.size, k=1)
+        distinct = sub.parent_indices[iu] != sub.parent_indices[iv]
+        pair_lists.append((iu[distinct], iv[distinct]))
+        counts.append(int(distinct.sum()))
+    total = int(np.sum(counts))
+    if total == 0:
+        raise EmptyDistributionError("no subgraph contains two distinct nodes")
+
+    rng = np.random.default_rng(seed)
+    if sample_budget >= total:
+        chosen = np.arange(total)
+    else:
+        chosen = np.sort(rng.choice(total, size=sample_budget, replace=False))
+
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    owner = np.searchsorted(offsets, chosen, side="right") - 1
+    values = np.empty(len(chosen))
+    for sg in np.unique(owner):
+        sel = chosen[owner == sg] - offsets[sg]
+        iu, iv = pair_lists[sg]
+        xa = subgraphs[sg].features[iu[sel]]
+        xb = subgraphs[sg].features[iv[sel]]
+        values[owner == sg] = _rowwise_distance(xa, xb, metric)
+    values.sort()
+    return DistanceDistribution(values=values)

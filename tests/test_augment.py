@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acgcl import augment
 from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
                            pairwise_distances, quantile, semantic_assignment,
                            DistanceDistribution, SemanticAssignment)
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
-from conftest import graph_from_edges, random_graph
+from conftest import graph_from_edges, random_graph, stack_subgraphs
 from oracles import (Replacement, chunked_mirror_search, exhaustive_mirror_pair,
-                     find_mirror_pair, pair_distance, per_pair_mirror_augment)
+                     find_mirror_pair, pair_distance, per_pair_mirror_augment,
+                     per_subgraph_distance_distribution)
 
 
 def logged(search, gamma, i=0):
@@ -106,7 +108,7 @@ class TestSemantics:
 class TestDistanceDistribution:
     def test_single_pair(self):
         sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
-        dist = estimate_distance_distribution([sub], "euclidean", 10, seed=0)
+        dist = estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
         assert np.array_equal(dist.values, [3.0])
 
     def test_budget_covers_all_pairs_exact_multiset(self, rng):
@@ -133,13 +135,60 @@ class TestDistanceDistribution:
     def test_no_valid_pair_raises(self):
         sub = make_subgraph([[0.0], [0.0]], np.zeros((2, 2)), parents=[3, 3])
         with pytest.raises(EmptyDistributionError):
-            estimate_distance_distribution([sub], "euclidean", 10, seed=0)
+            estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
 
     def test_sorted_ascending(self, rng):
         g = random_graph(rng, n=15)
         subs = sample_all_subgraphs(g, k=5)
         dist = estimate_distance_distribution(subs, "manhattan", 64, seed=5)
         assert (np.diff(dist.values) >= 0).all()
+
+
+class TestStackedDistanceEstimate:
+    """The stacked estimate against the per-subgraph loops it replaced, bit
+    for bit: every metric, budgets around the pair total, centre-padded
+    subgraphs and blocks of chosen pairs that end mid-subgraph."""
+    METRICS = ("euclidean", "manhattan", "cosine")
+
+    @staticmethod
+    def assert_same(subs, metric, budget, seed):
+        got = estimate_distance_distribution(subs, metric, budget, seed).values
+        want = per_subgraph_distance_distribution(subs, metric, budget, seed).values
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [7, augment.PAIR_BLOCK])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_budgets_around_the_pair_total(self, rng, monkeypatch, metric, block):
+        monkeypatch.setattr(augment, "PAIR_BLOCK", block)
+        edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
+        padded = graph_from_edges(13, edges, features=rng.standard_normal((13, 3)))
+        for g, k in ((random_graph(rng, n=30), 8), (padded, 6)):
+            subs = sample_all_subgraphs(g, k=k)
+            total = len(per_subgraph_distance_distribution(subs, metric, 10 ** 9, 0).values)
+            if g is padded:
+                assert total < len(subs) * k * (k - 1) // 2
+            for budget in (1, 50, total - 1, total, total + 1, 10 ** 9):
+                for seed in (0, 1):
+                    self.assert_same(subs, metric, budget, seed)
+
+    def test_more_chosen_pairs_than_a_block(self, rng):
+        subs = sample_all_subgraphs(random_graph(rng, n=200, p=0.05), k=8)
+        for budget in (augment.PAIR_BLOCK + 1, 10 ** 9):
+            self.assert_same(subs, "euclidean", budget, 2)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_single_pair_and_zero_vectors(self, metric):
+        single = make_subgraph([[0.0, 0.0], [3.0, 4.0]], np.eye(2)[::-1])
+        zeros = make_subgraph([[0.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)), parents=[1, 2])
+        for subs in (stack_subgraphs([single]), stack_subgraphs([single, zeros])):
+            for budget in (1, 2, 3):
+                self.assert_same(subs, metric, budget, 0)
+
+    def test_no_distinct_pair_raises_in_both(self):
+        subs = stack_subgraphs([make_subgraph([[0.0], [1.0]], np.zeros((2, 2)), parents=[3, 3])])
+        for estimate in (estimate_distance_distribution, per_subgraph_distance_distribution):
+            with pytest.raises(EmptyDistributionError):
+                estimate(subs, "euclidean", 10, 0)
 
 
 class TestQuantile:
@@ -344,6 +393,23 @@ class TestMirrorSearch:
         self.assert_matches_oracle(sample_all_subgraphs(g, k=8), semantic_assignment(g))
 
 
+class TestOneSubgraphSearch:
+    """``mirror_augment`` of one subgraph is its row of the stacked search."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_mirror_augment_equals_the_search_row(self, rng, metric):
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=6)
+        sem = semantic_assignment(g)
+        search = mirror_search(subs, sem, metric)
+        for gamma in (0.0, 0.5, 1.0, 3.0):
+            positive, negative = search.adjacencies(gamma)
+            for i in range(len(subs)):
+                mirrors = mirror_augment(subs[i], gamma, sem, metric)
+                assert np.array_equal(mirrors.positive_adjacency, positive[i])
+                assert np.array_equal(mirrors.negative_adjacency, negative[i])
+
+
 def assert_same_tables(got, want):
     for name in ("adjacency", "best", "argmin", "edge", "pair_counts"):
         a, b = getattr(got, name), getattr(want, name)
@@ -370,6 +436,7 @@ class TestSeparableScan:
             adjacency = np.triu((rng.random((k, k)) < 0.5).astype(float), 1)
             subs.append(make_subgraph(features, adjacency + adjacency.T, parents))
         sem = semantics_of(rng.integers(0, 2, size=n_parents))
+        subs = stack_subgraphs(subs)
         assert_same_tables(mirror_search(subs, sem, metric), chunked_mirror_search(subs, sem, metric))
 
     def test_rounding_tie_takes_first_row_major_mirror(self):
@@ -378,8 +445,8 @@ class TestSeparableScan:
         # although c = 1 is closer to a.
         sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [0.0], [10.0], [13.0]], np.zeros((5, 5)))
         sem = semantics_of([0] * 5)
-        search = mirror_search([sub], sem, "manhattan")
-        assert_same_tables(search, chunked_mirror_search([sub], sem, "manhattan"))
+        search = mirror_search(stack_subgraphs([sub]), sem, "manhattan")
+        assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem, "manhattan"))
         assert search.best[0, 0, 2, 3] == 4.0
         assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (0, 4)
 
@@ -388,6 +455,6 @@ class TestSeparableScan:
         # and D[a, 4] = 3, so d = 0 comes first in row c = 4.
         sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [10.0], [0.0], [13.0]], np.zeros((5, 5)))
         sem = semantics_of([0] * 5)
-        search = mirror_search([sub], sem, "manhattan")
-        assert_same_tables(search, chunked_mirror_search([sub], sem, "manhattan"))
+        search = mirror_search(stack_subgraphs([sub]), sem, "manhattan")
+        assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem, "manhattan"))
         assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (4, 0)

@@ -45,6 +45,24 @@ def test_reused_node_accumulates():
     assert ad.gradients(y, [x])[0] == pytest.approx(7.0)
 
 
+def test_two_paths_through_add_double_the_single_path_gradient(rng):
+    """``add`` hands both parents the same contribution array, and each
+    parent keeps its first contribution as its gradient; a leaf reached
+    through both must still get exactly twice the gradient of one path."""
+    x = ad.parameter(rng.standard_normal((4, 3)))
+    w, c = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+
+    def path():
+        return ad.sigmoid(ad.mul(ad.matmul(x, w), c))
+
+    single = ad.gradients(ad.sum_all(path()), [x])[0]
+    two_nodes = ad.gradients(ad.sum_all(ad.add(path(), path())), [x])[0]
+    shared = path()
+    one_node = ad.gradients(ad.sum_all(ad.add(shared, shared)), [x])[0]
+    assert np.array_equal(two_nodes, 2 * single)
+    assert np.array_equal(one_node, 2 * single)
+
+
 def test_take_rows_scatter_adds_duplicates():
     x = ad.parameter(np.array([[1.0], [2.0]]))
     picked = ad.take_rows(x, np.array([0, 0, 1]))

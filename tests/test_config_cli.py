@@ -237,6 +237,42 @@ class TestCheckpointFeatureWidth:
         assert "takes 7 features" in err[0] and "has 4" in err[0]
 
 
+class TestMalformedCheckpoint:
+    """A checkpoint that cannot be read fails ``evaluate`` and
+    ``validate-difficulty --checkpoint`` with one ConfigError line that
+    names the file."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"format_version": 1, "config": {}}', "'params'"),
+        ("not a checkpoint", "Expecting value"),
+        ('{"format_version": 2, "config": {}, "params": {}}', "format version 2"),
+        ("[1, 2]", "format version None"),
+        ('{"format_version": 1, "config": {"no_such_key": 1}, '
+         '"params": {"weights": [[[1.0]]], "slopes": [0.25]}}', "no_such_key"),
+        ('{"format_version": 1, "config": {}, '
+         '"params": {"weights": [[[1.0, 2.0], [3.0]]], "slopes": [0.25]}}', "sequence"),
+        ('{"format_version": 1, "config": {}, "params": {"weights": [], "slopes": []}}',
+         "0 weight matrices"),
+    ], ids=["no-params", "not-json", "version-2", "not-an-object", "unknown-config-key",
+            "ragged-weights", "no-layers"])
+    @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
+    def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command,
+                                 text, reason):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(text)
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(path), "--data", str(dataset_dir)]
+        else:
+            argv = ["validate-difficulty", "--config", str(config_file), "--checkpoint",
+                    str(path), "--out", str(tmp_path / "curve.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"ConfigError: {path}: ")
+        assert reason in err[0]
+
+
 class TestValidateDifficultySetUp:
     def test_trains_and_draws_the_curve_from_one_set_up(self, tmp_path, config_file,
                                                         monkeypatch):

@@ -102,16 +102,13 @@ class TestEncodeTriple:
     """Original, positive and negative views through one parameter set."""
 
     @staticmethod
-    def encode(params, views, pos, neg):
-        ids = np.arange(len(views.a_hat))
-        a_o, feats = views.batch(ids)
-        return tuple(gcn_forward_batched(params, a, feats).value
-                     for a in (a_o, pos.batch(ids)[0], neg.batch(ids)[0]))
+    def encode(params, subs, views, pos, neg):
+        feats = subs.features.reshape(-1, subs.features.shape[-1])
+        return tuple(gcn_forward_batched(params, a, feats).value for a in (views, pos, neg))
 
     @staticmethod
     def identity_adjacencies(subs):
-        adjacency = np.stack([s.adjacency for s in subs])
-        return np.stack([adjacency, adjacency])
+        return np.stack([subs.adjacency, subs.adjacency])
 
     def test_identity_augmentation_identical_embeddings(self, rng):
         g = random_graph(rng, n=12)
@@ -119,7 +116,7 @@ class TestEncodeTriple:
         params = init_gcn_params(g.feature_dim, 3, seed=0)
         views = encoded_views(subs)
         original, positive, negative = self.encode(
-            params, views, *mirror_views(views, self.identity_adjacencies(subs)))
+            params, subs, views, *mirror_views(self.identity_adjacencies(subs)))
         assert np.array_equal(original, positive)
         assert np.array_equal(original, negative)
 
@@ -131,8 +128,8 @@ class TestEncodeTriple:
         adjacencies = self.identity_adjacencies(subs)
         perturbed = adjacencies.copy()
         perturbed[1, 0, 0, 1] = perturbed[1, 0, 1, 0] = 1.0 - perturbed[1, 0, 0, 1]
-        a = self.encode(params, views, *mirror_views(views, adjacencies))
-        b = self.encode(params, views, *mirror_views(views, perturbed))
+        a = self.encode(params, subs, views, *mirror_views(adjacencies))
+        b = self.encode(params, subs, views, *mirror_views(perturbed))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2][4:], b[2][4:])    # other subgraphs' negatives
@@ -143,8 +140,8 @@ class TestEncodeTriple:
         params = init_gcn_params(g.feature_dim, 7, seed=3)
         sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
         views = encoded_views(subs)
-        pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.5))
-        for emb in self.encode(params, views, pos, neg):
+        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.5))
+        for emb in self.encode(params, subs, views, pos, neg):
             assert emb.shape == (10 * 5, 7)
 
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from acgcl.errors import SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
-from acgcl.sampler import (column_normalize, compute_ppr_scores, extract_subgraph,
-                           sample_all_subgraphs, top_k_indices)
+from acgcl.sampler import (Subgraph, SubgraphSet, column_normalize, compute_ppr_scores,
+                           extract_subgraph, sample_all_subgraphs, top_k_indices)
 from conftest import graph_from_edges, random_graph
 from oracles import power_iteration_ppr, subgraph_indices, top_rank
 
@@ -241,3 +241,40 @@ class TestSampleAllSubgraphs:
         a = sample_all_subgraphs(g, k=4)
         b = sample_all_subgraphs(g, k=4)
         assert all(np.array_equal(x.parent_indices, y.parent_indices) for x, y in zip(a, b))
+
+
+class TestSubgraphSet:
+    """What callers do with the result of ``sample_all_subgraphs``: len,
+    iteration, int and slice indexing, and one-subgraph arrays."""
+
+    def test_sequence_access(self, rng):
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=5)
+        assert isinstance(subs, SubgraphSet) and len(subs) == 20
+        listed = list(subs)
+        assert len(listed) == 20 and all(isinstance(s, Subgraph) for s in listed)
+        for i in (0, 7, np.int64(19), -1):
+            one = subs[i]
+            assert isinstance(one, Subgraph)
+            assert one.parent_indices.shape == (5,) and one.parent_indices[0] == int(i) % 20
+            assert one.features.shape == (5, g.feature_dim) and one.adjacency.shape == (5, 5)
+            for name in ("parent_indices", "features", "adjacency"):
+                assert np.array_equal(getattr(one, name), getattr(subs, name)[i])
+                assert np.array_equal(getattr(listed[i], name), getattr(one, name))
+
+    def test_slices_are_sets(self, rng):
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=5)
+        part = subs[3:9]
+        assert isinstance(part, SubgraphSet) and len(part) == 6
+        for name in ("parent_indices", "features", "adjacency"):
+            assert np.array_equal(getattr(part, name), getattr(subs, name)[3:9])
+        assert part[0].parent_indices[0] == 3
+        assert len(subs[18:40]) == 2 and len(subs[5:5]) == 0
+
+    def test_bad_indices(self, rng):
+        subs = sample_all_subgraphs(random_graph(rng, n=10), k=3)
+        with pytest.raises(IndexError):
+            subs[10]
+        with pytest.raises(TypeError):
+            subs[[1, 2]]

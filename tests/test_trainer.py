@@ -243,11 +243,11 @@ class TestTrainLoop:
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 0)
         params.weights[0].value = np.full_like(params.weights[0].value, np.nan)
         views = encoded_views(subs)
-        pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.5))
+        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.5))
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(10)
         with pytest.raises(TrainingDiverged, match="batch"):
-            run_inner_step(params, opt, views, pos, neg, ids, cfg, None,
+            run_inner_step(params, opt, subs.features, views, pos, neg, ids, cfg, None,
                            rng_for(0, 1), rng_for(0, 2))
 
 
@@ -258,12 +258,12 @@ class TestDegeneratePipeline:
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         sem = semantic_assignment(g, "label")
         views = encoded_views(subs)
-        pos, neg = mirror_views(views, mirror_search(subs, sem).adjacencies(0.0))   # identity mirrors
+        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.0))   # identity mirrors
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(20)
-        result, _, _ = run_inner_step(params, opt, views, pos, neg, ids, cfg, None,
-                                      rng_for(2, 1), rng_for(2, 2))
+        result, _, _ = run_inner_step(params, opt, subs.features, views, pos, neg, ids, cfg,
+                                      None, rng_for(2, 1), rng_for(2, 2))
         # identical mirrors: inter-graph loss is exactly the margin per sample
         assert result.mean_inter == pytest.approx(cfg.xi, abs=1e-12)
         assert result.balance < 0.25   # transport between identical sets: bias only
@@ -281,8 +281,8 @@ class TestDifficultyCurve:
                                  xi=0.5)
 
         views = encoded_views(subs)
-        feats = views.features.reshape(len(subs) * 6, -1)
-        h = gcn_forward_batched(params, views.a_hat, feats)
+        feats = subs.features.reshape(len(subs) * 6, -1)
+        h = gcn_forward_batched(params, views, feats)
         for theta, (got_theta, mean, std) in zip(grid, curve):
             mirrors = [per_pair_mirror_augment(s, quantile(dist, theta), sem) for s in subs]
             h_pos, h_neg = (gcn_forward_batched(
@@ -301,7 +301,8 @@ class TestCenterEmbeddings:
         views = encoded_views(subs)
         k = cfg.subgraph_size
         ids = np.arange(len(subs))
-        h = gcn_forward_batched(params, *views.batch(ids)).value
+        feats = subs.features[ids].reshape(len(ids) * k, -1)
+        h = gcn_forward_batched(params, views[ids], feats).value
         assert np.array_equal(compute_center_embeddings(params, subs), h[ids * k])
 
 
