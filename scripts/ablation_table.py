@@ -40,7 +40,7 @@ def main():
             params, _ = train(graph, config)
             embeddings = compute_center_embeddings(params, subgraphs)
             scores[mode].append(
-                evaluate_probe(embeddings, graph.labels, graph.splits, "test"))
+                evaluate_probe(embeddings, graph.labels, graph.splits)["test"])
             print(f"seed {seed} {mode:9s} {scores[mode][-1]:.3f}")
 
     print(f"\n{'mode':<10} {'mean':>6} {'std':>6}")

@@ -31,7 +31,7 @@ def main():
             SbmConfig(block_sizes=(100, 100, 100), p_intra=0.10, p_inter=0.002,
                       feature_dim=16, feature_noise=args.noise), seed=seed)
         graph = with_splits(graph, make_splits(graph, seed))
-        raw = evaluate_probe(graph.features, graph.labels, graph.splits, "test")
+        raw = evaluate_probe(graph.features, graph.labels, graph.splits)["test"]
 
         config = TrainConfig(seed=seed, subgraph_size=10, embedding_dim=16,
                              epochs=args.epochs, patience=args.epochs, inner_steps=10,
@@ -41,7 +41,7 @@ def main():
         params, report = train(graph, config)
         subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
         embeddings = compute_center_embeddings(params, subgraphs)
-        acc = evaluate_probe(embeddings, graph.labels, graph.splits, "test")
+        acc = evaluate_probe(embeddings, graph.labels, graph.splits)["test"]
         raw_accs.append(raw)
         trained_accs.append(acc)
         print(f"seed {seed}: raw {raw:.3f} -> {args.mode} {acc:.3f} "

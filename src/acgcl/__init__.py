@@ -11,8 +11,8 @@ from .encoder import GcnParams, init_gcn_params
 from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                     make_splits, save_dataset, validate_graph)
 from .losses import LossWeights, SinkhornConfig, balance_loss, sinkhorn_w1, weighted_total_loss
-from .sampler import (Subgraph, SubgraphSet, column_normalize, compute_ppr_scores,
-                      extract_subgraph, sample_all_subgraphs, top_k_indices)
+from .sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
+                      sample_all_subgraphs, top_k_indices)
 from .trainer import (OptimizerState, TrainReport, adam_step, curriculum_inputs,
                       evaluate_probe, train)
 

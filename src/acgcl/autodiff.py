@@ -270,7 +270,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Reverse-mode sweep from a scalar root; accumulates into ``.grad``."""
+    """Reverse-mode sweep from a scalar root; accumulates into ``.grad``.
+
+    Leaves keep their gradients. An interior node's gradient is dropped once
+    it has been passed to the parents, so the sweep holds only the gradients
+    still waiting to be passed on."""
     if root.value.shape != ():
         raise ContractError(f"backward root must be a scalar, got shape {root.value.shape}")
     if not root.requires_grad:
@@ -289,6 +293,7 @@ def backward(root: Tensor) -> None:
             # No node updates a gradient in place, so a first contribution
             # shared with another parent is safe to keep as it is.
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        node.grad = None
 
 
 def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:

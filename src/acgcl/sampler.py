@@ -1,9 +1,11 @@
 """Personalized-PageRank importance scores and fixed-size subgraph extraction.
 
-Scores follow the teleport resolvent S = t * (I - (1 - t) * An)^-1 with An the
-column-normalized adjacency, so column j of S is the stationary visit
-distribution of a random walk restarting at node j. S comes from one dense
-solve at every graph size, so it takes O(n^2) memory.
+Scores follow the teleport resolvent S = t * (I - (1 - t) * A D^-1)^-1, so
+column j of S is the stationary visit distribution of a random walk
+restarting at node j. For a symmetric adjacency A D^-1 is similar to
+D^-1/2 A D^-1/2, so S comes from one in-place Cholesky factorisation and
+inverse of the symmetric positive-definite B = I - (1 - t) D^-1/2 A D^-1/2,
+at every graph size, in one n x n array.
 
 Each node gets a subgraph of exactly ``k`` nodes: the node itself first, then
 the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
@@ -23,8 +25,9 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from .errors import SizeError
+from .errors import ContractError, ShapeError, SizeError
 from .graph import Graph
 
 DEFAULT_TELEPORT = 0.15
@@ -60,22 +63,50 @@ class SubgraphSet:
         return SubgraphSet(*parts) if isinstance(index, slice) else Subgraph(*parts)
 
 
-def column_normalize(adjacency: sp.csr_array) -> sp.csr_array:
-    """A @ D^-1; zero-degree columns stay all-zero."""
-    deg = np.asarray(adjacency.sum(axis=0)).ravel()
-    inv = np.divide(1.0, deg, out=np.zeros_like(deg, dtype=np.float64), where=deg > 0)
-    return (adjacency @ sp.diags_array(inv)).tocsr()
-
-
 def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT) -> np.ndarray:
-    """(n, n) scores, entries >= 0, from a dense solve of the teleport resolvent."""
+    """(n, n) scores, entries >= 0, from one in-place Cholesky inverse of the
+    symmetric resolvent B = I - (1 - t) D^-1/2 A D^-1/2.
+
+    A D^-1 = D^1/2 (D^-1/2 A D^-1/2) D^-1/2, so S = t D^1/2 B^-1 D^-1/2. The
+    spectrum of B lies in [t, 2 - t], so B is positive definite and needs no
+    pivoting. The adjacency must be symmetric.
+    """
     if not (0.0 < teleport < 1.0):
         raise ValueError(f"teleport must be in (0, 1), got {teleport}")
+    adjacency = graph.adjacency
+    if (adjacency != adjacency.T).nnz:
+        raise ShapeError("PageRank needs a symmetric adjacency")
     n = graph.n_nodes
-    normalized = column_normalize(graph.adjacency)
-    system = np.eye(n) - (1.0 - teleport) * normalized.toarray()
-    scores = np.linalg.solve(system, teleport * np.eye(n))
-    return np.maximum(scores, 0.0, out=scores)   # clear solver noise below zero
+    degree = np.asarray(adjacency.sum(axis=0), dtype=np.float64).ravel()
+    root = np.sqrt(degree)
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=degree > 0)
+    scale = sp.diags_array(inv_root)
+    b = (scale @ adjacency @ scale).toarray()
+    b *= -(1.0 - teleport)
+    b[np.diag_indices(n)] += 1.0
+    # b.T is B in Fortran order (B is symmetric), so LAPACK factors and
+    # inverts it in place; its upper triangle is the lower one of b.
+    factor, info = lapack.dpotrf(b.T, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        factor, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
+    if info != 0:
+        raise ContractError(f"PageRank resolvent: LAPACK dpotrf/dpotri info={info}")
+    if not np.shares_memory(factor, b):
+        raise ContractError("PageRank resolvent: LAPACK copied the matrix")
+    row_scale = teleport * root
+    for start in range(0, n, RANK_BLOCK_ROWS):
+        stop = min(start + RANK_BLOCK_ROWS, n)
+        rows = b[start:stop]
+        rows[:, stop:] = b[stop:, start:stop].T          # mirror the lower triangle
+        square = rows[:, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        square[upper] = square.T[upper]
+        rows *= row_scale[start:stop, None]
+        rows *= inv_root
+        np.maximum(rows, 0.0, out=rows)                   # clear rounding noise below zero
+    isolated = np.flatnonzero(degree == 0)
+    b[isolated, isolated] = teleport
+    return b
 
 
 def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:

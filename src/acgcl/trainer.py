@@ -120,18 +120,16 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
 # Probe
 
 def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Splits,
-                   eval_on: str = "test", iters: int = 500, l2: float = 1e-4,
-                   lr: float = 0.5) -> float:
+                   iters: int = 500, l2: float = 1e-4, lr: float = 0.5) -> dict[str, float]:
     """Multinomial logistic regression on frozen train-split embeddings,
-    full-batch gradient descent; returns accuracy on the chosen split."""
+    full-batch gradient descent, fitted once; returns its accuracy on the
+    ``"val"`` and ``"test"`` splits."""
     if labels is None:
         raise ContractError("probe requires node labels")
-    if eval_on not in ("val", "test"):
-        raise ContractError(f"eval_on must be 'val' or 'test', got {eval_on!r}")
     train_idx = np.asarray(splits.train)
-    eval_idx = np.asarray(getattr(splits, eval_on))
-    if train_idx.size == 0 or eval_idx.size == 0:
-        raise ContractError("probe needs non-empty train and eval splits")
+    eval_splits = {"val": np.asarray(splits.val), "test": np.asarray(splits.test)}
+    if train_idx.size == 0 or any(idx.size == 0 for idx in eval_splits.values()):
+        raise ContractError("probe needs non-empty train, val and test splits")
 
     mu = embeddings[train_idx].mean(axis=0)
     sd = embeddings[train_idx].std(axis=0)
@@ -151,8 +149,8 @@ def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Sp
         delta = (prob - onehot) / len(x_train)
         weight -= lr * (x_train.T @ delta + 2.0 * l2 * weight)
         bias -= lr * delta.sum(axis=0)
-    pred = np.argmax(z[eval_idx] @ weight + bias, axis=1)
-    return float(np.mean(pred == labels[eval_idx]))
+    return {name: float(np.mean(np.argmax(z[idx] @ weight + bias, axis=1) == labels[idx]))
+            for name, idx in eval_splits.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +388,9 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
 
             if graph.labels is not None:
                 embeddings = compute_center_embeddings(params, subgraphs)
-                val_acc = evaluate_probe(embeddings, graph.labels, splits, eval_on="val",
+                val_acc = evaluate_probe(embeddings, graph.labels, splits,
                                          iters=config.probe_iters, l2=config.probe_l2,
-                                         lr=config.probe_lr)
+                                         lr=config.probe_lr)["val"]
             else:
                 val_acc = float("nan")   # unlabeled graph: no probe, no early stop
             row = EpochStats(
@@ -489,6 +487,14 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
             slopes=[ad.parameter(np.asarray(s, dtype=np.float64)) for s in stored["slopes"]])
         if not params.weights or len(params.slopes) != params.n_layers:
             raise ConfigError(f"{params.n_layers} weight matrices and {len(params.slopes)} slopes")
+        for i, (w, slope) in enumerate(zip(params.weights, params.slopes)):
+            if w.value.ndim != 2:
+                raise ConfigError(f"weight {i} has shape {w.shape}, not a matrix")
+            if i and params.weights[i - 1].shape[1] != w.shape[0]:
+                raise ConfigError(f"weight {i - 1} gives {params.weights[i - 1].shape[1]} "
+                                  f"columns, weight {i} takes {w.shape[0]} rows")
+            if slope.value.ndim != 0:
+                raise ConfigError(f"slope {i} has shape {slope.shape}, not a scalar")
         return params, TrainConfig.from_dict(payload["config"])
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint has no {exc} entry") from None
@@ -515,8 +521,6 @@ def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:
         graph, config.seed, config.split_train, config.split_val)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
     embeddings = compute_center_embeddings(params, subgraphs)
-    kwargs = dict(iters=config.probe_iters, l2=config.probe_l2, lr=config.probe_lr)
-    return {
-        "val_accuracy": evaluate_probe(embeddings, graph.labels, splits, "val", **kwargs),
-        "test_accuracy": evaluate_probe(embeddings, graph.labels, splits, "test", **kwargs),
-    }
+    accuracy = evaluate_probe(embeddings, graph.labels, splits, iters=config.probe_iters,
+                              l2=config.probe_l2, lr=config.probe_lr)
+    return {"val_accuracy": accuracy["val"], "test_accuracy": accuracy["test"]}

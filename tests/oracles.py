@@ -16,7 +16,9 @@ Two groups share some:
   ``acgcl.encoder.sym_normalized_adjacency``.
 
 ``pairwise_euclidean_diff`` is the difference-tensor form that the package's
-Gram-form ``pairwise_euclidean`` replaced. ``per_subgraph_distance_distribution``
+Gram-form ``pairwise_euclidean`` replaced. ``dense_solve_ppr`` is the
+resolvent solve on the column-normalized adjacency that the package's
+symmetric Cholesky inverse replaced. ``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
 pairs with the package's ``_rowwise_distance``, so the two compare bit for bit.
 """
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from acgcl import autodiff as ad
 from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
@@ -287,6 +290,22 @@ def per_sample_loss(l_intra, l_inter, l_balance, weights: LossWeights, n: int) -
         ad.add(ad.scale(ad.as_tensor(l_balance), weights.alpha / n),
                ad.scale(ad.as_tensor(l_inter), weights.beta)),
     )
+
+
+def column_normalize(adjacency: sp.csr_array) -> sp.csr_array:
+    """A @ D^-1; zero-degree columns stay all-zero."""
+    deg = np.asarray(adjacency.sum(axis=0)).ravel()
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg, dtype=np.float64), where=deg > 0)
+    return (adjacency @ sp.diags_array(inv)).tocsr()
+
+
+def dense_solve_ppr(graph, teleport=0.15):
+    """Personalized-PageRank scores from a dense solve of the teleport
+    resolvent t * (I - (1 - t) * A D^-1)^-1, clamped at zero."""
+    n = graph.n_nodes
+    system = np.eye(n) - (1.0 - teleport) * column_normalize(graph.adjacency).toarray()
+    scores = np.linalg.solve(system, teleport * np.eye(n))
+    return np.maximum(scores, 0.0, out=scores)
 
 
 def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):

@@ -59,14 +59,14 @@ def sbm_runs():
     runs = []
     for seed in range(N_SEEDS):
         graph = experiment_graph(seed)
-        raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits, "test")
+        raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits)["test"]
 
         config = experiment_config(seed)
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
         search = mirror_search(subgraphs, semantics, config.distance_metric)
         params, _ = train(graph, config, inputs=(subgraphs, dist, search))
         soft_acc = evaluate_probe(compute_center_embeddings(params, subgraphs),
-                                  graph.labels, graph.splits, "test")
+                                  graph.labels, graph.splits)["test"]
 
         curve = difficulty_curve(params, subgraphs, search, dist, THETA_GRID, config.xi)
         rho = spearman(THETA_GRID, [row[1] for row in curve])
@@ -75,7 +75,7 @@ def sbm_runs():
         # mode and theta0 do not enter the set-up, so the uniform run shares it
         uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, dist, search))
         uniform_acc = evaluate_probe(compute_center_embeddings(uniform_params, subgraphs),
-                                     graph.labels, graph.splits, "test")
+                                     graph.labels, graph.splits)["test"]
         runs.append({"raw": raw_acc, "soft": soft_acc, "uniform": uniform_acc,
                      "rho": rho, "curve": [row[1] for row in curve]})
     return runs

@@ -63,6 +63,21 @@ def test_two_paths_through_add_double_the_single_path_gradient(rng):
     assert np.array_equal(one_node, 2 * single)
 
 
+def test_backward_drops_interior_gradients_and_keeps_leaf_gradients(rng):
+    # Small integers keep every sum exact, whatever the accumulation order.
+    x, y, c = (rng.integers(-9, 10, size=(3, 2)).astype(float) for _ in range(3))
+    x, y = ad.parameter(x), ad.parameter(y)
+    total = ad.add(x, y)
+    weighted = ad.mul(total, c)
+    squared = ad.mul(x, x)
+    root = ad.add(ad.sum_all(weighted), ad.sum_all(squared))
+    ad.backward(root)
+    for interior in (total, weighted, squared, root):
+        assert interior.grad is None
+    assert np.array_equal(y.grad, c)
+    assert np.array_equal(x.grad, c + 2.0 * x.value)
+
+
 def test_take_rows_scatter_adds_duplicates():
     x = ad.parameter(np.array([[1.0], [2.0]]))
     picked = ad.take_rows(x, np.array([0, 0, 1]))

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from acgcl.augment import semantic_assignment
@@ -255,6 +256,44 @@ class TestMalformedCheckpoint:
          "0 weight matrices"),
     ], ids=["no-params", "not-json", "version-2", "not-an-object", "unknown-config-key",
             "ragged-weights", "no-layers"])
+    @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
+    def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command,
+                                 text, reason):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(text)
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(path), "--data", str(dataset_dir)]
+        else:
+            argv = ["validate-difficulty", "--config", str(config_file), "--checkpoint",
+                    str(path), "--out", str(tmp_path / "curve.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(f"ConfigError: {path}: ")
+        assert reason in err[0]
+
+
+def _weights_checkpoint(weights, slopes):
+    params = {"weights": [np.asarray(w).tolist() for w in weights], "slopes": slopes}
+    return json.dumps({"format_version": 1, "config": {}, "params": params})
+
+
+class TestMalformedWeights:
+    """Weights that are not matrices, layer widths that do not chain and
+    slopes that are not scalars fail ``evaluate`` and
+    ``validate-difficulty --checkpoint`` with one ConfigError line that
+    names the file, before any matmul sees them (the data has 4 features)."""
+
+    @pytest.mark.parametrize("text, reason", [
+        (_weights_checkpoint([np.full(4, 0.1)], [0.25]), "weight 0 has shape (4,), not a matrix"),
+        (_weights_checkpoint([np.full((4, 8, 1), 0.1)], [0.25]),
+         "weight 0 has shape (4, 8, 1), not a matrix"),
+        (_weights_checkpoint([np.full((4, 8), 0.1), np.full((5, 8), 0.1)], [0.25, 0.25]),
+         "weight 0 gives 8 columns, weight 1 takes 5 rows"),
+        (_weights_checkpoint([np.full((4, 8), 0.1)], [[0.25, 0.5]]),
+         "slope 0 has shape (2,), not a scalar"),
+    ], ids=["vector-weight", "3d-weight", "widths-do-not-chain", "vector-slope"])
     @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
     def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command,
                                  text, reason):

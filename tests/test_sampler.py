@@ -4,15 +4,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl.errors import SizeError
+from acgcl.errors import ShapeError, SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
-from acgcl.sampler import (Subgraph, SubgraphSet, column_normalize, compute_ppr_scores,
-                           extract_subgraph, sample_all_subgraphs, top_k_indices)
+from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
+                           sample_all_subgraphs, top_k_indices)
 from conftest import graph_from_edges, random_graph
-from oracles import power_iteration_ppr, subgraph_indices, top_rank
+from oracles import (column_normalize, dense_solve_ppr, power_iteration_ppr,
+                     subgraph_indices, top_rank)
 
 
 class TestColumnNormalize:
+    """The column normalization of the ``dense_solve_ppr`` oracle."""
+
     def test_single_edge(self):
         g = graph_from_edges(2, [(0, 1)])
         assert np.array_equal(column_normalize(g.adjacency).toarray(), [[0, 1], [1, 0]])
@@ -61,6 +64,71 @@ class TestPprScores:
             compute_ppr_scores(g, teleport=0.0)
         with pytest.raises(ValueError):
             compute_ppr_scores(g, teleport=1.0)
+
+
+def self_loop_graph(rng, n=30):
+    """A random graph with self-loops on a third of its nodes."""
+    g = random_graph(rng, n=n)
+    dense = g.adjacency.toarray()
+    loops = rng.choice(n, size=n // 3, replace=False)
+    dense[loops, loops] = 1.0
+    return Graph(features=g.features, adjacency=sp.csr_array(dense))
+
+
+def oracle_graphs(rng):
+    """Random graphs, isolated nodes, self-loops, an edgeless graph and n = 1."""
+    return [
+        *(random_graph(rng, n=int(rng.integers(5, 90)), p=float(rng.uniform(0.02, 0.3)),
+                       min_degree_ring=bool(rng.integers(2))) for _ in range(6)),
+        graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]),   # 8 isolated
+        self_loop_graph(rng),
+        Graph(features=np.zeros((3, 1)), adjacency=sp.csr_array(np.diag([1.0, 0.0, 1.0]))),
+        graph_from_edges(6, []),
+        graph_from_edges(1, []),
+        Graph(features=np.zeros((1, 1)), adjacency=sp.csr_array(np.ones((1, 1)))),
+    ]
+
+
+class TestCholeskyMatchesSolve:
+    """The symmetric Cholesky inverse against the dense solve of the
+    column-normalized resolvent that it replaced."""
+
+    def test_scores_within_1e_12(self, rng):
+        for g in oracle_graphs(rng):
+            for teleport in (0.15, 0.5, 0.9):
+                got = compute_ppr_scores(g, teleport)
+                want = dense_solve_ppr(g, teleport)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.abs(got - want).max() <= 1e-12
+                assert got.min() >= 0.0
+
+    def test_isolated_nodes_keep_the_teleport_mass(self):
+        g = graph_from_edges(4, [(0, 1)])
+        scores = compute_ppr_scores(g, 0.15)
+        assert np.array_equal(scores[2:, 2:], 0.15 * np.eye(2))
+        assert not scores[:2, 2:].any() and not scores[2:, :2].any()
+
+    def test_same_top_k(self, rng):
+        for g in oracle_graphs(rng):
+            got, want = compute_ppr_scores(g, 0.15), dense_solve_ppr(g, 0.15)
+            for k in (1, 3, 8, 20):
+                assert np.array_equal(top_k_indices(got, k), top_k_indices(want, k))
+
+    def test_same_top_k_at_2100_nodes(self, rng):
+        g = random_graph(rng, n=2100, p=3.0 / 2100, dim=1)
+        got, want = compute_ppr_scores(g, 0.15), dense_solve_ppr(g, 0.15)
+        assert np.abs(got - want).max() <= 1e-12
+        for k in (8, 20):
+            assert np.array_equal(top_k_indices(got, k), top_k_indices(want, k))
+
+    def test_asymmetric_adjacency_rejected(self):
+        dense = np.zeros((3, 3))
+        dense[0, 1] = dense[1, 2] = dense[2, 1] = 1.0
+        g = Graph(features=np.zeros((3, 1)), adjacency=sp.csr_array(dense))
+        with pytest.raises(ShapeError, match="symmetric"):
+            compute_ppr_scores(g, 0.15)
+        with pytest.raises(ShapeError):
+            sample_all_subgraphs(g, k=2)
 
 
 class TestTopRank:

@@ -74,7 +74,7 @@ class TestProbe:
         emb = np.where(labels[:, None] == 0, -3.0, 3.0) + 0.1 * rng.standard_normal((n, 2))
         splits = Splits(train=np.arange(0, n, 2), val=np.arange(1, n, 4),
                         test=np.arange(3, n, 4))
-        assert evaluate_probe(emb, labels, splits, "test") == 1.0
+        assert evaluate_probe(emb, labels, splits)["test"] == 1.0
 
     def test_random_labels_chance_level(self, rng):
         n = 600
@@ -82,7 +82,7 @@ class TestProbe:
         labels = rng.integers(0, 2, size=n)
         idx = rng.permutation(n)
         splits = Splits(train=idx[:300], val=idx[300:400], test=idx[400:])
-        acc = evaluate_probe(emb, labels, splits, "test")
+        acc = evaluate_probe(emb, labels, splits)["test"]
         assert abs(acc - 0.5) < 0.1
 
     def test_constant_embeddings_majority_class(self):
@@ -90,7 +90,7 @@ class TestProbe:
         emb = np.ones((10, 3))
         splits = Splits(train=np.arange(0, 6), val=np.arange(6, 8), test=np.arange(8, 10))
         # train majority is class 0; test split is [0, 0] -> accuracy 1.0
-        assert evaluate_probe(emb, labels, splits, "test") == 1.0
+        assert evaluate_probe(emb, labels, splits)["test"] == 1.0
 
     def test_requires_labels(self):
         splits = Splits(train=np.array([0]), val=np.array([1]), test=np.array([1]))
