@@ -10,7 +10,8 @@ File formats (one directory per dataset):
 * ``edges.txt``   : one ``src dst`` pair of decimal integers per line,
   whitespace separated; blank lines and lines starting with ``#`` ignored.
 * ``features.csv``: one node per row, comma-separated reals; row count
-  defines the number of nodes.
+  defines the number of nodes. An empty field (``1.0,,2.0`` or a trailing
+  comma) is rejected, not skipped.
 * ``labels.csv``  : optional, ``node_id,label`` with integer labels covering
   every node exactly once.
 * ``splits.json`` : optional, ``{"train": [...], "val": [...], "test": [...]}``.
@@ -138,9 +139,8 @@ def _read_features(path: Path) -> np.ndarray:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        parts = [p for p in text.split(",") if p.strip()]
         try:
-            row = [float(p) for p in parts]
+            row = [float(p) for p in text.split(",")]
         except ValueError as exc:
             raise GraphParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
         if width is None:

@@ -25,7 +25,6 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .errors import ContractError, ShapeError, SizeError
 from .graph import Graph
@@ -71,6 +70,9 @@ def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT) -> np.n
     spectrum of B lies in [t, 2 - t], so B is positive definite and needs no
     pivoting. The adjacency must be symmetric.
     """
+    # Imported here, not at module level, so that commands which rank nothing
+    # (gen-sbm) do not pay for importing scipy.linalg.
+    from scipy.linalg import lapack
     if not (0.0 < teleport < 1.0):
         raise ValueError(f"teleport must be in (0, 1), got {teleport}")
     adjacency = graph.adjacency

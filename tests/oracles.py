@@ -18,7 +18,11 @@ Two groups share some:
 ``pairwise_euclidean_diff`` is the difference-tensor form that the package's
 Gram-form ``pairwise_euclidean`` replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
-symmetric Cholesky inverse replaced. ``per_subgraph_distance_distribution``
+symmetric Cholesky inverse replaced. ``sinkhorn_log_node`` is the
+log-domain Sinkhorn solve that the package's kernel-domain node replaced; it
+checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
+``SinkhornStats``, so iteration counts compare directly.
+``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
 pairs with the package's ``_rowwise_distance``, so the two compare bit for bit.
 """
@@ -36,7 +40,7 @@ from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignmen
                            _rowwise_distance, pairwise_distances)
 from acgcl.encoder import GcnParams, sym_normalized_adjacency
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError, SizeError
-from acgcl.losses import LossWeights
+from acgcl.losses import _TOL_CHECK_EVERY, LossWeights, SinkhornStats
 from acgcl.sampler import Subgraph, SubgraphSet
 
 
@@ -365,6 +369,60 @@ def pairwise_euclidean_diff(p, q) -> ad.Tensor:
         return weighted.sum(axis=1), -weighted.sum(axis=0)
 
     return ad._node(dist, (p, q), backward_fn)
+
+
+def sinkhorn_log_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float
+                      ) -> tuple[ad.Tensor, SinkhornStats]:
+    """Log-domain Sinkhorn scaling on the potentials f, g, with the same
+    every-10-steps stop and an exact reverse replay. The package's kernel
+    node runs the same iterates with u = exp(f/reg) and v = exp(g/reg)."""
+    m, n = cost.value.shape
+    c = cost.value
+    c_over = c / reg                 # shared by every update and the replay
+    log_a = -np.log(m)
+    log_b = -np.log(n)
+    weight_a = np.full(m, 1.0 / m)
+
+    f_hist = np.zeros((max_iters, m))
+    g_hist = np.zeros((max_iters + 1, n))   # g_hist[0] is the zero start
+    g = np.zeros(n)
+    used = 0
+    for t in range(max_iters):
+        f = -reg * _logsumexp(g[None, :] / reg - c_over + log_b, axis=1)
+        g = -reg * _logsumexp(f[:, None] / reg - c_over + log_a, axis=0)
+        f_hist[t] = f
+        g_hist[t + 1] = g
+        used = t + 1
+        if tol > 0 and used % _TOL_CHECK_EVERY == 0:
+            plan = np.exp((f[:, None] + g[None, :]) / reg - c_over + log_a + log_b)
+            if np.abs(plan.sum(axis=1) - weight_a).sum() < tol:
+                break
+    f, g = f_hist[used - 1], g_hist[used]
+    plan = np.exp((f[:, None] + g[None, :]) / reg - c_over + log_a + log_b)
+    value = float((plan * c).sum())
+
+    def backward_fn(upstream):
+        grad_c = upstream * plan * (1.0 - c_over)
+        lam_f = upstream * (plan * c).sum(axis=1) / reg
+        lam_g = upstream * (plan * c).sum(axis=0) / reg
+        for t in range(used - 1, -1, -1):
+            f_t = f_hist[t][:, None] / reg - c_over
+            w = np.exp(f_t + (g_hist[t + 1] / reg + log_a)[None, :])
+            lam_f = lam_f - w @ lam_g
+            grad_c = grad_c + w * lam_g[None, :]
+            s = np.exp(f_t + (g_hist[t] / reg + log_b)[None, :])
+            grad_c = grad_c + s * lam_f[:, None]
+            lam_g = -(s.T @ lam_f)
+            lam_f = np.zeros(m)
+        return (grad_c,)
+
+    stats = SinkhornStats(used, float(np.abs(plan.sum(axis=1) - weight_a).sum()))
+    return ad._node(np.asarray(value), (cost,), backward_fn), stats
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    peak = x.max(axis=axis, keepdims=True)
+    return (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def exact_w1_1d(xs, ys):

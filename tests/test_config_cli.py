@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acgcl
 from acgcl.augment import semantic_assignment
 from acgcl.cli import main
 from acgcl.config import TrainConfig, parse_config, parse_overrides
@@ -210,6 +215,16 @@ class TestCli:
         assert code == 1
         assert "theta0" in capsys.readouterr().err
 
+    def test_sinkhorn_reg_below_the_kernel_range_fails_with_one_line(self, tmp_path,
+                                                                    config_file, capsys):
+        code = main(["train", "--config", str(config_file), "--set", "sinkhorn_reg=1e-9",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ConfigError: sinkhorn_reg: max cost / reg = ")
+        assert err[0].endswith(" exceeds 600")
+
 
 class TestCheckpointFeatureWidth:
     """A checkpoint trained on another feature width fails in one line that
@@ -369,3 +384,14 @@ class TestMalformedSplits:
         assert code == 1
         assert len(err) == 1 and re.match(r"\w+Error: \S", err[0]), err
         assert "splits.json" in err[0] and reason in err[0]
+
+
+def test_cli_import_leaves_lapack_unloaded():
+    # Only PageRank needs scipy.linalg; commands that never rank (gen-sbm)
+    # should not pay for importing it.
+    src = str(Path(acgcl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, acgcl.cli; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

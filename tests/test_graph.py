@@ -55,6 +55,15 @@ class TestLoadGraph:
         with pytest.raises(ShapeError, match="features.csv:2"):
             load_graph(e, f)
 
+    @pytest.mark.parametrize("rows", ["1.0,,2.0\n3.0,,4.0\n", "1.0,2.0,\n3.0,4.0,\n"],
+                             ids=["mid_row", "trailing_comma"])
+    def test_empty_feature_field_rejected(self, tmp_path, rows):
+        # every row has the same gap, so dropping empty fields would load a
+        # consistent but shifted matrix
+        e, f, _ = write_dataset(tmp_path, "", rows)
+        with pytest.raises(GraphParseError, match="features.csv:1: bad feature value"):
+            load_graph(e, f)
+
     def test_non_finite_feature_rejected(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "", "1\nnan\n")
         with pytest.raises(GraphParseError, match="features.csv"):

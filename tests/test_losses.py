@@ -5,11 +5,10 @@ from acgcl import autodiff as ad
 from acgcl.errors import ConfigError, ShapeError
 from acgcl.losses import (KERNEL_MAX_RATIO, LossWeights, SinkhornConfig, SinkhornStats,
                           _canonical_order_swapped, _resolve_reg, _sinkhorn_kernel_node,
-                          _sinkhorn_log_node, balance_loss, inter_graph_losses_grouped,
-                          intra_graph_losses_batched, per_sample_losses_batched, sinkhorn_w1,
-                          weighted_total_loss)
+                          balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
+                          per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from oracles import (directional_grad_check, exact_w1_1d, inter_graph_loss, intra_graph_loss,
-                     per_sample_loss)
+                     per_sample_loss, sinkhorn_log_node)
 
 
 def sigmoid(x):
@@ -146,17 +145,35 @@ def half_shared_sets(rng, m=256, d=64):
 
 
 def log_domain(points_a, points_b, reg, max_iters, tol):
-    """``_sinkhorn_log_node`` on the euclidean cost of two point tensors, in
+    """The log-domain oracle on the euclidean cost of two point tensors, in
     ``sinkhorn_w1``'s canonical order."""
     a, b = ad.as_tensor(points_a), ad.as_tensor(points_b)
     if _canonical_order_swapped(a.value, b.value):
         a, b = b, a
-    return _sinkhorn_log_node(ad.pairwise_euclidean(a, b), reg, max_iters, tol)
+    return sinkhorn_log_node(ad.pairwise_euclidean(a, b), reg, max_iters, tol)
+
+
+def assert_matches_log_domain(h, other, config, reg):
+    """``sinkhorn_w1`` against the log-domain oracle at ``reg``: values within
+    1e-12 relative, gradients within 1e-10 of the largest, equal iterations."""
+    stats = []
+    pa, pb = ad.parameter(h), ad.parameter(other)
+    got = sinkhorn_w1(pa, pb, config, stats)
+    got_grads = ad.gradients(got, [pa, pb])
+    wa, wb = ad.parameter(h), ad.parameter(other)
+    want, want_stats = log_domain(wa, wb, reg, config.max_iters, config.tol)
+    want_grads = ad.gradients(want, [wa, wb])
+    assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
+    assert stats[0].iters == want_stats.iters
+    assert stats[0].marginal_err == pytest.approx(want_stats.marginal_err, rel=1e-9, abs=1e-12)
+    return stats[0]
 
 
 class TestSinkhornPaths:
-    """The kernel-domain node against the log-domain node, and the switch
-    between them at KERNEL_MAX_RATIO."""
+    """The kernel-domain node against the log-domain oracle, and the range
+    check at KERNEL_MAX_RATIO."""
 
     def test_kernel_matches_log_domain_at_automatic_reg(self, rng):
         h, other = half_shared_sets(rng)
@@ -165,36 +182,32 @@ class TestSinkhornPaths:
         reg = _resolve_reg(cost, SinkhornConfig())
         assert cost.max() / reg <= KERNEL_MAX_RATIO
 
-        stats = []
-        pa, pb = ad.parameter(h), ad.parameter(other)
-        got = sinkhorn_w1(pa, pb, SinkhornConfig(tol=0.0), stats)
-        got_grads = ad.gradients(got, [pa, pb])
-        wa, wb = ad.parameter(h), ad.parameter(other)
-        want, want_stats = log_domain(wa, wb, reg, 200, 0.0)
-        want_grads = ad.gradients(want, [wa, wb])
-
-        # the automatic reg takes the kernel path, which agrees with the log domain
+        config = SinkhornConfig(tol=0.0)
+        got = sinkhorn_w1(h, other, config)
         assert got.item() == _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0].item()
-        assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
-        for g, w in zip(got_grads, want_grads):
-            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
-        assert stats[0].iters == want_stats.iters == 200
-        assert stats[0].marginal_err == pytest.approx(want_stats.marginal_err, rel=1e-9)
+        assert assert_matches_log_domain(h, other, config, reg).iters == 200
 
-    def test_large_ratio_takes_the_log_domain_path(self, rng):
+    def test_kernel_matches_log_domain_at_large_ratios(self, rng):
+        h, other = rng.standard_normal((20, 2)), rng.standard_normal((15, 2))
+        peak = ad.pairwise_euclidean(h, other).value.max()
+        for ratio in (300.0, 0.999 * KERNEL_MAX_RATIO):
+            config = SinkhornConfig(reg=peak / ratio, max_iters=3000, tol=1e-9)
+            assert assert_matches_log_domain(h, other, config, config.reg).iters < 3000
+
+    def test_ratio_above_the_limit_is_a_config_error(self, rng):
         h, other = half_shared_sets(rng, m=24, d=4)
         peak = ad.pairwise_euclidean(h, other).value.max()
-        config = SinkhornConfig(reg=peak / (1.5 * KERNEL_MAX_RATIO), max_iters=300, tol=1e-9)
-        a, b = ad.parameter(h), ad.parameter(other)
-        stats = []
-        got = sinkhorn_w1(a, b, config, stats)
-        got_grads = ad.gradients(got, [a, b])
-        wa, wb = ad.parameter(h), ad.parameter(other)
-        want, want_stats = log_domain(wa, wb, config.reg, config.max_iters, config.tol)
-        want_grads = ad.gradients(want, [wa, wb])
-        assert got.item() == want.item()
-        assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
-        assert stats == [want_stats]
+        with pytest.raises(ConfigError, match=r"^sinkhorn_reg: max cost / reg = 606 exceeds 600$"):
+            sinkhorn_w1(h, other, SinkhornConfig(reg=peak / (1.01 * KERNEL_MAX_RATIO)))
+
+    def test_automatic_reg_above_the_limit_is_a_config_error(self):
+        # every cost is 0.01 except the 20 to the far point: the automatic
+        # reg is 5% of the median, 5e-4, against a max cost near 100
+        near = np.zeros((20, 2))
+        near[:, 0] = 0.01
+        far = np.vstack([np.zeros((20, 2)), [[100.0, 0.0]]])
+        with pytest.raises(ConfigError, match=r"^sinkhorn_reg: max cost / reg = .* exceeds 600$"):
+            sinkhorn_w1(near, far)
 
 
 class TestSinkhornStats:
