@@ -38,14 +38,14 @@ def main():
                              batch_size=500, acl_mode=args.mode,
                              balance_max_points=128, sinkhorn_iters=60)
         start = time.time()
-        params, report = train(graph, config)
+        params, epochs = train(graph, config)
         subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
         embeddings = compute_center_embeddings(params, subgraphs)
         acc = evaluate_probe(embeddings, graph.labels, graph.splits)["test"]
         raw_accs.append(raw)
         trained_accs.append(acc)
         print(f"seed {seed}: raw {raw:.3f} -> {args.mode} {acc:.3f} "
-              f"({len(report.rows)} epochs, {time.time() - start:.0f}s)")
+              f"({len(epochs)} epochs, {time.time() - start:.0f}s)")
 
     print(f"\nmean raw      {np.mean(raw_accs):.3f}")
     print(f"mean {args.mode:9s} {np.mean(trained_accs):.3f}")

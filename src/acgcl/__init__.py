@@ -13,7 +13,7 @@ from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_g
 from .losses import LossWeights, SinkhornConfig, balance_loss, sinkhorn_w1, weighted_total_loss
 from .sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
                       sample_all_subgraphs, top_k_indices)
-from .trainer import (OptimizerState, TrainReport, adam_step, curriculum_inputs,
-                      evaluate_probe, train)
+from .trainer import (OptimizerState, adam_step, curriculum_inputs, evaluate_probe, train,
+                      write_report)
 
 __version__ = "0.1.0"

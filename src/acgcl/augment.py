@@ -34,27 +34,32 @@ METRICS = ("euclidean", "manhattan", "cosine")
 PAIR_BLOCK = 1 << 12   # pair rows per block: k * 32 kB per (pairs, k) array, dim * 32 kB per gather
 
 
-def _check_metric(metric: str) -> None:
+def check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ConfigError(f"distance_metric: unknown metric {metric!r}, expected one of {METRICS}")
+
+
+def distance(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
+    """Distance between the feature vectors on the last axis of ``xa`` and
+    ``xb``, broadcast over the leading axes. Cosine distance is 1 - cos, and
+    1 when either vector is zero."""
+    if metric == "euclidean":
+        diff = xa - xb
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    if metric == "manhattan":
+        return np.abs(xa - xb).sum(axis=-1)
+    na, nb = np.linalg.norm(xa, axis=-1), np.linalg.norm(xb, axis=-1)
+    safe = (na > 0) & (nb > 0)
+    cos = np.sum(xa * xb, axis=-1) / np.where(safe, na * nb, 1.0)
+    return np.where(safe, 1.0 - np.clip(cos, -1.0, 1.0), 1.0)
 
 
 def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     """(..., k, k) distance matrices between the feature rows of a
     (..., k, dim) stack."""
-    _check_metric(metric)
+    check_metric(metric)
     x = np.asarray(features, dtype=np.float64)
-    if metric == "euclidean":
-        diff = x[..., :, None, :] - x[..., None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if metric == "manhattan":
-        return np.abs(x[..., :, None, :] - x[..., None, :, :]).sum(axis=-1)
-    norms = np.linalg.norm(x, axis=-1)
-    safe = np.where(norms > 0, norms, 1.0)
-    cos = (x @ np.swapaxes(x, -1, -2)) / (safe[..., :, None] * safe[..., None, :])
-    zero = norms == 0
-    zero = zero[..., :, None] | zero[..., None, :]
-    return np.where(zero, 1.0, 1.0 - np.clip(cos, -1.0, 1.0))
+    return distance(x[..., :, None, :], x[..., None, :, :], metric)
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
     are measured PAIR_BLOCK at a time."""
     if sample_budget < 1:
         raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
-    _check_metric(metric)
+    check_metric(metric)
     parents = subgraphs.parent_indices
     iu, iv = np.triu_indices(parents.shape[1], k=1)
     owner, pair = np.nonzero(parents[:, iu] != parents[:, iv])
@@ -107,23 +112,9 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
     values = np.empty(len(owner))
     for start in range(0, len(owner), PAIR_BLOCK):
         g, p = owner[start:start + PAIR_BLOCK], pair[start:start + PAIR_BLOCK]
-        values[start:start + PAIR_BLOCK] = _rowwise_distance(x[g, iu[p]], x[g, iv[p]], metric)
+        values[start:start + PAIR_BLOCK] = distance(x[g, iu[p]], x[g, iv[p]], metric)
     values.sort()
     return DistanceDistribution(values=values)
-
-
-def _rowwise_distance(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        return np.sqrt(np.sum((xa - xb) ** 2, axis=1))
-    if metric == "manhattan":
-        return np.abs(xa - xb).sum(axis=1)
-    na = np.linalg.norm(xa, axis=1)
-    nb = np.linalg.norm(xb, axis=1)
-    safe = (na > 0) & (nb > 0)
-    out = np.ones(len(xa))
-    dots = np.sum(xa * xb, axis=1)
-    out[safe] = 1.0 - np.clip(dots[safe] / (na[safe] * nb[safe]), -1.0, 1.0)
-    return out
 
 
 def quantile(dist: DistanceDistribution, theta: float) -> float:
@@ -209,7 +200,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     by the smaller position. Pairs are scanned as (pairs, k) rows over
     blocks of PAIR_BLOCK pairs' worth of whole subgraphs.
     """
-    _check_metric(metric)
+    check_metric(metric)
     adjacency = subgraphs.adjacency
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)

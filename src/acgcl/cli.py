@@ -24,7 +24,8 @@ from .config import TrainConfig, parse_config
 from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
 from .trainer import (check_feature_width, curriculum_inputs, difficulty_curve,
-                      evaluate_checkpoint, load_checkpoint, save_checkpoint, train)
+                      evaluate_checkpoint, load_checkpoint, save_checkpoint, train,
+                      write_report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,11 +84,12 @@ def _cmd_train(args) -> int:
     config, graph = _load_config_and_graph(args.config, args.overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, report = train(graph, config, metrics_path=out / "metrics.jsonl")
+    params, epochs = train(graph, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(params, config, out / "checkpoint.json")
-    report.to_csv(out / "report.csv")
-    print(f"epochs_run={len(report.rows)}")
-    print(f"final_val_accuracy={report.final_val_accuracy!r}")
+    write_report(epochs, out / "report.csv")
+    final = epochs[-1]["val_accuracy"] if epochs else None
+    print(f"epochs_run={len(epochs)}")
+    print(f"final_val_accuracy={float('nan') if final is None else final!r}")
     print(f"checkpoint={out / 'checkpoint.json'}")
     return 0
 

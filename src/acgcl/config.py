@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .augment import check_metric
 from .curriculum import MODES, PacingConfig
 from .errors import ConfigError
+from .graph import check_split_fractions
 from .losses import LossWeights, SinkhornConfig
 
 
@@ -98,6 +100,8 @@ class TrainConfig:
             raise ConfigError(f"acl_mode: unknown mode {self.acl_mode!r}, expected one of {MODES}")
         if self.semantics not in ("label", "degree-bucket"):
             raise ConfigError("semantics: must be 'label' or 'degree-bucket'")
+        check_metric(self.distance_metric)
+        check_split_fractions(self.split_train, self.split_val)
         if self.ramp_epochs is not None and self.ramp_epochs < 1:
             raise ConfigError("ramp_epochs: must be >= 1 or auto")
         # delegate range checks to the dataclasses they feed

@@ -70,7 +70,6 @@ class AclThresholds:
 @dataclass(frozen=True)
 class SampleWeights:
     values: np.ndarray      # each in [0, 1]
-    mode: str
 
     def active_fraction(self) -> float:
         return float(np.mean(self.values > 0)) if self.values.size else 0.0
@@ -88,13 +87,13 @@ def spl_weights(losses, lam: float) -> SampleWeights:
     if lam <= 0:
         raise ConfigError("spl threshold: must be positive")
     losses = np.asarray(losses, dtype=np.float64)
-    return SampleWeights(values=(losses < lam).astype(np.float64), mode="spl")
+    return SampleWeights(values=(losses < lam).astype(np.float64))
 
 
 def hard_acl_weights(losses, thresholds: AclThresholds) -> SampleWeights:
     losses = np.asarray(losses, dtype=np.float64)
     inside = (thresholds.lambda2 < losses) & (losses < thresholds.lambda1)
-    return SampleWeights(values=inside.astype(np.float64), mode="hard_acl")
+    return SampleWeights(values=inside.astype(np.float64))
 
 
 def soft_acl_weights(losses, thresholds: AclThresholds) -> SampleWeights:
@@ -106,11 +105,11 @@ def soft_acl_weights(losses, thresholds: AclThresholds) -> SampleWeights:
     mid = (losses >= thresholds.lambda2) & (losses < thresholds.lambda1)
     values[easy] = losses[easy] / thresholds.lambda2
     values[mid] = 1.0
-    return SampleWeights(values=values, mode="soft_acl")
+    return SampleWeights(values=values)
 
 
 def uniform_weights(n: int) -> SampleWeights:
-    return SampleWeights(values=np.ones(n), mode="uniform")
+    return SampleWeights(values=np.ones(n))
 
 
 def init_thresholds(first_step_losses, eta1: float = 1.05, eta2: float = 0.95) -> AclThresholds:

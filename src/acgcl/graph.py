@@ -259,14 +259,14 @@ def save_dataset(graph: Graph, directory) -> None:
 @dataclass(frozen=True)
 class SbmConfig:
     """Stochastic block model: dense intra-block, sparse inter-block wiring,
-    Gaussian features around a per-block center, labels = block ids."""
+    Gaussian features around a per-block center (``center_scale`` at
+    coordinate block % feature_dim), labels = block ids."""
     block_sizes: tuple[int, ...]
     p_intra: float
     p_inter: float
     feature_dim: int
-    feature_centers: np.ndarray | None = None   # (n_blocks, feature_dim)
     feature_noise: float = 1.0
-    center_scale: float = 1.0                   # used when centers are derived
+    center_scale: float = 1.0
 
     def __post_init__(self):
         if not self.block_sizes or any(b <= 0 for b in self.block_sizes):
@@ -277,17 +277,6 @@ class SbmConfig:
             raise ConfigError("feature_dim: must be positive")
         if self.feature_noise < 0:
             raise ConfigError("feature_noise: must be >= 0")
-        if self.feature_centers is not None:
-            shape = (len(self.block_sizes), self.feature_dim)
-            if self.feature_centers.shape != shape:
-                raise ConfigError(f"feature_centers: shape {self.feature_centers.shape}, expected {shape}")
-
-
-def _default_centers(config: SbmConfig) -> np.ndarray:
-    centers = np.zeros((len(config.block_sizes), config.feature_dim))
-    for b in range(len(config.block_sizes)):
-        centers[b, b % config.feature_dim] = config.center_scale
-    return centers
 
 
 def generate_sbm(config: SbmConfig, seed: int) -> Graph:
@@ -312,7 +301,8 @@ def generate_sbm(config: SbmConfig, seed: int) -> Graph:
     rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
 
-    centers = config.feature_centers if config.feature_centers is not None else _default_centers(config)
+    centers = np.zeros((len(sizes), config.feature_dim))
+    centers[np.arange(len(sizes)), np.arange(len(sizes)) % config.feature_dim] = config.center_scale
     features = centers[labels] + config.feature_noise * rng.standard_normal((n, config.feature_dim))
     return Graph(
         features=features,
@@ -321,10 +311,15 @@ def generate_sbm(config: SbmConfig, seed: int) -> Graph:
     )
 
 
+def check_split_fractions(train_frac: float, val_frac: float) -> None:
+    if not (0 < train_frac and 0 <= val_frac and train_frac + val_frac < 1):
+        raise ConfigError(f"split_train/split_val: need 0 < split_train, 0 <= split_val and "
+                          f"split_train + split_val < 1, got {train_frac} and {val_frac}")
+
+
 def make_splits(graph: Graph, seed: int, train_frac: float = 0.3, val_frac: float = 0.2) -> Splits:
     """Deterministic disjoint train/val/test node split via a seeded shuffle."""
-    if not (0 < train_frac and 0 <= val_frac and train_frac + val_frac < 1):
-        raise ConfigError("split fractions must satisfy 0 < train, 0 <= val, train + val < 1")
+    check_split_fractions(train_frac, val_frac)
     order = rng_for(seed, ROLE_SPLITS).permutation(graph.n_nodes)
     n_train = max(1, int(round(train_frac * graph.n_nodes)))
     n_val = int(round(val_frac * graph.n_nodes))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,8 @@ from .augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
                       estimate_distance_distribution, mirror_search, quantile,
                       semantic_assignment)
 from .config import TrainConfig
-from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, init_thresholds,
-                         pacing_difficulty, weights_for_mode)
+from .curriculum import (AclThresholds, decay_thresholds, init_thresholds, pacing_difficulty,
+                         weights_for_mode)
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
@@ -44,6 +44,9 @@ from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_fo
 
 CHECKPOINT_VERSION = 1
 EMBED_BLOCK = 256
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+REPORT_COLUMNS = ("epoch", "theta", "gamma", "lambda1", "lambda2", "mean_loss",
+                  "active_fraction", "val_accuracy")
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +57,6 @@ class OptimizerState:
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(params: list[np.ndarray]) -> OptimizerState:
@@ -76,14 +76,14 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.shape != g.shape:
             raise ContractError(f"param shape {p.shape} vs grad shape {g.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
-    return new_params, OptimizerState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
+    return new_params, OptimizerState(new_m, new_v, t)
 
 
 # ---------------------------------------------------------------------------
@@ -154,79 +154,48 @@ def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Sp
 
 
 # ---------------------------------------------------------------------------
-# Reporting
+# Records
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    theta: float
-    gamma: float
-    lambda1: float
-    lambda2: float
-    mean_loss: float
-    active_fraction: float
-    val_accuracy: float
+def write_report(epochs: list[dict], path) -> None:
+    """``report.csv``: the REPORT_COLUMNS of the epoch records, None as nan."""
+    lines = [",".join(REPORT_COLUMNS)]
+    for record in epochs:
+        lines.append(",".join(repr(float("nan") if record[c] is None else record[c])
+                              for c in REPORT_COLUMNS))
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
-@dataclass
-class TrainReport:
-    rows: list[EpochStats] = field(default_factory=list)
-
-    @property
-    def final_val_accuracy(self) -> float:
-        return self.rows[-1].val_accuracy if self.rows else float("nan")
-
-    def to_csv(self, path) -> None:
-        header = "epoch,theta,gamma,lambda1,lambda2,mean_loss,active_fraction,val_accuracy"
-        lines = [header]
-        for r in self.rows:
-            lines.append(",".join(repr(v) for v in (
-                r.epoch, r.theta, r.gamma, r.lambda1, r.lambda2,
-                r.mean_loss, r.active_fraction, r.val_accuracy)))
-        _write_atomic(path, "\n".join(lines) + "\n")
+def _append_record(sink, path, record: dict):
+    """Write ``record`` as one JSON line of ``path``, which is opened at the
+    first record; returns the open file, or None without a path."""
+    if path is None:
+        return None
+    if sink is None:
+        sink = Path(path).open("w")
+    sink.write(json.dumps(record) + "\n")
+    sink.flush()
+    return sink
 
 
-class MetricsWriter:
-    """Append-only JSON-lines sink; one object per inner step and per epoch."""
-
-    def __init__(self, path=None):
-        self._fh = Path(path).open("w") if path is not None else None
-
-    def write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+def _window(thresholds: AclThresholds | None) -> dict:
+    """The admission-window fields of a record; None without thresholds."""
+    return {"lambda1": thresholds.lambda1 if thresholds else None,
+            "lambda2": thresholds.lambda2 if thresholds else None}
 
 
 # ---------------------------------------------------------------------------
 # Training
-
-@dataclass
-class StepResult:
-    sample_losses: np.ndarray
-    weights: SampleWeights
-    active_fraction: float
-    weighted_loss: float
-    balance: float
-    mean_intra: float
-    mean_inter: float
-    sinkhorn_iters: int             # max over the step's two balance solves
-    sinkhorn_marginal_err: float    # likewise
-
 
 def run_inner_step(params: GcnParams, opt: OptimizerState, features: np.ndarray,
                    a_hat: np.ndarray, pos_hat: np.ndarray, neg_hat: np.ndarray,
                    ids: np.ndarray, config: TrainConfig, thresholds: AclThresholds | None,
                    shuffle_rng: np.random.Generator, balance_rng: np.random.Generator,
                    init_thresholds_from_losses: bool = False,
-                   ) -> tuple[StepResult, OptimizerState, AclThresholds | None]:
+                   ) -> tuple[dict, OptimizerState, AclThresholds | None]:
     """One reweighted gradient step on a batch of subgraph ids; the three
     (n, k, k) normalized adjacencies share the (n, k, dim) ``features``.
+    Returns the step's loss, weight and Sinkhorn fields of ``metrics.jsonl``;
+    the Sinkhorn ones are the larger of the step's two balance solves.
 
     With ``init_thresholds_from_losses`` the admission window is initialized
     from this step's observed losses before the weights are computed.
@@ -273,17 +242,20 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, features: np.ndarray,
     for tensor, value in zip(tensors, new_values):
         tensor.value = value
 
-    return StepResult(
-        sample_losses=detached,
-        weights=weights,
-        active_fraction=weights.active_fraction(),
-        weighted_loss=float(total.value),
-        balance=float(l_bal.value),
-        mean_intra=float(intra_vec.value.mean()),
-        mean_inter=float(inter_vec.value.mean()),
-        sinkhorn_iters=max(s.iters for s in solves),
-        sinkhorn_marginal_err=max(s.marginal_err for s in solves),
-    ), opt, thresholds
+    hist = weights.histogram()
+    return {
+        "mean_sample_loss": float(detached.mean()),
+        "weighted_loss": float(total.value),
+        "balance_loss": float(l_bal.value),
+        "mean_intra": float(intra_vec.value.mean()),
+        "mean_inter": float(inter_vec.value.mean()),
+        "active_fraction": weights.active_fraction(),
+        "weight_zero_frac": hist["zero"],
+        "weight_fractional_frac": hist["fractional"],
+        "weight_one_frac": hist["one"],
+        "sinkhorn_iters": max(s.iters for s in solves),
+        "sinkhorn_marginal_err": max(s.marginal_err for s in solves),
+    }, opt, thresholds
 
 
 def _epoch_thresholds(first_losses: np.ndarray, config: TrainConfig) -> AclThresholds | None:
@@ -314,15 +286,18 @@ def curriculum_inputs(graph: Graph, config: TrainConfig
 
 def train(graph: Graph, config: TrainConfig, metrics_path=None,
           inputs: tuple[SubgraphSet, DistanceDistribution, MirrorSearch] | None = None,
-          ) -> tuple[GcnParams, TrainReport]:
-    """Curriculum training. ``inputs`` is the run's (subgraphs, distance
-    distribution, mirror search) for this graph and config, as built from
-    ``curriculum_inputs`` and ``mirror_search``; None builds them here."""
+          ) -> tuple[GcnParams, list[dict]]:
+    """Curriculum training; returns the params and the epoch records of
+    ``metrics.jsonl``. With ``metrics_path``, every step and epoch record is
+    appended there, the file being created at the first one. ``inputs`` is
+    the run's (subgraphs, distance distribution, mirror search) for this
+    graph and config, as built from ``curriculum_inputs`` and
+    ``mirror_search``; None builds them here."""
     config.validate()
-    report = TrainReport()
+    epochs: list[dict] = []
     if config.patience == 0:
         return init_gcn_params(graph.feature_dim, config.embedding_dim,
-                               config.gcn_layers, config.seed), report
+                               config.gcn_layers, config.seed), epochs
 
     n = graph.n_nodes
     batch_size = min(config.batch_size, n)
@@ -342,7 +317,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                              config.gcn_layers, config.seed)
     opt = init_optimizer([t.value for t in params.all_parameters()])
 
-    metrics = MetricsWriter(metrics_path)
+    sink = None
     patience_left = config.patience
     best_val = -np.inf
     try:
@@ -353,73 +328,48 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
             pos_rate, neg_rate = search.match_rates(gamma)
 
             thresholds: AclThresholds | None = None
-            epoch_losses, epoch_active = [], []
+            steps = []
             for step in range(config.inner_steps):
                 batch_rng = rng_for(config.seed, ROLE_BATCH, epoch, step)
                 ids = np.sort(batch_rng.choice(n, size=batch_size, replace=False))
                 shuffle_rng = rng_for(config.seed, ROLE_SHUFFLE, epoch, step)
                 balance_rng = rng_for(config.seed, ROLE_BALANCE, epoch, step)
-                result, opt, thresholds = run_inner_step(
+                fields, opt, thresholds = run_inner_step(
                     params, opt, subgraphs.features, a_hat, pos_hat, neg_hat, ids, config,
                     thresholds, shuffle_rng, balance_rng,
                     init_thresholds_from_losses=(step == 0))
-                epoch_losses.append(result.sample_losses.mean())
-                epoch_active.append(result.active_fraction)
-                hist = result.weights.histogram()
-                metrics.write({
-                    "kind": "step", "epoch": epoch, "step": step,
-                    "theta": theta, "gamma": gamma,
-                    "lambda1": thresholds.lambda1 if thresholds else None,
-                    "lambda2": thresholds.lambda2 if thresholds else None,
-                    "mean_sample_loss": float(result.sample_losses.mean()),
-                    "weighted_loss": result.weighted_loss,
-                    "balance_loss": result.balance,
-                    "mean_intra": result.mean_intra,
-                    "mean_inter": result.mean_inter,
-                    "active_fraction": result.active_fraction,
-                    "weight_zero_frac": hist["zero"],
-                    "weight_fractional_frac": hist["fractional"],
-                    "weight_one_frac": hist["one"],
-                    "sinkhorn_iters": result.sinkhorn_iters,
-                    "sinkhorn_marginal_err": result.sinkhorn_marginal_err,
-                })
+                steps.append(fields)
+                sink = _append_record(sink, metrics_path, {
+                    "kind": "step", "epoch": epoch, "step": step, "theta": theta,
+                    "gamma": gamma, **_window(thresholds), **fields})
                 if thresholds is not None:
                     thresholds = decay_thresholds(thresholds)
 
+            val_acc = None   # unlabeled graph: no probe, no early stop
             if graph.labels is not None:
                 embeddings = compute_center_embeddings(params, subgraphs)
                 val_acc = evaluate_probe(embeddings, graph.labels, splits,
                                          iters=config.probe_iters, l2=config.probe_l2,
                                          lr=config.probe_lr)["val"]
-            else:
-                val_acc = float("nan")   # unlabeled graph: no probe, no early stop
-            row = EpochStats(
-                epoch=epoch, theta=theta, gamma=gamma,
-                lambda1=thresholds.lambda1 if thresholds else float("nan"),
-                lambda2=thresholds.lambda2 if thresholds else float("nan"),
-                mean_loss=float(np.mean(epoch_losses)),
-                active_fraction=float(np.mean(epoch_active)),
-                val_accuracy=val_acc,
-            )
-            report.rows.append(row)
-            if val_acc > best_val + config.improvement_tol:
-                best_val = val_acc
-            elif not np.isnan(val_acc):
-                patience_left -= 1
-            metrics.write({
+                if val_acc > best_val + config.improvement_tol:
+                    best_val = val_acc
+                else:
+                    patience_left -= 1
+            epochs.append({
                 "kind": "epoch", "epoch": epoch, "theta": theta, "gamma": gamma,
-                "lambda1": row.lambda1 if np.isfinite(row.lambda1) else None,
-                "lambda2": row.lambda2 if np.isfinite(row.lambda2) else None,
-                "mean_loss": row.mean_loss, "active_fraction": row.active_fraction,
-                "val_accuracy": None if np.isnan(val_acc) else val_acc,
-                "patience_left": patience_left,
+                **_window(thresholds),
+                "mean_loss": float(np.mean([f["mean_sample_loss"] for f in steps])),
+                "active_fraction": float(np.mean([f["active_fraction"] for f in steps])),
+                "val_accuracy": val_acc, "patience_left": patience_left,
                 "pos_match_rate": pos_rate, "neg_match_rate": neg_rate,
             })
+            sink = _append_record(sink, metrics_path, epochs[-1])
             if patience_left <= 0:
                 break
     finally:
-        metrics.close()
-    return params, report
+        if sink is not None:
+            sink.close()
+    return params, epochs
 
 
 # ---------------------------------------------------------------------------

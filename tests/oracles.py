@@ -24,7 +24,7 @@ checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 ``SinkhornStats``, so iteration counts compare directly.
 ``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
-pairs with the package's ``_rowwise_distance``, so the two compare bit for bit.
+pairs with the package's ``distance``, so the two compare bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from acgcl import autodiff as ad
 from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
-                           _rowwise_distance, pairwise_distances)
+                           distance, pairwise_distances)
 from acgcl.encoder import GcnParams, sym_normalized_adjacency
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, LossWeights, SinkhornStats
@@ -545,6 +545,6 @@ def per_subgraph_distance_distribution(subgraphs, metric, sample_budget, seed):
         iu, iv = pair_lists[sg]
         xa = subgraphs[sg].features[iu[sel]]
         xb = subgraphs[sg].features[iv[sel]]
-        values[owner == sg] = _rowwise_distance(xa, xb, metric)
+        values[owner == sg] = distance(xa, xb, metric)
     values.sort()
     return DistanceDistribution(values=values)

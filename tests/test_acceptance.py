@@ -309,6 +309,6 @@ def test_criterion_10_determinism():
                          sinkhorn_iters=40)
     _, first = train(graph, config)
     _, second = train(graph, config)
-    identical = [r.mean_loss for r in first.rows] == [r.mean_loss for r in second.rows]
+    identical = [r["mean_loss"] for r in first] == [r["mean_loss"] for r in second]
     report("10 determinism", identical,
-           f"loss columns equal over {len(first.rows)} epochs: {identical}")
+           f"loss columns equal over {len(first)} epochs: {identical}")

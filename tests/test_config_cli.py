@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,11 @@ class TestParseConfig:
 
     def test_theta0_above_max_rejected_naming_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("theta0 = 60\n")
-        with pytest.raises(ConfigError, match="theta0"):
-            parse_config(path)
+        for key, value in (("theta0", "60"), ("distance_metric", "foo"),
+                           ("split_train", "2.0")):
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=key):
+                parse_config(path)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -224,6 +227,32 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("ConfigError: sinkhorn_reg: max cost / reg = ")
         assert err[0].endswith(" exceeds 600")
+        assert not (tmp_path / "x" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "degree-bucket"])
+    def test_report_is_the_epoch_records(self, tmp_path, config_file, dataset_dir, labeled):
+        """report.csv is the report columns of the metrics.jsonl epoch
+        records, null read as nan."""
+        overrides = []
+        if not labeled:
+            data = tmp_path / "unlabeled"
+            data.mkdir()
+            for name in ("edges.txt", "features.csv"):
+                (data / name).write_bytes((dataset_dir / name).read_bytes())
+            overrides = ["--set", f"data_dir={data}", "--set", "semantics=degree-bucket"]
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--out", str(out)] + overrides) == 0
+        records = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
+        epochs = [r for r in records if r["kind"] == "epoch"]
+        assert len(epochs) == 2
+        assert all((r["val_accuracy"] is None) != labeled for r in epochs)
+        header, *rows = (out / "report.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert columns == ["epoch", "theta", "gamma", "lambda1", "lambda2", "mean_loss",
+                           "active_fraction", "val_accuracy"]
+        want = [[np.nan if r[c] is None else float(r[c]) for c in columns] for r in epochs]
+        got = [[float(v) for v in row.split(",")] for row in rows]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestCheckpointFeatureWidth:
@@ -395,3 +424,12 @@ def test_cli_import_leaves_lapack_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_readme_key_table_names_every_config_field():
+    """The README key table names exactly the TrainConfig fields."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]
+    named = [key for row in rows for key in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(f.name for f in fields(TrainConfig))

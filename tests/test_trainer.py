@@ -15,7 +15,7 @@ from acgcl.losses import balance_loss, inter_graph_losses_grouped
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            difficulty_curve, encoded_views, evaluate_probe, init_optimizer,
                            load_checkpoint, mirror_views,
-                           run_inner_step, save_checkpoint, train)
+                           run_inner_step, save_checkpoint, train, write_report)
 from acgcl.util import rng_for
 from oracles import per_pair_mirror_augment
 
@@ -102,15 +102,15 @@ class TestTrainLoop:
     def test_patience_zero_returns_empty_report(self):
         g = small_graph()
         params, report = train(g, small_config(patience=0))
-        assert report.rows == []
+        assert report == []
         assert params.n_layers == 1
 
     def test_report_columns_monotone_theta_gamma(self):
         g = small_graph()
         cfg = small_config(epochs=5, theta0=10.0, max_difficulty=60.0)
         _, report = train(g, cfg)
-        thetas = [r.theta for r in report.rows]
-        gammas = [r.gamma for r in report.rows]
+        thetas = [r["theta"] for r in report]
+        gammas = [r["gamma"] for r in report]
         assert all(a <= b + 1e-12 for a, b in zip(thetas, thetas[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(gammas, gammas[1:]))
 
@@ -124,7 +124,7 @@ class TestTrainLoop:
                                batch_size=40, subgraph_size=6,
                                theta0=50.0, max_difficulty=50.0)
             _, report = train(g, cfg)
-            deltas.append(report.rows[-1].mean_loss - report.rows[0].mean_loss)
+            deltas.append(report[-1]["mean_loss"] - report[0]["mean_loss"])
         assert np.mean(deltas) < 0
 
     def test_bit_identical_reruns(self):
@@ -132,8 +132,8 @@ class TestTrainLoop:
         cfg = small_config(seed=3, epochs=2)
         _, r1 = train(g, cfg)
         _, r2 = train(g, cfg)
-        assert [r.mean_loss for r in r1.rows] == [r.mean_loss for r in r2.rows]
-        assert [r.val_accuracy for r in r1.rows] == [r.val_accuracy for r in r2.rows]
+        assert [r["mean_loss"] for r in r1] == [r["mean_loss"] for r in r2]
+        assert [r["val_accuracy"] for r in r1] == [r["val_accuracy"] for r in r2]
 
     def test_distance_distribution_estimated_once(self, monkeypatch):
         import acgcl.trainer as trainer
@@ -146,7 +146,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(trainer, "estimate_distance_distribution", counting)
         _, report = train(small_graph(), small_config(epochs=3))
-        assert len(report.rows) == 3
+        assert len(report) == 3
         assert len(calls) == 1
 
     def test_mirror_search_once_per_run(self, monkeypatch):
@@ -160,7 +160,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(trainer, "mirror_search", counting)
         _, report = train(small_graph(), small_config(epochs=3))
-        assert len(report.rows) == 3
+        assert len(report) == 3
         assert len(calls) == 1
 
     def test_epoch_match_rates_count_oracle_replacements(self, tmp_path):
@@ -265,8 +265,8 @@ class TestDegeneratePipeline:
         result, _, _ = run_inner_step(params, opt, subs.features, views, pos, neg, ids, cfg,
                                       None, rng_for(2, 1), rng_for(2, 2))
         # identical mirrors: inter-graph loss is exactly the margin per sample
-        assert result.mean_inter == pytest.approx(cfg.xi, abs=1e-12)
-        assert result.balance < 0.25   # transport between identical sets: bias only
+        assert result["mean_inter"] == pytest.approx(cfg.xi, abs=1e-12)
+        assert result["balance_loss"] < 0.25   # transport between identical sets: bias only
 
 
 class TestDifficultyCurve:
@@ -325,7 +325,7 @@ class TestCheckpointRoundTrip:
         later, later_report = train(g, small_config(epochs=2))
         cfg = small_config(epochs=1)
         save_checkpoint(params, cfg, tmp_path / "checkpoint.json")
-        report.to_csv(tmp_path / "report.csv")
+        write_report(report, tmp_path / "report.csv")
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
 
         def half_then_full_disk(self, text):
@@ -337,11 +337,11 @@ class TestCheckpointRoundTrip:
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(later, cfg, tmp_path / "checkpoint.json")
         with pytest.raises(OSError, match="no space"):
-            later_report.to_csv(tmp_path / "report.csv")
+            write_report(later_report, tmp_path / "report.csv")
         monkeypatch.undo()
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
         save_checkpoint(later, cfg, tmp_path / "checkpoint.json")
-        later_report.to_csv(tmp_path / "report.csv")
+        write_report(later_report, tmp_path / "report.csv")
         assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.json", "report.csv"]
         assert load_checkpoint(tmp_path / "checkpoint.json")[0].weights[0].value.tolist() == \
             later.weights[0].value.tolist()
@@ -355,7 +355,7 @@ class TestNoSplitDataset:
         cfg = small_config(seed=6, epochs=2)
         _, r1 = train(g, cfg)
         _, r2 = train(g, cfg)
-        assert [row.val_accuracy for row in r1.rows] == [row.val_accuracy for row in r2.rows]
+        assert [row["val_accuracy"] for row in r1] == [row["val_accuracy"] for row in r2]
 
 
 class TestUnlabeledTraining:
@@ -365,5 +365,5 @@ class TestUnlabeledTraining:
         unlabeled = Graph(base.features, base.adjacency, labels=None, splits=None)
         cfg = small_config(seed=4, epochs=2, semantics="degree-bucket")
         _, report = train(unlabeled, cfg)
-        assert len(report.rows) == 2
-        assert all(np.isnan(r.val_accuracy) for r in report.rows)
+        assert len(report) == 2
+        assert all(r["val_accuracy"] is None for r in report)
