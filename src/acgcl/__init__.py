@@ -4,13 +4,12 @@ from .augment import (DistanceDistribution, MirrorGraphs, MirrorSearch, Semantic
                       estimate_distance_distribution, mirror_augment, mirror_search,
                       quantile, semantic_assignment)
 from .config import TrainConfig, parse_config
-from .curriculum import (AclThresholds, PacingConfig, SampleWeights, decay_thresholds,
-                         hard_acl_weights, init_thresholds, pacing_difficulty,
-                         soft_acl_weights, spl_weights)
+from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, hard_acl_weights,
+                         init_thresholds, pacing_difficulty, soft_acl_weights, spl_weights)
 from .encoder import GcnParams, init_gcn_params
 from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                     make_splits, save_dataset, validate_graph)
-from .losses import LossWeights, SinkhornConfig, balance_loss, sinkhorn_w1, weighted_total_loss
+from .losses import balance_loss, sinkhorn_w1, weighted_total_loss
 from .sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
                       sample_all_subgraphs, top_k_indices)
 from .trainer import (OptimizerState, adam_step, curriculum_inputs, evaluate_probe, train,

@@ -80,10 +80,19 @@ def _load_config_and_graph(config_path, overrides) -> tuple[TrainConfig, object]
     return config, load_dataset(config.data_dir)
 
 
+def _check_difficulty(name: str, value: float) -> None:
+    """Reject a difficulty percentile outside [0, 100] before any set-up."""
+    if not (0.0 <= value <= 100.0):
+        raise ConfigError(f"{name}: {value!r} is not in [0, 100]")
+
+
 def _cmd_train(args) -> int:
     config, graph = _load_config_and_graph(args.config, args.overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a failed run must not leave an earlier run's outputs looking like its own
+    for name in ("checkpoint.json", "report.csv", "metrics.jsonl"):
+        (out / name).unlink(missing_ok=True)
     params, epochs = train(graph, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(params, config, out / "checkpoint.json")
     write_report(epochs, out / "report.csv")
@@ -102,6 +111,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_augment_inspect(args) -> int:
+    _check_difficulty("theta", args.theta)
     config, graph = _load_config_and_graph(args.config, args.overrides)
     if not (0 <= args.node < graph.n_nodes):
         raise ConfigError(f"node: {args.node} out of range [0, {graph.n_nodes})")
@@ -131,13 +141,15 @@ def _cmd_augment_inspect(args) -> int:
 
 
 def _cmd_validate_difficulty(args) -> int:
-    config, graph = _load_config_and_graph(args.config, args.overrides)
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"grid: cannot parse {args.grid!r}") from None
     if not grid:
         raise ConfigError("grid: needs at least one difficulty value")
+    for theta in grid:
+        _check_difficulty("grid", theta)
+    config, graph = _load_config_and_graph(args.config, args.overrides)
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
         check_feature_width(params, graph, args.checkpoint)

@@ -2,20 +2,22 @@
 
 Lines starting with ``#`` and blank lines are ignored. Every key has a typed
 default; unknown keys and type mismatches raise ConfigError naming the key.
-``auto`` is accepted where noted (ramp_epochs tracks epochs, sinkhorn_reg
-scales with the data).
+``auto`` is accepted where the annotation admits None (ramp_epochs tracks
+epochs, sinkhorn_reg scales with the data). TrainConfig is the one settings
+object, and ``validate`` holds every range check of a key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .augment import check_metric
-from .curriculum import MODES, PacingConfig
+from .curriculum import MODES
 from .errors import ConfigError
 from .graph import check_split_fractions
-from .losses import LossWeights, SinkhornConfig
 
 
 @dataclass
@@ -76,6 +78,11 @@ class TrainConfig:
     split_val: float = 0.2
 
     def validate(self) -> None:
+        """Every range check of a run setting; raises ConfigError naming the key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite")
         positive_ints = ("subgraph_size", "embedding_dim", "batch_size", "inner_steps",
                          "epochs", "degree_buckets", "dis_sample_budget",
                          "balance_max_points", "sinkhorn_iters", "probe_iters")
@@ -102,36 +109,24 @@ class TrainConfig:
             raise ConfigError("semantics: must be 'label' or 'degree-bucket'")
         check_metric(self.distance_metric)
         check_split_fractions(self.split_train, self.split_val)
+        if not (0.0 < self.theta0 <= self.max_difficulty <= 100.0):
+            raise ConfigError("theta0/max_difficulty: need 0 < theta0 <= max_difficulty <= 100")
         if self.ramp_epochs is not None and self.ramp_epochs < 1:
             raise ConfigError("ramp_epochs: must be >= 1 or auto")
-        # delegate range checks to the dataclasses they feed
-        self.pacing()
-        self.loss_weights()
-        self.sinkhorn()
         if self.eta1 <= 1.0:
             raise ConfigError("eta1: must be > 1")
         if not (0.0 < self.eta2 < 1.0):
             raise ConfigError("eta2: must be in (0, 1)")
-
-    def pacing(self) -> PacingConfig:
-        return PacingConfig(
-            theta0=self.theta0,
-            max_difficulty=self.max_difficulty,
-            ramp_epochs=self.ramp_epochs if self.ramp_epochs is not None else self.epochs,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(alpha=self.alpha, beta=self.beta, xi=self.xi, epsilon=self.epsilon_margin)
-
-    def sinkhorn(self) -> SinkhornConfig:
-        return SinkhornConfig(reg=self.sinkhorn_reg, max_iters=self.sinkhorn_iters, tol=self.sinkhorn_tol)
+        for name in ("alpha", "beta", "xi", "epsilon_margin"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must be >= 0")
+        if self.sinkhorn_reg is not None and self.sinkhorn_reg <= 0:
+            raise ConfigError("sinkhorn_reg: must be positive (or auto)")
+        if self.sinkhorn_tol < 0:
+            raise ConfigError("sinkhorn_tol: must be >= 0")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -144,16 +139,13 @@ class TrainConfig:
         return config
 
 
-_OPTIONAL_INT = ("ramp_epochs",)
-_OPTIONAL_FLOAT = ("sinkhorn_reg",)
-
-
-def _convert(key: str, text: str, target_type) -> object:
+def _convert(key: str, text: str, annotation) -> object:
+    """``text`` as the type of ``annotation``; ``auto`` or ``none`` is None
+    where the annotation admits it."""
     text = text.strip()
-    if key in _OPTIONAL_INT or key in _OPTIONAL_FLOAT:
-        if text.lower() in ("auto", "none"):
-            return None
-        target_type = int if key in _OPTIONAL_INT else float
+    target_type, *rest = get_args(annotation) or (annotation,)
+    if type(None) in rest and text.lower() in ("auto", "none"):
+        return None
     try:
         if target_type is bool:
             lowered = text.lower()
@@ -162,62 +154,34 @@ def _convert(key: str, text: str, target_type) -> object:
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        return target_type(text)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r} as {target_type.__name__}") from None
 
 
-def _field_types() -> dict[str, type]:
-    types: dict[str, type] = {}
-    for f in fields(TrainConfig):
-        if f.name in _OPTIONAL_INT:
-            types[f.name] = int
-        elif f.name in _OPTIONAL_FLOAT:
-            types[f.name] = float
-        else:
-            types[f.name] = type(f.default)
-    return types
-
-
-def parse_overrides(pairs) -> dict:
-    """Parse ["key=value", ...] into typed config values."""
-    types = _field_types()
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not of the form key=value")
-        key, _, text = pair.partition("=")
-        key = key.strip()
-        if key not in types:
-            raise ConfigError(f"unknown config key: {key}")
-        out[key] = _convert(key, text, types[key])
-    return out
-
-
 def parse_config(path=None, overrides=()) -> TrainConfig:
-    """Build a TrainConfig from an optional file plus key=value overrides."""
-    types = _field_types()
-    raw: dict = {}
+    """Build a TrainConfig from an optional file plus ``key=value`` overrides,
+    which win over the file."""
+    entries = []    # (where, "key = value")
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
-            raw[key] = _convert(key, value, types[key])
-    raw.update(parse_overrides(overrides))
+            if text and not text.startswith("#"):
+                entries.append((f"{path}:{lineno}", text))
+    entries += [("--set", pair) for pair in overrides]
+    annotations = get_type_hints(TrainConfig)
+    raw: dict = {}
+    for where, text in entries:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in annotations:
+            raise ConfigError(f"{where}: unknown config key: {key}")
+        raw[key] = _convert(key, value, annotations[key])
     config = TrainConfig(**raw)
     config.validate()
     return config

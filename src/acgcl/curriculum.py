@@ -1,7 +1,8 @@
 """Difficulty pacing and adversarial sample reweighting.
 
 The pacing function ramps the difficulty percentile linearly from ``theta0``
-at epoch 0 to ``max_difficulty`` at epoch ``ramp_epochs`` and clamps there.
+at epoch 0 to ``max_difficulty`` at epoch ``ramp_epochs`` and clamps there;
+it reads them from the run's TrainConfig.
 
 Reweighting modes, all closed forms over the current per-sample losses:
 
@@ -20,34 +21,27 @@ fixed losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, SizeError
 
+if TYPE_CHECKING:
+    from .config import TrainConfig
+
 MODES = ("uniform", "spl", "hard_acl", "soft_acl")
 
 
-@dataclass(frozen=True)
-class PacingConfig:
-    theta0: float
-    max_difficulty: float
-    ramp_epochs: int
-
-    def __post_init__(self):
-        if not (0.0 < self.theta0 <= self.max_difficulty <= 100.0):
-            raise ConfigError("theta0/max_difficulty: need 0 < theta0 <= max_difficulty <= 100")
-        if self.ramp_epochs < 1:
-            raise ConfigError("ramp_epochs: must be >= 1")
-
-
-def pacing_difficulty(epoch: int, config: PacingConfig) -> float:
-    """Linear ramp theta(t) = min(1, theta0/M + (1 - theta0/M) * t/T) * M."""
+def pacing_difficulty(epoch: int, config: TrainConfig) -> float:
+    """Linear ramp theta(t) = min(1, theta0/M + (1 - theta0/M) * t/T) * M,
+    where T is ``ramp_epochs``, or ``epochs`` when that is None."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
+    ramp = config.epochs if config.ramp_epochs is None else config.ramp_epochs
     start = config.theta0 / config.max_difficulty
-    frac = min(1.0, start + (1.0 - start) * epoch / config.ramp_epochs)
+    frac = min(1.0, start + (1.0 - start) * epoch / ramp)
     return frac * config.max_difficulty
 
 
@@ -55,16 +49,10 @@ def pacing_difficulty(epoch: int, config: PacingConfig) -> float:
 class AclThresholds:
     lambda1: float          # upper admission threshold
     lambda2: float          # lower admission threshold
-    eta1: float = 1.05      # per-step growth of lambda1
-    eta2: float = 0.95      # per-step decay of lambda2
 
     def __post_init__(self):
         if not self.lambda2 < self.lambda1:
             raise ConfigError(f"thresholds: lambda2 ({self.lambda2}) must be < lambda1 ({self.lambda1})")
-        if self.eta1 <= 1.0:
-            raise ConfigError("eta1: must be > 1")
-        if not (0.0 < self.eta2 < 1.0):
-            raise ConfigError("eta2: must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -112,26 +100,17 @@ def uniform_weights(n: int) -> SampleWeights:
     return SampleWeights(values=np.ones(n))
 
 
-def init_thresholds(first_step_losses, eta1: float = 1.05, eta2: float = 0.95) -> AclThresholds:
+def init_thresholds(first_step_losses) -> AclThresholds:
     """lambda1 = median of the losses, lambda2 = 0.95 * their minimum."""
     losses = np.asarray(first_step_losses, dtype=np.float64)
     if losses.size == 0:
         raise SizeError("cannot initialize thresholds from an empty loss list")
-    return AclThresholds(
-        lambda1=float(np.median(losses)),
-        lambda2=float(0.95 * losses.min()),
-        eta1=eta1,
-        eta2=eta2,
-    )
+    return AclThresholds(lambda1=float(np.median(losses)), lambda2=float(0.95 * losses.min()))
 
 
-def decay_thresholds(thresholds: AclThresholds) -> AclThresholds:
-    """Widen the admission window one step."""
-    return replace(
-        thresholds,
-        lambda1=thresholds.lambda1 * thresholds.eta1,
-        lambda2=thresholds.lambda2 * thresholds.eta2,
-    )
+def decay_thresholds(thresholds: AclThresholds, eta1: float, eta2: float) -> AclThresholds:
+    """Widen the admission window one step: lambda1 * eta1, lambda2 * eta2."""
+    return AclThresholds(lambda1=thresholds.lambda1 * eta1, lambda2=thresholds.lambda2 * eta2)
 
 
 def weights_for_mode(mode: str, losses, thresholds: AclThresholds | None) -> SampleWeights:

@@ -33,34 +33,6 @@ from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 1.0      # balance weight
-    beta: float = 1.0       # inter-graph weight
-    xi: float = 1.0         # inter-graph margin
-    epsilon: float = 0.1    # intra-graph margin
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "xi", "epsilon"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be >= 0")
-
-
-@dataclass(frozen=True)
-class SinkhornConfig:
-    reg: float | None = None    # None: 0.05 * median ground cost, per call
-    max_iters: int = 200
-    tol: float = 1e-6           # l1 marginal violation; 0 disables early stop
-
-    def __post_init__(self):
-        if self.reg is not None and self.reg <= 0:
-            raise ConfigError("sinkhorn_reg: must be positive (or auto)")
-        if self.max_iters < 1:
-            raise ConfigError("sinkhorn_iters: must be >= 1")
-        if self.tol < 0:
-            raise ConfigError("sinkhorn_tol: must be >= 0")
-
-
 def inter_graph_losses_grouped(h, h_pos, h_neg, xi: float, group_size: int) -> ad.Tensor:
     """Mean over each subgraph's nodes of [|h - h+|^2 - |h - h-|^2 + xi]_+ .
     Rows come in blocks of ``group_size`` per subgraph; returns one value per
@@ -90,9 +62,9 @@ def intra_graph_losses_batched(h_centers, summaries, summaries_neg, epsilon: flo
     return ad.relu(ad.add(ad.sub(neg, pos), ad.Tensor(float(epsilon))))
 
 
-def _resolve_reg(cost: np.ndarray, config: SinkhornConfig) -> float:
-    if config.reg is not None:
-        return float(config.reg)
+def _resolve_reg(cost: np.ndarray, reg: float | None) -> float:
+    if reg is not None:
+        return float(reg)
     scale = float(np.median(cost))
     if scale <= 0:
         scale = float(cost.mean())
@@ -106,16 +78,17 @@ class SinkhornStats:
     marginal_err: float     # l1 row-marginal violation of the returned plan
 
 
-def sinkhorn_w1(points_a, points_b, config: SinkhornConfig | None = None,
+def sinkhorn_w1(points_a, points_b, reg: float | None, max_iters: int, tol: float,
                 stats: list | None = None) -> ad.Tensor:
     """Entropically regularized transport cost between two point sets.
 
     Uniform marginals, euclidean ground cost; value is the transport cost of
     the converged plan. Symmetric by construction: the two sets are put in a
     canonical order before solving, so argument order never changes the value.
-    When ``stats`` is a list, the call appends its ``SinkhornStats``.
+    ``reg`` None is 5% of the median cost; ``tol`` is the l1 marginal
+    violation that stops the scaling early, 0 for none. When ``stats`` is a
+    list, the call appends its ``SinkhornStats``.
     """
-    config = config or SinkhornConfig()
     a = ad.as_tensor(points_a)
     b = ad.as_tensor(points_b)
     if a.value.ndim != 2 or b.value.ndim != 2:
@@ -132,11 +105,11 @@ def sinkhorn_w1(points_a, points_b, config: SinkhornConfig | None = None,
     if peak == 0.0:
         out, info = ad.scale(ad.sum_all(cost), 0.0), SinkhornStats(0, 0.0)   # identical multisets
     else:
-        reg = _resolve_reg(cost.value, config)
+        reg = _resolve_reg(cost.value, reg)
         if peak / reg > KERNEL_MAX_RATIO:
             raise ConfigError(f"sinkhorn_reg: max cost / reg = {peak / reg:.4g} "
                               f"exceeds {KERNEL_MAX_RATIO:g}")
-        out, info = _sinkhorn_kernel_node(cost, reg, config.max_iters, config.tol)
+        out, info = _sinkhorn_kernel_node(cost, reg, max_iters, tol)
     if stats is not None:
         stats.append(info)
     return out
@@ -223,18 +196,20 @@ def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: floa
     return ad._node(np.asarray(value), (cost,), backward_fn), stats
 
 
-def balance_loss(h, h_pos, h_neg, config: SinkhornConfig | None = None,
+def balance_loss(h, h_pos, h_neg, reg: float | None, max_iters: int, tol: float,
                  stats: list | None = None) -> ad.Tensor:
     """Transport cost from the original embedding set to each mirror set;
     ``stats`` collects the two solves' ``SinkhornStats``."""
-    return ad.add(sinkhorn_w1(h, h_pos, config, stats), sinkhorn_w1(h, h_neg, config, stats))
+    return ad.add(sinkhorn_w1(h, h_pos, reg, max_iters, tol, stats),
+                  sinkhorn_w1(h, h_neg, reg, max_iters, tol, stats))
 
 
-def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, weights: LossWeights,
+def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, alpha: float, beta: float,
                               n: int) -> ad.Tensor:
     """(n,) per-sample losses from batched components and one shared balance."""
-    share = ad.scale(ad.as_tensor(l_balance), weights.alpha / n)
-    return ad.add(ad.add(ad.as_tensor(l_intra_vec), ad.scale(ad.as_tensor(l_inter_vec), weights.beta)), share)
+    share = ad.scale(ad.as_tensor(l_balance), alpha / n)
+    inter = ad.scale(ad.as_tensor(l_inter_vec), beta)
+    return ad.add(ad.add(ad.as_tensor(l_intra_vec), inter), share)
 
 
 def weighted_total_loss(sample_losses, weights, normalize: bool = False) -> ad.Tensor:

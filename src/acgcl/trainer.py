@@ -201,28 +201,29 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, features: np.ndarray,
     from this step's observed losses before the weights are computed.
     """
     b, k = len(ids), a_hat.shape[1]
-    weights_cfg = config.loss_weights()
 
     feats = features[ids].reshape(b * k, -1)
     h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats)
                        for a in (a_hat, pos_hat, neg_hat))
 
-    inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, weights_cfg.xi, k)
+    inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, config.xi, k)
 
     d = h.shape[1]
     summaries = ad.mean_axis(ad.reshape(h, (b, k, d)), 1)
     centers = ad.take_rows(h, np.arange(b) * k)
     perm = derangement(b, shuffle_rng)
     summaries_neg = ad.take_rows(summaries, perm)
-    intra_vec = intra_graph_losses_batched(centers, summaries, summaries_neg, weights_cfg.epsilon)
+    intra_vec = intra_graph_losses_batched(centers, summaries, summaries_neg, config.epsilon_margin)
 
     cap = min(config.balance_max_points, b * k)
     rows = np.sort(balance_rng.choice(b * k, size=cap, replace=False))
     solves: list = []
     l_bal = balance_loss(ad.take_rows(h, rows), ad.take_rows(h_pos, rows),
-                         ad.take_rows(h_neg, rows), config.sinkhorn(), solves)
+                         ad.take_rows(h_neg, rows), config.sinkhorn_reg, config.sinkhorn_iters,
+                         config.sinkhorn_tol, solves)
 
-    sample_losses = per_sample_losses_batched(intra_vec, inter_vec, l_bal, weights_cfg, b)
+    sample_losses = per_sample_losses_batched(intra_vec, inter_vec, l_bal, config.alpha,
+                                              config.beta, b)
     detached = sample_losses.value.copy()
     if not np.isfinite(detached).all():
         raise TrainingDiverged(f"non-finite sample loss in batch {ids.tolist()}")
@@ -262,7 +263,7 @@ def _epoch_thresholds(first_losses: np.ndarray, config: TrainConfig) -> AclThres
     """Thresholds from the first step's losses; None when they would be
     degenerate (all-zero losses), which falls back to uniform weighting."""
     try:
-        thresholds = init_thresholds(first_losses, config.eta1, config.eta2)
+        thresholds = init_thresholds(first_losses)
     except ConfigError:
         return None
     if config.acl_mode == "soft_acl" and thresholds.lambda2 <= 0:
@@ -311,7 +312,6 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     splits = graph.splits if graph.splits is not None else make_splits(
         graph, config.seed, config.split_train, config.split_val)
     a_hat = encoded_views(subgraphs)
-    pacing = config.pacing()
 
     params = init_gcn_params(graph.feature_dim, config.embedding_dim,
                              config.gcn_layers, config.seed)
@@ -322,7 +322,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     best_val = -np.inf
     try:
         for epoch in range(config.epochs):
-            theta = pacing_difficulty(epoch, pacing)
+            theta = pacing_difficulty(epoch, config)
             gamma = quantile(dist, theta)
             pos_hat, neg_hat = mirror_views(search.adjacencies(gamma))
             pos_rate, neg_rate = search.match_rates(gamma)
@@ -343,7 +343,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                     "kind": "step", "epoch": epoch, "step": step, "theta": theta,
                     "gamma": gamma, **_window(thresholds), **fields})
                 if thresholds is not None:
-                    thresholds = decay_thresholds(thresholds)
+                    thresholds = decay_thresholds(thresholds, config.eta1, config.eta2)
 
             val_acc = None   # unlabeled graph: no probe, no early stop
             if graph.labels is not None:

@@ -40,7 +40,7 @@ from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignmen
                            distance, pairwise_distances)
 from acgcl.encoder import GcnParams, sym_normalized_adjacency
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError, SizeError
-from acgcl.losses import _TOL_CHECK_EVERY, LossWeights, SinkhornStats
+from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats
 from acgcl.sampler import Subgraph, SubgraphSet
 
 
@@ -284,15 +284,15 @@ def intra_graph_loss(h_center, summary, summary_neg, epsilon: float) -> ad.Tenso
     return ad.relu(ad.add(ad.sub(neg, pos), ad.Tensor(float(epsilon))))
 
 
-def per_sample_loss(l_intra, l_inter, l_balance, weights: LossWeights, n: int) -> ad.Tensor:
+def per_sample_loss(l_intra, l_inter, l_balance, alpha: float, beta: float, n: int) -> ad.Tensor:
     """l_intra + alpha * l_balance / n + beta * l_inter for one sample; the
     reference for one entry of ``per_sample_losses_batched``."""
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")
     return ad.add(
         ad.as_tensor(l_intra),
-        ad.add(ad.scale(ad.as_tensor(l_balance), weights.alpha / n),
-               ad.scale(ad.as_tensor(l_inter), weights.beta)),
+        ad.add(ad.scale(ad.as_tensor(l_balance), alpha / n),
+               ad.scale(ad.as_tensor(l_inter), beta)),
     )
 
 

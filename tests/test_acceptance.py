@@ -17,8 +17,7 @@ from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, hard_acl_weights, soft_acl_weights
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
-from acgcl.losses import (SinkhornConfig, LossWeights, balance_loss,
-                          inter_graph_losses_grouped, intra_graph_losses_batched,
+from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
 from acgcl.trainer import (compute_center_embeddings, curriculum_inputs, difficulty_curve,
@@ -145,16 +144,16 @@ def test_criterion_4_sinkhorn_accuracy():
     """Within 5% of the exact sorted-matching 1-d W1 on 100 random point-set
     pairs (<= 32 points, regularization 0.01); symmetric within 1e-8."""
     rng = np.random.default_rng(400)
-    config = SinkhornConfig(reg=0.01, max_iters=4000, tol=1e-9)
+    solve = (0.01, 4000, 1e-9)      # reg, max_iters, tol
     worst_rel, worst_sym = 0.0, 0.0
     for _ in range(100):
         m = int(rng.integers(2, 33))
         p = rng.random(m)
         q = rng.random(m) + rng.uniform(0.5, 2.0)
         exact = exact_w1_1d(p, q)
-        approx = sinkhorn_w1(p[:, None], q[:, None], config).item()
+        approx = sinkhorn_w1(p[:, None], q[:, None], *solve).item()
         worst_rel = max(worst_rel, abs(approx - exact) / exact)
-        flipped = sinkhorn_w1(q[:, None], p[:, None], config).item()
+        flipped = sinkhorn_w1(q[:, None], p[:, None], *solve).item()
         worst_sym = max(worst_sym, abs(approx - flipped))
     passed = worst_rel < 0.05 and worst_sym < 1e-8
     report("4 sinkhorn-accuracy", passed,
@@ -168,8 +167,8 @@ def test_criterion_5_gradient_checks():
     group of inter-graph losses, one row of intra-graph losses, one block of
     the forward pass."""
     rng = np.random.default_rng(500)
-    sink_cfg = SinkhornConfig(reg=0.2, max_iters=250, tol=0.0)
-    loss_cfg = LossWeights(alpha=0.7, beta=1.3, xi=0.8, epsilon=0.2)
+    solve = (0.2, 250, 0.0)         # reg, max_iters, tol
+    alpha, beta, xi, epsilon = 0.7, 1.3, 0.8, 0.2
 
     def inter_case(values):
         h, hp, hn = (ad.parameter(v) for v in values)
@@ -182,22 +181,22 @@ def test_criterion_5_gradient_checks():
 
     def sinkhorn_case(values):
         p, q = (ad.parameter(v) for v in values)
-        return sinkhorn_w1(p, q, sink_cfg), [p, q]
+        return sinkhorn_w1(p, q, *solve), [p, q]
 
     def balance_case(values):
         h, hp, hn = (ad.parameter(v) for v in values)
-        return balance_loss(h, hp, hn, sink_cfg), [h, hp, hn]
+        return balance_loss(h, hp, hn, *solve), [h, hp, hn]
 
     def composite_case(values):
         # per-sample losses combined into the weighted training objective
         h, hp, hn = (ad.parameter(v) for v in values)
         k, d = values[0].shape
-        inter = inter_graph_losses_grouped(h, hp, hn, loss_cfg.xi, k)
+        inter = inter_graph_losses_grouped(h, hp, hn, xi, k)
         center = ad.take_rows(h, np.array([0]))
         summary, summary_neg = (ad.mean_axis(ad.reshape(v, (1, k, d)), 1) for v in (h, hp))
-        intra = intra_graph_losses_batched(center, summary, summary_neg, loss_cfg.epsilon)
-        bal = balance_loss(h, hp, hn, sink_cfg)
-        vec = per_sample_losses_batched(intra, inter, bal, loss_cfg, 1)
+        intra = intra_graph_losses_batched(center, summary, summary_neg, epsilon)
+        bal = balance_loss(h, hp, hn, *solve)
+        vec = per_sample_losses_batched(intra, inter, bal, alpha, beta, 1)
         return weighted_total_loss(vec, np.array([0.7])), [h, hp, hn]
 
     def gcn_case(values):

@@ -12,7 +12,8 @@ import pytest
 import acgcl
 from acgcl.augment import semantic_assignment
 from acgcl.cli import main
-from acgcl.config import TrainConfig, parse_config, parse_overrides
+from acgcl.config import TrainConfig, parse_config
+from acgcl.curriculum import pacing_difficulty
 from acgcl.errors import ConfigError
 from acgcl.graph import load_dataset
 from acgcl.sampler import sample_all_subgraphs
@@ -40,10 +41,13 @@ class TestParseConfig:
 
     def test_theta0_above_max_rejected_naming_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        for key, value in (("theta0", "60"), ("distance_metric", "foo"),
-                           ("split_train", "2.0")):
+        for key, value in (("theta0", "60"), ("theta0", "0"), ("ramp_epochs", "0"),
+                           ("distance_metric", "foo"), ("split_train", "2.0"),
+                           ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
+                           ("probe_lr", "nan"), ("improvement_tol", "nan"), ("eta1", "nan"),
+                           ("learning_rate", "inf")):
             path.write_text(f"{key} = {value}\n")
-            with pytest.raises(ConfigError, match=key):
+            with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 parse_config(path)
 
     def test_unknown_key_named(self, tmp_path):
@@ -64,13 +68,13 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.ramp_epochs is None
         assert cfg.sinkhorn_reg == 0.05
-        assert cfg.pacing().ramp_epochs == cfg.epochs
+        assert pacing_difficulty(cfg.epochs, cfg) == cfg.max_difficulty
 
     def test_override_parsing_errors(self):
         with pytest.raises(ConfigError):
-            parse_overrides(["no_equals_sign"])
+            parse_config(overrides=["no_equals_sign"])
         with pytest.raises(ConfigError):
-            parse_overrides(["bogus_key=1"])
+            parse_config(overrides=["bogus_key=1"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -228,6 +232,35 @@ class TestCli:
         assert err[0].startswith("ConfigError: sinkhorn_reg: max cost / reg = ")
         assert err[0].endswith(" exceeds 600")
         assert not (tmp_path / "x" / "metrics.jsonl").exists()
+
+    def test_failed_rerun_leaves_no_earlier_outputs(self, tmp_path, config_file, capsys):
+        """A failed train into the directory of an earlier run leaves none of
+        that run's outputs to pass for its own."""
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(config_file), "--set", "sinkhorn_reg=1e-9",
+                     "--out", str(out)]) == 1
+        for name in ("checkpoint.json", "report.csv", "metrics.jsonl"):
+            assert not (out / name).exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["validate-difficulty", "--grid", "10,150"], "grid"),
+        (["validate-difficulty", "--grid", "nan"], "grid"),
+        (["augment-inspect", "--node", "0", "--theta", "-1"], "theta"),
+    ], ids=["grid-above", "grid-nan", "theta-below"])
+    def test_difficulty_outside_0_100_fails_before_setup(self, tmp_path, config_file, capsys,
+                                                         monkeypatch, argv, key):
+        import acgcl.cli
+
+        def no_setup(*args):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(acgcl.cli, "load_dataset", no_setup)
+        assert main([argv[0], "--config", str(config_file), *argv[1:],
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: ")
+        assert err[0].endswith(" is not in [0, 100]")
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "degree-bucket"])
     def test_report_is_the_epoch_records(self, tmp_path, config_file, dataset_dir, labeled):
@@ -427,9 +460,18 @@ def test_cli_import_leaves_lapack_unloaded():
 
 
 def test_readme_key_table_names_every_config_field():
-    """The README key table names exactly the TrainConfig fields."""
+    """The README key table names exactly the TrainConfig fields, and its
+    default column, read as ``--set`` values, gives the TrainConfig defaults."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
-    rows = table.splitlines()[1:]
-    named = [key for row in rows for key in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])]
+    named, defaults = [], []
+    for row in table.splitlines()[1:]:
+        cells = row.split("|")
+        keys = re.findall(r"`([a-z0-9_]+)`", cells[1])
+        values = [v.strip() for v in cells[2].split(" / ")]
+        assert len(keys) == len(values), row
+        named += keys
+        defaults += ["" if v == "–" else v for v in values]
     assert sorted(named) == sorted(f.name for f in fields(TrainConfig))
+    documented = parse_config(overrides=[f"{k}={v}" for k, v in zip(named, defaults)])
+    assert documented.to_dict() == TrainConfig().to_dict()

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl.curriculum import (AclThresholds, PacingConfig, decay_thresholds,
-                              hard_acl_weights, init_thresholds, pacing_difficulty,
-                              soft_acl_weights, spl_weights, uniform_weights,
-                              weights_for_mode)
+from acgcl.config import TrainConfig
+from acgcl.curriculum import (AclThresholds, decay_thresholds, hard_acl_weights,
+                              init_thresholds, pacing_difficulty, soft_acl_weights,
+                              spl_weights, uniform_weights, weights_for_mode)
 from acgcl.errors import ConfigError, SizeError
 from oracles import acl_oracle_weights
 
@@ -14,7 +14,7 @@ WINDOW = AclThresholds(lambda1=1.0, lambda2=0.1)
 
 
 class TestPacing:
-    CFG = PacingConfig(theta0=15.0, max_difficulty=50.0, ramp_epochs=20)
+    CFG = TrainConfig(theta0=15.0, max_difficulty=50.0, ramp_epochs=20)
 
     def test_starts_at_theta0(self):
         assert pacing_difficulty(0, self.CFG) == pytest.approx(15.0)
@@ -32,14 +32,6 @@ class TestPacing:
         a, b = pacing_difficulty(lo, self.CFG), pacing_difficulty(hi, self.CFG)
         assert a <= b + 1e-12
         assert 15.0 - 1e-12 <= a <= 50.0 + 1e-12
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ConfigError):
-            PacingConfig(theta0=0.0, max_difficulty=50.0, ramp_epochs=5)
-        with pytest.raises(ConfigError):
-            PacingConfig(theta0=60.0, max_difficulty=50.0, ramp_epochs=5)
-        with pytest.raises(ConfigError):
-            PacingConfig(theta0=10.0, max_difficulty=50.0, ramp_epochs=0)
 
 
 class TestSplWeights:
@@ -152,15 +144,15 @@ class TestThresholds:
             init_thresholds([0.0, 0.0])
 
     def test_decay_widens(self):
-        thr = AclThresholds(lambda1=1.0, lambda2=0.5, eta1=1.1, eta2=0.9)
-        after = decay_thresholds(thr)
+        thr = AclThresholds(lambda1=1.0, lambda2=0.5)
+        after = decay_thresholds(thr, 1.1, 0.9)
         assert after.lambda1 == pytest.approx(1.1)
         assert after.lambda2 == pytest.approx(0.45)
 
     def test_geometric_after_k_steps(self):
-        thr = AclThresholds(lambda1=1.0, lambda2=0.5, eta1=1.05, eta2=0.95)
+        thr = AclThresholds(lambda1=1.0, lambda2=0.5)
         for _ in range(4):
-            thr = decay_thresholds(thr)
+            thr = decay_thresholds(thr, TrainConfig.eta1, TrainConfig.eta2)
         assert thr.lambda1 == pytest.approx(1.05 ** 4)
         assert thr.lambda2 == pytest.approx(0.5 * 0.95 ** 4)
 
@@ -170,7 +162,7 @@ class TestThresholds:
         r = np.random.default_rng(seed)
         losses = r.uniform(0, 3, size=12)
         thr = AclThresholds(lambda1=float(r.uniform(0.5, 2.0)), lambda2=float(r.uniform(0.01, 0.4)))
-        wider = decay_thresholds(thr)
+        wider = decay_thresholds(thr, TrainConfig.eta1, TrainConfig.eta2)
         for fn in (hard_acl_weights, soft_acl_weights):
             before = fn(losses, thr).values > 0
             after = fn(losses, wider).values > 0

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from acgcl import autodiff as ad
+from acgcl.config import TrainConfig
 from acgcl.errors import ConfigError, ShapeError
-from acgcl.losses import (KERNEL_MAX_RATIO, LossWeights, SinkhornConfig, SinkhornStats,
+from acgcl.losses import (KERNEL_MAX_RATIO, SinkhornStats,
                           _canonical_order_swapped, _resolve_reg, _sinkhorn_kernel_node,
                           balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from oracles import (directional_grad_check, exact_w1_1d, inter_graph_loss, intra_graph_loss,
                      per_sample_loss, sinkhorn_log_node)
+
+# the run defaults of a Sinkhorn solve: reg, max_iters, tol
+DEFAULT_SOLVE = (TrainConfig.sinkhorn_reg, TrainConfig.sinkhorn_iters, TrainConfig.sinkhorn_tol)
 
 
 def sigmoid(x):
@@ -25,9 +29,9 @@ def intra_one_row(h, s, s_neg, epsilon):
     return intra_graph_losses_batched(*(np.reshape(v, (1, -1)) for v in (h, s, s_neg)), epsilon)
 
 
-def per_sample_one(l_intra, l_inter, l_balance, weights, n):
+def per_sample_one(l_intra, l_inter, l_balance, alpha, beta, n):
     return per_sample_losses_batched(np.array([l_intra]), np.array([l_inter]), l_balance,
-                                     weights, n)
+                                     alpha, beta, n)
 
 
 class TestInterGraphLoss:
@@ -92,47 +96,43 @@ class TestIntraGraphLoss:
 class TestSinkhorn:
     def test_identity_bias_shrinks_with_reg(self, rng):
         p = rng.standard_normal((10, 2))
-        big = sinkhorn_w1(p, p.copy(), SinkhornConfig(reg=0.5, max_iters=500, tol=1e-9)).item()
-        small = sinkhorn_w1(p, p.copy(), SinkhornConfig(reg=0.01, max_iters=2000, tol=1e-9)).item()
+        big = sinkhorn_w1(p, p.copy(), 0.5, 500, 1e-9).item()
+        small = sinkhorn_w1(p, p.copy(), 0.01, 2000, 1e-9).item()
         assert small < big
         assert small < 0.05
 
     def test_singletons_exact(self):
-        assert sinkhorn_w1(np.zeros((1, 2)), np.array([[3.0, 4.0]])).item() == pytest.approx(5.0)
+        got = sinkhorn_w1(np.zeros((1, 2)), np.array([[3.0, 4.0]]), *DEFAULT_SOLVE).item()
+        assert got == pytest.approx(5.0)
 
     def test_one_d_example(self):
-        got = sinkhorn_w1(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]])).item()
+        got = sinkhorn_w1(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]), *DEFAULT_SOLVE).item()
         assert abs(got - 2.0) / 2.0 < 0.05
 
     def test_one_d_oracle_five_percent(self, rng):
-        cfg = SinkhornConfig(reg=0.01, max_iters=4000, tol=1e-9)
+        solve = (0.01, 4000, 1e-9)
         for _ in range(15):
             m = int(rng.integers(2, 33))
             p = rng.random(m)
             q = rng.random(m) + rng.uniform(0.5, 2.0)
             exact = exact_w1_1d(p, q)
-            got = sinkhorn_w1(p[:, None], q[:, None], cfg).item()
+            got = sinkhorn_w1(p[:, None], q[:, None], *solve).item()
             assert abs(got - exact) / exact < 0.05
 
     def test_symmetry(self, rng):
         a, b = rng.standard_normal((8, 3)), rng.standard_normal((6, 3))
-        assert abs(sinkhorn_w1(a, b).item() - sinkhorn_w1(b, a).item()) < 1e-8
+        ab, ba = (sinkhorn_w1(x, y, *DEFAULT_SOLVE).item() for x, y in ((a, b), (b, a)))
+        assert abs(ab - ba) < 1e-8
 
     def test_all_identical_points_zero(self):
         p = np.ones((4, 2))
-        assert sinkhorn_w1(p, p.copy()).item() == 0.0
+        assert sinkhorn_w1(p, p.copy(), *DEFAULT_SOLVE).item() == 0.0
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
-            sinkhorn_w1(np.ones((2, 2)), np.ones((2, 3)))
+            sinkhorn_w1(np.ones((2, 2)), np.ones((2, 3)), *DEFAULT_SOLVE)
         with pytest.raises(ShapeError):
-            sinkhorn_w1(np.ones((0, 2)), np.ones((2, 2)))
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            SinkhornConfig(reg=0.0)
-        with pytest.raises(ConfigError):
-            SinkhornConfig(max_iters=0)
+            sinkhorn_w1(np.ones((0, 2)), np.ones((2, 2)), *DEFAULT_SOLVE)
 
 
 def half_shared_sets(rng, m=256, d=64):
@@ -153,15 +153,16 @@ def log_domain(points_a, points_b, reg, max_iters, tol):
     return sinkhorn_log_node(ad.pairwise_euclidean(a, b), reg, max_iters, tol)
 
 
-def assert_matches_log_domain(h, other, config, reg):
-    """``sinkhorn_w1`` against the log-domain oracle at ``reg``: values within
-    1e-12 relative, gradients within 1e-10 of the largest, equal iterations."""
+def assert_matches_log_domain(h, other, solve, reg):
+    """``sinkhorn_w1`` with ``solve`` = (reg or None, max_iters, tol) against
+    the log-domain oracle at ``reg``: values within 1e-12 relative, gradients
+    within 1e-10 of the largest, equal iterations."""
     stats = []
     pa, pb = ad.parameter(h), ad.parameter(other)
-    got = sinkhorn_w1(pa, pb, config, stats)
+    got = sinkhorn_w1(pa, pb, *solve, stats)
     got_grads = ad.gradients(got, [pa, pb])
     wa, wb = ad.parameter(h), ad.parameter(other)
-    want, want_stats = log_domain(wa, wb, reg, config.max_iters, config.tol)
+    want, want_stats = log_domain(wa, wb, reg, *solve[1:])
     want_grads = ad.gradients(want, [wa, wb])
     assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
     for g, w in zip(got_grads, want_grads):
@@ -179,26 +180,26 @@ class TestSinkhornPaths:
         h, other = half_shared_sets(rng)
         a, b = (other, h) if _canonical_order_swapped(h, other) else (h, other)
         cost = ad.pairwise_euclidean(a, b).value
-        reg = _resolve_reg(cost, SinkhornConfig())
+        reg = _resolve_reg(cost, None)
         assert cost.max() / reg <= KERNEL_MAX_RATIO
 
-        config = SinkhornConfig(tol=0.0)
-        got = sinkhorn_w1(h, other, config)
+        solve = (None, 200, 0.0)
+        got = sinkhorn_w1(h, other, *solve)
         assert got.item() == _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0].item()
-        assert assert_matches_log_domain(h, other, config, reg).iters == 200
+        assert assert_matches_log_domain(h, other, solve, reg).iters == 200
 
     def test_kernel_matches_log_domain_at_large_ratios(self, rng):
         h, other = rng.standard_normal((20, 2)), rng.standard_normal((15, 2))
         peak = ad.pairwise_euclidean(h, other).value.max()
         for ratio in (300.0, 0.999 * KERNEL_MAX_RATIO):
-            config = SinkhornConfig(reg=peak / ratio, max_iters=3000, tol=1e-9)
-            assert assert_matches_log_domain(h, other, config, config.reg).iters < 3000
+            solve = (peak / ratio, 3000, 1e-9)
+            assert assert_matches_log_domain(h, other, solve, solve[0]).iters < 3000
 
     def test_ratio_above_the_limit_is_a_config_error(self, rng):
         h, other = half_shared_sets(rng, m=24, d=4)
         peak = ad.pairwise_euclidean(h, other).value.max()
         with pytest.raises(ConfigError, match=r"^sinkhorn_reg: max cost / reg = 606 exceeds 600$"):
-            sinkhorn_w1(h, other, SinkhornConfig(reg=peak / (1.01 * KERNEL_MAX_RATIO)))
+            sinkhorn_w1(h, other, peak / (1.01 * KERNEL_MAX_RATIO), *DEFAULT_SOLVE[1:])
 
     def test_automatic_reg_above_the_limit_is_a_config_error(self):
         # every cost is 0.01 except the 20 to the far point: the automatic
@@ -207,83 +208,81 @@ class TestSinkhornPaths:
         near[:, 0] = 0.01
         far = np.vstack([np.zeros((20, 2)), [[100.0, 0.0]]])
         with pytest.raises(ConfigError, match=r"^sinkhorn_reg: max cost / reg = .* exceeds 600$"):
-            sinkhorn_w1(near, far)
+            sinkhorn_w1(near, far, *DEFAULT_SOLVE)
 
 
 class TestSinkhornStats:
     def test_tol_zero_runs_the_budget(self, rng):
         stats = []
         sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)),
-                    SinkhornConfig(max_iters=37, tol=0.0), stats)
+                    None, 37, 0.0, stats)
         assert len(stats) == 1 and stats[0].iters == 37 and stats[0].marginal_err >= 0.0
 
     def test_early_stop_is_below_tol(self, rng):
         stats = []
-        config = SinkhornConfig(reg=0.5, max_iters=5000, tol=1e-8)
-        sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)), config, stats)
+        sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)), 0.5, 5000, 1e-8,
+                    stats)
         assert stats[0].iters < 5000 and stats[0].iters % 10 == 0
         assert stats[0].marginal_err < 1e-8
 
     def test_balance_loss_reports_both_solves(self, rng):
         h, hp, hn = (rng.standard_normal((6, 3)) for _ in range(3))
         stats = []
-        balance_loss(h, hp, hn, SinkhornConfig(max_iters=20, tol=0.0), stats)
+        balance_loss(h, hp, hn, None, 20, 0.0, stats)
         assert [s.iters for s in stats] == [20, 20]
 
     def test_identical_points_report_no_iterations(self):
         stats = []
-        sinkhorn_w1(np.ones((4, 2)), np.ones((3, 2)), stats=stats)
+        sinkhorn_w1(np.ones((4, 2)), np.ones((3, 2)), *DEFAULT_SOLVE, stats=stats)
         assert stats == [SinkhornStats(0, 0.0)]
 
 
 class TestBalanceLoss:
     def test_identical_sets_near_zero(self, rng):
         h = rng.standard_normal((6, 3))
-        assert balance_loss(h, h.copy(), h.copy()).item() < 0.2
+        assert balance_loss(h, h.copy(), h.copy(), *DEFAULT_SOLVE).item() < 0.2
 
     def test_compositional(self, rng):
         h, hp, hn = (rng.standard_normal((7, 3)) for _ in range(3))
-        cfg = SinkhornConfig(reg=0.1, max_iters=200, tol=0.0)
-        total = balance_loss(h, hp, hn, cfg).item()
-        parts = sinkhorn_w1(h, hp, cfg).item() + sinkhorn_w1(h, hn, cfg).item()
+        solve = (0.1, 200, 0.0)
+        total = balance_loss(h, hp, hn, *solve).item()
+        parts = sinkhorn_w1(h, hp, *solve).item() + sinkhorn_w1(h, hn, *solve).item()
         assert total == pytest.approx(parts, abs=1e-10)
 
 
 class TestPerSampleLoss:
     def test_arithmetic(self):
-        w = LossWeights(alpha=1.0, beta=2.0, xi=1.0, epsilon=0.1)
-        got = per_sample_one(0.2, 0.5, 1.0, w, n=10).value
+        got = per_sample_one(0.2, 0.5, 1.0, alpha=1.0, beta=2.0, n=10).value
         assert got == pytest.approx([0.2 + 0.1 + 1.0])
 
     def test_zero_weights_leave_intra(self):
-        w = LossWeights(alpha=0.0, beta=0.0)
-        assert per_sample_one(0.7, 9.0, 9.0, w, n=3).value == pytest.approx([0.7])
+        assert per_sample_one(0.7, 9.0, 9.0, alpha=0.0, beta=0.0, n=3).value == pytest.approx([0.7])
 
     def test_breakdown_identity(self, rng):
-        w = LossWeights(alpha=0.8, beta=1.7)
+        alpha, beta = 0.8, 1.7
         n = 6
         for _ in range(10):
             li, lc, lb = rng.random(n), rng.random(n), rng.random()
-            total = per_sample_losses_batched(li, lc, lb, w, n).value
-            assert np.abs(total - (li + w.alpha * lb / n + w.beta * lc)).max() < 1e-10
+            total = per_sample_losses_batched(li, lc, lb, alpha, beta, n).value
+            assert np.abs(total - (li + alpha * lb / n + beta * lc)).max() < 1e-10
 
     def test_batched_matches_scalar(self, rng):
-        w = LossWeights(alpha=0.5, beta=2.0)
         li, lc = rng.random(4), rng.random(4)
         lb = 0.9
-        vec = per_sample_losses_batched(li, lc, lb, w, n=4).value
+        vec = per_sample_losses_batched(li, lc, lb, 0.5, 2.0, n=4).value
         for i in range(4):
-            assert vec[i] == pytest.approx(per_sample_loss(li[i], lc[i], lb, w, 4).item(), abs=1e-12)
+            want = per_sample_loss(li[i], lc[i], lb, 0.5, 2.0, 4).item()
+            assert vec[i] == pytest.approx(want, abs=1e-12)
 
     def test_sum_consistent_with_full_loss(self, rng):
         # uniform unit weights: sum of per-sample losses equals
         # n * mean_intra + alpha * balance + n * beta * mean_inter
-        w = LossWeights(alpha=0.7, beta=1.3)
+        alpha, beta = 0.7, 1.3
         n = 5
         li, lc = rng.random(n), rng.random(n)
         lb = 0.4
-        total = per_sample_losses_batched(li, lc, lb, w, n).value.sum()
-        expected = li.sum() + w.alpha * lb + w.beta * lc.sum()
+        total = per_sample_losses_batched(li, lc, lb, alpha, beta, n).value.sum()
+        expected = li.sum() + alpha * lb + beta * lc.sum()
         assert total == pytest.approx(expected, abs=1e-10)
 
 
@@ -331,13 +330,9 @@ class TestLossGradients:
         assert directional_grad_check(build, values, rng) < 1e-4
 
     def test_balance_gradcheck(self, rng):
-        cfg = SinkhornConfig(reg=0.2, max_iters=250, tol=0.0)
+        solve = (0.2, 250, 0.0)
         def build(values):
             h, hp, hn = (ad.parameter(v) for v in values)
-            return balance_loss(h, hp, hn, cfg), [h, hp, hn]
+            return balance_loss(h, hp, hn, *solve), [h, hp, hn]
         values = [rng.standard_normal((5, 2)) for _ in range(3)]
         assert directional_grad_check(build, values, rng) < 1e-4
-
-    def test_weights_validated(self):
-        with pytest.raises(ConfigError):
-            LossWeights(alpha=-0.1)
