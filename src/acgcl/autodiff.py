@@ -2,8 +2,11 @@
 
 A Tensor wraps a float64 ndarray plus, when it participates in
 differentiation, links to its parents and a closure producing the parents'
-gradient contributions. ``backward`` walks the recorded graph once in reverse
-topological order, accumulating into ``.grad``.
+gradient contributions. A closure returns None in place of the contribution
+of a parent that does not require a gradient (a constant operand), so no
+time goes into forming it. ``backward`` walks the recorded graph once in
+reverse topological order, accumulating into ``.grad`` and skipping the
+None contributions.
 
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
@@ -67,7 +70,8 @@ def add(a, b) -> Tensor:
     value = a.value + b.value
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _node(value, (a, b), backward_fn)
 
@@ -77,7 +81,8 @@ def sub(a, b) -> Tensor:
     value = a.value - b.value
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _node(value, (a, b), backward_fn)
 
@@ -87,7 +92,8 @@ def mul(a, b) -> Tensor:
     value = a.value * b.value
 
     def backward_fn(g):
-        return _unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)
+        return (_unbroadcast(g * b.value, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.value, b.shape) if b.requires_grad else None)
 
     return _node(value, (a, b), backward_fn)
 
@@ -107,7 +113,8 @@ def matmul(a, b) -> Tensor:
     value = a.value @ b.value
 
     def backward_fn(g):
-        return g @ b.value.T, a.value.T @ g
+        return (g @ b.value.T if a.requires_grad else None,
+                a.value.T @ g if b.requires_grad else None)
 
     return _node(value, (a, b), backward_fn)
 
@@ -182,16 +189,35 @@ def relu(a) -> Tensor:
 
 
 def prelu(a, slope) -> Tensor:
-    """Parametric relu with a scalar learnable slope on the negative side."""
+    """Parametric relu with a scalar learnable slope on the negative side:
+    ``a`` where a > 0, ``slope * a`` elsewhere.
+
+    Neither pass selects on the sign of ``a``. The value is max(a, slope * a)
+    for slope <= 1 and min(a, slope * a) above 1; at a = +-0 the operands tie
+    and numpy returns the second, slope * a. The backward pass forms both
+    gradients in one buffer from the mask a > 0 used as a float."""
     a, slope = as_tensor(a), as_tensor(slope)
     if slope.value.ndim != 0:
         raise ShapeError("prelu slope must be a scalar tensor")
-    mask = a.value > 0
-    value = np.where(mask, a.value, slope.value * a.value)
+    value = slope.value * a.value
+    (np.maximum if slope.value <= 1 else np.minimum)(a.value, value, out=value)
 
     def backward_fn(g):
-        da = g * np.where(mask, 1.0, slope.value)
-        dslope = np.asarray((g * np.where(mask, 0.0, a.value)).sum())
+        mask = a.value > 0
+        out = np.empty_like(a.value)
+        da = dslope = None
+        if slope.requires_grad:
+            np.minimum(0.0, a.value, out=out)     # a where a <= 0, else 0
+            out *= g
+            dslope = np.asarray(out.sum())
+        if a.requires_grad:
+            # -(g * (slope * (mask - 1) - mask)) is g where a > 0 and g * slope
+            # elsewhere, each rounded once and with the sign of a zero kept.
+            np.subtract(mask, 1.0, out=out)
+            out *= slope.value
+            out -= mask
+            out *= g
+            da = np.negative(out, out=out)
         return da, dslope
 
     return _node(value, (a, slope), backward_fn)
@@ -242,10 +268,13 @@ def pairwise_euclidean(p, q) -> Tensor:
         w = np.divide(g, dist, out=np.zeros_like(dist), where=dist > 0)
         near = w[rows, cols][:, None] * diff
         w[rows, cols] = 0.0
-        grad_p = w.sum(axis=1)[:, None] * pv - w @ qv
-        grad_q = w.sum(axis=0)[:, None] * qv - w.T @ pv
-        np.add.at(grad_p, rows, near)
-        np.add.at(grad_q, cols, -near)
+        grad_p = grad_q = None
+        if p.requires_grad:
+            grad_p = w.sum(axis=1)[:, None] * pv - w @ qv
+            np.add.at(grad_p, rows, near)
+        if q.requires_grad:
+            grad_q = w.sum(axis=0)[:, None] * qv - w.T @ pv
+            np.add.at(grad_q, cols, -near)
         return grad_p, grad_q
 
     return _node(dist, (p, q), backward_fn)

@@ -1,11 +1,14 @@
 """GCN encoder producing node embeddings for stacks of subgraphs and their
 mirrors.
 
-Propagation per layer: H <- prelu(An @ H @ W, slope) where An is the
+Propagation per layer: H <- prelu((An @ H) @ W, slope) where An is the
 symmetrically normalized adjacency with self loops added. Every subgraph of a
 batch has the same size k, so a batch is one (n, k, k) stack of An blocks and
-one (n * k, d) feature matrix. One or two layers; slopes are learnable scalars
-initialized at 0.25; weights use seeded uniform Glorot initialization.
+one (n * k, d) feature matrix. An is applied before W, so on the constant
+input features An @ X is a constant: the first layer records no propagation
+on the tape, and its backward pass forms only the gradient of W. One or two
+layers; slopes are learnable scalars initialized at 0.25; weights use seeded
+uniform Glorot initialization.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def gcn_forward_batched(params: GcnParams, a_hat_blocks: np.ndarray, features_fl
     """
     h = ad.as_tensor(features_flat)
     for weight, slope in zip(params.weights, params.slopes):
-        h = ad.prelu(ad.block_matmul(a_hat_blocks, ad.matmul(h, weight)), slope)
+        h = ad.prelu(ad.matmul(ad.block_matmul(a_hat_blocks, h), weight), slope)
     return h
 
 

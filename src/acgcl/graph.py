@@ -275,8 +275,10 @@ class SbmConfig:
             raise ConfigError("p_inter/p_intra: need 0 <= p_inter <= p_intra <= 1")
         if self.feature_dim <= 0:
             raise ConfigError("feature_dim: must be positive")
-        if self.feature_noise < 0:
-            raise ConfigError("feature_noise: must be >= 0")
+        if not (np.isfinite(self.feature_noise) and self.feature_noise >= 0):
+            raise ConfigError(f"feature_noise: must be finite and >= 0, got {self.feature_noise}")
+        if not np.isfinite(self.center_scale):
+            raise ConfigError(f"center_scale: must be finite, got {self.center_scale}")
 
 
 def generate_sbm(config: SbmConfig, seed: int) -> Graph:

@@ -43,7 +43,7 @@ from .sampler import SubgraphSet, sample_all_subgraphs
 from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for
 
 CHECKPOINT_VERSION = 1
-EMBED_BLOCK = 256
+EMBED_BLOCK = 128
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 REPORT_COLUMNS = ("epoch", "theta", "gamma", "lambda1", "lambda2", "mean_loss",
                   "active_fraction", "val_accuracy")

@@ -16,7 +16,8 @@ Two groups share some:
   ``acgcl.encoder.sym_normalized_adjacency``.
 
 ``pairwise_euclidean_diff`` is the difference-tensor form that the package's
-Gram-form ``pairwise_euclidean`` replaced. ``dense_solve_ppr`` is the
+Gram-form ``pairwise_euclidean`` replaced, and ``prelu_where`` the select form
+that its branch-free ``prelu`` replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
 symmetric Cholesky inverse replaced. ``sinkhorn_log_node`` is the
 log-domain Sinkhorn solve that the package's kernel-domain node replaced; it
@@ -252,7 +253,9 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
 
 def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor:
     """Embed one subgraph: (k, k) adjacency and (k, in_dim) features -> (k, d);
-    the reference for one block of ``acgcl.encoder.gcn_forward_batched``."""
+    the reference for one block of ``acgcl.encoder.gcn_forward_batched``.
+    It multiplies An @ (H @ W), where the package forms (An @ H) @ W, so the
+    two agree to rounding."""
     features = ad.as_tensor(features)
     if adjacency.shape[0] != adjacency.shape[1] or adjacency.shape[0] != features.shape[0]:
         raise ShapeError(f"adjacency {adjacency.shape} vs features {features.shape}")
@@ -369,6 +372,21 @@ def pairwise_euclidean_diff(p, q) -> ad.Tensor:
         return weighted.sum(axis=1), -weighted.sum(axis=0)
 
     return ad._node(dist, (p, q), backward_fn)
+
+
+def prelu_where(a, slope) -> ad.Tensor:
+    """Parametric relu as a select on the mask a > 0 in both passes: the form
+    that the package's branch-free ``prelu`` replaced."""
+    a, slope = ad.as_tensor(a), ad.as_tensor(slope)
+    mask = a.value > 0
+    value = np.where(mask, a.value, slope.value * a.value)
+
+    def backward_fn(g):
+        da = g * np.where(mask, 1.0, slope.value)
+        dslope = np.asarray((g * np.where(mask, 0.0, a.value)).sum())
+        return da, dslope
+
+    return ad._node(value, (a, slope), backward_fn)
 
 
 def sinkhorn_log_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float

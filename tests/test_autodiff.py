@@ -3,7 +3,7 @@ import pytest
 
 from acgcl import autodiff as ad
 from acgcl.errors import ContractError, ShapeError
-from oracles import directional_grad_check, pairwise_euclidean_diff
+from oracles import directional_grad_check, pairwise_euclidean_diff, prelu_where
 
 
 def test_sum_of_parameter_gives_ones():
@@ -116,8 +116,11 @@ def test_broadcast_add_unbroadcasts(rng):
     assert gb == pytest.approx(12.0)
 
 
+PRELU_SLOPES = {"prelu": 0.3, "prelu_above_1": 1.5, "prelu_below_0": -0.5}
+
+
 @pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "matmul", "relu", "prelu", "sigmoid",
+    "add", "sub", "mul", "matmul", "relu", *PRELU_SLOPES, "sigmoid",
     "sum_axis0", "sum_axis1", "mean_axis", "reshape", "take_rows",
     "block_matmul", "pairwise_euclidean", "row_sq_norm",
 ])
@@ -135,7 +138,7 @@ def test_finite_difference_per_op(op_name, rng):
             out = ad.matmul(a, b)
         elif op_name == "relu":
             out = ad.relu(a)
-        elif op_name == "prelu":
+        elif op_name in PRELU_SLOPES:
             out = ad.prelu(a, b)
         elif op_name == "sigmoid":
             out = ad.sigmoid(a)
@@ -163,20 +166,66 @@ def test_finite_difference_per_op(op_name, rng):
     global BLOCKS, MIX
     BLOCKS = rng.standard_normal((2, 2, 2))
     MIX = rng.standard_normal(64)
-    if op_name == "matmul":
-        values = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
-    elif op_name == "prelu":
-        values = [rng.standard_normal((3, 4)), np.asarray(0.3)]
-    elif op_name == "pairwise_euclidean":
-        values = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
-    elif op_name == "block_matmul":
-        values = [rng.standard_normal((4, 3))]
-    elif op_name in ("add", "sub", "mul"):
-        values = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
-    else:
-        values = [rng.standard_normal((3, 4))]
-    worst = directional_grad_check(build, values, rng)
+    worst = directional_grad_check(build, operand_values(op_name, rng), rng)
     assert worst < 1e-4
+
+
+def operand_values(op_name, rng):
+    if op_name == "matmul":
+        return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
+    if op_name in PRELU_SLOPES:
+        return [rng.standard_normal((3, 4)), np.asarray(PRELU_SLOPES[op_name])]
+    if op_name == "pairwise_euclidean":
+        return [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
+    if op_name == "block_matmul":
+        return [rng.standard_normal((4, 3))]
+    if op_name in ("add", "sub", "mul"):
+        return [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
+    return [rng.standard_normal((3, 4))]
+
+
+@pytest.mark.parametrize("slope", [-0.5, 0.0, 0.25, 1.0, 1.5])
+@pytest.mark.parametrize("with_nan", [False, True], ids=["signed-zeros", "nan"])
+def test_prelu_is_bit_identical_to_the_select_form(slope, with_nan, rng):
+    a = rng.standard_normal((30, 7))
+    special = [0.0, -0.0, np.nan] if with_nan else [0.0, -0.0]
+    a.flat[rng.choice(a.size, 12, replace=False)] = special * (12 // len(special))
+    g = rng.standard_normal(a.shape)
+    results = []
+    for fn in (ad.prelu, prelu_where):
+        x, s = ad.parameter(a), ad.parameter(np.asarray(slope))
+        out = fn(x, s)
+        results.append((out.value, *ad.gradients(ad.sum_all(ad.mul(out, ad.Tensor(g))), [x, s])))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want, equal_nan=True)
+        # signed zeros as well: every non-nan entry has the same bits
+        number = ~np.isnan(want)
+        assert np.array_equal(got[number].view(np.int64), want[number].view(np.int64))
+
+
+@pytest.mark.parametrize("constant", [0, 1], ids=["constant-left", "constant-right"])
+@pytest.mark.parametrize("op_name", ["add", "sub", "mul", "matmul", "prelu",
+                                     "pairwise_euclidean"])
+def test_constant_operand_gets_no_gradient(op_name, constant, rng):
+    """The backward closure returns None for an operand that needs no
+    gradient, and the other operand's gradient is still right."""
+    op, values = getattr(ad, op_name), operand_values(op_name, rng)
+    fixed, mix = values[constant], rng.standard_normal(64)
+
+    def operands(param):
+        return (ad.Tensor(fixed), param) if constant == 0 else (param, ad.Tensor(fixed))
+
+    def build(vals):
+        param = ad.parameter(vals[0])
+        out = op(*operands(param))
+        return ad.sum_all(ad.mul(out, ad.Tensor(mix[:out.value.size].reshape(out.shape)))), [param]
+
+    param = ad.parameter(values[1 - constant])
+    out = op(*operands(param))
+    contributions = out._backward_fn(rng.standard_normal(out.shape))
+    assert contributions[constant] is None
+    assert contributions[1 - constant].shape == param.shape
+    assert directional_grad_check(build, [values[1 - constant]], rng) < 1e-4
 
 
 class TestPairwiseEuclidean:

@@ -262,6 +262,19 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: ")
         assert err[0].endswith(" is not in [0, 100]")
 
+    @pytest.mark.parametrize("flag, key", [
+        ("--noise", "feature_noise"), ("--center-scale", "center_scale"),
+    ], ids=["noise", "center-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_gen_sbm_non_finite_feature_setting_fails_before_writing(self, tmp_path, capsys,
+                                                                     flag, key, value):
+        out = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.01",
+                     f"{flag}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "degree-bucket"])
     def test_report_is_the_epoch_records(self, tmp_path, config_file, dataset_dir, labeled):
         """report.csv is the report columns of the metrics.jsonl epoch

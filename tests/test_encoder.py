@@ -93,6 +93,28 @@ class TestGcnForward:
             single = gcn_forward(params, sub.adjacency, sub.features).value
             assert np.allclose(batched[5 * i:5 * (i + 1)], single, atol=1e-12)
 
+    def test_first_layer_propagation_is_a_constant(self, rng):
+        """On constant features each layer is prelu((An @ H) @ W): layer 1's
+        An @ X is a constant node, so the tape holds no propagation for it
+        and its matmul passes a gradient to W only."""
+        n, k, dim = 3, 4, 5
+        adjacency = np.triu((rng.random((n, k, k)) < 0.5).astype(float), 1)
+        a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
+        x = rng.standard_normal((n * k, dim))
+        params = init_gcn_params(dim, 3, n_layers=2, seed=0)
+        out = gcn_forward_batched(params, a_hat, x)
+        product2, _ = out._parents
+        propagated2, w2 = product2._parents
+        (h1,) = propagated2._parents
+        product1, _ = h1._parents
+        propagated1, w1 = product1._parents
+        assert [w1, w2] == params.weights and propagated2.requires_grad
+        assert not propagated1.requires_grad and propagated1._backward_fn is None
+        assert np.array_equal(propagated1.value,
+                              (a_hat @ x.reshape(n, k, dim)).reshape(n * k, dim))
+        d_propagated1, d_w1 = product1._backward_fn(np.ones(product1.shape))
+        assert d_propagated1 is None and d_w1.shape == w1.shape
+
     def test_layer_count_validated(self):
         with pytest.raises(ConfigError):
             init_gcn_params(4, 2, n_layers=3, seed=0)
