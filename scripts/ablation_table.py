@@ -8,13 +8,14 @@ and the hard/soft adversarial variants, then prints a probe-accuracy table.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
 from acgcl.config import TrainConfig
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.trainer import compute_center_embeddings, evaluate_probe, train
+from acgcl.trainer import probe_accuracy, train
 
 MODES = ["uniform", "spl", "hard_acl", "soft_acl"]
 
@@ -30,17 +31,16 @@ def main():
         graph = generate_sbm(
             SbmConfig(block_sizes=(100, 100, 100), p_intra=0.10, p_inter=0.002,
                       feature_dim=16, feature_noise=0.55), seed=seed)
-        graph = with_splits(graph, make_splits(graph, seed))
-        subgraphs = sample_all_subgraphs(graph, 10, 0.15)
+        config = TrainConfig(seed=seed, subgraph_size=10, embedding_dim=16,
+                             epochs=args.epochs, patience=args.epochs,
+                             inner_steps=10, batch_size=500,
+                             balance_max_points=128, sinkhorn_iters=60)
+        graph = with_splits(graph, make_splits(graph, seed, config.split_train,
+                                               config.split_val))
+        subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
         for mode in MODES:
-            config = TrainConfig(seed=seed, subgraph_size=10, embedding_dim=16,
-                                 epochs=args.epochs, patience=args.epochs,
-                                 inner_steps=10, batch_size=500, acl_mode=mode,
-                                 balance_max_points=128, sinkhorn_iters=60)
-            params, _ = train(graph, config)
-            embeddings = compute_center_embeddings(params, subgraphs)
-            scores[mode].append(
-                evaluate_probe(embeddings, graph.labels, graph.splits)["test"])
+            params, _ = train(graph, replace(config, acl_mode=mode))
+            scores[mode].append(probe_accuracy(params, subgraphs, graph, config)["test"])
             print(f"seed {seed} {mode:9s} {scores[mode][-1]:.3f}")
 
     print(f"\n{'mode':<10} {'mean':>6} {'std':>6}")

@@ -13,7 +13,7 @@ import numpy as np
 from acgcl.config import TrainConfig
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.trainer import compute_center_embeddings, evaluate_probe, train
+from acgcl.trainer import evaluate_probe, probe_accuracy, train
 
 
 def main():
@@ -30,18 +30,18 @@ def main():
         graph = generate_sbm(
             SbmConfig(block_sizes=(100, 100, 100), p_intra=0.10, p_inter=0.002,
                       feature_dim=16, feature_noise=args.noise), seed=seed)
-        graph = with_splits(graph, make_splits(graph, seed))
-        raw = evaluate_probe(graph.features, graph.labels, graph.splits)["test"]
-
         config = TrainConfig(seed=seed, subgraph_size=10, embedding_dim=16,
                              epochs=args.epochs, patience=args.epochs, inner_steps=10,
                              batch_size=500, acl_mode=args.mode,
                              balance_max_points=128, sinkhorn_iters=60)
+        graph = with_splits(graph, make_splits(graph, seed, config.split_train,
+                                               config.split_val))
+        raw = evaluate_probe(graph.features, graph.labels, graph.splits, config.probe_iters,
+                             config.probe_l2, config.probe_lr)["test"]
         start = time.time()
         params, epochs = train(graph, config)
         subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-        embeddings = compute_center_embeddings(params, subgraphs)
-        acc = evaluate_probe(embeddings, graph.labels, graph.splits)["test"]
+        acc = probe_accuracy(params, subgraphs, graph, config)["test"]
         raw_accs.append(raw)
         trained_accs.append(acc)
         print(f"seed {seed}: raw {raw:.3f} -> {args.mode} {acc:.3f} "

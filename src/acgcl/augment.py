@@ -54,7 +54,7 @@ def distance(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
     return np.where(safe, 1.0 - np.clip(cos, -1.0, 1.0), 1.0)
 
 
-def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+def pairwise_distances(features: np.ndarray, metric: str) -> np.ndarray:
     """(..., k, k) distance matrices between the feature rows of a
     (..., k, dim) stack."""
     check_metric(metric)
@@ -182,7 +182,7 @@ class MirrorGraphs:
 
 
 def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
-                  metric: str = "euclidean") -> MirrorSearch:
+                  metric: str) -> MirrorSearch:
     """Find every pair's best positive and negative mirror once, for all gamma.
 
     Gamma only bounds the best sum (it must be below 2 * gamma), so the
@@ -263,7 +263,7 @@ def _separable_min(x: np.ndarray, y: np.ndarray, c_ok: np.ndarray, d_ok: np.ndar
 
 
 def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignment,
-                   metric: str = "euclidean") -> MirrorGraphs:
+                   metric: str) -> MirrorGraphs:
     """Positive and negative mirror adjacencies of one subgraph at gamma, and
     the search they came from; features are untouched."""
     one = SubgraphSet(subgraph.parent_indices[None], subgraph.features[None],

@@ -64,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sbm.add_argument("--p-intra", type=float, required=True)
     p_sbm.add_argument("--p-inter", type=float, required=True)
     p_sbm.add_argument("--feature-dim", type=int, default=16)
-    p_sbm.add_argument("--noise", type=float, default=1.0)
-    p_sbm.add_argument("--center-scale", type=float, default=1.0)
+    p_sbm.add_argument("--noise", type=float, default=SbmConfig.feature_noise)
+    p_sbm.add_argument("--center-scale", type=float, default=SbmConfig.center_scale)
     p_sbm.add_argument("--seed", type=int, default=0)
-    p_sbm.add_argument("--split-train", type=float, default=0.3)
-    p_sbm.add_argument("--split-val", type=float, default=0.2)
+    p_sbm.add_argument("--split-train", type=float, default=TrainConfig.split_train)
+    p_sbm.add_argument("--split-val", type=float, default=TrainConfig.split_val)
     p_sbm.add_argument("--out", required=True, help="output directory")
     return parser
 

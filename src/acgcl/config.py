@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 from .augment import check_metric
 from .curriculum import MODES
 from .errors import ConfigError
-from .graph import check_split_fractions
+from .graph import check_split_fractions, data_lines
 
 
 @dataclass
@@ -167,10 +167,7 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            text = line.strip()
-            if text and not text.startswith("#"):
-                entries.append((f"{path}:{lineno}", text))
+        entries += data_lines(path)
     entries += [("--set", pair) for pair in overrides]
     annotations = get_type_hints(TrainConfig)
     raw: dict = {}

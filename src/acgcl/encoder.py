@@ -39,7 +39,7 @@ class GcnParams:
         return [*self.weights, *self.slopes]
 
 
-def init_gcn_params(in_dim: int, out_dim: int, n_layers: int = 1, seed: int = 0) -> GcnParams:
+def init_gcn_params(in_dim: int, out_dim: int, n_layers: int, seed: int) -> GcnParams:
     if n_layers not in (1, 2):
         raise ConfigError(f"gcn_layers: must be 1 or 2, got {n_layers}")
     rng = rng_for(seed, ROLE_PARAMS)

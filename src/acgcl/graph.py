@@ -132,21 +132,27 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     return Graph(features=features, adjacency=_adjacency_from_edges(n, rows, cols), labels=labels)
 
 
+def data_lines(path: Path):
+    """(``path:lineno``, stripped text) of every line of a text file that is
+    neither blank nor a ``#`` comment, lines numbered from 1."""
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield f"{path}:{lineno}", text
+
+
 def _read_features(path: Path) -> np.ndarray:
     rows = []
     width = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for where, text in data_lines(path):
         try:
             row = [float(p) for p in text.split(",")]
         except ValueError as exc:
-            raise GraphParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
+            raise GraphParseError(f"{where}: bad feature value ({exc})") from None
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ShapeError(f"{path}:{lineno}: row has {len(row)} values, expected {width}")
+            raise ShapeError(f"{where}: row has {len(row)} values, expected {width}")
         rows.append(row)
     if not rows:
         raise GraphParseError(f"{path}: no feature rows")
@@ -158,21 +164,18 @@ def _read_features(path: Path) -> np.ndarray:
 
 def _read_edges(path: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = [], []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for where, text in data_lines(path):
         parts = text.split()
         if len(parts) != 2:
-            raise GraphParseError(f"{path}:{lineno}: expected 'src dst', got {text!r}")
+            raise GraphParseError(f"{where}: expected 'src dst', got {text!r}")
         try:
             src, dst = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphParseError(f"{path}:{lineno}: non-integer endpoint in {text!r}") from None
+            raise GraphParseError(f"{where}: non-integer endpoint in {text!r}") from None
         if src < 0 or dst < 0:
-            raise GraphParseError(f"{path}:{lineno}: negative node id")
+            raise GraphParseError(f"{where}: negative node id")
         if src >= n_nodes or dst >= n_nodes:
-            raise IndexError(f"{path}:{lineno}: edge endpoint {max(src, dst)} >= {n_nodes} nodes")
+            raise IndexError(f"{where}: edge endpoint {max(src, dst)} >= {n_nodes} nodes")
         rows.append(src)
         cols.append(dst)
     return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
@@ -180,23 +183,20 @@ def _read_edges(path: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
     labels = np.full(n_nodes, -1, dtype=np.int64)
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for where, text in data_lines(path):
         parts = text.split(",")
         if len(parts) != 2:
-            raise GraphParseError(f"{path}:{lineno}: expected 'node_id,label', got {text!r}")
+            raise GraphParseError(f"{where}: expected 'node_id,label', got {text!r}")
         try:
             node, label = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphParseError(f"{path}:{lineno}: non-integer field in {text!r}") from None
+            raise GraphParseError(f"{where}: non-integer field in {text!r}") from None
         if node < 0 or node >= n_nodes:
-            raise IndexError(f"{path}:{lineno}: node id {node} out of range [0, {n_nodes})")
+            raise IndexError(f"{where}: node id {node} out of range [0, {n_nodes})")
         if labels[node] != -1:
-            raise GraphParseError(f"{path}:{lineno}: duplicate label for node {node}")
+            raise GraphParseError(f"{where}: duplicate label for node {node}")
         if label < 0:
-            raise GraphParseError(f"{path}:{lineno}: negative label")
+            raise GraphParseError(f"{where}: negative label")
         labels[node] = label
     missing = np.flatnonzero(labels == -1)
     if missing.size:
@@ -305,7 +305,12 @@ def generate_sbm(config: SbmConfig, seed: int) -> Graph:
 
     centers = np.zeros((len(sizes), config.feature_dim))
     centers[np.arange(len(sizes)), np.arange(len(sizes)) % config.feature_dim] = config.center_scale
-    features = centers[labels] + config.feature_noise * rng.standard_normal((n, config.feature_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = centers[labels] + config.feature_noise * rng.standard_normal(
+            (n, config.feature_dim))
+    if not np.isfinite(features).all():
+        raise ConfigError(f"center_scale/feature_noise: {config.center_scale} and "
+                          f"{config.feature_noise} overflow the features")
     return Graph(
         features=features,
         adjacency=_adjacency_from_edges(n, rows, cols),
@@ -319,7 +324,7 @@ def check_split_fractions(train_frac: float, val_frac: float) -> None:
                           f"split_train + split_val < 1, got {train_frac} and {val_frac}")
 
 
-def make_splits(graph: Graph, seed: int, train_frac: float = 0.3, val_frac: float = 0.2) -> Splits:
+def make_splits(graph: Graph, seed: int, train_frac: float, val_frac: float) -> Splits:
     """Deterministic disjoint train/val/test node split via a seeded shuffle."""
     check_split_fractions(train_frac, val_frac)
     order = rng_for(seed, ROLE_SPLITS).permutation(graph.n_nodes)

@@ -212,7 +212,7 @@ def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, alpha: float,
     return ad.add(ad.add(ad.as_tensor(l_intra_vec), inter), share)
 
 
-def weighted_total_loss(sample_losses, weights, normalize: bool = False) -> ad.Tensor:
+def weighted_total_loss(sample_losses, weights, normalize: bool) -> ad.Tensor:
     """Sum of w_i * L_i over a (n,) loss tensor; ``weights`` is an array of
     detached constants."""
     values = np.asarray(weights, dtype=np.float64)

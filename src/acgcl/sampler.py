@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from .errors import ContractError, ShapeError, SizeError
 from .graph import Graph
 
-DEFAULT_TELEPORT = 0.15
 RANK_BLOCK_ROWS = 256
 REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are unreachable
 
@@ -62,7 +61,7 @@ class SubgraphSet:
         return SubgraphSet(*parts) if isinstance(index, slice) else Subgraph(*parts)
 
 
-def compute_ppr_scores(graph: Graph, teleport: float = DEFAULT_TELEPORT) -> np.ndarray:
+def compute_ppr_scores(graph: Graph, teleport: float) -> np.ndarray:
     """(n, n) scores, entries >= 0, from one in-place Cholesky inverse of the
     symmetric resolvent B = I - (1 - t) D^-1/2 A D^-1/2.
 
@@ -171,8 +170,7 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
     )
 
 
-def sample_all_subgraphs(graph: Graph, k: int,
-                         teleport: float = DEFAULT_TELEPORT) -> SubgraphSet:
+def sample_all_subgraphs(graph: Graph, k: int, teleport: float) -> SubgraphSet:
     """One size-k subgraph per node, deterministically; row i is node i's.
 
     Only scores above REACH_RTOL of a row's maximum count as reachable; the

@@ -120,7 +120,7 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
 # Probe
 
 def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Splits,
-                   iters: int = 500, l2: float = 1e-4, lr: float = 0.5) -> dict[str, float]:
+                   iters: int, l2: float, lr: float) -> dict[str, float]:
     """Multinomial logistic regression on frozen train-split embeddings,
     full-batch gradient descent, fitted once; returns its accuracy on the
     ``"val"`` and ``"test"`` splits."""
@@ -151,6 +151,16 @@ def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Sp
         bias -= lr * delta.sum(axis=0)
     return {name: float(np.mean(np.argmax(z[idx] @ weight + bias, axis=1) == labels[idx]))
             for name, idx in eval_splits.items()}
+
+
+def probe_accuracy(params: GcnParams, subgraphs: SubgraphSet, graph: Graph,
+                   config: TrainConfig) -> dict[str, float]:
+    """The probe's ``"val"`` and ``"test"`` accuracy on the center
+    embeddings, over the dataset's splits or else the config's seeded split."""
+    splits = graph.splits if graph.splits is not None else make_splits(
+        graph, config.seed, config.split_train, config.split_val)
+    return evaluate_probe(compute_center_embeddings(params, subgraphs), graph.labels, splits,
+                          config.probe_iters, config.probe_l2, config.probe_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +305,11 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     graph and config, as built from ``curriculum_inputs`` and
     ``mirror_search``; None builds them here."""
     config.validate()
+    params = init_gcn_params(graph.feature_dim, config.embedding_dim, config.gcn_layers,
+                             config.seed)
     epochs: list[dict] = []
     if config.patience == 0:
-        return init_gcn_params(graph.feature_dim, config.embedding_dim,
-                               config.gcn_layers, config.seed), epochs
+        return params, epochs
 
     n = graph.n_nodes
     batch_size = min(config.batch_size, n)
@@ -309,12 +320,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
         inputs = subgraphs, dist, mirror_search(subgraphs, semantics, config.distance_metric)
     subgraphs, dist, search = inputs
-    splits = graph.splits if graph.splits is not None else make_splits(
-        graph, config.seed, config.split_train, config.split_val)
     a_hat = encoded_views(subgraphs)
-
-    params = init_gcn_params(graph.feature_dim, config.embedding_dim,
-                             config.gcn_layers, config.seed)
     opt = init_optimizer([t.value for t in params.all_parameters()])
 
     sink = None
@@ -347,10 +353,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
 
             val_acc = None   # unlabeled graph: no probe, no early stop
             if graph.labels is not None:
-                embeddings = compute_center_embeddings(params, subgraphs)
-                val_acc = evaluate_probe(embeddings, graph.labels, splits,
-                                         iters=config.probe_iters, l2=config.probe_l2,
-                                         lr=config.probe_lr)["val"]
+                val_acc = probe_accuracy(params, subgraphs, graph, config)["val"]
                 if val_acc > best_val + config.improvement_tol:
                     best_val = val_acc
                 else:
@@ -467,10 +470,6 @@ def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:
     params, config = load_checkpoint(checkpoint_path)
     graph = load_dataset(data_dir)
     check_feature_width(params, graph, checkpoint_path)
-    splits = graph.splits if graph.splits is not None else make_splits(
-        graph, config.seed, config.split_train, config.split_val)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    embeddings = compute_center_embeddings(params, subgraphs)
-    accuracy = evaluate_probe(embeddings, graph.labels, splits, iters=config.probe_iters,
-                              l2=config.probe_l2, lr=config.probe_lr)
+    accuracy = probe_accuracy(params, subgraphs, graph, config)
     return {"val_accuracy": accuracy["val"], "test_accuracy": accuracy["test"]}

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,9 +8,18 @@ import pytest
 import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
+ROOT = Path(__file__).resolve().parents[1]
 
 from acgcl.graph import Graph
 from acgcl.sampler import SubgraphSet
+
+
+def run_python(*args, timeout=120):
+    """``python *args`` in a fresh process that imports this checkout's
+    ``acgcl``; returns the completed process, output as text."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture

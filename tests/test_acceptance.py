@@ -20,8 +20,8 @@ from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
-from acgcl.trainer import (compute_center_embeddings, curriculum_inputs, difficulty_curve,
-                           evaluate_probe, train)
+from acgcl.trainer import (curriculum_inputs, difficulty_curve, evaluate_probe, probe_accuracy,
+                           train)
 from conftest import random_graph
 from oracles import (acl_oracle_weights, directional_grad_check, exact_w1_1d,
                      power_iteration_ppr, spearman)
@@ -44,7 +44,7 @@ N_SEEDS = 5
 
 def experiment_graph(seed: int):
     g = generate_sbm(SBM, seed=seed)
-    return with_splits(g, make_splits(g, seed))
+    return with_splits(g, make_splits(g, seed, TrainConfig.split_train, TrainConfig.split_val))
 
 
 def experiment_config(seed: int, mode: str = "soft_acl", theta0: float = 15.0) -> TrainConfig:
@@ -58,14 +58,14 @@ def sbm_runs():
     runs = []
     for seed in range(N_SEEDS):
         graph = experiment_graph(seed)
-        raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits)["test"]
-
         config = experiment_config(seed)
+        raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits, config.probe_iters,
+                                 config.probe_l2, config.probe_lr)["test"]
+
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
         search = mirror_search(subgraphs, semantics, config.distance_metric)
         params, _ = train(graph, config, inputs=(subgraphs, dist, search))
-        soft_acc = evaluate_probe(compute_center_embeddings(params, subgraphs),
-                                  graph.labels, graph.splits)["test"]
+        soft_acc = probe_accuracy(params, subgraphs, graph, config)["test"]
 
         curve = difficulty_curve(params, subgraphs, search, dist, THETA_GRID, config.xi)
         rho = spearman(THETA_GRID, [row[1] for row in curve])
@@ -73,8 +73,7 @@ def sbm_runs():
         uniform_cfg = experiment_config(seed, mode="uniform", theta0=50.0)
         # mode and theta0 do not enter the set-up, so the uniform run shares it
         uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, dist, search))
-        uniform_acc = evaluate_probe(compute_center_embeddings(uniform_params, subgraphs),
-                                     graph.labels, graph.splits)["test"]
+        uniform_acc = probe_accuracy(uniform_params, subgraphs, graph, uniform_cfg)["test"]
         runs.append({"raw": raw_acc, "soft": soft_acc, "uniform": uniform_acc,
                      "rho": rho, "curve": [row[1] for row in curve]})
     return runs
@@ -197,7 +196,7 @@ def test_criterion_5_gradient_checks():
         intra = intra_graph_losses_batched(center, summary, summary_neg, epsilon)
         bal = balance_loss(h, hp, hn, *solve)
         vec = per_sample_losses_batched(intra, inter, bal, alpha, beta, 1)
-        return weighted_total_loss(vec, np.array([0.7])), [h, hp, hn]
+        return weighted_total_loss(vec, np.array([0.7]), False), [h, hp, hn]
 
     def gcn_case(values):
         x, w1, w2, s1, s2 = (ad.parameter(v) for v in values)
@@ -238,7 +237,7 @@ def test_criterion_6_mirror_validity():
     mixed = SbmConfig(block_sizes=(250, 250), p_intra=0.05, p_inter=0.02,
                       feature_dim=8, feature_noise=1.0)
     graph = generate_sbm(mixed, seed=600)
-    subgraphs = sample_all_subgraphs(graph, k=10)
+    subgraphs = sample_all_subgraphs(graph, k=10, teleport=0.15)
     semantics = semantic_assignment(graph, "label")
     dist = estimate_distance_distribution(subgraphs, "euclidean", 50_000, seed=600)
     search = mirror_search(subgraphs, semantics, "euclidean")

@@ -113,7 +113,7 @@ class TestDistanceDistribution:
 
     def test_budget_covers_all_pairs_exact_multiset(self, rng):
         g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=5)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=1)
         expected = []
         for sub in subs:
@@ -125,7 +125,7 @@ class TestDistanceDistribution:
 
     def test_deterministic_per_seed(self, rng):
         g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=6)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
         a = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
         b = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
         c = estimate_distance_distribution(subs, "euclidean", 50, seed=4)
@@ -139,7 +139,7 @@ class TestDistanceDistribution:
 
     def test_sorted_ascending(self, rng):
         g = random_graph(rng, n=15)
-        subs = sample_all_subgraphs(g, k=5)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         dist = estimate_distance_distribution(subs, "manhattan", 64, seed=5)
         assert (np.diff(dist.values) >= 0).all()
 
@@ -163,7 +163,7 @@ class TestStackedDistanceEstimate:
         edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
         padded = graph_from_edges(13, edges, features=rng.standard_normal((13, 3)))
         for g, k in ((random_graph(rng, n=30), 8), (padded, 6)):
-            subs = sample_all_subgraphs(g, k=k)
+            subs = sample_all_subgraphs(g, k=k, teleport=0.15)
             total = len(per_subgraph_distance_distribution(subs, metric, 10 ** 9, 0).values)
             if g is padded:
                 assert total < len(subs) * k * (k - 1) // 2
@@ -172,7 +172,7 @@ class TestStackedDistanceEstimate:
                     self.assert_same(subs, metric, budget, seed)
 
     def test_more_chosen_pairs_than_a_block(self, rng):
-        subs = sample_all_subgraphs(random_graph(rng, n=200, p=0.05), k=8)
+        subs = sample_all_subgraphs(random_graph(rng, n=200, p=0.05), k=8, teleport=0.15)
         for budget in (augment.PAIR_BLOCK + 1, 10 ** 9):
             self.assert_same(subs, "euclidean", budget, 2)
 
@@ -261,14 +261,14 @@ class TestMirrorAugment:
 
     def test_gamma_zero_is_identity(self, rng):
         sub, sem = self._random_case(rng)
-        m = mirror_augment(sub, 0.0, sem)
+        m = mirror_augment(sub, 0.0, sem, "euclidean")
         assert np.array_equal(m.positive_adjacency, sub.adjacency)
         assert np.array_equal(m.negative_adjacency, sub.adjacency)
         assert logged(m.search, 0.0) == [[], []]
 
     def test_symmetric_zero_diagonal(self, rng):
         sub, sem = self._random_case(rng)
-        m = mirror_augment(sub, 1.5, sem)
+        m = mirror_augment(sub, 1.5, sem, "euclidean")
         for adj in (m.positive_adjacency, m.negative_adjacency):
             assert np.array_equal(adj, adj.T)
             assert adj.diagonal().sum() == 0
@@ -277,7 +277,7 @@ class TestMirrorAugment:
         for _ in range(5):
             sub, sem = self._random_case(rng)
             gamma = float(rng.uniform(0.3, 2.0))
-            m = mirror_augment(sub, gamma, sem)
+            m = mirror_augment(sub, gamma, sem, "euclidean")
             for polarity, adj in (("positive", m.positive_adjacency),
                                   ("negative", m.negative_adjacency)):
                 for a in range(sub.size):
@@ -289,7 +289,7 @@ class TestMirrorAugment:
     def test_replacement_records_satisfy_constraints(self, rng):
         sub, sem = self._random_case(rng, k=10)
         gamma = 1.2
-        pos_log, neg_log = logged(mirror_augment(sub, gamma, sem).search, gamma)
+        pos_log, neg_log = logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma)
         labels = sem.values[sub.parent_indices]
         assert pos_log   # loose sanity: something was replaced
         for r in pos_log:
@@ -303,7 +303,7 @@ class TestMirrorAugment:
     def test_monotone_reach(self, rng):
         sub, sem = self._random_case(rng, k=9)
         def replaced_pairs(gamma):
-            pos_log, neg_log = logged(mirror_augment(sub, gamma, sem).search, gamma)
+            pos_log, neg_log = logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma)
             return {(r.a, r.b) for r in pos_log}, {(r.a, r.b) for r in neg_log}
         lo_pos, lo_neg = replaced_pairs(0.6)
         hi_pos, hi_neg = replaced_pairs(1.4)
@@ -319,14 +319,14 @@ class TestMirrorAugment:
         adj[2, 3] = adj[3, 2] = 1.0
         sub = make_subgraph(features, adj)
         sem = semantics_of([0, 1, 0, 1, 2, 2])
-        m = mirror_augment(sub, gamma=0.5, semantics=sem)
+        m = mirror_augment(sub, gamma=0.5, semantics=sem, metric="euclidean")
         assert m.positive_adjacency[0, 1] == 1.0
         assert m.negative_adjacency[0, 1] == 0.0
 
     def test_padded_duplicates_not_paired(self):
         sub = make_subgraph([[0.0], [1.0], [0.0]], np.zeros((3, 3)), parents=[4, 7, 4])
         sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
-        pos_log, _ = logged(mirror_augment(sub, 100.0, sem).search, 100.0)
+        pos_log, _ = logged(mirror_augment(sub, 100.0, sem, "euclidean").search, 100.0)
         pairs = {(r.a, r.b) for r in pos_log}
         assert (0, 2) not in pairs   # same parent twice is not a pair
 
@@ -365,32 +365,32 @@ class TestMirrorSearch:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
     def test_all_metrics(self, rng, metric):
         g = random_graph(rng, n=30)
-        self.assert_matches_oracle(sample_all_subgraphs(g, k=6), semantic_assignment(g), metric)
+        self.assert_matches_oracle(sample_all_subgraphs(g, 6, 0.15), semantic_assignment(g), metric)
 
     def test_degree_bucket_semantics(self, rng):
         g = random_graph(rng, n=30, p=0.2)
         sem = semantic_assignment(g, "degree-bucket", n_buckets=3)
-        self.assert_matches_oracle(sample_all_subgraphs(g, k=7), sem)
+        self.assert_matches_oracle(sample_all_subgraphs(g, k=7, teleport=0.15), sem)
 
     def test_subgraphs_padded_with_repeated_centres(self, rng):
         edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
         g = graph_from_edges(13, edges, features=rng.standard_normal((13, 2)),
                              labels=rng.integers(0, 2, size=13))
-        subs = sample_all_subgraphs(g, k=6)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
         assert any(len(set(s.parent_indices.tolist())) < s.size for s in subs)
         self.assert_matches_oracle(subs, semantic_assignment(g))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_small_k(self, rng, k):
         g = random_graph(rng, n=20)
-        self.assert_matches_oracle(sample_all_subgraphs(g, k=k), semantic_assignment(g))
+        self.assert_matches_oracle(sample_all_subgraphs(g, k, 0.15), semantic_assignment(g))
 
     def test_duplicated_feature_rows_tie_exactly(self, rng):
         g = random_graph(rng, n=30, p=0.25, n_classes=2)
         g = graph_from_edges(30, zip(*np.nonzero(np.triu(g.adjacency.toarray(), 1))),
                              features=rng.integers(0, 2, size=(30, 2)).astype(float),
                              labels=g.labels)
-        self.assert_matches_oracle(sample_all_subgraphs(g, k=8), semantic_assignment(g))
+        self.assert_matches_oracle(sample_all_subgraphs(g, 8, 0.15), semantic_assignment(g))
 
 
 class TestOneSubgraphSearch:
@@ -399,7 +399,7 @@ class TestOneSubgraphSearch:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
     def test_mirror_augment_equals_the_search_row(self, rng, metric):
         g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=6)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
         sem = semantic_assignment(g)
         search = mirror_search(subs, sem, metric)
         for gamma in (0.0, 0.5, 1.0, 3.0):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from acgcl.curriculum import pacing_difficulty
 from acgcl.errors import ConfigError
 from acgcl.graph import load_dataset
 from acgcl.sampler import sample_all_subgraphs
+from conftest import run_python
 from oracles import per_pair_mirror_augment
 
 
@@ -262,17 +264,21 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: ")
         assert err[0].endswith(" is not in [0, 100]")
 
-    @pytest.mark.parametrize("flag, key", [
-        ("--noise", "feature_noise"), ("--center-scale", "center_scale"),
-    ], ids=["noise", "center-scale"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_gen_sbm_non_finite_feature_setting_fails_before_writing(self, tmp_path, capsys,
-                                                                     flag, key, value):
+    @pytest.mark.parametrize("settings, key", [
+        *[([f"--{flag}={value}"], key) for value in ("nan", "inf", "-inf")
+          for flag, key in (("noise", "feature_noise"), ("center-scale", "center_scale"))],
+        (["--center-scale=1e308", "--noise=1e308"], "center_scale/feature_noise"),
+    ], ids=[*(f"{value}-{flag}" for value in ("nan", "inf", "-inf")
+              for flag in ("noise", "center-scale")), "overflow"])
+    def test_gen_sbm_non_finite_feature_setting_fails_before_writing(self, tmp_path, settings,
+                                                                     key):
+        """In a fresh process, so that a numpy warning counts as a line."""
         out = tmp_path / "data"
-        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.01",
-                     f"{flag}={value}", "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: ")
+        done = run_python("-m", "acgcl.cli", "gen-sbm", "--blocks", "20,20", "--p-intra", "0.3",
+                          "--p-inter", "0.01", *settings, "--out", str(out))
+        err = done.stderr.splitlines()
+        assert done.returncode == 1
+        assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: "), err
         assert not out.exists()
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "degree-bucket"])
@@ -459,6 +465,33 @@ class TestMalformedSplits:
         assert code == 1
         assert len(err) == 1 and re.match(r"\w+Error: \S", err[0]), err
         assert "splits.json" in err[0] and reason in err[0]
+
+
+class TestOneValuePerSetting:
+    """A run setting takes its value from TrainConfig or SbmConfig alone. A
+    library default restating it would give a caller who leaves the argument
+    out a second copy; ``semantic_assignment``'s kind and buckets are the one
+    exception, which the benchmark's own test relies on."""
+
+    @pytest.mark.parametrize("module, function, parameter", [
+        ("sampler", "compute_ppr_scores", "teleport"),
+        ("sampler", "sample_all_subgraphs", "teleport"),
+        ("augment", "pairwise_distances", "metric"),
+        ("augment", "mirror_search", "metric"),
+        ("augment", "mirror_augment", "metric"),
+        ("encoder", "init_gcn_params", "n_layers"),
+        ("encoder", "init_gcn_params", "seed"),
+        ("graph", "make_splits", "train_frac"),
+        ("graph", "make_splits", "val_frac"),
+        ("losses", "weighted_total_loss", "normalize"),
+        ("trainer", "evaluate_probe", "iters"),
+        ("trainer", "evaluate_probe", "l2"),
+        ("trainer", "evaluate_probe", "lr"),
+    ])
+    def test_library_parameter_has_no_default(self, module, function, parameter):
+        signature = inspect.signature(getattr(getattr(acgcl, module), function))
+        assert signature.parameters[parameter].default is inspect.Parameter.empty
+        assert not hasattr(acgcl.sampler, "DEFAULT_TELEPORT")
 
 
 def test_cli_import_leaves_lapack_unloaded():

@@ -36,7 +36,7 @@ class TestSymNormalizedAdjacency:
         padded = graph_from_edges(9, [(0, 1), (1, 2), (3, 4)])   # nodes 5-8 isolated
         for graph, k in ((random_graph(rng, n=40), 1), (random_graph(rng, n=40), 6),
                          (padded, 4), (padded, 1)):
-            subgraphs = sample_all_subgraphs(graph, k)
+            subgraphs = sample_all_subgraphs(graph, k, 0.15)
             if graph is padded and k > 1:
                 assert subgraphs[0].parent_indices.tolist() == [0, 1, 2, 0]   # center-padded
             stack = np.stack([s.adjacency for s in subgraphs])
@@ -84,7 +84,7 @@ class TestGcnForward:
 
     def test_batched_matches_per_subgraph(self, rng):
         g = random_graph(rng, n=18)
-        subs = sample_all_subgraphs(g, k=5)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 6, n_layers=2, seed=1)
         a_hat = np.stack([sym_normalized_adjacency(s.adjacency) for s in subs])
         feats = np.concatenate([s.features for s in subs])
@@ -134,8 +134,8 @@ class TestEncodeTriple:
 
     def test_identity_augmentation_identical_embeddings(self, rng):
         g = random_graph(rng, n=12)
-        subs = sample_all_subgraphs(g, k=4)
-        params = init_gcn_params(g.feature_dim, 3, seed=0)
+        subs = sample_all_subgraphs(g, k=4, teleport=0.15)
+        params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
         views = encoded_views(subs)
         original, positive, negative = self.encode(
             params, subs, views, *mirror_views(self.identity_adjacencies(subs)))
@@ -144,8 +144,8 @@ class TestEncodeTriple:
 
     def test_negative_perturbation_leaves_others(self, rng):
         g = random_graph(rng, n=12)
-        subs = sample_all_subgraphs(g, k=4)
-        params = init_gcn_params(g.feature_dim, 3, seed=0)
+        subs = sample_all_subgraphs(g, k=4, teleport=0.15)
+        params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
         views = encoded_views(subs)
         adjacencies = self.identity_adjacencies(subs)
         perturbed = adjacencies.copy()
@@ -158,11 +158,11 @@ class TestEncodeTriple:
 
     def test_shapes(self, rng):
         g = random_graph(rng, n=10)
-        subs = sample_all_subgraphs(g, k=5)
-        params = init_gcn_params(g.feature_dim, 7, seed=3)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
+        params = init_gcn_params(g.feature_dim, 7, n_layers=1, seed=3)
         sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
         views = encoded_views(subs)
-        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.5))
+        pos, neg = mirror_views(mirror_search(subs, sem, "euclidean").adjacencies(0.5))
         for emb in self.encode(params, subs, views, pos, neg):
             assert emb.shape == (10 * 5, 7)
 

@@ -94,7 +94,7 @@ class TestRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, rng):
         g = generate_sbm(SbmConfig(block_sizes=(7, 5), p_intra=0.6, p_inter=0.2,
                                    feature_dim=3, feature_noise=1.3), seed=9)
-        g = with_splits(g, make_splits(g, seed=9))
+        g = with_splits(g, make_splits(g, seed=9, train_frac=0.3, val_frac=0.2))
         save_dataset(g, tmp_path)
         back = load_dataset(tmp_path)
         assert (g.adjacency != back.adjacency).nnz == 0

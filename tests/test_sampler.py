@@ -128,7 +128,7 @@ class TestCholeskyMatchesSolve:
         with pytest.raises(ShapeError, match="symmetric"):
             compute_ppr_scores(g, 0.15)
         with pytest.raises(ShapeError):
-            sample_all_subgraphs(g, k=2)
+            sample_all_subgraphs(g, k=2, teleport=0.15)
 
 
 class TestTopRank:
@@ -232,7 +232,7 @@ class TestBlockRanking:
     def test_large_graph_through_sampler(self, rng):
         g = random_graph(rng, n=2100, p=3.0 / 2100, dim=1)
         matrix = compute_ppr_scores(g, 0.15)
-        subs = sample_all_subgraphs(g, k=8)
+        subs = sample_all_subgraphs(g, k=8, teleport=0.15)
         parents = np.stack([s.parent_indices for s in subs])
         assert np.array_equal(parents, oracle_indices(matrix, 8))
 
@@ -269,25 +269,25 @@ class TestSampleAllSubgraphs:
     def test_block_purity_with_disconnected_blocks(self):
         g = generate_sbm(SbmConfig(block_sizes=(30, 30), p_intra=0.4, p_inter=0.0,
                                    feature_dim=2), seed=2)
-        for sub in sample_all_subgraphs(g, k=6):
+        for sub in sample_all_subgraphs(g, k=6, teleport=0.15):
             blocks = g.labels[sub.parent_indices]
             assert (blocks == blocks[0]).all()
 
     def test_k_one_singletons(self, rng):
         g = random_graph(rng, n=10)
-        subs = sample_all_subgraphs(g, k=1)
+        subs = sample_all_subgraphs(g, k=1, teleport=0.15)
         assert all(s.parent_indices.tolist() == [i] for i, s in enumerate(subs))
 
     def test_padding_on_small_components(self):
         g = graph_from_edges(4, [(0, 1)])   # nodes 2, 3 isolated
-        subs = sample_all_subgraphs(g, k=3)
+        subs = sample_all_subgraphs(g, k=3, teleport=0.15)
         assert subs[2].parent_indices.tolist() == [2, 2, 2]
         assert subs[0].parent_indices.tolist()[:2] == [0, 1]
         assert len(subs[0].parent_indices) == 3
 
     def test_shapes_and_symmetry(self, rng):
         g = random_graph(rng, n=20)
-        for sub in sample_all_subgraphs(g, k=5):
+        for sub in sample_all_subgraphs(g, k=5, teleport=0.15):
             assert sub.size == 5
             assert np.array_equal(sub.adjacency, sub.adjacency.T)
 
@@ -296,8 +296,8 @@ class TestSampleAllSubgraphs:
         # Padded subgraphs, isolated nodes and an edgeless graph included.
         for g in (random_graph(rng, n=30), graph_from_edges(10, edges)):
             for k in (1, 4, 12):
-                subs = sample_all_subgraphs(g, k=k)
-                indices = top_k_indices(compute_ppr_scores(g), k)
+                subs = sample_all_subgraphs(g, k=k, teleport=0.15)
+                indices = top_k_indices(compute_ppr_scores(g, 0.15), k)
                 for sub, ids in zip(subs, indices, strict=True):
                     want = extract_subgraph(g, ids)
                     for name in ("parent_indices", "features", "adjacency"):
@@ -306,8 +306,8 @@ class TestSampleAllSubgraphs:
 
     def test_deterministic(self, rng):
         g = random_graph(rng, n=15)
-        a = sample_all_subgraphs(g, k=4)
-        b = sample_all_subgraphs(g, k=4)
+        a = sample_all_subgraphs(g, k=4, teleport=0.15)
+        b = sample_all_subgraphs(g, k=4, teleport=0.15)
         assert all(np.array_equal(x.parent_indices, y.parent_indices) for x, y in zip(a, b))
 
 
@@ -317,7 +317,7 @@ class TestSubgraphSet:
 
     def test_sequence_access(self, rng):
         g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=5)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         assert isinstance(subs, SubgraphSet) and len(subs) == 20
         listed = list(subs)
         assert len(listed) == 20 and all(isinstance(s, Subgraph) for s in listed)
@@ -332,7 +332,7 @@ class TestSubgraphSet:
 
     def test_slices_are_sets(self, rng):
         g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=5)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         part = subs[3:9]
         assert isinstance(part, SubgraphSet) and len(part) == 6
         for name in ("parent_indices", "features", "adjacency"):
@@ -341,7 +341,7 @@ class TestSubgraphSet:
         assert len(subs[18:40]) == 2 and len(subs[5:5]) == 0
 
     def test_bad_indices(self, rng):
-        subs = sample_all_subgraphs(random_graph(rng, n=10), k=3)
+        subs = sample_all_subgraphs(random_graph(rng, n=10), k=3, teleport=0.15)
         with pytest.raises(IndexError):
             subs[10]
         with pytest.raises(TypeError):

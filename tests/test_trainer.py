@@ -23,7 +23,7 @@ from oracles import per_pair_mirror_augment
 def small_graph(seed=0, n_per_block=25, p_intra=0.25, p_inter=0.02, noise=0.5):
     g = generate_sbm(SbmConfig(block_sizes=(n_per_block, n_per_block), p_intra=p_intra,
                                p_inter=p_inter, feature_dim=4, feature_noise=noise), seed=seed)
-    return with_splits(g, make_splits(g, seed))
+    return with_splits(g, make_splits(g, seed, TrainConfig.split_train, TrainConfig.split_val))
 
 
 def small_config(seed=0, **kw):
@@ -74,7 +74,7 @@ class TestProbe:
         emb = np.where(labels[:, None] == 0, -3.0, 3.0) + 0.1 * rng.standard_normal((n, 2))
         splits = Splits(train=np.arange(0, n, 2), val=np.arange(1, n, 4),
                         test=np.arange(3, n, 4))
-        assert evaluate_probe(emb, labels, splits)["test"] == 1.0
+        assert evaluate_probe(emb, labels, splits, 500, 1e-4, 0.5)["test"] == 1.0
 
     def test_random_labels_chance_level(self, rng):
         n = 600
@@ -82,7 +82,7 @@ class TestProbe:
         labels = rng.integers(0, 2, size=n)
         idx = rng.permutation(n)
         splits = Splits(train=idx[:300], val=idx[300:400], test=idx[400:])
-        acc = evaluate_probe(emb, labels, splits)["test"]
+        acc = evaluate_probe(emb, labels, splits, 500, 1e-4, 0.5)["test"]
         assert abs(acc - 0.5) < 0.1
 
     def test_constant_embeddings_majority_class(self):
@@ -90,12 +90,12 @@ class TestProbe:
         emb = np.ones((10, 3))
         splits = Splits(train=np.arange(0, 6), val=np.arange(6, 8), test=np.arange(8, 10))
         # train majority is class 0; test split is [0, 0] -> accuracy 1.0
-        assert evaluate_probe(emb, labels, splits)["test"] == 1.0
+        assert evaluate_probe(emb, labels, splits, 500, 1e-4, 0.5)["test"] == 1.0
 
     def test_requires_labels(self):
         splits = Splits(train=np.array([0]), val=np.array([1]), test=np.array([1]))
         with pytest.raises(ContractError):
-            evaluate_probe(np.ones((2, 2)), None, splits)
+            evaluate_probe(np.ones((2, 2)), None, splits, 500, 1e-4, 0.5)
 
 
 class TestTrainLoop:
@@ -243,7 +243,7 @@ class TestTrainLoop:
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 0)
         params.weights[0].value = np.full_like(params.weights[0].value, np.nan)
         views = encoded_views(subs)
-        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.5))
+        pos, neg = mirror_views(mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.5))
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(10)
         with pytest.raises(TrainingDiverged, match="batch"):
@@ -258,7 +258,8 @@ class TestDegeneratePipeline:
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         sem = semantic_assignment(g, "label")
         views = encoded_views(subs)
-        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.0))   # identity mirrors
+        identity = mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.0)
+        pos, neg = mirror_views(identity)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(20)
@@ -272,7 +273,7 @@ class TestDegeneratePipeline:
 class TestDifficultyCurve:
     def test_matches_per_theta_oracle_loop(self):
         g = small_graph(seed=3)
-        subs = sample_all_subgraphs(g, 6)
+        subs = sample_all_subgraphs(g, 6, 0.15)
         sem = semantic_assignment(g, "label")
         dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
         params = init_gcn_params(g.feature_dim, 8, 2, 3)
