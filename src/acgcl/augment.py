@@ -16,8 +16,8 @@ in c and d, so an exact scan finds it in O(k) per pair and O(k^3) per
 subgraph, with the same first row-major (c, d) on ties as the O(k^2) sweep
 of every (c, d). Each new gamma then costs one threshold over the stored
 sums (``MirrorSearch.adjacencies``). The search and the distance estimate
-read the stacked arrays of a ``SubgraphSet``; ``mirror_augment`` searches
-one ``Subgraph``.
+read a ``SubgraphSet`` and gather feature rows per block; ``mirror_augment``
+searches one ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
     if sample_budget < total:
         chosen = np.sort(rng.choice(total, size=sample_budget, replace=False))
         owner, pair = owner[chosen], pair[chosen]
-    x = subgraphs.features
+    x, a, b = subgraphs.node_features, parents[owner, iu[pair]], parents[owner, iv[pair]]
     values = np.empty(len(owner))
     for start in range(0, len(owner), PAIR_BLOCK):
-        g, p = owner[start:start + PAIR_BLOCK], pair[start:start + PAIR_BLOCK]
-        values[start:start + PAIR_BLOCK] = distance(x[g, iu[p]], x[g, iv[p]], metric)
+        block = slice(start, start + PAIR_BLOCK)
+        values[block] = distance(x[a[block]], x[b[block]], metric)
     values.sort()
     return DistanceDistribution(values=values)
 
@@ -209,8 +209,8 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     step = max(1, PAIR_BLOCK // max(1, k * (k - 1) // 2))
     upper = np.triu(np.ones((k, k), dtype=bool), 1)
     for start in range(0, n, step):
-        dmat = pairwise_distances(subgraphs.features[start:start + step], metric)
         parents = subgraphs.parent_indices[start:start + step]
+        dmat = pairwise_distances(subgraphs.node_features[parents], metric)
         labels = semantics.values[parents]
         pairs = upper & (parents[:, :, None] != parents[:, None, :])
         pair_counts[start:start + len(parents)] = pairs.sum(axis=(1, 2))
@@ -266,8 +266,8 @@ def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignme
                    metric: str) -> MirrorGraphs:
     """Positive and negative mirror adjacencies of one subgraph at gamma, and
     the search they came from; features are untouched."""
-    one = SubgraphSet(subgraph.parent_indices[None], subgraph.features[None],
-                      subgraph.adjacency[None])
+    one = SubgraphSet(subgraph.parent_indices[None], subgraph.adjacency[None],
+                      subgraph.node_features)
     search = mirror_search(one, semantics, metric)
     (positive,), (negative,) = search.adjacencies(gamma)
     return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, search=search)

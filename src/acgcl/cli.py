@@ -175,6 +175,8 @@ def _cmd_gen_sbm(args) -> int:
         blocks = tuple(int(v) for v in args.blocks.split(",") if v.strip())
     except ValueError:
         raise ConfigError(f"blocks: cannot parse {args.blocks!r}") from None
+    if args.seed < 0:
+        raise ConfigError("seed: must be >= 0")
     sbm = SbmConfig(
         block_sizes=blocks,
         p_intra=args.p_intra,

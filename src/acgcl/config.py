@@ -91,14 +91,15 @@ class TrainConfig:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (shuffled negatives need two summaries)")
-        if self.patience < 0:
-            raise ConfigError("patience: must be >= 0")
+        non_negative = ("seed", "patience", "probe_l2", "alpha", "beta", "xi", "epsilon_margin",
+                        "sinkhorn_tol")
+        for name in non_negative:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate: must be positive")
         if self.probe_lr <= 0:
             raise ConfigError("probe_lr: must be positive")
-        if self.probe_l2 < 0:
-            raise ConfigError("probe_l2: must be >= 0")
         if not (0.0 < self.teleport < 1.0):
             raise ConfigError("teleport: must be in (0, 1)")
         if self.gcn_layers not in (1, 2):
@@ -117,13 +118,8 @@ class TrainConfig:
             raise ConfigError("eta1: must be > 1")
         if not (0.0 < self.eta2 < 1.0):
             raise ConfigError("eta2: must be in (0, 1)")
-        for name in ("alpha", "beta", "xi", "epsilon_margin"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be >= 0")
         if self.sinkhorn_reg is not None and self.sinkhorn_reg <= 0:
             raise ConfigError("sinkhorn_reg: must be positive (or auto)")
-        if self.sinkhorn_tol < 0:
-            raise ConfigError("sinkhorn_tol: must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

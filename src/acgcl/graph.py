@@ -12,8 +12,8 @@ File formats (one directory per dataset):
 * ``features.csv``: one node per row, comma-separated reals; row count
   defines the number of nodes. An empty field (``1.0,,2.0`` or a trailing
   comma) is rejected, not skipped.
-* ``labels.csv``  : optional, ``node_id,label`` with integer labels covering
-  every node exactly once.
+* ``labels.csv``  : optional, ``node_id,label`` with integer labels in
+  [0, n_nodes) covering every node exactly once.
 * ``splits.json`` : optional, ``{"train": [...], "val": [...], "test": [...]}``.
 
 A :class:`Graph` is a frozen dataclass; ``with_splits`` returns a new graph
@@ -195,8 +195,8 @@ def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
             raise IndexError(f"{where}: node id {node} out of range [0, {n_nodes})")
         if labels[node] != -1:
             raise GraphParseError(f"{where}: duplicate label for node {node}")
-        if label < 0:
-            raise GraphParseError(f"{where}: negative label")
+        if not 0 <= label < n_nodes:
+            raise GraphParseError(f"{where}: label {label} out of range [0, {n_nodes})")
         labels[node] = label
     missing = np.flatnonzero(labels == -1)
     if missing.size:

@@ -12,9 +12,9 @@ the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
 ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
 costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
-``SubgraphSet`` of (n, k) ids, (n, k, dim) features and (n, k, k) induced
-adjacencies, gathered in one pass with O(n k^2) memory; the pipeline reads
-these arrays directly. ``extract_subgraph`` gives one ``Subgraph``.
+``SubgraphSet`` of (n, k) ids and (n, k, k) induced adjacencies, built in one
+pass with O(n k^2) memory; its readers gather feature rows by parent id from
+the graph's own matrix. ``extract_subgraph`` gives one ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are
 @dataclass(frozen=True)
 class Subgraph:
     parent_indices: np.ndarray   # (k,) parent node ids, center first
-    features: np.ndarray         # (k, dim)
     adjacency: np.ndarray        # (k, k) dense 0/1
+    node_features: np.ndarray    # (n_nodes, dim) the graph's own matrix, shared
 
     @property
     def size(self) -> int:
@@ -46,18 +46,18 @@ class Subgraph:
 
 @dataclass(frozen=True)
 class SubgraphSet:
-    """n subgraphs of one size k, stacked: subgraph i is row i of each array.
-    An int index, and iteration, give a ``Subgraph``; a slice, a ``SubgraphSet``."""
+    """n subgraphs of one size k, stacked: subgraph i is row i of the ids and
+    adjacencies. An int index, and iteration, give a ``Subgraph``; a slice, a ``SubgraphSet``."""
     parent_indices: np.ndarray   # (n, k) parent node ids, centers first
-    features: np.ndarray         # (n, k, dim)
     adjacency: np.ndarray        # (n, k, k) dense 0/1
+    node_features: np.ndarray    # (n_nodes, dim) the graph's own matrix, shared
 
     def __len__(self) -> int:
         return len(self.parent_indices)
 
     def __getitem__(self, index):
         rows = index if isinstance(index, slice) else operator.index(index)
-        parts = (self.parent_indices[rows], self.features[rows], self.adjacency[rows])
+        parts = (self.parent_indices[rows], self.adjacency[rows], self.node_features)
         return SubgraphSet(*parts) if isinstance(index, slice) else Subgraph(*parts)
 
 
@@ -155,8 +155,8 @@ def _smallest_first(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
-    """Induced feature and adjacency restriction, in index order
-    (repeated indices duplicate their rows)."""
+    """Induced adjacency restriction, in index order (repeated indices
+    duplicate their rows), over the graph's own feature matrix."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise SizeError("indices must be non-empty")
@@ -165,8 +165,8 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
     sub_adj = graph.adjacency[indices, :][:, indices].toarray()
     return Subgraph(
         parent_indices=indices,
-        features=graph.features[indices],
         adjacency=np.asarray(sub_adj, dtype=np.float64),
+        node_features=graph.features,
     )
 
 
@@ -190,5 +190,5 @@ def sample_all_subgraphs(graph: Graph, k: int, teleport: float) -> SubgraphSet:
     wanted = indices[:, :, None] * n + indices[:, None, :]
     at = np.searchsorted(keys, wanted)
     adjacency = np.where(keys[at] == wanted, values[at], 0.0)
-    return SubgraphSet(parent_indices=indices, features=graph.features[indices],
-                       adjacency=adjacency)
+    return SubgraphSet(parent_indices=indices, adjacency=adjacency,
+                       node_features=graph.features)

@@ -12,8 +12,8 @@ updates. Thresholds are initialized from the first step's observed losses
 each epoch and widen every step. Patience decrements whenever validation
 accuracy fails to improve; it never resets.
 
-The encoder reads the run's ``SubgraphSet`` arrays. A subgraph's three views
-differ only in their normalized adjacency, so a step gathers features once.
+Each step gathers its batch's feature rows once, by parent id, from the
+graph's own matrix: a subgraph's three views differ only in their adjacency.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # Batched encoding helpers
 
 def encoded_views(subgraphs: SubgraphSet) -> np.ndarray:
-    """(n, k, k) normalized adjacencies: with ``subgraphs.features``, the
-    constant inputs of the batched forward pass."""
+    """(n, k, k) normalized adjacencies: with the feature rows gathered by
+    ``subgraphs.parent_indices``, the constant inputs of the forward pass."""
     return sym_normalized_adjacency(subgraphs.adjacency)
 
 
@@ -110,9 +110,9 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
     blocks = []
     for start in range(0, len(subgraphs), EMBED_BLOCK):
         block = subgraphs[start:start + EMBED_BLOCK]
-        b, k = block.parent_indices.shape
-        h = gcn_forward_batched(params, encoded_views(block), block.features.reshape(b * k, -1))
-        blocks.append(h.value[np.arange(b) * k])
+        ids = block.parent_indices
+        h = gcn_forward_batched(params, encoded_views(block), block.node_features[ids.ravel()])
+        blocks.append(h.value[::ids.shape[1]])          # center rows
     return np.concatenate(blocks)
 
 
@@ -196,14 +196,14 @@ def _window(thresholds: AclThresholds | None) -> dict:
 # ---------------------------------------------------------------------------
 # Training
 
-def run_inner_step(params: GcnParams, opt: OptimizerState, features: np.ndarray,
+def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSet,
                    a_hat: np.ndarray, pos_hat: np.ndarray, neg_hat: np.ndarray,
                    ids: np.ndarray, config: TrainConfig, thresholds: AclThresholds | None,
                    shuffle_rng: np.random.Generator, balance_rng: np.random.Generator,
                    init_thresholds_from_losses: bool = False,
                    ) -> tuple[dict, OptimizerState, AclThresholds | None]:
     """One reweighted gradient step on a batch of subgraph ids; the three
-    (n, k, k) normalized adjacencies share the (n, k, dim) ``features``.
+    (n, k, k) normalized adjacencies share the batch's gathered feature rows.
     Returns the step's loss, weight and Sinkhorn fields of ``metrics.jsonl``;
     the Sinkhorn ones are the larger of the step's two balance solves.
 
@@ -212,7 +212,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, features: np.ndarray,
     """
     b, k = len(ids), a_hat.shape[1]
 
-    feats = features[ids].reshape(b * k, -1)
+    feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
     h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats)
                        for a in (a_hat, pos_hat, neg_hat))
 
@@ -341,7 +341,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                 shuffle_rng = rng_for(config.seed, ROLE_SHUFFLE, epoch, step)
                 balance_rng = rng_for(config.seed, ROLE_BALANCE, epoch, step)
                 fields, opt, thresholds = run_inner_step(
-                    params, opt, subgraphs.features, a_hat, pos_hat, neg_hat, ids, config,
+                    params, opt, subgraphs, a_hat, pos_hat, neg_hat, ids, config,
                     thresholds, shuffle_rng, balance_rng,
                     init_thresholds_from_losses=(step == 0))
                 steps.append(fields)
@@ -384,7 +384,7 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
     ``search`` is the ``mirror_search`` of ``subgraphs``."""
     a_hat = encoded_views(subgraphs)
     n, k = a_hat.shape[:2]
-    feats = subgraphs.features.reshape(n * k, -1)
+    feats = subgraphs.node_features[subgraphs.parent_indices].reshape(n * k, -1)
     h = gcn_forward_batched(params, a_hat, feats)
     rows = []
     for theta in theta_grid:

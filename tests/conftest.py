@@ -42,9 +42,12 @@ def graph_from_edges(n, edges, features=None, labels=None):
 
 
 def stack_subgraphs(subgraphs):
-    """A ``SubgraphSet`` of equal-size ``Subgraph`` objects, in order."""
+    """A ``SubgraphSet`` of equal-size ``Subgraph`` objects over one node
+    feature matrix, in order."""
+    node_features = subgraphs[0].node_features
+    assert all(s.node_features is node_features for s in subgraphs)
     return SubgraphSet(*(np.stack([getattr(s, name) for s in subgraphs])
-                         for name in ("parent_indices", "features", "adjacency")))
+                         for name in ("parent_indices", "adjacency")), node_features)
 
 
 def random_graph(rng, n, p=0.15, dim=4, n_classes=3, min_degree_ring=True):

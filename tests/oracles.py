@@ -118,7 +118,7 @@ def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: SemanticAssignm
     if polarity not in ("positive", "negative"):
         raise ValueError("polarity must be 'positive' or 'negative'")
     if dmat is None:
-        dmat = pairwise_distances(subgraph.features, metric)
+        dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices], metric)
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
 
     sums = dmat[:, a][:, None] + dmat[:, b][None, :]
@@ -170,7 +170,7 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssign
     thresholded adjacencies and ``MirrorSearch.replacements``."""
     k = subgraph.size
     adj = subgraph.adjacency
-    dmat = pairwise_distances(subgraph.features, metric)
+    dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices], metric)
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
     excluded_by = parents[:, None] == parents[None, :]   # excluded_by[a, c]
 
@@ -223,7 +223,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     argmin = np.zeros((2, n, k, k), dtype=np.int64)
     pair_counts = np.zeros(n, dtype=np.int64)
     for i, sub in enumerate(subgraphs):
-        dmat = pairwise_distances(sub.features, metric)
+        dmat = pairwise_distances(sub.node_features[sub.parent_indices], metric)
         parents = sub.parent_indices
         labels = semantics.values[parents]
         parent_neq = parents[:, None] != parents[None, :]
@@ -561,8 +561,8 @@ def per_subgraph_distance_distribution(subgraphs, metric, sample_budget, seed):
     for sg in np.unique(owner):
         sel = chosen[owner == sg] - offsets[sg]
         iu, iv = pair_lists[sg]
-        xa = subgraphs[sg].features[iu[sel]]
-        xb = subgraphs[sg].features[iv[sel]]
+        xa = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iu[sel]]
+        xb = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iv[sel]]
         values[owner == sg] = distance(xa, xb, metric)
     values.sort()
     return DistanceDistribution(values=values)

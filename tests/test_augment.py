@@ -24,13 +24,17 @@ def logged(search, gamma, i=0):
 
 
 def make_subgraph(features, adjacency, parents=None):
+    """A Subgraph whose node feature matrix holds row ``features[i]`` at
+    parent id ``parents[i]`` (default i); a repeated parent repeats its row."""
     features = np.asarray(features, dtype=float)
     k = len(features)
-    if parents is None:
-        parents = np.arange(k, dtype=np.int64)
-    return Subgraph(parent_indices=np.asarray(parents, dtype=np.int64),
-                    features=features,
-                    adjacency=np.asarray(adjacency, dtype=float))
+    parents = np.asarray(np.arange(k) if parents is None else parents, dtype=np.int64)
+    node_features = np.zeros((parents.max() + 1, features.shape[1]))
+    node_features[parents] = features
+    assert np.array_equal(node_features[parents], features)
+    return Subgraph(parent_indices=parents,
+                    adjacency=np.asarray(adjacency, dtype=float),
+                    node_features=node_features)
 
 
 def semantics_of(values):
@@ -117,10 +121,11 @@ class TestDistanceDistribution:
         dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=1)
         expected = []
         for sub in subs:
+            x = sub.node_features[sub.parent_indices]
             for i in range(sub.size):
                 for j in range(i + 1, sub.size):
                     if sub.parent_indices[i] != sub.parent_indices[j]:
-                        expected.append(np.linalg.norm(sub.features[i] - sub.features[j]))
+                        expected.append(np.linalg.norm(x[i] - x[j]))
         assert np.allclose(dist.values, np.sort(expected))
 
     def test_deterministic_per_seed(self, rng):
@@ -178,14 +183,15 @@ class TestStackedDistanceEstimate:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_single_pair_and_zero_vectors(self, metric):
-        single = make_subgraph([[0.0, 0.0], [3.0, 4.0]], np.eye(2)[::-1])
-        zeros = make_subgraph([[0.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)), parents=[1, 2])
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
+        single = Subgraph(np.array([0, 1]), np.eye(2)[::-1], x)
+        zeros = Subgraph(np.array([2, 3]), np.zeros((2, 2)), x)
         for subs in (stack_subgraphs([single]), stack_subgraphs([single, zeros])):
             for budget in (1, 2, 3):
                 self.assert_same(subs, metric, budget, 0)
 
     def test_no_distinct_pair_raises_in_both(self):
-        subs = stack_subgraphs([make_subgraph([[0.0], [1.0]], np.zeros((2, 2)), parents=[3, 3])])
+        subs = stack_subgraphs([make_subgraph([[1.0], [1.0]], np.zeros((2, 2)), parents=[3, 3])])
         for estimate in (estimate_distance_distribution, per_subgraph_distance_distribution):
             with pytest.raises(EmptyDistributionError):
                 estimate(subs, "euclidean", 10, 0)
@@ -228,7 +234,8 @@ class TestFindMirrorPair:
     def test_negative_matches_exhaustive(self):
         got = find_mirror_pair(FOUR_NODE, (0, 1), gamma=10.0, semantics=FOUR_LABELS,
                                polarity="negative")
-        expected = exhaustive_mirror_pair(FOUR_NODE.features, FOUR_NODE.parent_indices,
+        expected = exhaustive_mirror_pair(FOUR_NODE.node_features[FOUR_NODE.parent_indices],
+                                          FOUR_NODE.parent_indices,
                                           FOUR_LABELS.values, 0, 1, 10.0, "euclidean",
                                           "negative")
         assert got == expected == (2, 3)
@@ -244,8 +251,8 @@ class TestFindMirrorPair:
         sem = semantics_of(labels)
         a, b = 0, 1
         got = find_mirror_pair(sub, (a, b), gamma, sem, "euclidean", polarity)
-        want = exhaustive_mirror_pair(sub.features, sub.parent_indices, labels,
-                                      a, b, gamma, "euclidean", polarity)
+        want = exhaustive_mirror_pair(sub.node_features[sub.parent_indices], sub.parent_indices,
+                                      labels, a, b, gamma, "euclidean", polarity)
         assert got == want
 
 
@@ -425,16 +432,16 @@ class TestSeparableScan:
     def test_tables_match_chunked_search(self, seed, metric, k, exponent):
         rng = np.random.default_rng(seed)
         n_parents = int(rng.integers(2, 2 * k + 1))
+        rows = rng.integers(-2, 3, size=(int(rng.integers(1, k + 1)), 2))
+        features = rows[rng.integers(0, len(rows), size=n_parents)] * 10.0 ** exponent
         subs = []
         for _ in range(3):
             parents = rng.integers(0, n_parents, size=k)
             padded = int(rng.integers(0, k))
             if padded:
                 parents[k - padded:] = parents[0]      # centre padding
-            rows = rng.integers(-2, 3, size=(int(rng.integers(1, k + 1)), 2))
-            features = rows[rng.integers(0, len(rows), size=k)] * 10.0 ** exponent
             adjacency = np.triu((rng.random((k, k)) < 0.5).astype(float), 1)
-            subs.append(make_subgraph(features, adjacency + adjacency.T, parents))
+            subs.append(Subgraph(parents, adjacency + adjacency.T, features))
         sem = semantics_of(rng.integers(0, 2, size=n_parents))
         subs = stack_subgraphs(subs)
         assert_same_tables(mirror_search(subs, sem, metric), chunked_mirror_search(subs, sem, metric))

@@ -47,7 +47,7 @@ class TestParseConfig:
                            ("distance_metric", "foo"), ("split_train", "2.0"),
                            ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
                            ("probe_lr", "nan"), ("improvement_tol", "nan"), ("eta1", "nan"),
-                           ("learning_rate", "inf")):
+                           ("learning_rate", "inf"), ("seed", "-3")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 parse_config(path)
@@ -279,6 +279,13 @@ class TestCli:
         err = done.stderr.splitlines()
         assert done.returncode == 1
         assert len(err) == 1 and err[0].startswith(f"ConfigError: {key}: "), err
+        assert not out.exists()
+
+    def test_gen_sbm_negative_seed_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.01",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["ConfigError: seed: must be >= 0"]
         assert not out.exists()
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "degree-bucket"])

@@ -87,10 +87,10 @@ class TestGcnForward:
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 6, n_layers=2, seed=1)
         a_hat = np.stack([sym_normalized_adjacency(s.adjacency) for s in subs])
-        feats = np.concatenate([s.features for s in subs])
+        feats = np.concatenate([s.node_features[s.parent_indices] for s in subs])
         batched = gcn_forward_batched(params, a_hat, feats).value
         for i, sub in enumerate(subs):
-            single = gcn_forward(params, sub.adjacency, sub.features).value
+            single = gcn_forward(params, sub.adjacency, sub.node_features[sub.parent_indices]).value
             assert np.allclose(batched[5 * i:5 * (i + 1)], single, atol=1e-12)
 
     def test_first_layer_propagation_is_a_constant(self, rng):
@@ -125,7 +125,7 @@ class TestEncodeTriple:
 
     @staticmethod
     def encode(params, subs, views, pos, neg):
-        feats = subs.features.reshape(-1, subs.features.shape[-1])
+        feats = subs.node_features[subs.parent_indices].reshape(-1, subs.node_features.shape[-1])
         return tuple(gcn_forward_batched(params, a, feats).value for a in (views, pos, neg))
 
     @staticmethod

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acgcl.cli import main
 from acgcl.errors import ConfigError, GraphParseError, ShapeError
 from acgcl.graph import (SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                          make_splits, save_dataset, validate_graph, with_splits)
@@ -88,6 +89,33 @@ class TestLoadGraph:
         e, f, l = write_dataset(tmp_path, "", "1\n2\n", "0,1\n0,2\n")
         with pytest.raises(GraphParseError, match="duplicate"):
             load_graph(e, f, l)
+
+    @pytest.mark.parametrize("label", ["-1", "2", "1000000000", "99999999999999999999"])
+    def test_label_outside_node_range_rejected(self, tmp_path, label):
+        """A class id is below the node count: a larger one would size the
+        probe's one-hot matrix, or overflow the int64 label array."""
+        e, f, l = write_dataset(tmp_path, "0 1\n", "1\n2\n", f"0,0\n1,{label}\n")
+        with pytest.raises(GraphParseError,
+                           match=rf"labels\.csv:2: label {label} out of range \[0, 2\)$"):
+            load_graph(e, f, l)
+
+    @pytest.mark.parametrize("label", ["1000000000", "99999999999999999999"])
+    def test_train_rejects_out_of_range_label_in_one_line(self, tmp_path, capsys, label):
+        data = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
+                     "--out", str(data)]) == 0
+        lines = (data / "labels.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("7,"))
+        lines[row] = f"7,{label}"
+        (data / "labels.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data_dir = {data}\nepochs = 1\ninner_steps = 1\nsubgraph_size = 4\n")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"GraphParseError: {data / 'labels.csv'}:{row + 1}: label {label} "
+                       "out of range [0, 40)"]
 
 
 class TestRoundTrip:

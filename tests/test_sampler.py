@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -242,7 +244,7 @@ class TestExtractSubgraph:
         g = graph_from_edges(2, [(0, 1)], features=[[10.0], [20.0]])
         sub = extract_subgraph(g, np.array([1, 0]))
         assert np.array_equal(sub.adjacency, [[0, 1], [1, 0]])
-        assert np.array_equal(sub.features, [[20.0], [10.0]])
+        assert np.array_equal(sub.node_features[sub.parent_indices], [[20.0], [10.0]])
         assert sub.parent_indices.tolist() == [1, 0]
 
     def test_singleton(self):
@@ -300,7 +302,7 @@ class TestSampleAllSubgraphs:
                 indices = top_k_indices(compute_ppr_scores(g, 0.15), k)
                 for sub, ids in zip(subs, indices, strict=True):
                     want = extract_subgraph(g, ids)
-                    for name in ("parent_indices", "features", "adjacency"):
+                    for name in ("parent_indices", "node_features", "adjacency"):
                         got, ref = getattr(sub, name), getattr(want, name)
                         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
@@ -325,8 +327,9 @@ class TestSubgraphSet:
             one = subs[i]
             assert isinstance(one, Subgraph)
             assert one.parent_indices.shape == (5,) and one.parent_indices[0] == int(i) % 20
-            assert one.features.shape == (5, g.feature_dim) and one.adjacency.shape == (5, 5)
-            for name in ("parent_indices", "features", "adjacency"):
+            assert one.node_features[one.parent_indices].shape == (5, g.feature_dim)
+            assert one.adjacency.shape == (5, 5) and one.node_features is subs.node_features
+            for name in ("parent_indices", "adjacency"):
                 assert np.array_equal(getattr(one, name), getattr(subs, name)[i])
                 assert np.array_equal(getattr(listed[i], name), getattr(one, name))
 
@@ -335,8 +338,9 @@ class TestSubgraphSet:
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         part = subs[3:9]
         assert isinstance(part, SubgraphSet) and len(part) == 6
-        for name in ("parent_indices", "features", "adjacency"):
+        for name in ("parent_indices", "adjacency"):
             assert np.array_equal(getattr(part, name), getattr(subs, name)[3:9])
+        assert part.node_features is subs.node_features
         assert part[0].parent_indices[0] == 3
         assert len(subs[18:40]) == 2 and len(subs[5:5]) == 0
 
@@ -346,3 +350,15 @@ class TestSubgraphSet:
             subs[10]
         with pytest.raises(TypeError):
             subs[[1, 2]]
+
+    def test_one_copy_of_the_node_features(self, rng):
+        """The set holds ids and adjacencies; feature rows stay in the
+        graph's own matrix, which int indexing and slicing pass through."""
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
+        for view in (subs, subs[7], subs[3:9], subs[3:9][0]):
+            assert view.node_features is g.features and not hasattr(view, "features")
+        assert extract_subgraph(g, np.array([2, 0])).node_features is g.features
+        for cls in (Subgraph, SubgraphSet):
+            assert not hasattr(cls, "features")
+            assert "features" not in {f.name for f in dataclasses.fields(cls)}

@@ -247,7 +247,7 @@ class TestTrainLoop:
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(10)
         with pytest.raises(TrainingDiverged, match="batch"):
-            run_inner_step(params, opt, subs.features, views, pos, neg, ids, cfg, None,
+            run_inner_step(params, opt, subs, views, pos, neg, ids, cfg, None,
                            rng_for(0, 1), rng_for(0, 2))
 
 
@@ -263,7 +263,7 @@ class TestDegeneratePipeline:
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         ids = np.arange(20)
-        result, _, _ = run_inner_step(params, opt, subs.features, views, pos, neg, ids, cfg,
+        result, _, _ = run_inner_step(params, opt, subs, views, pos, neg, ids, cfg,
                                       None, rng_for(2, 1), rng_for(2, 2))
         # identical mirrors: inter-graph loss is exactly the margin per sample
         assert result["mean_inter"] == pytest.approx(cfg.xi, abs=1e-12)
@@ -282,7 +282,7 @@ class TestDifficultyCurve:
                                  xi=0.5)
 
         views = encoded_views(subs)
-        feats = subs.features.reshape(len(subs) * 6, -1)
+        feats = subs.node_features[subs.parent_indices].reshape(len(subs) * 6, -1)
         h = gcn_forward_batched(params, views, feats)
         for theta, (got_theta, mean, std) in zip(grid, curve):
             mirrors = [per_pair_mirror_augment(s, quantile(dist, theta), sem) for s in subs]
@@ -302,7 +302,7 @@ class TestCenterEmbeddings:
         views = encoded_views(subs)
         k = cfg.subgraph_size
         ids = np.arange(len(subs))
-        feats = subs.features[ids].reshape(len(ids) * k, -1)
+        feats = subs.node_features[subs.parent_indices][ids].reshape(len(ids) * k, -1)
         h = gcn_forward_batched(params, views[ids], feats).value
         assert np.array_equal(compute_center_embeddings(params, subs), h[ids * k])
 
