@@ -6,7 +6,9 @@ gradient contributions. A closure returns None in place of the contribution
 of a parent that does not require a gradient (a constant operand), so no
 time goes into forming it. ``backward`` walks the recorded graph once in
 reverse topological order, accumulating into ``.grad`` and skipping the
-None contributions.
+None contributions. Closures may return read-only views and one array for
+several parents, so the sweep writes only into buffers it created: the sum
+it makes at a parent's second contribution, which later ones are added into.
 
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
@@ -141,17 +143,13 @@ def block_matmul(blocks: np.ndarray, h) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
-    return _node(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return _node(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def sum_axis(a, axis: int) -> Tensor:
     a = as_tensor(a)
-    value = a.value.sum(axis=axis)
-
-    def backward_fn(g):
-        return (np.expand_dims(g, axis).repeat(a.shape[axis], axis=axis),)
-
-    return _node(value, (a,), backward_fn)
+    return _node(a.value.sum(axis=axis), (a,),
+                 lambda g: (np.broadcast_to(np.expand_dims(g, axis), a.shape),))
 
 
 def mean_axis(a, axis: int) -> Tensor:
@@ -172,7 +170,10 @@ def take_rows(a, indices: np.ndarray) -> Tensor:
 
     def backward_fn(g):
         out = np.zeros_like(a.value)
-        np.add.at(out, indices, g)
+        if np.unique(indices).size == indices.size:
+            out[indices] = g
+        else:
+            np.add.at(out, indices, g)
         return (out,)
 
     return _node(value, (a,), backward_fn)
@@ -237,10 +238,16 @@ def sigmoid(a) -> Tensor:
     return _node(value, (a,), backward_fn)
 
 
-def row_sq_norm(a) -> Tensor:
-    """Per-row squared euclidean norm: (n, d) -> (n,)."""
-    a = as_tensor(a)
-    return sum_axis(mul(a, a), 1)
+def row_sq_dist(a, b) -> Tensor:
+    """Per-row squared distance (n, d), (n, d) -> (n,): sub -> mul -> sum_axis in one node."""
+    a, b = as_tensor(a), as_tensor(b)
+    diff = a.value - b.value
+
+    def backward_fn(g):
+        grad = (2.0 * g)[:, None] * diff
+        return (grad if a.requires_grad else None, -grad if b.requires_grad else None)
+
+    return _node(np.sum(diff * diff, axis=1), (a, b), backward_fn)
 
 
 # Pairs whose squared distance is at most this fraction of |p|^2 + |q|^2 are
@@ -312,6 +319,7 @@ def backward(root: Tensor) -> None:
     for node in order:
         node.grad = None
     root.grad = np.asarray(1.0)
+    owned: set[int] = set()     # ids of the nodes whose .grad the sweep made
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue
@@ -319,9 +327,13 @@ def backward(root: Tensor) -> None:
         for parent, contrib in zip(node._parents, contributions):
             if not parent.requires_grad or contrib is None:
                 continue
-            # No node updates a gradient in place, so a first contribution
-            # shared with another parent is safe to keep as it is.
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            if parent.grad is None:
+                parent.grad = contrib
+            elif id(parent) in owned:
+                parent.grad += contrib
+            else:
+                parent.grad = parent.grad + contrib
+                owned.add(id(parent))
         node.grad = None
 
 
@@ -330,4 +342,5 @@ def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     for p in params:
         p.grad = None
     backward(loss)
-    return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+    return [np.zeros_like(p.value) if p.grad is None else np.require(p.grad, requirements="W")
+            for p in params]

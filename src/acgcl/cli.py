@@ -14,6 +14,7 @@ line to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from .config import TrainConfig, parse_config
 from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
 from .trainer import (check_feature_width, curriculum_inputs, difficulty_curve,
-                      evaluate_checkpoint, load_checkpoint, save_checkpoint, train,
-                      write_report)
+                      evaluate_checkpoint, load_checkpoint, probe_splits, save_checkpoint,
+                      train, write_report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,6 +89,8 @@ def _check_difficulty(name: str, value: float) -> None:
 
 def _cmd_train(args) -> int:
     config, graph = _load_config_and_graph(args.config, args.overrides)
+    if graph.labels is not None:
+        probe_splits(graph, config)     # fail on an empty split before any work
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # a failed run must not leave an earlier run's outputs looking like its own
@@ -202,7 +205,20 @@ _COMMANDS = {
 }
 
 
+def _fix_malloc_policy() -> None:
+    """On glibc, keep blocks under 32 MiB on the heap and trim it only past
+    1 GiB: freed training temporaries are reused, not faulted in again."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD: the most every 64-bit glibc takes
+    mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD; either stops the dynamic threshold
+
+
 def main(argv=None) -> int:
+    _fix_malloc_policy()
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -319,8 +319,8 @@ def generate_sbm(config: SbmConfig, seed: int) -> Graph:
 
 
 def check_split_fractions(train_frac: float, val_frac: float) -> None:
-    if not (0 < train_frac and 0 <= val_frac and train_frac + val_frac < 1):
-        raise ConfigError(f"split_train/split_val: need 0 < split_train, 0 <= split_val and "
+    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
+        raise ConfigError(f"split_train/split_val: need 0 < split_train, 0 < split_val and "
                           f"split_train + split_val < 1, got {train_frac} and {val_frac}")
 
 

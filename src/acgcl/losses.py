@@ -48,8 +48,8 @@ def inter_graph_losses_grouped(h, h_pos, h_neg, xi: float, group_size: int) -> a
 
 
 def _triplet_hinge_rows(h, h_pos, h_neg, xi: float) -> ad.Tensor:
-    pos = ad.row_sq_norm(ad.sub(h, h_pos))
-    neg = ad.row_sq_norm(ad.sub(h, h_neg))
+    pos = ad.row_sq_dist(h, h_pos)
+    neg = ad.row_sq_dist(h, h_neg)
     return ad.relu(ad.add(ad.sub(pos, neg), ad.Tensor(float(xi))))
 
 

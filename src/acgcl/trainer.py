@@ -35,7 +35,7 @@ from .curriculum import (AclThresholds, decay_thresholds, init_thresholds, pacin
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
-from .graph import Graph, Splits, load_dataset, make_splits
+from .graph import SPLIT_FILE, Graph, Splits, load_dataset, make_splits
 from .losses import (balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
@@ -153,14 +153,24 @@ def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Sp
             for name, idx in eval_splits.items()}
 
 
-def probe_accuracy(params: GcnParams, subgraphs: SubgraphSet, graph: Graph,
-                   config: TrainConfig) -> dict[str, float]:
-    """The probe's ``"val"`` and ``"test"`` accuracy on the center
-    embeddings, over the dataset's splits or else the config's seeded split."""
+def probe_splits(graph: Graph, config: TrainConfig) -> Splits:
+    """The dataset's splits, else the config's seeded split; an empty part fails."""
     splits = graph.splits if graph.splits is not None else make_splits(
         graph, config.seed, config.split_train, config.split_val)
-    return evaluate_probe(compute_center_embeddings(params, subgraphs), graph.labels, splits,
-                          config.probe_iters, config.probe_l2, config.probe_lr)
+    for name in ("train", "val", "test"):
+        if getattr(splits, name).size == 0:
+            source = SPLIT_FILE if graph.splits is not None else "split_train/split_val"
+            raise ConfigError(f"split '{name}' from {source} is empty on {graph.n_nodes} nodes; "
+                              "the probe needs non-empty train, val and test splits")
+    return splits
+
+
+def probe_accuracy(params: GcnParams, subgraphs: SubgraphSet, graph: Graph,
+                   config: TrainConfig) -> dict[str, float]:
+    """The probe's ``"val"`` and ``"test"`` accuracy on the center embeddings."""
+    return evaluate_probe(compute_center_embeddings(params, subgraphs), graph.labels,
+                          probe_splits(graph, config), config.probe_iters, config.probe_l2,
+                          config.probe_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +480,7 @@ def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:
     params, config = load_checkpoint(checkpoint_path)
     graph = load_dataset(data_dir)
     check_feature_width(params, graph, checkpoint_path)
+    probe_splits(graph, config)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
     accuracy = probe_accuracy(params, subgraphs, graph, config)
     return {"val_accuracy": accuracy["val"], "test_accuracy": accuracy["test"]}

@@ -15,9 +15,11 @@ Two groups share some:
   can be checked too, and ``gcn_forward`` normalizes with
   ``acgcl.encoder.sym_normalized_adjacency``.
 
-``pairwise_euclidean_diff`` is the difference-tensor form that the package's
-Gram-form ``pairwise_euclidean`` replaced, and ``prelu_where`` the select form
-that its branch-free ``prelu`` replaced. ``dense_solve_ppr`` is the
+``row_sq_norm`` of a ``sub`` is the three-node chain that the package's
+fused ``row_sq_dist`` replaced. ``pairwise_euclidean_diff`` is the
+difference-tensor form that the package's Gram-form ``pairwise_euclidean``
+replaced, and ``prelu_where`` the select form that its branch-free ``prelu``
+replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
 symmetric Cholesky inverse replaced. ``sinkhorn_log_node`` is the
 log-domain Sinkhorn solve that the package's kernel-domain node replaced; it
@@ -266,14 +268,20 @@ def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor
     return h
 
 
+def row_sq_norm(a) -> ad.Tensor:
+    """Per-row squared euclidean norm, (n, d) -> (n,), as mul -> sum_axis."""
+    a = ad.as_tensor(a)
+    return ad.sum_axis(ad.mul(a, a), 1)
+
+
 def inter_graph_loss(h, h_pos, h_neg, xi: float) -> ad.Tensor:
     """Mean over nodes of [|h - h+|^2 - |h - h-|^2 + xi]_+ for one subgraph;
     the reference for one group of ``inter_graph_losses_grouped``."""
     h, h_pos, h_neg = ad.as_tensor(h), ad.as_tensor(h_pos), ad.as_tensor(h_neg)
     if not (h.shape == h_pos.shape == h_neg.shape):
         raise ShapeError(f"embedding shapes differ: {h.shape}, {h_pos.shape}, {h_neg.shape}")
-    pos = ad.row_sq_norm(ad.sub(h, h_pos))
-    neg = ad.row_sq_norm(ad.sub(h, h_neg))
+    pos = row_sq_norm(ad.sub(h, h_pos))
+    neg = row_sq_norm(ad.sub(h, h_neg))
     hinge = ad.relu(ad.add(ad.sub(pos, neg), ad.Tensor(float(xi))))
     return ad.scale(ad.sum_all(hinge), 1.0 / hinge.value.size)
 

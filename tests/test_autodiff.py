@@ -3,7 +3,7 @@ import pytest
 
 from acgcl import autodiff as ad
 from acgcl.errors import ContractError, ShapeError
-from oracles import directional_grad_check, pairwise_euclidean_diff, prelu_where
+from oracles import directional_grad_check, pairwise_euclidean_diff, prelu_where, row_sq_norm
 
 
 def test_sum_of_parameter_gives_ones():
@@ -85,6 +85,47 @@ def test_take_rows_scatter_adds_duplicates():
     assert np.array_equal(grad, [[2.0], [1.0]])
 
 
+def test_take_rows_unique_unsorted_ids_match_scatter_add(rng):
+    x = ad.parameter(rng.standard_normal((7, 3)))
+    ids = np.array([5, 0, 3, 6, 1])
+    g = rng.standard_normal((5, 3))
+    grad = ad.gradients(ad.sum_all(ad.mul(ad.take_rows(x, ids), ad.Tensor(g))), [x])[0]
+    want = np.zeros((7, 3))
+    np.add.at(want, ids, g)
+    assert np.array_equal(grad, want)
+
+
+def test_sweep_never_writes_into_a_shared_contribution(rng):
+    """``add`` hands both its parents one array. A leaf that keeps it as its
+    first contribution, then gets a second and a third, must get the right
+    sum while the other parent's gradient, the same array, stays as it was."""
+    x, y = ad.parameter(rng.standard_normal((4, 3))), ad.parameter(rng.standard_normal((4, 3)))
+    c1, c2, c3 = (rng.integers(-9, 10, size=(4, 3)).astype(float) for _ in range(3))
+    shared = ad.mul(ad.add(x, y), ad.Tensor(c1))
+    root = ad.add(ad.add(ad.sum_all(shared), ad.sum_all(ad.mul(x, ad.Tensor(c2)))),
+                  ad.sum_all(ad.mul(x, ad.Tensor(c3))))
+    ad.backward(root)
+    assert np.array_equal(y.grad, c1)
+    assert np.array_equal(x.grad, c1 + c2 + c3)
+    gx, gy = ad.gradients(root, [x, y])
+    assert np.array_equal(gy, c1) and np.array_equal(gx, c1 + c2 + c3)
+    assert gx.flags.writeable and gy.flags.writeable
+
+
+def test_row_sq_dist_is_bit_identical_to_the_sub_mul_sum_chain(rng):
+    a, b = rng.standard_normal((50, 16)), rng.standard_normal((50, 16))
+    a[3] = b[3]                             # one coincident row
+    g = rng.standard_normal(50)
+    results = []
+    for fn in (ad.row_sq_dist, lambda p, q: row_sq_norm(ad.sub(p, q))):
+        ta, tb = ad.parameter(a), ad.parameter(b)
+        out = fn(ta, tb)
+        results.append((out.value, *ad.gradients(ad.sum_all(ad.mul(out, ad.Tensor(g))),
+                                                  [ta, tb])))
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_block_matmul_matches_loop(rng):
     blocks = rng.standard_normal((3, 4, 4))
     h = rng.standard_normal((12, 5))
@@ -122,7 +163,7 @@ PRELU_SLOPES = {"prelu": 0.3, "prelu_above_1": 1.5, "prelu_below_0": -0.5}
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "matmul", "relu", *PRELU_SLOPES, "sigmoid",
     "sum_axis0", "sum_axis1", "mean_axis", "reshape", "take_rows",
-    "block_matmul", "pairwise_euclidean", "row_sq_norm",
+    "block_matmul", "pairwise_euclidean", "row_sq_dist",
 ])
 def test_finite_difference_per_op(op_name, rng):
     def build(values):
@@ -156,8 +197,8 @@ def test_finite_difference_per_op(op_name, rng):
             out = ad.block_matmul(BLOCKS, a)
         elif op_name == "pairwise_euclidean":
             out = ad.pairwise_euclidean(a, b)
-        elif op_name == "row_sq_norm":
-            out = ad.row_sq_norm(a)
+        elif op_name == "row_sq_dist":
+            out = ad.row_sq_dist(a, b)
         # fold into a scalar with fixed mixing weights so gradients are generic
         mix = ad.Tensor(MIX[: out.value.size].reshape(out.value.shape))
         loss = ad.sum_all(ad.mul(out, mix))
@@ -179,7 +220,7 @@ def operand_values(op_name, rng):
         return [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
     if op_name == "block_matmul":
         return [rng.standard_normal((4, 3))]
-    if op_name in ("add", "sub", "mul"):
+    if op_name in ("add", "sub", "mul", "row_sq_dist"):
         return [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
     return [rng.standard_normal((3, 4))]
 
@@ -205,7 +246,7 @@ def test_prelu_is_bit_identical_to_the_select_form(slope, with_nan, rng):
 
 @pytest.mark.parametrize("constant", [0, 1], ids=["constant-left", "constant-right"])
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "matmul", "prelu",
-                                     "pairwise_euclidean"])
+                                     "pairwise_euclidean", "row_sq_dist"])
 def test_constant_operand_gets_no_gradient(op_name, constant, rng):
     """The backward closure returns None for an operand that needs no
     gradient, and the other operand's gradient is still right."""

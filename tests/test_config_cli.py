@@ -1,3 +1,4 @@
+import ctypes
 import inspect
 import json
 import os
@@ -474,6 +475,73 @@ class TestMalformedSplits:
         assert "splits.json" in err[0] and reason in err[0]
 
 
+class TestEmptyProbeSplit:
+    """A labeled run whose probe split has an empty part fails in one line
+    that names the part, before sampling and before ``--out`` is touched."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        import acgcl.trainer
+
+        def refuse(*args):
+            raise AssertionError("subgraphs were sampled")
+
+        monkeypatch.setattr(acgcl.trainer, "sample_all_subgraphs", refuse)
+
+    def test_gen_sbm_rejects_split_val_zero(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
+                     "--split-val", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: split_train/split_val: "), err
+        assert not out.exists()
+
+    def test_config_split_val_zero_fails_before_training(self, tmp_path, config_file, capsys,
+                                                         no_sampling):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--set", "split_val=0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: split_train/split_val: "), err
+        assert not out.exists()
+
+    def test_rounded_away_config_split_fails_naming_it(self, tmp_path, config_file,
+                                                       dataset_dir, capsys, no_sampling):
+        (dataset_dir / "splits.json").unlink()
+        out = tmp_path / "run"
+        # 0.005 of 60 nodes rounds to an empty validation split
+        assert main(["train", "--config", str(config_file), "--set", "split_val=0.005",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("ConfigError: split 'val' from split_train/split_val is empty")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_part_of_splits_json_fails_naming_it(self, tmp_path, config_file,
+                                                       dataset_dir, capsys, no_sampling,
+                                                       command, part):
+        ckpt = tmp_path / "ckpt"       # patience 0 stops before sampling
+        assert main(["train", "--config", str(config_file), "--set", "patience=0",
+                     "--out", str(ckpt)]) == 0
+        path = dataset_dir / "splits.json"
+        raw = json.loads(path.read_text())
+        raw["val" if part == "test" else "test"] += raw[part]
+        raw[part] = []
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        argv = (["train", "--config", str(config_file), "--out", str(out)] if command == "train"
+                else ["evaluate", "--checkpoint", str(ckpt / "checkpoint.json"),
+                      "--data", str(dataset_dir)])
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"ConfigError: split '{part}' from splits.json is empty")
+        assert not out.exists()
+
+
 class TestOneValuePerSetting:
     """A run setting takes its value from TrainConfig or SbmConfig alone. A
     library default restating it would give a caller who leaves the argument
@@ -528,3 +596,55 @@ def test_readme_key_table_names_every_config_field():
     assert sorted(named) == sorted(f.name for f in fields(TrainConfig))
     documented = parse_config(overrides=[f"{k}={v}" for k, v in zip(named, defaults)])
     assert documented.to_dict() == TrainConfig().to_dict()
+
+
+GLIBC_HEAP_BLOCKS = """
+import ctypes, sys
+import numpy as np
+from acgcl.cli import main
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+assert main(["gen-sbm", "--blocks", "10,10", "--p-intra", "0.3", "--p-inter", "0.02",
+             "--out", sys.argv[1]]) == 0
+before = libc.mallinfo2().hblks
+block = np.ones(1 << 19)            # 4 MiB
+print(before, libc.mallinfo2().hblks)
+"""
+
+
+def test_main_keeps_multi_mb_blocks_on_the_heap(tmp_path):
+    """Once ``main`` has run, a 4 MiB array comes from the heap, not from a
+    fresh mmap, so freeing it does not hand it back to the kernel."""
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("needs glibc 2.33 or later (mallinfo2)")
+    done = run_python("-c", GLIBC_HEAP_BLOCKS, str(tmp_path / "data"))
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.splitlines()[-1].split())
+    assert after == before
+
+
+class _NoMallopt:
+    pass
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("fake_cdll", [lambda name: _NoMallopt(), _no_libc],
+                         ids=["no-mallopt", "no-libc"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, capsys, fake_cdll):
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    out = tmp_path / "data"
+    assert main(["gen-sbm", "--blocks", "10,10", "--p-intra", "0.3", "--p-inter", "0.02",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("nodes=20 ")
+    assert (out / "edges.txt").exists()
