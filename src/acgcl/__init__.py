@@ -5,7 +5,7 @@ from .augment import (DistanceDistribution, MirrorGraphs, MirrorSearch, Semantic
                       quantile, semantic_assignment)
 from .config import TrainConfig, parse_config
 from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, hard_acl_weights,
-                         init_thresholds, pacing_difficulty, soft_acl_weights, spl_weights)
+                         open_window, pacing_difficulty, soft_acl_weights, spl_weights)
 from .encoder import GcnParams, init_gcn_params
 from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                     make_splits, save_dataset, validate_graph)

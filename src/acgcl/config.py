@@ -19,6 +19,9 @@ from .curriculum import MODES
 from .errors import ConfigError
 from .graph import check_split_fractions, data_lines
 
+BOOL_WORDS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+              **dict.fromkeys(("false", "0", "no", "off"), False)}
+
 
 @dataclass
 class TrainConfig:
@@ -91,8 +94,8 @@ class TrainConfig:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (shuffled negatives need two summaries)")
-        non_negative = ("seed", "patience", "probe_l2", "alpha", "beta", "xi", "epsilon_margin",
-                        "sinkhorn_tol")
+        non_negative = ("seed", "patience", "improvement_tol", "probe_l2", "alpha", "beta", "xi",
+                        "epsilon_margin", "sinkhorn_tol")
         for name in non_negative:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
@@ -126,13 +129,26 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        """The config of typed values, e.g. a checkpoint's echo; validated."""
+        annotations = get_type_hints(cls)
+        unknown = set(raw) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-        config = cls(**raw)
+        config = cls(**{key: _typed(key, value, annotations[key]) for key, value in raw.items()})
         config.validate()
         return config
+
+
+def _typed(key: str, value: object, annotation) -> object:
+    """``value`` as the type of ``annotation``: an int field takes an int, a
+    float field an int or float, neither a bool; None where it is admitted."""
+    target_type, *rest = get_args(annotation) or (annotation,)
+    if value is None and type(None) in rest:
+        return None
+    accepted = {int: int, float: (int, float)}.get(target_type, target_type)
+    if isinstance(value, accepted) and (target_type is bool or not isinstance(value, bool)):
+        return target_type(value)
+    raise ConfigError(f"{key}: expected {target_type.__name__}, got {value!r}")
 
 
 def _convert(key: str, text: str, annotation) -> object:
@@ -143,15 +159,8 @@ def _convert(key: str, text: str, annotation) -> object:
     if type(None) in rest and text.lower() in ("auto", "none"):
         return None
     try:
-        if target_type is bool:
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
-        return target_type(text)
-    except ValueError:
+        return BOOL_WORDS[text.lower()] if target_type is bool else target_type(text)
+    except (KeyError, ValueError):
         raise ConfigError(f"{key}: cannot parse {text!r} as {target_type.__name__}") from None
 
 
@@ -175,6 +184,4 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
         if key not in annotations:
             raise ConfigError(f"{where}: unknown config key: {key}")
         raw[key] = _convert(key, value, annotations[key])
-    config = TrainConfig(**raw)
-    config.validate()
-    return config
+    return TrainConfig.from_dict(raw)

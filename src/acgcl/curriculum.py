@@ -13,10 +13,10 @@ Reweighting modes, all closed forms over the current per-sample losses:
   (easy samples keep a reduced weight), 0 at or above lambda1.
 * ``uniform``  : w = 1 everywhere.
 
-Thresholds start at the median (lambda1) and 0.95x the minimum (lambda2) of
-the first step's losses, then widen every step: lambda1 grows by eta1 > 1 and
-lambda2 shrinks by eta2 < 1, so the set of admitted samples only expands for
-fixed losses.
+The admission window opens on an epoch's first-step losses at the median
+(lambda1) and 0.95x the minimum (lambda2), then widens every step: lambda1
+grows by eta1 > 1 and lambda2 shrinks by eta2 < 1, so the set of admitted
+samples only expands for fixed losses. An epoch with no window is uniform.
 """
 
 from __future__ import annotations
@@ -100,12 +100,24 @@ def uniform_weights(n: int) -> SampleWeights:
     return SampleWeights(values=np.ones(n))
 
 
-def init_thresholds(first_step_losses) -> AclThresholds:
-    """lambda1 = median of the losses, lambda2 = 0.95 * their minimum."""
+def open_window(first_step_losses, mode: str) -> AclThresholds | None:
+    """The epoch's admission window: lambda1 = median of the first step's
+    losses, lambda2 = 0.95 * their minimum. None, which weighs uniformly, in
+    ``uniform`` mode, when lambda2 >= lambda1 (only possible when the
+    minimum loss is <= 0), and when lambda2 <= 0 under ``soft_acl``."""
     losses = np.asarray(first_step_losses, dtype=np.float64)
     if losses.size == 0:
-        raise SizeError("cannot initialize thresholds from an empty loss list")
-    return AclThresholds(lambda1=float(np.median(losses)), lambda2=float(0.95 * losses.min()))
+        raise SizeError("cannot open an admission window on an empty loss list")
+    lambda1, lambda2 = float(np.median(losses)), float(0.95 * losses.min())
+    if mode == "uniform" or lambda2 >= lambda1 or (mode == "soft_acl" and lambda2 <= 0):
+        return None
+    return AclThresholds(lambda1=lambda1, lambda2=lambda2)
+
+
+def window_fields(window: AclThresholds | None) -> dict:
+    """The ``lambda1``/``lambda2`` fields of a record; None without a window."""
+    return {"lambda1": window.lambda1 if window else None,
+            "lambda2": window.lambda2 if window else None}
 
 
 def decay_thresholds(thresholds: AclThresholds, eta1: float, eta2: float) -> AclThresholds:

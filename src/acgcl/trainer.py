@@ -8,9 +8,10 @@ seed (the subgraph set never changes, so the distance threshold is a
 deterministic, non-decreasing function of the paced difficulty). Every
 pair's best mirror is searched once per run; each epoch thresholds the
 stored mirrors at its distance, then runs ``inner_steps`` mini-batch
-updates. Thresholds are initialized from the first step's observed losses
-each epoch and widen every step. Patience decrements whenever validation
-accuracy fails to improve; it never resets.
+updates; a step is a function of (epoch, step) and the carried params,
+Adam state and admission window, which step 0 opens and every step widens.
+Patience decrements whenever validation accuracy fails to improve; it never
+resets.
 
 Each step gathers its batch's feature rows once, by parent id, from the
 graph's own matrix: a subgraph's three views differ only in their adjacency.
@@ -30,8 +31,8 @@ from .augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
                       estimate_distance_distribution, mirror_search, quantile,
                       semantic_assignment)
 from .config import TrainConfig
-from .curriculum import (AclThresholds, decay_thresholds, init_thresholds, pacing_difficulty,
-                         weights_for_mode)
+from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
+                         weights_for_mode, window_fields)
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
@@ -197,34 +198,30 @@ def _append_record(sink, path, record: dict):
     return sink
 
 
-def _window(thresholds: AclThresholds | None) -> dict:
-    """The admission-window fields of a record; None without thresholds."""
-    return {"lambda1": thresholds.lambda1 if thresholds else None,
-            "lambda2": thresholds.lambda2 if thresholds else None}
-
-
 # ---------------------------------------------------------------------------
 # Training
 
 def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSet,
-                   a_hat: np.ndarray, pos_hat: np.ndarray, neg_hat: np.ndarray,
-                   ids: np.ndarray, config: TrainConfig, thresholds: AclThresholds | None,
-                   shuffle_rng: np.random.Generator, balance_rng: np.random.Generator,
-                   init_thresholds_from_losses: bool = False,
+                   views: tuple[np.ndarray, np.ndarray, np.ndarray], epoch: int, step: int,
+                   config: TrainConfig, window: AclThresholds | None,
                    ) -> tuple[dict, OptimizerState, AclThresholds | None]:
-    """One reweighted gradient step on a batch of subgraph ids; the three
-    (n, k, k) normalized adjacencies share the batch's gathered feature rows.
-    Returns the step's loss, weight and Sinkhorn fields of ``metrics.jsonl``;
-    the Sinkhorn ones are the larger of the step's two balance solves.
-
-    With ``init_thresholds_from_losses`` the admission window is initialized
-    from this step's observed losses before the weights are computed.
-    """
-    b, k = len(ids), a_hat.shape[1]
+    """Step ``step`` of epoch ``epoch``: one reweighted Adam update on a
+    batch of ``min(batch_size, n)`` subgraphs. The batch, the summary shuffle
+    and the transport subsample come from ``rng_for(config.seed, role, epoch,
+    step)``; ``views`` are the (n, k, k) normalized adjacencies of the
+    subgraphs and of their positive and negative mirrors. Step 0 opens the
+    admission window on its own losses and ignores ``window``. Returns the
+    step's ``metrics.jsonl`` fields, from the window it weighed with to the
+    larger Sinkhorn figures of its two balance solves; the Adam state; and
+    the window widened for the next step."""
+    batch_rng, shuffle_rng, balance_rng = (rng_for(config.seed, role, epoch, step)
+                                           for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
+    n, k = subgraphs.parent_indices.shape
+    b = min(config.batch_size, n)
+    ids = np.sort(batch_rng.choice(n, size=b, replace=False))
 
     feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
-    h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats)
-                       for a in (a_hat, pos_hat, neg_hat))
+    h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats) for a in views)
 
     inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, config.xi, k)
 
@@ -248,10 +245,10 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     if not np.isfinite(detached).all():
         raise TrainingDiverged(f"non-finite sample loss in batch {ids.tolist()}")
 
-    if init_thresholds_from_losses and config.acl_mode != "uniform":
-        thresholds = _epoch_thresholds(detached, config)
-    mode = config.acl_mode if thresholds is not None else "uniform"
-    weights = weights_for_mode(mode, detached, thresholds)
+    if step == 0:
+        window = open_window(detached, config.acl_mode)
+    mode = config.acl_mode if window is not None else "uniform"
+    weights = weights_for_mode(mode, detached, window)
     total = weighted_total_loss(sample_losses, weights.values,
                                 normalize=config.normalize_weighted_loss)
     if not np.isfinite(total.value):
@@ -265,6 +262,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
 
     hist = weights.histogram()
     return {
+        **window_fields(window),
         "mean_sample_loss": float(detached.mean()),
         "weighted_loss": float(total.value),
         "balance_loss": float(l_bal.value),
@@ -276,19 +274,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
         "weight_one_frac": hist["one"],
         "sinkhorn_iters": max(s.iters for s in solves),
         "sinkhorn_marginal_err": max(s.marginal_err for s in solves),
-    }, opt, thresholds
-
-
-def _epoch_thresholds(first_losses: np.ndarray, config: TrainConfig) -> AclThresholds | None:
-    """Thresholds from the first step's losses; None when they would be
-    degenerate (all-zero losses), which falls back to uniform weighting."""
-    try:
-        thresholds = init_thresholds(first_losses)
-    except ConfigError:
-        return None
-    if config.acl_mode == "soft_acl" and thresholds.lambda2 <= 0:
-        return None
-    return thresholds
+    }, opt, decay_thresholds(window, config.eta1, config.eta2) if window else None
 
 
 def curriculum_inputs(graph: Graph, config: TrainConfig
@@ -321,9 +307,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     if config.patience == 0:
         return params, epochs
 
-    n = graph.n_nodes
-    batch_size = min(config.batch_size, n)
-    if batch_size < 2:
+    if min(config.batch_size, graph.n_nodes) < 2:
         raise ConfigError("batch_size: graph too small for a batch of 2 subgraphs")
 
     if inputs is None:
@@ -340,26 +324,17 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, config)
             gamma = quantile(dist, theta)
-            pos_hat, neg_hat = mirror_views(search.adjacencies(gamma))
+            views = (a_hat, *mirror_views(search.adjacencies(gamma)))
             pos_rate, neg_rate = search.match_rates(gamma)
 
-            thresholds: AclThresholds | None = None
-            steps = []
+            window, steps = None, []
             for step in range(config.inner_steps):
-                batch_rng = rng_for(config.seed, ROLE_BATCH, epoch, step)
-                ids = np.sort(batch_rng.choice(n, size=batch_size, replace=False))
-                shuffle_rng = rng_for(config.seed, ROLE_SHUFFLE, epoch, step)
-                balance_rng = rng_for(config.seed, ROLE_BALANCE, epoch, step)
-                fields, opt, thresholds = run_inner_step(
-                    params, opt, subgraphs, a_hat, pos_hat, neg_hat, ids, config,
-                    thresholds, shuffle_rng, balance_rng,
-                    init_thresholds_from_losses=(step == 0))
+                fields, opt, window = run_inner_step(params, opt, subgraphs, views, epoch, step,
+                                                     config, window)
                 steps.append(fields)
                 sink = _append_record(sink, metrics_path, {
                     "kind": "step", "epoch": epoch, "step": step, "theta": theta,
-                    "gamma": gamma, **_window(thresholds), **fields})
-                if thresholds is not None:
-                    thresholds = decay_thresholds(thresholds, config.eta1, config.eta2)
+                    "gamma": gamma, **fields})
 
             val_acc = None   # unlabeled graph: no probe, no early stop
             if graph.labels is not None:
@@ -370,7 +345,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                     patience_left -= 1
             epochs.append({
                 "kind": "epoch", "epoch": epoch, "theta": theta, "gamma": gamma,
-                **_window(thresholds),
+                **window_fields(window),
                 "mean_loss": float(np.mean([f["mean_sample_loss"] for f in steps])),
                 "active_fraction": float(np.mean([f["active_fraction"] for f in steps])),
                 "val_accuracy": val_acc, "patience_left": patience_left,
@@ -458,6 +433,10 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
                                   f"columns, weight {i} takes {w.shape[0]} rows")
             if slope.value.ndim != 0:
                 raise ConfigError(f"slope {i} has shape {slope.shape}, not a scalar")
+            if not np.isfinite(w.value).all():
+                raise ConfigError(f"weight {i} has a non-finite entry")
+            if not np.isfinite(slope.value):
+                raise ConfigError(f"slope {i} is not finite")
         return params, TrainConfig.from_dict(payload["config"])
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint has no {exc} entry") from None

@@ -48,7 +48,7 @@ class TestParseConfig:
                            ("distance_metric", "foo"), ("split_train", "2.0"),
                            ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
                            ("probe_lr", "nan"), ("improvement_tol", "nan"), ("eta1", "nan"),
-                           ("learning_rate", "inf"), ("seed", "-3")):
+                           ("learning_rate", "inf"), ("seed", "-3"), ("improvement_tol", "-1")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 parse_config(path)
@@ -86,6 +86,22 @@ class TestParseConfig:
     def test_round_trip_dict(self):
         cfg = TrainConfig(seed=7, subgraph_size=9)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("subgraph_size", 20.5), ("embedding_dim", True), ("epochs", "3"),
+        ("learning_rate", False), ("learning_rate", "0.1"), ("acl_mode", 1),
+        ("normalize_weighted_loss", 1), ("seed", None), ("ramp_epochs", 4.0),
+    ])
+    def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: expected"):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), key: value})
+
+    def test_from_dict_takes_ints_for_floats_and_none_where_admitted(self):
+        cfg = TrainConfig.from_dict({"learning_rate": 1, "ramp_epochs": None,
+                                     "sinkhorn_reg": None, "normalize_weighted_loss": True})
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert cfg.ramp_epochs is None and cfg.sinkhorn_reg is None
+        assert cfg.normalize_weighted_loss is True
 
 
 @pytest.fixture
@@ -358,8 +374,12 @@ class TestMalformedCheckpoint:
          '"params": {"weights": [[[1.0, 2.0], [3.0]]], "slopes": [0.25]}}', "sequence"),
         ('{"format_version": 1, "config": {}, "params": {"weights": [], "slopes": []}}',
          "0 weight matrices"),
+        ('{"format_version": 1, "config": {"subgraph_size": 20.5}, '
+         '"params": {"weights": [[[1.0]]], "slopes": [0.25]}}', "subgraph_size: expected int"),
+        ('{"format_version": 1, "config": {"embedding_dim": true}, '
+         '"params": {"weights": [[[1.0]]], "slopes": [0.25]}}', "embedding_dim: expected int"),
     ], ids=["no-params", "not-json", "version-2", "not-an-object", "unknown-config-key",
-            "ragged-weights", "no-layers"])
+            "ragged-weights", "no-layers", "fractional-int-config", "bool-int-config"])
     @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
     def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command,
                                  text, reason):
@@ -384,8 +404,8 @@ def _weights_checkpoint(weights, slopes):
 
 
 class TestMalformedWeights:
-    """Weights that are not matrices, layer widths that do not chain and
-    slopes that are not scalars fail ``evaluate`` and
+    """Weights that are not matrices, layer widths that do not chain,
+    slopes that are not scalars and non-finite entries fail ``evaluate`` and
     ``validate-difficulty --checkpoint`` with one ConfigError line that
     names the file, before any matmul sees them (the data has 4 features)."""
 
@@ -397,7 +417,11 @@ class TestMalformedWeights:
          "weight 0 gives 8 columns, weight 1 takes 5 rows"),
         (_weights_checkpoint([np.full((4, 8), 0.1)], [[0.25, 0.5]]),
          "slope 0 has shape (2,), not a scalar"),
-    ], ids=["vector-weight", "3d-weight", "widths-do-not-chain", "vector-slope"])
+        (_weights_checkpoint([np.full((4, 8), 0.1), np.full((8, 8), np.nan)], [0.25, 0.25]),
+         "weight 1 has a non-finite entry"),
+        (_weights_checkpoint([np.full((4, 8), 0.1)], [float("inf")]), "slope 0 is not finite"),
+    ], ids=["vector-weight", "3d-weight", "widths-do-not-chain", "vector-slope", "nan-weight",
+            "infinite-slope"])
     @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
     def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command,
                                  text, reason):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from acgcl.config import TrainConfig
 from acgcl.curriculum import (AclThresholds, decay_thresholds, hard_acl_weights,
-                              init_thresholds, pacing_difficulty, soft_acl_weights,
+                              open_window, pacing_difficulty, soft_acl_weights,
                               spl_weights, uniform_weights, weights_for_mode)
 from acgcl.errors import ConfigError, SizeError
 from oracles import acl_oracle_weights
@@ -122,26 +122,38 @@ class TestMonotonicity:
 
 class TestThresholds:
     def test_init_from_losses(self):
-        thr = init_thresholds([1.0, 2.0, 3.0, 4.0, 5.0])
+        thr = open_window([1.0, 2.0, 3.0, 4.0, 5.0], "soft_acl")
         assert thr.lambda1 == pytest.approx(3.0)
         assert thr.lambda2 == pytest.approx(0.95)
 
     def test_all_equal_losses(self):
-        thr = init_thresholds([2.0, 2.0, 2.0])
+        thr = open_window([2.0, 2.0, 2.0], "soft_acl")
         assert thr.lambda1 == pytest.approx(2.0)
         assert thr.lambda2 == pytest.approx(1.9)
 
     def test_two_losses_interpolated_median(self):
-        thr = init_thresholds([1.0, 3.0])
+        thr = open_window([1.0, 3.0], "hard_acl")
         assert thr.lambda1 == pytest.approx(2.0)
 
     def test_empty_losses(self):
         with pytest.raises(SizeError):
-            init_thresholds([])
+            open_window([], "soft_acl")
 
     def test_degenerate_all_zero(self):
-        with pytest.raises(ConfigError):
-            init_thresholds([0.0, 0.0])
+        # lambda2 = 0 = lambda1: no window, the epoch is weighed uniformly
+        for mode in ("spl", "hard_acl", "soft_acl"):
+            assert open_window([0.0, 0.0], mode) is None
+
+    def test_uniform_mode_opens_no_window(self):
+        assert open_window([1.0, 2.0, 3.0], "uniform") is None
+
+    @pytest.mark.parametrize("mode, window", [
+        ("spl", AclThresholds(lambda1=1.0, lambda2=0.0)),
+        ("hard_acl", AclThresholds(lambda1=1.0, lambda2=0.0)),
+        ("soft_acl", None),      # soft weights divide by lambda2
+    ])
+    def test_zero_lower_threshold(self, mode, window):
+        assert open_window([0.0, 1.0, 2.0], mode) == window
 
     def test_decay_widens(self):
         thr = AclThresholds(lambda1=1.0, lambda2=0.5)

@@ -7,16 +7,16 @@ import pytest
 from acgcl.augment import (estimate_distance_distribution, mirror_search, quantile,
                            semantic_assignment)
 from acgcl.config import TrainConfig
+from acgcl.curriculum import AclThresholds, pacing_difficulty
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import SbmConfig, Splits, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
 from acgcl.losses import balance_loss, inter_graph_losses_grouped
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
-                           difficulty_curve, encoded_views, evaluate_probe, init_optimizer,
-                           load_checkpoint, mirror_views,
+                           curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
+                           init_optimizer, load_checkpoint, mirror_views,
                            run_inner_step, save_checkpoint, train, write_report)
-from acgcl.util import rng_for
 from oracles import per_pair_mirror_augment
 
 
@@ -237,7 +237,7 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_diagnostics(self):
         g = small_graph()
-        cfg = small_config()
+        cfg = small_config(batch_size=10)
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         sem = semantic_assignment(g, "label")
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 0)
@@ -245,10 +245,34 @@ class TestTrainLoop:
         views = encoded_views(subs)
         pos, neg = mirror_views(mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.5))
         opt = init_optimizer([t.value for t in params.all_parameters()])
-        ids = np.arange(10)
         with pytest.raises(TrainingDiverged, match="batch"):
-            run_inner_step(params, opt, subs, views, pos, neg, ids, cfg, None,
-                           rng_for(0, 1), rng_for(0, 2))
+            run_inner_step(params, opt, subs, (views, pos, neg), 0, 0, cfg, None)
+
+    def test_steps_replay_a_train_run(self, tmp_path):
+        """A step is a function of (epoch, step) and the carried params, Adam
+        state and window: steps 0-2 of epoch 0, run from fresh params,
+        reproduce every step record of ``train`` and its final weights."""
+        g = small_graph(seed=4)
+        cfg = small_config(seed=4, epochs=1, inner_steps=3)
+        path = tmp_path / "metrics.jsonl"
+        trained, _ = train(g, cfg, metrics_path=path)
+        records = [r for r in map(json.loads, path.read_text().splitlines())
+                   if r["kind"] == "step"]
+        assert len(records) == 3 and records[0]["lambda1"] is not None
+
+        subs, sem, dist = curriculum_inputs(g, cfg)
+        gamma = quantile(dist, pacing_difficulty(0, cfg))
+        search = mirror_search(subs, sem, cfg.distance_metric)
+        views = (encoded_views(subs), *mirror_views(search.adjacencies(gamma)))
+        params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
+        opt = init_optimizer([t.value for t in params.all_parameters()])
+        window = AclThresholds(lambda1=1e9, lambda2=1e-9)    # step 0 ignores it
+        for step, record in enumerate(records):
+            fields, opt, window = run_inner_step(params, opt, subs, views, 0, step, cfg, window)
+            assert {"kind": "step", "epoch": 0, "step": step, "theta": record["theta"],
+                    "gamma": gamma, **fields} == record
+        for replayed, reference in zip(params.all_parameters(), trained.all_parameters()):
+            assert np.array_equal(replayed.value, reference.value)
 
 
 class TestDegeneratePipeline:
@@ -262,9 +286,7 @@ class TestDegeneratePipeline:
         pos, neg = mirror_views(identity)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
-        ids = np.arange(20)
-        result, _, _ = run_inner_step(params, opt, subs, views, pos, neg, ids, cfg,
-                                      None, rng_for(2, 1), rng_for(2, 2))
+        result, _, _ = run_inner_step(params, opt, subs, (views, pos, neg), 0, 0, cfg, None)
         # identical mirrors: inter-graph loss is exactly the margin per sample
         assert result["mean_inter"] == pytest.approx(cfg.xi, abs=1e-12)
         assert result["balance_loss"] < 0.25   # transport between identical sets: bias only
