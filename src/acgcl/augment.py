@@ -12,10 +12,14 @@ source subgraph; only edges move.
 
 Gamma only bounds a pair's best sum, so ``mirror_search`` finds each pair's
 best mirror once per run, among the subgraph's own nodes. A sum is separable
-in c and d, so an exact scan finds it in O(k) per pair and O(k^3) per
-subgraph, with the same first row-major (c, d) on ties as the O(k^2) sweep
-of every (c, d). Each new gamma then costs one threshold over the stored
-sums (``MirrorSearch.adjacencies``). The search and the distance estimate
+in c and d and rounded addition is monotone, so one sort of each node's
+distance row gives short lists of its nearest candidates, from which a
+pair's best mirror is read in O(1): O(k^2 log k) per subgraph. A pair the
+lists cannot settle exactly (a tie at their cut, or a subgraph padded with
+a repeated centre) takes an exact O(k) scan instead. Both give the same
+first row-major (c, d) on ties as the O(k^2) sweep of every (c, d). Each
+new gamma then costs one threshold over the stored sums
+(``MirrorSearch.adjacencies``). The search and the distance estimate
 read a ``SubgraphSet`` and gather feature rows per block; ``mirror_augment``
 searches one ``Subgraph``.
 """
@@ -191,14 +195,17 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     lexicographically smallest (c, d), the first minimum in row-major order.
 
     Each sum is fl(D[a, c] + D[b, d]), and rounded addition is monotone in
-    each argument, so the admissible mirrors of a pair are scanned in O(k)
-    rather than O(k^2) (``_separable_min``). A positive mirror has a
-    separable candidate set: c of a's semantics times d of b's, minus the
-    pairs with c and d on one parent. A negative mirror's set is the union
-    of two such sets, c of another semantics than a's with any d, and any c
-    with d of another semantics than b's; their minima merge by value, then
-    by the smaller position. Pairs are scanned as (pairs, k) rows over
-    blocks of PAIR_BLOCK pairs' worth of whole subgraphs.
+    each argument. A positive mirror has a separable candidate set: c of
+    a's semantics times d of b's, minus the pairs with c and d on one
+    parent. A negative mirror's set is the union of two such sets, c of
+    another semantics than a's with any d, and any c with d of another
+    semantics than b's; their minima merge by value, then by the smaller
+    position. Each of the three minima is read from the head of a's and b's
+    candidate lists (``_candidate_lists``, ``_listed_min``). The rows the
+    lists cannot settle, a value or rounding tie at the cut or any pair of
+    a subgraph with a repeated parent, alone take the exact scan
+    (``_separable_min``). Distances, lists and pairs are held for one block
+    of PAIR_BLOCK pairs' worth of whole subgraphs at a time.
     """
     check_metric(metric)
     adjacency = subgraphs.adjacency
@@ -215,14 +222,16 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
         pairs = upper & (parents[:, :, None] != parents[:, None, :])
         pair_counts[start:start + len(parents)] = pairs.sum(axis=(1, 2))
         g, a, b = np.nonzero(pairs)          # pairs a < b with distinct parents
-        x, y = dmat[g, a], dmat[g, b]        # x[r, c] = D[a, c], y[r, d] = D[b, d]
-        par, lab = parents[g], labels[g]
-        free = (par != parents[g, a][:, None]) & (par != parents[g, b][:, None])
-        same_a = lab == labels[g, a][:, None]
-        same_b = lab == labels[g, b][:, None]
-        pos = _separable_min(x, y, free & same_a, free & same_b, par)
-        neg_c = _separable_min(x, y, free & ~same_a, free, par)
-        neg_d = _separable_min(x, y, free, free & ~same_b, par)
+        *mins, settled = _listed_mins(dmat, labels, g, a, b)
+        # The lists hold slots, not parents, and a NaN distance has no order.
+        listed = ((np.diff(np.sort(parents, axis=1), axis=1) != 0).all(axis=1)
+                  & ~np.isnan(dmat).any(axis=(1, 2)))
+        hard = np.flatnonzero(~(settled & listed[g]))
+        if hard.size:
+            for (value, flat), exact in zip(mins, _scanned_mins(
+                    dmat, parents, labels, g[hard], a[hard], b[hard])):
+                value[hard], flat[hard] = exact
+        pos, neg_c, neg_d = mins
         neg_best = np.minimum(neg_c[0], neg_d[0])
         neg_flat = np.where(neg_c[0] < neg_d[0], neg_c[1],
                             np.where(neg_d[0] < neg_c[0], neg_d[1],
@@ -237,10 +246,126 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                         pair_counts=pair_counts)
 
 
+# The candidate sets of slot v: slots of v's semantics, of another, of any.
+SAME, OTHER, ANY = range(3)
+# Candidates kept per slot and set: a pair drops at most two entries of a
+# list and reads at most two more.
+LIST_LENGTH = 4
+
+
+def _candidate_lists(dmat: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(g * k, 3, LIST_LENGTH) int32 slots of a block of g subgraphs: entry
+    [g * k + v, s] lists the first LIST_LENGTH members of set s other than v
+    in (D[v, slot], slot) order, then k (no slot) when s runs out."""
+    g, k = labels.shape
+    n = g * k
+    cols = np.arange(n)
+    # column v: the slots of v's subgraph in (D[v, slot], slot) order
+    order = np.argsort(dmat, axis=-1, kind="stable").reshape(n, k).T.astype(np.int32)
+    tags = labels.reshape(-1)
+    same = tags.take(cols // k * k + order) == tags
+    seen_same = np.cumsum(same, axis=0, dtype=np.int32)
+    seen_self = np.cumsum(order == cols % k, axis=0, dtype=np.int32)
+    seen = np.arange(1, k + 1, dtype=np.int32)[:, None]
+    padded = np.concatenate([order, np.full((1, n), k, dtype=np.int32)]).reshape(-1)
+    lists = np.empty((n, 3, LIST_LENGTH), dtype=np.int32)
+    # members of each set up to and including each place
+    for s, members in enumerate((seen_same - seen_self, seen - seen_same, seen - seen_self)):
+        for j in range(LIST_LENGTH):
+            place = np.count_nonzero(members <= j, axis=0)
+            lists[:, s, j] = padded.take(place * n + cols)
+    return lists
+
+
+def _listed_mins(dmat: np.ndarray, labels: np.ndarray, g: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> tuple:
+    """The positive, c-negative and d-negative minima of pairs (g, a, b) of a
+    block, each as (value, position), read from candidate lists; then the
+    rows whose three minima are exact if each parent has one slot."""
+    k = labels.shape[1]
+    lists = _candidate_lists(dmat, labels)
+    # Slot k (no slot) reads an infinite distance and some label.
+    dist = np.full((*dmat.shape[:2], k + 1), np.inf)
+    dist[..., :k] = dmat
+    dist = dist.reshape(-1)
+    tags = np.concatenate([labels, labels[:, :1]], axis=1).reshape(-1)
+    g, a, b = (v.astype(np.int32) for v in (g, a, b))
+    row_a, row_b = g * k + a, g * k + b
+    # (3, LIST_LENGTH, pairs): one contiguous row per set and place
+    near_a, near_b = (np.ascontiguousarray(lists.take(rows, axis=0).transpose(1, 2, 0))
+                      for rows in (row_a, row_b))
+    label_a = tags.take(g * (k + 1) + a)
+    mins, settled = [], True
+    for c_set, d_set in ((SAME, SAME), (OTHER, ANY), (ANY, OTHER)):
+        d_slots = _first_three_without(near_b[d_set], a)
+        d1_ok = True                        # may row d1 be a c?
+        if c_set != ANY:
+            d1_ok = (tags.take(g * (k + 1) + d_slots[0]) == label_a) == (c_set == SAME)
+        value, flat, ok = _listed_min(dist, near_a[c_set], b, row_a * (k + 1),
+                                      row_b * (k + 1), d_slots, d1_ok, k)
+        mins.append((value, flat))
+        settled = settled & ok
+    return (*mins, settled)
+
+
+def _first_three_without(lists: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """(3, rows): the first three entries of each column of (LIST_LENGTH,
+    rows) ``lists`` that are not ``slot``."""
+    seen = lists[:3] == slot
+    seen[1] |= seen[0]
+    seen[2] |= seen[1]
+    return np.where(seen, lists[1:], lists[:3])
+
+
+def _listed_min(dist: np.ndarray, list_a: np.ndarray, b: np.ndarray, at_a: np.ndarray,
+                at_b: np.ndarray, d_slots: np.ndarray, d1_ok, k: int) -> tuple:
+    """One separable minimum per pair, from a's c-list and the first three
+    slots d1, d2, d3 of b's d-list without a; D[a, c] is ``dist[at_a + c]``.
+
+    Row c's smallest sum is fl(D[a, c] + m), with m = D[b, d2] on row d1 and
+    D[b, d1] on every other row. With c1, c2 the first two of a's list
+    without b and d1, the best sum is therefore on row c1 or, if ``d1_ok``
+    admits it, row d1; the smaller slot wins a tie. The answer is exact
+    when row c2's sum, and the best row's sum with its next partner, are
+    both strictly larger; ``ok`` flags those rows and the rows with no
+    mirror at all."""
+    d1, d2, d3 = d_slots
+    drop = (list_a[:3] == b) | (list_a[:3] == d1)
+    c1 = np.where(drop[0], np.where(drop[1], list_a[2], list_a[1]), list_a[0])
+    c2 = np.where(drop[0] | drop[1],
+                  np.where((drop[0] & drop[1]) | drop[2], list_a[3], list_a[2]), list_a[1])
+    m1, m2 = dist.take(at_b + d1), dist.take(at_b + d2)
+    x1, x2, xd = dist.take(at_a + c1), dist.take(at_a + c2), dist.take(at_a + d1)
+    sum_c = x1 + m1
+    sum_d = np.where(d1_ok, xd + m2, np.inf)
+    value = np.minimum(sum_c, sum_d)
+    c = np.where(sum_c < sum_d, c1, np.where(sum_d < sum_c, d1, np.minimum(c1, d1)))
+    on_d1 = c == d1
+    d = np.where(on_d1, d2, d1)
+    after = np.where(on_d1 | (c == d2), d3, d2)
+    ok = (value == np.inf) | ((x2 + m1 > value)
+                              & (np.where(on_d1, xd, x1) + dist.take(at_b + after) > value))
+    return value, c * k + d, ok
+
+
+def _scanned_mins(dmat: np.ndarray, parents: np.ndarray, labels: np.ndarray, g: np.ndarray,
+                  a: np.ndarray, b: np.ndarray) -> tuple:
+    """The three separable minima of pairs (g, a, b) by the exact scan."""
+    x, y = dmat[g, a], dmat[g, b]        # x[r, c] = D[a, c], y[r, d] = D[b, d]
+    par, lab = parents[g], labels[g]
+    free = (par != parents[g, a][:, None]) & (par != parents[g, b][:, None])
+    same_a = lab == labels[g, a][:, None]
+    same_b = lab == labels[g, b][:, None]
+    return (_separable_min(x, y, free & same_a, free & same_b, par),
+            _separable_min(x, y, free & ~same_a, free, par),
+            _separable_min(x, y, free, free & ~same_b, par))
+
+
 def _separable_min(x: np.ndarray, y: np.ndarray, c_ok: np.ndarray, d_ok: np.ndarray,
                    parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the smallest fl(x[c] + y[d]) over c_ok[c], d_ok[d] and
-    parents[c] != parents[d], and its first row-major position c * k + d.
+    parents[c] != parents[d], and its first row-major position c * k + d:
+    the exact O(k) scan for the pairs the candidate lists cannot settle.
 
     By monotone rounding, row c's smallest sum is fl(x[c] + m), with m the
     smallest admissible y: m1 at its first position d1, or, when c shares

@@ -63,16 +63,24 @@ def sym_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a_hat
 
 
-def gcn_forward_batched(params: GcnParams, a_hat_blocks: np.ndarray, features_flat) -> ad.Tensor:
+def gcn_forward_batched(params: GcnParams, a_hat_blocks: np.ndarray, features_flat, *,
+                        centers_only: bool) -> ad.Tensor:
     """Embed many subgraphs at once.
 
     a_hat_blocks: (n_subgraphs, k, k) normalized adjacencies (constants);
     features_flat: (n_subgraphs * k, in_dim). Row block i of the result is
-    the (k, d) embedding of subgraph i.
+    the (k, d) embedding of subgraph i. With ``centers_only`` the last
+    layer propagates at full width but sends only each subgraph's center
+    row (its first) through its weight and slope, and row i of the
+    (n_subgraphs, d) result is the center embedding of subgraph i.
     """
     h = ad.as_tensor(features_flat)
-    for weight, slope in zip(params.weights, params.slopes):
-        h = ad.prelu(ad.matmul(ad.block_matmul(a_hat_blocks, h), weight), slope)
+    last = params.n_layers - 1
+    for layer, (weight, slope) in enumerate(zip(params.weights, params.slopes)):
+        h = ad.block_matmul(a_hat_blocks, h)
+        if centers_only and layer == last:
+            h = ad.take_rows(h, np.arange(0, h.shape[0], a_hat_blocks.shape[-1]))
+        h = ad.prelu(ad.matmul(h, weight), slope)
     return h
 
 

@@ -12,9 +12,10 @@ the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
 ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
 costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
-``SubgraphSet`` of (n, k) ids and (n, k, k) induced adjacencies, built in one
-pass with O(n k^2) memory; its readers gather feature rows by parent id from
-the graph's own matrix. ``extract_subgraph`` gives one ``Subgraph``.
+``SubgraphSet`` of (n, k) ids and (n, k, k) induced adjacencies, filled
+RANK_BLOCK_ROWS subgraphs at a time into one preallocated array; its readers
+gather feature rows by parent id from the graph's own matrix.
+``extract_subgraph`` gives one ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -180,15 +181,18 @@ def sample_all_subgraphs(graph: Graph, k: int, teleport: float) -> SubgraphSet:
         raise SizeError(f"k must be >= 1, got {k}")
     indices = top_k_indices(compute_ppr_scores(graph, teleport), k)
     n = graph.n_nodes
-    # Every (n, k, k) adjacency entry is looked up at once in the sorted keys
-    # row * n + col of the stored entries, closed by a sentinel n * n, so no
-    # n x n array is built.
+    # Each (k, k) adjacency entry is looked up in the sorted keys row * n + col
+    # of the stored entries, closed by a sentinel n * n, RANK_BLOCK_ROWS
+    # subgraphs at a time, so no n x n array and no second (n, k, k) one is built.
     coo = graph.adjacency.tocoo(copy=True)
     coo.sum_duplicates()                 # canonical: unique, in row-major order
     keys = np.append(coo.row.astype(np.int64) * n + coo.col, n * n)
     values = np.append(coo.data.astype(np.float64), 0.0)
-    wanted = indices[:, :, None] * n + indices[:, None, :]
-    at = np.searchsorted(keys, wanted)
-    adjacency = np.where(keys[at] == wanted, values[at], 0.0)
+    adjacency = np.empty((n, k, k))
+    for start in range(0, n, RANK_BLOCK_ROWS):
+        ids = indices[start:start + RANK_BLOCK_ROWS]
+        wanted = ids[:, :, None] * n + ids[:, None, :]
+        at = np.searchsorted(keys, wanted)
+        adjacency[start:start + len(ids)] = np.where(keys[at] == wanted, values[at], 0.0)
     return SubgraphSet(parent_indices=indices, adjacency=adjacency,
                        node_features=graph.features)

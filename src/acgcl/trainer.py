@@ -36,7 +36,7 @@ from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_di
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
-from .graph import SPLIT_FILE, Graph, Splits, load_dataset, make_splits
+from .graph import LABEL_FILE, SPLIT_FILE, Graph, Splits, load_dataset, make_splits
 from .losses import (balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
@@ -112,8 +112,9 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
     for start in range(0, len(subgraphs), EMBED_BLOCK):
         block = subgraphs[start:start + EMBED_BLOCK]
         ids = block.parent_indices
-        h = gcn_forward_batched(params, encoded_views(block), block.node_features[ids.ravel()])
-        blocks.append(h.value[::ids.shape[1]])          # center rows
+        h = gcn_forward_batched(params, encoded_views(block), block.node_features[ids.ravel()],
+                                centers_only=True)
+        blocks.append(h.value)
     return np.concatenate(blocks)
 
 
@@ -221,7 +222,8 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     ids = np.sort(batch_rng.choice(n, size=b, replace=False))
 
     feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
-    h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats) for a in views)
+    h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats, centers_only=False)
+                       for a in views)
 
     inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, config.xi, k)
 
@@ -281,10 +283,12 @@ def curriculum_inputs(graph: Graph, config: TrainConfig
                       ) -> tuple[SubgraphSet, SemanticAssignment, DistanceDistribution]:
     """The run's subgraphs, node semantics and pair-distance distribution.
 
-    The distribution's seed derives from ``config.seed`` and ROLE_DISTANCES,
-    so every command maps a difficulty theta to the same gamma."""
-    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
+    Semantics come first, so a graph that cannot supply them fails before
+    any sampling. The distribution's seed derives from ``config.seed`` and
+    ROLE_DISTANCES, so every command maps a difficulty theta to the same
+    gamma."""
     semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
+    subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
     seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
     dist = estimate_distance_distribution(subgraphs, config.distance_metric,
                                           config.dis_sample_budget, seed)
@@ -370,11 +374,11 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
     a_hat = encoded_views(subgraphs)
     n, k = a_hat.shape[:2]
     feats = subgraphs.node_features[subgraphs.parent_indices].reshape(n * k, -1)
-    h = gcn_forward_batched(params, a_hat, feats)
+    h = gcn_forward_batched(params, a_hat, feats, centers_only=False)
     rows = []
     for theta in theta_grid:
         gamma = quantile(dist, float(theta))
-        h_pos, h_neg = (gcn_forward_batched(params, a_mirror, feats)
+        h_pos, h_neg = (gcn_forward_batched(params, a_mirror, feats, centers_only=False)
                         for a_mirror in mirror_views(search.adjacencies(gamma)))
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
         rows.append((float(theta), float(losses.mean()), float(losses.std())))
@@ -455,9 +459,12 @@ def check_feature_width(params: GcnParams, graph: Graph, checkpoint_path) -> Non
 
 def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:
     """Recompute embeddings from a checkpoint and probe them; matches the
-    validation accuracy reported at the end of training for the same data."""
+    validation accuracy reported at the end of training for the same data.
+    Data without labels, or with an empty split, fails before sampling."""
     params, config = load_checkpoint(checkpoint_path)
     graph = load_dataset(data_dir)
+    if graph.labels is None:
+        raise ContractError(f"{data_dir}: no {LABEL_FILE}; evaluate probes node labels")
     check_feature_width(params, graph, checkpoint_path)
     probe_splits(graph, config)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)

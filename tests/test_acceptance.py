@@ -203,7 +203,8 @@ def test_criterion_5_gradient_checks():
         params = init_gcn_params(values[0].shape[1], 3, n_layers=2, seed=0)
         params.weights = [w1, w2]
         params.slopes = [s1, s2]
-        out = gcn_forward_batched(params, sym_normalized_adjacency(ADJ)[None], x)
+        out = gcn_forward_batched(params, sym_normalized_adjacency(ADJ)[None], x,
+                                  centers_only=False)
         return ad.sum_all(ad.mul(out, ad.Tensor(MIX))), [x, w1, w2, s1, s2]
 
     global ADJ, MIX

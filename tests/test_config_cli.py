@@ -566,6 +566,46 @@ class TestEmptyProbeSplit:
         assert not out.exists()
 
 
+class TestUnlabeledData:
+    """Data without ``labels.csv`` fails in one line before any sampling when
+    a command needs labels: the probe of ``evaluate``, or ``semantics =
+    label`` in a run's set-up."""
+
+    @pytest.fixture
+    def unlabeled(self, tmp_path, dataset_dir, monkeypatch):
+        import acgcl.trainer
+
+        def refuse(*args):
+            raise AssertionError("subgraphs were sampled")
+
+        data = tmp_path / "unlabeled"
+        data.mkdir()
+        for name in ("edges.txt", "features.csv", "splits.json"):
+            (data / name).write_bytes((dataset_dir / name).read_bytes())
+        monkeypatch.setattr(acgcl.trainer, "sample_all_subgraphs", refuse)
+        return data
+
+    def test_evaluate(self, tmp_path, config_file, unlabeled, capsys):
+        ckpt = tmp_path / "ckpt"       # patience 0 stops before sampling
+        assert main(["train", "--config", str(config_file), "--set", "patience=0",
+                     "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt / "checkpoint.json"),
+                     "--data", str(unlabeled)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ContractError: {unlabeled}: no labels.csv; evaluate probes node labels"]
+
+    @pytest.mark.parametrize("command", ["train", "augment-inspect", "validate-difficulty"])
+    def test_label_semantics(self, tmp_path, config_file, unlabeled, capsys, command):
+        argv = {"train": ["--out", str(tmp_path / "run")],
+                "augment-inspect": ["--node", "0", "--theta", "30", "--out", str(tmp_path / "i")],
+                "validate-difficulty": ["--out", str(tmp_path / "curve.csv")]}[command]
+        assert main([command, "--config", str(config_file), "--set", f"data_dir={unlabeled}",
+                     *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ConfigError: semantics: kind 'label' requires a labeled graph"]
+
+
 class TestOneValuePerSetting:
     """A run setting takes its value from TrainConfig or SbmConfig alone. A
     library default restating it would give a caller who leaves the argument

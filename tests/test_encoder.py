@@ -22,7 +22,8 @@ def identity_params(dim):
 
 def forward_one(params, adjacency, features):
     """One subgraph through the batched forward pass, as a one-block stack."""
-    return gcn_forward_batched(params, sym_normalized_adjacency(adjacency)[None], features)
+    return gcn_forward_batched(params, sym_normalized_adjacency(adjacency)[None], features,
+                               centers_only=False)
 
 
 class TestSymNormalizedAdjacency:
@@ -88,7 +89,7 @@ class TestGcnForward:
         params = init_gcn_params(g.feature_dim, 6, n_layers=2, seed=1)
         a_hat = np.stack([sym_normalized_adjacency(s.adjacency) for s in subs])
         feats = np.concatenate([s.node_features[s.parent_indices] for s in subs])
-        batched = gcn_forward_batched(params, a_hat, feats).value
+        batched = gcn_forward_batched(params, a_hat, feats, centers_only=False).value
         for i, sub in enumerate(subs):
             single = gcn_forward(params, sub.adjacency, sub.node_features[sub.parent_indices]).value
             assert np.allclose(batched[5 * i:5 * (i + 1)], single, atol=1e-12)
@@ -102,7 +103,7 @@ class TestGcnForward:
         a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
         x = rng.standard_normal((n * k, dim))
         params = init_gcn_params(dim, 3, n_layers=2, seed=0)
-        out = gcn_forward_batched(params, a_hat, x)
+        out = gcn_forward_batched(params, a_hat, x, centers_only=False)
         product2, _ = out._parents
         propagated2, w2 = product2._parents
         (h1,) = propagated2._parents
@@ -115,6 +116,25 @@ class TestGcnForward:
         d_propagated1, d_w1 = product1._backward_fn(np.ones(product1.shape))
         assert d_propagated1 is None and d_w1.shape == w1.shape
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_centers_only_gives_the_center_rows(self, rng, n_layers):
+        """Only the last layer's weight and slope see fewer rows: the centre
+        rows are bit-identical to those of the full forward pass, and so
+        are the gradients they send back."""
+        n, k, dim = 5, 4, 3
+        adjacency = np.triu((rng.random((n, k, k)) < 0.5).astype(float), 1)
+        a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
+        x = rng.standard_normal((n * k, dim))
+        params = init_gcn_params(dim, 6, n_layers=n_layers, seed=2)
+        full = gcn_forward_batched(params, a_hat, x, centers_only=False)
+        centers = gcn_forward_batched(params, a_hat, x, centers_only=True)
+        assert centers.shape == (n, 6)
+        assert np.array_equal(centers.value, full.value[::k])
+        grads = [ad.gradients(ad.sum_all(out), params.all_parameters())
+                 for out in (centers, ad.take_rows(full, np.arange(0, n * k, k)))]
+        for got, want in zip(*grads):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
     def test_layer_count_validated(self):
         with pytest.raises(ConfigError):
             init_gcn_params(4, 2, n_layers=3, seed=0)
@@ -126,7 +146,8 @@ class TestEncodeTriple:
     @staticmethod
     def encode(params, subs, views, pos, neg):
         feats = subs.node_features[subs.parent_indices].reshape(-1, subs.node_features.shape[-1])
-        return tuple(gcn_forward_batched(params, a, feats).value for a in (views, pos, neg))
+        return tuple(gcn_forward_batched(params, a, feats, centers_only=False).value
+                     for a in (views, pos, neg))
 
     @staticmethod
     def identity_adjacencies(subs):

@@ -1,0 +1,148 @@
+"""The candidate-list mirror search: each pair's best mirror read from the
+head of two sorted distance rows, with the rows the lists cannot settle sent
+to the exact scan.
+
+Every table is compared with the O(k^4) chunked oracle, or, on inputs too
+large for it, with a search that sends every row to the exact scan. The
+inputs aim at the fallback: exact value ties from duplicated feature rows,
+equal rounded sums from integer features under manhattan, centre-padded
+subgraphs, lists shorter than LIST_LENGTH, and one-label and all-distinct
+semantics.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acgcl import augment
+from acgcl.augment import SemanticAssignment, mirror_search
+from acgcl.graph import SbmConfig, generate_sbm
+from acgcl.sampler import Subgraph, sample_all_subgraphs
+from conftest import stack_subgraphs
+from oracles import chunked_mirror_search
+
+TABLES = ("adjacency", "best", "argmin", "edge", "pair_counts")
+
+
+def assert_same_tables(got, want):
+    for name in TABLES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def random_stack(rng, k, features, labels, padded, n_subgraphs=3):
+    """A stack of k-slot subgraphs over 2k parents, each subgraph on distinct
+    parents unless centre-padded."""
+    n_parents = 2 * k
+    if features == "continuous":
+        x = rng.standard_normal((n_parents, 2))
+    elif features == "duplicated":          # a few distinct rows, many exact copies
+        x = rng.standard_normal((3, 2))[rng.integers(0, 3, size=n_parents)]
+    else:                                    # small integers: equal rounded sums
+        x = rng.integers(-2, 3, size=(n_parents, 2)).astype(float)
+    subs = []
+    for _ in range(n_subgraphs):
+        parents = rng.choice(n_parents, size=k, replace=False)
+        if padded:
+            parents[k - int(rng.integers(1, k)):] = parents[0]
+        adjacency = np.triu((rng.random((k, k)) < 0.5).astype(float), 1)
+        subs.append(Subgraph(parents, adjacency + adjacency.T, x))
+    values = {"one": np.zeros(n_parents), "distinct": np.arange(n_parents),
+              "few": rng.integers(0, 3, size=n_parents)}[labels]
+    return stack_subgraphs(subs), SemanticAssignment(values=values.astype(np.int64))
+
+
+@pytest.fixture
+def scanned_rows(monkeypatch):
+    """The number of rows each block sent to the exact scan."""
+    rows = []
+    scan = augment._scanned_mins
+
+    def counted(dmat, parents, labels, g, a, b):
+        rows.append(len(g))
+        return scan(dmat, parents, labels, g, a, b)
+
+    monkeypatch.setattr(augment, "_scanned_mins", counted)
+    return rows
+
+
+def scan_everything(monkeypatch):
+    """Make the lists settle no row, so that every row takes the exact scan."""
+    listed = augment._listed_mins
+
+    def nothing_settled(*args):
+        *mins, settled = listed(*args)
+        return (*mins, np.zeros_like(settled))
+
+    monkeypatch.setattr(augment, "_listed_mins", nothing_settled)
+
+
+class TestAgainstChunkedSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(augment.METRICS), st.integers(2, 9),
+           st.sampled_from(["continuous", "duplicated", "integer"]),
+           st.sampled_from(["one", "distinct", "few"]), st.booleans())
+    def test_tables_match(self, seed, metric, k, features, labels, padded):
+        subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
+        assert_same_tables(mirror_search(subs, sem, metric),
+                           chunked_mirror_search(subs, sem, metric))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("labels", ["one", "distinct", "few"])
+    def test_short_lists(self, rng, k, labels):
+        # k <= LIST_LENGTH: every list runs out, and so do some sets at k = 5
+        for metric in augment.METRICS:
+            subs, sem = random_stack(rng, k, "continuous", labels, False, n_subgraphs=8)
+            assert_same_tables(mirror_search(subs, sem, metric),
+                               chunked_mirror_search(subs, sem, metric))
+
+
+class TestRouting:
+    """Which rows the lists settle, and which go to the exact scan."""
+
+    @pytest.mark.parametrize("features, metric", [("duplicated", "euclidean"),
+                                                  ("integer", "manhattan")])
+    def test_ties_go_to_the_exact_scan(self, rng, scanned_rows, features, metric):
+        subs, sem = random_stack(rng, 8, features, "few", False, n_subgraphs=6)
+        search = mirror_search(subs, sem, metric)
+        assert sum(scanned_rows) > 0
+        assert sum(scanned_rows) < search.pair_counts.sum()
+        assert_same_tables(search, chunked_mirror_search(subs, sem, metric))
+
+    def test_every_pair_of_a_padded_subgraph_goes_to_the_exact_scan(self, rng, scanned_rows):
+        x = rng.standard_normal((20, 3))
+        plain = Subgraph(np.arange(6), np.zeros((6, 6)), x)
+        padded = Subgraph(np.array([7, 8, 9, 10, 7, 7]), np.zeros((6, 6)), x)
+        subs = stack_subgraphs([plain, padded])
+        sem = SemanticAssignment(values=rng.integers(0, 2, size=20))
+        search = mirror_search(subs, sem, "euclidean")
+        assert search.pair_counts.tolist() == [15, 12]
+        assert scanned_rows == [12]
+        assert_same_tables(search, chunked_mirror_search(subs, sem, "euclidean"))
+
+    def test_a_rounding_tie_at_the_cut_goes_to_the_exact_scan(self, scanned_rows):
+        # As in test_augment's rounding-tie case: D[a, 0] = 1 + 2^-52 and
+        # D[a, 1] = 1 give the same rounded sum with D[b, 4] = 3.
+        x = np.array([[1.0 + 2.0 ** -52], [-1.0], [0.0], [10.0], [13.0]])
+        subs = stack_subgraphs([Subgraph(np.arange(5), np.zeros((5, 5)), x)])
+        sem = SemanticAssignment(values=np.zeros(5, dtype=np.int64))
+        search = mirror_search(subs, sem, "manhattan")
+        assert sum(scanned_rows) > 0
+        assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (0, 4)
+        assert_same_tables(search, chunked_mirror_search(subs, sem, "manhattan"))
+
+    @pytest.mark.parametrize("metric", augment.METRICS)
+    def test_a_benchmark_like_block_model_needs_no_exact_scan(self, monkeypatch, scanned_rows,
+                                                              metric):
+        g = generate_sbm(SbmConfig((60, 60, 60), 0.15, 0.01, 16), seed=3)
+        subs = sample_all_subgraphs(g, 20, 0.15)
+        for kind in ("label", "degree-bucket"):
+            sem = augment.semantic_assignment(g, kind, 4)
+            search = mirror_search(subs, sem, metric)
+            assert scanned_rows == []
+            with monkeypatch.context() as patched:
+                scan_everything(patched)
+                assert_same_tables(search, mirror_search(subs, sem, metric))
+            assert sum(scanned_rows) == search.pair_counts.sum()
+            scanned_rows.clear()

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acgcl import sampler
 from acgcl.errors import ShapeError, SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
 from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
@@ -305,6 +306,18 @@ class TestSampleAllSubgraphs:
                     for name in ("parent_indices", "node_features", "adjacency"):
                         got, ref = getattr(sub, name), getattr(want, name)
                         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocked_fill_matches_extract_subgraph(self, rng, monkeypatch, block):
+        # blocks of subgraphs that end mid-set, padded subgraphs included
+        monkeypatch.setattr(sampler, "RANK_BLOCK_ROWS", block)
+        edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)]
+        for g in (random_graph(rng, n=30), graph_from_edges(10, edges)):
+            subs = sample_all_subgraphs(g, k=6, teleport=0.15)
+            for sub in subs:
+                want = extract_subgraph(g, sub.parent_indices).adjacency
+                assert sub.adjacency.dtype == want.dtype
+                assert np.array_equal(sub.adjacency, want)
 
     def test_deterministic(self, rng):
         g = random_graph(rng, n=15)

@@ -305,12 +305,12 @@ class TestDifficultyCurve:
 
         views = encoded_views(subs)
         feats = subs.node_features[subs.parent_indices].reshape(len(subs) * 6, -1)
-        h = gcn_forward_batched(params, views, feats)
+        h = gcn_forward_batched(params, views, feats, centers_only=False)
         for theta, (got_theta, mean, std) in zip(grid, curve):
             mirrors = [per_pair_mirror_augment(s, quantile(dist, theta), sem) for s in subs]
             h_pos, h_neg = (gcn_forward_batched(
                 params, np.stack([sym_normalized_adjacency(getattr(m, side)) for m in mirrors]),
-                feats) for side in ("positive_adjacency", "negative_adjacency"))
+                feats, centers_only=False) for side in ("positive_adjacency", "negative_adjacency"))
             losses = inter_graph_losses_grouped(h, h_pos, h_neg, 0.5, 6).value
             assert (got_theta, mean, std) == (theta, float(losses.mean()), float(losses.std()))
 
@@ -325,7 +325,7 @@ class TestCenterEmbeddings:
         k = cfg.subgraph_size
         ids = np.arange(len(subs))
         feats = subs.node_features[subs.parent_indices][ids].reshape(len(ids) * k, -1)
-        h = gcn_forward_batched(params, views[ids], feats).value
+        h = gcn_forward_batched(params, views[ids], feats, centers_only=False).value
         assert np.array_equal(compute_center_embeddings(params, subs), h[ids * k])
 
 
