@@ -36,8 +36,8 @@ def main():
                              balance_max_points=128, sinkhorn_iters=60)
         graph = with_splits(graph, make_splits(graph, seed, config.split_train,
                                                config.split_val))
-        raw = evaluate_probe(graph.features, graph.labels, graph.splits, config.probe_iters,
-                             config.probe_l2, config.probe_lr)["test"]
+        raw = evaluate_probe(graph.features, graph.labels, graph.splits,
+                             config.probe_l2)["test"]
         start = time.time()
         params, epochs = train(graph, config)
         subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)

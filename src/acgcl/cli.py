@@ -110,6 +110,8 @@ def _cmd_evaluate(args) -> int:
     scores = evaluate_checkpoint(args.checkpoint, args.data)
     print(f"val_accuracy={scores['val_accuracy']!r}")
     print(f"test_accuracy={scores['test_accuracy']!r}")
+    print(f"probe_grad_norm={scores['probe_grad_norm']!r}")
+    print(f"probe_steps={scores['probe_steps']}")
     return 0
 
 

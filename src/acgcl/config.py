@@ -72,9 +72,7 @@ class TrainConfig:
     sinkhorn_tol: float = 1e-6
 
     # probe
-    probe_iters: int = 500
     probe_l2: float = 1e-4
-    probe_lr: float = 0.5
 
     # default node split when the dataset carries none
     split_train: float = 0.3
@@ -88,7 +86,7 @@ class TrainConfig:
                 raise ConfigError(f"{f.name}: must be finite")
         positive_ints = ("subgraph_size", "embedding_dim", "batch_size", "inner_steps",
                          "epochs", "degree_buckets", "dis_sample_budget",
-                         "balance_max_points", "sinkhorn_iters", "probe_iters")
+                         "balance_max_points", "sinkhorn_iters")
         for name in positive_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
@@ -101,8 +99,6 @@ class TrainConfig:
                 raise ConfigError(f"{name}: must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate: must be positive")
-        if self.probe_lr <= 0:
-            raise ConfigError("probe_lr: must be positive")
         if not (0.0 < self.teleport < 1.0):
             raise ConfigError("teleport: must be in (0, 1)")
         if self.gcn_layers not in (1, 2):

@@ -99,7 +99,11 @@ def validate_graph(graph: Graph, allow_self_loops: bool = False) -> None:
         seen: set[int] = set()
         for name in ("train", "val", "test"):
             part = getattr(graph.splits, name)
-            ids = set(int(i) for i in part)
+            values, counts = np.unique(part, return_counts=True)
+            if (counts > 1).any():
+                raise ShapeError(f"split '{name}' lists node {values[counts > 1][0]} "
+                                 "more than once")
+            ids = set(values.tolist())
             if ids & seen:
                 raise ShapeError(f"split '{name}' overlaps another split")
             if part.size and (part.min() < 0 or part.max() >= n):
@@ -214,7 +218,7 @@ def load_dataset(directory) -> Graph:
     )
     split_path = directory / SPLIT_FILE
     if split_path.exists():
-        try:   # bad JSON, keys or ids; ids out of range or in two splits
+        try:   # bad JSON, keys or ids; ids out of range, repeated or in two splits
             graph = with_splits(graph, _parse_splits(json.loads(split_path.read_text())))
             validate_graph(graph, allow_self_loops=True)
         except (ValueError, OverflowError) as exc:

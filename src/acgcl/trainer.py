@@ -15,6 +15,12 @@ resets.
 
 Each step gathers its batch's feature rows once, by parent id, from the
 graph's own matrix: a subgraph's three views differ only in their adjacency.
+
+The probe is L2-regularised multinomial logistic regression on the
+standardised centre embeddings, fitted by Newton-CG (``fit_probe``) until
+its gradient norm reaches PROBE_TOL; every fit reports that norm and its
+step count, which ``train`` writes to each epoch record and ``evaluate``
+prints.
 """
 
 from __future__ import annotations
@@ -44,8 +50,18 @@ from .sampler import SubgraphSet, sample_all_subgraphs
 from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for
 
 CHECKPOINT_VERSION = 1
+# Config keys that older checkpoints echo and TrainConfig no longer has: the
+# probe's gradient-descent step budget and step size, before it fitted to
+# PROBE_TOL. The loader drops them; a config file or --set still rejects them.
+RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr")
 EMBED_BLOCK = 128
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# The probe fit stops at this gradient norm, or after PROBE_MAX_STEPS Newton
+# steps; a step backtracks at most PROBE_HALVINGS times.
+PROBE_TOL = 1e-8
+PROBE_MAX_STEPS = 100
+PROBE_HALVINGS = 40
+ARMIJO_C = 1e-4
 REPORT_COLUMNS = ("epoch", "theta", "gamma", "lambda1", "lambda2", "mean_loss",
                   "active_fraction", "val_accuracy")
 
@@ -122,10 +138,11 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
 # Probe
 
 def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Splits,
-                   iters: int, l2: float, lr: float) -> dict[str, float]:
+                   l2: float) -> dict[str, float]:
     """Multinomial logistic regression on frozen train-split embeddings,
-    full-batch gradient descent, fitted once; returns its accuracy on the
-    ``"val"`` and ``"test"`` splits."""
+    fitted once by ``fit_probe``; returns its accuracy on the ``"val"`` and
+    ``"test"`` splits, with the fit's final ``"grad_norm"`` and Newton
+    ``"steps"``."""
     if labels is None:
         raise ContractError("probe requires node labels")
     train_idx = np.asarray(splits.train)
@@ -139,20 +156,89 @@ def evaluate_probe(embeddings: np.ndarray, labels: np.ndarray | None, splits: Sp
     z = (embeddings - mu) / sd
 
     n_classes = int(labels.max()) + 1
-    x_train = z[train_idx]
-    onehot = np.eye(n_classes)[labels[train_idx]]
-    weight = np.zeros((z.shape[1], n_classes))
-    bias = np.zeros(n_classes)
-    for _ in range(iters):
-        logits = x_train @ weight + bias
+    weight, bias, grad_norm, steps = fit_probe(z[train_idx], labels[train_idx], n_classes, l2)
+    scores = {name: float(np.mean(np.argmax(z[idx] @ weight + bias, axis=1) == labels[idx]))
+              for name, idx in eval_splits.items()}
+    return {**scores, "grad_norm": grad_norm, "steps": steps}
+
+
+def fit_probe(x: np.ndarray, labels: np.ndarray, n_classes: int, l2: float
+              ) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Minimise mean cross-entropy + ``l2`` * |weight|^2 (the bias is not
+    penalised) by Newton-CG: each step solves the Newton system with
+    conjugate gradients on Hessian-vector products, preconditioned by the
+    Hessian's diagonal, to the forcing tolerance min(0.5, sqrt|g|) |g|
+    (Nocedal & Wright, ch. 7), then backtracks from the full step until the
+    Armijo condition holds or the trial point's gradient norm is within
+    PROBE_TOL (near the optimum the Armijo decrease can drown in the loss's
+    rounding). Stops at that tolerance, after PROBE_MAX_STEPS steps, or when
+    no step is accepted. Returns the (dim, classes) weight, the bias, the
+    final gradient norm and the number of Newton steps; a norm above
+    PROBE_TOL means the fit did not converge."""
+    n = len(x)
+    xb = np.hstack([x, np.ones((n, 1))])        # the bias is the last row of coef
+    onehot = np.eye(n_classes)[labels]
+    penalty = np.full((xb.shape[1], 1), 2.0 * l2)
+    penalty[-1] = 0.0
+
+    def objective(coef):
+        logits = xb @ coef
         logits -= logits.max(axis=1, keepdims=True)
-        prob = np.exp(logits)
-        prob /= prob.sum(axis=1, keepdims=True)
-        delta = (prob - onehot) / len(x_train)
-        weight -= lr * (x_train.T @ delta + 2.0 * l2 * weight)
-        bias -= lr * delta.sum(axis=0)
-    return {name: float(np.mean(np.argmax(z[idx] @ weight + bias, axis=1) == labels[idx]))
-            for name, idx in eval_splits.items()}
+        log_prob = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        prob = np.exp(log_prob)
+        loss = -np.sum(onehot * log_prob) / n + 0.5 * np.sum(penalty * coef * coef)
+        return loss, xb.T @ ((prob - onehot) / n) + penalty * coef, prob
+
+    def hess_vec(prob, v):
+        s = xb @ v
+        r = prob * (s - np.sum(prob * s, axis=1, keepdims=True))
+        return xb.T @ (r / n) + penalty * v
+
+    def newton_direction(prob, grad, grad_norm):
+        """Truncated CG on H p = -grad from p = 0, preconditioned by the
+        diagonal of H; the preconditioned gradient if the first direction
+        shows no positive curvature."""
+        diag = (xb * xb).T @ (prob * (1.0 - prob) / n) + penalty
+        scale = 1.0 / np.where(diag > 0, diag, 1.0)
+        p = np.zeros_like(grad)
+        r = grad
+        z = scale * r
+        d, rz = -z, np.sum(r * z)
+        for _ in range(grad.size):
+            hd = hess_vec(prob, d)
+            curvature = np.sum(d * hd)
+            if curvature <= 0:
+                break
+            alpha = rz / curvature
+            p = p + alpha * d
+            r = r + alpha * hd
+            if np.linalg.norm(r) <= min(0.5, np.sqrt(grad_norm)) * grad_norm:
+                break
+            z = scale * r
+            rz, rz_old = np.sum(r * z), rz
+            d = -z + (rz / rz_old) * d
+        return p if p.any() else -scale * grad
+
+    coef = np.zeros((xb.shape[1], n_classes))
+    loss, grad, prob = objective(coef)
+    grad_norm = float(np.linalg.norm(grad))
+    steps = 0
+    while grad_norm > PROBE_TOL and steps < PROBE_MAX_STEPS:
+        p = newton_direction(prob, grad, grad_norm)
+        slope = np.sum(grad * p)
+        t = 1.0
+        for _ in range(PROBE_HALVINGS):
+            trial = coef + t * p
+            trial_loss, trial_grad, trial_prob = objective(trial)
+            trial_norm = float(np.linalg.norm(trial_grad))
+            if trial_loss <= loss + ARMIJO_C * t * slope or trial_norm <= PROBE_TOL:
+                break
+            t *= 0.5
+        else:
+            break       # no acceptable step: report where the fit stands
+        coef, loss, grad, prob, grad_norm = trial, trial_loss, trial_grad, trial_prob, trial_norm
+        steps += 1
+    return coef[:-1], coef[-1], grad_norm, steps
 
 
 def probe_splits(graph: Graph, config: TrainConfig) -> Splits:
@@ -169,10 +255,10 @@ def probe_splits(graph: Graph, config: TrainConfig) -> Splits:
 
 def probe_accuracy(params: GcnParams, subgraphs: SubgraphSet, graph: Graph,
                    config: TrainConfig) -> dict[str, float]:
-    """The probe's ``"val"`` and ``"test"`` accuracy on the center embeddings."""
+    """``evaluate_probe`` of the center embeddings: ``"val"``, ``"test"``,
+    ``"grad_norm"`` and ``"steps"``."""
     return evaluate_probe(compute_center_embeddings(params, subgraphs), graph.labels,
-                          probe_splits(graph, config), config.probe_iters, config.probe_l2,
-                          config.probe_lr)
+                          probe_splits(graph, config), config.probe_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +426,11 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                     "kind": "step", "epoch": epoch, "step": step, "theta": theta,
                     "gamma": gamma, **fields})
 
-            val_acc = None   # unlabeled graph: no probe, no early stop
+            probe = {"val": None, "grad_norm": None, "steps": None}   # unlabeled: no probe
             if graph.labels is not None:
-                val_acc = probe_accuracy(params, subgraphs, graph, config)["val"]
-                if val_acc > best_val + config.improvement_tol:
-                    best_val = val_acc
+                probe = probe_accuracy(params, subgraphs, graph, config)
+                if probe["val"] > best_val + config.improvement_tol:
+                    best_val = probe["val"]
                 else:
                     patience_left -= 1
             epochs.append({
@@ -352,7 +438,8 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                 **window_fields(window),
                 "mean_loss": float(np.mean([f["mean_sample_loss"] for f in steps])),
                 "active_fraction": float(np.mean([f["active_fraction"] for f in steps])),
-                "val_accuracy": val_acc, "patience_left": patience_left,
+                "val_accuracy": probe["val"], "probe_grad_norm": probe["grad_norm"],
+                "probe_steps": probe["steps"], "patience_left": patience_left,
                 "pos_match_rate": pos_rate, "neg_match_rate": neg_rate,
             })
             sink = _append_record(sink, metrics_path, epochs[-1])
@@ -417,7 +504,8 @@ def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
-    """The params and config of a checkpoint; a bad file fails in one line."""
+    """The params and config of a checkpoint; a bad file fails in one line.
+    RETIRED_CONFIG_KEYS in the config echo are dropped."""
     try:
         payload = json.loads(Path(path).read_text())
         version = payload.get("format_version") if isinstance(payload, dict) else None
@@ -441,7 +529,11 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
                 raise ConfigError(f"weight {i} has a non-finite entry")
             if not np.isfinite(slope.value):
                 raise ConfigError(f"slope {i} is not finite")
-        return params, TrainConfig.from_dict(payload["config"])
+        config = payload["config"]
+        if isinstance(config, dict):
+            config = {key: value for key, value in config.items()
+                      if key not in RETIRED_CONFIG_KEYS}
+        return params, TrainConfig.from_dict(config)
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint has no {exc} entry") from None
     except (TypeError, ValueError) as exc:     # not JSON, or a bad entry or config
@@ -468,5 +560,6 @@ def evaluate_checkpoint(checkpoint_path, data_dir) -> dict[str, float]:
     check_feature_width(params, graph, checkpoint_path)
     probe_splits(graph, config)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    accuracy = probe_accuracy(params, subgraphs, graph, config)
-    return {"val_accuracy": accuracy["val"], "test_accuracy": accuracy["test"]}
+    probe = probe_accuracy(params, subgraphs, graph, config)
+    return {"val_accuracy": probe["val"], "test_accuracy": probe["test"],
+            "probe_grad_norm": probe["grad_norm"], "probe_steps": probe["steps"]}

@@ -28,6 +28,8 @@ checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 ``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
 pairs with the package's ``distance``, so the two compare bit for bit.
+``gradient_descent_probe`` is the fixed-budget gradient-descent probe fit
+that the package's Newton-CG ``fit_probe`` replaced.
 """
 
 from __future__ import annotations
@@ -574,3 +576,21 @@ def per_subgraph_distance_distribution(subgraphs, metric, sample_budget, seed):
         values[owner == sg] = distance(xa, xb, metric)
     values.sort()
     return DistanceDistribution(values=values)
+
+
+def gradient_descent_probe(x_train, labels, n_classes, iters, l2, lr):
+    """The probe fit that ``acgcl.trainer.fit_probe`` replaced: ``iters``
+    full-batch gradient-descent steps of size ``lr`` on the same loss, from
+    zero; returns the (dim, classes) weight and the bias."""
+    onehot = np.eye(n_classes)[labels]
+    weight = np.zeros((x_train.shape[1], n_classes))
+    bias = np.zeros(n_classes)
+    for _ in range(iters):
+        logits = x_train @ weight + bias
+        logits -= logits.max(axis=1, keepdims=True)
+        prob = np.exp(logits)
+        prob /= prob.sum(axis=1, keepdims=True)
+        delta = (prob - onehot) / len(x_train)
+        weight -= lr * (x_train.T @ delta + 2.0 * l2 * weight)
+        bias -= lr * delta.sum(axis=0)
+    return weight, bias

@@ -47,7 +47,7 @@ class TestParseConfig:
         for key, value in (("theta0", "60"), ("theta0", "0"), ("ramp_epochs", "0"),
                            ("distance_metric", "foo"), ("split_train", "2.0"),
                            ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
-                           ("probe_lr", "nan"), ("improvement_tol", "nan"), ("eta1", "nan"),
+                           ("probe_l2", "nan"), ("improvement_tol", "nan"), ("eta1", "nan"),
                            ("learning_rate", "inf"), ("seed", "-3"), ("improvement_tol", "-1")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
@@ -398,6 +398,39 @@ class TestMalformedCheckpoint:
         assert reason in err[0]
 
 
+class TestRetiredConfigKeys:
+    """Checkpoints written while the probe had a step budget and a step size
+    echo both in their config; they still load, and the keys are gone
+    everywhere else."""
+
+    def test_checkpoint_with_the_retired_keys_evaluates_the_same(self, tmp_path, config_file,
+                                                                 dataset_dir, capsys):
+        assert main(["train", "--config", str(config_file), "--set", "epochs=1",
+                     "--out", str(tmp_path / "run")]) == 0
+        current = tmp_path / "run" / "checkpoint.json"
+        payload = json.loads(current.read_text())
+        payload["config"].update(probe_iters=500, probe_lr=0.5)
+        old = tmp_path / "old_checkpoint.json"
+        old.write_text(json.dumps(payload))
+        printed = []
+        for path in (current, old):
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].splitlines()[2].startswith("probe_grad_norm=")
+
+    @pytest.mark.parametrize("key", ["probe_iters", "probe_lr"])
+    def test_config_file_and_set_reject_them(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
+            parse_config(overrides=[f"{key}=1"])
+        assert key not in TrainConfig().to_dict()
+
+
 def _weights_checkpoint(weights, slopes):
     params = {"weights": [np.asarray(w).tolist() for w in weights], "slopes": slopes}
     return json.dumps({"format_version": 1, "config": {}, "params": params})
@@ -476,8 +509,9 @@ class TestMalformedSplits:
         (lambda raw: raw["train"].append(1.5), "integer"),
         (lambda raw: raw["test"].append(raw["train"][0]), "overlaps"),
         (lambda raw: "truncated", "line 1"),
+        (lambda raw: raw["test"].extend(raw["test"][:5]), "split 'test' lists node"),
     ], ids=["missing-val", "id-out-of-range", "non-integer-id", "train-id-in-test",
-            "truncated-json"])
+            "truncated-json", "repeated-test-ids"])
     def test_evaluate_fails_with_one_line(self, tmp_path, config_file, dataset_dir,
                                           capsys, corrupt, reason):
         out = tmp_path / "ckpt"
@@ -623,9 +657,7 @@ class TestOneValuePerSetting:
         ("graph", "make_splits", "train_frac"),
         ("graph", "make_splits", "val_frac"),
         ("losses", "weighted_total_loss", "normalize"),
-        ("trainer", "evaluate_probe", "iters"),
         ("trainer", "evaluate_probe", "l2"),
-        ("trainer", "evaluate_probe", "lr"),
     ])
     def test_library_parameter_has_no_default(self, module, function, parameter):
         signature = inspect.signature(getattr(getattr(acgcl, module), function))
@@ -642,6 +674,24 @@ def test_cli_import_leaves_lapack_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_evaluate_leaves_scipy_optimize_unloaded(tmp_path):
+    """The probe fit is numpy alone: ``evaluate`` imports no scipy.optimize."""
+    script = (
+        "import sys\n"
+        "from acgcl.cli import main\n"
+        "data, run = sys.argv[1], sys.argv[2]\n"
+        "assert main(['gen-sbm', '--blocks', '20,20', '--p-intra', '0.3', '--p-inter', '0.02',"
+        " '--feature-dim', '4', '--seed', '1', '--out', data]) == 0\n"
+        "assert main(['train', '--config', '/dev/null', '--set', 'data_dir=' + data,"
+        " '--set', 'subgraph_size=5', '--set', 'embedding_dim=8', '--set', 'patience=0',"
+        " '--out', run]) == 0\n"
+        "assert main(['evaluate', '--checkpoint', run + '/checkpoint.json', '--data', data]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    done = run_python("-c", script, str(tmp_path / "data"), str(tmp_path / "run"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_key_table_names_every_config_field():

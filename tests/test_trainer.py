@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgcl.augment import (estimate_distance_distribution, mirror_search, quantile,
                            semantic_assignment)
@@ -10,14 +12,15 @@ from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, pacing_difficulty
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.errors import ContractError, TrainingDiverged
-from acgcl.graph import SbmConfig, Splits, generate_sbm, make_splits, with_splits
+from acgcl.graph import Graph, SbmConfig, Splits, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
 from acgcl.losses import balance_loss, inter_graph_losses_grouped
+from acgcl import trainer
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
-                           init_optimizer, load_checkpoint, mirror_views,
+                           fit_probe, init_optimizer, load_checkpoint, mirror_views,
                            run_inner_step, save_checkpoint, train, write_report)
-from oracles import per_pair_mirror_augment
+from oracles import gradient_descent_probe, per_pair_mirror_augment
 
 
 def small_graph(seed=0, n_per_block=25, p_intra=0.25, p_inter=0.02, noise=0.5):
@@ -74,7 +77,7 @@ class TestProbe:
         emb = np.where(labels[:, None] == 0, -3.0, 3.0) + 0.1 * rng.standard_normal((n, 2))
         splits = Splits(train=np.arange(0, n, 2), val=np.arange(1, n, 4),
                         test=np.arange(3, n, 4))
-        assert evaluate_probe(emb, labels, splits, 500, 1e-4, 0.5)["test"] == 1.0
+        assert evaluate_probe(emb, labels, splits, 1e-4)["test"] == 1.0
 
     def test_random_labels_chance_level(self, rng):
         n = 600
@@ -82,7 +85,7 @@ class TestProbe:
         labels = rng.integers(0, 2, size=n)
         idx = rng.permutation(n)
         splits = Splits(train=idx[:300], val=idx[300:400], test=idx[400:])
-        acc = evaluate_probe(emb, labels, splits, 500, 1e-4, 0.5)["test"]
+        acc = evaluate_probe(emb, labels, splits, 1e-4)["test"]
         assert abs(acc - 0.5) < 0.1
 
     def test_constant_embeddings_majority_class(self):
@@ -90,12 +93,91 @@ class TestProbe:
         emb = np.ones((10, 3))
         splits = Splits(train=np.arange(0, 6), val=np.arange(6, 8), test=np.arange(8, 10))
         # train majority is class 0; test split is [0, 0] -> accuracy 1.0
-        assert evaluate_probe(emb, labels, splits, 500, 1e-4, 0.5)["test"] == 1.0
+        assert evaluate_probe(emb, labels, splits, 1e-4)["test"] == 1.0
 
     def test_requires_labels(self):
         splits = Splits(train=np.array([0]), val=np.array([1]), test=np.array([1]))
         with pytest.raises(ContractError):
-            evaluate_probe(np.ones((2, 2)), None, splits, 500, 1e-4, 0.5)
+            evaluate_probe(np.ones((2, 2)), None, splits, 1e-4)
+
+
+def standardized_problem(seed, n, dim, n_classes, repeated, every_class=False):
+    """Features standardized as ``evaluate_probe`` does, optionally with
+    every row three times, and labels drawn from ``n_classes`` (with
+    ``every_class``, each class on at least one row, n >= n_classes)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 100.0])
+    if repeated:
+        x = np.repeat(x, 3, axis=0)[:n]
+    sd = x.std(axis=0)
+    z = (x - x.mean(axis=0)) / np.where(sd > 1e-8, sd, 1.0)
+    labels = (rng.permutation(np.arange(n) % n_classes) if every_class
+              else rng.integers(0, n_classes, size=n))
+    return z, labels
+
+
+class TestProbeFit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 60), st.integers(1, 10),
+           st.integers(1, 6), st.sampled_from([1e-6, 1e-4, 1e-2, 1.0]), st.booleans())
+    def test_reaches_the_tolerance_within_the_step_cap(self, seed, n, dim, n_classes, l2,
+                                                      repeated):
+        z, labels = standardized_problem(seed, n, dim, n_classes, repeated)
+        _, _, grad_norm, steps = fit_probe(z, labels, n_classes, l2)
+        assert grad_norm <= trainer.PROBE_TOL
+        assert steps <= trainer.PROBE_MAX_STEPS
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(5, 40), st.integers(1, 6),
+           st.integers(2, 4), st.sampled_from([0.1, 0.3, 1.0]))
+    def test_strongly_regularised_fit_matches_long_gradient_descent(self, seed, n, dim,
+                                                                     n_classes, l2):
+        z, labels = standardized_problem(seed, n, dim, n_classes, repeated=False,
+                                         every_class=True)
+        weight, bias, _, _ = fit_probe(z, labels, n_classes, l2)
+        ref_weight, ref_bias = gradient_descent_probe(z, labels, n_classes, 20_000, l2, 0.5)
+        np.testing.assert_allclose(weight, ref_weight, rtol=0, atol=1e-6)
+        # a constant shift of every bias changes nothing: compare centred biases
+        np.testing.assert_allclose(bias - bias.mean(), ref_bias - ref_bias.mean(),
+                                   rtol=0, atol=1e-6)
+
+    def test_classes_without_a_train_node(self, rng):
+        """Labels 0, 2 and 4 leave classes 1 and 3 with no train node: their
+        biases head to -inf, the fit still reaches the tolerance, and the
+        probe never predicts them."""
+        n = 150
+        labels = np.repeat([0, 2, 4], n // 3)
+        emb = labels[:, None] + 0.8 * rng.standard_normal((n, 3))
+        idx = rng.permutation(n)
+        splits = Splits(train=idx[:60], val=idx[60:100], test=idx[100:])
+        z = (emb - emb[splits.train].mean(axis=0)) / emb[splits.train].std(axis=0)
+        weight, bias, grad_norm, steps = fit_probe(z[splits.train], labels[splits.train], 5,
+                                                   1e-4)
+        assert grad_norm <= trainer.PROBE_TOL and steps <= trainer.PROBE_MAX_STEPS
+        assert set(np.unique(np.argmax(z @ weight + bias, axis=1))) <= {0, 2, 4}
+        assert evaluate_probe(emb, labels, splits, 1e-4)["grad_norm"] == grad_norm
+
+    def test_step_cap_reports_an_unconverged_fit(self, rng, monkeypatch):
+        monkeypatch.setattr(trainer, "PROBE_MAX_STEPS", 1)
+        n = 90
+        labels = np.repeat([0, 1, 2], n // 3)
+        emb = labels[:, None] + rng.standard_normal((n, 4))
+        splits = Splits(train=np.arange(0, n, 2), val=np.arange(1, n, 4),
+                        test=np.arange(3, n, 4))
+        probe = evaluate_probe(emb, labels, splits, 1e-4)
+        assert probe["steps"] == 1
+        assert probe["grad_norm"] > trainer.PROBE_TOL
+
+    def test_epoch_records_carry_the_fit(self):
+        """Each epoch record reports the probe fit's gradient norm and step
+        count; an unlabeled graph, which has no probe, reports None."""
+        g = small_graph(seed=4)
+        _, labeled = train(g, small_config(seed=4, epochs=2))
+        assert all(0 < r["probe_steps"] <= trainer.PROBE_MAX_STEPS and
+                   r["probe_grad_norm"] <= trainer.PROBE_TOL for r in labeled)
+        unlabeled = Graph(g.features, g.adjacency, labels=None, splits=None)
+        _, report = train(unlabeled, small_config(seed=4, epochs=2, semantics="degree-bucket"))
+        assert all(r["probe_steps"] is None and r["probe_grad_norm"] is None for r in report)
 
 
 class TestTrainLoop:
