@@ -92,13 +92,15 @@ class TrainConfig:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (shuffled negatives need two summaries)")
-        non_negative = ("seed", "patience", "improvement_tol", "probe_l2", "alpha", "beta", "xi",
+        non_negative = ("seed", "patience", "improvement_tol", "alpha", "beta", "xi",
                         "epsilon_margin", "sinkhorn_tol")
         for name in non_negative:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate: must be positive")
+        # probe_l2 = 0 leaves a separable train split with no probe minimiser
+        for name in ("learning_rate", "probe_l2"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be positive")
         if not (0.0 < self.teleport < 1.0):
             raise ConfigError("teleport: must be in (0, 1)")
         if self.gcn_layers not in (1, 2):

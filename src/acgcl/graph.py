@@ -23,6 +23,7 @@ rather than changing its argument.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,9 @@ EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.csv"
 LABEL_FILE = "labels.csv"
 SPLIT_FILE = "splits.json"
+
+# np.loadtxt strips it around a field as whitespace; float() rejects it.
+_UNIT_SEPARATOR = "\x1f"
 
 
 @dataclass(frozen=True)
@@ -136,19 +140,41 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     return Graph(features=features, adjacency=_adjacency_from_edges(n, rows, cols), labels=labels)
 
 
-def data_lines(path: Path):
+def data_lines(path: Path, lines: list[str] | None = None):
     """(``path:lineno``, stripped text) of every line of a text file that is
-    neither blank nor a ``#`` comment, lines numbered from 1."""
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    neither blank nor a ``#`` comment, lines numbered from 1. ``lines`` are
+    the file's lines when the caller has already read them."""
+    if lines is None:
+        lines = path.read_text().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if text and not text.startswith("#"):
             yield f"{path}:{lineno}", text
 
 
 def _read_features(path: Path) -> np.ndarray:
+    """The feature matrix of ``path``. One ``np.loadtxt`` call parses the
+    lines of a well-formed file; a file it rejects goes through
+    ``_read_feature_lines``, which loads it or names its first bad line.
+    Both read the same lines, and the file's text is freed before either."""
+    lines = path.read_text().splitlines()
+    if not any(_UNIT_SEPARATOR in line for line in lines):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # on no rows, loadtxt only warns
+                features = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None,
+                                      ndmin=2)
+            if np.isfinite(features).all():
+                return features
+        except (ValueError, Warning):
+            pass
+    return _read_feature_lines(path, lines)
+
+
+def _read_feature_lines(path: Path, lines: list[str]) -> np.ndarray:
     rows = []
     width = None
-    for where, text in data_lines(path):
+    for where, text in data_lines(path, lines):
         try:
             row = [float(p) for p in text.split(",")]
         except ValueError as exc:

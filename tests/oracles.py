@@ -29,7 +29,10 @@ checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 is the per-subgraph form of the stacked distance estimate; it measures its
 pairs with the package's ``distance``, so the two compare bit for bit.
 ``gradient_descent_probe`` is the fixed-budget gradient-descent probe fit
-that the package's Newton-CG ``fit_probe`` replaced.
+that the package's Newton-CG ``fit_probe`` replaced. ``read_features_by_line``
+is the line-by-line ``features.csv`` reader that the package's one-call parse
+replaced, and which it keeps as its fallback. ``probe_baselines`` gives the
+two probe accuracies a trained encoder is compared with.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ import scipy.sparse as sp
 from acgcl import autodiff as ad
 from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
                            distance, pairwise_distances)
-from acgcl.encoder import GcnParams, sym_normalized_adjacency
-from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError, SizeError
+from acgcl.encoder import GcnParams, init_gcn_params, sym_normalized_adjacency
+from acgcl.errors import (ConfigError, EmptyDistributionError, GraphParseError, ShapeError,
+                          SizeError)
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats
 from acgcl.sampler import Subgraph, SubgraphSet
+from acgcl.trainer import evaluate_probe, probe_accuracy, probe_splits
 
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polarity):
@@ -594,3 +599,44 @@ def gradient_descent_probe(x_train, labels, n_classes, iters, l2, lr):
         weight -= lr * (x_train.T @ delta + 2.0 * l2 * weight)
         bias -= lr * delta.sum(axis=0)
     return weight, bias
+
+
+def read_features_by_line(path):
+    """``features.csv`` one line at a time: each field through ``float``,
+    blank and ``#`` lines skipped, the first bad line named."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = [float(p) for p in text.split(",")]
+        except ValueError as exc:
+            raise GraphParseError(f"{where}: bad feature value ({exc})") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ShapeError(f"{where}: row has {len(row)} values, expected {width}")
+        rows.append(row)
+    if not rows:
+        raise GraphParseError(f"{path}: no feature rows")
+    features = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise GraphParseError(f"{path}: non-finite feature value")
+    return features
+
+
+def probe_baselines(graph, subgraphs: SubgraphSet, config) -> dict[str, float]:
+    """Test accuracies of the probe on what needs no training: the center
+    embeddings of an untrained encoder (``"untrained"``), and each node's raw
+    features averaged over its PPR subgraph (``"subgraph_mean"``)."""
+    params = init_gcn_params(graph.feature_dim, config.embedding_dim, config.gcn_layers,
+                             config.seed)
+    mean = graph.features[subgraphs.parent_indices].mean(axis=1)
+    return {
+        "untrained": probe_accuracy(params, subgraphs, graph, config)["test"],
+        "subgraph_mean": evaluate_probe(mean, graph.labels, probe_splits(graph, config),
+                                        config.probe_l2)["test"],
+    }

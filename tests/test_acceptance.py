@@ -24,7 +24,7 @@ from acgcl.trainer import (curriculum_inputs, difficulty_curve, evaluate_probe, 
                            train)
 from conftest import random_graph
 from oracles import (acl_oracle_weights, directional_grad_check, exact_w1_1d,
-                     power_iteration_ppr, spearman)
+                     power_iteration_ppr, probe_baselines, spearman)
 
 
 def report(name: str, passed: bool, detail: str = ""):
@@ -75,7 +75,8 @@ def sbm_runs():
         uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, dist, search))
         uniform_acc = probe_accuracy(uniform_params, subgraphs, graph, uniform_cfg)["test"]
         runs.append({"raw": raw_acc, "soft": soft_acc, "uniform": uniform_acc,
-                     "rho": rho, "curve": [row[1] for row in curve]})
+                     "rho": rho, "curve": [row[1] for row in curve],
+                     **probe_baselines(graph, subgraphs, config)})
     return runs
 
 
@@ -283,12 +284,15 @@ def test_criterion_7_difficulty_trend(sbm_runs):
 
 def test_criterion_8_end_to_end_learning(sbm_runs):
     """Soft-mode embeddings beat the raw-feature probe by >= 10 points
-    (5-seed mean), with the raw baseline calibrated into [0.65, 0.80]."""
-    raw = float(np.mean([run["raw"] for run in sbm_runs]))
-    soft = float(np.mean([run["soft"] for run in sbm_runs]))
+    (5-seed mean), with the raw baseline calibrated into [0.65, 0.80]. The
+    untrained-encoder and PPR-subgraph-mean baselines are reported, not gated."""
+    raw, soft, untrained, subgraph_mean = (
+        float(np.mean([run[key] for run in sbm_runs]))
+        for key in ("raw", "soft", "untrained", "subgraph_mean"))
     passed = (0.65 <= raw <= 0.80) and soft >= raw + 0.10
     report("8 end-to-end-learning", passed,
-           f"raw {raw:.3f}, soft {soft:.3f}, gain {soft - raw:+.3f}")
+           f"raw {raw:.3f}, untrained {untrained:.3f}, subgraph mean {subgraph_mean:.3f}, "
+           f"soft {soft:.3f}, gain {soft - raw:+.3f}")
 
 
 def test_criterion_9_ablation_direction(sbm_runs):

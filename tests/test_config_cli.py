@@ -16,9 +16,11 @@ from acgcl.augment import semantic_assignment
 from acgcl.cli import main
 from acgcl.config import TrainConfig, parse_config
 from acgcl.curriculum import pacing_difficulty
+from acgcl.encoder import init_gcn_params
 from acgcl.errors import ConfigError
 from acgcl.graph import load_dataset
 from acgcl.sampler import sample_all_subgraphs
+from acgcl.trainer import save_checkpoint
 from conftest import run_python
 from oracles import per_pair_mirror_augment
 
@@ -429,6 +431,46 @@ class TestRetiredConfigKeys:
         with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
             parse_config(overrides=[f"{key}=1"])
         assert key not in TrainConfig().to_dict()
+
+
+class TestProbeL2MustBePositive:
+    """At probe_l2 = 0 the probe objective has no minimiser when the train
+    split is separable, so a config file, ``--set`` and a checkpoint's config
+    echo all reject it in one line naming the key."""
+
+    def test_config_file_and_set_reject_zero(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("probe_l2 = 0\n")
+        with pytest.raises(ConfigError, match="^probe_l2: must be positive$"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match="^probe_l2: must be positive$"):
+            parse_config(overrides=["probe_l2=0.0"])
+
+    def test_checkpoint_echo_rejects_zero(self, tmp_path, dataset_dir, capsys):
+        path = tmp_path / "checkpoint.json"
+        path.write_text('{"format_version": 1, "config": {"probe_l2": 0.0}, '
+                        '"params": {"weights": [[[1.0]]], "slopes": [0.25]}}')
+        code = main(["evaluate", "--checkpoint", str(path), "--data", str(dataset_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ConfigError: {path}: bad checkpoint: probe_l2: must be positive"]
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n", "# one\n# two\n"],
+                         ids=["empty", "blank-lines", "comment-lines"])
+def test_evaluate_without_feature_rows_prints_one_line(tmp_path, dataset_dir, text):
+    """A ``features.csv`` with no rows fails a fresh ``evaluate`` process
+    with one stderr line, and no warning from the one-call parse."""
+    checkpoint = tmp_path / "checkpoint.json"
+    config = TrainConfig(embedding_dim=8)
+    save_checkpoint(init_gcn_params(4, config.embedding_dim, config.gcn_layers, config.seed),
+                    config, checkpoint)
+    features = dataset_dir / "features.csv"
+    features.write_text(text)
+    done = run_python("-m", "acgcl.cli", "evaluate", "--checkpoint", str(checkpoint),
+                      "--data", str(dataset_dir))
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"GraphParseError: {features}: no feature rows"]
 
 
 def _weights_checkpoint(weights, slopes):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from acgcl import graph as graph_module
 from acgcl.cli import main
 from acgcl.errors import ConfigError, GraphParseError, ShapeError
 from acgcl.graph import (SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                          make_splits, save_dataset, validate_graph, with_splits)
+from oracles import read_features_by_line
 
 
 def write_dataset(tmp_path, edges, features, labels=None):
@@ -189,3 +191,106 @@ class TestSplits:
         bad = Splits(train=np.array([0, 1]), val=np.array([1]), test=np.array([2, 3]))
         with pytest.raises(ShapeError, match="overlap"):
             validate_graph(with_splits(g, bad))
+
+
+# Field texts that only ``float`` reads, that no reader takes, or that read as
+# non-finite.
+ODD_FIELDS = ["1_0", "\u0661\u0662", "", "x", "nan", "inf", "-inf", "1e400", "1e-400", "1.0#x",
+              "#5", "1\r2", "1\n2"]
+# Whitespace, line breaks of ``str.splitlines`` and comment marks, put next
+# to a field.
+ODD_CHARS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+             "\u2028", "\u2029", "\u3000", "#"]
+# Whole lines put between the rows.
+ODD_LINES = ["", "   ", "\t", "# comment", "#", " # indented", "\x0c", "\x1f", "\x85"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+             "\u2029", "\r\r\n"]
+
+
+@st.composite
+def feature_texts(draw):
+    """The text of a feature file written from a random finite matrix, as
+    ``save_dataset`` writes it, then mutated a few times."""
+    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[repr(draw(values)) for _ in range(width)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(0, len(rows[row]) - 1))
+        kind = draw(st.sampled_from(["field", "before", "after", "line", "pad",
+                                     "trailing-comma", "ragged"]))
+        if kind == "field":
+            rows[row][col] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind == "before":
+            rows[row][col] = draw(st.sampled_from(ODD_CHARS)) + rows[row][col]
+        elif kind == "after":
+            rows[row][col] += draw(st.sampled_from(ODD_CHARS))
+        elif kind == "line":
+            rows.insert(row, [draw(st.sampled_from(ODD_LINES))])
+        elif kind == "pad":
+            rows[row] = [f" {field} " for field in rows[row]]
+        elif kind == "trailing-comma":
+            rows[row].append("")
+        elif len(rows[row]) > 1:
+            rows[row].pop()
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n"], LINE_ENDS]))
+    text = "".join(",".join(row) + draw(st.sampled_from(ends)) for row in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(LINE_ENDS))    # no final line break
+    return "" if draw(st.integers(0, 20)) == 0 else text
+
+
+def read_outcome(reader, path):
+    try:
+        features = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return features.dtype, features.shape, features.tobytes()
+
+
+class TestFeatureReader:
+    """``_read_features`` parses in one ``np.loadtxt`` call and falls back to
+    the line loop; either way it answers as the line-by-line oracle does."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=feature_texts())
+    # np.loadtxt reads the first three differently from the loop when it
+    # splits the text itself, and the fourth unless ``_read_features`` skips it
+    @example(text="1,\x0c2\n3,4\n")
+    @example(text="1,\x1c2\n3,4\n")
+    @example(text="1,\u20282\n3,4\n")
+    @example(text="1\x1f,2\n3,4\n")
+    @example(text="1.0#x,2\n")
+    @example(text="nan,1\n")
+    @example(text="\n \n")
+    @example(text="\r")
+    def test_matches_the_line_by_line_oracle(self, tmp_path, text):
+        path = tmp_path / "features.csv"
+        path.write_bytes(text.encode())
+        assert read_outcome(graph_module._read_features, path) == read_outcome(
+            read_features_by_line, path)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1_0,2\n", [[10.0, 2.0]]),
+        ("\u0661\u0662\n", [[12.0]]),
+        ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("# header\r\n1,2\r\n\t\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["underscore", "arabic-indic-digits", "whitespace-line", "crlf-comment-blank"])
+    def test_syntax_only_float_reads_still_loads(self, tmp_path, text, want):
+        path = tmp_path / "features.csv"
+        path.write_bytes(text.encode())
+        assert np.array_equal(graph_module._read_features(path), want)
+
+    def test_well_formed_file_skips_the_loop(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
+                     "--feature-dim", "6", "--seed", "3", "--out", str(data)]) == 0
+
+        def no_loop(path, lines):
+            raise AssertionError(f"{path} reached the line loop")
+
+        monkeypatch.setattr(graph_module, "_read_feature_lines", no_loop)
+        features = load_dataset(data).features
+        want = read_features_by_line(data / "features.csv")
+        assert features.shape == (40, 6) and features.tobytes() == want.tobytes()
