@@ -124,7 +124,7 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
 def quantile(dist: DistanceDistribution, theta: float) -> float:
     """theta-th percentile (linear interpolation between order statistics)."""
     if not (0.0 <= theta <= 100.0):
-        raise ValueError(f"theta must be in [0, 100], got {theta}")
+        raise ConfigError(f"theta: must be in [0, 100], got {theta}")
     if dist.values.size == 0:
         raise EmptyDistributionError("empty distance distribution")
     return float(np.percentile(dist.values, theta))

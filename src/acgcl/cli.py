@@ -7,8 +7,9 @@ Subcommands:
   validate-difficulty  frozen-encoder loss across a difficulty grid
   gen-sbm              write a synthetic block-model dataset
 
-Every command exits nonzero on error, printing one "ErrorClass: message"
-line to stderr.
+On bad input or settings (an ``AcgclError``) or a failed file operation (an
+``OSError``) every command exits 1, printing one "ErrorClass: message" line
+to stderr. Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AcgclError, OSError, IndexError, ValueError) as exc:
+    except (AcgclError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -84,6 +84,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}: must be finite")
+        if "\0" in self.data_dir:     # no file system path holds one
+            raise ConfigError("data_dir: must not contain a NUL character")
         positive_ints = ("subgraph_size", "embedding_dim", "batch_size", "inner_steps",
                          "epochs", "degree_buckets", "dis_sample_budget",
                          "balance_max_points", "sinkhorn_iters")

@@ -38,7 +38,7 @@ def pacing_difficulty(epoch: int, config: TrainConfig) -> float:
     """Linear ramp theta(t) = min(1, theta0/M + (1 - theta0/M) * t/T) * M,
     where T is ``ramp_epochs``, or ``epochs`` when that is None."""
     if epoch < 0:
-        raise ValueError(f"epoch must be >= 0, got {epoch}")
+        raise SizeError(f"epoch: must be >= 0, got {epoch}")
     ramp = config.epochs if config.ramp_epochs is None else config.ramp_epochs
     start = config.theta0 / config.max_difficulty
     frac = min(1.0, start + (1.0 - start) * epoch / ramp)

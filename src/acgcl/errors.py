@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every error that can surface through the CLI derives from AcgclError so the
-dispatcher can print a single "ClassName: message" line and exit nonzero.
+Every error that bad input or settings can raise derives from AcgclError, so
+the dispatcher prints a single "ClassName: message" line for it (and for an
+OSError) and exits nonzero. Any other exception is a bug and shows a
+traceback. A class keeps the builtin base its callers may catch.
 """
 
 
@@ -10,7 +12,12 @@ class AcgclError(Exception):
 
 
 class GraphParseError(AcgclError, ValueError):
-    """A data file line could not be parsed; message names file and line."""
+    """An input file could not be parsed; message names the file and, for a bad
+    line, the line."""
+
+
+class NodeIdError(AcgclError, IndexError):
+    """A node id is outside [0, node count)."""
 
 
 class ShapeError(AcgclError, ValueError):

@@ -30,16 +30,13 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, GraphParseError, ShapeError
+from .errors import ConfigError, GraphParseError, NodeIdError, ShapeError
 from .util import ROLE_SPLITS, rng_for
 
 EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.csv"
 LABEL_FILE = "labels.csv"
 SPLIT_FILE = "splits.json"
-
-# np.loadtxt strips it around a field as whitespace; float() rejects it.
-_UNIT_SEPARATOR = "\x1f"
 
 
 @dataclass(frozen=True)
@@ -140,12 +137,22 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     return Graph(features=features, adjacency=_adjacency_from_edges(n, rows, cols), labels=labels)
 
 
+def read_text(path: Path) -> str:
+    """The text of an input file decoded as UTF-8; bytes that are not UTF-8
+    fail with a GraphParseError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                              f"at offset {exc.start}") from None
+
+
 def data_lines(path: Path, lines: list[str] | None = None):
     """(``path:lineno``, stripped text) of every line of a text file that is
     neither blank nor a ``#`` comment, lines numbered from 1. ``lines`` are
     the file's lines when the caller has already read them."""
     if lines is None:
-        lines = path.read_text().splitlines()
+        lines = read_text(path).splitlines()
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if text and not text.startswith("#"):
@@ -157,17 +164,16 @@ def _read_features(path: Path) -> np.ndarray:
     lines of a well-formed file; a file it rejects goes through
     ``_read_feature_lines``, which loads it or names its first bad line.
     Both read the same lines, and the file's text is freed before either."""
-    lines = path.read_text().splitlines()
-    if not any(_UNIT_SEPARATOR in line for line in lines):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")   # on no rows, loadtxt only warns
-                features = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None,
-                                      ndmin=2)
-            if np.isfinite(features).all():
-                return features
-        except (ValueError, Warning):
-            pass
+    lines = read_text(path).splitlines()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # on no rows, loadtxt only warns
+            features = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None,
+                                  ndmin=2)
+        if np.isfinite(features).all():
+            return features
+    except (ValueError, Warning):
+        pass
     return _read_feature_lines(path, lines)
 
 
@@ -176,7 +182,7 @@ def _read_feature_lines(path: Path, lines: list[str]) -> np.ndarray:
     width = None
     for where, text in data_lines(path, lines):
         try:
-            row = [float(p) for p in text.split(",")]
+            row = [float(p.strip()) for p in text.split(",")]
         except ValueError as exc:
             raise GraphParseError(f"{where}: bad feature value ({exc})") from None
         if width is None:
@@ -205,7 +211,7 @@ def _read_edges(path: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         if src < 0 or dst < 0:
             raise GraphParseError(f"{where}: negative node id")
         if src >= n_nodes or dst >= n_nodes:
-            raise IndexError(f"{where}: edge endpoint {max(src, dst)} >= {n_nodes} nodes")
+            raise NodeIdError(f"{where}: edge endpoint {max(src, dst)} >= {n_nodes} nodes")
         rows.append(src)
         cols.append(dst)
     return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
@@ -218,11 +224,11 @@ def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'node_id,label', got {text!r}")
         try:
-            node, label = int(parts[0]), int(parts[1])
+            node, label = int(parts[0].strip()), int(parts[1].strip())
         except ValueError:
             raise GraphParseError(f"{where}: non-integer field in {text!r}") from None
         if node < 0 or node >= n_nodes:
-            raise IndexError(f"{where}: node id {node} out of range [0, {n_nodes})")
+            raise NodeIdError(f"{where}: node id {node} out of range [0, {n_nodes})")
         if labels[node] != -1:
             raise GraphParseError(f"{where}: duplicate label for node {node}")
         if not 0 <= label < n_nodes:
@@ -244,10 +250,11 @@ def load_dataset(directory) -> Graph:
     )
     split_path = directory / SPLIT_FILE
     if split_path.exists():
-        try:   # bad JSON, keys or ids; ids out of range, repeated or in two splits
-            graph = with_splits(graph, _parse_splits(json.loads(split_path.read_text())))
+        text = read_text(split_path)
+        try:   # bad JSON, nesting, keys or ids; ids out of range, repeated or in two splits
+            graph = with_splits(graph, _parse_splits(json.loads(text)))
             validate_graph(graph, allow_self_loops=True)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise GraphParseError(f"{split_path}: {exc}") from None
     return graph
 

@@ -27,7 +27,7 @@ import operator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, ShapeError, SizeError
+from .errors import ConfigError, ContractError, NodeIdError, ShapeError, SizeError
 from .graph import Graph
 
 RANK_BLOCK_ROWS = 256
@@ -74,7 +74,7 @@ def compute_ppr_scores(graph: Graph, teleport: float) -> np.ndarray:
     # (gen-sbm) do not pay for importing scipy.linalg.
     from scipy.linalg import lapack
     if not (0.0 < teleport < 1.0):
-        raise ValueError(f"teleport must be in (0, 1), got {teleport}")
+        raise ConfigError(f"teleport: must be in (0, 1), got {teleport}")
     adjacency = graph.adjacency
     if (adjacency != adjacency.T).nnz:
         raise ShapeError("PageRank needs a symmetric adjacency")
@@ -162,7 +162,7 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
     if indices.size == 0:
         raise SizeError("indices must be non-empty")
     if indices.min() < 0 or indices.max() >= graph.n_nodes:
-        raise IndexError(f"subgraph index out of range [0, {graph.n_nodes})")
+        raise NodeIdError(f"subgraph index out of range [0, {graph.n_nodes})")
     sub_adj = graph.adjacency[indices, :][:, indices].toarray()
     return Subgraph(
         parent_indices=indices,

@@ -507,7 +507,7 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
     """The params and config of a checkpoint; a bad file fails in one line.
     RETIRED_CONFIG_KEYS in the config echo are dropped."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         version = payload.get("format_version") if isinstance(payload, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported format version {version!r}")
@@ -536,7 +536,8 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
         return params, TrainConfig.from_dict(config)
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint has no {exc} entry") from None
-    except (TypeError, ValueError) as exc:     # not JSON, or a bad entry or config
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # not UTF-8 JSON, nested too deep, or a bad entry or config
         raise ConfigError(f"{path}: bad checkpoint: {exc}") from None
 
 

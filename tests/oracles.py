@@ -602,17 +602,18 @@ def gradient_descent_probe(x_train, labels, n_classes, iters, l2, lr):
 
 
 def read_features_by_line(path):
-    """``features.csv`` one line at a time: each field through ``float``,
-    blank and ``#`` lines skipped, the first bad line named."""
+    """``features.csv`` read as UTF-8 one line at a time: each field stripped
+    and through ``float``, blank and ``#`` lines skipped, the first bad line
+    named."""
     rows = []
     width = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         where = f"{path}:{lineno}"
         try:
-            row = [float(p) for p in text.split(",")]
+            row = [float(p.strip()) for p in text.split(",")]
         except ValueError as exc:
             raise GraphParseError(f"{where}: bad feature value ({exc})") from None
         if width is None:

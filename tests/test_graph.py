@@ -48,6 +48,16 @@ class TestLoadGraph:
         with pytest.raises(GraphParseError, match="edges.txt:2"):
             load_graph(e, f)
 
+    @pytest.mark.parametrize("space", ["\x1f", "\t", "\xa0", "\u3000"])
+    def test_whitespace_around_a_field_is_ignored_wherever_it_sits(self, tmp_path, space):
+        e, f, l = write_dataset(tmp_path, f"{space}0{space}1{space}\n",
+                                f"1{space},{space}2\n{space}3,4{space}\n",
+                                f"0{space},{space}1\n{space}1,0{space}\n")
+        g = load_graph(e, f, l)
+        assert g.adjacency[0, 1] == 1 and g.adjacency.nnz == 2
+        assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(g.labels, [1, 0])
+
     def test_edge_endpoint_out_of_range(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "0 5\n", "1\n2\n")
         with pytest.raises(IndexError, match="5"):
@@ -256,11 +266,15 @@ class TestFeatureReader:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=feature_texts())
     # np.loadtxt reads the first three differently from the loop when it
-    # splits the text itself, and the fourth unless ``_read_features`` skips it
+    # splits the text itself; it strips U+001F around a field wherever it
+    # sits, and so does the loop, which strips each field (the next four)
     @example(text="1,\x0c2\n3,4\n")
     @example(text="1,\x1c2\n3,4\n")
     @example(text="1,\u20282\n3,4\n")
     @example(text="1\x1f,2\n3,4\n")
+    @example(text="1,\x1f2\n3,4\n")
+    @example(text="1,2\x1f\n3,4\n")
+    @example(text="\x1f1,2\n3,4\n")
     @example(text="1.0#x,2\n")
     @example(text="nan,1\n")
     @example(text="\n \n")
