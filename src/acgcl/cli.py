@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sbm.add_argument("--p-inter", type=float, required=True)
     p_sbm.add_argument("--feature-dim", type=int, default=16)
     p_sbm.add_argument("--noise", type=float, default=SbmConfig.feature_noise)
-    p_sbm.add_argument("--center-scale", type=float, default=SbmConfig.center_scale)
     p_sbm.add_argument("--seed", type=int, default=0)
     p_sbm.add_argument("--split-train", type=float, default=TrainConfig.split_train)
     p_sbm.add_argument("--split-val", type=float, default=TrainConfig.split_val)
@@ -189,7 +188,6 @@ def _cmd_gen_sbm(args) -> int:
         p_inter=args.p_inter,
         feature_dim=args.feature_dim,
         feature_noise=args.noise,
-        center_scale=args.center_scale,
     )
     graph = generate_sbm(sbm, args.seed)
     graph = with_splits(graph, make_splits(graph, args.seed, args.split_train, args.split_val))

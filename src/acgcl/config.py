@@ -19,10 +19,6 @@ from .curriculum import MODES
 from .errors import ConfigError
 from .graph import check_split_fractions, data_lines
 
-BOOL_WORDS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
-              **dict.fromkeys(("false", "0", "no", "off"), False)}
-
-
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -42,7 +38,6 @@ class TrainConfig:
     inner_steps: int = 10
     epochs: int = 50
     patience: int = 20
-    improvement_tol: float = 1e-4
 
     # curriculum
     theta0: float = 15.0
@@ -57,7 +52,6 @@ class TrainConfig:
     beta: float = 1.0
     xi: float = 1.0
     epsilon_margin: float = 0.1
-    normalize_weighted_loss: bool = False
 
     # augmentation
     distance_metric: str = "euclidean"
@@ -94,8 +88,8 @@ class TrainConfig:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (shuffled negatives need two summaries)")
-        non_negative = ("seed", "patience", "improvement_tol", "alpha", "beta", "xi",
-                        "epsilon_margin", "sinkhorn_tol")
+        non_negative = ("seed", "patience", "alpha", "beta", "xi", "epsilon_margin",
+                        "sinkhorn_tol")
         for name in non_negative:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
@@ -133,7 +127,7 @@ class TrainConfig:
         annotations = get_type_hints(cls)
         unknown = set(raw) - set(annotations)
         if unknown:
-            raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
+            raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
         config = cls(**{key: _typed(key, value, annotations[key]) for key, value in raw.items()})
         config.validate()
         return config
@@ -146,7 +140,7 @@ def _typed(key: str, value: object, annotation) -> object:
     if value is None and type(None) in rest:
         return None
     accepted = {int: int, float: (int, float)}.get(target_type, target_type)
-    if isinstance(value, accepted) and (target_type is bool or not isinstance(value, bool)):
+    if isinstance(value, accepted) and not isinstance(value, bool):
         return target_type(value)
     raise ConfigError(f"{key}: expected {target_type.__name__}, got {value!r}")
 
@@ -159,8 +153,8 @@ def _convert(key: str, text: str, annotation) -> object:
     if type(None) in rest and text.lower() in ("auto", "none"):
         return None
     try:
-        return BOOL_WORDS[text.lower()] if target_type is bool else target_type(text)
-    except (KeyError, ValueError):
+        return target_type(text)
+    except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r} as {target_type.__name__}") from None
 
 
@@ -182,6 +176,6 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
         key, _, value = text.partition("=")
         key = key.strip()
         if key not in annotations:
-            raise ConfigError(f"{where}: unknown config key: {key}")
+            raise ConfigError(f"{where}: unknown config key: {key!r}")
         raw[key] = _convert(key, value, annotations[key])
     return TrainConfig.from_dict(raw)

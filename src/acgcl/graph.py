@@ -296,14 +296,13 @@ def save_dataset(graph: Graph, directory) -> None:
 @dataclass(frozen=True)
 class SbmConfig:
     """Stochastic block model: dense intra-block, sparse inter-block wiring,
-    Gaussian features around a per-block center (``center_scale`` at
-    coordinate block % feature_dim), labels = block ids."""
+    Gaussian features around a per-block center (1.0 at coordinate
+    block % feature_dim), labels = block ids."""
     block_sizes: tuple[int, ...]
     p_intra: float
     p_inter: float
     feature_dim: int
     feature_noise: float = 1.0
-    center_scale: float = 1.0
 
     def __post_init__(self):
         if not self.block_sizes or any(b <= 0 for b in self.block_sizes):
@@ -314,8 +313,6 @@ class SbmConfig:
             raise ConfigError("feature_dim: must be positive")
         if not (np.isfinite(self.feature_noise) and self.feature_noise >= 0):
             raise ConfigError(f"feature_noise: must be finite and >= 0, got {self.feature_noise}")
-        if not np.isfinite(self.center_scale):
-            raise ConfigError(f"center_scale: must be finite, got {self.center_scale}")
 
 
 def generate_sbm(config: SbmConfig, seed: int) -> Graph:
@@ -341,13 +338,12 @@ def generate_sbm(config: SbmConfig, seed: int) -> Graph:
     cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
 
     centers = np.zeros((len(sizes), config.feature_dim))
-    centers[np.arange(len(sizes)), np.arange(len(sizes)) % config.feature_dim] = config.center_scale
+    centers[np.arange(len(sizes)), np.arange(len(sizes)) % config.feature_dim] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         features = centers[labels] + config.feature_noise * rng.standard_normal(
             (n, config.feature_dim))
     if not np.isfinite(features).all():
-        raise ConfigError(f"center_scale/feature_noise: {config.center_scale} and "
-                          f"{config.feature_noise} overflow the features")
+        raise ConfigError(f"feature_noise: {config.feature_noise} overflows the features")
     return Graph(
         features=features,
         adjacency=_adjacency_from_edges(n, rows, cols),

@@ -83,8 +83,9 @@ def sinkhorn_w1(points_a, points_b, reg: float | None, max_iters: int, tol: floa
     """Entropically regularized transport cost between two point sets.
 
     Uniform marginals, euclidean ground cost; value is the transport cost of
-    the converged plan. Symmetric by construction: the two sets are put in a
-    canonical order before solving, so argument order never changes the value.
+    the plan after the last scaling iteration. Symmetric by construction: the
+    two sets are put in a canonical order before solving, so argument order
+    never changes the value.
     ``reg`` None is 5% of the median cost; ``tol`` is the l1 marginal
     violation that stops the scaling early, 0 for none. When ``stats`` is a
     list, the call appends its ``SinkhornStats``.
@@ -212,15 +213,11 @@ def per_sample_losses_batched(l_intra_vec, l_inter_vec, l_balance, alpha: float,
     return ad.add(ad.add(ad.as_tensor(l_intra_vec), inter), share)
 
 
-def weighted_total_loss(sample_losses, weights, normalize: bool) -> ad.Tensor:
+def weighted_total_loss(sample_losses, weights) -> ad.Tensor:
     """Sum of w_i * L_i over a (n,) loss tensor; ``weights`` is an array of
     detached constants."""
     values = np.asarray(weights, dtype=np.float64)
     losses = ad.as_tensor(sample_losses)
     if losses.shape != values.shape:
         raise ShapeError(f"loss shape {losses.shape} vs weights {values.shape}")
-    total = ad.sum_all(ad.mul(losses, ad.Tensor(values)))
-    if normalize:
-        active = int(np.count_nonzero(values))
-        total = ad.scale(total, 1.0 / max(1, active))
-    return total
+    return ad.sum_all(ad.mul(losses, ad.Tensor(values)))

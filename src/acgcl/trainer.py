@@ -10,8 +10,8 @@ pair's best mirror is searched once per run; each epoch thresholds the
 stored mirrors at its distance, then runs ``inner_steps`` mini-batch
 updates; a step is a function of (epoch, step) and the carried params,
 Adam state and admission window, which step 0 opens and every step widens.
-Patience decrements whenever validation accuracy fails to improve; it never
-resets.
+Patience decrements whenever validation accuracy is not strictly above its
+best so far; it never resets.
 
 Each step gathers its batch's feature rows once, by parent id, from the
 graph's own matrix: a subgraph's three views differ only in their adjacency.
@@ -52,8 +52,9 @@ from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_fo
 CHECKPOINT_VERSION = 1
 # Config keys that older checkpoints echo and TrainConfig no longer has: the
 # probe's gradient-descent step budget and step size, before it fitted to
-# PROBE_TOL. The loader drops them; a config file or --set still rejects them.
-RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr")
+# PROBE_TOL, then a patience margin and a loss normalisation that no run set.
+# The loader drops them; a config file or --set rejects them as unknown keys.
+RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr", "improvement_tol", "normalize_weighted_loss")
 EMBED_BLOCK = 128
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # The probe fit stops at this gradient norm, or after PROBE_MAX_STEPS Newton
@@ -337,8 +338,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
         window = open_window(detached, config.acl_mode)
     mode = config.acl_mode if window is not None else "uniform"
     weights = weights_for_mode(mode, detached, window)
-    total = weighted_total_loss(sample_losses, weights.values,
-                                normalize=config.normalize_weighted_loss)
+    total = weighted_total_loss(sample_losses, weights.values)
     if not np.isfinite(total.value):
         raise TrainingDiverged(f"non-finite weighted loss in batch {ids.tolist()}")
 
@@ -429,7 +429,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
             probe = {"val": None, "grad_norm": None, "steps": None}   # unlabeled: no probe
             if graph.labels is not None:
                 probe = probe_accuracy(params, subgraphs, graph, config)
-                if probe["val"] > best_val + config.improvement_tol:
+                if probe["val"] > best_val:
                     best_val = probe["val"]
                 else:
                     patience_left -= 1

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 7-9 share one
 module-scoped fixture that trains ten encoders (five seeds, each with
 ``soft_acl`` and ``uniform`` on one shared set-up and mirror search), so the
-first of them pays the training cost once. The whole tier-1 suite took 67 s
-on a 2-core machine, about 40 s of it in this fixture.
+first of them pays the training cost once. The whole tier-1 suite took 93 s
+on a shared 2-core machine, about 50 s of it in this fixture.
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ def report(name: str, passed: bool, detail: str = ""):
 # K=10, feature noise calibrated so the raw-feature probe lands in [0.65, 0.80].
 
 SBM = SbmConfig(block_sizes=(100, 100, 100), p_intra=0.10, p_inter=0.002,
-                feature_dim=16, feature_noise=0.55, center_scale=1.0)
+                feature_dim=16, feature_noise=0.55)
 THETA_GRID = [10.0, 20.0, 30.0, 40.0, 50.0]
 N_SEEDS = 5
 
@@ -197,7 +197,7 @@ def test_criterion_5_gradient_checks():
         intra = intra_graph_losses_batched(center, summary, summary_neg, epsilon)
         bal = balance_loss(h, hp, hn, *solve)
         vec = per_sample_losses_batched(intra, inter, bal, alpha, beta, 1)
-        return weighted_total_loss(vec, np.array([0.7]), False), [h, hp, hn]
+        return weighted_total_loss(vec, np.array([0.7])), [h, hp, hn]
 
     def gcn_case(values):
         x, w1, w2, s1, s2 = (ad.parameter(v) for v in values)

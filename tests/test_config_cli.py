@@ -49,8 +49,8 @@ class TestParseConfig:
         for key, value in (("theta0", "60"), ("theta0", "0"), ("ramp_epochs", "0"),
                            ("distance_metric", "foo"), ("split_train", "2.0"),
                            ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
-                           ("probe_l2", "nan"), ("improvement_tol", "nan"), ("eta1", "nan"),
-                           ("learning_rate", "inf"), ("seed", "-3"), ("improvement_tol", "-1")):
+                           ("probe_l2", "nan"), ("sinkhorn_tol", "nan"), ("eta1", "nan"),
+                           ("learning_rate", "inf"), ("seed", "-3"), ("sinkhorn_tol", "-1")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 parse_config(path)
@@ -60,6 +60,11 @@ class TestParseConfig:
         path.write_text("subgraf_size = 5\n")
         with pytest.raises(ConfigError, match="subgraf_size"):
             parse_config(path)
+        # quoted, so a control character in the key never reaches the terminal raw
+        path.write_text("sub\x1bgraph = 3\n")
+        with pytest.raises(ConfigError, match=r"unknown config key: 'sub\\x1bgraph'$") as caught:
+            parse_config(path)
+        assert "\x1b" not in str(caught.value)
 
     def test_type_mismatch_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -92,7 +97,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("subgraph_size", 20.5), ("embedding_dim", True), ("epochs", "3"),
         ("learning_rate", False), ("learning_rate", "0.1"), ("acl_mode", 1),
-        ("normalize_weighted_loss", 1), ("seed", None), ("ramp_epochs", 4.0),
+        ("seed", None), ("ramp_epochs", 4.0),
     ])
     def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: expected"):
@@ -100,10 +105,9 @@ class TestParseConfig:
 
     def test_from_dict_takes_ints_for_floats_and_none_where_admitted(self):
         cfg = TrainConfig.from_dict({"learning_rate": 1, "ramp_epochs": None,
-                                     "sinkhorn_reg": None, "normalize_weighted_loss": True})
+                                     "sinkhorn_reg": None})
         assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
         assert cfg.ramp_epochs is None and cfg.sinkhorn_reg is None
-        assert cfg.normalize_weighted_loss is True
 
 
 @pytest.fixture
@@ -284,11 +288,9 @@ class TestCli:
         assert err[0].endswith(" is not in [0, 100]")
 
     @pytest.mark.parametrize("settings, key", [
-        *[([f"--{flag}={value}"], key) for value in ("nan", "inf", "-inf")
-          for flag, key in (("noise", "feature_noise"), ("center-scale", "center_scale"))],
-        (["--center-scale=1e308", "--noise=1e308"], "center_scale/feature_noise"),
-    ], ids=[*(f"{value}-{flag}" for value in ("nan", "inf", "-inf")
-              for flag in ("noise", "center-scale")), "overflow"])
+        *[([f"--noise={value}"], "feature_noise") for value in ("nan", "inf", "-inf")],
+        (["--noise=1e308"], "feature_noise"),
+    ], ids=[*(f"{value}-noise" for value in ("nan", "inf", "-inf")), "overflow"])
     def test_gen_sbm_non_finite_feature_setting_fails_before_writing(self, tmp_path, settings,
                                                                      key):
         """In a fresh process, so that a numpy warning counts as a line."""
@@ -401,8 +403,9 @@ class TestMalformedCheckpoint:
 
 
 class TestRetiredConfigKeys:
-    """Checkpoints written while the probe had a step budget and a step size
-    echo both in their config; they still load, and the keys are gone
+    """Checkpoints written while the probe had a step budget and a step size,
+    or while TrainConfig had a patience margin and a loss normalisation, echo
+    those keys in their config; they still load, and the keys are gone
     everywhere else."""
 
     def test_checkpoint_with_the_retired_keys_evaluates_the_same(self, tmp_path, config_file,
@@ -411,7 +414,8 @@ class TestRetiredConfigKeys:
                      "--out", str(tmp_path / "run")]) == 0
         current = tmp_path / "run" / "checkpoint.json"
         payload = json.loads(current.read_text())
-        payload["config"].update(probe_iters=500, probe_lr=0.5)
+        payload["config"].update(probe_iters=500, probe_lr=0.5, improvement_tol=0.0001,
+                                 normalize_weighted_loss=False)
         old = tmp_path / "old_checkpoint.json"
         old.write_text(json.dumps(payload))
         printed = []
@@ -422,13 +426,14 @@ class TestRetiredConfigKeys:
         assert printed[0] == printed[1]
         assert printed[0].splitlines()[2].startswith("probe_grad_norm=")
 
-    @pytest.mark.parametrize("key", ["probe_iters", "probe_lr"])
+    @pytest.mark.parametrize("key", ["probe_iters", "probe_lr", "improvement_tol",
+                                     "normalize_weighted_loss"])
     def test_config_file_and_set_reject_them(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 1\n")
-        with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
+        with pytest.raises(ConfigError, match=f"unknown config key: '{key}'$"):
             parse_config(path)
-        with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
+        with pytest.raises(ConfigError, match=f"unknown config key: '{key}'$"):
             parse_config(overrides=[f"{key}=1"])
         assert key not in TrainConfig().to_dict()
 
@@ -698,7 +703,6 @@ class TestOneValuePerSetting:
         ("encoder", "init_gcn_params", "seed"),
         ("graph", "make_splits", "train_frac"),
         ("graph", "make_splits", "val_frac"),
-        ("losses", "weighted_total_loss", "normalize"),
         ("trainer", "evaluate_probe", "l2"),
     ])
     def test_library_parameter_has_no_default(self, module, function, parameter):

@@ -289,11 +289,11 @@ class TestPerSampleLoss:
 class TestWeightedTotal:
     def test_masking(self):
         losses = ad.Tensor(np.array([2.0, 3.0]))
-        assert weighted_total_loss(losses, np.array([1.0, 0.0]), False).item() == pytest.approx(2.0)
+        assert weighted_total_loss(losses, np.array([1.0, 0.0])).item() == pytest.approx(2.0)
 
     def test_all_ones_plain_sum(self, rng):
         values = rng.random(5)
-        got = weighted_total_loss(ad.Tensor(values), np.ones(5), False).item()
+        got = weighted_total_loss(ad.Tensor(values), np.ones(5)).item()
         assert got == pytest.approx(values.sum())
 
     def test_soft_weight_composition(self):
@@ -301,17 +301,12 @@ class TestWeightedTotal:
         from acgcl.curriculum import AclThresholds, soft_acl_weights
         losses = np.array([0.05, 0.5, 2.0])
         weights = soft_acl_weights(losses, AclThresholds(lambda1=1.0, lambda2=0.1))
-        got = weighted_total_loss(ad.Tensor(losses), weights.values, False).item()
+        got = weighted_total_loss(ad.Tensor(losses), weights.values).item()
         assert got == pytest.approx(0.5 * 0.05 + 1.0 * 0.5 + 0.0 * 2.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            weighted_total_loss(ad.Tensor(np.array([1.0])), np.array([1.0, 2.0]), False)
-
-    def test_normalize_by_active(self):
-        losses = ad.Tensor(np.array([1.0, 2.0, 3.0]))
-        got = weighted_total_loss(losses, np.array([1.0, 1.0, 0.0]), normalize=True).item()
-        assert got == pytest.approx(1.5)
+            weighted_total_loss(ad.Tensor(np.array([1.0])), np.array([1.0, 2.0]))
 
 
 class TestLossGradients:
