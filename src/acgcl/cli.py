@@ -192,7 +192,7 @@ def _cmd_gen_sbm(args) -> int:
     graph = generate_sbm(sbm, args.seed)
     graph = with_splits(graph, make_splits(graph, args.seed, args.split_train, args.split_val))
     save_dataset(graph, args.out)
-    n_edges = int(graph.adjacency.sum() // 2)
+    n_edges = len(graph.adjacency) // 2
     print(f"nodes={graph.n_nodes} edges={n_edges} classes={graph.n_classes} out={args.out}")
     return 0
 

@@ -1,9 +1,10 @@
 """Graph data model, file ingestion and synthetic block-model generation.
 
-A :class:`Graph` is an undirected graph held as a symmetric sparse 0/1
-adjacency plus a dense feature matrix. Node ids are 0-based and contiguous;
-loaders reject out-of-range ids instead of remapping them, which keeps index
-provenance explicit when debugging augmentations.
+A :class:`Graph` is an undirected graph held as edge keys plus a dense
+feature matrix. The adjacency is the sorted unique int64 keys ``row * n + col``
+of its nonzero entries, both directions of every edge included. Node ids are
+0-based and contiguous; loaders reject out-of-range ids instead of remapping
+them, which keeps index provenance explicit when debugging augmentations.
 
 File formats (one directory per dataset):
 
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, GraphParseError, NodeIdError, ShapeError
 from .util import ROLE_SPLITS, rng_for
@@ -48,12 +48,16 @@ class Splits:
 
 @dataclass(frozen=True)
 class Graph:
+    """``adjacency`` is given as edge keys, a dense (n, n) 0/1 array or a
+    sparse matrix (anything with ``.tocoo()``), and held as edge keys."""
     features: np.ndarray            # (n_nodes, dim) float64
-    adjacency: sp.csr_array         # (n_nodes, n_nodes) symmetric 0/1
+    adjacency: np.ndarray           # (n_edge_entries,) sorted unique row * n + col
     labels: np.ndarray | None = None
     splits: Splits | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "adjacency", _edge_keys(self.adjacency, self.n_nodes))
+        self.adjacency.setflags(write=False)
         self.features.setflags(write=False)
         if self.labels is not None:
             self.labels.setflags(write=False)
@@ -73,21 +77,43 @@ class Graph:
         return int(self.labels.max()) + 1
 
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        """(n_nodes,) int64 entries per adjacency row; a self loop counts once."""
+        return np.bincount(self.adjacency // self.n_nodes, minlength=self.n_nodes)
+
+
+def _edge_keys(adjacency, n: int) -> np.ndarray:
+    """Sorted unique int64 keys row * n + col of the nonzero entries of an
+    (n, n) 0/1 adjacency given as keys (a 1-D integer array), a dense array
+    or a sparse matrix (anything with ``.tocoo()``). Repeated entries collapse."""
+    if hasattr(adjacency, "tocoo"):
+        coo = adjacency.tocoo()
+        shape, rows, cols, values = coo.shape, coo.row, coo.col, coo.data
+    else:
+        array = np.asarray(adjacency)
+        if array.ndim == 1 and (array.size == 0 or np.issubdtype(array.dtype, np.integer)):
+            keys = np.unique(array.astype(np.int64))
+            if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
+                raise ShapeError(f"adjacency key out of range [0, {n * n}) for {n} nodes")
+            return keys
+        shape = array.shape
+        if shape == (n, n):
+            rows, cols = np.nonzero(array)
+            values = array[rows, cols]
+    if tuple(shape) != (n, n):
+        raise ShapeError(f"adjacency is {tuple(shape)}, expected ({n}, {n})")
+    stored = values != 0
+    if not (values[stored] == 1).all():
+        raise ShapeError("adjacency entries must be 0 or 1")
+    return np.unique(rows[stored].astype(np.int64) * n + cols[stored])
 
 
 def validate_graph(graph: Graph, allow_self_loops: bool = False) -> None:
     """Raise if any structural invariant is violated."""
     n = graph.n_nodes
-    adj = graph.adjacency
-    if adj.shape != (n, n):
-        raise ShapeError(f"adjacency is {adj.shape}, expected ({n}, {n})")
-    if (adj != adj.T).nnz != 0:
+    rows, cols = np.divmod(graph.adjacency, n)
+    if not np.array_equal(np.sort(cols * n + rows), graph.adjacency):
         raise ShapeError("adjacency is not symmetric")
-    data = adj.data
-    if data.size and not np.isin(data, (0.0, 1.0)).all():
-        raise ShapeError("adjacency entries must be 0 or 1")
-    if not allow_self_loops and adj.diagonal().any():
+    if not allow_self_loops and (rows == cols).any():
         raise ShapeError("adjacency has self loops")
     if not np.isfinite(graph.features).all():
         raise ShapeError("features contain non-finite values")
@@ -112,16 +138,10 @@ def validate_graph(graph: Graph, allow_self_loops: bool = False) -> None:
             seen |= ids
 
 
-def _adjacency_from_edges(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_array:
-    """Symmetrized 0/1 CSR from (possibly duplicated, directed) edge pairs."""
-    if len(rows):
-        r = np.concatenate([rows, cols])
-        c = np.concatenate([cols, rows])
-    else:
-        r = c = np.zeros(0, dtype=np.int64)
-    adj = sp.coo_array((np.ones(len(r)), (r, c)), shape=(n, n)).tocsr()
-    adj.data = np.minimum(adj.data, 1.0)   # duplicates collapse to a single edge
-    return adj
+def _both_directions(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Edge keys of (possibly duplicated, directed) edge pairs in both
+    directions; ``Graph`` sorts them and collapses the duplicates."""
+    return np.concatenate([rows * n + cols, cols * n + rows])
 
 
 def load_graph(edge_path, feature_path, label_path=None) -> Graph:
@@ -134,7 +154,7 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     n = features.shape[0]
     rows, cols = _read_edges(Path(edge_path), n)
     labels = _read_labels(Path(label_path), n) if label_path is not None else None
-    return Graph(features=features, adjacency=_adjacency_from_edges(n, rows, cols), labels=labels)
+    return Graph(features=features, adjacency=_both_directions(n, rows, cols), labels=labels)
 
 
 def read_text(path: Path) -> str:
@@ -273,9 +293,10 @@ def save_dataset(graph: Graph, directory) -> None:
     """Write a graph in the load format; round-trips bit-exactly."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    coo = sp.triu(graph.adjacency).tocoo()
+    rows, cols = np.divmod(graph.adjacency, graph.n_nodes)
+    upper = rows <= cols
     with (directory / EDGE_FILE).open("w") as fh:
-        for i, j in zip(coo.row, coo.col):
+        for i, j in zip(rows[upper], cols[upper]):
             fh.write(f"{i} {j}\n")
     with (directory / FEATURE_FILE).open("w") as fh:
         for row in graph.features:
@@ -346,7 +367,7 @@ def generate_sbm(config: SbmConfig, seed: int) -> Graph:
         raise ConfigError(f"feature_noise: {config.feature_noise} overflows the features")
     return Graph(
         features=features,
-        adjacency=_adjacency_from_edges(n, rows, cols),
+        adjacency=_both_directions(n, rows, cols),
         labels=labels,
     )
 

@@ -3,12 +3,15 @@
 Scores follow the teleport resolvent S = t * (I - (1 - t) * A D^-1)^-1, so
 column j of S is the stationary visit distribution of a random walk
 restarting at node j. For a symmetric adjacency A D^-1 is similar to
-D^-1/2 A D^-1/2, so S comes from one in-place Cholesky factorisation and
-inverse of the symmetric positive-definite B = I - (1 - t) D^-1/2 A D^-1/2,
-at every graph size, in one n x n array.
+D^-1/2 A D^-1/2, so S comes from one in-place inverse of the symmetric
+positive-definite B = I - (1 - t) D^-1/2 A D^-1/2, at every graph size, in one
+n x n array: a recursive 2 x 2 block (Schur complement) inverse in numpy,
+with ``np.linalg.inv`` at the leaves.
 
 Each node gets a subgraph of exactly ``k`` nodes: the node itself first, then
-the k-1 best-scoring nodes of its score row, ties by ascending id. Rows are
+the k-1 best-scoring nodes of its score row, ties by ascending id. Scores that
+agree to TIE_RTOL of the row maximum are ties, so that rounding error in the
+inverse cannot reorder nodes that score the same in exact arithmetic. Rows are
 ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
 costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
@@ -25,13 +28,17 @@ from dataclasses import dataclass
 import operator
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import ConfigError, ContractError, NodeIdError, ShapeError, SizeError
-from .graph import Graph
+from .errors import ConfigError, ContractError, NodeIdError, SizeError
+from .graph import Graph, validate_graph
 
 RANK_BLOCK_ROWS = 256
 REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are unreachable
+# Scores are ranked after rounding to multiples of this share of the row
+# maximum, so that scores equal up to rounding error tie and rank by id.
+TIE_RTOL = 1e-12
+INVERSE_LEAF = 128        # blocks of at most this many rows are inverted directly
+INVERSE_ALIGN = 64        # a split's first half is a multiple of this many rows
 
 
 @dataclass(frozen=True)
@@ -63,57 +70,71 @@ class SubgraphSet:
 
 
 def compute_ppr_scores(graph: Graph, teleport: float) -> np.ndarray:
-    """(n, n) scores, entries >= 0, from one in-place Cholesky inverse of the
+    """(n, n) scores, entries >= 0, from one in-place inverse of the
     symmetric resolvent B = I - (1 - t) D^-1/2 A D^-1/2.
 
     A D^-1 = D^1/2 (D^-1/2 A D^-1/2) D^-1/2, so S = t D^1/2 B^-1 D^-1/2. The
-    spectrum of B lies in [t, 2 - t], so B is positive definite and needs no
-    pivoting. The adjacency must be symmetric.
+    spectrum of B lies in [t, 2 - t], so B is positive definite and its block
+    inverse needs no pivoting. The adjacency must be symmetric. B is built,
+    inverted and scaled in the one n x n array returned; the inverse holds at
+    most one more (n / 2 + INVERSE_ALIGN)^2 temporary at a time.
     """
-    # Imported here, not at module level, so that commands which rank nothing
-    # (gen-sbm) do not pay for importing scipy.linalg.
-    from scipy.linalg import lapack
     if not (0.0 < teleport < 1.0):
         raise ConfigError(f"teleport: must be in (0, 1), got {teleport}")
-    adjacency = graph.adjacency
-    if (adjacency != adjacency.T).nnz:
-        raise ShapeError("PageRank needs a symmetric adjacency")
+    validate_graph(graph, allow_self_loops=True)
     n = graph.n_nodes
-    degree = np.asarray(adjacency.sum(axis=0), dtype=np.float64).ravel()
+    degree = graph.degrees()
     root = np.sqrt(degree)
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=degree > 0)
-    scale = sp.diags_array(inv_root)
-    b = (scale @ adjacency @ scale).toarray()
-    b *= -(1.0 - teleport)
+    rows, cols = np.divmod(graph.adjacency, n)
+    b = np.zeros((n, n))
+    entries = inv_root[rows] * inv_root[cols]
+    entries *= -(1.0 - teleport)
+    b.ravel()[graph.adjacency] = entries
     b[np.diag_indices(n)] += 1.0
-    # b.T is B in Fortran order (B is symmetric), so LAPACK factors and
-    # inverts it in place; its upper triangle is the lower one of b.
-    factor, info = lapack.dpotrf(b.T, lower=0, clean=0, overwrite_a=1)
-    if info == 0:
-        factor, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
-    if info != 0:
-        raise ContractError(f"PageRank resolvent: LAPACK dpotrf/dpotri info={info}")
-    if not np.shares_memory(factor, b):
-        raise ContractError("PageRank resolvent: LAPACK copied the matrix")
-    row_scale = teleport * root
-    for start in range(0, n, RANK_BLOCK_ROWS):
-        stop = min(start + RANK_BLOCK_ROWS, n)
-        rows = b[start:stop]
-        rows[:, stop:] = b[stop:, start:stop].T          # mirror the lower triangle
-        square = rows[:, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        square[upper] = square.T[upper]
-        rows *= row_scale[start:stop, None]
-        rows *= inv_root
-        np.maximum(rows, 0.0, out=rows)                   # clear rounding noise below zero
+    _invert_in_place(b)
+    b *= (teleport * root)[:, None]
+    b *= inv_root
+    np.maximum(b, 0.0, out=b)                   # clear rounding noise below zero
     isolated = np.flatnonzero(degree == 0)
     b[isolated, isolated] = teleport
     return b
 
 
+def _invert_in_place(m: np.ndarray) -> None:
+    """Overwrite the symmetric positive-definite ``m`` with its inverse.
+
+    ``m`` splits into [[A, B], [B^T, C]], A's side a multiple of
+    INVERSE_ALIGN. With X = A^-1 B and the Schur complement S = C - B^T X,
+    m^-1 = [[A^-1 + X S^-1 X^T, -X S^-1], [-S^-1 X^T, S^-1]]. X^T is kept in
+    the lower-left block and Y = X S^-1 in the upper-right one; blocks of at
+    most INVERSE_LEAF rows are inverted by ``np.linalg.inv``.
+    """
+    n = len(m)
+    if n <= INVERSE_LEAF:
+        try:
+            m[...] = np.linalg.inv(m)
+        except np.linalg.LinAlgError as exc:
+            raise ContractError(f"PageRank resolvent: {n} x {n} block inverse failed: {exc}") \
+                from None
+        return
+    half = -(-n // (2 * INVERSE_ALIGN)) * INVERSE_ALIGN
+    a, b = m[:half, :half], m[:half, half:]
+    lower, c = m[half:, :half], m[half:, half:]
+    _invert_in_place(a)                         # A^-1
+    lower[...] = lower @ a                      # X^T = B^T A^-1, as A^-1 is symmetric
+    c -= lower @ b                              # S
+    _invert_in_place(c)                         # S^-1
+    np.matmul(lower.T, c, out=b)                # Y = X S^-1
+    a += b @ lower                              # A^-1 + Y X^T
+    np.negative(b, out=b)
+    lower[...] = b.T                            # -S^-1 X^T = -Y^T, as S^-1 is symmetric
+
+
 def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
     """(n, k) subgraph ids: row i is node i, then the k-1 best-scoring nodes
-    of score row i, descending, ties by ascending id.
+    of score row i, descending, ties by ascending id. Scores tie when they
+    round to the same multiple of TIE_RTOL of the row maximum.
 
     Nodes scoring at or below REACH_RTOL of the row maximum are unreachable;
     their slots, and the slots past n when k > n, hold the center instead.
@@ -126,10 +147,12 @@ def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
     for start in range(0, n, RANK_BLOCK_ROWS):
         block = matrix[start:start + RANK_BLOCK_ROWS]
         centers = np.arange(start, start + len(block))
-        negated = -block
+        top = block.max(axis=1, keepdims=True)
+        negated = block / np.where(top > 0, top * -TIE_RTOL, -1.0)   # a zero row: all tie
+        np.rint(negated, out=negated)
         negated[np.arange(len(block)), centers] = -np.inf    # the center ranks first
         ranked = _smallest_first(negated, width)
-        cutoff = block.max(axis=1, keepdims=True) * REACH_RTOL
+        cutoff = top * REACH_RTOL
         reachable = np.take_along_axis(block, ranked, axis=1) > cutoff
         rows = out[start:start + len(block)]
         rows[:, :width] = np.where(reachable, ranked, centers[:, None])
@@ -163,12 +186,21 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
         raise SizeError("indices must be non-empty")
     if indices.min() < 0 or indices.max() >= graph.n_nodes:
         raise NodeIdError(f"subgraph index out of range [0, {graph.n_nodes})")
-    sub_adj = graph.adjacency[indices, :][:, indices].toarray()
-    return Subgraph(
-        parent_indices=indices,
-        adjacency=np.asarray(sub_adj, dtype=np.float64),
-        node_features=graph.features,
-    )
+    adjacency = _induced(_closed_keys(graph), graph.n_nodes, indices).astype(np.float64)
+    return Subgraph(parent_indices=indices, adjacency=adjacency, node_features=graph.features)
+
+
+def _closed_keys(graph: Graph) -> np.ndarray:
+    """The graph's edge keys closed by the sentinel n * n, so that a search
+    for any key of an (n, n) entry lands on a valid index."""
+    return np.append(graph.adjacency, graph.n_nodes ** 2)
+
+
+def _induced(keys: np.ndarray, n: int, ids: np.ndarray) -> np.ndarray:
+    """(..., k, k) bool adjacency among the (..., k) ``ids``, each entry
+    looked up in the closed edge keys; no n x n array is built."""
+    wanted = ids[..., :, None] * n + ids[..., None, :]
+    return keys[np.searchsorted(keys, wanted)] == wanted
 
 
 def sample_all_subgraphs(graph: Graph, k: int, teleport: float) -> SubgraphSet:
@@ -181,18 +213,10 @@ def sample_all_subgraphs(graph: Graph, k: int, teleport: float) -> SubgraphSet:
         raise SizeError(f"k must be >= 1, got {k}")
     indices = top_k_indices(compute_ppr_scores(graph, teleport), k)
     n = graph.n_nodes
-    # Each (k, k) adjacency entry is looked up in the sorted keys row * n + col
-    # of the stored entries, closed by a sentinel n * n, RANK_BLOCK_ROWS
-    # subgraphs at a time, so no n x n array and no second (n, k, k) one is built.
-    coo = graph.adjacency.tocoo(copy=True)
-    coo.sum_duplicates()                 # canonical: unique, in row-major order
-    keys = np.append(coo.row.astype(np.int64) * n + coo.col, n * n)
-    values = np.append(coo.data.astype(np.float64), 0.0)
+    keys = _closed_keys(graph)
     adjacency = np.empty((n, k, k))
-    for start in range(0, n, RANK_BLOCK_ROWS):
+    for start in range(0, n, RANK_BLOCK_ROWS):     # no second (n, k, k) array
         ids = indices[start:start + RANK_BLOCK_ROWS]
-        wanted = ids[:, :, None] * n + ids[:, None, :]
-        at = np.searchsorted(keys, wanted)
-        adjacency[start:start + len(ids)] = np.where(keys[at] == wanted, values[at], 0.0)
+        adjacency[start:start + len(ids)] = _induced(keys, n, ids)
     return SubgraphSet(parent_indices=indices, adjacency=adjacency,
                        node_features=graph.features)

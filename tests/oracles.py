@@ -21,7 +21,7 @@ difference-tensor form that the package's Gram-form ``pairwise_euclidean``
 replaced, and ``prelu_where`` the select form that its branch-free ``prelu``
 replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
-symmetric Cholesky inverse replaced. ``sinkhorn_log_node`` is the
+symmetric in-place inverse replaced. ``sinkhorn_log_node`` is the
 log-domain Sinkhorn solve that the package's kernel-domain node replaced; it
 checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 ``SinkhornStats``, so iteration counts compare directly.
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from acgcl import autodiff as ad
 from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
@@ -314,18 +313,27 @@ def per_sample_loss(l_intra, l_inter, l_balance, alpha: float, beta: float, n: i
     )
 
 
-def column_normalize(adjacency: sp.csr_array) -> sp.csr_array:
-    """A @ D^-1; zero-degree columns stay all-zero."""
-    deg = np.asarray(adjacency.sum(axis=0)).ravel()
-    inv = np.divide(1.0, deg, out=np.zeros_like(deg, dtype=np.float64), where=deg > 0)
-    return (adjacency @ sp.diags_array(inv)).tocsr()
+def dense_adjacency(graph) -> np.ndarray:
+    """The (n, n) 0/1 adjacency whose nonzero entries the graph's edge keys
+    row * n + col name."""
+    n = graph.n_nodes
+    dense = np.zeros((n, n))
+    for key in graph.adjacency.tolist():
+        dense[key // n, key % n] = 1.0
+    return dense
+
+
+def column_normalize(adjacency: np.ndarray) -> np.ndarray:
+    """A @ D^-1 of a dense adjacency; zero-degree columns stay all-zero."""
+    deg = adjacency.sum(axis=0)
+    return adjacency / np.where(deg > 0, deg, 1.0)
 
 
 def dense_solve_ppr(graph, teleport=0.15):
     """Personalized-PageRank scores from a dense solve of the teleport
     resolvent t * (I - (1 - t) * A D^-1)^-1, clamped at zero."""
     n = graph.n_nodes
-    system = np.eye(n) - (1.0 - teleport) * column_normalize(graph.adjacency).toarray()
+    system = np.eye(n) - (1.0 - teleport) * column_normalize(dense_adjacency(graph))
     scores = np.linalg.solve(system, teleport * np.eye(n))
     return np.maximum(scores, 0.0, out=scores)
 
@@ -337,10 +345,8 @@ def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):
     adjacency divided by its column sums (zero-degree columns stay zero).
     Stops once the largest per-row l1 change is below ``tol``.
     """
-    adjacency = graph.adjacency.toarray()
-    degree = adjacency.sum(axis=0)
-    normalized = adjacency / np.where(degree > 0, degree, 1.0)
-    target = teleport * np.eye(len(adjacency))
+    normalized = column_normalize(dense_adjacency(graph))
+    target = teleport * np.eye(graph.n_nodes)
     scores = target.copy()
     for _ in range(max_iters):
         updated = target + (1.0 - teleport) * (scores @ normalized)
@@ -353,12 +359,15 @@ def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):
 
 def top_rank(score_row, k, center):
     """Indices of the k largest scores, descending, ties by ascending id;
-    the center is always forced into position 0."""
+    the center is always forced into position 0. Scores that round to the
+    same multiple of 1e-12 of the row maximum tie."""
     score_row = np.asarray(score_row, dtype=np.float64)
     n = score_row.shape[0]
     if not (1 <= k <= n):
         raise SizeError(f"k={k} outside [1, {n}]")
-    order = np.lexsort((np.arange(n), -score_row))
+    unit = score_row.max() * 1e-12
+    rounded = np.rint(score_row / unit) if unit != 0 else np.zeros(n)
+    order = np.lexsort((np.arange(n), -rounded))
     order = order[order != center]
     return np.concatenate([[center], order[: k - 1]]).astype(np.int64)
 

@@ -10,9 +10,9 @@ from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirro
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, random_graph, stack_subgraphs
-from oracles import (Replacement, chunked_mirror_search, exhaustive_mirror_pair,
-                     find_mirror_pair, pair_distance, per_pair_mirror_augment,
-                     per_subgraph_distance_distribution)
+from oracles import (Replacement, chunked_mirror_search, dense_adjacency,
+                     exhaustive_mirror_pair, find_mirror_pair, pair_distance,
+                     per_pair_mirror_augment, per_subgraph_distance_distribution)
 
 
 def logged(search, gamma, i=0):
@@ -394,7 +394,7 @@ class TestMirrorSearch:
 
     def test_duplicated_feature_rows_tie_exactly(self, rng):
         g = random_graph(rng, n=30, p=0.25, n_classes=2)
-        g = graph_from_edges(30, zip(*np.nonzero(np.triu(g.adjacency.toarray(), 1))),
+        g = graph_from_edges(30, zip(*np.nonzero(np.triu(dense_adjacency(g), 1))),
                              features=rng.integers(0, 2, size=(30, 2)).astype(float),
                              labels=g.labels)
         self.assert_matches_oracle(sample_all_subgraphs(g, 8, 0.15), semantic_assignment(g))

@@ -1,10 +1,7 @@
 import ctypes
 import inspect
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -712,13 +709,9 @@ class TestOneValuePerSetting:
 
 
 def test_cli_import_leaves_lapack_unloaded():
-    # Only PageRank needs scipy.linalg; commands that never rank (gen-sbm)
-    # should not pay for importing it.
-    src = str(Path(acgcl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, acgcl.cli; print('scipy.linalg' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    """Importing the command line loads no scipy.linalg."""
+    done = run_python("-c", "import sys, acgcl.cli; print('scipy.linalg' in sys.modules)")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
 
@@ -735,6 +728,30 @@ def test_evaluate_leaves_scipy_optimize_unloaded(tmp_path):
         " '--out', run]) == 0\n"
         "assert main(['evaluate', '--checkpoint', run + '/checkpoint.json', '--data', data]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    done = run_python("-c", script, str(tmp_path / "data"), str(tmp_path / "run"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """Every command runs on numpy alone: after ``gen-sbm``, ``train``,
+    ``evaluate``, ``augment-inspect`` and ``validate-difficulty`` no scipy
+    module has been imported."""
+    script = (
+        "import sys\n"
+        "from acgcl.cli import main\n"
+        "data, run = sys.argv[1], sys.argv[2]\n"
+        "keys = ['--set', 'data_dir=' + data, '--set', 'subgraph_size=5']\n"
+        "assert main(['gen-sbm', '--blocks', '20,20', '--p-intra', '0.3', '--p-inter', '0.02',"
+        " '--feature-dim', '4', '--seed', '1', '--out', data]) == 0\n"
+        "assert main(['train', '--config', '/dev/null', *keys, '--set', 'embedding_dim=8',"
+        " '--set', 'epochs=1', '--set', 'inner_steps=1', '--out', run]) == 0\n"
+        "assert main(['evaluate', '--checkpoint', run + '/checkpoint.json', '--data', data]) == 0\n"
+        "assert main(['augment-inspect', '--config', '/dev/null', *keys, '--node', '3',"
+        " '--theta', '30', '--out', run + '/inspect']) == 0\n"
+        "assert main(['validate-difficulty', '--config', '/dev/null', *keys, '--checkpoint',"
+        " run + '/checkpoint.json', '--grid', '10,30', '--out', run + '/curve.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     done = run_python("-c", script, str(tmp_path / "data"), str(tmp_path / "run"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from acgcl import graph as graph_module
 from acgcl.cli import main
 from acgcl.errors import ConfigError, GraphParseError, ShapeError
-from acgcl.graph import (SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
+from acgcl.graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                          make_splits, save_dataset, validate_graph, with_splits)
-from oracles import read_features_by_line
+from oracles import dense_adjacency, read_features_by_line
 
 
 def write_dataset(tmp_path, edges, features, labels=None):
@@ -25,23 +26,23 @@ class TestLoadGraph:
         e, f, _ = write_dataset(tmp_path, "0 1\n", "1.0\n2.0\n")
         g = load_graph(e, f)
         assert g.n_nodes == 2
-        assert g.adjacency[0, 1] == 1 and g.adjacency[1, 0] == 1
+        assert np.array_equal(dense_adjacency(g), [[0, 1], [1, 0]])
         assert np.array_equal(g.features, [[1.0], [2.0]])
 
     def test_empty_edge_file_gives_edgeless_graph(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "", "1\n2\n3\n")
         g = load_graph(e, f)
         assert g.n_nodes == 3
-        assert g.adjacency.nnz == 0
+        assert g.adjacency.size == 0
 
     def test_duplicate_edges_stay_binary(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "0 1\n0 1\n1 0\n", "1\n2\n")
         g = load_graph(e, f)
-        assert g.adjacency[0, 1] == 1.0
+        assert g.adjacency.tolist() == [1, 2]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "# header\n\n0 1\n", "1\n2\n")
-        assert load_graph(e, f).adjacency[0, 1] == 1
+        assert dense_adjacency(load_graph(e, f))[0, 1] == 1
 
     def test_malformed_edge_line_names_the_line(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "0 1\n0 x\n", "1\n2\n")
@@ -54,7 +55,7 @@ class TestLoadGraph:
                                 f"1{space},{space}2\n{space}3,4{space}\n",
                                 f"0{space},{space}1\n{space}1,0{space}\n")
         g = load_graph(e, f, l)
-        assert g.adjacency[0, 1] == 1 and g.adjacency.nnz == 2
+        assert g.adjacency.tolist() == [1, 2]
         assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(g.labels, [1, 0])
 
@@ -86,7 +87,7 @@ class TestLoadGraph:
         write_dataset(tmp_path, "0 0\n0 1\n", "1\n2\n3\n")
         (tmp_path / "splits.json").write_text('{"train": [0], "val": [1], "test": [2]}')
         g = load_dataset(tmp_path)
-        assert g.adjacency[0, 0] == 1
+        assert dense_adjacency(g)[0, 0] == 1
         assert [list(part) for part in (g.splits.train, g.splits.val, g.splits.test)] == [[0], [1], [2]]
 
     def test_labels_loaded_and_gaps_rejected(self, tmp_path):
@@ -130,6 +131,44 @@ class TestLoadGraph:
                        "out of range [0, 40)"]
 
 
+class TestAdjacency:
+    """``Graph`` holds the adjacency as sorted unique edge keys row * n + col,
+    whether it is given keys, a dense array or a sparse matrix."""
+
+    def test_three_forms_give_the_same_keys(self):
+        dense = np.zeros((4, 4))
+        dense[[0, 1, 1, 2, 3], [1, 0, 2, 1, 3]] = 1.0
+        keys = np.array([1, 4, 6, 9, 15])
+        for given in (dense, dense.astype(bool), sp.csr_array(dense), keys[::-1], np.r_[keys, 4]):
+            g = Graph(features=np.zeros((4, 1)), adjacency=given)
+            assert g.adjacency.dtype == np.int64 and g.adjacency.tolist() == keys.tolist()
+            assert not g.adjacency.flags.writeable
+        assert np.array_equal(dense_adjacency(g), dense)
+        assert g.degrees().tolist() == [1, 2, 1, 1]     # a self loop counts once
+
+    @pytest.mark.parametrize("given, message", [
+        (np.zeros((3, 3)), r"adjacency is \(3, 3\), expected \(2, 2\)"),
+        (np.zeros((2, 2, 1)), "adjacency is"),
+        (np.array([[0.0, 2.0], [2.0, 0.0]]), "entries must be 0 or 1"),
+        (sp.csr_array(np.array([[0.0, 0.5], [0.5, 0.0]])), "entries must be 0 or 1"),
+        (np.array([0, 4]), r"key out of range \[0, 4\)"),
+        (np.array([-1]), "key out of range"),
+    ], ids=["wrong-shape", "three-dims", "weight-2", "sparse-weight", "key-past-end",
+            "negative-key"])
+    def test_bad_adjacency_rejected(self, given, message):
+        with pytest.raises(ShapeError, match=message):
+            Graph(features=np.zeros((2, 1)), adjacency=given)
+
+    def test_asymmetric_and_self_loops_caught_by_validate(self):
+        g = Graph(features=np.zeros((3, 1)), adjacency=np.array([1]))
+        with pytest.raises(ShapeError, match="not symmetric"):
+            validate_graph(g)
+        loop = Graph(features=np.zeros((3, 1)), adjacency=np.array([4]))
+        validate_graph(loop, allow_self_loops=True)
+        with pytest.raises(ShapeError, match="self loops"):
+            validate_graph(loop)
+
+
 class TestRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, rng):
         g = generate_sbm(SbmConfig(block_sizes=(7, 5), p_intra=0.6, p_inter=0.2,
@@ -137,7 +176,7 @@ class TestRoundTrip:
         g = with_splits(g, make_splits(g, seed=9, train_frac=0.3, val_frac=0.2))
         save_dataset(g, tmp_path)
         back = load_dataset(tmp_path)
-        assert (g.adjacency != back.adjacency).nnz == 0
+        assert np.array_equal(g.adjacency, back.adjacency)
         assert np.array_equal(g.features, back.features)
         assert np.array_equal(g.labels, back.labels)
         assert np.array_equal(g.splits.train, back.splits.train)
@@ -148,7 +187,7 @@ class TestGenerateSbm:
     def test_extreme_probabilities(self):
         g = generate_sbm(SbmConfig(block_sizes=(2, 2), p_intra=1.0, p_inter=0.0,
                                    feature_dim=2), seed=0)
-        dense = g.adjacency.toarray()
+        dense = dense_adjacency(g)
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = 1
         expected[2, 3] = expected[3, 2] = 1
@@ -158,13 +197,13 @@ class TestGenerateSbm:
         # 2 blocks of 50 at p=0.2: mean 490, sigma = sqrt(490 * 0.8) ~ 19.8
         g = generate_sbm(SbmConfig(block_sizes=(50, 50), p_intra=0.2, p_inter=0.0,
                                    feature_dim=2), seed=3)
-        n_edges = g.adjacency.sum() / 2
+        n_edges = g.adjacency.size / 2
         assert abs(n_edges - 490) < 3 * np.sqrt(490 * 0.8)
 
     def test_same_seed_identical(self):
         cfg = SbmConfig(block_sizes=(10, 10), p_intra=0.5, p_inter=0.1, feature_dim=4)
         a, b = generate_sbm(cfg, seed=7), generate_sbm(cfg, seed=7)
-        assert (a.adjacency != b.adjacency).nnz == 0
+        assert np.array_equal(a.adjacency, b.adjacency)
         assert np.array_equal(a.features, b.features)
 
     def test_labels_are_block_ids(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import sampler
-from acgcl.errors import ShapeError, SizeError
+from acgcl.errors import ContractError, ShapeError, SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
 from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
                            sample_all_subgraphs, top_k_indices)
 from conftest import graph_from_edges, random_graph
-from oracles import (column_normalize, dense_solve_ppr, power_iteration_ppr,
+from oracles import (column_normalize, dense_adjacency, dense_solve_ppr, power_iteration_ppr,
                      subgraph_indices, top_rank)
 
 
@@ -21,16 +22,16 @@ class TestColumnNormalize:
 
     def test_single_edge(self):
         g = graph_from_edges(2, [(0, 1)])
-        assert np.array_equal(column_normalize(g.adjacency).toarray(), [[0, 1], [1, 0]])
+        assert np.array_equal(column_normalize(dense_adjacency(g)), [[0, 1], [1, 0]])
 
     def test_degree_division(self):
         g = graph_from_edges(3, [(0, 1), (0, 2)])
-        normalized = column_normalize(g.adjacency).toarray()
+        normalized = column_normalize(dense_adjacency(g))
         assert np.allclose(normalized[:, 0], [0, 0.5, 0.5])
 
     def test_edgeless_graph_stays_zero(self):
         g = graph_from_edges(3, [])
-        assert column_normalize(g.adjacency).nnz == 0
+        assert not column_normalize(dense_adjacency(g)).any()
 
 
 class TestPprScores:
@@ -72,7 +73,7 @@ class TestPprScores:
 def self_loop_graph(rng, n=30):
     """A random graph with self-loops on a third of its nodes."""
     g = random_graph(rng, n=n)
-    dense = g.adjacency.toarray()
+    dense = dense_adjacency(g)
     loops = rng.choice(n, size=n // 3, replace=False)
     dense[loops, loops] = 1.0
     return Graph(features=g.features, adjacency=sp.csr_array(dense))
@@ -93,8 +94,9 @@ def oracle_graphs(rng):
 
 
 class TestCholeskyMatchesSolve:
-    """The symmetric Cholesky inverse against the dense solve of the
-    column-normalized resolvent that it replaced."""
+    """The symmetric in-place inverse against the dense solve of the
+    column-normalized resolvent that it replaced. (The class keeps the name
+    of the LAPACK Cholesky inverse that stood between the two.)"""
 
     def test_scores_within_1e_12(self, rng):
         for g in oracle_graphs(rng):
@@ -132,6 +134,79 @@ class TestCholeskyMatchesSolve:
             compute_ppr_scores(g, 0.15)
         with pytest.raises(ShapeError):
             sample_all_subgraphs(g, k=2, teleport=0.15)
+
+
+class TestBlockInverse:
+    """The recursive in-place block inverse behind ``compute_ppr_scores``,
+    at sizes around its leaf and split boundaries."""
+
+    @pytest.mark.parametrize("n", [1, sampler.INVERSE_LEAF, sampler.INVERSE_LEAF + 1, 193, 500])
+    def test_matches_numpy_inverse(self, rng, n):
+        half = rng.standard_normal((n, n)) / np.sqrt(n)
+        matrix = half @ half.T + np.eye(n)
+        inverse = matrix.copy()
+        sampler._invert_in_place(inverse)
+        assert np.abs(inverse - np.linalg.inv(matrix)).max() <= 1e-12
+
+    def test_singular_block_raises_contract_error(self):
+        with pytest.raises(ContractError, match="block inverse failed"):
+            sampler._invert_in_place(np.zeros((300, 300)))
+
+    @pytest.mark.parametrize("n", [sampler.INVERSE_LEAF + 1, 257, 1000])
+    def test_scores_within_1e_12_across_splits(self, rng, n):
+        g = random_graph(rng, n=n, p=4.0 / n, dim=1)
+        got = compute_ppr_scores(g, 0.15)
+        assert np.abs(got - dense_solve_ppr(g, 0.15)).max() <= 1e-12
+        assert got.min() >= 0.0
+
+    def test_isolated_nodes_and_self_loops_on_both_sides_of_a_split(self, rng):
+        n = 300                   # first half 192 rows
+        dense = dense_adjacency(random_graph(rng, n=n, p=4.0 / n, dim=1))
+        isolated, loops = [5, 150, 250, 299], [10, 191, 192, 260]
+        dense[isolated, :] = dense[:, isolated] = 0.0
+        dense[loops, loops] = 1.0
+        g = Graph(features=np.zeros((n, 1)), adjacency=dense)
+        for teleport in (0.15, 0.9):
+            got = compute_ppr_scores(g, teleport)
+            assert np.abs(got - dense_solve_ppr(g, teleport)).max() <= 1e-12
+            assert np.array_equal(got[isolated], teleport * np.eye(n)[isolated])
+            assert not got[:, isolated][np.setdiff1d(np.arange(n), isolated)].any()
+
+    def test_peak_memory_is_the_result_and_one_quarter(self, rng):
+        n = 1024
+        g = random_graph(rng, n=n, p=4.0 / n, dim=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = compute_ppr_scores(g, 0.15)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert scores.nbytes == n * n * 8
+        assert peak <= 1.5 * n * n * 8
+
+    def test_automorphic_nodes_rank_by_id(self):
+        """Nodes that an automorphism swaps score the same in exact
+        arithmetic; whatever rounding the inverse leaves, they rank by id.
+        Rows on both sides of the 192-row split of n = 300."""
+        n = 300
+        star = top_k_indices(compute_ppr_scores(star_graph(n), 0.15), 5)
+        assert star[0].tolist() == [0, 1, 2, 3, 4]
+        for leaf in (2, 7, 191, 192, 299):
+            others = [i for i in range(1, n) if i != leaf]
+            assert star[leaf].tolist() == [leaf, 0, *others[:3]]
+        cycle = top_k_indices(compute_ppr_scores(cycle_graph(n), 0.15), 5)
+        for i in (0, 150, 191, 192, 299):
+            ring = [sorted({(i - d) % n, (i + d) % n}) for d in (1, 2)]
+            assert cycle[i].tolist() == [i, *ring[0], *ring[1]]
+        # Pendant leaves 7 and 250 of node 100 on a cycle through every other node.
+        ring = [i for i in range(n) if i not in (7, 250)]
+        g = graph_from_edges(n, [*zip(ring, ring[1:] + ring[:1]), (7, 100), (250, 100)])
+        ranked = top_k_indices(compute_ppr_scores(g, 0.15), 12).tolist()
+        assert ranked[100].index(7) + 1 == ranked[100].index(250)
+        for row in ranked:
+            if 250 in row[1:]:
+                assert row.index(7) < row.index(250)
 
 
 class TestTopRank:
@@ -255,7 +330,7 @@ class TestExtractSubgraph:
 
     def test_matches_double_loop(self, rng):
         g = random_graph(rng, n=25)
-        dense = g.adjacency.toarray()
+        dense = dense_adjacency(g)
         for _ in range(5):
             ids = rng.choice(25, size=8, replace=False)
             sub = extract_subgraph(g, ids)
