@@ -8,7 +8,7 @@ from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, hard_ac
                          open_window, pacing_difficulty, soft_acl_weights, spl_weights)
 from .encoder import GcnParams, init_gcn_params
 from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
-                    make_splits, save_dataset, validate_graph)
+                    make_splits, save_dataset)
 from .losses import balance_loss, sinkhorn_w1, weighted_total_loss
 from .sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
                       sample_all_subgraphs, top_k_indices)

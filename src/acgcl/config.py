@@ -4,7 +4,8 @@ Lines starting with ``#`` and blank lines are ignored. Every key has a typed
 default; unknown keys and type mismatches raise ConfigError naming the key.
 ``auto`` is accepted where the annotation admits None (ramp_epochs tracks
 epochs, sinkhorn_reg scales with the data). TrainConfig is the one settings
-object, and ``validate`` holds every range check of a key.
+object; it is frozen and checks every key's range when built, so no invalid
+config exists (``dataclasses.replace`` checks again).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .curriculum import MODES
 from .errors import ConfigError
 from .graph import check_split_fractions, data_lines
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
     data_dir: str = ""
@@ -72,7 +73,7 @@ class TrainConfig:
     split_train: float = 0.3
     split_val: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Every range check of a run setting; raises ConfigError naming the key."""
         for f in fields(self):
             value = getattr(self, f.name)
@@ -123,14 +124,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        """The config of typed values, e.g. a checkpoint's echo; validated."""
+        """The config of typed values, e.g. a checkpoint's echo."""
         annotations = get_type_hints(cls)
         unknown = set(raw) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
-        config = cls(**{key: _typed(key, value, annotations[key]) for key, value in raw.items()})
-        config.validate()
-        return config
+        return cls(**{key: _typed(key, value, annotations[key]) for key, value in raw.items()})
 
 
 def _typed(key: str, value: object, annotation) -> object:

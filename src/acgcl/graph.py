@@ -17,8 +17,8 @@ File formats (one directory per dataset):
   [0, n_nodes) covering every node exactly once.
 * ``splits.json`` : optional, ``{"train": [...], "val": [...], "test": [...]}``.
 
-A :class:`Graph` is a frozen dataclass; ``with_splits`` returns a new graph
-rather than changing its argument.
+A :class:`Graph` is a frozen dataclass checked once, when built;
+``with_splits`` returns a new graph rather than changing its argument.
 """
 
 from __future__ import annotations
@@ -49,14 +49,40 @@ class Splits:
 @dataclass(frozen=True)
 class Graph:
     """``adjacency`` is given as edge keys, a dense (n, n) 0/1 array or a
-    sparse matrix (anything with ``.tocoo()``), and held as edge keys."""
+    sparse matrix (anything with ``.tocoo()``), and held as edge keys. A graph
+    that breaks an invariant below fails to build with a ShapeError."""
     features: np.ndarray            # (n_nodes, dim) float64
     adjacency: np.ndarray           # (n_edge_entries,) sorted unique row * n + col
     labels: np.ndarray | None = None
     splits: Splits | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency", _edge_keys(self.adjacency, self.n_nodes))
+        n = self.n_nodes
+        keys = np.sort(_edge_keys(self.adjacency, n))   # np.unique would import numpy.ma
+        object.__setattr__(self, "adjacency", keys[np.diff(keys, prepend=keys[:1] - 1) != 0])
+        rows, cols = np.divmod(self.adjacency, n)
+        if not np.array_equal(np.sort(cols * n + rows), self.adjacency):   # self loops allowed
+            raise ShapeError("adjacency is not symmetric")
+        if not np.isfinite(self.features).all():
+            raise ShapeError("features contain non-finite values")
+        if self.labels is not None:
+            if self.labels.shape != (n,):
+                raise ShapeError(f"labels shape {self.labels.shape}, expected ({n},)")
+            if self.labels.min() < 0:
+                raise ShapeError("negative label")
+        if self.splits is not None:
+            seen: set[int] = set()
+            for name in ("train", "val", "test"):
+                part = np.sort(getattr(self.splits, name))
+                repeated = part[:-1][np.diff(part) == 0]
+                if repeated.size:
+                    raise ShapeError(f"split '{name}' lists node {repeated[0]} more than once")
+                ids = set(part.tolist())
+                if ids & seen:
+                    raise ShapeError(f"split '{name}' overlaps another split")
+                if part.size and (part[0] < 0 or part[-1] >= n):
+                    raise ShapeError(f"split '{name}' has out-of-range node ids")
+                seen |= ids
         self.adjacency.setflags(write=False)
         self.features.setflags(write=False)
         if self.labels is not None:
@@ -82,17 +108,17 @@ class Graph:
 
 
 def _edge_keys(adjacency, n: int) -> np.ndarray:
-    """Sorted unique int64 keys row * n + col of the nonzero entries of an
-    (n, n) 0/1 adjacency given as keys (a 1-D integer array), a dense array
-    or a sparse matrix (anything with ``.tocoo()``). Repeated entries collapse."""
+    """Int64 keys row * n + col of the nonzero entries of an (n, n) 0/1
+    adjacency given as keys (a 1-D integer array), a dense array or a sparse
+    matrix (anything with ``.tocoo()``), in any order and maybe repeated."""
     if hasattr(adjacency, "tocoo"):
         coo = adjacency.tocoo()
         shape, rows, cols, values = coo.shape, coo.row, coo.col, coo.data
     else:
         array = np.asarray(adjacency)
         if array.ndim == 1 and (array.size == 0 or np.issubdtype(array.dtype, np.integer)):
-            keys = np.unique(array.astype(np.int64))
-            if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
+            keys = array.astype(np.int64)
+            if keys.size and (keys.min() < 0 or keys.max() >= n * n):
                 raise ShapeError(f"adjacency key out of range [0, {n * n}) for {n} nodes")
             return keys
         shape = array.shape
@@ -104,38 +130,7 @@ def _edge_keys(adjacency, n: int) -> np.ndarray:
     stored = values != 0
     if not (values[stored] == 1).all():
         raise ShapeError("adjacency entries must be 0 or 1")
-    return np.unique(rows[stored].astype(np.int64) * n + cols[stored])
-
-
-def validate_graph(graph: Graph, allow_self_loops: bool = False) -> None:
-    """Raise if any structural invariant is violated."""
-    n = graph.n_nodes
-    rows, cols = np.divmod(graph.adjacency, n)
-    if not np.array_equal(np.sort(cols * n + rows), graph.adjacency):
-        raise ShapeError("adjacency is not symmetric")
-    if not allow_self_loops and (rows == cols).any():
-        raise ShapeError("adjacency has self loops")
-    if not np.isfinite(graph.features).all():
-        raise ShapeError("features contain non-finite values")
-    if graph.labels is not None:
-        if graph.labels.shape != (n,):
-            raise ShapeError(f"labels shape {graph.labels.shape}, expected ({n},)")
-        if graph.labels.min() < 0:
-            raise ShapeError("negative label")
-    if graph.splits is not None:
-        seen: set[int] = set()
-        for name in ("train", "val", "test"):
-            part = getattr(graph.splits, name)
-            values, counts = np.unique(part, return_counts=True)
-            if (counts > 1).any():
-                raise ShapeError(f"split '{name}' lists node {values[counts > 1][0]} "
-                                 "more than once")
-            ids = set(values.tolist())
-            if ids & seen:
-                raise ShapeError(f"split '{name}' overlaps another split")
-            if part.size and (part.min() < 0 or part.max() >= n):
-                raise ShapeError(f"split '{name}' has out-of-range node ids")
-            seen |= ids
+    return rows[stored].astype(np.int64) * n + cols[stored]
 
 
 def _both_directions(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -273,7 +268,6 @@ def load_dataset(directory) -> Graph:
         text = read_text(split_path)
         try:   # bad JSON, nesting, keys or ids; ids out of range, repeated or in two splits
             graph = with_splits(graph, _parse_splits(json.loads(text)))
-            validate_graph(graph, allow_self_loops=True)
         except (ValueError, OverflowError, RecursionError) as exc:
             raise GraphParseError(f"{split_path}: {exc}") from None
     return graph

@@ -30,7 +30,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigError, ContractError, NodeIdError, SizeError
-from .graph import Graph, validate_graph
+from .graph import Graph
 
 RANK_BLOCK_ROWS = 256
 REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are unreachable
@@ -73,15 +73,14 @@ def compute_ppr_scores(graph: Graph, teleport: float) -> np.ndarray:
     """(n, n) scores, entries >= 0, from one in-place inverse of the
     symmetric resolvent B = I - (1 - t) D^-1/2 A D^-1/2.
 
-    A D^-1 = D^1/2 (D^-1/2 A D^-1/2) D^-1/2, so S = t D^1/2 B^-1 D^-1/2. The
-    spectrum of B lies in [t, 2 - t], so B is positive definite and its block
-    inverse needs no pivoting. The adjacency must be symmetric. B is built,
+    A D^-1 = D^1/2 (D^-1/2 A D^-1/2) D^-1/2, so S = t D^1/2 B^-1 D^-1/2. A
+    ``Graph``'s A is symmetric, so the spectrum of B lies in [t, 2 - t]: B is
+    positive definite and its block inverse needs no pivoting. B is built,
     inverted and scaled in the one n x n array returned; the inverse holds at
     most one more (n / 2 + INVERSE_ALIGN)^2 temporary at a time.
     """
     if not (0.0 < teleport < 1.0):
         raise ConfigError(f"teleport: must be in (0, 1), got {teleport}")
-    validate_graph(graph, allow_self_loops=True)
     n = graph.n_nodes
     degree = graph.degrees()
     root = np.sqrt(degree)

@@ -390,14 +390,13 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     the run's (subgraphs, distance distribution, mirror search) for this
     graph and config, as built from ``curriculum_inputs`` and
     ``mirror_search``; None builds them here."""
-    config.validate()
     params = init_gcn_params(graph.feature_dim, config.embedding_dim, config.gcn_layers,
                              config.seed)
     epochs: list[dict] = []
     if config.patience == 0:
         return params, epochs
 
-    if min(config.batch_size, graph.n_nodes) < 2:
+    if graph.n_nodes < 2:      # a TrainConfig's batch_size is at least 2
         raise ConfigError("batch_size: graph too small for a batch of 2 subgraphs")
 
     if inputs is None:
@@ -504,8 +503,8 @@ def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
-    """The params and config of a checkpoint; a bad file fails in one line.
-    RETIRED_CONFIG_KEYS in the config echo are dropped."""
+    """The params and config of a checkpoint; a bad file, or params unlike the
+    config, fail in one line. RETIRED_CONFIG_KEYS in the echo are dropped."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         version = payload.get("format_version") if isinstance(payload, dict) else None
@@ -533,7 +532,12 @@ def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:
         if isinstance(config, dict):
             config = {key: value for key, value in config.items()
                       if key not in RETIRED_CONFIG_KEYS}
-        return params, TrainConfig.from_dict(config)
+        config = TrainConfig.from_dict(config)
+        if (params.n_layers, params.out_dim) != (config.gcn_layers, config.embedding_dim):
+            raise ConfigError(f"{params.n_layers} weight matrices with {params.out_dim} output "
+                              f"columns, but the config has gcn_layers = {config.gcn_layers} "
+                              f"and embedding_dim = {config.embedding_dim}")
+        return params, config
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint has no {exc} entry") from None
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import inspect
 import json
 import re
@@ -99,6 +100,19 @@ class TestParseConfig:
     def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: expected"):
             TrainConfig.from_dict({**TrainConfig().to_dict(), key: value})
+
+    def test_config_is_checked_when_built_and_frozen(self):
+        """No TrainConfig breaks a range check: building one, or replacing a
+        field of one, checks it, and no field can be assigned afterwards."""
+        with pytest.raises(ConfigError, match="^batch_size: must be >= 2"):
+            TrainConfig(batch_size=1)
+        cfg = TrainConfig(seed=3)
+        with pytest.raises(ConfigError, match=r"^teleport: must be in \(0, 1\)$"):
+            dataclasses.replace(cfg, teleport=1.5)
+        assert dataclasses.replace(cfg, teleport=0.5).teleport == 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.teleport = 1.5
+        assert cfg.teleport == 0.15
 
     def test_from_dict_takes_ints_for_floats_and_none_where_admitted(self):
         cfg = TrainConfig.from_dict({"learning_rate": 1, "ramp_epochs": None,
@@ -517,6 +531,40 @@ class TestMalformedWeights:
         assert reason in err[0]
 
 
+class TestCheckpointContradictsItsConfig:
+    """A checkpoint whose weights do not match its own config's layer count
+    or embedding width fails ``evaluate`` and ``validate-difficulty
+    --checkpoint`` with one ConfigError line."""
+
+    @pytest.mark.parametrize("changed, reason", [
+        ({"gcn_layers": 2}, "1 weight matrices with 8 output columns, but the config has "
+                            "gcn_layers = 2 and embedding_dim = 8"),
+        ({"embedding_dim": 64}, "1 weight matrices with 8 output columns, but the config has "
+                                "gcn_layers = 1 and embedding_dim = 64"),
+        ({"gcn_layers": 2, "embedding_dim": 64}, "gcn_layers = 2 and embedding_dim = 64"),
+    ], ids=["layers", "width", "both"])
+    @pytest.mark.parametrize("command", ["evaluate", "validate-difficulty"])
+    def test_fails_with_one_line(self, tmp_path, config_file, dataset_dir, capsys, command,
+                                 changed, reason):
+        path = tmp_path / "checkpoint.json"
+        config = TrainConfig(embedding_dim=8)
+        save_checkpoint(init_gcn_params(4, 8, 1, config.seed), config, path)
+        payload = json.loads(path.read_text())
+        payload["config"].update(changed)
+        path.write_text(json.dumps(payload))
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(path), "--data", str(dataset_dir)]
+        else:
+            argv = ["validate-difficulty", "--config", str(config_file), "--checkpoint",
+                    str(path), "--out", str(tmp_path / "curve.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"ConfigError: {path}: bad checkpoint: "), err
+        assert reason in err[0]
+        assert not (tmp_path / "curve.csv").exists()
+
+
 class TestValidateDifficultySetUp:
     def test_trains_and_draws_the_curve_from_one_set_up(self, tmp_path, config_file,
                                                         monkeypatch):
@@ -755,6 +803,25 @@ def test_commands_run_without_scipy(tmp_path):
     done = run_python("-c", script, str(tmp_path / "data"), str(tmp_path / "run"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_gen_sbm_and_evaluate_run_without_numpy_ma(tmp_path):
+    """``gen-sbm`` and ``evaluate`` never import ``numpy.ma``, whose import
+    the first ``np.unique`` call would pay; ``train`` still loads it through
+    ``np.median``."""
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(init_gcn_params(4, 8, 1, 0), TrainConfig(embedding_dim=8), checkpoint)
+    script = (
+        "import sys\n"
+        "from acgcl.cli import main\n"
+        "data, checkpoint = sys.argv[1], sys.argv[2]\n"
+        "assert main(['gen-sbm', '--blocks', '20,20', '--p-intra', '0.3', '--p-inter', '0.02',"
+        " '--feature-dim', '4', '--seed', '1', '--out', data]) == 0\n"
+        "assert main(['evaluate', '--checkpoint', checkpoint, '--data', data]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = run_python("-c", script, str(tmp_path / "data"), str(checkpoint))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_readme_key_table_names_every_config_field():

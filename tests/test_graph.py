@@ -8,7 +8,7 @@ from acgcl import graph as graph_module
 from acgcl.cli import main
 from acgcl.errors import ConfigError, GraphParseError, ShapeError
 from acgcl.graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
-                         make_splits, save_dataset, validate_graph, with_splits)
+                         make_splits, save_dataset, with_splits)
 from oracles import dense_adjacency, read_features_by_line
 
 
@@ -159,14 +159,26 @@ class TestAdjacency:
         with pytest.raises(ShapeError, match=message):
             Graph(features=np.zeros((2, 1)), adjacency=given)
 
-    def test_asymmetric_and_self_loops_caught_by_validate(self):
-        g = Graph(features=np.zeros((3, 1)), adjacency=np.array([1]))
-        with pytest.raises(ShapeError, match="not symmetric"):
-            validate_graph(g)
+    @pytest.mark.parametrize("form", ["keys", "dense", "sparse"])
+    def test_asymmetric_adjacency_rejected_when_built(self, form):
+        dense = np.zeros((3, 3))
+        dense[0, 1] = dense[1, 2] = dense[2, 1] = 1.0     # 0 -> 1 has no 1 -> 0
+        given = {"keys": np.array([1, 5, 7]), "dense": dense, "sparse": sp.csr_array(dense)}
+        with pytest.raises(ShapeError, match="^adjacency is not symmetric$"):
+            Graph(features=np.zeros((3, 1)), adjacency=given[form])
+
+    def test_self_loop_builds(self):
         loop = Graph(features=np.zeros((3, 1)), adjacency=np.array([4]))
-        validate_graph(loop, allow_self_loops=True)
-        with pytest.raises(ShapeError, match="self loops"):
-            validate_graph(loop)
+        assert loop.adjacency.tolist() == [4] and loop.degrees().tolist() == [0, 1, 0]
+
+    def test_negative_label_and_non_finite_features_rejected_when_built(self):
+        with pytest.raises(ShapeError, match="^negative label$"):
+            Graph(features=np.zeros((2, 1)), adjacency=np.array([1, 2]), labels=np.array([0, -1]))
+        with pytest.raises(ShapeError, match=r"^labels shape \(3,\), expected \(2,\)$"):
+            Graph(features=np.zeros((2, 1)), adjacency=np.array([1, 2]), labels=np.zeros(3, int))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ShapeError, match="^features contain non-finite values$"):
+                Graph(features=np.array([[0.0], [bad]]), adjacency=np.array([1, 2]))
 
 
 class TestRoundTrip:
@@ -214,9 +226,12 @@ class TestGenerateSbm:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), p_intra=st.floats(0.0, 1.0), p_inter_frac=st.floats(0.0, 1.0))
     def test_output_always_valid(self, seed, p_intra, p_inter_frac):
+        """A generated graph passes the checks of ``Graph`` and has no self loop."""
         cfg = SbmConfig(block_sizes=(6, 5), p_intra=p_intra,
                         p_inter=p_intra * p_inter_frac, feature_dim=3)
-        validate_graph(generate_sbm(cfg, seed))
+        g = generate_sbm(cfg, seed)
+        rows, cols = np.divmod(g.adjacency, g.n_nodes)
+        assert not (rows == cols).any()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -232,14 +247,26 @@ class TestSplits:
         s = make_splits(g, seed=1, train_frac=0.3, val_frac=0.2)
         all_ids = np.concatenate([s.train, s.val, s.test])
         assert len(np.unique(all_ids)) == g.n_nodes
-        validate_graph(with_splits(g, s))
+        assert with_splits(g, s).splits is s
 
     def test_overlapping_splits_rejected(self):
         g = generate_sbm(SbmConfig(block_sizes=(4,), p_intra=0.5, p_inter=0.0,
                                    feature_dim=2), seed=0)
         bad = Splits(train=np.array([0, 1]), val=np.array([1]), test=np.array([2, 3]))
-        with pytest.raises(ShapeError, match="overlap"):
-            validate_graph(with_splits(g, bad))
+        with pytest.raises(ShapeError, match="^split 'val' overlaps another split$"):
+            with_splits(g, bad)
+
+    @pytest.mark.parametrize("train, val, test, message", [
+        ([0, 2, 0, 2], [1], [3], "split 'train' lists node 0 more than once"),
+        ([0], [1], [2, 4], "split 'test' has out-of-range node ids"),
+        ([-1, 0], [1], [2], "split 'train' has out-of-range node ids"),
+    ], ids=["repeated", "past-the-end", "negative"])
+    def test_bad_split_rejected_when_built(self, train, val, test, message):
+        g = generate_sbm(SbmConfig(block_sizes=(4,), p_intra=0.5, p_inter=0.0,
+                                   feature_dim=2), seed=0)
+        bad = Splits(*(np.array(ids, dtype=np.int64) for ids in (train, val, test)))
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            with_splits(g, bad)
 
 
 # Field texts that only ``float`` reads, that no reader takes, or that read as

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import sampler
-from acgcl.errors import ContractError, ShapeError, SizeError
+from acgcl.errors import ContractError, SizeError
 from acgcl.graph import Graph, SbmConfig, generate_sbm
 from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
                            sample_all_subgraphs, top_k_indices)
@@ -125,15 +125,6 @@ class TestCholeskyMatchesSolve:
         assert np.abs(got - want).max() <= 1e-12
         for k in (8, 20):
             assert np.array_equal(top_k_indices(got, k), top_k_indices(want, k))
-
-    def test_asymmetric_adjacency_rejected(self):
-        dense = np.zeros((3, 3))
-        dense[0, 1] = dense[1, 2] = dense[2, 1] = 1.0
-        g = Graph(features=np.zeros((3, 1)), adjacency=sp.csr_array(dense))
-        with pytest.raises(ShapeError, match="symmetric"):
-            compute_ppr_scores(g, 0.15)
-        with pytest.raises(ShapeError):
-            sample_all_subgraphs(g, k=2, teleport=0.15)
 
 
 class TestBlockInverse:

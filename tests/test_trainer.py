@@ -181,6 +181,19 @@ class TestProbeFit:
 
 
 class TestTrainLoop:
+    def test_graph_with_self_loops_samples_and_trains(self):
+        """A ``Graph`` allows self loops: every node of a graph that has one
+        samples a subgraph, and training runs to the end."""
+        g = small_graph(seed=2)
+        n = g.n_nodes
+        looped = Graph(g.features, np.r_[g.adjacency, np.arange(n) * (n + 1)], g.labels,
+                       g.splits)
+        assert looped.adjacency.size == g.adjacency.size + n
+        subgraphs = sample_all_subgraphs(looped, k=5, teleport=0.15)
+        assert np.array_equal(subgraphs.parent_indices[:, 0], np.arange(n))
+        _, report = train(looped, small_config(seed=2, epochs=2))
+        assert len(report) == 2 and all(np.isfinite(r["mean_loss"]) for r in report)
+
     def test_patience_zero_returns_empty_report(self):
         g = small_graph()
         params, report = train(g, small_config(patience=0))
