@@ -137,14 +137,17 @@ class MirrorSearch:
     The leading axis is the polarity: 0 positive, 1 negative. For subgraph i
     and a pair (a, b) with distinct parents, ``best[p, i, a, b]`` is the
     smallest admissible distance sum, ``argmin`` its first row-major position
-    c * k + d and ``edge`` the mirror edge adjacency[c, d]. The tables are
-    symmetric in (a, b); pairs without an admissible mirror, the diagonal and
-    padded duplicates hold an infinite sum, so no gamma replaces them.
+    c * k + d and ``edge`` the mirror edge adjacency[c, d] != 0. The tables
+    are symmetric in (a, b); pairs without an admissible mirror, the diagonal
+    and padded duplicates hold an infinite sum, so no gamma replaces them.
+    ``best`` is float64, ``edge`` bool and ``argmin`` the smallest unsigned
+    type that holds k * k - 1 (uint8 up to k = 16, uint16 up to k = 256): 11
+    bytes per pair and polarity at k = 20.
     """
     adjacency: np.ndarray      # (n, k, k) source adjacencies
-    best: np.ndarray           # (2, n, k, k)
-    argmin: np.ndarray         # (2, n, k, k)
-    edge: np.ndarray           # (2, n, k, k)
+    best: np.ndarray           # (2, n, k, k) float64
+    argmin: np.ndarray         # (2, n, k, k) np.min_scalar_type(k * k - 1)
+    edge: np.ndarray           # (2, n, k, k) bool
     pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
 
     def adjacencies(self, gamma: float) -> np.ndarray:
@@ -211,7 +214,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     adjacency = subgraphs.adjacency
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
-    argmin = np.zeros((2, n, k, k), dtype=np.int64)
+    argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
     step = max(1, PAIR_BLOCK // max(1, k * (k - 1) // 2))
     upper = np.triu(np.ones((k, k), dtype=bool), 1)
@@ -240,7 +243,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
         for p, (value, flat) in enumerate((pos, (neg_best, neg_flat))):
             best[p, i, a, b] = best[p, i, b, a] = value
             argmin[p, i, a, b] = argmin[p, i, b, a] = np.where(value < np.inf, flat, 0)
-    edge = np.take_along_axis(adjacency.reshape(1, n, k * k),
+    edge = np.take_along_axis((adjacency != 0).reshape(1, n, k * k),
                               argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
                         pair_counts=pair_counts)

@@ -10,11 +10,20 @@ None contributions. Closures may return read-only views and one array for
 several parents, so the sweep writes only into buffers it created: the sum
 it makes at a parent's second contribution, which later ones are added into.
 
+A gather of distinct rows (``take_rows``) contributes only the rows it read:
+a ``Rows`` pair of indices and (m, d) upstream rows instead of a full array
+that is zero elsewhere. The sweep writes them into a zero gradient it makes,
+or adds them in place into one it owns, copying a gradient it does not own
+once first. Rows outside the indices are left untouched, so a -0.0 there
+stays -0.0 where adding a dense zero would make it +0.0.
+
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,17 +172,26 @@ def reshape(a, shape) -> Tensor:
     return _node(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
+class Rows(NamedTuple):
+    """A gradient contribution that is zero outside the distinct rows
+    ``indices``; ``rows[j]`` is the contribution to row ``indices[j]``."""
+    indices: np.ndarray
+    rows: np.ndarray
+
+
 def take_rows(a, indices: np.ndarray) -> Tensor:
+    """Rows ``indices`` of ``a``. With distinct indices the backward pass
+    returns the upstream rows as ``Rows``; repeated ones scatter-add into a
+    full array."""
     a = as_tensor(a)
     indices = np.asarray(indices, dtype=np.int64)
     value = a.value[indices]
 
     def backward_fn(g):
-        out = np.zeros_like(a.value)
         if np.unique(indices).size == indices.size:
-            out[indices] = g
-        else:
-            np.add.at(out, indices, g)
+            return (Rows(indices, g),)
+        out = np.zeros_like(a.value)
+        np.add.at(out, indices, g)
         return (out,)
 
     return _node(value, (a,), backward_fn)
@@ -239,15 +257,17 @@ def sigmoid(a) -> Tensor:
 
 
 def row_sq_dist(a, b) -> Tensor:
-    """Per-row squared distance (n, d), (n, d) -> (n,): sub -> mul -> sum_axis in one node."""
+    """Per-row squared distance (n, d), (n, d) -> (n,): sub -> mul -> sum_axis
+    in one node, which keeps no (n, d) array between the passes."""
     a, b = as_tensor(a), as_tensor(b)
-    diff = a.value - b.value
+    squares = a.value - b.value
+    squares *= squares
 
     def backward_fn(g):
-        grad = (2.0 * g)[:, None] * diff
+        grad = (2.0 * g)[:, None] * (a.value - b.value)     # the difference, formed again
         return (grad if a.requires_grad else None, -grad if b.requires_grad else None)
 
-    return _node(np.sum(diff * diff, axis=1), (a, b), backward_fn)
+    return _node(np.sum(squares, axis=1), (a, b), backward_fn)
 
 
 # Pairs whose squared distance is at most this fraction of |p|^2 + |q|^2 are
@@ -327,7 +347,16 @@ def backward(root: Tensor) -> None:
         for parent, contrib in zip(node._parents, contributions):
             if not parent.requires_grad or contrib is None:
                 continue
-            if parent.grad is None:
+            if isinstance(contrib, Rows):
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.value)
+                    parent.grad[contrib.indices] = contrib.rows
+                else:
+                    if id(parent) not in owned:
+                        parent.grad = parent.grad.copy()
+                    parent.grad[contrib.indices] += contrib.rows
+                owned.add(id(parent))
+            elif parent.grad is None:
                 parent.grad = contrib
             elif id(parent) in owned:
                 parent.grad += contrib

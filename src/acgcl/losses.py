@@ -155,20 +155,22 @@ def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: floa
     kernel = np.exp(-c_over)
     a, b = 1.0 / m, 1.0 / n
 
-    def marginal_err(u, v):     # l1 row-marginal violation of the plan ab u K v
-        return float(np.abs(a * b * u * (kernel @ v) - a).sum())
+    def marginal_err(u, kv):    # l1 row-marginal violation of the plan ab u K v, kv = K v
+        return float(np.abs(a * b * u * kv - a).sum())
 
     u_hist = np.zeros((max_iters, m))
     v_hist = np.ones((max_iters + 1, n))    # v_hist[0] is the all-ones start
-    v = v_hist[0]
+    # K v of the latest v: the next u, the tolerance check and the stats read it.
+    kv = kernel @ v_hist[0]
     used = 0
     for t in range(max_iters):
-        u = 1.0 / (b * (kernel @ v))
+        u = 1.0 / (b * kv)
         v = 1.0 / (a * (kernel.T @ u))
+        kv = kernel @ v
         u_hist[t] = u
         v_hist[t + 1] = v
         used = t + 1
-        if tol > 0 and used % _TOL_CHECK_EVERY == 0 and marginal_err(u, v) < tol:
+        if tol > 0 and used % _TOL_CHECK_EVERY == 0 and marginal_err(u, kv) < tol:
             break
     u, v = u_hist[used - 1], v_hist[used]
     plan = (a * b) * u[:, None] * kernel * v[None, :]
@@ -193,7 +195,7 @@ def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: floa
             lam_f = 0.0
         return (upstream * plan * (1.0 - c_over) + kernel * (left.T @ right),)
 
-    stats = SinkhornStats(used, marginal_err(u, v))
+    stats = SinkhornStats(used, marginal_err(u, kv))
     return ad._node(np.asarray(value), (cost,), backward_fn), stats
 
 

@@ -16,7 +16,8 @@ Two groups share some:
   ``acgcl.encoder.sym_normalized_adjacency``.
 
 ``row_sq_norm`` of a ``sub`` is the three-node chain that the package's
-fused ``row_sq_dist`` replaced. ``pairwise_euclidean_diff`` is the
+fused ``row_sq_dist`` replaced, and ``take_rows_dense`` the gather whose
+full-array gradient the package's row contributions replaced. ``pairwise_euclidean_diff`` is the
 difference-tensor form that the package's Gram-form ``pairwise_euclidean``
 replaced, and ``prelu_where`` the select form that its branch-free ``prelu``
 replaced. ``dense_solve_ppr`` is the
@@ -228,7 +229,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     adjacency = subgraphs.adjacency
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
-    argmin = np.zeros((2, n, k, k), dtype=np.int64)
+    argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
     for i, sub in enumerate(subgraphs):
         dmat = pairwise_distances(sub.node_features[sub.parent_indices], metric)
@@ -253,7 +254,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                 flat = masked.argmin(axis=1)   # first minimum in row-major order
                 best[p, i, a, bs] = best[p, i, bs, a] = masked[rows, flat]
                 argmin[p, i, a, bs] = argmin[p, i, bs, a] = flat
-    edge = np.take_along_axis(adjacency.reshape(1, n, k * k),
+    edge = np.take_along_axis((adjacency != 0).reshape(1, n, k * k),
                               argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
                         pair_counts=pair_counts)
@@ -278,6 +279,24 @@ def row_sq_norm(a) -> ad.Tensor:
     """Per-row squared euclidean norm, (n, d) -> (n,), as mul -> sum_axis."""
     a = ad.as_tensor(a)
     return ad.sum_axis(ad.mul(a, a), 1)
+
+
+def take_rows_dense(a, indices: np.ndarray) -> ad.Tensor:
+    """``take_rows`` whose backward pass returns a full array, zero outside
+    the gathered rows: the dense scatter that the package's row
+    contributions replaced."""
+    a = ad.as_tensor(a)
+    indices = np.asarray(indices, dtype=np.int64)
+
+    def backward_fn(g):
+        out = np.zeros_like(a.value)
+        if np.unique(indices).size == indices.size:
+            out[indices] = g
+        else:
+            np.add.at(out, indices, g)
+        return (out,)
+
+    return ad._node(a.value[indices], (a,), backward_fn)
 
 
 def inter_graph_loss(h, h_pos, h_neg, xi: float) -> ad.Tensor:

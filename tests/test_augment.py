@@ -399,6 +399,24 @@ class TestMirrorSearch:
                              labels=g.labels)
         self.assert_matches_oracle(sample_all_subgraphs(g, 8, 0.15), semantic_assignment(g))
 
+    @pytest.mark.parametrize("k, index_type", [(5, np.uint8), (16, np.uint8), (17, np.uint16),
+                                               (20, np.uint16)])
+    def test_table_dtypes(self, rng, k, index_type):
+        """``best`` float64, ``edge`` bool and ``argmin`` the smallest type
+        that holds k * k - 1; edge agrees with the source adjacency."""
+        g = random_graph(rng, n=2 * k, p=0.3)
+        subs = sample_all_subgraphs(g, k, 0.15)
+        search = mirror_search(subs, semantic_assignment(g), "euclidean")
+        assert search.best.dtype == np.float64
+        assert search.edge.dtype == np.bool_
+        assert search.argmin.dtype == index_type
+        assert search.argmin.max() <= k * k - 1
+        n = len(subs)
+        flat = subs.adjacency.reshape(1, n, k * k)
+        assert np.array_equal(search.edge, np.take_along_axis(
+            flat, search.argmin.reshape(2, n, k * k).astype(np.int64), axis=2
+        ).reshape(2, n, k, k) == 1.0)
+
 
 class TestOneSubgraphSearch:
     """``mirror_augment`` of one subgraph is its row of the stacked search."""

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from acgcl import autodiff as ad
 from acgcl.errors import ContractError, ShapeError
-from oracles import directional_grad_check, pairwise_euclidean_diff, prelu_where, row_sq_norm
+from oracles import (directional_grad_check, pairwise_euclidean_diff, prelu_where, row_sq_norm,
+                     take_rows_dense)
 
 
 def test_sum_of_parameter_gives_ones():
@@ -95,6 +98,66 @@ def test_take_rows_unique_unsorted_ids_match_scatter_add(rng):
     assert np.array_equal(grad, want)
 
 
+ROW_IDS = {"rows": [4, 0, 6], "more-rows": [6, 1], "repeated": [2, 5, 2]}
+
+
+def arriving_terms(take, x, y, kinds, weights, arrived):
+    """One scalar term per kind, each reaching x through one node that logs
+    its kind in ``arrived`` when the sweep reaches it: a gather (``take``)
+    of ROW_IDS[kind], a dense product ("dense"), the read-only ones of a
+    ``sum_all`` ("ones"), or one array handed to both x and y ("shared")."""
+    terms = []
+    for kind in kinds:
+        if kind == "ones":
+            node = ad.sum_all(x)
+        elif kind == "shared":
+            node = ad.add(x, y)
+        elif kind == "dense":
+            node = ad.mul(x, ad.Tensor(weights[kind]))
+        else:
+            node = take(x, ROW_IDS[kind])
+        first = node._backward_fn
+        node._backward_fn = lambda g, first=first, kind=kind: (arrived.append(kind), first(g))[1]
+        terms.append(node if kind == "ones" else ad.sum_all(ad.mul(node, ad.Tensor(weights[kind]))))
+    return terms
+
+
+@pytest.mark.parametrize("kinds", [
+    ("rows",), ("rows", "dense"), ("dense", "rows"), ("dense", "rows", "dense"),
+    ("rows", "more-rows"), ("ones", "rows"), ("shared", "rows"), ("repeated",),
+    ("rows", "repeated", "dense"),
+], ids="-then-".join)
+def test_row_contributions_match_the_dense_scatter(kinds, rng):
+    """Contributions reach leaf x in the order of ``kinds``. The gradients
+    of x and y are byte-equal to those of the same tape with gathers that
+    scatter into full arrays."""
+    x0, y0 = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+    weights = {kind: rng.standard_normal((len(ROW_IDS.get(kind, x0)), 3)) for kind in kinds}
+    results = []
+    for take in (ad.take_rows, take_rows_dense):
+        x, y = ad.parameter(x0), ad.parameter(y0)
+        arrived = []
+        terms = arriving_terms(take, x, y, kinds, weights, arrived)
+        root = terms[0]
+        for term in terms[1:]:
+            root = ad.add(root, term)
+        results.append(ad.gradients(root, [x, y]))
+        assert arrived == list(kinds)
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_contribution_leaves_other_rows_untouched():
+    """Rows outside the gather keep their bits, a -0.0 among them, where a
+    dense zero array would have turned it into +0.0."""
+    x = ad.parameter(np.ones((3, 2)))
+    signs = ad.Tensor(np.array([[-0.0, 1.0], [2.0, 3.0], [-0.0, -0.0]]))
+    root = ad.add(ad.sum_all(ad.mul(x, signs)), ad.sum_all(ad.take_rows(x, [1])))
+    grad = ad.gradients(root, [x])[0]
+    assert np.array_equal(grad.view(np.int64),
+                          np.array([[-0.0, 1.0], [3.0, 4.0], [-0.0, -0.0]]).view(np.int64))
+
+
 def test_sweep_never_writes_into_a_shared_contribution(rng):
     """``add`` hands both its parents one array. A leaf that keeps it as its
     first contribution, then gets a second and a third, must get the right
@@ -124,6 +187,19 @@ def test_row_sq_dist_is_bit_identical_to_the_sub_mul_sum_chain(rng):
                                                   [ta, tb])))
     for got, want in zip(*results):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_sq_dist_keeps_no_row_array_after_the_forward_pass(rng):
+    n, d = 4096, 32
+    a, b = ad.parameter(rng.standard_normal((n, d))), ad.parameter(rng.standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        out = ad.row_sq_dist(a, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert held < n * d * 8 // 4        # the (n,) value and the closure, no (n, d) array
 
 
 def test_block_matmul_matches_loop(rng):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,28 @@ class TestTrainLoop:
                     "gamma": gamma, **fields} == record
         for replayed, reference in zip(params.all_parameters(), trained.all_parameters()):
             assert np.array_equal(replayed.value, reference.value)
+
+
+class TestStepMemory:
+    def test_step_peak_stays_under_thirteen_batch_row_arrays(self):
+        """One step at k = 20, d = 64 and a batch of 64 subgraphs keeps its
+        traced peak under 13 arrays of the batch's (b * k, d) float64 rows:
+        about 12.1 of them with row contributions and a ``row_sq_dist``
+        that keeps no row difference, 14.2 when both held full arrays."""
+        g = small_graph(seed=3, n_per_block=40)
+        cfg = small_config(seed=3, subgraph_size=20, embedding_dim=64, batch_size=64)
+        subs, sem, dist = curriculum_inputs(g, cfg)
+        search = mirror_search(subs, sem, cfg.distance_metric)
+        views = (encoded_views(subs), *mirror_views(search.adjacencies(quantile(dist, 30.0))))
+        params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
+        opt = init_optimizer([t.value for t in params.all_parameters()])
+        tracemalloc.start()
+        try:
+            run_inner_step(params, opt, subs, views, 0, 0, cfg, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * (64 * 20) * 64 * 8
 
 
 class TestDegeneratePipeline:
