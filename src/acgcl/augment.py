@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, EmptyDistributionError, SizeError
 from .graph import Graph
 from .sampler import Subgraph, SubgraphSet
+from .util import linear_quantile
 
 METRICS = ("euclidean", "manhattan", "cosine")
 PAIR_BLOCK = 1 << 12   # pair rows per block: k * 32 kB per (pairs, k) array, dim * 32 kB per gather
@@ -81,7 +82,7 @@ def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -
         if n_buckets < 1:
             raise ConfigError("degree_buckets: must be >= 1")
         degrees = graph.degrees()
-        edges = np.quantile(degrees, np.linspace(0, 1, n_buckets + 1)[1:-1])
+        edges = linear_quantile(degrees, np.linspace(0, 1, n_buckets + 1)[1:-1])
         values = np.searchsorted(edges, degrees, side="right")
         return SemanticAssignment(values=values.astype(np.int64))
     raise ConfigError(f"semantics: unknown kind {kind!r}, expected 'label' or 'degree-bucket'")
@@ -127,7 +128,7 @@ def quantile(dist: DistanceDistribution, theta: float) -> float:
         raise ConfigError(f"theta: must be in [0, 100], got {theta}")
     if dist.values.size == 0:
         raise EmptyDistributionError("empty distance distribution")
-    return float(np.percentile(dist.values, theta))
+    return float(linear_quantile(dist.values, theta / 100))
 
 
 @dataclass(frozen=True)

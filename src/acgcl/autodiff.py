@@ -2,20 +2,20 @@
 
 A Tensor wraps a float64 ndarray plus, when it participates in
 differentiation, links to its parents and a closure producing the parents'
-gradient contributions. A closure returns None in place of the contribution
-of a parent that does not require a gradient (a constant operand), so no
-time goes into forming it. ``backward`` walks the recorded graph once in
-reverse topological order, accumulating into ``.grad`` and skipping the
-None contributions. Closures may return read-only views and one array for
-several parents, so the sweep writes only into buffers it created: the sum
-it makes at a parent's second contribution, which later ones are added into.
+gradient contributions: None for a parent that needs no gradient (a constant
+operand), so no time goes into forming it. ``backward`` walks the recorded
+graph once in reverse topological order, accumulating into ``.grad``, and
+drops a node's contributions once it has passed them on. Closures may return
+read-only views and one array for several parents, so the sweep writes only
+into buffers it created: the sum it makes at a parent's second contribution,
+which later ones are added into.
 
-A gather of distinct rows (``take_rows``) contributes only the rows it read:
-a ``Rows`` pair of indices and (m, d) upstream rows instead of a full array
-that is zero elsewhere. The sweep writes them into a zero gradient it makes,
-or adds them in place into one it owns, copying a gradient it does not own
-once first. Rows outside the indices are left untouched, so a -0.0 there
-stays -0.0 where adding a dense zero would make it +0.0.
+A gather of distinct rows (``take_rows``) contributes only the rows it read,
+as a ``Rows`` pair of indices and (m, d) upstream rows. The sweep writes them
+into a zero gradient it makes, or in place into one it owns (copying one it
+does not own first), so rows outside the indices keep their bits: a -0.0
+stays -0.0. A node may keep a product's operands rather than the product and
+form it again in its backward pass, to the same bits: ``linear_prelu`` does.
 
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
@@ -115,21 +115,6 @@ def scale(a, factor: float) -> Tensor:
     return _node(a.value * factor, (a,), lambda g: (g * factor,))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError("matmul expects 2-d tensors")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
-    value = a.value @ b.value
-
-    def backward_fn(g):
-        return (g @ b.value.T if a.requires_grad else None,
-                a.value.T @ g if b.requires_grad else None)
-
-    return _node(value, (a, b), backward_fn)
-
-
 def block_matmul(blocks: np.ndarray, h) -> Tensor:
     """Multiply row blocks of ``h`` by constant square blocks.
 
@@ -188,7 +173,7 @@ def take_rows(a, indices: np.ndarray) -> Tensor:
     value = a.value[indices]
 
     def backward_fn(g):
-        if np.unique(indices).size == indices.size:
+        if np.diff(np.sort(indices, axis=None)).all():      # no index repeats
             return (Rows(indices, g),)
         out = np.zeros_like(a.value)
         np.add.at(out, indices, g)
@@ -207,39 +192,41 @@ def relu(a) -> Tensor:
     return _node(np.where(mask, a.value, 0.0), (a,), backward_fn)
 
 
-def prelu(a, slope) -> Tensor:
-    """Parametric relu with a scalar learnable slope on the negative side:
-    ``a`` where a > 0, ``slope * a`` elsewhere.
+def linear_prelu(x, weight, slope) -> Tensor:
+    """p = x @ weight where p > 0, slope * p elsewhere, for a scalar slope.
 
-    Neither pass selects on the sign of ``a``. The value is max(a, slope * a)
-    for slope <= 1 and min(a, slope * a) above 1; at a = +-0 the operands tie
-    and numpy returns the second, slope * a. The backward pass forms both
-    gradients in one buffer from the mask a > 0 used as a float."""
-    a, slope = as_tensor(a), as_tensor(slope)
-    if slope.value.ndim != 0:
-        raise ShapeError("prelu slope must be a scalar tensor")
-    value = slope.value * a.value
-    (np.maximum if slope.value <= 1 else np.minimum)(a.value, value, out=value)
+    The node keeps x and weight, not the (rows, d_out) product p: the backward
+    pass forms p again, into one buffer that holds both gradients in turn. The
+    value is max(p, slope * p) for slope <= 1 and min(p, slope * p) above 1,
+    with no select on a sign; at p = +-0 numpy returns the second, slope * p."""
+    x, weight, slope = as_tensor(x), as_tensor(weight), as_tensor(slope)
+    if weight.value.ndim != 2 or x.shape[1:] != weight.shape[:1] or slope.value.ndim != 0:
+        raise ShapeError(f"linear_prelu: x {x.shape}, weight {weight.shape}, slope {slope.shape}"
+                         " must be (n, m), (m, d) and ()")
+    w, s = weight.value, slope.value
+    product = x.value @ w
+    value = s * product
+    (np.maximum if s <= 1 else np.minimum)(product, value, out=value)
 
     def backward_fn(g):
-        mask = a.value > 0
-        out = np.empty_like(a.value)
-        da = dslope = None
+        out = x.value @ w                       # the product, formed again
+        mask = out > 0
+        dslope = None
         if slope.requires_grad:
-            np.minimum(0.0, a.value, out=out)     # a where a <= 0, else 0
+            np.minimum(0.0, out, out=out)       # p where p <= 0, else 0
             out *= g
             dslope = np.asarray(out.sum())
-        if a.requires_grad:
-            # -(g * (slope * (mask - 1) - mask)) is g where a > 0 and g * slope
-            # elsewhere, each rounded once and with the sign of a zero kept.
-            np.subtract(mask, 1.0, out=out)
-            out *= slope.value
-            out -= mask
-            out *= g
-            da = np.negative(out, out=out)
-        return da, dslope
+        # -(g * (slope * (mask - 1) - mask)) is g where p > 0 and g * slope
+        # elsewhere, each rounded once and with the sign of a zero kept.
+        np.subtract(mask, 1.0, out=out)
+        out *= s
+        out -= mask
+        out *= g
+        np.negative(out, out=out)
+        return (out @ w.T if x.requires_grad else None,
+                x.value.T @ out if weight.requires_grad else None, dslope)
 
-    return _node(value, (a, slope), backward_fn)
+    return _node(value, (x, weight, slope), backward_fn)
 
 
 def sigmoid(a) -> Tensor:
@@ -328,9 +315,9 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Reverse-mode sweep from a scalar root; accumulates into ``.grad``.
 
-    Leaves keep their gradients. An interior node's gradient is dropped once
-    it has been passed to the parents, so the sweep holds only the gradients
-    still waiting to be passed on."""
+    Leaves keep their gradients. An interior node's gradient and its
+    contributions are dropped once they have been passed to the parents, so
+    the sweep holds only the gradients still waiting to be passed on."""
     if root.value.shape != ():
         raise ContractError(f"backward root must be a scalar, got shape {root.value.shape}")
     if not root.requires_grad:
@@ -363,7 +350,7 @@ def backward(root: Tensor) -> None:
             else:
                 parent.grad = parent.grad + contrib
                 owned.add(id(parent))
-        node.grad = None
+        node.grad = contributions = contrib = None
 
 
 def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:

@@ -182,13 +182,8 @@ def _cmd_gen_sbm(args) -> int:
         raise ConfigError(f"blocks: cannot parse {args.blocks!r}") from None
     if args.seed < 0:
         raise ConfigError("seed: must be >= 0")
-    sbm = SbmConfig(
-        block_sizes=blocks,
-        p_intra=args.p_intra,
-        p_inter=args.p_inter,
-        feature_dim=args.feature_dim,
-        feature_noise=args.noise,
-    )
+    sbm = SbmConfig(block_sizes=blocks, p_intra=args.p_intra, p_inter=args.p_inter,
+                    feature_dim=args.feature_dim, feature_noise=args.noise)
     graph = generate_sbm(sbm, args.seed)
     graph = with_splits(graph, make_splits(graph, args.seed, args.split_train, args.split_val))
     save_dataset(graph, args.out)

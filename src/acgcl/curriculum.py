@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, SizeError
+from .util import median
 
 if TYPE_CHECKING:
     from .config import TrainConfig
@@ -108,7 +109,7 @@ def open_window(first_step_losses, mode: str) -> AclThresholds | None:
     losses = np.asarray(first_step_losses, dtype=np.float64)
     if losses.size == 0:
         raise SizeError("cannot open an admission window on an empty loss list")
-    lambda1, lambda2 = float(np.median(losses)), float(0.95 * losses.min())
+    lambda1, lambda2 = median(losses), float(0.95 * losses.min())
     if mode == "uniform" or lambda2 >= lambda1 or (mode == "soft_acl" and lambda2 <= 0):
         return None
     return AclThresholds(lambda1=lambda1, lambda2=lambda2)

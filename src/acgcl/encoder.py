@@ -4,11 +4,12 @@ mirrors.
 Propagation per layer: H <- prelu((An @ H) @ W, slope) where An is the
 symmetrically normalized adjacency with self loops added. Every subgraph of a
 batch has the same size k, so a batch is one (n, k, k) stack of An blocks and
-one (n * k, d) feature matrix. An is applied before W, so on the constant
-input features An @ X is a constant: the first layer records no propagation
-on the tape, and its backward pass forms only the gradient of W. One or two
-layers; slopes are learnable scalars initialized at 0.25; weights use seeded
-uniform Glorot initialization.
+one (n * k, d) feature matrix. A layer is the propagation An @ H and one
+``linear_prelu`` node, which keeps An @ H and W but not their product. On
+the constant input features An @ X is a constant: layer 1 records no
+propagation, and its backward pass forms only the gradients of W and the
+slope. One or two layers; slopes are learnable scalars initialized at 0.25;
+weights use seeded uniform Glorot initialization.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def gcn_forward_batched(params: GcnParams, a_hat_blocks: np.ndarray, features_fl
         h = ad.block_matmul(a_hat_blocks, h)
         if centers_only and layer == last:
             h = ad.take_rows(h, np.arange(0, h.shape[0], a_hat_blocks.shape[-1]))
-        h = ad.prelu(ad.matmul(h, weight), slope)
+        h = ad.linear_prelu(h, weight, slope)
     return h
 
 

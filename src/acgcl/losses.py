@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
+from .util import median
 
 
 def inter_graph_losses_grouped(h, h_pos, h_neg, xi: float, group_size: int) -> ad.Tensor:
@@ -65,7 +66,7 @@ def intra_graph_losses_batched(h_centers, summaries, summaries_neg, epsilon: flo
 def _resolve_reg(cost: np.ndarray, reg: float | None) -> float:
     if reg is not None:
         return float(reg)
-    scale = float(np.median(cost))
+    scale = median(cost)
     if scale <= 0:
         scale = float(cost.mean())
     return 0.05 * scale

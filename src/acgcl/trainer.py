@@ -267,11 +267,9 @@ def probe_accuracy(params: GcnParams, subgraphs: SubgraphSet, graph: Graph,
 
 def write_report(epochs: list[dict], path) -> None:
     """``report.csv``: the REPORT_COLUMNS of the epoch records, None as nan."""
-    lines = [",".join(REPORT_COLUMNS)]
-    for record in epochs:
-        lines.append(",".join(repr(float("nan") if record[c] is None else record[c])
-                              for c in REPORT_COLUMNS))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    rows = [",".join(repr(float("nan") if record[c] is None else record[c])
+                     for c in REPORT_COLUMNS) for record in epochs]
+    _write_atomic(path, "\n".join([",".join(REPORT_COLUMNS), *rows]) + "\n")
 
 
 def _append_record(sink, path, record: dict):
@@ -489,17 +487,11 @@ def _write_atomic(path, text: str) -> None:
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
     """JSON of the config and every weight matrix and slope. The params
     object repeats the format version; only the outer one is read."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
-        "params": {
-            "format_version": CHECKPOINT_VERSION,
-            "n_layers": params.n_layers,
-            "weights": [w.value.tolist() for w in params.weights],
-            "slopes": [float(s.value) for s in params.slopes],
-        },
-    }
-    _write_atomic(path, json.dumps(payload))
+    stored = {"format_version": CHECKPOINT_VERSION, "n_layers": params.n_layers,
+              "weights": [w.value.tolist() for w in params.weights],
+              "slopes": [float(s.value) for s in params.slopes]}
+    _write_atomic(path, json.dumps({"format_version": CHECKPOINT_VERSION,
+                                    "config": config.to_dict(), "params": stored}))
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:

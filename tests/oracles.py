@@ -15,11 +15,13 @@ Two groups share some:
   can be checked too, and ``gcn_forward`` normalizes with
   ``acgcl.encoder.sym_normalized_adjacency``.
 
+``prelu`` of a ``matmul`` is the two-node GCN layer that the package's
+``linear_prelu`` replaced, keeping the product between the passes.
 ``row_sq_norm`` of a ``sub`` is the three-node chain that the package's
 fused ``row_sq_dist`` replaced, and ``take_rows_dense`` the gather whose
 full-array gradient the package's row contributions replaced. ``pairwise_euclidean_diff`` is the
 difference-tensor form that the package's Gram-form ``pairwise_euclidean``
-replaced, and ``prelu_where`` the select form that its branch-free ``prelu``
+replaced, and ``prelu_where`` the select form that the branch-free ``prelu``
 replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
 symmetric in-place inverse replaced. ``sinkhorn_log_node`` is the
@@ -260,6 +262,55 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                         pair_counts=pair_counts)
 
 
+def matmul(a, b) -> ad.Tensor:
+    """2-d matrix product as its own node, which keeps both operands."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ShapeError("matmul expects 2-d tensors")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
+
+    def backward_fn(g):
+        return (g @ b.value.T if a.requires_grad else None,
+                a.value.T @ g if b.requires_grad else None)
+
+    return ad._node(a.value @ b.value, (a, b), backward_fn)
+
+
+def prelu(a, slope) -> ad.Tensor:
+    """Parametric relu with a scalar learnable slope as its own node, which
+    keeps its input: ``prelu(matmul(x, w), slope)`` is the two-node form of
+    the package's ``linear_prelu``. Branch-free as that node is: the value is
+    max(a, slope * a) for slope <= 1 and min(a, slope * a) above 1, and the
+    backward pass forms both gradients in one buffer from the mask a > 0
+    used as a float."""
+    a, slope = ad.as_tensor(a), ad.as_tensor(slope)
+    if slope.value.ndim != 0:
+        raise ShapeError("prelu slope must be a scalar tensor")
+    value = slope.value * a.value
+    (np.maximum if slope.value <= 1 else np.minimum)(a.value, value, out=value)
+
+    def backward_fn(g):
+        mask = a.value > 0
+        out = np.empty_like(a.value)
+        da = dslope = None
+        if slope.requires_grad:
+            np.minimum(0.0, a.value, out=out)     # a where a <= 0, else 0
+            out *= g
+            dslope = np.asarray(out.sum())
+        if a.requires_grad:
+            # -(g * (slope * (mask - 1) - mask)) is g where a > 0 and g * slope
+            # elsewhere, each rounded once and with the sign of a zero kept.
+            np.subtract(mask, 1.0, out=out)
+            out *= slope.value
+            out -= mask
+            out *= g
+            da = np.negative(out, out=out)
+        return da, dslope
+
+    return ad._node(value, (a, slope), backward_fn)
+
+
 def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor:
     """Embed one subgraph: (k, k) adjacency and (k, in_dim) features -> (k, d);
     the reference for one block of ``acgcl.encoder.gcn_forward_batched``.
@@ -271,7 +322,7 @@ def gcn_forward(params: GcnParams, adjacency: np.ndarray, features) -> ad.Tensor
     a_hat = sym_normalized_adjacency(adjacency)
     h = features
     for weight, slope in zip(params.weights, params.slopes):
-        h = ad.prelu(ad.matmul(ad.Tensor(a_hat), ad.matmul(h, weight)), slope)
+        h = prelu(matmul(ad.Tensor(a_hat), matmul(h, weight)), slope)
     return h
 
 
@@ -419,7 +470,7 @@ def pairwise_euclidean_diff(p, q) -> ad.Tensor:
 
 def prelu_where(a, slope) -> ad.Tensor:
     """Parametric relu as a select on the mask a > 0 in both passes: the form
-    that the package's branch-free ``prelu`` replaced."""
+    that the branch-free ``prelu`` replaced."""
     a, slope = ad.as_tensor(a), ad.as_tensor(slope)
     mask = a.value > 0
     value = np.where(mask, a.value, slope.value * a.value)

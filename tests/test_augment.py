@@ -108,6 +108,14 @@ class TestSemantics:
         order = np.argsort(degrees)
         assert (np.diff(sem.values[order]) >= 0).all()
 
+    @pytest.mark.parametrize("n_buckets", [1, 2, 3, 4, 7])
+    def test_degree_buckets_match_numpy_quantile(self, rng, n_buckets):
+        for n in (39, 40):
+            g = random_graph(rng, n=n)
+            edges = np.quantile(g.degrees(), np.linspace(0, 1, n_buckets + 1)[1:-1])
+            want = np.searchsorted(edges, g.degrees(), side="right")
+            assert np.array_equal(semantic_assignment(g, "degree-bucket", n_buckets).values, want)
+
 
 class TestDistanceDistribution:
     def test_single_pair(self):
@@ -212,6 +220,16 @@ class TestQuantile:
             quantile(self.DIST, -1)
         with pytest.raises(ValueError):
             quantile(self.DIST, 100.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.25]) | st.floats(0, 1e3), min_size=1,
+                    max_size=40),
+           st.sampled_from([0.0, 100.0, 30.0]) | st.floats(0, 100))
+    def test_bit_identical_to_numpy_percentile(self, values, theta):
+        """Odd and even sizes, ties, theta 0 and 100: numpy's bits."""
+        ordered = np.sort(values)
+        got = quantile(DistanceDistribution(values=ordered), theta)
+        assert np.float64(got).tobytes() == np.percentile(ordered, theta).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0, 100))

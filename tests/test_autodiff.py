@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgcl import autodiff as ad
 from acgcl.errors import ContractError, ShapeError
-from oracles import (directional_grad_check, pairwise_euclidean_diff, prelu_where, row_sq_norm,
-                     take_rows_dense)
+from oracles import (directional_grad_check, matmul, pairwise_euclidean_diff, prelu, prelu_where,
+                     row_sq_norm, take_rows_dense)
 
 
 def test_sum_of_parameter_gives_ones():
@@ -39,7 +41,12 @@ def test_unreachable_parameter_gets_zero_gradient():
 
 def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+    for x, w, slope in ((np.ones((2, 3)), np.ones((2, 3)), 0.25),
+                        (np.ones(3), np.ones((3, 2)), 0.25),
+                        (np.ones((2, 3)), np.ones((3, 2)), np.ones(1))):
+        with pytest.raises(ShapeError):
+            ad.linear_prelu(ad.Tensor(x), ad.parameter(w), ad.parameter(slope))
 
 
 def test_reused_node_accumulates():
@@ -56,7 +63,7 @@ def test_two_paths_through_add_double_the_single_path_gradient(rng):
     w, c = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
 
     def path():
-        return ad.sigmoid(ad.mul(ad.matmul(x, w), c))
+        return ad.sigmoid(ad.mul(matmul(x, w), c))
 
     single = ad.gradients(ad.sum_all(path()), [x])[0]
     two_nodes = ad.gradients(ad.sum_all(ad.add(path(), path())), [x])[0]
@@ -96,6 +103,14 @@ def test_take_rows_unique_unsorted_ids_match_scatter_add(rng):
     want = np.zeros((7, 3))
     np.add.at(want, ids, g)
     assert np.array_equal(grad, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=12))
+def test_take_rows_passes_rows_exactly_when_numpy_finds_them_distinct(ids):
+    x = ad.parameter(np.ones((10, 2)))
+    (contribution,) = ad.take_rows(x, ids)._backward_fn(np.ones((len(ids), 2)))
+    assert isinstance(contribution, ad.Rows) == (np.unique(ids).size == len(ids))
 
 
 ROW_IDS = {"rows": [4, 0, 6], "more-rows": [6, 1], "repeated": [2, 5, 2]}
@@ -202,6 +217,69 @@ def test_row_sq_dist_keeps_no_row_array_after_the_forward_pass(rng):
     assert held < n * d * 8 // 4        # the (n,) value and the closure, no (n, d) array
 
 
+@pytest.mark.parametrize("x_grad", [False, True], ids=["x-constant", "x-requires-grad"])
+@pytest.mark.parametrize("slope", [0.25, 1.0, 1.5, -0.5])
+def test_linear_prelu_is_bit_identical_to_prelu_of_matmul(slope, x_grad, rng):
+    """Value and gradients byte-equal to the two-node layer, with exact
+    zeros in x @ w from a zero row of x and a zero column of w."""
+    x0, w0 = rng.standard_normal((40, 16)), rng.standard_normal((16, 8))
+    x0[3] = 0.0
+    w0[:, 5] = 0.0
+    g = rng.standard_normal((40, 8))
+    results = []
+    for fn in (ad.linear_prelu, lambda x, w, s: prelu(matmul(x, w), s)):
+        x = ad.parameter(x0) if x_grad else ad.Tensor(x0)
+        w, s = ad.parameter(w0), ad.parameter(np.asarray(slope))
+        out = fn(x, w, s)
+        grads = ad.gradients(ad.sum_all(ad.mul(out, ad.Tensor(g))), [w, s, x][:2 + x_grad])
+        results.append((out.value, *grads))
+    assert np.count_nonzero(x0 @ w0 == 0.0) == 40 + 8 - 1     # row 3 and column 5
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_linear_prelu_keeps_no_product_after_the_forward_pass(rng):
+    """The node holds its (rows, d_out) value and no second such array, where
+    prelu of a matmul holds the product too."""
+    rows, d_in, d_out = 4096, 16, 64
+    x = ad.Tensor(rng.standard_normal((rows, d_in)))
+    w, slope = ad.parameter(rng.standard_normal((d_in, d_out))), ad.parameter(np.asarray(0.25))
+    held = {}
+    for name, fn in (("node", ad.linear_prelu), ("pair", lambda *t: prelu(matmul(*t[:2]), t[2]))):
+        tracemalloc.start()
+        try:
+            out = fn(x, w, slope)
+            held[name], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, d_out)
+        del out
+    array = rows * d_out * 8
+    assert held["pair"] > 2 * array
+    assert held["node"] < array + array // 4
+
+
+def test_sweep_holds_at_most_two_contributions(rng):
+    """A chain of gathers and products whose closures each make one large
+    array. A gather's rows are copied into a gradient the sweep makes, and
+    the sweep drops them then, so at most two arrays of the chain's size are
+    alive at once: three when they stayed alive through the next closure."""
+    n, d, links = 512, 512, 4
+    x = ad.parameter(rng.standard_normal((n, d)))
+    h = x
+    for _ in range(links):
+        h = ad.mul(ad.take_rows(h, rng.permutation(n)), ad.Tensor(2.0))
+    root = ad.sum_all(h)
+    tracemalloc.start()
+    try:
+        ad.backward(root)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == (n, d)
+    assert peak < 2.5 * n * d * 8
+
+
 def test_block_matmul_matches_loop(rng):
     blocks = rng.standard_normal((3, 4, 4))
     h = rng.standard_normal((12, 5))
@@ -234,17 +312,18 @@ def test_broadcast_add_unbroadcasts(rng):
 
 
 PRELU_SLOPES = {"prelu": 0.3, "prelu_above_1": 1.5, "prelu_below_0": -0.5}
+LINEAR_PRELU_SLOPES = {"linear_prelu": 0.3, "linear_prelu_above_1": 1.5,
+                       "linear_prelu_below_0": -0.5}
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "matmul", "relu", *PRELU_SLOPES, "sigmoid",
+    "add", "sub", "mul", "matmul", "relu", *PRELU_SLOPES, *LINEAR_PRELU_SLOPES, "sigmoid",
     "sum_axis0", "sum_axis1", "mean_axis", "reshape", "take_rows",
     "block_matmul", "pairwise_euclidean", "row_sq_dist",
 ])
 def test_finite_difference_per_op(op_name, rng):
     def build(values):
-        a = ad.parameter(values[0])
-        b = ad.parameter(values[1]) if len(values) > 1 else None
+        a, b, c = [ad.parameter(v) for v in values] + [None] * (3 - len(values))
         if op_name == "add":
             out = ad.add(a, b)
         elif op_name == "sub":
@@ -252,11 +331,13 @@ def test_finite_difference_per_op(op_name, rng):
         elif op_name == "mul":
             out = ad.mul(a, b)
         elif op_name == "matmul":
-            out = ad.matmul(a, b)
+            out = matmul(a, b)
         elif op_name == "relu":
             out = ad.relu(a)
         elif op_name in PRELU_SLOPES:
-            out = ad.prelu(a, b)
+            out = prelu(a, b)
+        elif op_name in LINEAR_PRELU_SLOPES:
+            out = ad.linear_prelu(a, b, c)
         elif op_name == "sigmoid":
             out = ad.sigmoid(a)
         elif op_name == "sum_axis0":
@@ -278,7 +359,7 @@ def test_finite_difference_per_op(op_name, rng):
         # fold into a scalar with fixed mixing weights so gradients are generic
         mix = ad.Tensor(MIX[: out.value.size].reshape(out.value.shape))
         loss = ad.sum_all(ad.mul(out, mix))
-        return loss, [t for t in (a, b) if t is not None]
+        return loss, [t for t in (a, b, c) if t is not None]
 
     global BLOCKS, MIX
     BLOCKS = rng.standard_normal((2, 2, 2))
@@ -292,6 +373,9 @@ def operand_values(op_name, rng):
         return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
     if op_name in PRELU_SLOPES:
         return [rng.standard_normal((3, 4)), np.asarray(PRELU_SLOPES[op_name])]
+    if op_name in LINEAR_PRELU_SLOPES:
+        return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                np.asarray(LINEAR_PRELU_SLOPES[op_name])]
     if op_name == "pairwise_euclidean":
         return [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
     if op_name == "block_matmul":
@@ -309,7 +393,7 @@ def test_prelu_is_bit_identical_to_the_select_form(slope, with_nan, rng):
     a.flat[rng.choice(a.size, 12, replace=False)] = special * (12 // len(special))
     g = rng.standard_normal(a.shape)
     results = []
-    for fn in (ad.prelu, prelu_where):
+    for fn in (prelu, prelu_where):
         x, s = ad.parameter(a), ad.parameter(np.asarray(slope))
         out = fn(x, s)
         results.append((out.value, *ad.gradients(ad.sum_all(ad.mul(out, ad.Tensor(g))), [x, s])))
@@ -326,7 +410,8 @@ def test_prelu_is_bit_identical_to_the_select_form(slope, with_nan, rng):
 def test_constant_operand_gets_no_gradient(op_name, constant, rng):
     """The backward closure returns None for an operand that needs no
     gradient, and the other operand's gradient is still right."""
-    op, values = getattr(ad, op_name), operand_values(op_name, rng)
+    op = {"matmul": matmul, "prelu": prelu}.get(op_name) or getattr(ad, op_name)
+    values = operand_values(op_name, rng)
     fixed, mix = values[constant], rng.standard_normal(64)
 
     def operands(param):

@@ -805,23 +805,39 @@ def test_commands_run_without_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_gen_sbm_and_evaluate_run_without_numpy_ma(tmp_path):
-    """``gen-sbm`` and ``evaluate`` never import ``numpy.ma``, whose import
-    the first ``np.unique`` call would pay; ``train`` still loads it through
-    ``np.median``."""
+def test_commands_run_without_numpy_ma(tmp_path):
+    """No command imports ``numpy.ma``, whose import ``np.median``,
+    ``np.percentile``, ``np.quantile`` and ``np.unique`` pay on their first
+    call. The commands run in one process, each after the last, and the
+    first to load it is named."""
     checkpoint = tmp_path / "checkpoint.json"
     save_checkpoint(init_gcn_params(4, 8, 1, 0), TrainConfig(embedding_dim=8), checkpoint)
     script = (
         "import sys\n"
         "from acgcl.cli import main\n"
-        "data, checkpoint = sys.argv[1], sys.argv[2]\n"
-        "assert main(['gen-sbm', '--blocks', '20,20', '--p-intra', '0.3', '--p-inter', '0.02',"
-        " '--feature-dim', '4', '--seed', '1', '--out', data]) == 0\n"
-        "assert main(['evaluate', '--checkpoint', checkpoint, '--data', data]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n")
-    done = run_python("-c", script, str(tmp_path / "data"), str(checkpoint))
+        "data, checkpoint, out = sys.argv[1], sys.argv[2], sys.argv[3]\n"
+        "config = out + '/run.cfg'\n"
+        "commands = [\n"
+        "    ['gen-sbm', '--blocks', '20,20', '--p-intra', '0.3', '--p-inter', '0.02',\n"
+        "     '--feature-dim', '4', '--seed', '1', '--out', data],\n"
+        "    ['evaluate', '--checkpoint', checkpoint, '--data', data],\n"
+        "    ['train', '--config', config, '--out', out + '/run'],\n"
+        "    ['augment-inspect', '--config', config, '--node', '0', '--theta', '30',\n"
+        "     '--out', out + '/inspect'],\n"
+        "    ['validate-difficulty', '--config', config, '--checkpoint', checkpoint,\n"
+        "     '--grid', '10,30', '--out', out + '/curve.csv']]\n"
+        "open(config, 'w').write(f'data_dir = {data}\\nsubgraph_size = 5\\nembedding_dim = 8\\n'\n"
+        "                        'batch_size = 20\\nepochs = 1\\ninner_steps = 2\\n')\n"
+        "for argv in commands:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    if 'numpy.ma' in sys.modules:\n"
+        "        print(argv[0])\n"
+        "        break\n"
+        "else:\n"
+        "    print('none')\n")
+    done = run_python("-c", script, str(tmp_path / "data"), str(checkpoint), str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "none"
 
 
 def test_readme_key_table_names_every_config_field():

@@ -135,6 +135,13 @@ class TestThresholds:
         thr = open_window([1.0, 3.0], "hard_acl")
         assert thr.lambda1 == pytest.approx(2.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 10), min_size=1, max_size=30))
+    def test_lambda1_is_numpy_median(self, losses):
+        thr = open_window(losses, "hard_acl")
+        if thr is not None:
+            assert np.float64(thr.lambda1).tobytes() == np.median(losses).tobytes()
+
     def test_empty_losses(self):
         with pytest.raises(SizeError):
             open_window([], "soft_acl")

@@ -95,26 +95,28 @@ class TestGcnForward:
             assert np.allclose(batched[5 * i:5 * (i + 1)], single, atol=1e-12)
 
     def test_first_layer_propagation_is_a_constant(self, rng):
-        """On constant features each layer is prelu((An @ H) @ W): layer 1's
-        An @ X is a constant node, so the tape holds no propagation for it
-        and its matmul passes a gradient to W only."""
+        """On constant features each layer is prelu((An @ H) @ W) in one
+        node with parents (An @ H, W, slope): layer 1's An @ X is a constant
+        node, so the tape holds no propagation for it and its layer passes
+        gradients to W and the slope only."""
         n, k, dim = 3, 4, 5
         adjacency = np.triu((rng.random((n, k, k)) < 0.5).astype(float), 1)
         a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
         x = rng.standard_normal((n * k, dim))
         params = init_gcn_params(dim, 3, n_layers=2, seed=0)
         out = gcn_forward_batched(params, a_hat, x, centers_only=False)
-        product2, _ = out._parents
-        propagated2, w2 = product2._parents
+        propagated2, w2, s2 = out._parents
         (h1,) = propagated2._parents
-        product1, _ = h1._parents
-        propagated1, w1 = product1._parents
-        assert [w1, w2] == params.weights and propagated2.requires_grad
+        propagated1, w1, s1 = h1._parents
+        assert [w1, w2] == params.weights and [s1, s2] == params.slopes
+        assert propagated2.requires_grad
         assert not propagated1.requires_grad and propagated1._backward_fn is None
         assert np.array_equal(propagated1.value,
                               (a_hat @ x.reshape(n, k, dim)).reshape(n * k, dim))
-        d_propagated1, d_w1 = product1._backward_fn(np.ones(product1.shape))
-        assert d_propagated1 is None and d_w1.shape == w1.shape
+        d_propagated1, d_w1, d_s1 = h1._backward_fn(np.ones(h1.shape))
+        assert d_propagated1 is None and d_w1.shape == w1.shape and d_s1.shape == ()
+        d_propagated2, d_w2, d_s2 = out._backward_fn(np.ones(out.shape))
+        assert d_propagated2.shape == propagated2.shape and d_w2.shape == w2.shape
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_centers_only_gives_the_center_rows(self, rng, n_layers):

@@ -188,6 +188,13 @@ class TestSinkhornPaths:
         assert got.item() == _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0].item()
         assert assert_matches_log_domain(h, other, solve, reg).iters == 200
 
+    @pytest.mark.parametrize("shape", [(20, 15), (7, 7), (1, 3)])
+    def test_automatic_reg_is_five_percent_of_numpy_median(self, rng, shape):
+        cost = ad.pairwise_euclidean(rng.standard_normal((shape[0], 2)),
+                                     rng.standard_normal((shape[1], 2))).value
+        cost[0, :2] = cost[-1, -1]                      # ties
+        assert _resolve_reg(cost, None) == 0.05 * float(np.median(cost))
+
     def test_kernel_matches_log_domain_at_large_ratios(self, rng):
         h, other = rng.standard_normal((20, 2)), rng.standard_normal((15, 2))
         peak = ad.pairwise_euclidean(h, other).value.max()

@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acgcl.util import rng_for
+from acgcl.util import linear_quantile, median, rng_for
 
 
 def test_rng_for_deterministic_and_role_separated():
@@ -9,3 +11,50 @@ def test_rng_for_deterministic_and_role_separated():
     c = rng_for(7, 2, 3).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# Few distinct values, signed zeros among them, so that ties are common.
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300])
+VALUES = st.one_of(
+    st.lists(TIED, min_size=1, max_size=41),
+    st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=1, max_size=41),
+    st.lists(st.integers(0, 9), min_size=1, max_size=41).map(lambda v: np.array(v, np.int64)))
+THETAS = st.one_of(st.just(0.0), st.just(100.0), st.just(50.0), st.floats(0.0, 100.0))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(VALUES)
+def test_median_is_bit_identical_to_numpy(values):
+    values = np.asarray(values)
+    assert same_bits(np.float64(median(values)), np.float64(np.median(values)))
+    if values.size % 2 == 1 and values.size > 1:     # odd and even sizes both
+        assert same_bits(np.float64(median(values[1:])), np.float64(np.median(values[1:])))
+
+
+def test_median_of_a_matrix_and_with_nan():
+    values = np.array([[3.0, -1.0, 2.0], [0.5, 8.0, -4.0]])
+    assert median(values) == np.median(values) == 1.25
+    assert np.isnan(median(np.array([1.0, np.nan, 2.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(VALUES, THETAS)
+def test_linear_quantile_is_bit_identical_to_percentile(values, theta):
+    values = np.asarray(values)
+    assert same_bits(linear_quantile(values, theta / 100), np.percentile(values, theta))
+    ordered = np.sort(values)
+    assert same_bits(linear_quantile(ordered, theta / 100), np.percentile(ordered, theta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(VALUES, st.integers(1, 6))
+def test_linear_quantile_is_bit_identical_to_quantile(values, n_buckets):
+    values = np.asarray(values)
+    q = np.linspace(0, 1, n_buckets + 1)
+    assert same_bits(linear_quantile(values, q), np.quantile(values, q))
+    assert same_bits(linear_quantile(values, q[1:-1]), np.quantile(values, q[1:-1]))
