@@ -24,9 +24,10 @@ difference-tensor form that the package's Gram-form ``pairwise_euclidean``
 replaced, and ``prelu_where`` the select form that the branch-free ``prelu``
 replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
-symmetric in-place inverse replaced. ``sinkhorn_log_node`` is the
-log-domain Sinkhorn solve that the package's kernel-domain node replaced; it
-checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
+symmetric in-place inverse replaced, and ``searched_induced`` the edge-key
+search that the package's bit table of induced entries replaced.
+``sinkhorn_log_node`` is the log-domain Sinkhorn solve that the package's
+kernel-domain node replaced; it checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 ``SinkhornStats``, so iteration counts compare directly.
 ``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
@@ -391,6 +392,16 @@ def dense_adjacency(graph) -> np.ndarray:
     for key in graph.adjacency.tolist():
         dense[key // n, key % n] = 1.0
     return dense
+
+
+def searched_induced(graph, ids: np.ndarray) -> np.ndarray:
+    """(..., k, k) bool adjacency among the (..., k) ``ids``: each entry's
+    key row * n + col searched for in the graph's edge keys, closed by the
+    sentinel n * n so that every search lands on a valid index."""
+    n = graph.n_nodes
+    keys = np.append(graph.adjacency, n * n)
+    wanted = ids[..., :, None] * n + ids[..., None, :]
+    return keys[np.searchsorted(keys, wanted)] == wanted
 
 
 def column_normalize(adjacency: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_su
                            sample_all_subgraphs, top_k_indices)
 from conftest import graph_from_edges, random_graph
 from oracles import (column_normalize, dense_adjacency, dense_solve_ppr, power_iteration_ppr,
-                     subgraph_indices, top_rank)
+                     searched_induced, subgraph_indices, top_rank)
 
 
 class TestColumnNormalize:
@@ -127,6 +127,25 @@ class TestCholeskyMatchesSolve:
             assert np.array_equal(top_k_indices(got, k), top_k_indices(want, k))
 
 
+def sparse_spd(rng, n, cross):
+    """A sparse, diagonally dominant symmetric matrix and its edge list (the
+    rows, cols and values of its nonzeros above the diagonal). The block
+    that crosses the top split is ``cross``: "empty", "single" (one entry)
+    or "dense". Rows 1 and half - 1, and n - 1 when C has more than one row,
+    are isolated, so that both sides of the split have one."""
+    half = sampler._split(n)
+    upper = np.triu(np.where(rng.random((n, n)) < 4.0 / n, rng.uniform(-1, 1, (n, n)), 0.0), 1)
+    upper[:half, half:] = rng.uniform(-1, 1, (half, n - half)) if cross == "dense" else 0.0
+    if cross == "single":
+        upper[half // 2, half] = 0.5
+    isolated = [1, half - 1] + ([n - 1] if n - 1 > half else [])
+    upper[isolated, :] = upper[:, isolated] = 0.0
+    matrix = upper + upper.T
+    matrix[np.diag_indices(n)] = 1.0 + np.abs(matrix).sum(axis=1)
+    rows, cols = np.nonzero(upper)
+    return matrix, (rows, cols, upper[rows, cols])
+
+
 class TestBlockInverse:
     """The recursive in-place block inverse behind ``compute_ppr_scores``,
     at sizes around its leaf and split boundaries."""
@@ -138,6 +157,17 @@ class TestBlockInverse:
         inverse = matrix.copy()
         sampler._invert_in_place(inverse)
         assert np.abs(inverse - np.linalg.inv(matrix)).max() <= 1e-12
+
+    @pytest.mark.parametrize("cross", ["empty", "single", "dense"])
+    @pytest.mark.parametrize("n", [sampler.INVERSE_LEAF + 1, 193, 257, 500, 1000])
+    def test_edge_list_matches_numpy_and_dense_path(self, rng, n, cross):
+        matrix, edges = sparse_spd(rng, n, cross)
+        given = matrix.copy()
+        sampler._invert_in_place(given, edges)
+        dense = matrix.copy()
+        sampler._invert_in_place(dense)
+        assert np.abs(given - np.linalg.inv(matrix)).max() <= 1e-12
+        assert np.abs(given - dense).max() <= 1e-12
 
     def test_singular_block_raises_contract_error(self):
         with pytest.raises(ContractError, match="block inverse failed"):
@@ -332,6 +362,43 @@ class TestExtractSubgraph:
         g = graph_from_edges(2, [(0, 1)])
         with pytest.raises(IndexError):
             extract_subgraph(g, np.array([0, 5]))
+
+
+class TestBitTable:
+    """The bit-table lookup of induced adjacencies against the edge-key
+    search it replaced."""
+
+    @staticmethod
+    def assert_matches_search(g, ids):
+        got = sampler._induced(sampler._bit_table(g), g.n_nodes, ids)
+        assert got.dtype == bool and np.array_equal(got, searched_induced(g, ids))
+
+    def test_random_graphs_with_self_loops(self, rng):
+        for n in (5, 30, 70):
+            g = self_loop_graph(rng, n=n)
+            self.assert_matches_search(g, rng.integers(0, n, size=(40, 8)))
+            self.assert_matches_search(g, np.arange(n))
+
+    def test_padded_subgraphs_repeat_ids(self, rng):
+        g = graph_from_edges(10, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)])
+        ids = top_k_indices(compute_ppr_scores(g, 0.15), 5)
+        assert (ids[8] == 8).all() and ids[6].tolist() == [6, 7, 6, 6, 6]
+        self.assert_matches_search(g, ids)
+        self.assert_matches_search(g, np.array([[2, 2, 1, 1], [0, 1, 0, 1]]))
+
+    @pytest.mark.parametrize("n", [3, 7, 9])
+    def test_n_squared_not_a_multiple_of_8(self, rng, n):
+        g = self_loop_graph(rng, n=n)
+        table = sampler._bit_table(g)
+        assert table.nbytes == -(-n * n // 8)
+        assert np.array_equal(sampler._induced(table, n, np.arange(n)), dense_adjacency(g) != 0)
+        self.assert_matches_search(g, rng.integers(0, n, size=(6, n)))
+
+    def test_single_node(self):
+        for loop in (0.0, 1.0):
+            g = Graph(features=np.zeros((1, 1)), adjacency=np.array([[loop]]))
+            assert sampler._bit_table(g).nbytes == 1
+            self.assert_matches_search(g, np.zeros((3, 2), dtype=np.int64))
 
 
 class TestSampleAllSubgraphs:
