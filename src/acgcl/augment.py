@@ -36,12 +36,18 @@ from .sampler import Subgraph, SubgraphSet
 from .util import linear_quantile
 
 METRICS = ("euclidean", "manhattan", "cosine")
+SEMANTICS = ("label", "degree-bucket")
 PAIR_BLOCK = 1 << 12   # pair rows per block: k * 32 kB per (pairs, k) array, dim * 32 kB per gather
 
 
 def check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ConfigError(f"distance_metric: unknown metric {metric!r}, expected one of {METRICS}")
+
+
+def check_semantics(kind: str) -> None:
+    if kind not in SEMANTICS:
+        raise ConfigError(f"semantics: unknown kind {kind!r}, expected one of {SEMANTICS}")
 
 
 def distance(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
@@ -74,23 +80,26 @@ class SemanticAssignment:
 
 
 def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -> SemanticAssignment:
+    check_semantics(kind)
     if kind == "label":
         if graph.labels is None:
             raise ConfigError("semantics: kind 'label' requires a labeled graph")
         return SemanticAssignment(values=graph.labels.astype(np.int64))
-    if kind == "degree-bucket":
-        if n_buckets < 1:
-            raise ConfigError("degree_buckets: must be >= 1")
-        degrees = graph.degrees()
-        edges = linear_quantile(degrees, np.linspace(0, 1, n_buckets + 1)[1:-1])
-        values = np.searchsorted(edges, degrees, side="right")
-        return SemanticAssignment(values=values.astype(np.int64))
-    raise ConfigError(f"semantics: unknown kind {kind!r}, expected 'label' or 'degree-bucket'")
+    if n_buckets < 1:
+        raise ConfigError("degree_buckets: must be >= 1")
+    degrees = graph.degrees()
+    edges = linear_quantile(degrees, np.linspace(0, 1, n_buckets + 1)[1:-1])
+    values = np.searchsorted(edges, degrees, side="right")
+    return SemanticAssignment(values=values.astype(np.int64))
 
 
 @dataclass(frozen=True)
 class DistanceDistribution:
     values: np.ndarray        # sorted ascending
+
+
+# Pair distances sampled for a run's distribution (``curriculum_inputs``).
+DISTANCE_SAMPLE_BUDGET = 50_000
 
 
 def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,

@@ -10,12 +10,13 @@ read-only views and one array for several parents, so the sweep writes only
 into buffers it created: the sum it makes at a parent's second contribution,
 which later ones are added into.
 
-A gather of distinct rows (``take_rows``) contributes only the rows it read,
-as a ``Rows`` pair of indices and (m, d) upstream rows. The sweep writes them
-into a zero gradient it makes, or in place into one it owns (copying one it
-does not own first), so rows outside the indices keep their bits: a -0.0
-stays -0.0. A node may keep a product's operands rather than the product and
-form it again in its backward pass, to the same bits: ``linear_prelu`` does.
+A gather (``take_rows``, whose rows must be distinct) contributes only the
+rows it read, as a ``Rows`` pair of indices and (m, d) upstream rows. The
+sweep writes them into a zero gradient it makes, or in place into one it
+owns (copying one it does not own first), so rows outside the indices keep
+their bits: a -0.0 stays -0.0. A node may keep a product's operands rather
+than the product and form it again in its backward pass, to the same bits:
+``linear_prelu`` does.
 
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
@@ -165,19 +166,16 @@ class Rows(NamedTuple):
 
 
 def take_rows(a, indices: np.ndarray) -> Tensor:
-    """Rows ``indices`` of ``a``. With distinct indices the backward pass
-    returns the upstream rows as ``Rows``; repeated ones scatter-add into a
-    full array."""
+    """Rows ``indices`` of ``a``, which must be distinct (a ``ContractError``
+    otherwise); the backward pass returns the upstream rows as ``Rows``."""
     a = as_tensor(a)
     indices = np.asarray(indices, dtype=np.int64)
+    if not np.diff(np.sort(indices, axis=None)).all():
+        raise ContractError("take_rows: repeated row indices")
     value = a.value[indices]
 
     def backward_fn(g):
-        if np.diff(np.sort(indices, axis=None)).all():      # no index repeats
-            return (Rows(indices, g),)
-        out = np.zeros_like(a.value)
-        np.add.at(out, indices, g)
-        return (out,)
+        return (Rows(indices, g),)
 
     return _node(value, (a,), backward_fn)
 

@@ -9,7 +9,10 @@ Subcommands:
 
 On bad input or settings (an ``AcgclError``) or a failed file operation (an
 ``OSError``) every command exits 1, printing one "ErrorClass: message" line
-to stderr. Any other exception is a bug and ends in a traceback.
+to stderr. Any other exception is a bug and ends in a traceback. The
+checkpoint, report and CSV files of train, augment-inspect and
+validate-difficulty go through ``trainer.write_atomic``, so a failed write
+leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
 from .trainer import (check_feature_width, curriculum_inputs, difficulty_curve,
                       evaluate_checkpoint, load_checkpoint, probe_splits, save_checkpoint,
-                      train, write_report)
+                      train, write_atomic, write_report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,6 +84,11 @@ def _load_config_and_graph(config_path, overrides) -> tuple[TrainConfig, object]
     return config, load_dataset(config.data_dir)
 
 
+def _lines(rows) -> str:
+    """CSV text: each row's fields joined by commas, one line per row."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def _check_difficulty(name: str, value: float) -> None:
     """Reject a difficulty percentile outside [0, 100] before any set-up."""
     if not (0.0 <= value <= 100.0):
@@ -128,17 +136,16 @@ def _cmd_augment_inspect(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, adj in (("positive_adjacency.csv", mirrors.positive_adjacency),
                       ("negative_adjacency.csv", mirrors.negative_adjacency)):
-        np.savetxt(out / name, adj, fmt="%d", delimiter=",")
+        write_atomic(out / name, _lines(adj.astype(np.int64).tolist()))
     parents = subgraphs.parent_indices[args.node]
     log = mirrors.search.replacements(gamma)
-    with (out / "replacements.csv").open("w") as fh:
-        fh.write("polarity,a,b,a_parent,b_parent,c,d,c_parent,d_parent,"
-                 "distance_sum,original_edge,mirror_edge\n")
-        for polarity, columns in zip(("positive", "negative"), log):
-            for a, b, c, d, distance_sum, original, mirror in zip(*columns):
-                fh.write(",".join(map(str, (
-                    polarity, a, b, parents[a], parents[b], c, d, parents[c], parents[d],
-                    repr(float(distance_sum)), original, mirror))) + "\n")
+    rows = [("polarity", "a", "b", "a_parent", "b_parent", "c", "d", "c_parent", "d_parent",
+             "distance_sum", "original_edge", "mirror_edge")]
+    for polarity, columns in zip(("positive", "negative"), log):
+        for a, b, c, d, distance_sum, original, mirror in zip(*columns):
+            rows.append((polarity, a, b, parents[a], parents[b], c, d, parents[c], parents[d],
+                         repr(float(distance_sum)), original, mirror))
+    write_atomic(out / "replacements.csv", _lines(rows))
     print(f"node={args.node} theta={args.theta} gamma={gamma!r}")
     print(f"positive_replacements={len(log[0][0])} negative_replacements={len(log[1][0])}")
     print(f"out={out}")
@@ -166,10 +173,7 @@ def _cmd_validate_difficulty(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as fh:
-        fh.write("theta,mean_loss,std\n")
-        for theta, mean, std in rows:
-            fh.write(f"{theta!r},{mean!r},{std!r}\n")
+    write_atomic(out, _lines([("theta", "mean_loss", "std"), *(map(repr, row) for row in rows)]))
     for theta, mean, std in rows:
         print(f"theta={theta} mean_loss={mean!r} std={std!r}")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .augment import check_metric
+from .augment import check_metric, check_semantics
 from .curriculum import MODES
 from .errors import ConfigError
 from .graph import check_split_fractions, data_lines
@@ -58,13 +58,11 @@ class TrainConfig:
     distance_metric: str = "euclidean"
     semantics: str = "label"
     degree_buckets: int = 4
-    dis_sample_budget: int = 50000
 
     # balance loss
     balance_max_points: int = 256
     sinkhorn_reg: float | None = None   # None: 0.05 * median cost
     sinkhorn_iters: int = 200
-    sinkhorn_tol: float = 1e-6
 
     # probe
     probe_l2: float = 1e-4
@@ -82,15 +80,13 @@ class TrainConfig:
         if "\0" in self.data_dir:     # no file system path holds one
             raise ConfigError("data_dir: must not contain a NUL character")
         positive_ints = ("subgraph_size", "embedding_dim", "batch_size", "inner_steps",
-                         "epochs", "degree_buckets", "dis_sample_budget",
-                         "balance_max_points", "sinkhorn_iters")
+                         "epochs", "degree_buckets", "balance_max_points", "sinkhorn_iters")
         for name in positive_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (shuffled negatives need two summaries)")
-        non_negative = ("seed", "patience", "alpha", "beta", "xi", "epsilon_margin",
-                        "sinkhorn_tol")
+        non_negative = ("seed", "patience", "alpha", "beta", "xi", "epsilon_margin")
         for name in non_negative:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
@@ -104,8 +100,7 @@ class TrainConfig:
             raise ConfigError("gcn_layers: must be 1 or 2")
         if self.acl_mode not in MODES:
             raise ConfigError(f"acl_mode: unknown mode {self.acl_mode!r}, expected one of {MODES}")
-        if self.semantics not in ("label", "degree-bucket"):
-            raise ConfigError("semantics: must be 'label' or 'degree-bucket'")
+        check_semantics(self.semantics)
         check_metric(self.distance_metric)
         check_split_fractions(self.split_train, self.split_val)
         if not (0.0 < self.theta0 <= self.max_difficulty <= 100.0):

@@ -130,6 +130,9 @@ def _canonical_order_swapped(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(fa[first] > fb[first])
 
 
+# A training solve stops once its l1 marginal violation, checked every
+# _TOL_CHECK_EVERY iterations, is below SINKHORN_TOL.
+SINKHORN_TOL = 1e-6
 _TOL_CHECK_EVERY = 10
 
 # Largest max(C)/reg solved. Every kernel entry is then at least e^-600,

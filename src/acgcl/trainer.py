@@ -33,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
-                      estimate_distance_distribution, mirror_search, quantile,
-                      semantic_assignment)
+from .augment import (DISTANCE_SAMPLE_BUDGET, DistanceDistribution, MirrorSearch,
+                      SemanticAssignment, estimate_distance_distribution, mirror_search,
+                      quantile, semantic_assignment)
 from .config import TrainConfig
 from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
                          weights_for_mode, window_fields)
@@ -43,7 +43,7 @@ from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_para
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from .graph import LABEL_FILE, SPLIT_FILE, Graph, Splits, load_dataset, make_splits
-from .losses import (balance_loss, inter_graph_losses_grouped,
+from .losses import (SINKHORN_TOL, balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
 from .sampler import SubgraphSet, sample_all_subgraphs
@@ -52,9 +52,12 @@ from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_fo
 CHECKPOINT_VERSION = 1
 # Config keys that older checkpoints echo and TrainConfig no longer has: the
 # probe's gradient-descent step budget and step size, before it fitted to
-# PROBE_TOL, then a patience margin and a loss normalisation that no run set.
+# PROBE_TOL, then a patience margin and a loss normalisation that no run set,
+# then the Sinkhorn tolerance and the distance sample budget, which became
+# losses.SINKHORN_TOL and augment.DISTANCE_SAMPLE_BUDGET at the same values.
 # The loader drops them; a config file or --set rejects them as unknown keys.
-RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr", "improvement_tol", "normalize_weighted_loss")
+RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr", "improvement_tol", "normalize_weighted_loss",
+                       "sinkhorn_tol", "dis_sample_budget")
 EMBED_BLOCK = 128
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # The probe fit stops at this gradient norm, or after PROBE_MAX_STEPS Newton
@@ -269,7 +272,7 @@ def write_report(epochs: list[dict], path) -> None:
     """``report.csv``: the REPORT_COLUMNS of the epoch records, None as nan."""
     rows = [",".join(repr(float("nan") if record[c] is None else record[c])
                      for c in REPORT_COLUMNS) for record in epochs]
-    _write_atomic(path, "\n".join([",".join(REPORT_COLUMNS), *rows]) + "\n")
+    write_atomic(path, "\n".join([",".join(REPORT_COLUMNS), *rows]) + "\n")
 
 
 def _append_record(sink, path, record: dict):
@@ -324,7 +327,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     solves: list = []
     l_bal = balance_loss(ad.take_rows(h, rows), ad.take_rows(h_pos, rows),
                          ad.take_rows(h_neg, rows), config.sinkhorn_reg, config.sinkhorn_iters,
-                         config.sinkhorn_tol, solves)
+                         SINKHORN_TOL, solves)
 
     sample_losses = per_sample_losses_batched(intra_vec, inter_vec, l_bal, config.alpha,
                                               config.beta, b)
@@ -368,14 +371,15 @@ def curriculum_inputs(graph: Graph, config: TrainConfig
     """The run's subgraphs, node semantics and pair-distance distribution.
 
     Semantics come first, so a graph that cannot supply them fails before
-    any sampling. The distribution's seed derives from ``config.seed`` and
+    any sampling. The distribution samples DISTANCE_SAMPLE_BUDGET pair
+    distances with a seed that derives from ``config.seed`` and
     ROLE_DISTANCES, so every command maps a difficulty theta to the same
     gamma."""
     semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
     seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
     dist = estimate_distance_distribution(subgraphs, config.distance_metric,
-                                          config.dis_sample_budget, seed)
+                                          DISTANCE_SAMPLE_BUDGET, seed)
     return subgraphs, semantics, dist
 
 
@@ -472,7 +476,7 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
 # ---------------------------------------------------------------------------
 # Checkpointing
 
-def _write_atomic(path, text: str) -> None:
+def write_atomic(path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then move it into place,
     so a write that fails leaves the previous file whole and no temp file."""
     path = Path(path)
@@ -490,7 +494,7 @@ def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
     stored = {"format_version": CHECKPOINT_VERSION, "n_layers": params.n_layers,
               "weights": [w.value.tolist() for w in params.weights],
               "slopes": [float(s.value) for s in params.slopes]}
-    _write_atomic(path, json.dumps({"format_version": CHECKPOINT_VERSION,
+    write_atomic(path, json.dumps({"format_version": CHECKPOINT_VERSION,
                                     "config": config.to_dict(), "params": stored}))
 
 

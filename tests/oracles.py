@@ -342,10 +342,7 @@ def take_rows_dense(a, indices: np.ndarray) -> ad.Tensor:
 
     def backward_fn(g):
         out = np.zeros_like(a.value)
-        if np.unique(indices).size == indices.size:
-            out[indices] = g
-        else:
-            np.add.at(out, indices, g)
+        out[indices] = g
         return (out,)
 
     return ad._node(a.value[indices], (a,), backward_fn)

@@ -7,6 +7,7 @@ from acgcl import augment
 from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
                            pairwise_distances, quantile, semantic_assignment,
                            DistanceDistribution, SemanticAssignment)
+from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, random_graph, stack_subgraphs
@@ -98,6 +99,17 @@ class TestSemantics:
         g = graph_from_edges(3, [(0, 1)])
         with pytest.raises(ConfigError):
             semantic_assignment(g, "label")
+
+    def test_unknown_kind_fails_with_one_message_everywhere(self):
+        """The library call and the config check name the kinds of SEMANTICS
+        in the same words."""
+        g = graph_from_edges(3, [(0, 1)], labels=[2, 0, 1])
+        want = "semantics: unknown kind 'degree', expected one of ('label', 'degree-bucket')"
+        with pytest.raises(ConfigError) as direct:
+            semantic_assignment(g, "degree")
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(overrides=["semantics=degree"])
+        assert str(direct.value) == str(parsed.value) == want
 
     def test_degree_buckets_partition(self, rng):
         g = random_graph(rng, n=40)

@@ -47,8 +47,8 @@ class TestParseConfig:
         for key, value in (("theta0", "60"), ("theta0", "0"), ("ramp_epochs", "0"),
                            ("distance_metric", "foo"), ("split_train", "2.0"),
                            ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
-                           ("probe_l2", "nan"), ("sinkhorn_tol", "nan"), ("eta1", "nan"),
-                           ("learning_rate", "inf"), ("seed", "-3"), ("sinkhorn_tol", "-1")):
+                           ("probe_l2", "nan"), ("eta1", "nan"), ("learning_rate", "inf"),
+                           ("seed", "-3")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 parse_config(path)
@@ -214,13 +214,15 @@ class TestCli:
             assert printed["positive_replacements"] == str(len(want.stats.pos_replacements))
             assert printed["negative_replacements"] == str(len(want.stats.neg_replacements))
 
-    def test_augment_inspect_gamma_matches_training(self, tmp_path, config_file, capsys):
+    def test_augment_inspect_gamma_matches_training(self, tmp_path, config_file, capsys,
+                                                    monkeypatch):
         """Both commands map a difficulty to gamma through the same run set-up.
         The pair budget is below the pair count, so the estimate depends on
         its seed."""
-        budget = ["--set", "dis_sample_budget=100"]
+        import acgcl.trainer
+        monkeypatch.setattr(acgcl.trainer, "DISTANCE_SAMPLE_BUDGET", 100)
         out = tmp_path / "run"
-        assert main(["train", "--config", str(config_file), "--out", str(out)] + budget) == 0
+        assert main(["train", "--config", str(config_file), "--out", str(out)]) == 0
         records = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
         epochs = [r for r in records if r["kind"] == "epoch"]
         assert len(epochs) == 2
@@ -228,7 +230,7 @@ class TestCli:
         for record in epochs:
             assert main(["augment-inspect", "--config", str(config_file), "--node", "0",
                          "--theta", repr(record["theta"]), "--out", str(tmp_path / "inspect")]
-                        + budget) == 0
+                        ) == 0
             printed = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
             assert float(printed["gamma"]) == record["gamma"]
 
@@ -415,9 +417,9 @@ class TestMalformedCheckpoint:
 
 class TestRetiredConfigKeys:
     """Checkpoints written while the probe had a step budget and a step size,
-    or while TrainConfig had a patience margin and a loss normalisation, echo
-    those keys in their config; they still load, and the keys are gone
-    everywhere else."""
+    or while TrainConfig had a patience margin, a loss normalisation, a
+    Sinkhorn tolerance and a distance sample budget, echo those keys in their
+    config; they still load, and the keys are gone everywhere else."""
 
     def test_checkpoint_with_the_retired_keys_evaluates_the_same(self, tmp_path, config_file,
                                                                  dataset_dir, capsys):
@@ -426,7 +428,8 @@ class TestRetiredConfigKeys:
         current = tmp_path / "run" / "checkpoint.json"
         payload = json.loads(current.read_text())
         payload["config"].update(probe_iters=500, probe_lr=0.5, improvement_tol=0.0001,
-                                 normalize_weighted_loss=False)
+                                 normalize_weighted_loss=False, sinkhorn_tol=1e-6,
+                                 dis_sample_budget=50000)
         old = tmp_path / "old_checkpoint.json"
         old.write_text(json.dumps(payload))
         printed = []
@@ -438,7 +441,8 @@ class TestRetiredConfigKeys:
         assert printed[0].splitlines()[2].startswith("probe_grad_norm=")
 
     @pytest.mark.parametrize("key", ["probe_iters", "probe_lr", "improvement_tol",
-                                     "normalize_weighted_loss"])
+                                     "normalize_weighted_loss", "sinkhorn_tol",
+                                     "dis_sample_budget"])
     def test_config_file_and_set_reject_them(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 1\n")
@@ -586,6 +590,38 @@ class TestValidateDifficultySetUp:
         assert main(["validate-difficulty", "--config", str(config_file), "--grid", "20,40",
                      "--set", "epochs=1", "--out", str(tmp_path / "curve.csv")]) == 0
         assert sorted(calls) == ["curriculum_inputs", "mirror_search"]
+
+
+@pytest.mark.parametrize("command, outputs", [
+    (["validate-difficulty", "--grid", "20,40", "--set", "epochs=1",
+      "--out", "{out}/difficulty_curve.csv"], ["difficulty_curve.csv"]),
+    (["augment-inspect", "--node", "0", "--theta", "40", "--out", "{out}"],
+     ["negative_adjacency.csv", "positive_adjacency.csv", "replacements.csv"]),
+], ids=["validate-difficulty", "augment-inspect"])
+def test_failed_write_keeps_the_previous_file(tmp_path, config_file, monkeypatch, capsys,
+                                              command, outputs):
+    """A write of any one output file that fails half-way exits 1 in one
+    line and leaves every earlier output file whole, with no temp file
+    beside it."""
+    out = tmp_path / "out"
+    argv = [a.replace("{out}", str(out)) for a in command] + ["--config", str(config_file)]
+    assert main(argv) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(before) == outputs
+    write_text = Path.write_text
+    for failing in outputs:
+        def half_then_full_disk(self, text, failing=failing):
+            if failing not in self.name:
+                return write_text(self, text)
+            with open(self, "w") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_full_disk)
+        capsys.readouterr()
+        assert main(argv + ["--set", "theta0=10"]) == 1
+        assert capsys.readouterr().err == "OSError: no space left on device\n"
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before, failing
 
 
 def _drop_val(raw):

@@ -26,7 +26,7 @@ CONFIG_FILE = "run.cfg"
 CHECKPOINT_FILE = "checkpoint.json"
 BASE_CONFIG = ("subgraph_size = 4\nembedding_dim = 4\nbatch_size = 8\nepochs = 1\n"
                "inner_steps = 1\nsinkhorn_iters = 10\nbalance_max_points = 16\n"
-               "dis_sample_budget = 100\npatience = 1\nseed = 1\n")
+               "patience = 1\nseed = 1\n")
 
 
 def config_for(data):
@@ -157,8 +157,8 @@ def test_nul_in_data_dir_fails_in_one_line(dataset):
 # Size keys and the largest value a mutated config or checkpoint may give
 # them: more would take long or need a lot of memory.
 SIZE_CAPS = {"subgraph_size": 12, "embedding_dim": 16, "batch_size": 64, "epochs": 3,
-             "inner_steps": 3, "sinkhorn_iters": 50, "dis_sample_budget": 1000,
-             "balance_max_points": 64, "degree_buckets": 8}
+             "inner_steps": 3, "sinkhorn_iters": 50, "balance_max_points": 64,
+             "degree_buckets": 8}
 TOKENS = [b"0", b"1", b"2", b"3", b"-1", b"39", b"40", b"9999", b"9" * 20, b"9" * 400, b"0.5",
           b"-0.0", b"1e-300", b"1e300", b"-1e308", b"nan", b"inf", b"-inf", b"1e400", b"NaN",
           b"Infinity", b"x", b"", b"#", b"=", b",", b"auto", b"none", b"true", b"null", b"spl",

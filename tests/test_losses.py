@@ -4,7 +4,7 @@ import pytest
 from acgcl import autodiff as ad
 from acgcl.config import TrainConfig
 from acgcl.errors import ConfigError, ShapeError
-from acgcl.losses import (KERNEL_MAX_RATIO, SinkhornStats,
+from acgcl.losses import (KERNEL_MAX_RATIO, SINKHORN_TOL, SinkhornStats,
                           _canonical_order_swapped, _resolve_reg, _sinkhorn_kernel_node,
                           balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
@@ -12,7 +12,7 @@ from oracles import (directional_grad_check, exact_w1_1d, inter_graph_loss, intr
                      per_sample_loss, sinkhorn_log_node)
 
 # the run defaults of a Sinkhorn solve: reg, max_iters, tol
-DEFAULT_SOLVE = (TrainConfig.sinkhorn_reg, TrainConfig.sinkhorn_iters, TrainConfig.sinkhorn_tol)
+DEFAULT_SOLVE = (TrainConfig.sinkhorn_reg, TrainConfig.sinkhorn_iters, SINKHORN_TOL)
 
 
 def sigmoid(x):

@@ -137,7 +137,7 @@ class TestRouting:
                                                               metric):
         g = generate_sbm(SbmConfig((60, 60, 60), 0.15, 0.01, 16), seed=3)
         subs = sample_all_subgraphs(g, 20, 0.15)
-        for kind in ("label", "degree-bucket"):
+        for kind in augment.SEMANTICS:
             sem = augment.semantic_assignment(g, kind, 4)
             search = mirror_search(subs, sem, metric)
             assert scanned_rows == []

@@ -293,7 +293,8 @@ class TestTrainLoop:
 
     def test_step_records_report_sinkhorn_convergence(self, tmp_path, monkeypatch):
         """Each step records the larger iteration count and the larger
-        marginal error of its two balance solves."""
+        marginal error of its two balance solves. A loose tolerance lets
+        some solves stop early."""
         import acgcl.trainer
         solved = []
 
@@ -303,9 +304,9 @@ class TestTrainLoop:
             return out
 
         monkeypatch.setattr(acgcl.trainer, "balance_loss", recording)
+        monkeypatch.setattr(acgcl.trainer, "SINKHORN_TOL", 1e-2)
         path = tmp_path / "metrics.jsonl"
-        train(small_graph(), small_config(epochs=2, sinkhorn_tol=1e-2, sinkhorn_iters=60),
-              metrics_path=path)
+        train(small_graph(), small_config(epochs=2, sinkhorn_iters=60), metrics_path=path)
         steps = [r for r in map(json.loads, path.read_text().splitlines())
                  if r["kind"] == "step"]
         assert len(steps) == len(solved) == 6
