@@ -17,11 +17,11 @@ distance row gives short lists of its nearest candidates, from which a
 pair's best mirror is read in O(1): O(k^2 log k) per subgraph. A pair the
 lists cannot settle exactly (a tie at their cut, or a subgraph padded with
 a repeated centre) takes an exact O(k) scan instead. Both give the same
-first row-major (c, d) on ties as the O(k^2) sweep of every (c, d). Each
-new gamma then costs one threshold over the stored sums
-(``MirrorSearch.adjacencies``). The search and the distance estimate
-read a ``SubgraphSet`` and gather feature rows per block; ``mirror_augment``
-searches one ``Subgraph``.
+first row-major (c, d) on ties as the O(k^2) sweep of every (c, d). The
+sums are stored for the pairs a < b alone, and each new gamma then costs one
+threshold over them (``MirrorSearch.adjacencies``). The search and the
+distance estimate read a ``SubgraphSet`` and gather feature rows per block;
+``mirror_augment`` searches one ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -144,28 +144,34 @@ def quantile(dist: DistanceDistribution, theta: float) -> float:
 class MirrorSearch:
     """Best mirror of every pair of equal-size subgraphs, valid at every gamma.
 
-    The leading axis is the polarity: 0 positive, 1 negative. For subgraph i
-    and a pair (a, b) with distinct parents, ``best[p, i, a, b]`` is the
-    smallest admissible distance sum, ``argmin`` its first row-major position
-    c * k + d and ``edge`` the mirror edge adjacency[c, d] != 0. The tables
-    are symmetric in (a, b); pairs without an admissible mirror, the diagonal
-    and padded duplicates hold an infinite sum, so no gamma replaces them.
-    ``best`` is float64, ``edge`` bool and ``argmin`` the smallest unsigned
-    type that holds k * k - 1 (uint8 up to k = 16, uint16 up to k = 256): 11
-    bytes per pair and polarity at k = 20.
+    The tables keep one triangle: the last axis runs over the k (k - 1) / 2
+    pairs a < b in ``np.triu_indices(k, 1)`` order, which is row-major (a,
+    b) order. The leading axis is the polarity: 0 positive, 1 negative. For
+    subgraph i and its q-th pair (a, b), ``best[p, i, q]`` is the smallest
+    admissible distance sum, ``argmin`` its first row-major position
+    c * k + d and ``edge`` the mirror edge adjacency[c, d]. Pairs without
+    an admissible mirror, and padded duplicates, hold an infinite sum, so no
+    gamma replaces them. ``best`` is float64, ``edge`` bool and ``argmin``
+    the smallest unsigned type that holds k * k - 1 (uint8 up to k = 16,
+    uint16 up to k = 256): 22 bytes per pair a < b at k = 20, both
+    polarities together, 4180 per subgraph, where full (k, k) tables took
+    8800.
     """
-    adjacency: np.ndarray      # (n, k, k) source adjacencies
-    best: np.ndarray           # (2, n, k, k) float64
-    argmin: np.ndarray         # (2, n, k, k) np.min_scalar_type(k * k - 1)
-    edge: np.ndarray           # (2, n, k, k) bool
+    adjacency: np.ndarray      # (n, k, k) bool source adjacencies, symmetric
+    best: np.ndarray           # (2, n, k (k - 1) / 2) float64
+    argmin: np.ndarray         # (2, n, k (k - 1) / 2) np.min_scalar_type(k * k - 1)
+    edge: np.ndarray           # (2, n, k (k - 1) / 2) bool
     pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
 
     def adjacencies(self, gamma: float) -> np.ndarray:
-        """(2, n, k, k): positive then negative mirror adjacencies at gamma,
-        symmetric with a zero diagonal."""
-        out = np.where(self.best < 2.0 * gamma, self.edge, self.adjacency)
-        diagonal = np.arange(out.shape[-1])
-        out[..., diagonal, diagonal] = 0.0
+        """(2, n, k, k) bool: positive then negative mirror adjacencies at
+        gamma, symmetric with a zero diagonal."""
+        n, k = self.adjacency.shape[:2]
+        a, b = np.triu_indices(k, 1)
+        upper = np.where(self.best < 2.0 * gamma, self.edge, self.adjacency[:, a, b])
+        out = np.zeros((2, n, k, k), dtype=bool)
+        out[..., a, b] = upper
+        out[..., b, a] = upper
         return out
 
     def match_rates(self, gamma: float) -> tuple[float, float]:
@@ -173,21 +179,23 @@ class MirrorSearch:
         total = int(self.pair_counts.sum())
         if total == 0:
             return 0.0, 0.0
-        matched = np.count_nonzero(self.best < 2.0 * gamma, axis=(1, 2, 3)) // 2
+        matched = np.count_nonzero(self.best < 2.0 * gamma, axis=(1, 2))
         return float(matched[0] / total), float(matched[1] / total)
 
     def replacements(self, gamma: float, i: int = 0) -> list[tuple[np.ndarray, ...]]:
         """The replacement log of subgraph i at gamma, positive then negative:
         columns a, b, c, d, distance_sum, original_edge, mirror_edge over the
         pairs a < b that gamma replaces, in row-major (a, b) order."""
-        k = self.best.shape[-1]
+        k = self.adjacency.shape[-1]
+        upper_a, upper_b = np.triu_indices(k, 1)
         log = []
         for p in range(2):
-            a, b = np.nonzero(np.triu(self.best[p, i] < 2.0 * gamma, 1))
-            c, d = np.divmod(self.argmin[p, i, a, b], k)
-            log.append((a, b, c, d, self.best[p, i, a, b],
+            q = np.flatnonzero(self.best[p, i] < 2.0 * gamma)
+            a, b = upper_a[q], upper_b[q]
+            c, d = np.divmod(self.argmin[p, i, q], k)
+            log.append((a, b, c, d, self.best[p, i, q],
                         self.adjacency[i, a, b].astype(np.int64),
-                        self.edge[p, i, a, b].astype(np.int64)))
+                        self.edge[p, i, q].astype(np.int64)))
         return log
 
 
@@ -221,20 +229,21 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     of PAIR_BLOCK pairs' worth of whole subgraphs at a time.
     """
     check_metric(metric)
-    adjacency = subgraphs.adjacency
+    adjacency = np.asarray(subgraphs.adjacency, dtype=bool)
     n, k = adjacency.shape[:2]
-    best = np.full((2, n, k, k), np.inf)
-    argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
+    upper_a, upper_b = np.triu_indices(k, 1)
+    best = np.full((2, n, len(upper_a)), np.inf)
+    argmin = np.zeros((2, n, len(upper_a)), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
-    step = max(1, PAIR_BLOCK // max(1, k * (k - 1) // 2))
-    upper = np.triu(np.ones((k, k), dtype=bool), 1)
+    step = max(1, PAIR_BLOCK // max(1, len(upper_a)))
     for start in range(0, n, step):
         parents = subgraphs.parent_indices[start:start + step]
         dmat = pairwise_distances(subgraphs.node_features[parents], metric)
         labels = semantics.values[parents]
-        pairs = upper & (parents[:, :, None] != parents[:, None, :])
-        pair_counts[start:start + len(parents)] = pairs.sum(axis=(1, 2))
-        g, a, b = np.nonzero(pairs)          # pairs a < b with distinct parents
+        pairs = parents[:, upper_a] != parents[:, upper_b]
+        pair_counts[start:start + len(parents)] = pairs.sum(axis=1)
+        g, q = np.nonzero(pairs)             # pairs a < b with distinct parents
+        a, b = upper_a[q], upper_b[q]
         *mins, settled = _listed_mins(dmat, labels, g, a, b)
         # The lists hold slots, not parents, and a NaN distance has no order.
         listed = ((np.diff(np.sort(parents, axis=1), axis=1) != 0).all(axis=1)
@@ -251,10 +260,9 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                                      np.minimum(neg_c[1], neg_d[1])))
         i = start + g
         for p, (value, flat) in enumerate((pos, (neg_best, neg_flat))):
-            best[p, i, a, b] = best[p, i, b, a] = value
-            argmin[p, i, a, b] = argmin[p, i, b, a] = np.where(value < np.inf, flat, 0)
-    edge = np.take_along_axis((adjacency != 0).reshape(1, n, k * k),
-                              argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
+            best[p, i, q] = value
+            argmin[p, i, q] = np.where(value < np.inf, flat, 0)
+    edge = np.take_along_axis(adjacency.reshape(1, n, k * k), argmin, axis=2)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
                         pair_counts=pair_counts)
 

@@ -11,8 +11,10 @@ On bad input or settings (an ``AcgclError``) or a failed file operation (an
 ``OSError``) every command exits 1, printing one "ErrorClass: message" line
 to stderr. Any other exception is a bug and ends in a traceback. The
 checkpoint, report and CSV files of train, augment-inspect and
-validate-difficulty go through ``trainer.write_atomic``, so a failed write
-leaves the previous file whole.
+validate-difficulty go through ``util.write_atomic``, so a failed write
+leaves the previous file whole; gen-sbm's dataset goes through
+``graph.save_dataset``, which moves its files into place only once all are
+written.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
 from .trainer import (check_feature_width, curriculum_inputs, difficulty_curve,
                       evaluate_checkpoint, load_checkpoint, probe_splits, save_checkpoint,
-                      train, write_atomic, write_report)
+                      train, write_report)
+from .util import write_atomic
 
 
 def _build_parser() -> argparse.ArgumentParser:

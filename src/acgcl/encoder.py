@@ -4,11 +4,12 @@ mirrors.
 Propagation per layer: H <- prelu((An @ H) @ W, slope) where An is the
 symmetrically normalized adjacency with self loops added. Every subgraph of a
 batch has the same size k, so a batch is one (n, k, k) stack of An blocks and
-one (n * k, d) feature matrix. A layer is the propagation An @ H and one
-``linear_prelu`` node, which keeps An @ H and W but not their product. On
-the constant input features An @ X is a constant: layer 1 records no
-propagation, and its backward pass forms only the gradients of W and the
-slope. One or two layers; slopes are learnable scalars initialized at 0.25;
+one (n * k, d) feature matrix. Training keeps its adjacencies as bool and
+normalizes only the batch a step propagates (``sym_normalized_adjacency``).
+A layer is the propagation An @ H and one ``linear_prelu`` node, which keeps
+An @ H and W but not their product. On the constant input features An @ X
+is a constant: layer 1 records no propagation, and its backward pass forms
+only the gradients of W and the slope. One or two layers; slopes are learnable scalars initialized at 0.25;
 weights use seeded uniform Glorot initialization.
 """
 
@@ -56,11 +57,21 @@ def init_gcn_params(in_dim: int, out_dim: int, n_layers: int, seed: int) -> GcnP
 
 def sym_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self loops, for
-    one (k, k) adjacency or a (..., k, k) stack of them."""
-    a_hat = np.asarray(adjacency, dtype=np.float64) + np.eye(adjacency.shape[-1])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
-    a_hat *= inv_sqrt[..., :, None]
-    a_hat *= inv_sqrt[..., None, :]
+    one 0/1 (k, k) adjacency, bool or float, or a (..., k, k) stack of them.
+
+    Entry (i, j) is fl(s_i * s_j) with s = 1 / sqrt(deg) where A + I is 1,
+    and +0.0 elsewhere: the outer product of s, masked by A, with s_i^2
+    added on the diagonal (doubled where A has a self loop). Those are the
+    bits of scaling the float A + I by s on both sides, in a third of the
+    time. Degrees and the outer product go through ``einsum``, whose loops
+    beat numpy's reductions and broadcasts over short rows."""
+    adjacency = np.asarray(adjacency, dtype=bool)
+    diagonal = np.arange(adjacency.shape[-1])
+    degree = np.einsum("...ij->...i", adjacency.view(np.uint8), dtype=np.intp)
+    inv_sqrt = 1.0 / np.sqrt(degree + 1.0)
+    a_hat = np.einsum("...i,...j->...ij", inv_sqrt, inv_sqrt)
+    a_hat *= adjacency
+    a_hat[..., diagonal, diagonal] += inv_sqrt * inv_sqrt
     return a_hat
 
 

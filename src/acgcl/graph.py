@@ -24,6 +24,9 @@ A :class:`Graph` is a frozen dataclass checked once, when built;
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -284,28 +287,38 @@ def _parse_splits(raw) -> Splits:
 
 
 def save_dataset(graph: Graph, directory) -> None:
-    """Write a graph in the load format; round-trips bit-exactly."""
+    """Write a graph in the load format; round-trips bit-exactly.
+
+    The files are written into a temporary sibling of ``directory``, then
+    moved into it, and a dataset file the graph has no part for is removed.
+    A write that fails therefore leaves the directory as it was, and no
+    temporary directory; other files in the directory are not touched."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows, cols = np.divmod(graph.adjacency, graph.n_nodes)
-    upper = rows <= cols
-    with (directory / EDGE_FILE).open("w") as fh:
-        for i, j in zip(rows[upper], cols[upper]):
-            fh.write(f"{i} {j}\n")
-    with (directory / FEATURE_FILE).open("w") as fh:
-        for row in graph.features:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    if graph.labels is not None:
-        with (directory / LABEL_FILE).open("w") as fh:
-            for node, label in enumerate(graph.labels):
-                fh.write(f"{node},{int(label)}\n")
-    if graph.splits is not None:
-        payload = {
-            "train": [int(i) for i in graph.splits.train],
-            "val": [int(i) for i in graph.splits.val],
-            "test": [int(i) for i in graph.splits.test],
-        }
-        (directory / SPLIT_FILE).write_text(json.dumps(payload))
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", suffix=".tmp",
+                                    dir=directory.parent))
+    try:
+        rows, cols = np.divmod(graph.adjacency, graph.n_nodes)
+        upper = rows <= cols
+        (staging / EDGE_FILE).write_text(
+            "".join(f"{i} {j}\n" for i, j in zip(rows[upper], cols[upper])))
+        (staging / FEATURE_FILE).write_text(
+            "".join(",".join(repr(float(v)) for v in row) + "\n" for row in graph.features))
+        if graph.labels is not None:
+            (staging / LABEL_FILE).write_text(
+                "".join(f"{node},{int(label)}\n" for node, label in enumerate(graph.labels)))
+        if graph.splits is not None:
+            (staging / SPLIT_FILE).write_text(json.dumps(
+                {name: [int(i) for i in getattr(graph.splits, name)]
+                 for name in ("train", "val", "test")}))
+        directory.mkdir(exist_ok=True)
+        for name in (EDGE_FILE, FEATURE_FILE, LABEL_FILE, SPLIT_FILE):
+            if (staging / name).exists():
+                os.replace(staging / name, directory / name)
+            else:
+                (directory / name).unlink(missing_ok=True)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ inverse cannot reorder nodes that score the same in exact arithmetic. Rows are
 ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
 reachable the index list is padded by repeating the center, so every subgraph
 costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
-``SubgraphSet`` of (n, k) ids and (n, k, k) induced adjacencies, filled
-RANK_BLOCK_ROWS subgraphs at a time into one preallocated array from a table
-of one bit per adjacency entry; its readers gather feature rows by parent id
-from the graph's own matrix. ``extract_subgraph`` gives one ``Subgraph``.
+``SubgraphSet`` of (n, k) ids and (n, k, k) bool induced adjacencies, k^2
+bytes per subgraph, filled RANK_BLOCK_ROWS subgraphs at a time into one
+preallocated array from a table of one bit per adjacency entry; its readers
+gather feature rows by parent id from the graph's own matrix.
+``extract_subgraph`` gives one ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ SCATTER_CHUNK = 256       # sparse entries added per fancy-index add
 @dataclass(frozen=True)
 class Subgraph:
     parent_indices: np.ndarray   # (k,) parent node ids, center first
-    adjacency: np.ndarray        # (k, k) dense 0/1
+    adjacency: np.ndarray        # (k, k) bool
     node_features: np.ndarray    # (n_nodes, dim) the graph's own matrix, shared
 
     @property
@@ -61,9 +62,13 @@ class Subgraph:
 @dataclass(frozen=True)
 class SubgraphSet:
     """n subgraphs of one size k, stacked: subgraph i is row i of the ids and
-    adjacencies. An int index, and iteration, give a ``Subgraph``; a slice, a ``SubgraphSet``."""
+    adjacencies. An int index, and iteration, give a ``Subgraph``; a slice, a ``SubgraphSet``.
+
+    The adjacencies are bool, k^2 bytes per subgraph (400 at k = 20, where
+    float64 took 3200); the encoder normalizes a batch of them when it
+    propagates."""
     parent_indices: np.ndarray   # (n, k) parent node ids, centers first
-    adjacency: np.ndarray        # (n, k, k) dense 0/1
+    adjacency: np.ndarray        # (n, k, k) bool, symmetric
     node_features: np.ndarray    # (n_nodes, dim) the graph's own matrix, shared
 
     def __len__(self) -> int:
@@ -262,7 +267,7 @@ def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
         raise SizeError("indices must be non-empty")
     if indices.min() < 0 or indices.max() >= graph.n_nodes:
         raise NodeIdError(f"subgraph index out of range [0, {graph.n_nodes})")
-    adjacency = _induced(_bit_table(graph), graph.n_nodes, indices).astype(np.float64)
+    adjacency = _induced(_bit_table(graph), graph.n_nodes, indices)
     return Subgraph(parent_indices=indices, adjacency=adjacency, node_features=graph.features)
 
 
@@ -299,7 +304,7 @@ def sample_all_subgraphs(graph: Graph, k: int, teleport: float) -> SubgraphSet:
     indices = top_k_indices(compute_ppr_scores(graph, teleport), k)
     n = graph.n_nodes
     table = _bit_table(graph)
-    adjacency = np.empty((n, k, k))
+    adjacency = np.empty((n, k, k), dtype=bool)
     for start in range(0, n, RANK_BLOCK_ROWS):     # no second (n, k, k) array
         ids = indices[start:start + RANK_BLOCK_ROWS]
         adjacency[start:start + len(ids)] = _induced(table, n, ids)

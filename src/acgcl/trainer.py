@@ -7,8 +7,9 @@ validate-difficulty share. Its distance distribution has a fixed per-run
 seed (the subgraph set never changes, so the distance threshold is a
 deterministic, non-decreasing function of the paced difficulty). Every
 pair's best mirror is searched once per run; each epoch thresholds the
-stored mirrors at its distance, then runs ``inner_steps`` mini-batch
-updates; a step is a function of (epoch, step) and the carried params,
+stored mirrors at its distance into one bool stack of both views, then runs
+``inner_steps`` mini-batch updates, each of which normalizes its batch of
+every view; a step is a function of (epoch, step) and the carried params,
 Adam state and admission window, which step 0 opens and every step widens.
 Patience decrements whenever validation accuracy is not strictly above its
 best so far; it never resets.
@@ -26,7 +27,6 @@ prints.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +47,7 @@ from .losses import (SINKHORN_TOL, balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
 from .sampler import SubgraphSet, sample_all_subgraphs
-from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for
+from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for, write_atomic
 
 CHECKPOINT_VERSION = 1
 # Config keys that older checkpoints echo and TrainConfig no longer has: the
@@ -110,16 +110,18 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # ---------------------------------------------------------------------------
 # Batched encoding helpers
 
-def encoded_views(subgraphs: SubgraphSet) -> np.ndarray:
-    """(n, k, k) normalized adjacencies: with the feature rows gathered by
-    ``subgraphs.parent_indices``, the constant inputs of the forward pass."""
-    return sym_normalized_adjacency(subgraphs.adjacency)
+def encoded_views(subgraphs: SubgraphSet, ids=slice(None)) -> np.ndarray:
+    """(b, k, k) normalized adjacencies of the subgraphs ``ids``, all of them
+    by default: with the feature rows gathered by their parent indices, the
+    constant inputs of the forward pass."""
+    return sym_normalized_adjacency(subgraphs.adjacency[ids])
 
 
-def mirror_views(adjacencies: np.ndarray) -> np.ndarray:
-    """(2, n, k, k) normalized positive and negative adjacencies from
-    ``MirrorSearch.adjacencies``; mirror graphs keep the subgraph features."""
-    return sym_normalized_adjacency(adjacencies)
+def mirror_views(adjacency: np.ndarray, ids=slice(None)) -> np.ndarray:
+    """(b, k, k) normalized adjacencies of the subgraphs ``ids`` of one bool
+    (n, k, k) mirror view of ``MirrorSearch.adjacencies``; mirror graphs
+    keep the subgraph features."""
+    return sym_normalized_adjacency(adjacency[ids])
 
 
 def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.ndarray:
@@ -291,18 +293,22 @@ def _append_record(sink, path, record: dict):
 # Training
 
 def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSet,
-                   views: tuple[np.ndarray, np.ndarray, np.ndarray], epoch: int, step: int,
+                   mirrors: np.ndarray, epoch: int, step: int,
                    config: TrainConfig, window: AclThresholds | None,
                    ) -> tuple[dict, OptimizerState, AclThresholds | None]:
     """Step ``step`` of epoch ``epoch``: one reweighted Adam update on a
     batch of ``min(batch_size, n)`` subgraphs. The batch, the summary shuffle
     and the transport subsample come from ``rng_for(config.seed, role, epoch,
-    step)``; ``views`` are the (n, k, k) normalized adjacencies of the
-    subgraphs and of their positive and negative mirrors. Step 0 opens the
+    step)``; ``mirrors`` is the bool (2, n, k, k) stack of the positive and
+    negative mirror adjacencies (``MirrorSearch.adjacencies``). Each view,
+    the subgraphs' own first, is normalized for the batch alone just before
+    it propagates, so a step holds no float (n, k, k) view. Step 0 opens the
     admission window on its own losses and ignores ``window``. Returns the
     step's ``metrics.jsonl`` fields, from the window it weighed with to the
-    larger Sinkhorn figures of its two balance solves; the Adam state; and
-    the window widened for the next step."""
+    larger Sinkhorn figures of its two balance solves, with
+    ``weighted_loss`` split into its weighted terms, sum(w * l_intra),
+    alpha * balance * mean(w) and beta * sum(w * l_inter); the Adam state;
+    and the window widened for the next step."""
     batch_rng, shuffle_rng, balance_rng = (rng_for(config.seed, role, epoch, step)
                                            for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
     n, k = subgraphs.parent_indices.shape
@@ -310,8 +316,9 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     ids = np.sort(batch_rng.choice(n, size=b, replace=False))
 
     feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
-    h, h_pos, h_neg = (gcn_forward_batched(params, a[ids], feats, centers_only=False)
-                       for a in views)
+    h = gcn_forward_batched(params, encoded_views(subgraphs, ids), feats, centers_only=False)
+    h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view, ids), feats,
+                                        centers_only=False) for view in mirrors)
 
     inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, config.xi, k)
 
@@ -350,10 +357,14 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
         tensor.value = value
 
     hist = weights.histogram()
+    w = weights.values
     return {
         **window_fields(window),
         "mean_sample_loss": float(detached.mean()),
         "weighted_loss": float(total.value),
+        "intra_term": float(w @ intra_vec.value),
+        "balance_term": float(config.alpha * l_bal.value * w.mean()),
+        "inter_term": float(config.beta * (w @ inter_vec.value)),
         "balance_loss": float(l_bal.value),
         "mean_intra": float(intra_vec.value.mean()),
         "mean_inter": float(inter_vec.value.mean()),
@@ -405,7 +416,6 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
         inputs = subgraphs, dist, mirror_search(subgraphs, semantics, config.distance_metric)
     subgraphs, dist, search = inputs
-    a_hat = encoded_views(subgraphs)
     opt = init_optimizer([t.value for t in params.all_parameters()])
 
     sink = None
@@ -415,13 +425,16 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, config)
             gamma = quantile(dist, theta)
-            views = (a_hat, *mirror_views(search.adjacencies(gamma)))
+            mirrors = search.adjacencies(gamma)
             pos_rate, neg_rate = search.match_rates(gamma)
+            pos_rewrite, neg_rewrite = (np.count_nonzero(mirrors != subgraphs.adjacency,
+                                                         axis=(1, 2, 3))
+                                        / subgraphs.adjacency.size)
 
             window, steps = None, []
             for step in range(config.inner_steps):
-                fields, opt, window = run_inner_step(params, opt, subgraphs, views, epoch, step,
-                                                     config, window)
+                fields, opt, window = run_inner_step(params, opt, subgraphs, mirrors, epoch,
+                                                     step, config, window)
                 steps.append(fields)
                 sink = _append_record(sink, metrics_path, {
                     "kind": "step", "epoch": epoch, "step": step, "theta": theta,
@@ -442,6 +455,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
                 "val_accuracy": probe["val"], "probe_grad_norm": probe["grad_norm"],
                 "probe_steps": probe["steps"], "patience_left": patience_left,
                 "pos_match_rate": pos_rate, "neg_match_rate": neg_rate,
+                "pos_rewrite_frac": float(pos_rewrite), "neg_rewrite_frac": float(neg_rewrite),
             })
             sink = _append_record(sink, metrics_path, epochs[-1])
             if patience_left <= 0:
@@ -466,8 +480,9 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
     rows = []
     for theta in theta_grid:
         gamma = quantile(dist, float(theta))
-        h_pos, h_neg = (gcn_forward_batched(params, a_mirror, feats, centers_only=False)
-                        for a_mirror in mirror_views(search.adjacencies(gamma)))
+        h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
+                                            centers_only=False)
+                        for view in search.adjacencies(gamma))
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
         rows.append((float(theta), float(losses.mean()), float(losses.std())))
     return rows
@@ -475,18 +490,6 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
 
 # ---------------------------------------------------------------------------
 # Checkpointing
-
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then move it into place,
-    so a write that fails leaves the previous file whole and no temp file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
 
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
     """JSON of the config and every weight matrix and slope. The params

@@ -1,4 +1,5 @@
-"""Seed fan-out, and numpy's median and quantile without importing numpy.ma.
+"""Seed fan-out, numpy's median and quantile without importing numpy.ma, and
+atomic file writes.
 
 All randomness in a run flows from one integer seed. Components derive their
 own generators with ``rng_for(seed, role, *indices)`` where ``role`` is one of
@@ -7,6 +8,9 @@ Two runs with the same seed therefore draw identical streams everywhere.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -43,3 +47,15 @@ def linear_quantile(values: np.ndarray, q):
     out = np.asarray(part[lower] + diff * gamma)
     np.subtract(part[upper], diff * (1 - gamma), out=out, where=gamma >= 0.5)
     return out
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then move it into place,
+    so a write that fails leaves the previous file whole and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

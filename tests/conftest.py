@@ -14,11 +14,13 @@ from acgcl.graph import Graph
 from acgcl.sampler import SubgraphSet
 
 
-def run_python(*args, timeout=120):
+def run_python(*args, timeout=120, env=None):
     """``python *args`` in a fresh process that imports this checkout's
-    ``acgcl``; returns the completed process, output as text."""
+    ``acgcl``, with ``env`` added to the environment; returns the completed
+    process, output as text."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path, **(env or {})),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -48,6 +50,12 @@ def stack_subgraphs(subgraphs):
     assert all(s.node_features is node_features for s in subgraphs)
     return SubgraphSet(*(np.stack([getattr(s, name) for s in subgraphs])
                          for name in ("parent_indices", "adjacency")), node_features)
+
+
+def packed_pair(k, a, b):
+    """Position of the pair a < b in ``np.triu_indices(k, 1)`` order, the last
+    axis of the ``MirrorSearch`` tables."""
+    return a * k - a * (a + 1) // 2 + b - a - 1
 
 
 def random_graph(rng, n, p=0.15, dim=4, n_classes=3, min_degree_ring=True):

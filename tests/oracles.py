@@ -15,6 +15,10 @@ Two groups share some:
   can be checked too, and ``gcn_forward`` normalizes with
   ``acgcl.encoder.sym_normalized_adjacency``.
 
+``full_table_adjacencies`` thresholds the full (k, k) float tables that
+the ``MirrorSearch`` triangle replaced, and ``scaled_sym_normalized_adjacency``
+scales the float A + I on both sides, the form the package's masked outer
+product replaced.
 ``prelu`` of a ``matmul`` is the two-node GCN layer that the package's
 ``linear_prelu`` replaced, keeping the product between the passes.
 ``row_sq_norm`` of a ``sub`` is the three-node chain that the package's
@@ -227,9 +231,10 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                           metric: str = "euclidean") -> MirrorSearch:
     """The O(k^4) search that ``acgcl.augment.mirror_search`` replaced: one
     (b, c, d) chunk of every sum per first pair element a, minimized in
-    row-major order. Its four tables are the bit-exact reference for the
+    row-major order, into full (k, k) tables that are then packed to the
+    pairs a < b. Its four tables are the bit-exact reference for the
     separable scan."""
-    adjacency = subgraphs.adjacency
+    adjacency = np.asarray(subgraphs.adjacency, dtype=bool)
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
     argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
@@ -257,10 +262,36 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
                 flat = masked.argmin(axis=1)   # first minimum in row-major order
                 best[p, i, a, bs] = best[p, i, bs, a] = masked[rows, flat]
                 argmin[p, i, a, bs] = argmin[p, i, bs, a] = flat
-    edge = np.take_along_axis((adjacency != 0).reshape(1, n, k * k),
-                              argmin.reshape(2, n, k * k), axis=2).reshape(2, n, k, k)
+    upper = np.triu_indices(k, 1)
+    best, argmin = best[..., upper[0], upper[1]], argmin[..., upper[0], upper[1]]
+    edge = np.take_along_axis(adjacency.reshape(1, n, k * k), argmin, axis=2)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
                         pair_counts=pair_counts)
+
+
+def full_table_adjacencies(search: MirrorSearch, gamma) -> np.ndarray:
+    """(2, n, k, k) float mirror adjacencies at gamma, thresholded as when
+    the search kept both triangles of every table: the pair tables spread to
+    symmetric (k, k) ones, where infinite sums sit on the diagonal."""
+    n, k = search.adjacency.shape[:2]
+    a, b = np.triu_indices(k, 1)
+    best, edge = np.full((2, n, k, k), np.inf), np.zeros((2, n, k, k))
+    best[..., a, b] = best[..., b, a] = search.best
+    edge[..., a, b] = edge[..., b, a] = search.edge
+    out = np.where(best < 2.0 * gamma, edge, search.adjacency.astype(np.float64))
+    diagonal = np.arange(k)
+    out[..., diagonal, diagonal] = 0.0
+    return out
+
+
+def scaled_sym_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 of a (..., k, k) stack: the float A + I, scaled
+    by 1 / sqrt(deg) on its rows, then on its columns."""
+    a_hat = np.asarray(adjacency, dtype=np.float64) + np.eye(adjacency.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    a_hat *= inv_sqrt[..., :, None]
+    a_hat *= inv_sqrt[..., None, :]
+    return a_hat
 
 
 def matmul(a, b) -> ad.Tensor:

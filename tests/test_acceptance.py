@@ -22,7 +22,7 @@ from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
 from acgcl.trainer import (curriculum_inputs, difficulty_curve, evaluate_probe, probe_accuracy,
                            train)
-from conftest import random_graph
+from conftest import random_graph, run_python
 from oracles import (acl_oracle_weights, directional_grad_check, exact_w1_1d,
                      power_iteration_ppr, probe_baselines, spearman)
 
@@ -315,3 +315,25 @@ def test_criterion_10_determinism():
     identical = [r["mean_loss"] for r in first] == [r["mean_loss"] for r in second]
     report("10 determinism", identical,
            f"loss columns equal over {len(first)} epochs: {identical}")
+
+
+def test_criterion_10_determinism_across_processes(tmp_path):
+    """A second ``train`` in a separate process, at one BLAS thread, writes
+    byte for byte the same checkpoint, metrics and report."""
+    data, config = tmp_path / "data", tmp_path / "run.cfg"
+    done = run_python("-m", "acgcl.cli", "gen-sbm", "--blocks", "30,30", "--p-intra", "0.25",
+                      "--p-inter", "0.02", "--feature-dim", "4", "--seed", "1", "--out", str(data))
+    assert done.returncode == 0, done.stderr
+    config.write_text(f"data_dir = {data}\nsubgraph_size = 5\nembedding_dim = 8\n"
+                      "batch_size = 20\n")
+    files = ("checkpoint.json", "metrics.jsonl", "report.csv")
+    outputs = []
+    for run in ("run", "rerun"):
+        done = run_python("-m", "acgcl.cli", "train", "--config", str(config), "--set", "epochs=1",
+                          "--set", "inner_steps=2", "--out", str(tmp_path / run),
+                          env={"OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 0, done.stderr
+        outputs.append([(tmp_path / run / name).read_bytes() for name in files])
+    identical = outputs[0] == outputs[1]
+    report("10 determinism across processes", identical,
+           f"{', '.join(files)} byte-identical in a second process: {identical}")

@@ -10,7 +10,7 @@ from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirro
 from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
-from conftest import graph_from_edges, random_graph, stack_subgraphs
+from conftest import graph_from_edges, packed_pair, random_graph, stack_subgraphs
 from oracles import (Replacement, chunked_mirror_search, dense_adjacency,
                      exhaustive_mirror_pair, find_mirror_pair, pair_distance,
                      per_pair_mirror_augment, per_subgraph_distance_distribution)
@@ -433,19 +433,21 @@ class TestMirrorSearch:
                                                (20, np.uint16)])
     def test_table_dtypes(self, rng, k, index_type):
         """``best`` float64, ``edge`` bool and ``argmin`` the smallest type
-        that holds k * k - 1; edge agrees with the source adjacency."""
+        that holds k * k - 1, each (2, n, k (k - 1) / 2); edge agrees with
+        the source adjacency."""
         g = random_graph(rng, n=2 * k, p=0.3)
         subs = sample_all_subgraphs(g, k, 0.15)
         search = mirror_search(subs, semantic_assignment(g), "euclidean")
+        n = len(subs)
+        for table in (search.best, search.argmin, search.edge):
+            assert table.shape == (2, n, k * (k - 1) // 2)
         assert search.best.dtype == np.float64
         assert search.edge.dtype == np.bool_
         assert search.argmin.dtype == index_type
         assert search.argmin.max() <= k * k - 1
-        n = len(subs)
         flat = subs.adjacency.reshape(1, n, k * k)
         assert np.array_equal(search.edge, np.take_along_axis(
-            flat, search.argmin.reshape(2, n, k * k).astype(np.int64), axis=2
-        ).reshape(2, n, k, k) == 1.0)
+            flat, search.argmin.astype(np.int64), axis=2))
 
 
 class TestOneSubgraphSearch:
@@ -502,8 +504,8 @@ class TestSeparableScan:
         sem = semantics_of([0] * 5)
         search = mirror_search(stack_subgraphs([sub]), sem, "manhattan")
         assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem, "manhattan"))
-        assert search.best[0, 0, 2, 3] == 4.0
-        assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (0, 4)
+        assert search.best[0, 0, packed_pair(5, 2, 3)] == 4.0
+        assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (0, 4)
 
     def test_rounding_tie_takes_first_partner_in_the_row(self):
         # The same tie on the partner's side: D[b, 0] = 1 + 2^-52, D[b, 1] = 1
@@ -512,4 +514,4 @@ class TestSeparableScan:
         sem = semantics_of([0] * 5)
         search = mirror_search(stack_subgraphs([sub]), sem, "manhattan")
         assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem, "manhattan"))
-        assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (4, 0)
+        assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (4, 0)

@@ -12,7 +12,7 @@ from acgcl.errors import ConfigError, SizeError
 from acgcl.sampler import sample_all_subgraphs
 from acgcl.trainer import encoded_views, load_checkpoint, mirror_views, save_checkpoint
 from conftest import graph_from_edges, random_graph
-from oracles import gcn_forward
+from oracles import gcn_forward, scaled_sym_normalized_adjacency
 
 
 def identity_params(dim):
@@ -27,12 +27,6 @@ def forward_one(params, adjacency, features):
 
 
 class TestSymNormalizedAdjacency:
-    @staticmethod
-    def per_block(adjacency):
-        a_hat = adjacency + np.eye(adjacency.shape[0])
-        inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-        return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-
     def test_stack_matches_per_block(self, rng):
         padded = graph_from_edges(9, [(0, 1), (1, 2), (3, 4)])   # nodes 5-8 isolated
         for graph, k in ((random_graph(rng, n=40), 1), (random_graph(rng, n=40), 6),
@@ -44,10 +38,52 @@ class TestSymNormalizedAdjacency:
             stacked = sym_normalized_adjacency(stack)
             for block, adjacency in zip(stacked, stack):
                 assert np.array_equal(block, sym_normalized_adjacency(adjacency))
-                assert np.array_equal(block, self.per_block(adjacency))
+                assert np.array_equal(block, scaled_sym_normalized_adjacency(adjacency))
             pair = sym_normalized_adjacency(np.stack([stack, stack[::-1]]))
             assert np.array_equal(pair[0], stacked)
             assert np.array_equal(pair[1], stacked[::-1])
+
+
+class TestBatchNormalization:
+    """A step normalizes only its batch's adjacencies: the bits of
+    normalizing every subgraph first and gathering the batch after, and of
+    scaling the float A + I on both sides."""
+
+    @staticmethod
+    def stacks(rng):
+        for n, k in ((6, 1), (9, 2), (12, 7), (5, 20)):
+            for p in (0.0, 0.3, 0.8):
+                adjacency = np.triu(rng.random((n, k, k)) < p, 1)
+                adjacency |= adjacency.transpose(0, 2, 1)
+                adjacency[0] = False                             # isolated slots
+                if k > 1:
+                    adjacency[1, 0, 0] = adjacency[1, 1, 1] = True   # self loops
+                yield adjacency
+
+    def test_batch_equals_gathering_the_whole_stack(self, rng):
+        for adjacency in self.stacks(rng):
+            n = len(adjacency)
+            whole = sym_normalized_adjacency(adjacency)
+            assert np.array_equal(whole.view(np.uint64),
+                                  scaled_sym_normalized_adjacency(adjacency).view(np.uint64))
+            assert np.array_equal(whole.view(np.uint64),
+                                  sym_normalized_adjacency(adjacency.astype(float)).view(np.uint64))
+            for ids in (np.sort(rng.choice(n, size=n // 2, replace=False)), np.arange(n)):
+                batch = sym_normalized_adjacency(adjacency[ids])
+                assert batch.dtype == np.float64
+                assert np.array_equal(batch.view(np.uint64), whole[ids].view(np.uint64))
+
+    def test_views_of_a_batch(self, rng):
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
+        assert subs.adjacency.dtype == np.bool_
+        sem = SemanticAssignment(values=rng.integers(0, 2, size=20))
+        mirrors = mirror_search(subs, sem, "euclidean").adjacencies(0.8)
+        whole = [encoded_views(subs), *(mirror_views(view) for view in mirrors)]
+        for ids in (np.array([0, 3, 4, 11, 19]), np.arange(20)):
+            batch = [encoded_views(subs, ids), *(mirror_views(view, ids) for view in mirrors)]
+            for got, want in zip(batch, whole):
+                assert np.array_equal(got.view(np.uint64), want[ids].view(np.uint64))
 
 
 class TestGcnForward:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -193,6 +195,39 @@ class TestRoundTrip:
         assert np.array_equal(g.labels, back.labels)
         assert np.array_equal(g.splits.train, back.splits.train)
         assert np.array_equal(g.splits.test, back.splits.test)
+
+
+    def test_failed_write_keeps_the_older_dataset(self, tmp_path, monkeypatch, capsys):
+        """gen-sbm writes every file of a dataset before it moves any into
+        place: a write that fails exits 1, the older dataset in ``--out``
+        still loads as it was, and no temporary directory is left."""
+        out = tmp_path / "data"
+        argv = ["gen-sbm", "--p-intra", "0.3", "--p-inter", "0.02", "--out", str(out)]
+        assert main([*argv, "--blocks", "30,30"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def full_disk(self, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "write_text", full_disk)
+            assert main([*argv, "--blocks", "20,20"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("OSError: ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert load_dataset(out).n_nodes == 60
+        assert [path.name for path in tmp_path.iterdir()] == ["data"]
+
+    def test_saving_drops_the_parts_a_graph_lacks(self, tmp_path):
+        g = generate_sbm(SbmConfig(block_sizes=(6, 6), p_intra=0.6, p_inter=0.1,
+                                   feature_dim=2), seed=1)
+        save_dataset(with_splits(g, make_splits(g, seed=1, train_frac=0.3, val_frac=0.2)),
+                     tmp_path)
+        (tmp_path / "notes.txt").write_text("kept")
+        save_dataset(Graph(g.features, g.adjacency), tmp_path)
+        back = load_dataset(tmp_path)
+        assert back.labels is None and back.splits is None
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "edges.txt", "features.csv", "notes.txt"]
 
 
 class TestGenerateSbm:

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import augment
-from acgcl.augment import SemanticAssignment, mirror_search
+from acgcl.augment import SemanticAssignment, mirror_search, pairwise_distances
 from acgcl.graph import SbmConfig, generate_sbm
 from acgcl.sampler import Subgraph, sample_all_subgraphs
-from conftest import stack_subgraphs
-from oracles import chunked_mirror_search
+from conftest import packed_pair, stack_subgraphs
+from oracles import chunked_mirror_search, find_mirror_pair, full_table_adjacencies
 
 TABLES = ("adjacency", "best", "argmin", "edge", "pair_counts")
 
@@ -98,6 +98,54 @@ class TestAgainstChunkedSearch:
                                chunked_mirror_search(subs, sem, metric))
 
 
+STACKS = st.tuples(st.integers(0, 2 ** 31 - 1), st.sampled_from(augment.METRICS),
+                   st.integers(2, 9), st.sampled_from(["continuous", "duplicated", "integer"]),
+                   st.sampled_from(["one", "distinct", "few"]), st.booleans())
+
+
+class TestPackedTables:
+    """The tables keep the pairs a < b alone, in ``np.triu_indices`` order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(STACKS)
+    def test_every_pair_matches_the_brute_force_search(self, case):
+        seed, metric, k, features, labels, padded = case
+        subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
+        search = mirror_search(subs, sem, metric)
+        pairs = list(zip(*np.triu_indices(k, 1)))
+        for table in (search.best, search.argmin, search.edge):
+            assert table.shape == (2, len(subs), len(pairs))
+        for i, sub in enumerate(subs):
+            dmat = pairwise_distances(sub.node_features[sub.parent_indices], metric)
+            for q, (a, b) in enumerate(pairs):
+                assert q == packed_pair(k, a, b)
+                for p, polarity in enumerate(("positive", "negative")):
+                    mirror = None
+                    if sub.parent_indices[a] != sub.parent_indices[b]:
+                        mirror = find_mirror_pair(sub, (a, b), np.inf, sem, metric, polarity, dmat)
+                    if mirror is None:
+                        assert search.best[p, i, q] == np.inf and search.argmin[p, i, q] == 0
+                        continue
+                    c, d = mirror
+                    assert search.best[p, i, q] == dmat[c, a] + dmat[d, b]
+                    assert search.argmin[p, i, q] == c * k + d
+                    assert search.edge[p, i, q] == sub.adjacency[c, d]
+
+    @settings(max_examples=40, deadline=None)
+    @given(STACKS)
+    def test_adjacencies_equal_thresholding_the_full_tables(self, case):
+        seed, metric, k, features, labels, padded = case
+        subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
+        search = mirror_search(subs, sem, metric)
+        sums = search.best[np.isfinite(search.best)]
+        for gamma in (0.0, *(sums / 2.0)[:3], *(np.nextafter(sums / 2.0, np.inf))[:3], np.inf):
+            got = search.adjacencies(gamma)
+            assert got.dtype == np.bool_ and got.shape == (2, len(subs), k, k)
+            assert np.array_equal(got, got.transpose(0, 1, 3, 2))
+            assert not got.diagonal(axis1=2, axis2=3).any()
+            assert np.array_equal(got, full_table_adjacencies(search, gamma))
+
+
 class TestRouting:
     """Which rows the lists settle, and which go to the exact scan."""
 
@@ -129,7 +177,7 @@ class TestRouting:
         sem = SemanticAssignment(values=np.zeros(5, dtype=np.int64))
         search = mirror_search(subs, sem, "manhattan")
         assert sum(scanned_rows) > 0
-        assert divmod(int(search.argmin[0, 0, 2, 3]), 5) == (0, 4)
+        assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (0, 4)
         assert_same_tables(search, chunked_mirror_search(subs, sem, "manhattan"))
 
     @pytest.mark.parametrize("metric", augment.METRICS)

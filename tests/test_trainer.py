@@ -19,7 +19,7 @@ from acgcl.losses import balance_loss, inter_graph_losses_grouped
 from acgcl import trainer
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
-                           fit_probe, init_optimizer, load_checkpoint, mirror_views,
+                           fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
 from oracles import gradient_descent_probe, per_pair_mirror_augment
 
@@ -274,6 +274,40 @@ class TestTrainLoop:
             assert record["pos_match_rate"] == sum(len(s.pos_replacements) for s in stats) / pairs
             assert record["neg_match_rate"] == sum(len(s.neg_replacements) for s in stats) / pairs
 
+    def test_epoch_rewrite_fractions_count_oracle_entries(self, tmp_path):
+        """``pos_rewrite_frac`` and ``neg_rewrite_frac`` are the share of all
+        n * k * k adjacency entries that each mirror view changes."""
+        g = small_graph(seed=1)
+        cfg = small_config(seed=1, epochs=3, theta0=40.0)
+        path = tmp_path / "metrics.jsonl"
+        train(g, cfg, metrics_path=path)
+        subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
+        sem = semantic_assignment(g, cfg.semantics)
+        epochs = [r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "epoch"]
+        for record in epochs:
+            mirrors = [per_pair_mirror_augment(s, record["gamma"], sem) for s in subs]
+            for key, side in (("pos_rewrite_frac", "positive_adjacency"),
+                              ("neg_rewrite_frac", "negative_adjacency")):
+                rewritten = sum(np.count_nonzero(getattr(m, side) != s.adjacency)
+                                for m, s in zip(mirrors, subs))
+                assert record[key] == rewritten / subs.adjacency.size
+        assert any(r["pos_rewrite_frac"] > 0 for r in epochs)
+        assert any(r["neg_rewrite_frac"] > 0 for r in epochs)
+
+    @pytest.mark.parametrize("acl_mode", ["soft_acl", "hard_acl", "uniform"])
+    def test_step_terms_sum_to_the_weighted_loss(self, tmp_path, acl_mode):
+        """``intra_term``, ``balance_term`` and ``inter_term`` are the
+        weighted loss's three terms: they sum to ``weighted_loss``."""
+        path = tmp_path / "metrics.jsonl"
+        train(small_graph(seed=5), small_config(seed=5, acl_mode=acl_mode, alpha=0.7, beta=1.3),
+              metrics_path=path)
+        steps = [r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "step"]
+        assert len(steps) == 9
+        for record in steps:
+            total = record["intra_term"] + record["balance_term"] + record["inter_term"]
+            assert abs(total - record["weighted_loss"]) <= 1e-12 * abs(record["weighted_loss"])
+            assert min(record["intra_term"], record["balance_term"], record["inter_term"]) >= 0
+
     def test_metrics_jsonl_schema(self, tmp_path):
         g = small_graph()
         path = tmp_path / "metrics.jsonl"
@@ -285,10 +319,11 @@ class TestTrainLoop:
         for key in ("epoch", "step", "theta", "gamma", "mean_sample_loss", "weighted_loss",
                     "balance_loss", "active_fraction", "weight_zero_frac",
                     "weight_fractional_frac", "weight_one_frac", "sinkhorn_iters",
-                    "sinkhorn_marginal_err"):
+                    "sinkhorn_marginal_err", "intra_term", "balance_term", "inter_term"):
             assert key in step
         epoch = next(r for r in records if r["kind"] == "epoch")
-        for key in ("epoch", "theta", "gamma", "mean_loss", "val_accuracy", "patience_left"):
+        for key in ("epoch", "theta", "gamma", "mean_loss", "val_accuracy", "patience_left",
+                    "pos_rewrite_frac", "neg_rewrite_frac"):
             assert key in epoch
 
     def test_step_records_report_sinkhorn_convergence(self, tmp_path, monkeypatch):
@@ -339,11 +374,10 @@ class TestTrainLoop:
         sem = semantic_assignment(g, "label")
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 0)
         params.weights[0].value = np.full_like(params.weights[0].value, np.nan)
-        views = encoded_views(subs)
-        pos, neg = mirror_views(mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.5))
+        mirrors = mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.5)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         with pytest.raises(TrainingDiverged, match="batch"):
-            run_inner_step(params, opt, subs, (views, pos, neg), 0, 0, cfg, None)
+            run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
 
     def test_steps_replay_a_train_run(self, tmp_path):
         """A step is a function of (epoch, step) and the carried params, Adam
@@ -360,12 +394,12 @@ class TestTrainLoop:
         subs, sem, dist = curriculum_inputs(g, cfg)
         gamma = quantile(dist, pacing_difficulty(0, cfg))
         search = mirror_search(subs, sem, cfg.distance_metric)
-        views = (encoded_views(subs), *mirror_views(search.adjacencies(gamma)))
+        mirrors = search.adjacencies(gamma)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         window = AclThresholds(lambda1=1e9, lambda2=1e-9)    # step 0 ignores it
         for step, record in enumerate(records):
-            fields, opt, window = run_inner_step(params, opt, subs, views, 0, step, cfg, window)
+            fields, opt, window = run_inner_step(params, opt, subs, mirrors, 0, step, cfg, window)
             assert {"kind": "step", "epoch": 0, "step": step, "theta": record["theta"],
                     "gamma": gamma, **fields} == record
         for replayed, reference in zip(params.all_parameters(), trained.all_parameters()):
@@ -385,12 +419,12 @@ class TestStepMemory:
         cfg = small_config(seed=3, subgraph_size=20, embedding_dim=64, batch_size=64)
         subs, sem, dist = curriculum_inputs(g, cfg)
         search = mirror_search(subs, sem, cfg.distance_metric)
-        views = (encoded_views(subs), *mirror_views(search.adjacencies(quantile(dist, 30.0))))
+        mirrors = search.adjacencies(quantile(dist, 30.0))
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         tracemalloc.start()
         try:
-            run_inner_step(params, opt, subs, views, 0, 0, cfg, None)
+            run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -403,12 +437,10 @@ class TestDegeneratePipeline:
         cfg = small_config(seed=2, acl_mode="uniform", xi=1.0, alpha=1.0)
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         sem = semantic_assignment(g, "label")
-        views = encoded_views(subs)
         identity = mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.0)
-        pos, neg = mirror_views(identity)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
-        result, _, _ = run_inner_step(params, opt, subs, (views, pos, neg), 0, 0, cfg, None)
+        result, _, _ = run_inner_step(params, opt, subs, identity, 0, 0, cfg, None)
         # identical mirrors: inter-graph loss is exactly the margin per sample
         assert result["mean_inter"] == pytest.approx(cfg.xi, abs=1e-12)
         assert result["balance_loss"] < 0.25   # transport between identical sets: bias only
