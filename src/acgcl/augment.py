@@ -163,6 +163,11 @@ class MirrorSearch:
     edge: np.ndarray           # (2, n, k (k - 1) / 2) bool
     pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
 
+    def __getitem__(self, rows: slice) -> MirrorSearch:
+        """The search of the subgraphs ``rows``, as views of these tables."""
+        return MirrorSearch(self.adjacency[rows], self.best[:, rows], self.argmin[:, rows],
+                            self.edge[:, rows], self.pair_counts[rows])
+
     def adjacencies(self, gamma: float) -> np.ndarray:
         """(2, n, k, k) bool: positive then negative mirror adjacencies at
         gamma, symmetric with a zero diagonal."""

@@ -472,20 +472,28 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
 def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
                      dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """Mean and std of the per-subgraph inter-graph loss at each difficulty;
-    ``search`` is the ``mirror_search`` of ``subgraphs``."""
-    a_hat = encoded_views(subgraphs)
-    n, k = a_hat.shape[:2]
-    feats = subgraphs.node_features[subgraphs.parent_indices].reshape(n * k, -1)
-    h = gcn_forward_batched(params, a_hat, feats, centers_only=False)
-    rows = []
-    for theta in theta_grid:
-        gamma = quantile(dist, float(theta))
-        h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
-                                            centers_only=False)
-                        for view in search.adjacencies(gamma))
-        losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
-        rows.append((float(theta), float(losses.mean()), float(losses.std())))
-    return rows
+    ``search`` is the ``mirror_search`` of ``subgraphs``.
+
+    Subgraphs are encoded EMBED_BLOCK at a time, as in
+    ``compute_center_embeddings``: a block's own view is encoded once for
+    the whole grid, and only its per-subgraph losses outlive the block.
+    """
+    gammas = [quantile(dist, float(theta)) for theta in theta_grid]
+    losses = np.empty((len(gammas), len(subgraphs)))
+    k = subgraphs.adjacency.shape[-1]
+    for start in range(0, len(subgraphs), EMBED_BLOCK):
+        rows = slice(start, start + EMBED_BLOCK)
+        block = subgraphs[rows]
+        feats = block.node_features[block.parent_indices.ravel()]
+        h = gcn_forward_batched(params, encoded_views(block), feats, centers_only=False)
+        mirrors = search[rows]
+        for out, gamma in zip(losses, gammas):
+            h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
+                                                centers_only=False)
+                            for view in mirrors.adjacencies(gamma))
+            out[rows] = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
+    return [(float(theta), float(out.mean()), float(out.std()))
+            for theta, out in zip(theta_grid, losses)]
 
 
 # ---------------------------------------------------------------------------

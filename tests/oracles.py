@@ -41,6 +41,9 @@ that the package's Newton-CG ``fit_probe`` replaced. ``read_features_by_line``
 is the line-by-line ``features.csv`` reader that the package's one-call parse
 replaced, and which it keeps as its fallback. ``probe_baselines`` gives the
 two probe accuracies a trained encoder is compared with.
+``one_pass_difficulty_curve`` encodes every subgraph and both mirror views
+in one forward pass each, the form the package's blocked
+``difficulty_curve`` replaced.
 """
 
 from __future__ import annotations
@@ -52,13 +55,15 @@ import numpy as np
 
 from acgcl import autodiff as ad
 from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
-                           distance, pairwise_distances)
-from acgcl.encoder import GcnParams, init_gcn_params, sym_normalized_adjacency
+                           distance, pairwise_distances, quantile)
+from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
+                           sym_normalized_adjacency)
 from acgcl.errors import (ConfigError, EmptyDistributionError, GraphParseError, ShapeError,
                           SizeError)
-from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats
+from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
 from acgcl.sampler import Subgraph, SubgraphSet
-from acgcl.trainer import evaluate_probe, probe_accuracy, probe_splits
+from acgcl.trainer import (encoded_views, evaluate_probe, mirror_views, probe_accuracy,
+                           probe_splits)
 
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polarity):
@@ -759,3 +764,21 @@ def probe_baselines(graph, subgraphs: SubgraphSet, config) -> dict[str, float]:
         "subgraph_mean": evaluate_probe(mean, graph.labels, probe_splits(graph, config),
                                         config.probe_l2)["test"],
     }
+
+
+def one_pass_difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
+                              dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
+    """``trainer.difficulty_curve`` with all n subgraphs in each forward pass."""
+    a_hat = encoded_views(subgraphs)
+    n, k = a_hat.shape[:2]
+    feats = subgraphs.node_features[subgraphs.parent_indices].reshape(n * k, -1)
+    h = gcn_forward_batched(params, a_hat, feats, centers_only=False)
+    rows = []
+    for theta in theta_grid:
+        gamma = quantile(dist, float(theta))
+        h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
+                                            centers_only=False)
+                        for view in search.adjacencies(gamma))
+        losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
+        rows.append((float(theta), float(losses.mean()), float(losses.std())))
+    return rows

@@ -1,0 +1,106 @@
+"""Whole commands on small ``gen-sbm`` graphs: inputs that differ only in
+their layout give the same output, ``evaluate`` prints a converged probe,
+a removed option is a usage error, and the subgraph ids do not depend on
+the number of BLAS threads."""
+
+import contextlib
+import io
+import shutil
+
+import pytest
+
+from acgcl.cli import main
+from acgcl.sampler import INVERSE_LEAF
+from acgcl.trainer import PROBE_TOL
+from conftest import run_python
+
+GEN_SBM = ["gen-sbm", "--blocks", "30,30", "--p-intra", "0.25", "--p-inter", "0.02",
+           "--feature-dim", "4", "--seed", "1"]
+
+
+def run_cli(argv):
+    """(exit code, stdout text) of an in-process ``acgcl`` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def evaluated(tmp_path_factory):
+    """A 60-node dataset, the checkpoint of a one-epoch ``train`` on it, and
+    what ``evaluate`` prints for the two."""
+    root = tmp_path_factory.mktemp("run")
+    data, checkpoint = root / "data", root / "run" / "checkpoint.json"
+    assert run_cli([*GEN_SBM, "--out", str(data)])[0] == 0
+    config = root / "run.cfg"
+    config.write_text(f"data_dir = {data}\nsubgraph_size = 5\nembedding_dim = 8\n"
+                      "batch_size = 20\n")
+    assert run_cli(["train", "--config", str(config), "--set", "epochs=1",
+                    "--set", "inner_steps=2", "--out", str(root / "run")])[0] == 0
+    code, printed = run_cli(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data)])
+    assert code == 0
+    return data, checkpoint, printed
+
+
+def test_crlf_comment_and_blank_feature_lines_evaluate_the_same(tmp_path, evaluated):
+    """A ``features.csv`` with CRLF endings, a comment line and a
+    whitespace-only line, which the one-call parse rejects, loads through the
+    line loop and evaluates to the same printed lines."""
+    data, checkpoint, printed = evaluated
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    rows = (data / "features.csv").read_text().splitlines()
+    lines = ["# comment", rows[0], "   ", *rows[1:]]
+    (copy / "features.csv").write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert run_cli(["evaluate", "--checkpoint", str(checkpoint), "--data", str(copy)]) == \
+        (0, printed)
+
+
+def test_evaluate_prints_a_probe_gradient_norm_within_tolerance(evaluated):
+    printed = dict(line.split("=", 1) for line in evaluated[2].splitlines())
+    assert float(printed["probe_grad_norm"]) <= PROBE_TOL
+
+
+def test_gen_sbm_center_scale_is_a_usage_error(tmp_path, capsys):
+    """``--center-scale`` is no ``gen-sbm`` option: the command exits 2 and
+    writes nothing."""
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as info:
+        main([*GEN_SBM, "--center-scale", "2", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --center-scale 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SAVE_SUBGRAPH_IDS = """
+import sys
+import numpy as np
+from acgcl.graph import load_dataset
+from acgcl.sampler import sample_all_subgraphs
+np.save(sys.argv[2], sample_all_subgraphs(load_dataset(sys.argv[1]), 20, 0.15).parent_indices)
+"""
+
+
+def test_subgraph_ids_do_not_depend_on_blas_threads(tmp_path):
+    """On a 600-node graph PageRank takes the recursive block inverse (a
+    60-node graph is one leaf inverse); its subgraph ids, sampled in a fresh
+    process at 1 and at 2 OpenBLAS threads, are the same bytes.
+
+    The scores differ in their last bits between the two thread counts. At
+    this density 38 of the 600 rows hold reachable nodes whose scores tie in
+    their top 20 (twins such as two leaves on one node), so the ids also
+    depend on the tie-break; at p-intra 0.03 no row does."""
+    data = tmp_path / "data"
+    assert run_cli(["gen-sbm", "--blocks", "200,200,200", "--p-intra", "0.015",
+                    "--p-inter", "0.002", "--feature-dim", "4", "--seed", "1",
+                    "--out", str(data)])[0] == 0
+    assert INVERSE_LEAF < 600
+    saved = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"ids{threads}.npy"
+        done = run_python("-c", SAVE_SUBGRAPH_IDS, str(data), str(path),
+                          env={"OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]

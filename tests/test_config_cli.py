@@ -443,11 +443,15 @@ class TestRetiredConfigKeys:
     @pytest.mark.parametrize("key", ["probe_iters", "probe_lr", "improvement_tol",
                                      "normalize_weighted_loss", "sinkhorn_tol",
                                      "dis_sample_budget"])
-    def test_config_file_and_set_reject_them(self, tmp_path, key):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = 1\n")
-        with pytest.raises(ConfigError, match=f"unknown config key: '{key}'$"):
-            parse_config(path)
+    def test_config_file_and_set_reject_them(self, tmp_path, key, config_file, capsys):
+        """``train`` exits 1 with one line naming the file and the key's line."""
+        path = tmp_path / "retired.cfg"
+        path.write_text(f"{config_file.read_text()}{key} = 1\n")
+        line = len(path.read_text().splitlines())
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == \
+            f"ConfigError: {path}:{line}: unknown config key: '{key}'\n"
+        assert not (tmp_path / "run").exists()
         with pytest.raises(ConfigError, match=f"unknown config key: '{key}'$"):
             parse_config(overrides=[f"{key}=1"])
         assert key not in TrainConfig().to_dict()
@@ -636,10 +640,11 @@ class TestMalformedSplits:
         (lambda raw: raw["test"].append(999), "out-of-range"),     # 60-node graph
         (lambda raw: raw["train"].append(1.5), "integer"),
         (lambda raw: raw["test"].append(raw["train"][0]), "overlaps"),
+        (lambda raw: raw["val"].append(raw["train"][0]), "overlaps"),
         (lambda raw: "truncated", "line 1"),
         (lambda raw: raw["test"].extend(raw["test"][:5]), "split 'test' lists node"),
     ], ids=["missing-val", "id-out-of-range", "non-integer-id", "train-id-in-test",
-            "truncated-json", "repeated-test-ids"])
+            "train-id-in-val", "truncated-json", "repeated-test-ids"])
     def test_evaluate_fails_with_one_line(self, tmp_path, config_file, dataset_dir,
                                           capsys, corrupt, reason):
         out = tmp_path / "ckpt"
@@ -657,8 +662,8 @@ class TestMalformedSplits:
                      "--data", str(dataset_dir)])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert len(err) == 1 and re.match(r"\w+Error: \S", err[0]), err
-        assert "splits.json" in err[0] and reason in err[0]
+        assert len(err) == 1 and err[0].startswith(f"GraphParseError: {path}: "), err
+        assert reason in err[0]
 
 
 class TestEmptyProbeSplit:

@@ -260,9 +260,11 @@ def sizes_fit(files):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cases())
-# an edge endpoint past the last node, a byte that is not UTF-8, JSON nested
-# too deep, a checkpoint slope (token 94) too large for a float, NUL in data_dir
+# an edge endpoint past the last node (to both commands), a byte that is not
+# UTF-8, JSON nested too deep, a checkpoint slope (token 94) too large for a
+# float, NUL in data_dir
 @example(case=("train", [("edges.txt", "append", 0, 0, b"0 9999\n")]))
+@example(case=("evaluate", [("edges.txt", "append", 0, 0, b"0 9999\n")]))
 @example(case=("evaluate", [("labels.csv", "byte-set", 5, 0, b"\xff")]))
 @example(case=("evaluate", [("splits.json", "token", 0, 0, b"[" * 100_000)]))
 @example(case=("evaluate", [(CHECKPOINT_FILE, "token", 94, 0, b"9" * 400)]))

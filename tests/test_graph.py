@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from acgcl import graph as graph_module
 from acgcl.cli import main
-from acgcl.errors import ConfigError, GraphParseError, ShapeError
+from acgcl.errors import ConfigError, GraphParseError, NodeIdError, ShapeError
 from acgcl.graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
                          make_splits, save_dataset, with_splits)
 from oracles import dense_adjacency, read_features_by_line
@@ -62,8 +63,9 @@ class TestLoadGraph:
         assert np.array_equal(g.labels, [1, 0])
 
     def test_edge_endpoint_out_of_range(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "0 5\n", "1\n2\n")
-        with pytest.raises(IndexError, match="5"):
+        e, f, _ = write_dataset(tmp_path, "0 1\n0 5\n", "1\n2\n")
+        with pytest.raises(NodeIdError,
+                           match=rf"^{re.escape(str(e))}:2: edge endpoint 5 >= 2 nodes$"):
             load_graph(e, f)
 
     def test_ragged_feature_rows_rejected(self, tmp_path):

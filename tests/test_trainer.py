@@ -21,7 +21,7 @@ from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
                            fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
-from oracles import gradient_descent_probe, per_pair_mirror_augment
+from oracles import gradient_descent_probe, one_pass_difficulty_curve, per_pair_mirror_augment
 
 
 def small_graph(seed=0, n_per_block=25, p_intra=0.25, p_inter=0.02, noise=0.5):
@@ -467,6 +467,17 @@ class TestDifficultyCurve:
                 feats, centers_only=False) for side in ("positive_adjacency", "negative_adjacency"))
             losses = inter_graph_losses_grouped(h, h_pos, h_neg, 0.5, 6).value
             assert (got_theta, mean, std) == (theta, float(losses.mean()), float(losses.std()))
+
+    def test_blocks_match_one_pass(self):
+        g = small_graph(seed=3, n_per_block=150)    # 300 subgraphs: two full blocks and a partial
+        subs = sample_all_subgraphs(g, 6, 0.15)
+        assert len(subs) > 2 * trainer.EMBED_BLOCK and len(subs) % trainer.EMBED_BLOCK
+        search = mirror_search(subs, semantic_assignment(g, "label"), "euclidean")
+        dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
+        params = init_gcn_params(g.feature_dim, 8, 2, 3)
+        grid = [0.0, 10.0, 30.0, 100.0]
+        assert difficulty_curve(params, subs, search, dist, grid, 0.5) == \
+            one_pass_difficulty_curve(params, subs, search, dist, grid, 0.5)
 
 
 class TestCenterEmbeddings:
