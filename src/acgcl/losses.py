@@ -77,6 +77,7 @@ class SinkhornStats:
     """How one transport solve ended."""
     iters: int              # scaling iterations run
     marginal_err: float     # l1 row-marginal violation of the returned plan
+    converged: bool         # marginal_err < tol; never at tol 0
 
 
 def sinkhorn_w1(points_a, points_b, reg: float | None, max_iters: int, tol: float,
@@ -104,8 +105,8 @@ def sinkhorn_w1(points_a, points_b, reg: float | None, max_iters: int, tol: floa
         a, b = b, a
     cost = ad.pairwise_euclidean(a, b)
     peak = cost.value.max()
-    if peak == 0.0:
-        out, info = ad.scale(ad.sum_all(cost), 0.0), SinkhornStats(0, 0.0)   # identical multisets
+    if peak == 0.0:     # identical multisets
+        out, info = ad.scale(ad.sum_all(cost), 0.0), SinkhornStats(0, 0.0, tol > 0)
     else:
         reg = _resolve_reg(cost.value, reg)
         if peak / reg > KERNEL_MAX_RATIO:
@@ -131,8 +132,16 @@ def _canonical_order_swapped(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 # A training solve stops once its l1 marginal violation, checked every
-# _TOL_CHECK_EVERY iterations, is below SINKHORN_TOL.
-SINKHORN_TOL = 1e-6
+# _TOL_CHECK_EVERY iterations, is below SINKHORN_TOL. The tolerance is one
+# that training solves reach. On the train-sinkhorn benchmark inputs
+# (seeds 1-10, default config), all 160 solves reach 2e-3, after 62-69
+# iterations per solve on average and 130 at most. Against 200 full
+# iterations, the final epoch's mean_loss moved by at most 1.6e-6 relative,
+# and the probe's test accuracy did not move. At 1e-3 one seed-7 solve would
+# need 210 iterations. At 1e-6 no solve stops within 200; over-relaxation at
+# omega 1.5 still left 3 of the 16 seed-7 solves above 1e-6 after 6000, and
+# at omega 1.8 the kernel scaling overflowed in 12 of them.
+SINKHORN_TOL = 2e-3
 _TOL_CHECK_EVERY = 10
 
 # Largest max(C)/reg solved. Every kernel entry is then at least e^-600,
@@ -199,7 +208,8 @@ def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: floa
             lam_f = 0.0
         return (upstream * plan * (1.0 - c_over) + kernel * (left.T @ right),)
 
-    stats = SinkhornStats(used, marginal_err(u, kv))
+    err = marginal_err(u, kv)
+    stats = SinkhornStats(used, err, err < tol)
     return ad._node(np.asarray(value), (cost,), backward_fn), stats
 
 

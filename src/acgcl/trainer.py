@@ -54,7 +54,7 @@ CHECKPOINT_VERSION = 1
 # probe's gradient-descent step budget and step size, before it fitted to
 # PROBE_TOL, then a patience margin and a loss normalisation that no run set,
 # then the Sinkhorn tolerance and the distance sample budget, which became
-# losses.SINKHORN_TOL and augment.DISTANCE_SAMPLE_BUDGET at the same values.
+# the module constants losses.SINKHORN_TOL and augment.DISTANCE_SAMPLE_BUDGET.
 # The loader drops them; a config file or --set rejects them as unknown keys.
 RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr", "improvement_tol", "normalize_weighted_loss",
                        "sinkhorn_tol", "dis_sample_budget")
@@ -305,10 +305,10 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     it propagates, so a step holds no float (n, k, k) view. Step 0 opens the
     admission window on its own losses and ignores ``window``. Returns the
     step's ``metrics.jsonl`` fields, from the window it weighed with to the
-    larger Sinkhorn figures of its two balance solves, with
-    ``weighted_loss`` split into its weighted terms, sum(w * l_intra),
-    alpha * balance * mean(w) and beta * sum(w * l_inter); the Adam state;
-    and the window widened for the next step."""
+    larger Sinkhorn figures of its two balance solves and whether both
+    converged, with ``weighted_loss`` split into its weighted terms,
+    sum(w * l_intra), alpha * balance * mean(w) and beta * sum(w * l_inter);
+    the Adam state; and the window widened for the next step."""
     batch_rng, shuffle_rng, balance_rng = (rng_for(config.seed, role, epoch, step)
                                            for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
     n, k = subgraphs.parent_indices.shape
@@ -374,6 +374,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
         "weight_one_frac": hist["one"],
         "sinkhorn_iters": max(s.iters for s in solves),
         "sinkhorn_marginal_err": max(s.marginal_err for s in solves),
+        "sinkhorn_converged": all(s.converged for s in solves),
     }, opt, decay_thresholds(window, config.eta1, config.eta2) if window else None
 
 

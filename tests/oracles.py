@@ -572,7 +572,8 @@ def sinkhorn_log_node(cost: ad.Tensor, reg: float, max_iters: int, tol: float
             lam_f = np.zeros(m)
         return (grad_c,)
 
-    stats = SinkhornStats(used, float(np.abs(plan.sum(axis=1) - weight_a).sum()))
+    err = float(np.abs(plan.sum(axis=1) - weight_a).sum())
+    stats = SinkhornStats(used, err, err < tol)
     return ad._node(np.asarray(value), (cost,), backward_fn), stats
 
 

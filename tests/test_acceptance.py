@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 7-9 share one
 module-scoped fixture that trains ten encoders (five seeds, each with
 ``soft_acl`` and ``uniform`` on one shared set-up and mirror search), so the
-first of them pays the training cost once. The whole tier-1 suite took 93 s
-on a shared 2-core machine, about 50 s of it in this fixture.
+first of them pays the training cost once. The whole tier-1 suite took
+79-81 s on a shared 2-core machine, 40-46 s of it in this fixture.
 """
 
 import numpy as np

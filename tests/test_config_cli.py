@@ -797,31 +797,6 @@ class TestOneValuePerSetting:
         assert not hasattr(acgcl.sampler, "DEFAULT_TELEPORT")
 
 
-def test_cli_import_leaves_lapack_unloaded():
-    """Importing the command line loads no scipy.linalg."""
-    done = run_python("-c", "import sys, acgcl.cli; print('scipy.linalg' in sys.modules)")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
-
-
-def test_evaluate_leaves_scipy_optimize_unloaded(tmp_path):
-    """The probe fit is numpy alone: ``evaluate`` imports no scipy.optimize."""
-    script = (
-        "import sys\n"
-        "from acgcl.cli import main\n"
-        "data, run = sys.argv[1], sys.argv[2]\n"
-        "assert main(['gen-sbm', '--blocks', '20,20', '--p-intra', '0.3', '--p-inter', '0.02',"
-        " '--feature-dim', '4', '--seed', '1', '--out', data]) == 0\n"
-        "assert main(['train', '--config', '/dev/null', '--set', 'data_dir=' + data,"
-        " '--set', 'subgraph_size=5', '--set', 'embedding_dim=8', '--set', 'patience=0',"
-        " '--out', run]) == 0\n"
-        "assert main(['evaluate', '--checkpoint', run + '/checkpoint.json', '--data', data]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
-    done = run_python("-c", script, str(tmp_path / "data"), str(tmp_path / "run"))
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
 def test_commands_run_without_scipy(tmp_path):
     """Every command runs on numpy alone: after ``gen-sbm``, ``train``,
     ``evaluate``, ``augment-inspect`` and ``validate-difficulty`` no scipy

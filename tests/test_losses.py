@@ -168,8 +168,16 @@ def assert_matches_log_domain(h, other, solve, reg):
     for g, w in zip(got_grads, want_grads):
         assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
     assert stats[0].iters == want_stats.iters
+    assert stats[0].converged == want_stats.converged
     assert stats[0].marginal_err == pytest.approx(want_stats.marginal_err, rel=1e-9, abs=1e-12)
     return stats[0]
+
+
+def automatic_reg(h, other):
+    """The reg ``sinkhorn_w1`` picks for ``reg=None``, and its cost matrix."""
+    a, b = (other, h) if _canonical_order_swapped(h, other) else (h, other)
+    cost = ad.pairwise_euclidean(a, b).value
+    return _resolve_reg(cost, None), cost
 
 
 class TestSinkhornPaths:
@@ -178,15 +186,20 @@ class TestSinkhornPaths:
 
     def test_kernel_matches_log_domain_at_automatic_reg(self, rng):
         h, other = half_shared_sets(rng)
-        a, b = (other, h) if _canonical_order_swapped(h, other) else (h, other)
-        cost = ad.pairwise_euclidean(a, b).value
-        reg = _resolve_reg(cost, None)
+        reg, cost = automatic_reg(h, other)
         assert cost.max() / reg <= KERNEL_MAX_RATIO
 
         solve = (None, 200, 0.0)
         got = sinkhorn_w1(h, other, *solve)
         assert got.item() == _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0].item()
         assert assert_matches_log_domain(h, other, solve, reg).iters == 200
+
+    def test_kernel_matches_log_domain_at_an_early_stop(self, rng):
+        """The run defaults stop the solve before its budget; the replay is
+        still the exact gradient of the value returned."""
+        h, other = half_shared_sets(rng)
+        stats = assert_matches_log_domain(h, other, DEFAULT_SOLVE, automatic_reg(h, other)[0])
+        assert stats.converged and stats.iters < DEFAULT_SOLVE[1]
 
     @pytest.mark.parametrize("shape", [(20, 15), (7, 7), (1, 3)])
     def test_automatic_reg_is_five_percent_of_numpy_median(self, rng, shape):
@@ -224,13 +237,21 @@ class TestSinkhornStats:
         sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)),
                     None, 37, 0.0, stats)
         assert len(stats) == 1 and stats[0].iters == 37 and stats[0].marginal_err >= 0.0
+        assert not stats[0].converged
 
     def test_early_stop_is_below_tol(self, rng):
         stats = []
         sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)), 0.5, 5000, 1e-8,
                     stats)
         assert stats[0].iters < 5000 and stats[0].iters % 10 == 0
-        assert stats[0].marginal_err < 1e-8
+        assert stats[0].marginal_err < 1e-8 and stats[0].converged
+
+    def test_budget_cap_is_not_converged(self, rng):
+        stats = []
+        sinkhorn_w1(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)), 0.05, 20, 1e-12,
+                    stats)
+        assert stats[0].iters == 20 and stats[0].marginal_err >= 1e-12
+        assert not stats[0].converged
 
     def test_balance_loss_reports_both_solves(self, rng):
         h, hp, hn = (rng.standard_normal((6, 3)) for _ in range(3))
@@ -241,7 +262,9 @@ class TestSinkhornStats:
     def test_identical_points_report_no_iterations(self):
         stats = []
         sinkhorn_w1(np.ones((4, 2)), np.ones((3, 2)), *DEFAULT_SOLVE, stats=stats)
-        assert stats == [SinkhornStats(0, 0.0)]
+        assert stats == [SinkhornStats(0, 0.0, True)]
+        sinkhorn_w1(np.ones((4, 2)), np.ones((3, 2)), None, 200, 0.0, stats)
+        assert stats[1] == SinkhornStats(0, 0.0, False)
 
 
 class TestBalanceLoss:

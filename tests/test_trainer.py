@@ -319,7 +319,8 @@ class TestTrainLoop:
         for key in ("epoch", "step", "theta", "gamma", "mean_sample_loss", "weighted_loss",
                     "balance_loss", "active_fraction", "weight_zero_frac",
                     "weight_fractional_frac", "weight_one_frac", "sinkhorn_iters",
-                    "sinkhorn_marginal_err", "intra_term", "balance_term", "inter_term"):
+                    "sinkhorn_marginal_err", "sinkhorn_converged", "intra_term",
+                    "balance_term", "inter_term"):
             assert key in step
         epoch = next(r for r in records if r["kind"] == "epoch")
         for key in ("epoch", "theta", "gamma", "mean_loss", "val_accuracy", "patience_left",
@@ -328,8 +329,8 @@ class TestTrainLoop:
 
     def test_step_records_report_sinkhorn_convergence(self, tmp_path, monkeypatch):
         """Each step records the larger iteration count and the larger
-        marginal error of its two balance solves. A loose tolerance lets
-        some solves stop early."""
+        marginal error of its two balance solves, and whether both
+        converged. A loose tolerance lets some solves stop early."""
         import acgcl.trainer
         solved = []
 
@@ -349,9 +350,27 @@ class TestTrainLoop:
             assert len(pair) == 2
             assert record["sinkhorn_iters"] == max(s.iters for s in pair)
             assert record["sinkhorn_marginal_err"] == max(s.marginal_err for s in pair)
+            assert record["sinkhorn_converged"] is all(s.converged for s in pair)
         # the solves differ, and some stop early while others use the budget
         assert any(a.iters != b.iters for a, b in solved)
         assert {s.iters for pair in solved for s in pair} > {10, 60}
+        assert {r["sinkhorn_converged"] for r in steps} == {True, False}
+
+    def test_default_solves_converge_within_the_budget(self, tmp_path):
+        """On a graph shaped like the benchmark's training graph, every
+        balance solve at the default budget and subsample size reaches
+        losses.SINKHORN_TOL before sinkhorn_iters."""
+        g = generate_sbm(SbmConfig(block_sizes=(100, 100, 100), p_intra=0.15, p_inter=0.005,
+                                   feature_dim=16, feature_noise=1.0), seed=7)
+        g = with_splits(g, make_splits(g, 7, TrainConfig.split_train, TrainConfig.split_val))
+        path = tmp_path / "metrics.jsonl"
+        train(g, TrainConfig(seed=7, epochs=1, inner_steps=2), metrics_path=path)
+        steps = [r for r in map(json.loads, path.read_text().splitlines())
+                 if r["kind"] == "step"]
+        assert len(steps) == 2
+        for record in steps:
+            assert record["sinkhorn_converged"] is True
+            assert record["sinkhorn_iters"] < TrainConfig.sinkhorn_iters
 
     def test_hard_acl_active_fraction_non_decreasing_within_epoch(self, tmp_path):
         g = small_graph(seed=1, n_per_block=40)
