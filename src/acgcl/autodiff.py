@@ -18,6 +18,15 @@ their bits: a -0.0 stays -0.0. A node may keep a product's operands rather
 than the product and form it again in its backward pass, to the same bits:
 ``linear_prelu`` does.
 
+The two row-wise nodes of a training step work only on live rows, those
+whose upstream gradient has a nonzero entry: ``row_sq_dist`` contributes
+``Rows`` to both operands, and ``linear_prelu`` forms its product again,
+its weight and slope sums and its ``Rows`` for x on the live rows alone.
+A dead row contributes nothing, even where its product is not finite (a
+non-finite forward pass is the caller's to catch). Each live row keeps
+the bits of the dense form; the weight and slope sums lose the dead rows'
+exact-zero terms, which changes their association and so their last bits.
+
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
 """
@@ -194,7 +203,8 @@ def linear_prelu(x, weight, slope) -> Tensor:
     """p = x @ weight where p > 0, slope * p elsewhere, for a scalar slope.
 
     The node keeps x and weight, not the (rows, d_out) product p: the backward
-    pass forms p again, into one buffer that holds both gradients in turn. The
+    pass forms p again for the live rows, into one buffer that holds both
+    gradients in turn, and hands x those rows' gradient as ``Rows``. The
     value is max(p, slope * p) for slope <= 1 and min(p, slope * p) above 1,
     with no select on a sign; at p = +-0 numpy returns the second, slope * p."""
     x, weight, slope = as_tensor(x), as_tensor(weight), as_tensor(slope)
@@ -207,7 +217,9 @@ def linear_prelu(x, weight, slope) -> Tensor:
     (np.maximum if s <= 1 else np.minimum)(product, value, out=value)
 
     def backward_fn(g):
-        out = x.value @ w                       # the product, formed again
+        live = np.flatnonzero(g.any(axis=1))    # rows with a nonzero upstream gradient
+        g, x_live = g[live], x.value[live]
+        out = x_live @ w                        # their product, formed again
         mask = out > 0
         dslope = None
         if slope.requires_grad:
@@ -221,8 +233,8 @@ def linear_prelu(x, weight, slope) -> Tensor:
         out -= mask
         out *= g
         np.negative(out, out=out)
-        return (out @ w.T if x.requires_grad else None,
-                x.value.T @ out if weight.requires_grad else None, dslope)
+        return (Rows(live, out @ w.T) if x.requires_grad else None,
+                x_live.T @ out if weight.requires_grad else None, dslope)
 
     return _node(value, (x, weight, slope), backward_fn)
 
@@ -249,8 +261,11 @@ def row_sq_dist(a, b) -> Tensor:
     squares *= squares
 
     def backward_fn(g):
-        grad = (2.0 * g)[:, None] * (a.value - b.value)     # the difference, formed again
-        return (grad if a.requires_grad else None, -grad if b.requires_grad else None)
+        live = np.flatnonzero(g)
+        # the difference, formed again on the rows with a nonzero upstream gradient
+        grad = (2.0 * g[live])[:, None] * (a.value[live] - b.value[live])
+        return (Rows(live, grad) if a.requires_grad else None,
+                Rows(live, -grad) if b.requires_grad else None)
 
     return _node(np.sum(squares, axis=1), (a, b), backward_fn)
 

@@ -208,6 +208,49 @@ def test_row_sq_dist_is_bit_identical_to_the_sub_mul_sum_chain(rng):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def dense_form(contribution, shape):
+    """A closure's contribution as a full array: ``Rows`` written into zeros
+    of ``shape``, which fails unless the rows fit it; others as they are."""
+    if not isinstance(contribution, ad.Rows):
+        return contribution
+    out = np.zeros(shape)
+    out[contribution.indices] = contribution.rows
+    return out
+
+
+def zero_upstream_rows(g, rows, neg_rows):
+    """``g`` with ``rows`` set to +0.0 and ``neg_rows`` to -0.0."""
+    g = g.copy()
+    g[rows] = 0.0
+    g[neg_rows] = -0.0
+    return g
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_sq_dist_contributes_the_rows_with_a_nonzero_upstream(rng):
+    """Rows with an upstream gradient of +-0 get no contribution; the others
+    get the bits of the sub -> mul -> sum chain, and made dense the
+    contributions equal that chain's gradients."""
+    a, b = rng.standard_normal((50, 16)), rng.standard_normal((50, 16))
+    a[3] = b[3]                             # one coincident row
+    dead, neg = [0, 7, 8, 49], [12, 30]
+    g = zero_upstream_rows(rng.standard_normal(50), dead, neg)
+    live = np.setdiff1d(np.arange(50), dead + neg)
+    contributions = ad.row_sq_dist(ad.parameter(a), ad.parameter(b))._backward_fn(g)
+    ta, tb = ad.parameter(a), ad.parameter(b)
+    chain = row_sq_norm(ad.sub(ta, tb))
+    want = ad.gradients(ad.sum_all(ad.mul(chain, ad.Tensor(g))), [ta, tb])
+    for got, chain_grad in zip(contributions, want):
+        assert isinstance(got, ad.Rows)
+        assert np.array_equal(got.indices, live)
+        assert_same_bits(got.rows, chain_grad[live])
+        assert np.array_equal(dense_form(got, a.shape), chain_grad)
+
+
 def test_row_sq_dist_keeps_no_row_array_after_the_forward_pass(rng):
     n, d = 4096, 32
     a, b = ad.parameter(rng.standard_normal((n, d))), ad.parameter(rng.standard_normal((n, d)))
@@ -240,6 +283,74 @@ def test_linear_prelu_is_bit_identical_to_prelu_of_matmul(slope, x_grad, rng):
     assert np.count_nonzero(x0 @ w0 == 0.0) == 40 + 8 - 1     # row 3 and column 5
     for got, want in zip(*results):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def linear_prelu_gradients(fn, x0, w0, slope, g, x_grad):
+    """Value and the (w, slope[, x]) gradients of sum(fn(x, w, slope) * g)."""
+    x = ad.parameter(x0) if x_grad else ad.Tensor(x0)
+    w, s = ad.parameter(w0), ad.parameter(np.asarray(slope))
+    out = fn(x, w, s)
+    return out.value, *ad.gradients(ad.sum_all(ad.mul(out, ad.Tensor(g))), [w, s, x][:2 + x_grad])
+
+
+def two_node_layer(x, w, s):
+    return prelu(matmul(x, w), s)
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["x-constant", "x-requires-grad"])
+@pytest.mark.parametrize("slope", [0.25, 1.0, 1.5, -0.5])
+def test_linear_prelu_forms_gradients_on_live_rows_only(slope, x_grad, rng):
+    """Upstream rows of +-0 are dead: they reach neither sum nor dx. The
+    value keeps its bits; dW and the slope gradient are the two-node layer's
+    on the live rows alone, byte for byte, and within 1e-14 of its sums over
+    all rows; dx has the two-node layer's bits on the live rows, and the dead
+    rows get no contribution."""
+    x0, w0 = rng.standard_normal((40, 16)), rng.standard_normal((16, 8))
+    x0[3] = 0.0                             # exact zeros in the product of a live row
+    g = zero_upstream_rows(rng.standard_normal((40, 8)), [0, 5, 6, 17, 39], [10, 11])
+    g[20, :4] = -0.0                        # live: a row with some nonzero entries
+    live = np.flatnonzero(g.any(axis=1))
+    assert live.size == 40 - 7
+
+    got = linear_prelu_gradients(ad.linear_prelu, x0, w0, slope, g, x_grad)
+    dense = linear_prelu_gradients(two_node_layer, x0, w0, slope, g, x_grad)
+    on_live = linear_prelu_gradients(two_node_layer, x0[live], w0, slope, g[live], x_grad)
+    assert_same_bits(got[0], dense[0])
+    for got_sum, dense_sum, live_sum in zip(got[1:3], dense[1:3], on_live[1:3]):
+        assert_same_bits(got_sum, live_sum)
+        assert np.abs(got_sum - dense_sum).max() <= 1e-14 * np.abs(dense_sum).max()
+    if x_grad:
+        assert_same_bits(got[3][live], dense[3][live])
+        assert_same_bits(got[3][live], on_live[3])
+        assert not got[3][np.setdiff1d(np.arange(40), live)].view(np.int64).any()   # +0.0 only
+        node = ad.linear_prelu(ad.parameter(x0), ad.parameter(w0), ad.parameter(np.asarray(slope)))
+        dx = node._backward_fn(g)[0]
+        assert isinstance(dx, ad.Rows) and np.array_equal(dx.indices, live)
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["x-constant", "x-requires-grad"])
+def test_linear_prelu_all_zero_upstream_gives_zero_gradients(x_grad, rng):
+    x0, w0 = rng.standard_normal((12, 5)), rng.standard_normal((5, 3))
+    g = zero_upstream_rows(np.zeros((12, 3)), [], [2, 7])
+    _, *grads = linear_prelu_gradients(ad.linear_prelu, x0, w0, 0.25, g, x_grad)
+    assert len(grads) == 2 + x_grad
+    for grad in grads:
+        assert not np.asarray(grad).any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_prelu_dead_row_with_a_non_finite_product_reaches_no_gradient(bad, rng):
+    """A dead row's product is never formed again, so a nan or inf in it
+    leaves dW and the slope gradient as they are without it."""
+    x0, w0 = rng.standard_normal((20, 6)), rng.standard_normal((6, 4))
+    g = zero_upstream_rows(rng.standard_normal((20, 4)), [4, 9], [])
+    clean = linear_prelu_gradients(ad.linear_prelu, x0, w0, 0.25, g, True)
+    x0[9, 2] = bad
+    with np.errstate(invalid="ignore"):
+        value, *grads = linear_prelu_gradients(ad.linear_prelu, x0, w0, 0.25, g, True)
+    assert not np.isfinite(value[9]).any()
+    for got, want in zip(grads, clean[1:]):
+        assert_same_bits(got, want)
 
 
 def test_linear_prelu_keeps_no_product_after_the_forward_pass(rng):
@@ -430,7 +541,7 @@ def test_constant_operand_gets_no_gradient(op_name, constant, rng):
     out = op(*operands(param))
     contributions = out._backward_fn(rng.standard_normal(out.shape))
     assert contributions[constant] is None
-    assert contributions[1 - constant].shape == param.shape
+    assert dense_form(contributions[1 - constant], param.shape).shape == param.shape
     assert directional_grad_check(build, [values[1 - constant]], rng) < 1e-4
 
 

@@ -134,7 +134,8 @@ class TestGcnForward:
         """On constant features each layer is prelu((An @ H) @ W) in one
         node with parents (An @ H, W, slope): layer 1's An @ X is a constant
         node, so the tape holds no propagation for it and its layer passes
-        gradients to W and the slope only."""
+        gradients to W and the slope only. Layer 2 passes An @ H its live
+        rows as ``Rows``."""
         n, k, dim = 3, 4, 5
         adjacency = np.triu((rng.random((n, k, k)) < 0.5).astype(float), 1)
         a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
@@ -152,7 +153,9 @@ class TestGcnForward:
         d_propagated1, d_w1, d_s1 = h1._backward_fn(np.ones(h1.shape))
         assert d_propagated1 is None and d_w1.shape == w1.shape and d_s1.shape == ()
         d_propagated2, d_w2, d_s2 = out._backward_fn(np.ones(out.shape))
-        assert d_propagated2.shape == propagated2.shape and d_w2.shape == w2.shape
+        assert isinstance(d_propagated2, ad.Rows)           # every upstream row is live
+        assert np.array_equal(d_propagated2.indices, np.arange(n * k))
+        assert d_propagated2.rows.shape == propagated2.shape and d_w2.shape == w2.shape
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_centers_only_gives_the_center_rows(self, rng, n_layers):

@@ -16,12 +16,13 @@ from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import Graph, SbmConfig, Splits, generate_sbm, make_splits, with_splits
 from acgcl.sampler import sample_all_subgraphs
 from acgcl.losses import balance_loss, inter_graph_losses_grouped
-from acgcl import trainer
+from acgcl import autodiff as ad, trainer
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
                            fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
-from oracles import gradient_descent_probe, one_pass_difficulty_curve, per_pair_mirror_augment
+from oracles import (gradient_descent_probe, matmul, one_pass_difficulty_curve,
+                     per_pair_mirror_augment, prelu, row_sq_norm, take_rows_dense)
 
 
 def small_graph(seed=0, n_per_block=25, p_intra=0.25, p_inter=0.02, noise=0.5):
@@ -426,12 +427,13 @@ class TestTrainLoop:
 
 
 class TestStepMemory:
-    def test_step_peak_stays_under_nine_batch_row_arrays(self):
+    def test_step_peak_stays_under_eight_and_a_half_batch_row_arrays(self):
         """One step at k = 20, d = 64 and a batch of 64 subgraphs keeps its
-        traced peak under 9 arrays of the batch's (b * k, d) float64 rows:
-        about 8.2 of them with a GCN layer that forms x @ W again in its
-        backward pass and a sweep that drops each node's contributions once
-        passed on, 12.1 when the tape kept x @ W and the last contributions
+        traced peak under 8.5 arrays of the batch's (b * k, d) float64 rows:
+        about 8.17 of them with a GCN layer that forms x @ W again, on the
+        rows with a nonzero upstream gradient only, and a sweep that drops
+        each node's contributions once passed on (8.20 when the layer formed
+        every row), 12.1 when the tape kept x @ W and the last contributions
         (14.2 before that, when gathers and ``row_sq_dist`` held full
         arrays)."""
         g = small_graph(seed=3, n_per_block=40)
@@ -447,7 +449,53 @@ class TestStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 9 * (64 * 20) * 64 * 8
+        assert peak < 8.5 * (64 * 20) * 64 * 8
+
+
+class TestTwoLayerStep:
+    def test_matches_a_dense_reference_step(self, monkeypatch):
+        """One step at gcn_layers = 2 on a graph shaped like the benchmark's
+        training graph. Layer 2's dx rows are the only route to W0, and some
+        of its upstream rows are zero, so its sparse backward pass runs. The
+        first Adam moments, (1 - beta1) times the gradients, match those of
+        the same step on the dense two-node layer, chain and gather of the
+        oracles within 1e-12 relative, for both weights and both slopes."""
+        g = generate_sbm(SbmConfig(block_sizes=(100, 100, 100), p_intra=0.15, p_inter=0.005,
+                                   feature_dim=16, feature_noise=1.0), seed=7)
+        cfg = TrainConfig(seed=7, subgraph_size=20, gcn_layers=2)
+        subs, sem, dist = curriculum_inputs(g, cfg)
+        mirrors = mirror_search(subs, sem, cfg.distance_metric).adjacencies(
+            quantile(dist, cfg.theta0))
+
+        def first_moments():
+            params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 2, cfg.seed)
+            opt = init_optimizer([t.value for t in params.all_parameters()])
+            _, opt, _ = run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
+            return opt.first_moment
+
+        live_rows = []
+        linear_prelu = ad.linear_prelu
+
+        def recording_layer(x, w, s):
+            node = linear_prelu(x, w, s)
+            if x.requires_grad:             # layer 2: its input is An @ H
+                backward_fn = node._backward_fn
+                node._backward_fn = lambda g: (live_rows.append(g.any(axis=1)), backward_fn(g))[1]
+            return node
+
+        monkeypatch.setattr(ad, "linear_prelu", recording_layer)
+        got = first_moments()
+        monkeypatch.setattr(ad, "linear_prelu", lambda x, w, s: prelu(matmul(x, w), s))
+        monkeypatch.setattr(ad, "row_sq_dist", lambda a, b: row_sq_norm(ad.sub(a, b)))
+        monkeypatch.setattr(ad, "take_rows", take_rows_dense)
+        want = first_moments()
+
+        assert len(live_rows) == 3                              # the three views
+        assert not all(rows.all() for rows in live_rows)
+        assert len(got) == len(want) == 4                       # W0, W1, slope 0, slope 1
+        for got_m, want_m in zip(got, want):
+            assert np.abs(want_m).max() > 0
+            assert np.abs(got_m - want_m).max() <= 1e-12 * np.abs(want_m).max()
 
 
 class TestDegeneratePipeline:
