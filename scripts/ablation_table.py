@@ -41,7 +41,7 @@ def main():
         graph = with_splits(graph, make_splits(graph, seed, config.split_train,
                                                config.split_val))
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
-        inputs = subgraphs, dist, mirror_search(subgraphs, semantics, config.distance_metric)
+        inputs = subgraphs, dist, mirror_search(subgraphs, semantics)
         scores["raw"].append(evaluate_probe(graph.features, graph.labels, graph.splits,
                                             config.probe_l2)["test"])
         print(f"seed {seed} {'raw':9s} {scores['raw'][-1]:.3f}")

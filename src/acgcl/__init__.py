@@ -1,8 +1,7 @@
 """Adversarial curriculum graph contrastive learning on sampled subgraphs."""
 
-from .augment import (DistanceDistribution, MirrorGraphs, MirrorSearch, SemanticAssignment,
-                      estimate_distance_distribution, mirror_augment, mirror_search,
-                      quantile, semantic_assignment)
+from .augment import (MirrorGraphs, MirrorSearch, estimate_distance_distribution,
+                      mirror_augment, mirror_search, quantile, semantic_assignment)
 from .config import TrainConfig, parse_config
 from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, hard_acl_weights,
                          open_window, pacing_difficulty, soft_acl_weights, spl_weights)

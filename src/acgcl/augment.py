@@ -20,8 +20,10 @@ a repeated centre) takes an exact O(k) scan instead. Both give the same
 first row-major (c, d) on ties as the O(k^2) sweep of every (c, d). The
 sums are stored for the pairs a < b alone, and each new gamma then costs one
 threshold over them (``MirrorSearch.adjacencies``). The search and the
-distance estimate read a ``SubgraphSet`` and gather feature rows per block;
-``mirror_augment`` searches one ``Subgraph``.
+distance estimate read a ``SubgraphSet`` and gather feature rows per block.
+
+Every distance is the Euclidean distance between feature rows. The paper's
+abstract names no metric, so its choice cannot be checked offline.
 """
 
 from __future__ import annotations
@@ -35,14 +37,8 @@ from .graph import Graph
 from .sampler import Subgraph, SubgraphSet
 from .util import linear_quantile
 
-METRICS = ("euclidean", "manhattan", "cosine")
 SEMANTICS = ("label", "degree-bucket")
 PAIR_BLOCK = 1 << 12   # pair rows per block: k * 32 kB per (pairs, k) array, dim * 32 kB per gather
-
-
-def check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise ConfigError(f"distance_metric: unknown metric {metric!r}, expected one of {METRICS}")
 
 
 def check_semantics(kind: str) -> None:
@@ -50,52 +46,39 @@ def check_semantics(kind: str) -> None:
         raise ConfigError(f"semantics: unknown kind {kind!r}, expected one of {SEMANTICS}")
 
 
-def distance(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
-    """Distance between the feature vectors on the last axis of ``xa`` and
-    ``xb``, broadcast over the leading axes. Cosine distance is 1 - cos, and
-    1 when either vector is zero."""
-    if metric == "euclidean":
-        diff = xa - xb
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if metric == "manhattan":
-        return np.abs(xa - xb).sum(axis=-1)
-    na, nb = np.linalg.norm(xa, axis=-1), np.linalg.norm(xb, axis=-1)
-    safe = (na > 0) & (nb > 0)
-    cos = np.sum(xa * xb, axis=-1) / np.where(safe, na * nb, 1.0)
-    return np.where(safe, 1.0 - np.clip(cos, -1.0, 1.0), 1.0)
+def _euclidean_only(metric: str) -> None:
+    """The ``metric`` argument the benchmark still passes: Euclidean alone."""
+    if metric != "euclidean":
+        raise ConfigError(f"metric: the distance is 'euclidean', got {metric!r}")
 
 
-def pairwise_distances(features: np.ndarray, metric: str) -> np.ndarray:
+def distance(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Euclidean distance between the feature vectors on the last axis of
+    ``xa`` and ``xb``, broadcast over the leading axes."""
+    diff = xa - xb
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def pairwise_distances(features: np.ndarray) -> np.ndarray:
     """(..., k, k) distance matrices between the feature rows of a
     (..., k, dim) stack."""
-    check_metric(metric)
     x = np.asarray(features, dtype=np.float64)
-    return distance(x[..., :, None, :], x[..., None, :, :], metric)
+    return distance(x[..., :, None, :], x[..., None, :, :])
 
 
-@dataclass(frozen=True)
-class SemanticAssignment:
-    """Per-node integer semantics: class labels, or equal-frequency degree buckets."""
-    values: np.ndarray        # one integer per parent-graph node
-
-
-def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -> SemanticAssignment:
+def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -> np.ndarray:
+    """(n,) int64 semantics of the graph's nodes: class labels, or
+    equal-frequency degree buckets."""
     check_semantics(kind)
     if kind == "label":
         if graph.labels is None:
             raise ConfigError("semantics: kind 'label' requires a labeled graph")
-        return SemanticAssignment(values=graph.labels.astype(np.int64))
+        return graph.labels.astype(np.int64)
     if n_buckets < 1:
         raise ConfigError("degree_buckets: must be >= 1")
     degrees = graph.degrees()
     edges = linear_quantile(degrees, np.linspace(0, 1, n_buckets + 1)[1:-1])
-    values = np.searchsorted(edges, degrees, side="right")
-    return SemanticAssignment(values=values.astype(np.int64))
-
-
-@dataclass(frozen=True)
-class DistanceDistribution:
-    values: np.ndarray        # sorted ascending
+    return np.searchsorted(edges, degrees, side="right").astype(np.int64)
 
 
 # Pair distances sampled for a run's distribution (``curriculum_inputs``).
@@ -103,14 +86,16 @@ DISTANCE_SAMPLE_BUDGET = 50_000
 
 
 def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
-                                   sample_budget: int, seed: int) -> DistanceDistribution:
-    """Pool up to ``sample_budget`` uniformly sampled within-subgraph pair
-    distances (distinct parent nodes only), deterministically per seed.
-    Pairs are numbered by subgraph, then a < b row-major; the chosen ones
-    are measured PAIR_BLOCK at a time."""
+                                   sample_budget: int, seed: int) -> np.ndarray:
+    """Up to ``sample_budget`` uniformly sampled within-subgraph pair
+    distances (distinct parent nodes only), sorted ascending,
+    deterministically per seed. Pairs are numbered by subgraph, then a < b
+    row-major; the chosen ones are measured PAIR_BLOCK at a time.
+    ``metric`` must be "euclidean": the benchmark passes it, and ROADMAP
+    item 1 step C deletes it."""
     if sample_budget < 1:
         raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
-    check_metric(metric)
+    _euclidean_only(metric)
     parents = subgraphs.parent_indices
     iu, iv = np.triu_indices(parents.shape[1], k=1)
     owner, pair = np.nonzero(parents[:, iu] != parents[:, iv])
@@ -126,18 +111,19 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
     values = np.empty(len(owner))
     for start in range(0, len(owner), PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        values[block] = distance(x[a[block]], x[b[block]], metric)
+        values[block] = distance(x[a[block]], x[b[block]])
     values.sort()
-    return DistanceDistribution(values=values)
+    return values
 
 
-def quantile(dist: DistanceDistribution, theta: float) -> float:
-    """theta-th percentile (linear interpolation between order statistics)."""
+def quantile(values: np.ndarray, theta: float) -> float:
+    """theta-th percentile of the sorted ``values`` (linear interpolation
+    between order statistics)."""
     if not (0.0 <= theta <= 100.0):
         raise ConfigError(f"theta: must be in [0, 100], got {theta}")
-    if dist.values.size == 0:
+    if values.size == 0:
         raise EmptyDistributionError("empty distance distribution")
-    return float(linear_quantile(dist.values, theta / 100))
+    return float(linear_quantile(values, theta / 100))
 
 
 @dataclass(frozen=True)
@@ -154,8 +140,7 @@ class MirrorSearch:
     gamma replaces them. ``best`` is float64, ``edge`` bool and ``argmin``
     the smallest unsigned type that holds k * k - 1 (uint8 up to k = 16,
     uint16 up to k = 256): 22 bytes per pair a < b at k = 20, both
-    polarities together, 4180 per subgraph, where full (k, k) tables took
-    8800.
+    polarities together, 4180 per subgraph.
     """
     adjacency: np.ndarray      # (n, k, k) bool source adjacencies, symmetric
     best: np.ndarray           # (2, n, k (k - 1) / 2) float64
@@ -206,13 +191,14 @@ class MirrorSearch:
 
 @dataclass(frozen=True)
 class MirrorGraphs:
+    """``mirror_augment``'s result, kept with it for the benchmark; ROADMAP
+    item 1 step C deletes both."""
     positive_adjacency: np.ndarray
     negative_adjacency: np.ndarray
     search: MirrorSearch       # the one-subgraph tables both were thresholded from
 
 
-def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
-                  metric: str) -> MirrorSearch:
+def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch:
     """Find every pair's best positive and negative mirror once, for all gamma.
 
     Gamma only bounds the best sum (it must be below 2 * gamma), so the
@@ -231,9 +217,9 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     lists cannot settle, a value or rounding tie at the cut or any pair of
     a subgraph with a repeated parent, alone take the exact scan
     (``_separable_min``). Distances, lists and pairs are held for one block
-    of PAIR_BLOCK pairs' worth of whole subgraphs at a time.
+    of PAIR_BLOCK pairs' worth of whole subgraphs at a time. ``semantics``
+    holds one integer per parent-graph node (``semantic_assignment``).
     """
-    check_metric(metric)
     adjacency = np.asarray(subgraphs.adjacency, dtype=bool)
     n, k = adjacency.shape[:2]
     upper_a, upper_b = np.triu_indices(k, 1)
@@ -243,8 +229,8 @@ def mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     step = max(1, PAIR_BLOCK // max(1, len(upper_a)))
     for start in range(0, n, step):
         parents = subgraphs.parent_indices[start:start + step]
-        dmat = pairwise_distances(subgraphs.node_features[parents], metric)
-        labels = semantics.values[parents]
+        dmat = pairwise_distances(subgraphs.node_features[parents])
+        labels = semantics[parents]
         pairs = parents[:, upper_a] != parents[:, upper_b]
         pair_counts[start:start + len(parents)] = pairs.sum(axis=1)
         g, q = np.nonzero(pairs)             # pairs a < b with distinct parents
@@ -413,12 +399,16 @@ def _separable_min(x: np.ndarray, y: np.ndarray, c_ok: np.ndarray, d_ok: np.ndar
     return row_min[rows, c], c * x.shape[1] + d
 
 
-def mirror_augment(subgraph: Subgraph, gamma: float, semantics: SemanticAssignment,
+def mirror_augment(subgraph: Subgraph, gamma: float, semantics: np.ndarray,
                    metric: str) -> MirrorGraphs:
     """Positive and negative mirror adjacencies of one subgraph at gamma, and
-    the search they came from; features are untouched."""
+    the search they came from; features are untouched. ``metric`` must be
+    "euclidean". No package code calls this; it stays for the benchmark,
+    and ROADMAP item 1 step C deletes it, its ``metric`` argument and
+    ``MirrorGraphs``."""
+    _euclidean_only(metric)
     one = SubgraphSet(subgraph.parent_indices[None], subgraph.adjacency[None],
                       subgraph.node_features)
-    search = mirror_search(one, semantics, metric)
+    search = mirror_search(one, semantics)
     (positive,), (negative,) = search.adjacencies(gamma)
     return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, search=search)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import mirror_augment, mirror_search, quantile
+from .augment import mirror_search, quantile
 from .config import TrainConfig, parse_config
 from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
@@ -133,15 +133,15 @@ def _cmd_augment_inspect(args) -> int:
         raise ConfigError(f"node: {args.node} out of range [0, {graph.n_nodes})")
     subgraphs, semantics, dist = curriculum_inputs(graph, config)
     gamma = quantile(dist, args.theta)
-    mirrors = mirror_augment(subgraphs[args.node], gamma, semantics, config.distance_metric)
+    search = mirror_search(subgraphs[args.node:args.node + 1], semantics)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, adj in (("positive_adjacency.csv", mirrors.positive_adjacency),
-                      ("negative_adjacency.csv", mirrors.negative_adjacency)):
+    (positive,), (negative,) = search.adjacencies(gamma)
+    for name, adj in (("positive_adjacency.csv", positive), ("negative_adjacency.csv", negative)):
         write_atomic(out / name, _lines(adj.astype(np.int64).tolist()))
     parents = subgraphs.parent_indices[args.node]
-    log = mirrors.search.replacements(gamma)
+    log = search.replacements(gamma)
     rows = [("polarity", "a", "b", "a_parent", "b_parent", "c", "d", "c_parent", "d_parent",
              "distance_sum", "original_edge", "mirror_edge")]
     for polarity, columns in zip(("positive", "negative"), log):
@@ -169,7 +169,7 @@ def _cmd_validate_difficulty(args) -> int:
         params, _ = load_checkpoint(args.checkpoint)
         check_feature_width(params, graph, args.checkpoint)
     subgraphs, semantics, dist = curriculum_inputs(graph, config)
-    search = mirror_search(subgraphs, semantics, config.distance_metric)
+    search = mirror_search(subgraphs, semantics)
     if not args.checkpoint:
         params, _ = train(graph, config, inputs=(subgraphs, dist, search))
     rows = difficulty_curve(params, subgraphs, search, dist, grid, config.xi)

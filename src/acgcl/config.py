@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .augment import check_metric, check_semantics
+from .augment import check_semantics
 from .curriculum import MODES
 from .errors import ConfigError
 from .graph import check_split_fractions, data_lines
@@ -55,7 +55,6 @@ class TrainConfig:
     epsilon_margin: float = 0.1
 
     # augmentation
-    distance_metric: str = "euclidean"
     semantics: str = "label"
     degree_buckets: int = 4
 
@@ -101,7 +100,6 @@ class TrainConfig:
         if self.acl_mode not in MODES:
             raise ConfigError(f"acl_mode: unknown mode {self.acl_mode!r}, expected one of {MODES}")
         check_semantics(self.semantics)
-        check_metric(self.distance_metric)
         check_split_fractions(self.split_train, self.split_val)
         if not (0.0 < self.theta0 <= self.max_difficulty <= 100.0):
             raise ConfigError("theta0/max_difficulty: need 0 < theta0 <= max_difficulty <= 100")

@@ -33,9 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (DISTANCE_SAMPLE_BUDGET, DistanceDistribution, MirrorSearch,
-                      SemanticAssignment, estimate_distance_distribution, mirror_search,
-                      quantile, semantic_assignment)
+from .augment import (DISTANCE_SAMPLE_BUDGET, MirrorSearch, estimate_distance_distribution,
+                      mirror_search, quantile, semantic_assignment)
 from .config import TrainConfig
 from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
                          weights_for_mode, window_fields)
@@ -54,10 +53,11 @@ CHECKPOINT_VERSION = 1
 # probe's gradient-descent step budget and step size, before it fitted to
 # PROBE_TOL, then a patience margin and a loss normalisation that no run set,
 # then the Sinkhorn tolerance and the distance sample budget, which became
-# the module constants losses.SINKHORN_TOL and augment.DISTANCE_SAMPLE_BUDGET.
+# the module constants losses.SINKHORN_TOL and augment.DISTANCE_SAMPLE_BUDGET,
+# then the distance metric, which is Euclidean alone.
 # The loader drops them; a config file or --set rejects them as unknown keys.
 RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr", "improvement_tol", "normalize_weighted_loss",
-                       "sinkhorn_tol", "dis_sample_budget")
+                       "sinkhorn_tol", "dis_sample_budget", "distance_metric")
 EMBED_BLOCK = 128
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # The probe fit stops at this gradient norm, or after PROBE_MAX_STEPS Newton
@@ -379,8 +379,8 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
 
 
 def curriculum_inputs(graph: Graph, config: TrainConfig
-                      ) -> tuple[SubgraphSet, SemanticAssignment, DistanceDistribution]:
-    """The run's subgraphs, node semantics and pair-distance distribution.
+                      ) -> tuple[SubgraphSet, np.ndarray, np.ndarray]:
+    """The run's subgraphs, (n,) node semantics and sorted pair distances.
 
     Semantics come first, so a graph that cannot supply them fails before
     any sampling. The distribution samples DISTANCE_SAMPLE_BUDGET pair
@@ -390,13 +390,12 @@ def curriculum_inputs(graph: Graph, config: TrainConfig
     semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
     seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
-    dist = estimate_distance_distribution(subgraphs, config.distance_metric,
-                                          DISTANCE_SAMPLE_BUDGET, seed)
+    dist = estimate_distance_distribution(subgraphs, "euclidean", DISTANCE_SAMPLE_BUDGET, seed)
     return subgraphs, semantics, dist
 
 
 def train(graph: Graph, config: TrainConfig, metrics_path=None,
-          inputs: tuple[SubgraphSet, DistanceDistribution, MirrorSearch] | None = None,
+          inputs: tuple[SubgraphSet, np.ndarray, MirrorSearch] | None = None,
           ) -> tuple[GcnParams, list[dict]]:
     """Curriculum training; returns the params and the epoch records of
     ``metrics.jsonl``. With ``metrics_path``, every step and epoch record is
@@ -415,7 +414,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
 
     if inputs is None:
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
-        inputs = subgraphs, dist, mirror_search(subgraphs, semantics, config.distance_metric)
+        inputs = subgraphs, dist, mirror_search(subgraphs, semantics)
     subgraphs, dist, search = inputs
     opt = init_optimizer([t.value for t in params.all_parameters()])
 

@@ -54,19 +54,17 @@ from typing import NamedTuple
 import numpy as np
 
 from acgcl import autodiff as ad
-from acgcl.augment import (DistanceDistribution, MirrorSearch, SemanticAssignment,
-                           distance, pairwise_distances, quantile)
+from acgcl.augment import MirrorSearch, distance, pairwise_distances, quantile
 from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
                            sym_normalized_adjacency)
-from acgcl.errors import (ConfigError, EmptyDistributionError, GraphParseError, ShapeError,
-                          SizeError)
+from acgcl.errors import EmptyDistributionError, GraphParseError, ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
 from acgcl.sampler import Subgraph, SubgraphSet
 from acgcl.trainer import (encoded_views, evaluate_probe, mirror_views, probe_accuracy,
                            probe_splits)
 
 
-def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polarity):
+def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, polarity):
     """Plain double loop over ordered candidate pairs (c, d)."""
     k = len(parents)
     best = None
@@ -85,51 +83,32 @@ def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, metric, polar
             else:
                 if labels[c] == labels[a] and labels[d] == labels[b]:
                     continue
-            total = _dist(features[c], features[a], metric) + _dist(features[d], features[b], metric)
+            total = pair_distance(features[c], features[a]) + pair_distance(features[d], features[b])
             if total < 2 * gamma and total < best_sum:
                 best = (c, d)
                 best_sum = total
     return best
 
 
-def _dist(x, y, metric):
-    if metric == "euclidean":
-        return float(np.sqrt(((x - y) ** 2).sum()))
-    if metric == "manhattan":
-        return float(np.abs(x - y).sum())
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0 or ny == 0:
-        return 1.0
-    return float(1.0 - np.dot(x, y) / (nx * ny))
-
-
-def pair_distance(x_a, x_b, metric="euclidean") -> float:
+def pair_distance(x_a, x_b) -> float:
+    """Euclidean distance of two feature vectors."""
     x_a = np.asarray(x_a, dtype=np.float64)
     x_b = np.asarray(x_b, dtype=np.float64)
     if x_a.shape != x_b.shape:
         raise ShapeError(f"feature shapes differ: {x_a.shape} vs {x_b.shape}")
-    if metric not in ("euclidean", "manhattan", "cosine"):
-        raise ConfigError(f"distance_metric: unknown metric {metric!r}")
-    if metric == "euclidean":
-        return float(np.sqrt(np.sum((x_a - x_b) ** 2)))
-    if metric == "manhattan":
-        return float(np.sum(np.abs(x_a - x_b)))
-    na, nb = np.linalg.norm(x_a), np.linalg.norm(x_b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0   # zero vectors have no direction
-    return float(1.0 - np.dot(x_a, x_b) / (na * nb))
+    return float(np.sqrt(np.sum((x_a - x_b) ** 2)))
 
 
-def _candidate_masks(subgraph: Subgraph, semantics: SemanticAssignment):
+def _candidate_masks(subgraph: Subgraph, semantics: np.ndarray):
     parents = subgraph.parent_indices
-    labels = semantics.values[parents]
+    labels = semantics[parents]
     parent_neq = parents[:, None] != parents[None, :]
     label_eq = labels[:, None] == labels[None, :]
     return parents, labels, parent_neq, label_eq
 
 
-def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: SemanticAssignment,
-                     metric="euclidean", polarity="positive", dmat=None):
+def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: np.ndarray,
+                     polarity="positive", dmat=None):
     """Best admissible mirror of (a, b), or None. Positions index the
     subgraph; ties break to the lexicographically smallest (c, d)."""
     a, b = pair
@@ -139,7 +118,7 @@ def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: SemanticAssignm
     if polarity not in ("positive", "negative"):
         raise ValueError("polarity must be 'positive' or 'negative'")
     if dmat is None:
-        dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices], metric)
+        dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices])
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
 
     sums = dmat[:, a][:, None] + dmat[:, b][None, :]
@@ -183,15 +162,14 @@ class PerPairMirrors:
     stats: MirrorStats
 
 
-def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssignment,
-                            metric="euclidean") -> PerPairMirrors:
+def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: np.ndarray) -> PerPairMirrors:
     """Mirror adjacencies of one subgraph by a fresh search at this gamma,
     one Python step per pair (a, b), with the replacement log in (a, b)
     order: the bit-exact reference for ``acgcl.augment.mirror_search``, its
     thresholded adjacencies and ``MirrorSearch.replacements``."""
     k = subgraph.size
     adj = subgraph.adjacency
-    dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices], metric)
+    dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices])
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
     excluded_by = parents[:, None] == parents[None, :]   # excluded_by[a, c]
 
@@ -232,8 +210,7 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: SemanticAssign
     return PerPairMirrors(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
 
 
-def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
-                          metric: str = "euclidean") -> MirrorSearch:
+def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch:
     """The O(k^4) search that ``acgcl.augment.mirror_search`` replaced: one
     (b, c, d) chunk of every sum per first pair element a, minimized in
     row-major order, into full (k, k) tables that are then packed to the
@@ -245,9 +222,9 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: SemanticAssignment,
     argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
     for i, sub in enumerate(subgraphs):
-        dmat = pairwise_distances(sub.node_features[sub.parent_indices], metric)
+        dmat = pairwise_distances(sub.node_features[sub.parent_indices])
         parents = sub.parent_indices
-        labels = semantics.values[parents]
+        labels = semantics[parents]
         parent_neq = parents[:, None] != parents[None, :]
         label_eq = labels[:, None] == labels[None, :]
         # Chunk over the first pair element: (b, c, d) tensors over the
@@ -669,7 +646,7 @@ def spearman(xs, ys):
     return float((rx * ry).sum() / denom) if denom > 0 else 0.0
 
 
-def per_subgraph_distance_distribution(subgraphs, metric, sample_budget, seed):
+def per_subgraph_distance_distribution(subgraphs, sample_budget, seed):
     """The per-subgraph loops that the stacked
     ``acgcl.augment.estimate_distance_distribution`` replaced: pairs a < b
     with distinct parents are numbered subgraph by subgraph, the budget is
@@ -702,9 +679,9 @@ def per_subgraph_distance_distribution(subgraphs, metric, sample_budget, seed):
         iu, iv = pair_lists[sg]
         xa = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iu[sel]]
         xb = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iv[sel]]
-        values[owner == sg] = distance(xa, xb, metric)
+        values[owner == sg] = distance(xa, xb)
     values.sort()
-    return DistanceDistribution(values=values)
+    return values
 
 
 def gradient_descent_probe(x_train, labels, n_classes, iters, l2, lr):

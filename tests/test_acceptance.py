@@ -63,7 +63,7 @@ def sbm_runs():
                                  config.probe_l2)["test"]
 
         subgraphs, semantics, dist = curriculum_inputs(graph, config)
-        search = mirror_search(subgraphs, semantics, config.distance_metric)
+        search = mirror_search(subgraphs, semantics)
         params, _ = train(graph, config, inputs=(subgraphs, dist, search))
         soft_acc = probe_accuracy(params, subgraphs, graph, config)["test"]
 
@@ -242,7 +242,7 @@ def test_criterion_6_mirror_validity():
     subgraphs = sample_all_subgraphs(graph, k=10, teleport=0.15)
     semantics = semantic_assignment(graph, "label")
     dist = estimate_distance_distribution(subgraphs, "euclidean", 50_000, seed=600)
-    search = mirror_search(subgraphs, semantics, "euclidean")
+    search = mirror_search(subgraphs, semantics)
 
     n_pos = n_neg = 0
     bad = 0
@@ -250,7 +250,7 @@ def test_criterion_6_mirror_validity():
     for gamma_theta in (30.0, 60.0):
         gamma = quantile(dist, gamma_theta)
         for i, sub in enumerate(subgraphs):
-            labels = semantics.values[sub.parent_indices]
+            labels = semantics[sub.parent_indices]
             positive, negative = search.replacements(gamma, i)
             for a, b, c, d, distance_sum, _, _ in zip(*positive):
                 n_pos += 1

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from acgcl import augment
 from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
-                           pairwise_distances, quantile, semantic_assignment,
-                           DistanceDistribution, SemanticAssignment)
+                           pairwise_distances, quantile, semantic_assignment)
 from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
@@ -39,7 +38,7 @@ def make_subgraph(features, adjacency, parents=None):
 
 
 def semantics_of(values):
-    return SemanticAssignment(values=np.asarray(values, dtype=np.int64))
+    return np.asarray(values, dtype=np.int64)
 
 
 FOUR_NODE = make_subgraph(
@@ -51,49 +50,45 @@ FOUR_LABELS = semantics_of([0, 0, 1, 1])
 
 class TestPairDistance:
     def test_euclidean_3_4_5(self):
-        assert pair_distance([0, 0], [3, 4], "euclidean") == pytest.approx(5.0)
-
-    def test_manhattan(self):
-        assert pair_distance([1, 1], [2, 3], "manhattan") == pytest.approx(3.0)
-
-    def test_cosine_scale_invariant(self):
-        v = np.array([1.0, 2.0, -0.5])
-        assert pair_distance(v, 2 * v, "cosine") == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_zero_vector(self):
-        assert pair_distance([0.0, 0.0], [1.0, 0.0], "cosine") == 1.0
+        assert pair_distance([0, 0], [3, 4]) == pytest.approx(5.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            pair_distance([1.0], [1.0, 2.0], "euclidean")
+            pair_distance([1.0], [1.0, 2.0])
 
     def test_unknown_metric(self):
-        with pytest.raises(ConfigError):
-            pair_distance([1.0], [2.0], "chebyshev")
+        """The two calls that still take a metric accept Euclidean alone,
+        and fail on any other in one line."""
+        sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
+        want = "metric: the distance is 'euclidean', got 'manhattan'"
+        with pytest.raises(ConfigError) as estimated:
+            estimate_distance_distribution(stack_subgraphs([sub]), "manhattan", 10, seed=0)
+        with pytest.raises(ConfigError) as augmented:
+            mirror_augment(sub, 1.0, semantics_of([0, 0]), "manhattan")
+        assert str(estimated.value) == str(augmented.value) == want
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["euclidean", "manhattan", "cosine"]))
-    def test_symmetric_nonnegative(self, seed, metric):
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_symmetric_nonnegative(self, seed):
         r = np.random.default_rng(seed)
         x, y = r.standard_normal(5), r.standard_normal(5)
-        d_xy = pair_distance(x, y, metric)
+        d_xy = pair_distance(x, y)
         assert d_xy >= 0
-        assert d_xy == pytest.approx(pair_distance(y, x, metric), abs=1e-12)
+        assert d_xy == pytest.approx(pair_distance(y, x), abs=1e-12)
 
     def test_matrix_matches_pairwise(self, rng):
         x = rng.standard_normal((7, 3))
-        for metric in ("euclidean", "manhattan", "cosine"):
-            mat = pairwise_distances(x, metric)
-            for i in range(7):
-                for j in range(7):
-                    assert mat[i, j] == pytest.approx(pair_distance(x[i], x[j], metric), abs=1e-10)
+        mat = pairwise_distances(x)
+        for i in range(7):
+            for j in range(7):
+                assert mat[i, j] == pytest.approx(pair_distance(x[i], x[j]), abs=1e-10)
 
 
 class TestSemantics:
     def test_label_semantics(self):
         g = graph_from_edges(3, [(0, 1)], labels=[2, 0, 1])
         sem = semantic_assignment(g, "label")
-        assert np.array_equal(sem.values, [2, 0, 1])
+        assert sem.dtype == np.int64 and np.array_equal(sem, [2, 0, 1])
 
     def test_label_semantics_requires_labels(self):
         g = graph_from_edges(3, [(0, 1)])
@@ -114,11 +109,11 @@ class TestSemantics:
     def test_degree_buckets_partition(self, rng):
         g = random_graph(rng, n=40)
         sem = semantic_assignment(g, "degree-bucket", n_buckets=4)
-        assert sem.values.min() >= 0 and sem.values.max() <= 3
+        assert sem.dtype == np.int64 and sem.min() >= 0 and sem.max() <= 3
         degrees = g.degrees()
         # monotone: higher degree never lands in a lower bucket
         order = np.argsort(degrees)
-        assert (np.diff(sem.values[order]) >= 0).all()
+        assert (np.diff(sem[order]) >= 0).all()
 
     @pytest.mark.parametrize("n_buckets", [1, 2, 3, 4, 7])
     def test_degree_buckets_match_numpy_quantile(self, rng, n_buckets):
@@ -126,14 +121,14 @@ class TestSemantics:
             g = random_graph(rng, n=n)
             edges = np.quantile(g.degrees(), np.linspace(0, 1, n_buckets + 1)[1:-1])
             want = np.searchsorted(edges, g.degrees(), side="right")
-            assert np.array_equal(semantic_assignment(g, "degree-bucket", n_buckets).values, want)
+            assert np.array_equal(semantic_assignment(g, "degree-bucket", n_buckets), want)
 
 
 class TestDistanceDistribution:
     def test_single_pair(self):
         sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
         dist = estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
-        assert np.array_equal(dist.values, [3.0])
+        assert dist.dtype == np.float64 and np.array_equal(dist, [3.0])
 
     def test_budget_covers_all_pairs_exact_multiset(self, rng):
         g = random_graph(rng, n=20)
@@ -146,7 +141,7 @@ class TestDistanceDistribution:
                 for j in range(i + 1, sub.size):
                     if sub.parent_indices[i] != sub.parent_indices[j]:
                         expected.append(np.linalg.norm(x[i] - x[j]))
-        assert np.allclose(dist.values, np.sort(expected))
+        assert np.allclose(dist, np.sort(expected))
 
     def test_deterministic_per_seed(self, rng):
         g = random_graph(rng, n=20)
@@ -154,8 +149,8 @@ class TestDistanceDistribution:
         a = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
         b = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
         c = estimate_distance_distribution(subs, "euclidean", 50, seed=4)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_no_valid_pair_raises(self):
         sub = make_subgraph([[0.0], [0.0]], np.zeros((2, 2)), parents=[3, 3])
@@ -165,60 +160,58 @@ class TestDistanceDistribution:
     def test_sorted_ascending(self, rng):
         g = random_graph(rng, n=15)
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
-        dist = estimate_distance_distribution(subs, "manhattan", 64, seed=5)
-        assert (np.diff(dist.values) >= 0).all()
+        dist = estimate_distance_distribution(subs, "euclidean", 64, seed=5)
+        assert (np.diff(dist) >= 0).all()
 
 
 class TestStackedDistanceEstimate:
     """The stacked estimate against the per-subgraph loops it replaced, bit
-    for bit: every metric, budgets around the pair total, centre-padded
-    subgraphs and blocks of chosen pairs that end mid-subgraph."""
-    METRICS = ("euclidean", "manhattan", "cosine")
+    for bit: budgets around the pair total, centre-padded subgraphs and
+    blocks of chosen pairs that end mid-subgraph."""
 
     @staticmethod
-    def assert_same(subs, metric, budget, seed):
-        got = estimate_distance_distribution(subs, metric, budget, seed).values
-        want = per_subgraph_distance_distribution(subs, metric, budget, seed).values
+    def assert_same(subs, budget, seed):
+        got = estimate_distance_distribution(subs, "euclidean", budget, seed)
+        want = per_subgraph_distance_distribution(subs, budget, seed)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("block", [7, augment.PAIR_BLOCK])
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_budgets_around_the_pair_total(self, rng, monkeypatch, metric, block):
+    def test_budgets_around_the_pair_total(self, rng, monkeypatch, block):
         monkeypatch.setattr(augment, "PAIR_BLOCK", block)
         edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
         padded = graph_from_edges(13, edges, features=rng.standard_normal((13, 3)))
         for g, k in ((random_graph(rng, n=30), 8), (padded, 6)):
             subs = sample_all_subgraphs(g, k=k, teleport=0.15)
-            total = len(per_subgraph_distance_distribution(subs, metric, 10 ** 9, 0).values)
+            total = len(per_subgraph_distance_distribution(subs, 10 ** 9, 0))
             if g is padded:
                 assert total < len(subs) * k * (k - 1) // 2
             for budget in (1, 50, total - 1, total, total + 1, 10 ** 9):
                 for seed in (0, 1):
-                    self.assert_same(subs, metric, budget, seed)
+                    self.assert_same(subs, budget, seed)
 
     def test_more_chosen_pairs_than_a_block(self, rng):
         subs = sample_all_subgraphs(random_graph(rng, n=200, p=0.05), k=8, teleport=0.15)
         for budget in (augment.PAIR_BLOCK + 1, 10 ** 9):
-            self.assert_same(subs, "euclidean", budget, 2)
+            self.assert_same(subs, budget, 2)
 
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_single_pair_and_zero_vectors(self, metric):
+    def test_single_pair_and_zero_vectors(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
         single = Subgraph(np.array([0, 1]), np.eye(2)[::-1], x)
         zeros = Subgraph(np.array([2, 3]), np.zeros((2, 2)), x)
         for subs in (stack_subgraphs([single]), stack_subgraphs([single, zeros])):
             for budget in (1, 2, 3):
-                self.assert_same(subs, metric, budget, 0)
+                self.assert_same(subs, budget, 0)
 
     def test_no_distinct_pair_raises_in_both(self):
         subs = stack_subgraphs([make_subgraph([[1.0], [1.0]], np.zeros((2, 2)), parents=[3, 3])])
-        for estimate in (estimate_distance_distribution, per_subgraph_distance_distribution):
-            with pytest.raises(EmptyDistributionError):
-                estimate(subs, "euclidean", 10, 0)
+        with pytest.raises(EmptyDistributionError):
+            estimate_distance_distribution(subs, "euclidean", 10, 0)
+        with pytest.raises(EmptyDistributionError):
+            per_subgraph_distance_distribution(subs, 10, 0)
 
 
 class TestQuantile:
-    DIST = DistanceDistribution(values=np.arange(1.0, 11.0))
+    DIST = np.arange(1.0, 11.0)
 
     def test_extremes(self):
         assert quantile(self.DIST, 0) == 1.0
@@ -240,7 +233,7 @@ class TestQuantile:
     def test_bit_identical_to_numpy_percentile(self, values, theta):
         """Odd and even sizes, ties, theta 0 and 100: numpy's bits."""
         ordered = np.sort(values)
-        got = quantile(DistanceDistribution(values=ordered), theta)
+        got = quantile(ordered, theta)
         assert np.float64(got).tobytes() == np.percentile(ordered, theta).tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -266,8 +259,7 @@ class TestFindMirrorPair:
                                polarity="negative")
         expected = exhaustive_mirror_pair(FOUR_NODE.node_features[FOUR_NODE.parent_indices],
                                           FOUR_NODE.parent_indices,
-                                          FOUR_LABELS.values, 0, 1, 10.0, "euclidean",
-                                          "negative")
+                                          FOUR_LABELS, 0, 1, 10.0, "negative")
         assert got == expected == (2, 3)
 
     @settings(max_examples=25, deadline=None)
@@ -280,9 +272,9 @@ class TestFindMirrorPair:
         labels = r.integers(0, 3, size=k)
         sem = semantics_of(labels)
         a, b = 0, 1
-        got = find_mirror_pair(sub, (a, b), gamma, sem, "euclidean", polarity)
+        got = find_mirror_pair(sub, (a, b), gamma, sem, polarity)
         want = exhaustive_mirror_pair(sub.node_features[sub.parent_indices], sub.parent_indices,
-                                      labels, a, b, gamma, "euclidean", polarity)
+                                      labels, a, b, gamma, polarity)
         assert got == want
 
 
@@ -319,7 +311,7 @@ class TestMirrorAugment:
                                   ("negative", m.negative_adjacency)):
                 for a in range(sub.size):
                     for b in range(a + 1, sub.size):
-                        mirror = find_mirror_pair(sub, (a, b), gamma, sem, "euclidean", polarity)
+                        mirror = find_mirror_pair(sub, (a, b), gamma, sem, polarity)
                         expected = sub.adjacency[mirror] if mirror else sub.adjacency[a, b]
                         assert adj[a, b] == expected
 
@@ -327,7 +319,7 @@ class TestMirrorAugment:
         sub, sem = self._random_case(rng, k=10)
         gamma = 1.2
         pos_log, neg_log = logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma)
-        labels = sem.values[sub.parent_indices]
+        labels = sem[sub.parent_indices]
         assert pos_log   # loose sanity: something was replaced
         for r in pos_log:
             assert labels[r.c] == labels[r.a] and labels[r.d] == labels[r.b]
@@ -362,7 +354,7 @@ class TestMirrorAugment:
 
     def test_padded_duplicates_not_paired(self):
         sub = make_subgraph([[0.0], [1.0], [0.0]], np.zeros((3, 3)), parents=[4, 7, 4])
-        sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
+        sem = np.zeros(10, dtype=np.int64)
         pos_log, _ = logged(mirror_augment(sub, 100.0, sem, "euclidean").search, 100.0)
         pairs = {(r.a, r.b) for r in pos_log}
         assert (0, 2) not in pairs   # same parent twice is not a pair
@@ -373,21 +365,21 @@ class TestMirrorSearch:
     per-pair search at that gamma."""
     THETAS = (0.0, 15.0, 30.0, 50.0, 80.0, 100.0)
 
-    def assert_matches_oracle(self, subs, sem, metric="euclidean"):
-        search = mirror_search(subs, sem, metric)
-        dist = estimate_distance_distribution(subs, metric, 100_000, seed=0)
+    def assert_matches_oracle(self, subs, sem):
+        search = mirror_search(subs, sem)
+        dist = estimate_distance_distribution(subs, "euclidean", 100_000, seed=0)
         for theta in self.THETAS:
             gamma = quantile(dist, theta)
             positive, negative = search.adjacencies(gamma)
             matched, unmatched = [0, 0], [0, 0]
             for i, sub in enumerate(subs):
-                want = per_pair_mirror_augment(sub, gamma, sem, metric)
+                want = per_pair_mirror_augment(sub, gamma, sem)
                 assert positive[i].dtype == want.positive_adjacency.dtype
                 assert np.array_equal(positive[i], want.positive_adjacency)
                 assert np.array_equal(negative[i], want.negative_adjacency)
                 want_log = [want.stats.pos_replacements, want.stats.neg_replacements]
                 assert logged(search, gamma, i) == want_log
-                assert logged(mirror_augment(sub, gamma, sem, metric).search, gamma) == want_log
+                assert logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma) == want_log
                 assert search.pair_counts[i] - len(want_log[0]) == want.stats.pos_unmatched
                 assert search.pair_counts[i] - len(want_log[1]) == want.stats.neg_unmatched
                 for p in range(2):
@@ -399,10 +391,9 @@ class TestMirrorSearch:
                 total = matched[p] + unmatched[p]
                 assert rates[p] == (matched[p] / total if total else 0.0)
 
-    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
-    def test_all_metrics(self, rng, metric):
+    def test_label_semantics(self, rng):
         g = random_graph(rng, n=30)
-        self.assert_matches_oracle(sample_all_subgraphs(g, 6, 0.15), semantic_assignment(g), metric)
+        self.assert_matches_oracle(sample_all_subgraphs(g, 6, 0.15), semantic_assignment(g))
 
     def test_degree_bucket_semantics(self, rng):
         g = random_graph(rng, n=30, p=0.2)
@@ -437,7 +428,7 @@ class TestMirrorSearch:
         the source adjacency."""
         g = random_graph(rng, n=2 * k, p=0.3)
         subs = sample_all_subgraphs(g, k, 0.15)
-        search = mirror_search(subs, semantic_assignment(g), "euclidean")
+        search = mirror_search(subs, semantic_assignment(g))
         n = len(subs)
         for table in (search.best, search.argmin, search.edge):
             assert table.shape == (2, n, k * (k - 1) // 2)
@@ -453,16 +444,15 @@ class TestMirrorSearch:
 class TestOneSubgraphSearch:
     """``mirror_augment`` of one subgraph is its row of the stacked search."""
 
-    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
-    def test_mirror_augment_equals_the_search_row(self, rng, metric):
+    def test_mirror_augment_equals_the_search_row(self, rng):
         g = random_graph(rng, n=20)
         subs = sample_all_subgraphs(g, k=6, teleport=0.15)
         sem = semantic_assignment(g)
-        search = mirror_search(subs, sem, metric)
+        search = mirror_search(subs, sem)
         for gamma in (0.0, 0.5, 1.0, 3.0):
             positive, negative = search.adjacencies(gamma)
             for i in range(len(subs)):
-                mirrors = mirror_augment(subs[i], gamma, sem, metric)
+                mirrors = mirror_augment(subs[i], gamma, sem, "euclidean")
                 assert np.array_equal(mirrors.positive_adjacency, positive[i])
                 assert np.array_equal(mirrors.negative_adjacency, negative[i])
 
@@ -477,9 +467,8 @@ class TestSeparableScan:
     """The separable scan against the O(k^4) chunked search, table for table."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["euclidean", "manhattan", "cosine"]),
-           st.integers(2, 12), st.integers(-8, 8))
-    def test_tables_match_chunked_search(self, seed, metric, k, exponent):
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.integers(-8, 8))
+    def test_tables_match_chunked_search(self, seed, k, exponent):
         rng = np.random.default_rng(seed)
         n_parents = int(rng.integers(2, 2 * k + 1))
         rows = rng.integers(-2, 3, size=(int(rng.integers(1, k + 1)), 2))
@@ -494,16 +483,19 @@ class TestSeparableScan:
             subs.append(Subgraph(parents, adjacency + adjacency.T, features))
         sem = semantics_of(rng.integers(0, 2, size=n_parents))
         subs = stack_subgraphs(subs)
-        assert_same_tables(mirror_search(subs, sem, metric), chunked_mirror_search(subs, sem, metric))
+        assert_same_tables(mirror_search(subs, sem), chunked_mirror_search(subs, sem))
 
     def test_rounding_tie_takes_first_row_major_mirror(self):
-        # Manhattan on a line: D[a, 0] = 1 + 2^-52, D[a, 1] = 1 and D[b, 4] = 3,
-        # so both rows sum to fl(4 + 2^-52) = 4 = 1 + 3, and c = 0 comes first
-        # although c = 1 is closer to a.
+        # On a line the distance is |x_a - x_b| exactly (a correctly rounded
+        # square root of a correctly rounded square). D[a, 0] = 1 + 2^-52,
+        # D[a, 1] = 1 and D[b, 4] = 3, so both rows sum to fl(4 + 2^-52) =
+        # 4 = 1 + 3, and c = 0 comes first although c = 1 is closer to a.
         sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [0.0], [10.0], [13.0]], np.zeros((5, 5)))
+        dmat = pairwise_distances(sub.node_features)
+        assert dmat[2, 0] > dmat[2, 1] and dmat[2, 0] + dmat[3, 4] == dmat[2, 1] + dmat[3, 4] == 4.0
         sem = semantics_of([0] * 5)
-        search = mirror_search(stack_subgraphs([sub]), sem, "manhattan")
-        assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem, "manhattan"))
+        search = mirror_search(stack_subgraphs([sub]), sem)
+        assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem))
         assert search.best[0, 0, packed_pair(5, 2, 3)] == 4.0
         assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (0, 4)
 
@@ -511,7 +503,9 @@ class TestSeparableScan:
         # The same tie on the partner's side: D[b, 0] = 1 + 2^-52, D[b, 1] = 1
         # and D[a, 4] = 3, so d = 0 comes first in row c = 4.
         sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [10.0], [0.0], [13.0]], np.zeros((5, 5)))
+        dmat = pairwise_distances(sub.node_features)
+        assert dmat[3, 0] > dmat[3, 1] and dmat[2, 4] + dmat[3, 0] == dmat[2, 4] + dmat[3, 1] == 4.0
         sem = semantics_of([0] * 5)
-        search = mirror_search(stack_subgraphs([sub]), sem, "manhattan")
-        assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem, "manhattan"))
+        search = mirror_search(stack_subgraphs([sub]), sem)
+        assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem))
         assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (4, 0)

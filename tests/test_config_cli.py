@@ -45,10 +45,9 @@ class TestParseConfig:
     def test_theta0_above_max_rejected_naming_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         for key, value in (("theta0", "60"), ("theta0", "0"), ("ramp_epochs", "0"),
-                           ("distance_metric", "foo"), ("split_train", "2.0"),
-                           ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"), ("alpha", "-0.1"),
-                           ("probe_l2", "nan"), ("eta1", "nan"), ("learning_rate", "inf"),
-                           ("seed", "-3")):
+                           ("split_train", "2.0"), ("sinkhorn_reg", "0"), ("sinkhorn_iters", "0"),
+                           ("alpha", "-0.1"), ("probe_l2", "nan"), ("eta1", "nan"),
+                           ("learning_rate", "inf"), ("seed", "-3")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 parse_config(path)
@@ -193,8 +192,7 @@ class TestCli:
                          "--theta", "40", "--out", str(out)]) == 0
             printed = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
             sub = subgraphs[node]
-            want = per_pair_mirror_augment(sub, float(printed["gamma"]), semantics,
-                                           config.distance_metric)
+            want = per_pair_mirror_augment(sub, float(printed["gamma"]), semantics)
             for name, adj in (("positive_adjacency.csv", want.positive_adjacency),
                               ("negative_adjacency.csv", want.negative_adjacency)):
                 assert adj.shape == (5, 5)
@@ -418,8 +416,9 @@ class TestMalformedCheckpoint:
 class TestRetiredConfigKeys:
     """Checkpoints written while the probe had a step budget and a step size,
     or while TrainConfig had a patience margin, a loss normalisation, a
-    Sinkhorn tolerance and a distance sample budget, echo those keys in their
-    config; they still load, and the keys are gone everywhere else."""
+    Sinkhorn tolerance, a distance sample budget and a distance metric, echo
+    those keys in their config; they still load, and the keys are gone
+    everywhere else."""
 
     def test_checkpoint_with_the_retired_keys_evaluates_the_same(self, tmp_path, config_file,
                                                                  dataset_dir, capsys):
@@ -429,7 +428,7 @@ class TestRetiredConfigKeys:
         payload = json.loads(current.read_text())
         payload["config"].update(probe_iters=500, probe_lr=0.5, improvement_tol=0.0001,
                                  normalize_weighted_loss=False, sinkhorn_tol=1e-6,
-                                 dis_sample_budget=50000)
+                                 dis_sample_budget=50000, distance_metric="manhattan")
         old = tmp_path / "old_checkpoint.json"
         old.write_text(json.dumps(payload))
         printed = []
@@ -442,7 +441,7 @@ class TestRetiredConfigKeys:
 
     @pytest.mark.parametrize("key", ["probe_iters", "probe_lr", "improvement_tol",
                                      "normalize_weighted_loss", "sinkhorn_tol",
-                                     "dis_sample_budget"])
+                                     "dis_sample_budget", "distance_metric"])
     def test_config_file_and_set_reject_them(self, tmp_path, key, config_file, capsys):
         """``train`` exits 1 with one line naming the file and the key's line."""
         path = tmp_path / "retired.cfg"
@@ -782,8 +781,6 @@ class TestOneValuePerSetting:
     @pytest.mark.parametrize("module, function, parameter", [
         ("sampler", "compute_ppr_scores", "teleport"),
         ("sampler", "sample_all_subgraphs", "teleport"),
-        ("augment", "pairwise_distances", "metric"),
-        ("augment", "mirror_search", "metric"),
         ("augment", "mirror_augment", "metric"),
         ("encoder", "init_gcn_params", "n_layers"),
         ("encoder", "init_gcn_params", "seed"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acgcl import autodiff as ad
-from acgcl.augment import SemanticAssignment, mirror_search
+from acgcl.augment import mirror_search
 from acgcl.config import TrainConfig
 from acgcl.encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                            sym_normalized_adjacency)
@@ -77,8 +77,8 @@ class TestBatchNormalization:
         g = random_graph(rng, n=20)
         subs = sample_all_subgraphs(g, k=6, teleport=0.15)
         assert subs.adjacency.dtype == np.bool_
-        sem = SemanticAssignment(values=rng.integers(0, 2, size=20))
-        mirrors = mirror_search(subs, sem, "euclidean").adjacencies(0.8)
+        sem = rng.integers(0, 2, size=20)
+        mirrors = mirror_search(subs, sem).adjacencies(0.8)
         whole = [encoded_views(subs), *(mirror_views(view) for view in mirrors)]
         for ids in (np.array([0, 3, 4, 11, 19]), np.arange(20)):
             batch = [encoded_views(subs, ids), *(mirror_views(view, ids) for view in mirrors)]
@@ -222,9 +222,9 @@ class TestEncodeTriple:
         g = random_graph(rng, n=10)
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 7, n_layers=1, seed=3)
-        sem = SemanticAssignment(values=np.zeros(10, dtype=np.int64))
+        sem = np.zeros(10, dtype=np.int64)
         views = encoded_views(subs)
-        pos, neg = mirror_views(mirror_search(subs, sem, "euclidean").adjacencies(0.5))
+        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.5))
         for emb in self.encode(params, subs, views, pos, neg):
             assert emb.shape == (10 * 5, 7)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from acgcl.augment import DistanceDistribution, quantile
+from acgcl.augment import quantile
 from acgcl.cli import main
 from acgcl.config import TrainConfig
 from acgcl.curriculum import pacing_difficulty
@@ -98,7 +98,7 @@ def _write(tmp_path, name, text):
      NodeIdError, IndexError),
     (lambda tmp: compute_ppr_scores(graph_from_edges(2, [(0, 1)]), teleport=1.0),
      ConfigError, ValueError),
-    (lambda tmp: quantile(DistanceDistribution(values=np.arange(3.0)), 100.5),
+    (lambda tmp: quantile(np.arange(3.0), 100.5),
      ConfigError, ValueError),
     (lambda tmp: pacing_difficulty(-1, TrainConfig()), SizeError, ValueError),
 ], ids=["edge-endpoint", "label-node-id", "subgraph-index", "teleport", "theta", "epoch"])

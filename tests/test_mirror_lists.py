@@ -5,9 +5,9 @@ to the exact scan.
 Every table is compared with the O(k^4) chunked oracle, or, on inputs too
 large for it, with a search that sends every row to the exact scan. The
 inputs aim at the fallback: exact value ties from duplicated feature rows,
-equal rounded sums from integer features under manhattan, centre-padded
-subgraphs, lists shorter than LIST_LENGTH, and one-label and all-distinct
-semantics.
+equal sums of square roots from small integer features, a rounding tie on a
+line, centre-padded subgraphs, lists shorter than LIST_LENGTH, and one-label
+and all-distinct semantics.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import augment
-from acgcl.augment import SemanticAssignment, mirror_search, pairwise_distances
+from acgcl.augment import mirror_search, pairwise_distances
 from acgcl.graph import SbmConfig, generate_sbm
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import packed_pair, stack_subgraphs
@@ -39,7 +39,7 @@ def random_stack(rng, k, features, labels, padded, n_subgraphs=3):
         x = rng.standard_normal((n_parents, 2))
     elif features == "duplicated":          # a few distinct rows, many exact copies
         x = rng.standard_normal((3, 2))[rng.integers(0, 3, size=n_parents)]
-    else:                                    # small integers: equal rounded sums
+    else:                                    # small integers: equal sums
         x = rng.integers(-2, 3, size=(n_parents, 2)).astype(float)
     subs = []
     for _ in range(n_subgraphs):
@@ -50,7 +50,7 @@ def random_stack(rng, k, features, labels, padded, n_subgraphs=3):
         subs.append(Subgraph(parents, adjacency + adjacency.T, x))
     values = {"one": np.zeros(n_parents), "distinct": np.arange(n_parents),
               "few": rng.integers(0, 3, size=n_parents)}[labels]
-    return stack_subgraphs(subs), SemanticAssignment(values=values.astype(np.int64))
+    return stack_subgraphs(subs), values.astype(np.int64)
 
 
 @pytest.fixture
@@ -80,26 +80,24 @@ def scan_everything(monkeypatch):
 
 class TestAgainstChunkedSearch:
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(augment.METRICS), st.integers(2, 9),
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 9),
            st.sampled_from(["continuous", "duplicated", "integer"]),
            st.sampled_from(["one", "distinct", "few"]), st.booleans())
-    def test_tables_match(self, seed, metric, k, features, labels, padded):
+    def test_tables_match(self, seed, k, features, labels, padded):
         subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
-        assert_same_tables(mirror_search(subs, sem, metric),
-                           chunked_mirror_search(subs, sem, metric))
+        assert_same_tables(mirror_search(subs, sem), chunked_mirror_search(subs, sem))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("labels", ["one", "distinct", "few"])
     def test_short_lists(self, rng, k, labels):
         # k <= LIST_LENGTH: every list runs out, and so do some sets at k = 5
-        for metric in augment.METRICS:
+        for _ in range(3):
             subs, sem = random_stack(rng, k, "continuous", labels, False, n_subgraphs=8)
-            assert_same_tables(mirror_search(subs, sem, metric),
-                               chunked_mirror_search(subs, sem, metric))
+            assert_same_tables(mirror_search(subs, sem), chunked_mirror_search(subs, sem))
 
 
-STACKS = st.tuples(st.integers(0, 2 ** 31 - 1), st.sampled_from(augment.METRICS),
-                   st.integers(2, 9), st.sampled_from(["continuous", "duplicated", "integer"]),
+STACKS = st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(2, 9),
+                   st.sampled_from(["continuous", "duplicated", "integer"]),
                    st.sampled_from(["one", "distinct", "few"]), st.booleans())
 
 
@@ -109,20 +107,20 @@ class TestPackedTables:
     @settings(max_examples=60, deadline=None)
     @given(STACKS)
     def test_every_pair_matches_the_brute_force_search(self, case):
-        seed, metric, k, features, labels, padded = case
+        seed, k, features, labels, padded = case
         subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
-        search = mirror_search(subs, sem, metric)
+        search = mirror_search(subs, sem)
         pairs = list(zip(*np.triu_indices(k, 1)))
         for table in (search.best, search.argmin, search.edge):
             assert table.shape == (2, len(subs), len(pairs))
         for i, sub in enumerate(subs):
-            dmat = pairwise_distances(sub.node_features[sub.parent_indices], metric)
+            dmat = pairwise_distances(sub.node_features[sub.parent_indices])
             for q, (a, b) in enumerate(pairs):
                 assert q == packed_pair(k, a, b)
                 for p, polarity in enumerate(("positive", "negative")):
                     mirror = None
                     if sub.parent_indices[a] != sub.parent_indices[b]:
-                        mirror = find_mirror_pair(sub, (a, b), np.inf, sem, metric, polarity, dmat)
+                        mirror = find_mirror_pair(sub, (a, b), np.inf, sem, polarity, dmat)
                     if mirror is None:
                         assert search.best[p, i, q] == np.inf and search.argmin[p, i, q] == 0
                         continue
@@ -134,9 +132,9 @@ class TestPackedTables:
     @settings(max_examples=40, deadline=None)
     @given(STACKS)
     def test_adjacencies_equal_thresholding_the_full_tables(self, case):
-        seed, metric, k, features, labels, padded = case
+        seed, k, features, labels, padded = case
         subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
-        search = mirror_search(subs, sem, metric)
+        search = mirror_search(subs, sem)
         sums = search.best[np.isfinite(search.best)]
         for gamma in (0.0, *(sums / 2.0)[:3], *(np.nextafter(sums / 2.0, np.inf))[:3], np.inf):
             got = search.adjacencies(gamma)
@@ -149,48 +147,45 @@ class TestPackedTables:
 class TestRouting:
     """Which rows the lists settle, and which go to the exact scan."""
 
-    @pytest.mark.parametrize("features, metric", [("duplicated", "euclidean"),
-                                                  ("integer", "manhattan")])
-    def test_ties_go_to_the_exact_scan(self, rng, scanned_rows, features, metric):
+    @pytest.mark.parametrize("features", ["duplicated", "integer"])
+    def test_ties_go_to_the_exact_scan(self, rng, scanned_rows, features):
         subs, sem = random_stack(rng, 8, features, "few", False, n_subgraphs=6)
-        search = mirror_search(subs, sem, metric)
+        search = mirror_search(subs, sem)
         assert sum(scanned_rows) > 0
         assert sum(scanned_rows) < search.pair_counts.sum()
-        assert_same_tables(search, chunked_mirror_search(subs, sem, metric))
+        assert_same_tables(search, chunked_mirror_search(subs, sem))
 
     def test_every_pair_of_a_padded_subgraph_goes_to_the_exact_scan(self, rng, scanned_rows):
         x = rng.standard_normal((20, 3))
         plain = Subgraph(np.arange(6), np.zeros((6, 6)), x)
         padded = Subgraph(np.array([7, 8, 9, 10, 7, 7]), np.zeros((6, 6)), x)
         subs = stack_subgraphs([plain, padded])
-        sem = SemanticAssignment(values=rng.integers(0, 2, size=20))
-        search = mirror_search(subs, sem, "euclidean")
+        sem = rng.integers(0, 2, size=20)
+        search = mirror_search(subs, sem)
         assert search.pair_counts.tolist() == [15, 12]
         assert scanned_rows == [12]
-        assert_same_tables(search, chunked_mirror_search(subs, sem, "euclidean"))
+        assert_same_tables(search, chunked_mirror_search(subs, sem))
 
     def test_a_rounding_tie_at_the_cut_goes_to_the_exact_scan(self, scanned_rows):
-        # As in test_augment's rounding-tie case: D[a, 0] = 1 + 2^-52 and
-        # D[a, 1] = 1 give the same rounded sum with D[b, 4] = 3.
+        # As in test_augment's rounding-tie case: on a line, D[a, 0] = 1 + 2^-52
+        # and D[a, 1] = 1 give the same rounded sum with D[b, 4] = 3.
         x = np.array([[1.0 + 2.0 ** -52], [-1.0], [0.0], [10.0], [13.0]])
         subs = stack_subgraphs([Subgraph(np.arange(5), np.zeros((5, 5)), x)])
-        sem = SemanticAssignment(values=np.zeros(5, dtype=np.int64))
-        search = mirror_search(subs, sem, "manhattan")
+        sem = np.zeros(5, dtype=np.int64)
+        search = mirror_search(subs, sem)
         assert sum(scanned_rows) > 0
         assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (0, 4)
-        assert_same_tables(search, chunked_mirror_search(subs, sem, "manhattan"))
+        assert_same_tables(search, chunked_mirror_search(subs, sem))
 
-    @pytest.mark.parametrize("metric", augment.METRICS)
-    def test_a_benchmark_like_block_model_needs_no_exact_scan(self, monkeypatch, scanned_rows,
-                                                              metric):
+    def test_a_benchmark_like_block_model_needs_no_exact_scan(self, monkeypatch, scanned_rows):
         g = generate_sbm(SbmConfig((60, 60, 60), 0.15, 0.01, 16), seed=3)
         subs = sample_all_subgraphs(g, 20, 0.15)
         for kind in augment.SEMANTICS:
             sem = augment.semantic_assignment(g, kind, 4)
-            search = mirror_search(subs, sem, metric)
+            search = mirror_search(subs, sem)
             assert scanned_rows == []
             with monkeypatch.context() as patched:
                 scan_everything(patched)
-                assert_same_tables(search, mirror_search(subs, sem, metric))
+                assert_same_tables(search, mirror_search(subs, sem))
             assert sum(scanned_rows) == search.pair_counts.sum()
             scanned_rows.clear()

@@ -394,7 +394,7 @@ class TestTrainLoop:
         sem = semantic_assignment(g, "label")
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 0)
         params.weights[0].value = np.full_like(params.weights[0].value, np.nan)
-        mirrors = mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.5)
+        mirrors = mirror_search(subs, sem).adjacencies(0.5)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         with pytest.raises(TrainingDiverged, match="batch"):
             run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
@@ -413,7 +413,7 @@ class TestTrainLoop:
 
         subs, sem, dist = curriculum_inputs(g, cfg)
         gamma = quantile(dist, pacing_difficulty(0, cfg))
-        search = mirror_search(subs, sem, cfg.distance_metric)
+        search = mirror_search(subs, sem)
         mirrors = search.adjacencies(gamma)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
         opt = init_optimizer([t.value for t in params.all_parameters()])
@@ -439,7 +439,7 @@ class TestStepMemory:
         g = small_graph(seed=3, n_per_block=40)
         cfg = small_config(seed=3, subgraph_size=20, embedding_dim=64, batch_size=64)
         subs, sem, dist = curriculum_inputs(g, cfg)
-        search = mirror_search(subs, sem, cfg.distance_metric)
+        search = mirror_search(subs, sem)
         mirrors = search.adjacencies(quantile(dist, 30.0))
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
         opt = init_optimizer([t.value for t in params.all_parameters()])
@@ -464,7 +464,7 @@ class TestTwoLayerStep:
                                    feature_dim=16, feature_noise=1.0), seed=7)
         cfg = TrainConfig(seed=7, subgraph_size=20, gcn_layers=2)
         subs, sem, dist = curriculum_inputs(g, cfg)
-        mirrors = mirror_search(subs, sem, cfg.distance_metric).adjacencies(
+        mirrors = mirror_search(subs, sem).adjacencies(
             quantile(dist, cfg.theta0))
 
         def first_moments():
@@ -504,7 +504,7 @@ class TestDegeneratePipeline:
         cfg = small_config(seed=2, acl_mode="uniform", xi=1.0, alpha=1.0)
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         sem = semantic_assignment(g, "label")
-        identity = mirror_search(subs, sem, cfg.distance_metric).adjacencies(0.0)
+        identity = mirror_search(subs, sem).adjacencies(0.0)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 1, 2)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         result, _, _ = run_inner_step(params, opt, subs, identity, 0, 0, cfg, None)
@@ -521,7 +521,7 @@ class TestDifficultyCurve:
         dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
         params = init_gcn_params(g.feature_dim, 8, 2, 3)
         grid = [0.0, 15.0, 30.0, 50.0, 80.0, 100.0]
-        curve = difficulty_curve(params, subs, mirror_search(subs, sem, "euclidean"), dist, grid,
+        curve = difficulty_curve(params, subs, mirror_search(subs, sem), dist, grid,
                                  xi=0.5)
 
         views = encoded_views(subs)
@@ -539,7 +539,7 @@ class TestDifficultyCurve:
         g = small_graph(seed=3, n_per_block=150)    # 300 subgraphs: two full blocks and a partial
         subs = sample_all_subgraphs(g, 6, 0.15)
         assert len(subs) > 2 * trainer.EMBED_BLOCK and len(subs) % trainer.EMBED_BLOCK
-        search = mirror_search(subs, semantic_assignment(g, "label"), "euclidean")
+        search = mirror_search(subs, semantic_assignment(g, "label"))
         dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
         params = init_gcn_params(g.feature_dim, 8, 2, 3)
         grid = [0.0, 10.0, 30.0, 100.0]
