@@ -22,8 +22,9 @@ sums are stored for the pairs a < b alone, and each new gamma then costs one
 threshold over them (``MirrorSearch.adjacencies``). The search and the
 distance estimate read a ``SubgraphSet`` and gather feature rows per block.
 
-Every distance is the Euclidean distance between feature rows. The paper's
-abstract names no metric, so its choice cannot be checked offline.
+Every distance is Euclidean: the paper's abstract names no metric, so its
+choice cannot be checked offline. The search takes each block's matrices
+from ``autodiff.euclidean_matrix``, the Sinkhorn cost's kernel too.
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import euclidean_matrix
 from .errors import ConfigError, EmptyDistributionError, SizeError
 from .graph import Graph
 from .sampler import Subgraph, SubgraphSet
 from .util import linear_quantile
 
 SEMANTICS = ("label", "degree-bucket")
-PAIR_BLOCK = 1 << 12   # pair rows per block: k * 32 kB per (pairs, k) array, dim * 32 kB per gather
+# Pairs per block of the distance sample and the mirror search: k * 32 kB per
+# (pairs, k) array, about dim * 32 kB per feature gather, no (g, k, k, dim) array.
+PAIR_BLOCK = 1 << 12
 
 
 def check_semantics(kind: str) -> None:
@@ -50,20 +54,6 @@ def _euclidean_only(metric: str) -> None:
     """The ``metric`` argument the benchmark still passes: Euclidean alone."""
     if metric != "euclidean":
         raise ConfigError(f"metric: the distance is 'euclidean', got {metric!r}")
-
-
-def distance(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Euclidean distance between the feature vectors on the last axis of
-    ``xa`` and ``xb``, broadcast over the leading axes."""
-    diff = xa - xb
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def pairwise_distances(features: np.ndarray) -> np.ndarray:
-    """(..., k, k) distance matrices between the feature rows of a
-    (..., k, dim) stack."""
-    x = np.asarray(features, dtype=np.float64)
-    return distance(x[..., :, None, :], x[..., None, :, :])
 
 
 def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -> np.ndarray:
@@ -111,7 +101,8 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
     values = np.empty(len(owner))
     for start in range(0, len(owner), PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        values[block] = distance(x[a[block]], x[b[block]])
+        diff = x[a[block]] - x[b[block]]
+        values[block] = np.sqrt(np.sum(diff * diff, axis=1))
     values.sort()
     return values
 
@@ -229,7 +220,8 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
     step = max(1, PAIR_BLOCK // max(1, len(upper_a)))
     for start in range(0, n, step):
         parents = subgraphs.parent_indices[start:start + step]
-        dmat = pairwise_distances(subgraphs.node_features[parents])
+        x = subgraphs.node_features[parents]
+        dmat = euclidean_matrix(x, x)[0]
         labels = semantics[parents]
         pairs = parents[:, upper_a] != parents[:, upper_b]
         pair_counts[start:start + len(parents)] = pairs.sum(axis=1)

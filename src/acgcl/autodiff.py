@@ -29,6 +29,8 @@ exact-zero terms, which changes their association and so their last bits.
 
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
+``euclidean_matrix``, the one all-pairs distance kernel, works on plain
+arrays; ``pairwise_euclidean`` is its tape node, the mirror search calls it.
 """
 
 from __future__ import annotations
@@ -270,26 +272,36 @@ def row_sq_dist(a, b) -> Tensor:
     return _node(np.sum(squares, axis=1), (a, b), backward_fn)
 
 
-# Pairs whose squared distance is at most this fraction of |p|^2 + |q|^2 are
-# recomputed from their row differences: there the Gram form cancels.
+# A pair whose squared distance is not above this fraction of |p|^2 + |q|^2
+# (the Gram form cancels there), or NaN from overflowing terms, is recomputed.
 _NEAR = 1e-4
 
 
+def euclidean_matrix(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """(..., m, d), (..., n, d) -> (..., m, n) euclidean distances from the
+    Gram form |p|^2 + |q|^2 - 2 p.q, the near pairs' indices, and their row
+    differences p - q, which give their distances: coincident rows are 0
+    apart, rows with overflowing Gram terms inf, never NaN. A stack's items
+    keep the bits each gets alone."""
+    norms = (np.einsum("...ij,...ij->...i", p, p)[..., :, None]
+             + np.einsum("...ij,...ij->...i", q, q)[..., None, :])
+    with np.errstate(invalid="ignore"):     # inf - inf: overflowing terms, near below
+        sq = norms - 2.0 * (p @ np.swapaxes(q, -1, -2))
+    near = np.nonzero(~(sq > _NEAR * norms))
+    diff = p[near[:-1]] - q[near[:-2] + near[-1:]]
+    sq[near] = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(sq), near, diff
+
+
 def pairwise_euclidean(p, q) -> Tensor:
-    """(m, d), (n, d) -> (m, n) euclidean distances, from the Gram form
-    |p|^2 + |q|^2 - 2 p.q. Near pairs (coincident rows among them) take their
-    value and gradient from the exact row difference, so coincident points
-    have distance 0 and gradient 0."""
+    """(m, d), (n, d) -> (m, n) euclidean distances (``euclidean_matrix``).
+    Near pairs take their gradient from the exact row difference too, so
+    coincident points have distance 0 and gradient 0."""
     p, q = as_tensor(p), as_tensor(q)
     if p.value.ndim != 2 or q.value.ndim != 2 or p.shape[1] != q.shape[1]:
         raise ShapeError(f"pairwise_euclidean shapes {p.shape} and {q.shape}")
     pv, qv = p.value, q.value
-    norms = np.einsum("ij,ij->i", pv, pv)[:, None] + np.einsum("ij,ij->i", qv, qv)[None, :]
-    sq = norms - 2.0 * (pv @ qv.T)
-    rows, cols = np.nonzero(sq <= _NEAR * norms)
-    diff = pv[rows] - qv[cols]
-    sq[rows, cols] = np.einsum("ij,ij->i", diff, diff)
-    dist = np.sqrt(sq)
+    dist, (rows, cols), diff = euclidean_matrix(pv, qv)
 
     def backward_fn(g):
         w = np.divide(g, dist, out=np.zeros_like(dist), where=dist > 0)

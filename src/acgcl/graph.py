@@ -51,9 +51,9 @@ class Splits:
 
 @dataclass(frozen=True)
 class Graph:
-    """``adjacency`` is given as edge keys, a dense (n, n) 0/1 array or a
-    sparse matrix (anything with ``.tocoo()``), and held as edge keys. A graph
-    that breaks an invariant below fails to build with a ShapeError."""
+    """``adjacency`` is given as edge keys or a sparse 0/1 matrix (anything
+    with ``.tocoo()``), and held as edge keys. Any other form, and a graph
+    that breaks an invariant below, fails to build with a ShapeError."""
     features: np.ndarray            # (n_nodes, dim) float64
     adjacency: np.ndarray           # (n_edge_entries,) sorted unique row * n + col
     labels: np.ndarray | None = None
@@ -112,28 +112,23 @@ class Graph:
 
 def _edge_keys(adjacency, n: int) -> np.ndarray:
     """Int64 keys row * n + col of the nonzero entries of an (n, n) 0/1
-    adjacency given as keys (a 1-D integer array), a dense array or a sparse
-    matrix (anything with ``.tocoo()``), in any order and maybe repeated."""
+    adjacency given as keys (a 1-D integer array) or a sparse matrix
+    (anything with ``.tocoo()``), in any order and maybe repeated."""
     if hasattr(adjacency, "tocoo"):
         coo = adjacency.tocoo()
-        shape, rows, cols, values = coo.shape, coo.row, coo.col, coo.data
-    else:
-        array = np.asarray(adjacency)
-        if array.ndim == 1 and (array.size == 0 or np.issubdtype(array.dtype, np.integer)):
-            keys = array.astype(np.int64)
-            if keys.size and (keys.min() < 0 or keys.max() >= n * n):
-                raise ShapeError(f"adjacency key out of range [0, {n * n}) for {n} nodes")
-            return keys
-        shape = array.shape
-        if shape == (n, n):
-            rows, cols = np.nonzero(array)
-            values = array[rows, cols]
-    if tuple(shape) != (n, n):
-        raise ShapeError(f"adjacency is {tuple(shape)}, expected ({n}, {n})")
-    stored = values != 0
-    if not (values[stored] == 1).all():
-        raise ShapeError("adjacency entries must be 0 or 1")
-    return rows[stored].astype(np.int64) * n + cols[stored]
+        if tuple(coo.shape) != (n, n):
+            raise ShapeError(f"adjacency is {tuple(coo.shape)}, expected ({n}, {n})")
+        stored = coo.data != 0
+        if not (coo.data[stored] == 1).all():
+            raise ShapeError("adjacency entries must be 0 or 1")
+        return coo.row[stored].astype(np.int64) * n + coo.col[stored]
+    keys = np.asarray(adjacency)
+    if keys.ndim != 1 or not (keys.size == 0 or np.issubdtype(keys.dtype, np.integer)):
+        raise ShapeError(f"adjacency is a {keys.ndim}-d {keys.dtype} array, expected 1-d integer"
+                         " edge keys or a sparse matrix (anything with .tocoo())")
+    if keys.size and (keys.min() < 0 or keys.max() >= n * n):
+        raise ShapeError(f"adjacency key out of range [0, {n * n}) for {n} nodes")
+    return keys.astype(np.int64)
 
 
 def _both_directions(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

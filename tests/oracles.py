@@ -5,9 +5,10 @@ enumeration, grids) and shares no code with the production paths it checks.
 Two groups share some:
 
 * the per-pair mirror oracles and ``chunked_mirror_search`` (the O(k^4)
-  sweep the separable scan replaced) take the distance matrix from
-  ``acgcl.augment.pairwise_distances``, so that their sums compare bit for bit
-  with the search;
+  sweep the separable scan replaced) take the distance matrix from the
+  package's one distance kernel, ``acgcl.autodiff.euclidean_matrix``
+  (``distance_matrix``), so that their sums compare bit for bit with the
+  search;
 * the single-item references for the batched encoder and losses
   (``gcn_forward``, ``inter_graph_loss``, ``intra_graph_loss``,
   ``per_sample_loss``) handle one subgraph, one center or one sample at a
@@ -35,7 +36,8 @@ kernel-domain node replaced; it checks its marginals at the package's ``_TOL_CHE
 ``SinkhornStats``, so iteration counts compare directly.
 ``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
-pairs with the package's ``distance``, so the two compare bit for bit.
+pairs row by row with the package's expression, so the two compare bit for
+bit.
 ``gradient_descent_probe`` is the fixed-budget gradient-descent probe fit
 that the package's Newton-CG ``fit_probe`` replaced. ``read_features_by_line``
 is the line-by-line ``features.csv`` reader that the package's one-call parse
@@ -54,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from acgcl import autodiff as ad
-from acgcl.augment import MirrorSearch, distance, pairwise_distances, quantile
+from acgcl.augment import MirrorSearch, quantile
 from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
                            sym_normalized_adjacency)
 from acgcl.errors import EmptyDistributionError, GraphParseError, ShapeError, SizeError
@@ -90,6 +92,12 @@ def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, polarity):
     return best
 
 
+def distance_matrix(x: np.ndarray) -> np.ndarray:
+    """(k, k) distances between the rows of a (k, dim) ``x``, from the
+    package's kernel, as ``acgcl.augment.mirror_search`` forms them."""
+    return ad.euclidean_matrix(x, x)[0]
+
+
 def pair_distance(x_a, x_b) -> float:
     """Euclidean distance of two feature vectors."""
     x_a = np.asarray(x_a, dtype=np.float64)
@@ -118,7 +126,7 @@ def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: np.ndarray,
     if polarity not in ("positive", "negative"):
         raise ValueError("polarity must be 'positive' or 'negative'")
     if dmat is None:
-        dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices])
+        dmat = distance_matrix(subgraph.node_features[subgraph.parent_indices])
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
 
     sums = dmat[:, a][:, None] + dmat[:, b][None, :]
@@ -169,7 +177,7 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: np.ndarray) ->
     thresholded adjacencies and ``MirrorSearch.replacements``."""
     k = subgraph.size
     adj = subgraph.adjacency
-    dmat = pairwise_distances(subgraph.node_features[subgraph.parent_indices])
+    dmat = distance_matrix(subgraph.node_features[subgraph.parent_indices])
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
     excluded_by = parents[:, None] == parents[None, :]   # excluded_by[a, c]
 
@@ -222,7 +230,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
     argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
     for i, sub in enumerate(subgraphs):
-        dmat = pairwise_distances(sub.node_features[sub.parent_indices])
+        dmat = distance_matrix(sub.node_features[sub.parent_indices])
         parents = sub.parent_indices
         labels = semantics[parents]
         parent_neq = parents[:, None] != parents[None, :]
@@ -679,7 +687,8 @@ def per_subgraph_distance_distribution(subgraphs, sample_budget, seed):
         iu, iv = pair_lists[sg]
         xa = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iu[sel]]
         xb = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iv[sel]]
-        values[owner == sg] = distance(xa, xb)
+        diff = xa - xb
+        values[owner == sg] = np.sqrt(np.sum(diff * diff, axis=1))
     values.sort()
     return values
 

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import augment
+from acgcl import autodiff as ad
 from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
-                           pairwise_distances, quantile, semantic_assignment)
+                           quantile, semantic_assignment)
 from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, packed_pair, random_graph, stack_subgraphs
-from oracles import (Replacement, chunked_mirror_search, dense_adjacency,
+from oracles import (Replacement, chunked_mirror_search, dense_adjacency, distance_matrix,
                      exhaustive_mirror_pair, find_mirror_pair, pair_distance,
-                     per_pair_mirror_augment, per_subgraph_distance_distribution)
+                     pairwise_euclidean_diff, per_pair_mirror_augment,
+                     per_subgraph_distance_distribution)
 
 
 def logged(search, gamma, i=0):
@@ -77,11 +79,28 @@ class TestPairDistance:
         assert d_xy == pytest.approx(pair_distance(y, x), abs=1e-12)
 
     def test_matrix_matches_pairwise(self, rng):
+        """The one distance kernel, ``autodiff.euclidean_matrix``, on a
+        (g, k, d) stack as the mirror search calls it: each item keeps the
+        bits it gets alone, duplicated rows are exactly 0 apart at d >= 1000,
+        and every entry is within 1e-12 of the difference form."""
         x = rng.standard_normal((7, 3))
-        mat = pairwise_distances(x)
+        mat = distance_matrix(x)
         for i in range(7):
             for j in range(7):
                 assert mat[i, j] == pytest.approx(pair_distance(x[i], x[j]), abs=1e-10)
+        stack = rng.standard_normal((9, 30, 16))
+        stack[:, 7] = stack[:, 3]
+        got = ad.euclidean_matrix(stack, stack)[0]
+        for item, mat in zip(stack, got):
+            assert np.array_equal(mat.view(np.int64), distance_matrix(item).view(np.int64))
+            want = pairwise_euclidean_diff(item, item).value
+            assert np.abs(mat - want).max() <= 1e-12 * want.max()
+        wide = rng.standard_normal((20, 1433)) * 1e3
+        wide[[5, 11, 19]] = wide[2]
+        mat = distance_matrix(wide)
+        same = np.ix_([2, 5, 11, 19], [2, 5, 11, 19])
+        assert (mat[same] == 0.0).all()
+        assert np.count_nonzero(mat) == 20 * 20 - 16 - 16     # and the other 16 self pairs
 
 
 class TestSemantics:
@@ -491,7 +510,7 @@ class TestSeparableScan:
         # D[a, 1] = 1 and D[b, 4] = 3, so both rows sum to fl(4 + 2^-52) =
         # 4 = 1 + 3, and c = 0 comes first although c = 1 is closer to a.
         sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [0.0], [10.0], [13.0]], np.zeros((5, 5)))
-        dmat = pairwise_distances(sub.node_features)
+        dmat = distance_matrix(sub.node_features)
         assert dmat[2, 0] > dmat[2, 1] and dmat[2, 0] + dmat[3, 4] == dmat[2, 1] + dmat[3, 4] == 4.0
         sem = semantics_of([0] * 5)
         search = mirror_search(stack_subgraphs([sub]), sem)
@@ -503,7 +522,7 @@ class TestSeparableScan:
         # The same tie on the partner's side: D[b, 0] = 1 + 2^-52, D[b, 1] = 1
         # and D[a, 4] = 3, so d = 0 comes first in row c = 4.
         sub = make_subgraph([[1.0 + 2.0 ** -52], [-1.0], [10.0], [0.0], [13.0]], np.zeros((5, 5)))
-        dmat = pairwise_distances(sub.node_features)
+        dmat = distance_matrix(sub.node_features)
         assert dmat[3, 0] > dmat[3, 1] and dmat[2, 4] + dmat[3, 0] == dmat[2, 4] + dmat[3, 1] == 4.0
         sem = semantics_of([0] * 5)
         search = mirror_search(stack_subgraphs([sub]), sem)

@@ -137,13 +137,14 @@ class TestLoadGraph:
 
 class TestAdjacency:
     """``Graph`` holds the adjacency as sorted unique edge keys row * n + col,
-    whether it is given keys, a dense array or a sparse matrix."""
+    whether it is given keys or a sparse matrix; a dense array is refused."""
 
-    def test_three_forms_give_the_same_keys(self):
+    def test_keys_and_sparse_forms_give_the_same_keys(self):
         dense = np.zeros((4, 4))
         dense[[0, 1, 1, 2, 3], [1, 0, 2, 1, 3]] = 1.0
         keys = np.array([1, 4, 6, 9, 15])
-        for given in (dense, dense.astype(bool), sp.csr_array(dense), keys[::-1], np.r_[keys, 4]):
+        for given in (sp.csr_array(dense), sp.coo_array(dense.astype(bool)), keys[::-1],
+                      np.r_[keys, 4]):
             g = Graph(features=np.zeros((4, 1)), adjacency=given)
             assert g.adjacency.dtype == np.int64 and g.adjacency.tolist() == keys.tolist()
             assert not g.adjacency.flags.writeable
@@ -151,23 +152,26 @@ class TestAdjacency:
         assert g.degrees().tolist() == [1, 2, 1, 1]     # a self loop counts once
 
     @pytest.mark.parametrize("given, message", [
-        (np.zeros((3, 3)), r"adjacency is \(3, 3\), expected \(2, 2\)"),
-        (np.zeros((2, 2, 1)), "adjacency is"),
-        (np.array([[0.0, 2.0], [2.0, 0.0]]), "entries must be 0 or 1"),
+        (sp.csr_array(np.zeros((3, 3))), r"^adjacency is \(3, 3\), expected \(2, 2\)$"),
+        (np.zeros((2, 2, 1)), r"^adjacency is a 3-d float64 array, expected 1-d integer edge keys"
+                              r" or a sparse matrix \(anything with \.tocoo\(\)\)$"),
+        (np.zeros((2, 2)), r"^adjacency is a 2-d float64 array, expected 1-d integer edge keys"),
+        (np.zeros(2), "^adjacency is a 1-d float64 array"),
+        (sp.csr_array(np.array([[0.0, 2.0], [2.0, 0.0]])), "entries must be 0 or 1"),
         (sp.csr_array(np.array([[0.0, 0.5], [0.5, 0.0]])), "entries must be 0 or 1"),
         (np.array([0, 4]), r"key out of range \[0, 4\)"),
         (np.array([-1]), "key out of range"),
-    ], ids=["wrong-shape", "three-dims", "weight-2", "sparse-weight", "key-past-end",
-            "negative-key"])
+    ], ids=["wrong-shape", "three-dims", "dense", "float-keys", "weight-2", "sparse-weight",
+            "key-past-end", "negative-key"])
     def test_bad_adjacency_rejected(self, given, message):
         with pytest.raises(ShapeError, match=message):
             Graph(features=np.zeros((2, 1)), adjacency=given)
 
-    @pytest.mark.parametrize("form", ["keys", "dense", "sparse"])
+    @pytest.mark.parametrize("form", ["keys", "sparse"])
     def test_asymmetric_adjacency_rejected_when_built(self, form):
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 2] = dense[2, 1] = 1.0     # 0 -> 1 has no 1 -> 0
-        given = {"keys": np.array([1, 5, 7]), "dense": dense, "sparse": sp.csr_array(dense)}
+        given = {"keys": np.array([1, 5, 7]), "sparse": sp.csr_array(dense)}
         with pytest.raises(ShapeError, match="^adjacency is not symmetric$"):
             Graph(features=np.zeros((3, 1)), adjacency=given[form])
 

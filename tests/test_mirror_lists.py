@@ -10,17 +10,20 @@ line, centre-padded subgraphs, lists shorter than LIST_LENGTH, and one-label
 and all-distinct semantics.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import augment
-from acgcl.augment import mirror_search, pairwise_distances
+from acgcl.augment import mirror_search
 from acgcl.graph import SbmConfig, generate_sbm
-from acgcl.sampler import Subgraph, sample_all_subgraphs
+from acgcl.sampler import Subgraph, SubgraphSet, sample_all_subgraphs
 from conftest import packed_pair, stack_subgraphs
-from oracles import chunked_mirror_search, find_mirror_pair, full_table_adjacencies
+from oracles import (chunked_mirror_search, distance_matrix, find_mirror_pair,
+                     full_table_adjacencies)
 
 TABLES = ("adjacency", "best", "argmin", "edge", "pair_counts")
 
@@ -114,7 +117,7 @@ class TestPackedTables:
         for table in (search.best, search.argmin, search.edge):
             assert table.shape == (2, len(subs), len(pairs))
         for i, sub in enumerate(subs):
-            dmat = pairwise_distances(sub.node_features[sub.parent_indices])
+            dmat = distance_matrix(sub.node_features[sub.parent_indices])
             for q, (a, b) in enumerate(pairs):
                 assert q == packed_pair(k, a, b)
                 for p, polarity in enumerate(("positive", "negative")):
@@ -189,3 +192,34 @@ class TestRouting:
                 assert_same_tables(search, mirror_search(subs, sem))
             assert sum(scanned_rows) == search.pair_counts.sum()
             scanned_rows.clear()
+
+
+class TestFeatureScale:
+    """The search at the extremes of the feature matrix: wide rows, and
+    entries so large that the distance kernel's Gram terms overflow."""
+
+    def test_wide_features_keep_a_block_small(self):
+        # A block holds its (g, k, d) gather and (g, k, k) tables, about
+        # 15 MiB here; a (g, k, k, d) difference would take 189 MiB.
+        g = generate_sbm(SbmConfig((30, 30), 0.3, 0.02, 1433), seed=0)
+        subs = sample_all_subgraphs(g, 20, 0.15)
+        sem = augment.semantic_assignment(g)
+        tracemalloc.start()
+        try:
+            mirror_search(subs, sem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_overflowing_features_hold_no_mirror(self):
+        # At 1e160 every |x|^2 overflows; the kernel takes such pairs from
+        # their exact differences, which overflow to inf, not to NaN.
+        g = generate_sbm(SbmConfig((10, 10), 0.4, 0.05, 4), seed=0)
+        subs = sample_all_subgraphs(g, 6, 0.15)
+        huge = SubgraphSet(subs.parent_indices, subs.adjacency, subs.node_features * 1e160)
+        with np.errstate(over="ignore"):
+            search = mirror_search(huge, augment.semantic_assignment(g))
+        assert not np.isnan(search.best).any()
+        assert np.isinf(search.best).all()
+        assert not search.argmin.any()

@@ -186,7 +186,7 @@ class TestBlockInverse:
         isolated, loops = [5, 150, 250, 299], [10, 191, 192, 260]
         dense[isolated, :] = dense[:, isolated] = 0.0
         dense[loops, loops] = 1.0
-        g = Graph(features=np.zeros((n, 1)), adjacency=dense)
+        g = Graph(features=np.zeros((n, 1)), adjacency=sp.csr_array(dense))
         for teleport in (0.15, 0.9):
             got = compute_ppr_scores(g, teleport)
             assert np.abs(got - dense_solve_ppr(g, teleport)).max() <= 1e-12
@@ -396,7 +396,7 @@ class TestBitTable:
 
     def test_single_node(self):
         for loop in (0.0, 1.0):
-            g = Graph(features=np.zeros((1, 1)), adjacency=np.array([[loop]]))
+            g = Graph(features=np.zeros((1, 1)), adjacency=sp.csr_array([[loop]]))
             assert sampler._bit_table(g).nbytes == 1
             self.assert_matches_search(g, np.zeros((3, 2), dtype=np.int64))
 
