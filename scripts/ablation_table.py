@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Compare reweighting modes on one synthetic benchmark.
 
-Per seed, builds the run set-up once (subgraphs, distance distribution and
-mirror search), probes the raw node features, then trains the same encoder
-under uniform weights, plain self-paced thresholding and the hard/soft
-adversarial variants on that set-up. Prints the test accuracy of every seed
-and row, then a table of their means and standard deviations.
+Per seed, builds the run set-up once (subgraphs and their mirror search,
+which holds the distance distribution), probes the raw node features, then
+trains the same encoder under uniform weights, plain self-paced thresholding
+and the hard/soft adversarial variants on that set-up. Prints the test
+accuracy of every seed and row, then a table of their means and standard
+deviations.
 
     python scripts/ablation_table.py --seeds 3 --epochs 20
 """
@@ -15,7 +16,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from acgcl.augment import mirror_search
 from acgcl.config import TrainConfig
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.trainer import curriculum_inputs, evaluate_probe, probe_accuracy, train
@@ -40,8 +40,8 @@ def main():
                              balance_max_points=128, sinkhorn_iters=60)
         graph = with_splits(graph, make_splits(graph, seed, config.split_train,
                                                config.split_val))
-        subgraphs, semantics, dist = curriculum_inputs(graph, config)
-        inputs = subgraphs, dist, mirror_search(subgraphs, semantics)
+        inputs = curriculum_inputs(graph, config)
+        subgraphs = inputs[0]
         scores["raw"].append(evaluate_probe(graph.features, graph.labels, graph.splits,
                                             config.probe_l2)["test"])
         print(f"seed {seed} {'raw':9s} {scores['raw'][-1]:.3f}")

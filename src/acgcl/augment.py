@@ -19,8 +19,8 @@ lists cannot settle exactly (a tie at their cut, or a subgraph padded with
 a repeated centre) takes an exact O(k) scan instead. Both give the same
 first row-major (c, d) on ties as the O(k^2) sweep of every (c, d). The
 sums are stored for the pairs a < b alone, and each new gamma then costs one
-threshold over them (``MirrorSearch.adjacencies``). The search and the
-distance estimate read a ``SubgraphSet`` and gather feature rows per block.
+threshold over them (``MirrorSearch.adjacencies``). The pairs' distances are
+the run's distribution, whose percentiles are the gammas (``quantile``).
 
 Every distance is Euclidean: the paper's abstract names no metric, so its
 choice cannot be checked offline. The search takes each block's matrices
@@ -40,7 +40,7 @@ from .sampler import Subgraph, SubgraphSet
 from .util import linear_quantile
 
 SEMANTICS = ("label", "degree-bucket")
-# Pairs per block of the distance sample and the mirror search: k * 32 kB per
+# Pairs per block of the mirror search and the distance estimate: k * 32 kB per
 # (pairs, k) array, about dim * 32 kB per feature gather, no (g, k, k, dim) array.
 PAIR_BLOCK = 1 << 12
 
@@ -71,18 +71,15 @@ def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -
     return np.searchsorted(edges, degrees, side="right").astype(np.int64)
 
 
-# Pair distances sampled for a run's distribution (``curriculum_inputs``).
-DISTANCE_SAMPLE_BUDGET = 50_000
-
-
 def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
                                    sample_budget: int, seed: int) -> np.ndarray:
     """Up to ``sample_budget`` uniformly sampled within-subgraph pair
     distances (distinct parent nodes only), sorted ascending,
     deterministically per seed. Pairs are numbered by subgraph, then a < b
     row-major; the chosen ones are measured PAIR_BLOCK at a time.
-    ``metric`` must be "euclidean": the benchmark passes it, and ROADMAP
-    item 1 step C deletes it."""
+    ``metric`` must be "euclidean". No package code calls this: a run's
+    distribution is ``MirrorSearch.distances``. It stays for the benchmark,
+    and ROADMAP item 1 step C deletes it."""
     if sample_budget < 1:
         raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
     _euclidean_only(metric)
@@ -108,12 +105,12 @@ def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
 
 
 def quantile(values: np.ndarray, theta: float) -> float:
-    """theta-th percentile of the sorted ``values`` (linear interpolation
+    """theta-th percentile of ``values``, in any order (linear interpolation
     between order statistics)."""
     if not (0.0 <= theta <= 100.0):
         raise ConfigError(f"theta: must be in [0, 100], got {theta}")
     if values.size == 0:
-        raise EmptyDistributionError("empty distance distribution")
+        raise EmptyDistributionError("no subgraph contains two distinct nodes")
     return float(linear_quantile(values, theta / 100))
 
 
@@ -130,19 +127,21 @@ class MirrorSearch:
     an admissible mirror, and padded duplicates, hold an infinite sum, so no
     gamma replaces them. ``best`` is float64, ``edge`` bool and ``argmin``
     the smallest unsigned type that holds k * k - 1 (uint8 up to k = 16,
-    uint16 up to k = 256): 22 bytes per pair a < b at k = 20, both
-    polarities together, 4180 per subgraph.
+    uint16 up to k = 256). ``distances`` holds D[a, b] of the pairs a < b with
+    distinct parents, subgraph by subgraph. In all, 30 bytes per pair a < b
+    at k = 20, 5700 per subgraph.
     """
     adjacency: np.ndarray      # (n, k, k) bool source adjacencies, symmetric
     best: np.ndarray           # (2, n, k (k - 1) / 2) float64
     argmin: np.ndarray         # (2, n, k (k - 1) / 2) np.min_scalar_type(k * k - 1)
     edge: np.ndarray           # (2, n, k (k - 1) / 2) bool
     pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
+    distances: np.ndarray      # (pair_counts.sum(),) float64: the run's, slices share it
 
     def __getitem__(self, rows: slice) -> MirrorSearch:
         """The search of the subgraphs ``rows``, as views of these tables."""
         return MirrorSearch(self.adjacency[rows], self.best[:, rows], self.argmin[:, rows],
-                            self.edge[:, rows], self.pair_counts[rows])
+                            self.edge[:, rows], self.pair_counts[rows], self.distances)
 
     def adjacencies(self, gamma: float) -> np.ndarray:
         """(2, n, k, k) bool: positive then negative mirror adjacencies at
@@ -208,8 +207,9 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
     lists cannot settle, a value or rounding tie at the cut or any pair of
     a subgraph with a repeated parent, alone take the exact scan
     (``_separable_min``). Distances, lists and pairs are held for one block
-    of PAIR_BLOCK pairs' worth of whole subgraphs at a time. ``semantics``
-    holds one integer per parent-graph node (``semantic_assignment``).
+    of PAIR_BLOCK pairs' worth of whole subgraphs at a time, and its pairs'
+    D[a, b] join ``distances``. ``semantics`` holds one integer per
+    parent-graph node (``semantic_assignment``).
     """
     adjacency = np.asarray(subgraphs.adjacency, dtype=bool)
     n, k = adjacency.shape[:2]
@@ -217,6 +217,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
     best = np.full((2, n, len(upper_a)), np.inf)
     argmin = np.zeros((2, n, len(upper_a)), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
+    distances = [np.empty(0)]
     step = max(1, PAIR_BLOCK // max(1, len(upper_a)))
     for start in range(0, n, step):
         parents = subgraphs.parent_indices[start:start + step]
@@ -227,6 +228,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
         pair_counts[start:start + len(parents)] = pairs.sum(axis=1)
         g, q = np.nonzero(pairs)             # pairs a < b with distinct parents
         a, b = upper_a[q], upper_b[q]
+        distances.append(dmat[g, a, b])
         *mins, settled = _listed_mins(dmat, labels, g, a, b)
         # The lists hold slots, not parents, and a NaN distance has no order.
         listed = ((np.diff(np.sort(parents, axis=1), axis=1) != 0).all(axis=1)
@@ -247,7 +249,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
             argmin[p, i, q] = np.where(value < np.inf, flat, 0)
     edge = np.take_along_axis(adjacency.reshape(1, n, k * k), argmin, axis=2)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
-                        pair_counts=pair_counts)
+                        pair_counts=pair_counts, distances=np.concatenate(distances))
 
 
 # The candidate sets of slot v: slots of v's semantics, of another, of any.

@@ -282,12 +282,17 @@ def euclidean_matrix(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, tuple, n
     Gram form |p|^2 + |q|^2 - 2 p.q, the near pairs' indices, and their row
     differences p - q, which give their distances: coincident rows are 0
     apart, rows with overflowing Gram terms inf, never NaN. A stack's items
-    keep the bits each gets alone."""
+    keep the bits each gets alone. Where ``p is q`` the diagonal is 0 and
+    holds no near pair."""
     norms = (np.einsum("...ij,...ij->...i", p, p)[..., :, None]
              + np.einsum("...ij,...ij->...i", q, q)[..., None, :])
     with np.errstate(invalid="ignore"):     # inf - inf: overflowing terms, near below
         sq = norms - 2.0 * (p @ np.swapaxes(q, -1, -2))
-    near = np.nonzero(~(sq > _NEAR * norms))
+    near = ~(sq > _NEAR * norms)
+    if p is q:                              # a row is 0 from itself: nothing to recompute
+        diagonal = np.arange(sq.shape[-1])
+        sq[..., diagonal, diagonal] = near[..., diagonal, diagonal] = 0
+    near = np.nonzero(near)
     diff = p[near[:-1]] - q[near[:-2] + near[-1:]]
     sq[near] = np.einsum("ij,ij->i", diff, diff)
     return np.sqrt(sq), near, diff

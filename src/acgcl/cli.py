@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import mirror_search, quantile
+from .augment import quantile
 from .config import TrainConfig, parse_config
 from .errors import AcgclError, ConfigError
 from .graph import SbmConfig, generate_sbm, make_splits, save_dataset, with_splits, load_dataset
@@ -131,9 +131,9 @@ def _cmd_augment_inspect(args) -> int:
     config, graph = _load_config_and_graph(args.config, args.overrides)
     if not (0 <= args.node < graph.n_nodes):
         raise ConfigError(f"node: {args.node} out of range [0, {graph.n_nodes})")
-    subgraphs, semantics, dist = curriculum_inputs(graph, config)
-    gamma = quantile(dist, args.theta)
-    search = mirror_search(subgraphs[args.node:args.node + 1], semantics)
+    subgraphs, search = curriculum_inputs(graph, config)
+    gamma = quantile(search.distances, args.theta)
+    search = search[args.node:args.node + 1]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,11 +168,10 @@ def _cmd_validate_difficulty(args) -> int:
     if args.checkpoint:
         params, _ = load_checkpoint(args.checkpoint)
         check_feature_width(params, graph, args.checkpoint)
-    subgraphs, semantics, dist = curriculum_inputs(graph, config)
-    search = mirror_search(subgraphs, semantics)
+    subgraphs, search = curriculum_inputs(graph, config)
     if not args.checkpoint:
-        params, _ = train(graph, config, inputs=(subgraphs, dist, search))
-    rows = difficulty_curve(params, subgraphs, search, dist, grid, config.xi)
+        params, _ = train(graph, config, inputs=(subgraphs, search))
+    rows = difficulty_curve(params, subgraphs, search, grid, config.xi)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

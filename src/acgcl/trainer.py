@@ -3,10 +3,10 @@ steps with curriculum reweighting and Adam updates, early stopping on a
 validation probe.
 
 ``curriculum_inputs`` is the run set-up that train, augment-inspect and
-validate-difficulty share. Its distance distribution has a fixed per-run
-seed (the subgraph set never changes, so the distance threshold is a
-deterministic, non-decreasing function of the paced difficulty). Every
-pair's best mirror is searched once per run; each epoch thresholds the
+validate-difficulty share: the subgraphs and their mirror search, which
+finds every pair's best mirror once per run and keeps every pair distance.
+A difficulty's distance threshold is an exact percentile of those, a
+non-decreasing function of the paced difficulty. Each epoch thresholds the
 stored mirrors at its distance into one bool stack of both views, then runs
 ``inner_steps`` mini-batch updates, each of which normalizes its batch of
 every view; a step is a function of (epoch, step) and the carried params,
@@ -33,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (DISTANCE_SAMPLE_BUDGET, MirrorSearch, estimate_distance_distribution,
-                      mirror_search, quantile, semantic_assignment)
+from .augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from .config import TrainConfig
 from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
                          weights_for_mode, window_fields)
@@ -46,15 +45,15 @@ from .losses import (SINKHORN_TOL, balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
 from .sampler import SubgraphSet, sample_all_subgraphs
-from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_DISTANCES, ROLE_SHUFFLE, rng_for, write_atomic
+from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, rng_for, write_atomic
 
 CHECKPOINT_VERSION = 1
 # Config keys that older checkpoints echo and TrainConfig no longer has: the
 # probe's gradient-descent step budget and step size, before it fitted to
 # PROBE_TOL, then a patience margin and a loss normalisation that no run set,
-# then the Sinkhorn tolerance and the distance sample budget, which became
-# the module constants losses.SINKHORN_TOL and augment.DISTANCE_SAMPLE_BUDGET,
-# then the distance metric, which is Euclidean alone.
+# then the Sinkhorn tolerance, now losses.SINKHORN_TOL, and the distance
+# sample budget, gone with the sample, then the distance metric, which is
+# Euclidean alone.
 # The loader drops them; a config file or --set rejects them as unknown keys.
 RETIRED_CONFIG_KEYS = ("probe_iters", "probe_lr", "improvement_tol", "normalize_weighted_loss",
                        "sinkhorn_tol", "dis_sample_budget", "distance_metric")
@@ -378,31 +377,26 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     }, opt, decay_thresholds(window, config.eta1, config.eta2) if window else None
 
 
-def curriculum_inputs(graph: Graph, config: TrainConfig
-                      ) -> tuple[SubgraphSet, np.ndarray, np.ndarray]:
-    """The run's subgraphs, (n,) node semantics and sorted pair distances.
+def curriculum_inputs(graph: Graph, config: TrainConfig) -> tuple[SubgraphSet, MirrorSearch]:
+    """The run's subgraphs and their mirror search, whose ``distances`` are
+    the run's pair distances: every command maps a difficulty theta to the
+    same gamma, ``quantile(search.distances, theta)``.
 
     Semantics come first, so a graph that cannot supply them fails before
-    any sampling. The distribution samples DISTANCE_SAMPLE_BUDGET pair
-    distances with a seed that derives from ``config.seed`` and
-    ROLE_DISTANCES, so every command maps a difficulty theta to the same
-    gamma."""
+    any sampling."""
     semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    seed = int(rng_for(config.seed, ROLE_DISTANCES).integers(2 ** 32))
-    dist = estimate_distance_distribution(subgraphs, "euclidean", DISTANCE_SAMPLE_BUDGET, seed)
-    return subgraphs, semantics, dist
+    return subgraphs, mirror_search(subgraphs, semantics)
 
 
 def train(graph: Graph, config: TrainConfig, metrics_path=None,
-          inputs: tuple[SubgraphSet, np.ndarray, MirrorSearch] | None = None,
+          inputs: tuple[SubgraphSet, MirrorSearch] | None = None,
           ) -> tuple[GcnParams, list[dict]]:
     """Curriculum training; returns the params and the epoch records of
     ``metrics.jsonl``. With ``metrics_path``, every step and epoch record is
     appended there, the file being created at the first one. ``inputs`` is
-    the run's (subgraphs, distance distribution, mirror search) for this
-    graph and config, as built from ``curriculum_inputs`` and
-    ``mirror_search``; None builds them here."""
+    the run's ``curriculum_inputs`` for this graph and config; None builds
+    them here."""
     params = init_gcn_params(graph.feature_dim, config.embedding_dim, config.gcn_layers,
                              config.seed)
     epochs: list[dict] = []
@@ -412,10 +406,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     if graph.n_nodes < 2:      # a TrainConfig's batch_size is at least 2
         raise ConfigError("batch_size: graph too small for a batch of 2 subgraphs")
 
-    if inputs is None:
-        subgraphs, semantics, dist = curriculum_inputs(graph, config)
-        inputs = subgraphs, dist, mirror_search(subgraphs, semantics)
-    subgraphs, dist, search = inputs
+    subgraphs, search = curriculum_inputs(graph, config) if inputs is None else inputs
     opt = init_optimizer([t.value for t in params.all_parameters()])
 
     sink = None
@@ -424,7 +415,7 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
     try:
         for epoch in range(config.epochs):
             theta = pacing_difficulty(epoch, config)
-            gamma = quantile(dist, theta)
+            gamma = quantile(search.distances, theta)
             mirrors = search.adjacencies(gamma)
             pos_rate, neg_rate = search.match_rates(gamma)
             pos_rewrite, neg_rewrite = (np.count_nonzero(mirrors != subgraphs.adjacency,
@@ -470,15 +461,15 @@ def train(graph: Graph, config: TrainConfig, metrics_path=None,
 # Difficulty curve (frozen encoder, varying difficulty)
 
 def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
-                     dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
+                     theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """Mean and std of the per-subgraph inter-graph loss at each difficulty;
-    ``search`` is the ``mirror_search`` of ``subgraphs``.
+    ``search`` is the ``mirror_search`` of ``subgraphs`` and gives the gammas.
 
     Subgraphs are encoded EMBED_BLOCK at a time, as in
     ``compute_center_embeddings``: a block's own view is encoded once for
     the whole grid, and only its per-subgraph losses outlive the block.
     """
-    gammas = [quantile(dist, float(theta)) for theta in theta_grid]
+    gammas = [quantile(search.distances, float(theta)) for theta in theta_grid]
     losses = np.empty((len(gammas), len(subgraphs)))
     k = subgraphs.adjacency.shape[-1]
     for start in range(0, len(subgraphs), EMBED_BLOCK):

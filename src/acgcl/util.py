@@ -5,6 +5,7 @@ All randomness in a run flows from one integer seed. Components derive their
 own generators with ``rng_for(seed, role, *indices)`` where ``role`` is one of
 the fixed offsets below and ``indices`` are loop counters (epoch, step, ...).
 Two runs with the same seed therefore draw identical streams everywhere.
+The pair-distance distribution is exact and draws nothing.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 # Each value is part of its streams' seeds; renumbering one changes every run.
+# 2 and 4 are retired: no stream takes them.
 ROLE_PARAMS = 1
 ROLE_SPLITS = 3
-ROLE_DISTANCES = 4
 ROLE_BATCH = 5
 ROLE_SHUFFLE = 6
 ROLE_BALANCE = 7

@@ -37,7 +37,8 @@ kernel-domain node replaced; it checks its marginals at the package's ``_TOL_CHE
 ``per_subgraph_distance_distribution``
 is the per-subgraph form of the stacked distance estimate; it measures its
 pairs row by row with the package's expression, so the two compare bit for
-bit.
+bit. With a budget of every pair it is the row-difference reference for
+the search's exact distribution, ``MirrorSearch.distances``.
 ``gradient_descent_probe`` is the fixed-budget gradient-descent probe fit
 that the package's Newton-CG ``fit_probe`` replaced. ``read_features_by_line``
 is the line-by-line ``features.csv`` reader that the package's one-call parse
@@ -222,13 +223,14 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
     """The O(k^4) search that ``acgcl.augment.mirror_search`` replaced: one
     (b, c, d) chunk of every sum per first pair element a, minimized in
     row-major order, into full (k, k) tables that are then packed to the
-    pairs a < b. Its four tables are the bit-exact reference for the
-    separable scan."""
+    pairs a < b, whose distances it collects in the same order. Its
+    tables are the bit-exact reference for the separable scan."""
     adjacency = np.asarray(subgraphs.adjacency, dtype=bool)
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
     argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
     pair_counts = np.zeros(n, dtype=np.int64)
+    distances = [np.empty(0)]
     for i, sub in enumerate(subgraphs):
         dmat = distance_matrix(sub.node_features[sub.parent_indices])
         parents = sub.parent_indices
@@ -242,6 +244,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
             if bs.size == 0:
                 continue
             pair_counts[i] += bs.size
+            distances.append(dmat[a, bs])
             sums = dmat[a][None, :, None] + dmat[bs][:, None, :]   # dmat[a, c] + dmat[b, d]
             ok = parent_neq[a][None, :] & parent_neq[bs]            # ok[b, c]
             valid = ok[:, :, None] & ok[:, None, :] & parent_neq[None, :, :]
@@ -256,7 +259,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
     best, argmin = best[..., upper[0], upper[1]], argmin[..., upper[0], upper[1]]
     edge = np.take_along_axis(adjacency.reshape(1, n, k * k), argmin, axis=2)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
-                        pair_counts=pair_counts)
+                        pair_counts=pair_counts, distances=np.concatenate(distances))
 
 
 def full_table_adjacencies(search: MirrorSearch, gamma) -> np.ndarray:
@@ -754,7 +757,7 @@ def probe_baselines(graph, subgraphs: SubgraphSet, config) -> dict[str, float]:
 
 
 def one_pass_difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
-                              dist, theta_grid, xi: float) -> list[tuple[float, float, float]]:
+                              theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """``trainer.difficulty_curve`` with all n subgraphs in each forward pass."""
     a_hat = encoded_views(subgraphs)
     n, k = a_hat.shape[:2]
@@ -762,7 +765,7 @@ def one_pass_difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search:
     h = gcn_forward_batched(params, a_hat, feats, centers_only=False)
     rows = []
     for theta in theta_grid:
-        gamma = quantile(dist, float(theta))
+        gamma = quantile(search.distances, float(theta))
         h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
                                             centers_only=False)
                         for view in search.adjacencies(gamma))

@@ -62,17 +62,16 @@ def sbm_runs():
         raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits,
                                  config.probe_l2)["test"]
 
-        subgraphs, semantics, dist = curriculum_inputs(graph, config)
-        search = mirror_search(subgraphs, semantics)
-        params, _ = train(graph, config, inputs=(subgraphs, dist, search))
+        subgraphs, search = curriculum_inputs(graph, config)
+        params, _ = train(graph, config, inputs=(subgraphs, search))
         soft_acc = probe_accuracy(params, subgraphs, graph, config)["test"]
 
-        curve = difficulty_curve(params, subgraphs, search, dist, THETA_GRID, config.xi)
+        curve = difficulty_curve(params, subgraphs, search, THETA_GRID, config.xi)
         rho = spearman(THETA_GRID, [row[1] for row in curve])
 
         uniform_cfg = experiment_config(seed, mode="uniform", theta0=50.0)
         # mode and theta0 do not enter the set-up, so the uniform run shares it
-        uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, dist, search))
+        uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, search))
         uniform_acc = probe_accuracy(uniform_params, subgraphs, graph, uniform_cfg)["test"]
         runs.append({"raw": raw_acc, "soft": soft_acc, "uniform": uniform_acc,
                      "rho": rho, "curve": [row[1] for row in curve],

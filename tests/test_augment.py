@@ -101,6 +101,17 @@ class TestPairDistance:
         same = np.ix_([2, 5, 11, 19], [2, 5, 11, 19])
         assert (mat[same] == 0.0).all()
         assert np.count_nonzero(mat) == 20 * 20 - 16 - 16     # and the other 16 self pairs
+        # Against itself a row is 0 apart and takes no recompute, to the same
+        # bits as against a view of x, where the diagonal is recomputed. (A
+        # copy would not do: numpy's matmul takes a symmetric-product path
+        # for operands on one buffer, so a copy changes the Gram terms' bits.)
+        for x in (stack, wide):
+            mat, near, _ = ad.euclidean_matrix(x, x)
+            assert (np.diagonal(mat, axis1=-2, axis2=-1).view(np.int64) == 0).all()
+            assert not (near[-2] == near[-1]).any()
+            viewed = ad.euclidean_matrix(x, x[:])
+            assert (viewed[1][-2] == viewed[1][-1]).any()
+            assert np.array_equal(mat.view(np.int64), viewed[0].view(np.int64))
 
 
 class TestSemantics:
@@ -386,9 +397,8 @@ class TestMirrorSearch:
 
     def assert_matches_oracle(self, subs, sem):
         search = mirror_search(subs, sem)
-        dist = estimate_distance_distribution(subs, "euclidean", 100_000, seed=0)
         for theta in self.THETAS:
-            gamma = quantile(dist, theta)
+            gamma = quantile(search.distances, theta)
             positive, negative = search.adjacencies(gamma)
             matched, unmatched = [0, 0], [0, 0]
             for i, sub in enumerate(subs):
@@ -477,7 +487,7 @@ class TestOneSubgraphSearch:
 
 
 def assert_same_tables(got, want):
-    for name in ("adjacency", "best", "argmin", "edge", "pair_counts"):
+    for name in ("adjacency", "best", "argmin", "edge", "pair_counts", "distances"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 

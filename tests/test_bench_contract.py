@@ -4,7 +4,9 @@ The benchmark wraps, marks and imports functions by name. A missing set-up
 marker stops ``bench/run.py`` on ``marks["main_work_start"]``, and a missing
 traced layer or capture silently reads 0, so a rename or deletion in the
 package must fail here first. The bench sources are only read: ``child.py``
-is imported for its ``LAYERS`` table, the rest is parsed.
+is imported for its ``LAYERS`` table, the rest is parsed. The other way
+round, no package code calls a function that stays for the benchmark alone,
+so deleting them with the benchmark's hooks touches no package path.
 """
 
 import ast
@@ -70,3 +72,21 @@ def test_imported_names_exist():
     imports = acgcl_imports("test_bench_checks.py") + acgcl_imports("run.py")
     assert ("acgcl.augment", "mirror_augment") in imports
     assert missing(imports) == []
+
+
+# Kept in the package for the benchmark alone: its definitions and the
+# package's exports may name them, no package code calls them.
+BENCH_ONLY = {"estimate_distance_distribution", "mirror_augment", "extract_subgraph"}
+
+
+def test_no_package_code_calls_the_bench_only_names():
+    package = Path(__file__).resolve().parent.parent / "src" / "acgcl"
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in BENCH_ONLY:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []

@@ -212,13 +212,8 @@ class TestCli:
             assert printed["positive_replacements"] == str(len(want.stats.pos_replacements))
             assert printed["negative_replacements"] == str(len(want.stats.neg_replacements))
 
-    def test_augment_inspect_gamma_matches_training(self, tmp_path, config_file, capsys,
-                                                    monkeypatch):
-        """Both commands map a difficulty to gamma through the same run set-up.
-        The pair budget is below the pair count, so the estimate depends on
-        its seed."""
-        import acgcl.trainer
-        monkeypatch.setattr(acgcl.trainer, "DISTANCE_SAMPLE_BUDGET", 100)
+    def test_augment_inspect_gamma_matches_training(self, tmp_path, config_file, capsys):
+        """Both commands map a difficulty to gamma through the same run set-up."""
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_file), "--out", str(out)]) == 0
         records = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
@@ -587,9 +582,10 @@ class TestValidateDifficultySetUp:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (acgcl.cli, acgcl.trainer):
-            for name in ("curriculum_inputs", "mirror_search"):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module, name in ((acgcl.cli, "curriculum_inputs"),
+                             (acgcl.trainer, "curriculum_inputs"),
+                             (acgcl.trainer, "mirror_search")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert main(["validate-difficulty", "--config", str(config_file), "--grid", "20,40",
                      "--set", "epochs=1", "--out", str(tmp_path / "curve.csv")]) == 0
         assert sorted(calls) == ["curriculum_inputs", "mirror_search"]

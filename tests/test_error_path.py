@@ -154,6 +154,21 @@ def test_nul_in_data_dir_fails_in_one_line(dataset):
     assert (code, err) == (1, "ConfigError: data_dir: must not contain a NUL character\n")
 
 
+@pytest.mark.parametrize("command", ["train", "augment-inspect"])
+def test_an_edgeless_graph_fails_in_one_line_with_no_outputs(dataset, command):
+    """Without edges every subgraph is its centre padded, so no pair has two
+    distinct parents and no difficulty has a gamma."""
+    (dataset / "data" / "edges.txt").write_text("")
+    out = dataset / "run"
+    argv = {"train": ["train"],
+            "augment-inspect": ["augment-inspect", "--node", "0", "--theta", "40"]}[command]
+    code, err = run_cli([*argv, "--config", str(dataset / CONFIG_FILE), "--out", str(out)])
+    assert (code, err) == (1, "EmptyDistributionError: no subgraph contains two distinct "
+                              "nodes\n")
+    assert not (out / "metrics.jsonl").exists()
+    assert not (out / "positive_adjacency.csv").exists()
+
+
 # Size keys and the largest value a mutated config or checkpoint may give
 # them: more would take long or need a lot of memory.
 SIZE_CAPS = {"subgraph_size": 12, "embedding_dim": 16, "batch_size": 64, "epochs": 3,

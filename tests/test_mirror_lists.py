@@ -23,9 +23,9 @@ from acgcl.graph import SbmConfig, generate_sbm
 from acgcl.sampler import Subgraph, SubgraphSet, sample_all_subgraphs
 from conftest import packed_pair, stack_subgraphs
 from oracles import (chunked_mirror_search, distance_matrix, find_mirror_pair,
-                     full_table_adjacencies)
+                     full_table_adjacencies, per_subgraph_distance_distribution)
 
-TABLES = ("adjacency", "best", "argmin", "edge", "pair_counts")
+TABLES = ("adjacency", "best", "argmin", "edge", "pair_counts", "distances")
 
 
 def assert_same_tables(got, want):
@@ -97,6 +97,25 @@ class TestAgainstChunkedSearch:
         for _ in range(3):
             subs, sem = random_stack(rng, k, "continuous", labels, False, n_subgraphs=8)
             assert_same_tables(mirror_search(subs, sem), chunked_mirror_search(subs, sem))
+
+
+class TestDistances:
+    """``MirrorSearch.distances``: the distance of every pair a < b with
+    distinct parents, the run's exact distribution."""
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("block", [7, augment.PAIR_BLOCK])
+    def test_every_pair_distance_once(self, rng, monkeypatch, padded, block):
+        monkeypatch.setattr(augment, "PAIR_BLOCK", block)
+        subs, sem = random_stack(rng, 9, "continuous", "few", padded, n_subgraphs=12)
+        search = mirror_search(subs, sem)
+        total = int(search.pair_counts.sum())
+        assert (total < len(subs) * 36) == padded
+        assert search.distances.dtype == np.float64 and search.distances.shape == (total,)
+        want = per_subgraph_distance_distribution(subs, total + 1, 0)
+        got = np.sort(search.distances)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        assert search[3:5].distances is search.distances
 
 
 STACKS = st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(2, 9),

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl.augment import (estimate_distance_distribution, mirror_search, quantile,
-                           semantic_assignment)
+from acgcl.augment import mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, pacing_difficulty
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
@@ -232,20 +231,6 @@ class TestTrainLoop:
         assert [r["mean_loss"] for r in r1] == [r["mean_loss"] for r in r2]
         assert [r["val_accuracy"] for r in r1] == [r["val_accuracy"] for r in r2]
 
-    def test_distance_distribution_estimated_once(self, monkeypatch):
-        import acgcl.trainer as trainer
-        calls = []
-        estimate = trainer.estimate_distance_distribution
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return estimate(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "estimate_distance_distribution", counting)
-        _, report = train(small_graph(), small_config(epochs=3))
-        assert len(report) == 3
-        assert len(calls) == 1
-
     def test_mirror_search_once_per_run(self, monkeypatch):
         import acgcl.trainer as trainer
         calls = []
@@ -411,9 +396,8 @@ class TestTrainLoop:
                    if r["kind"] == "step"]
         assert len(records) == 3 and records[0]["lambda1"] is not None
 
-        subs, sem, dist = curriculum_inputs(g, cfg)
-        gamma = quantile(dist, pacing_difficulty(0, cfg))
-        search = mirror_search(subs, sem)
+        subs, search = curriculum_inputs(g, cfg)
+        gamma = quantile(search.distances, pacing_difficulty(0, cfg))
         mirrors = search.adjacencies(gamma)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
         opt = init_optimizer([t.value for t in params.all_parameters()])
@@ -438,9 +422,8 @@ class TestStepMemory:
         arrays)."""
         g = small_graph(seed=3, n_per_block=40)
         cfg = small_config(seed=3, subgraph_size=20, embedding_dim=64, batch_size=64)
-        subs, sem, dist = curriculum_inputs(g, cfg)
-        search = mirror_search(subs, sem)
-        mirrors = search.adjacencies(quantile(dist, 30.0))
+        subs, search = curriculum_inputs(g, cfg)
+        mirrors = search.adjacencies(quantile(search.distances, 30.0))
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
         opt = init_optimizer([t.value for t in params.all_parameters()])
         tracemalloc.start()
@@ -463,9 +446,8 @@ class TestTwoLayerStep:
         g = generate_sbm(SbmConfig(block_sizes=(100, 100, 100), p_intra=0.15, p_inter=0.005,
                                    feature_dim=16, feature_noise=1.0), seed=7)
         cfg = TrainConfig(seed=7, subgraph_size=20, gcn_layers=2)
-        subs, sem, dist = curriculum_inputs(g, cfg)
-        mirrors = mirror_search(subs, sem).adjacencies(
-            quantile(dist, cfg.theta0))
+        subs, search = curriculum_inputs(g, cfg)
+        mirrors = search.adjacencies(quantile(search.distances, cfg.theta0))
 
         def first_moments():
             params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 2, cfg.seed)
@@ -518,17 +500,17 @@ class TestDifficultyCurve:
         g = small_graph(seed=3)
         subs = sample_all_subgraphs(g, 6, 0.15)
         sem = semantic_assignment(g, "label")
-        dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
+        search = mirror_search(subs, sem)
         params = init_gcn_params(g.feature_dim, 8, 2, 3)
         grid = [0.0, 15.0, 30.0, 50.0, 80.0, 100.0]
-        curve = difficulty_curve(params, subs, mirror_search(subs, sem), dist, grid,
-                                 xi=0.5)
+        curve = difficulty_curve(params, subs, search, grid, xi=0.5)
 
         views = encoded_views(subs)
         feats = subs.node_features[subs.parent_indices].reshape(len(subs) * 6, -1)
         h = gcn_forward_batched(params, views, feats, centers_only=False)
         for theta, (got_theta, mean, std) in zip(grid, curve):
-            mirrors = [per_pair_mirror_augment(s, quantile(dist, theta), sem) for s in subs]
+            gamma = quantile(search.distances, theta)
+            mirrors = [per_pair_mirror_augment(s, gamma, sem) for s in subs]
             h_pos, h_neg = (gcn_forward_batched(
                 params, np.stack([sym_normalized_adjacency(getattr(m, side)) for m in mirrors]),
                 feats, centers_only=False) for side in ("positive_adjacency", "negative_adjacency"))
@@ -540,11 +522,10 @@ class TestDifficultyCurve:
         subs = sample_all_subgraphs(g, 6, 0.15)
         assert len(subs) > 2 * trainer.EMBED_BLOCK and len(subs) % trainer.EMBED_BLOCK
         search = mirror_search(subs, semantic_assignment(g, "label"))
-        dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=3)
         params = init_gcn_params(g.feature_dim, 8, 2, 3)
         grid = [0.0, 10.0, 30.0, 100.0]
-        assert difficulty_curve(params, subs, search, dist, grid, 0.5) == \
-            one_pass_difficulty_curve(params, subs, search, dist, grid, 0.5)
+        assert difficulty_curve(params, subs, search, grid, 0.5) == \
+            one_pass_difficulty_curve(params, subs, search, grid, 0.5)
 
 
 class TestCenterEmbeddings:
