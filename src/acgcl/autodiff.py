@@ -26,6 +26,9 @@ A dead row contributes nothing, even where its product is not finite (a
 non-finite forward pass is the caller's to catch). Each live row keeps
 the bits of the dense form; the weight and slope sums lose the dead rows'
 exact-zero terms, which changes their association and so their last bits.
+Dead rows come from a subgraph of curriculum weight 0, which passes none
+to its rows outside the balance subsample, and from an inactive triplet
+hinge, which passes none through the inter-graph term.
 
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.

@@ -209,7 +209,8 @@ _COMMANDS = {
 
 def _fix_malloc_policy() -> None:
     """On glibc, keep blocks under 32 MiB on the heap and trim it only past
-    1 GiB: freed training temporaries are reused, not faulted in again."""
+    1 GiB: freed training temporaries are reused, not faulted in again.
+    Without a glibc ``mallopt`` (musl, macOS, Windows) nothing is set."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

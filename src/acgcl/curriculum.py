@@ -6,7 +6,7 @@ it reads them from the run's TrainConfig.
 
 Reweighting modes, all closed forms over the current per-sample losses:
 
-* ``spl``      : w = 1 for losses strictly below a threshold, else 0.
+* ``spl``      : w = 1 for losses strictly below lambda1, else 0.
 * ``hard_acl`` : w = 1 inside the open window (lambda2, lambda1), else 0;
   both too-easy and too-hard samples are dropped.
 * ``soft_acl`` : w = 1 on [lambda2, lambda1), loss/lambda2 below lambda2
@@ -72,35 +72,6 @@ class SampleWeights:
         return {"zero": zero, "fractional": 1.0 - zero - one, "one": one}
 
 
-def spl_weights(losses, lam: float) -> SampleWeights:
-    if lam <= 0:
-        raise ConfigError("spl threshold: must be positive")
-    losses = np.asarray(losses, dtype=np.float64)
-    return SampleWeights(values=(losses < lam).astype(np.float64))
-
-
-def hard_acl_weights(losses, thresholds: AclThresholds) -> SampleWeights:
-    losses = np.asarray(losses, dtype=np.float64)
-    inside = (thresholds.lambda2 < losses) & (losses < thresholds.lambda1)
-    return SampleWeights(values=inside.astype(np.float64))
-
-
-def soft_acl_weights(losses, thresholds: AclThresholds) -> SampleWeights:
-    if thresholds.lambda2 <= 0:
-        raise ConfigError("thresholds: soft mode needs lambda2 > 0")
-    losses = np.asarray(losses, dtype=np.float64)
-    values = np.zeros_like(losses)
-    easy = losses < thresholds.lambda2
-    mid = (losses >= thresholds.lambda2) & (losses < thresholds.lambda1)
-    values[easy] = losses[easy] / thresholds.lambda2
-    values[mid] = 1.0
-    return SampleWeights(values=values)
-
-
-def uniform_weights(n: int) -> SampleWeights:
-    return SampleWeights(values=np.ones(n))
-
-
 def open_window(first_step_losses, mode: str) -> AclThresholds | None:
     """The epoch's admission window: lambda1 = median of the first step's
     losses, lambda2 = 0.95 * their minimum. None, which weighs uniformly, in
@@ -127,15 +98,25 @@ def decay_thresholds(thresholds: AclThresholds, eta1: float, eta2: float) -> Acl
 
 
 def weights_for_mode(mode: str, losses, thresholds: AclThresholds | None) -> SampleWeights:
+    """The closed-form weights of ``mode`` (module docstring) over the losses;
+    every mode but ``uniform`` needs thresholds, and ``spl`` reads lambda1."""
     losses = np.asarray(losses, dtype=np.float64)
     if mode == "uniform":
-        return uniform_weights(losses.size)
+        return SampleWeights(values=np.ones(losses.size))
     if thresholds is None:
         raise ConfigError(f"acl_mode: mode {mode!r} needs thresholds")
+    lambda1, lambda2 = thresholds.lambda1, thresholds.lambda2
     if mode == "spl":
-        return spl_weights(losses, thresholds.lambda1)
+        if lambda1 <= 0:
+            raise ConfigError("spl threshold: must be positive")
+        return SampleWeights(values=(losses < lambda1).astype(np.float64))
     if mode == "hard_acl":
-        return hard_acl_weights(losses, thresholds)
+        return SampleWeights(values=((lambda2 < losses) & (losses < lambda1)).astype(np.float64))
     if mode == "soft_acl":
-        return soft_acl_weights(losses, thresholds)
+        if lambda2 <= 0:
+            raise ConfigError("thresholds: soft mode needs lambda2 > 0")
+        values = ((lambda2 <= losses) & (losses < lambda1)).astype(np.float64)
+        easy = losses < lambda2
+        values[easy] = losses[easy] / lambda2
+        return SampleWeights(values=values)
     raise ConfigError(f"acl_mode: unknown mode {mode!r}, expected one of {MODES}")

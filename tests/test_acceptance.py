@@ -14,7 +14,7 @@ from acgcl import autodiff as ad
 from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
                            quantile, semantic_assignment)
 from acgcl.config import TrainConfig
-from acgcl.curriculum import AclThresholds, hard_acl_weights, soft_acl_weights
+from acgcl.curriculum import AclThresholds, weights_for_mode
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
@@ -92,8 +92,8 @@ def test_criterion_1_acl_closed_forms_match_oracle():
         lam2 = float(rng.uniform(0.05, 1.0))
         lam1 = lam2 + float(rng.uniform(0.05, 2.0))
         thresholds = AclThresholds(lambda1=lam1, lambda2=lam2)
-        hard = hard_acl_weights(losses, thresholds).values
-        soft = soft_acl_weights(losses, thresholds).values
+        hard = weights_for_mode("hard_acl", losses, thresholds).values
+        soft = weights_for_mode("soft_acl", losses, thresholds).values
         worst = max(worst,
                     np.abs(hard - acl_oracle_weights(losses, lam1, lam2, "hard")).max(),
                     np.abs(soft - acl_oracle_weights(losses, lam1, lam2, "soft")).max())
@@ -110,12 +110,12 @@ def test_criterion_2_weight_monotonicity():
         lam1 = lam2 + float(rng.uniform(0.01, 2.0))
         thresholds = AclThresholds(lambda1=lam1, lambda2=lam2)
         lo, hi = np.sort(rng.uniform(lam2, lam1 + 2.0, size=2))
-        for fn in (hard_acl_weights, soft_acl_weights):
-            w = fn(np.array([lo, hi]), thresholds).values
+        for mode in ("hard_acl", "soft_acl"):
+            w = weights_for_mode(mode, np.array([lo, hi]), thresholds).values
             if w[1] > w[0] + 1e-12:
                 failures += 1
         easy = float(rng.uniform(0.0, lam2))
-        w_easy = soft_acl_weights(np.array([easy]), thresholds).values[0]
+        w_easy = weights_for_mode("soft_acl", np.array([easy]), thresholds).values[0]
         if abs(w_easy - easy / lam2) > 1e-12:
             failures += 1
     report("2 weight-monotonicity", failures == 0, f"{failures} violations in 10000 triples")

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,14 +12,14 @@ import pytest
 
 import acgcl
 from acgcl.augment import semantic_assignment
-from acgcl.cli import main
+from acgcl.cli import _COMMANDS, _build_parser, main
 from acgcl.config import TrainConfig, parse_config
 from acgcl.curriculum import pacing_difficulty
 from acgcl.encoder import init_gcn_params
 from acgcl.errors import ConfigError
-from acgcl.graph import load_dataset
+from acgcl.graph import SbmConfig, generate_sbm, load_dataset
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.trainer import save_checkpoint
+from acgcl.trainer import RETIRED_CONFIG_KEYS, save_checkpoint, train
 from conftest import run_python
 from oracles import per_pair_mirror_augment
 
@@ -865,6 +866,44 @@ def test_readme_key_table_names_every_config_field():
     assert sorted(named) == sorted(f.name for f in fields(TrainConfig))
     documented = parse_config(overrides=[f"{k}={v}" for k, v in zip(named, defaults)])
     assert documented.to_dict() == TrainConfig().to_dict()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(title):
+    """The README text under ``## title``, up to the next ``## `` heading."""
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_every_retired_config_key():
+    readme = README.read_text()
+    assert [key for key in RETIRED_CONFIG_KEYS if f"`{key}`" not in readme] == []
+
+
+def test_readme_metrics_sink_names_every_record_key(tmp_path):
+    """Every key of a step and an epoch record is named in backticks in the
+    "Metrics sink" section; ``kind="step"`` names ``kind``."""
+    graph = generate_sbm(SbmConfig(block_sizes=(20, 20), p_intra=0.3, p_inter=0.05,
+                                   feature_dim=4), seed=0)
+    config = TrainConfig(subgraph_size=5, embedding_dim=8, batch_size=20, epochs=1,
+                         inner_steps=1)
+    path = tmp_path / "metrics.jsonl"
+    train(graph, config, metrics_path=path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [record["kind"] for record in records] == ["step", "epoch"]
+    named = set(re.findall(r'`([a-z0-9_]+)(?:="[a-z]+")?`', readme_section("Metrics sink")))
+    assert sorted({key for record in records for key in record} - named) == []
+
+
+def test_readme_cli_commands_parse():
+    """Each ``acgcl`` command of the README's CLI block, continuation lines
+    joined, parses, and the block shows every command."""
+    block = readme_section("CLI").split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("acgcl ")]
+    parsed = [_build_parser().parse_args(argv).command for argv in commands]
+    assert sorted(parsed) == sorted(_COMMANDS)
 
 
 GLIBC_HEAP_BLOCKS = """

@@ -4,13 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl.config import TrainConfig
-from acgcl.curriculum import (AclThresholds, decay_thresholds, hard_acl_weights,
-                              open_window, pacing_difficulty, soft_acl_weights,
-                              spl_weights, uniform_weights, weights_for_mode)
+from acgcl.curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
+                              weights_for_mode)
 from acgcl.errors import ConfigError, SizeError
 from oracles import acl_oracle_weights
 
 WINDOW = AclThresholds(lambda1=1.0, lambda2=0.1)
+
+
+def spl(losses, lam):
+    """``spl`` weights at threshold ``lam``; the mode reads lambda1 alone."""
+    return weights_for_mode("spl", losses, AclThresholds(lambda1=lam, lambda2=0.0))
 
 
 class TestPacing:
@@ -36,44 +40,44 @@ class TestPacing:
 
 class TestSplWeights:
     def test_threshold_split(self):
-        assert spl_weights([0.1, 0.9], lam=0.5).values.tolist() == [1.0, 0.0]
+        assert spl([0.1, 0.9], 0.5).values.tolist() == [1.0, 0.0]
 
     def test_huge_threshold_all_ones(self, rng):
         losses = rng.random(20)
-        assert spl_weights(losses, lam=1e9).values.sum() == 20
+        assert spl(losses, 1e9).values.sum() == 20
 
     def test_boundary_is_strict(self):
-        assert spl_weights([0.5], lam=0.5).values.tolist() == [0.0]
+        assert spl([0.5], 0.5).values.tolist() == [0.0]
 
 
 class TestHardAcl:
     def test_interior(self):
-        assert hard_acl_weights([0.5], WINDOW).values.tolist() == [1.0]
+        assert weights_for_mode("hard_acl", [0.5], WINDOW).values.tolist() == [1.0]
 
     def test_exterior(self):
-        assert hard_acl_weights([0.05, 1.5], WINDOW).values.tolist() == [0.0, 0.0]
+        assert weights_for_mode("hard_acl", [0.05, 1.5], WINDOW).values.tolist() == [0.0, 0.0]
 
     def test_lower_boundary_strict(self):
-        assert hard_acl_weights([0.1], WINDOW).values.tolist() == [0.0]
+        assert weights_for_mode("hard_acl", [0.1], WINDOW).values.tolist() == [0.0]
 
     def test_upper_boundary_strict(self):
-        assert hard_acl_weights([1.0], WINDOW).values.tolist() == [0.0]
+        assert weights_for_mode("hard_acl", [1.0], WINDOW).values.tolist() == [0.0]
 
 
 class TestSoftAcl:
     def test_easy_branch_scales(self):
-        assert soft_acl_weights([0.05], WINDOW).values.tolist() == [pytest.approx(0.5)]
+        assert weights_for_mode("soft_acl", [0.05], WINDOW).values.tolist() == [pytest.approx(0.5)]
 
     def test_lower_boundary_inclusive(self):
-        assert soft_acl_weights([0.1], WINDOW).values.tolist() == [1.0]
+        assert weights_for_mode("soft_acl", [0.1], WINDOW).values.tolist() == [1.0]
 
     def test_upper_branch_zero(self):
-        assert soft_acl_weights([1.0, 5.0], WINDOW).values.tolist() == [0.0, 0.0]
+        assert weights_for_mode("soft_acl", [1.0, 5.0], WINDOW).values.tolist() == [0.0, 0.0]
 
     def test_needs_positive_lambda2(self):
         thr = AclThresholds(lambda1=1.0, lambda2=0.0)
-        with pytest.raises(ConfigError):
-            soft_acl_weights([0.5], thr)
+        with pytest.raises(ConfigError, match="^thresholds: soft mode needs lambda2 > 0$"):
+            weights_for_mode("soft_acl", [0.5], thr)
 
 
 class TestOracleEquivalence:
@@ -86,8 +90,8 @@ class TestOracleEquivalence:
         lam2 = float(r.uniform(0.05, 1.0))
         lam1 = lam2 + float(r.uniform(0.05, 2.0))
         thr = AclThresholds(lambda1=lam1, lambda2=lam2)
-        hard = hard_acl_weights(losses, thr).values
-        soft = soft_acl_weights(losses, thr).values
+        hard = weights_for_mode("hard_acl", losses, thr).values
+        soft = weights_for_mode("soft_acl", losses, thr).values
         assert np.abs(hard - acl_oracle_weights(losses, lam1, lam2, "hard")).max() <= 1e-3
         assert np.abs(soft - acl_oracle_weights(losses, lam1, lam2, "soft")).max() <= 1e-3
 
@@ -101,11 +105,11 @@ class TestMonotonicity:
         lam1 = lam2 + float(r.uniform(0.01, 2.0))
         thr = AclThresholds(lambda1=lam1, lambda2=lam2)
         above = np.sort(r.uniform(lam2, lam1 + 3.0, size=8))
-        for fn in (hard_acl_weights, soft_acl_weights):
-            w = fn(above, thr).values
+        for mode in ("hard_acl", "soft_acl"):
+            w = weights_for_mode(mode, above, thr).values
             assert (np.diff(w) <= 1e-12).all()
         below = np.sort(r.uniform(0.0, lam2, size=8))
-        w = soft_acl_weights(below, thr).values
+        w = weights_for_mode("soft_acl", below, thr).values
         assert np.allclose(w, below / lam2)
         assert (np.diff(w) >= -1e-12).all()
 
@@ -115,9 +119,9 @@ class TestMonotonicity:
         r = np.random.default_rng(seed)
         losses = r.uniform(0, 5, size=10)
         thr = AclThresholds(lambda1=2.0, lambda2=0.5)
-        for weights in (hard_acl_weights(losses, thr), soft_acl_weights(losses, thr),
-                        spl_weights(losses, 1.0), uniform_weights(10)):
-            assert (weights.values >= 0).all() and (weights.values <= 1).all()
+        for mode in ("uniform", "spl", "hard_acl", "soft_acl"):
+            values = weights_for_mode(mode, losses, thr).values
+            assert (values >= 0).all() and (values <= 1).all()
 
 
 class TestThresholds:
@@ -182,9 +186,9 @@ class TestThresholds:
         losses = r.uniform(0, 3, size=12)
         thr = AclThresholds(lambda1=float(r.uniform(0.5, 2.0)), lambda2=float(r.uniform(0.01, 0.4)))
         wider = decay_thresholds(thr, TrainConfig.eta1, TrainConfig.eta2)
-        for fn in (hard_acl_weights, soft_acl_weights):
-            before = fn(losses, thr).values > 0
-            after = fn(losses, wider).values > 0
+        for mode in ("hard_acl", "soft_acl"):
+            before = weights_for_mode(mode, losses, thr).values > 0
+            after = weights_for_mode(mode, losses, wider).values > 0
             assert (after | ~before).all()   # active set only grows
 
     def test_order_enforced(self):
@@ -197,8 +201,8 @@ class TestSplDegeneration:
         losses = rng.uniform(0.01, 2.0, size=30)
         lam = 0.8
         thr = AclThresholds(lambda1=lam, lambda2=1e-12)
-        assert np.array_equal(hard_acl_weights(losses, thr).values,
-                              spl_weights(losses, lam).values)
+        assert np.array_equal(weights_for_mode("hard_acl", losses, thr).values,
+                              spl(losses, lam).values)
 
 
 class TestModeDispatch:
@@ -212,3 +216,8 @@ class TestModeDispatch:
     def test_needs_thresholds(self):
         with pytest.raises(ConfigError):
             weights_for_mode("hard_acl", [1.0], None)
+
+    def test_spl_needs_positive_lambda1(self):
+        thr = AclThresholds(lambda1=0.0, lambda2=-1.0)
+        with pytest.raises(ConfigError, match="^spl threshold: must be positive$"):
+            weights_for_mode("spl", [0.5], thr)

@@ -328,9 +328,9 @@ class TestWeightedTotal:
 
     def test_soft_weight_composition(self):
         # soft weights at losses [0.05, 0.5, 2.0] with window (0.1, 1.0)
-        from acgcl.curriculum import AclThresholds, soft_acl_weights
+        from acgcl.curriculum import AclThresholds, weights_for_mode
         losses = np.array([0.05, 0.5, 2.0])
-        weights = soft_acl_weights(losses, AclThresholds(lambda1=1.0, lambda2=0.1))
+        weights = weights_for_mode("soft_acl", losses, AclThresholds(lambda1=1.0, lambda2=0.1))
         got = weighted_total_loss(ad.Tensor(losses), weights.values).item()
         assert got == pytest.approx(0.5 * 0.05 + 1.0 * 0.5 + 0.0 * 2.0)
 
