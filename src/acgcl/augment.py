@@ -40,8 +40,8 @@ from .sampler import Subgraph, SubgraphSet
 from .util import linear_quantile
 
 SEMANTICS = ("label", "degree-bucket")
-# Pairs per block of the mirror search and the distance estimate: k * 32 kB per
-# (pairs, k) array, about dim * 32 kB per feature gather, no (g, k, k, dim) array.
+# Pairs per block of the mirror search: k * 32 kB per (pairs, k) array, and no
+# (g, k, k, dim) array.
 PAIR_BLOCK = 1 << 12
 
 
@@ -73,35 +73,23 @@ def semantic_assignment(graph: Graph, kind: str = "label", n_buckets: int = 4) -
 
 def estimate_distance_distribution(subgraphs: SubgraphSet, metric: str,
                                    sample_budget: int, seed: int) -> np.ndarray:
-    """Up to ``sample_budget`` uniformly sampled within-subgraph pair
-    distances (distinct parent nodes only), sorted ascending,
-    deterministically per seed. Pairs are numbered by subgraph, then a < b
-    row-major; the chosen ones are measured PAIR_BLOCK at a time.
+    """Up to ``sample_budget`` of the run's pair distances,
+    ``MirrorSearch.distances``, drawn without replacement, deterministically
+    per seed, and sorted ascending.
     ``metric`` must be "euclidean". No package code calls this: a run's
     distribution is ``MirrorSearch.distances``. It stays for the benchmark,
     and ROADMAP item 1 step C deletes it."""
     if sample_budget < 1:
         raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
     _euclidean_only(metric)
-    parents = subgraphs.parent_indices
-    iu, iv = np.triu_indices(parents.shape[1], k=1)
-    owner, pair = np.nonzero(parents[:, iu] != parents[:, iv])
-    total = len(owner)
-    if total == 0:
+    # Semantics pick mirrors, not distances: any will do.
+    values = mirror_search(subgraphs, np.zeros(len(subgraphs.node_features), np.int64)).distances
+    if values.size == 0:
         raise EmptyDistributionError("no subgraph contains two distinct nodes")
-
-    rng = np.random.default_rng(seed)
-    if sample_budget < total:
-        chosen = np.sort(rng.choice(total, size=sample_budget, replace=False))
-        owner, pair = owner[chosen], pair[chosen]
-    x, a, b = subgraphs.node_features, parents[owner, iu[pair]], parents[owner, iv[pair]]
-    values = np.empty(len(owner))
-    for start in range(0, len(owner), PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        diff = x[a[block]] - x[b[block]]
-        values[block] = np.sqrt(np.sum(diff * diff, axis=1))
-    values.sort()
-    return values
+    if sample_budget < values.size:
+        values = values[np.random.default_rng(seed).choice(values.size, size=sample_budget,
+                                                           replace=False)]
+    return np.sort(values)
 
 
 def quantile(values: np.ndarray, theta: float) -> float:

@@ -33,7 +33,8 @@ hinge, which passes none through the inter-graph term.
 Only the operations this package needs are provided; all of them are dense
 and deterministic. Hinge-style kinks (relu, prelu at 0) use the subgradient 0.
 ``euclidean_matrix``, the one all-pairs distance kernel, works on plain
-arrays; ``pairwise_euclidean`` is its tape node, the mirror search calls it.
+arrays, and the mirror search calls it; ``pairwise_euclidean`` is its tape
+node, which ``sinkhorn_w1`` calls for the ground cost.
 """
 
 from __future__ import annotations

@@ -491,10 +491,9 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
 # Checkpointing
 
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
-    """JSON of the config and every weight matrix and slope. The params
-    object repeats the format version; only the outer one is read."""
-    stored = {"format_version": CHECKPOINT_VERSION, "n_layers": params.n_layers,
-              "weights": [w.value.tolist() for w in params.weights],
+    """JSON of the format version, the config and every weight matrix and
+    slope."""
+    stored = {"weights": [w.value.tolist() for w in params.weights],
               "slopes": [float(s.value) for s in params.slopes]}
     write_atomic(path, json.dumps({"format_version": CHECKPOINT_VERSION,
                                     "config": config.to_dict(), "params": stored}))

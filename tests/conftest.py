@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +28,12 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def graph_from_dense(dense, features, labels=None):
+    """A Graph whose edges are the nonzero entries of the 0/1 (n, n)
+    ``dense``, passed as int64 edge keys row * n + col."""
+    return Graph(features=features, adjacency=np.flatnonzero(dense), labels=labels)
+
+
 def graph_from_edges(n, edges, features=None, labels=None):
     """Small test helper: build a Graph from an explicit edge list."""
     dense = np.zeros((n, n))
@@ -36,11 +41,8 @@ def graph_from_edges(n, edges, features=None, labels=None):
         dense[i, j] = dense[j, i] = 1.0
     if features is None:
         features = np.arange(n, dtype=float)[:, None]
-    return Graph(
-        features=np.asarray(features, dtype=float),
-        adjacency=sp.csr_array(dense),
-        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-    )
+    return graph_from_dense(dense, np.asarray(features, dtype=float),
+                            None if labels is None else np.asarray(labels, dtype=np.int64))
 
 
 def stack_subgraphs(subgraphs):
@@ -67,8 +69,5 @@ def random_graph(rng, n, p=0.15, dim=4, n_classes=3, min_degree_ring=True):
         for i in range(n):
             j = (i + 1) % n
             dense[i, j] = dense[j, i] = 1.0
-    return Graph(
-        features=rng.standard_normal((n, dim)),
-        adjacency=sp.csr_array(dense),
-        labels=rng.integers(0, n_classes, size=n),
-    )
+    return graph_from_dense(dense, rng.standard_normal((n, dim)),
+                            rng.integers(0, n_classes, size=n))

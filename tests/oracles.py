@@ -34,11 +34,9 @@ search that the package's bit table of induced entries replaced.
 ``sinkhorn_log_node`` is the log-domain Sinkhorn solve that the package's
 kernel-domain node replaced; it checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 ``SinkhornStats``, so iteration counts compare directly.
-``per_subgraph_distance_distribution``
-is the per-subgraph form of the stacked distance estimate; it measures its
-pairs row by row with the package's expression, so the two compare bit for
-bit. With a budget of every pair it is the row-difference reference for
-the search's exact distribution, ``MirrorSearch.distances``.
+``row_difference_distances`` measures every pair of a subgraph set as a
+feature row difference, the reference for the Gram-form pair distances of
+``MirrorSearch.distances``.
 ``gradient_descent_probe`` is the fixed-budget gradient-descent probe fit
 that the package's Newton-CG ``fit_probe`` replaced. ``read_features_by_line``
 is the line-by-line ``features.csv`` reader that the package's one-call parse
@@ -60,7 +58,7 @@ from acgcl import autodiff as ad
 from acgcl.augment import MirrorSearch, quantile
 from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
                            sym_normalized_adjacency)
-from acgcl.errors import EmptyDistributionError, GraphParseError, ShapeError, SizeError
+from acgcl.errors import GraphParseError, ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
 from acgcl.sampler import Subgraph, SubgraphSet
 from acgcl.trainer import (encoded_views, evaluate_probe, mirror_views, probe_accuracy,
@@ -657,43 +655,18 @@ def spearman(xs, ys):
     return float((rx * ry).sum() / denom) if denom > 0 else 0.0
 
 
-def per_subgraph_distance_distribution(subgraphs, sample_budget, seed):
-    """The per-subgraph loops that the stacked
-    ``acgcl.augment.estimate_distance_distribution`` replaced: pairs a < b
-    with distinct parents are numbered subgraph by subgraph, the budget is
-    drawn from that numbering, and each subgraph's chosen pairs are measured
-    together."""
-    if sample_budget < 1:
-        raise SizeError(f"sample_budget must be >= 1, got {sample_budget}")
-    pair_lists = []
-    counts = []
+def row_difference_distances(subgraphs):
+    """The distance of every pair a < b with distinct parents, subgraph by
+    subgraph and row-major within each, measured as the norm of the feature
+    row difference: the reference for ``MirrorSearch.distances``."""
+    values = []
     for sub in subgraphs:
         iu, iv = np.triu_indices(sub.size, k=1)
         distinct = sub.parent_indices[iu] != sub.parent_indices[iv]
-        pair_lists.append((iu[distinct], iv[distinct]))
-        counts.append(int(distinct.sum()))
-    total = int(np.sum(counts))
-    if total == 0:
-        raise EmptyDistributionError("no subgraph contains two distinct nodes")
-
-    rng = np.random.default_rng(seed)
-    if sample_budget >= total:
-        chosen = np.arange(total)
-    else:
-        chosen = np.sort(rng.choice(total, size=sample_budget, replace=False))
-
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    owner = np.searchsorted(offsets, chosen, side="right") - 1
-    values = np.empty(len(chosen))
-    for sg in np.unique(owner):
-        sel = chosen[owner == sg] - offsets[sg]
-        iu, iv = pair_lists[sg]
-        xa = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iu[sel]]
-        xb = subgraphs[sg].node_features[subgraphs[sg].parent_indices][iv[sel]]
-        diff = xa - xb
-        values[owner == sg] = np.sqrt(np.sum(diff * diff, axis=1))
-    values.sort()
-    return values
+        x = sub.node_features[sub.parent_indices]
+        diff = x[iu[distinct]] - x[iv[distinct]]
+        values.append(np.sqrt(np.sum(diff * diff, axis=1)))
+    return np.concatenate(values)
 
 
 def gradient_descent_probe(x_train, labels, n_classes, iters, l2, lr):

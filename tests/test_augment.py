@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl import augment
 from acgcl import autodiff as ad
-from acgcl.augment import (estimate_distance_distribution, mirror_augment, mirror_search,
-                           quantile, semantic_assignment)
+from acgcl.augment import (MirrorGraphs, estimate_distance_distribution, mirror_augment,
+                           mirror_search, quantile, semantic_assignment)
 from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, packed_pair, random_graph, stack_subgraphs
 from oracles import (Replacement, chunked_mirror_search, dense_adjacency, distance_matrix,
                      exhaustive_mirror_pair, find_mirror_pair, pair_distance,
-                     pairwise_euclidean_diff, per_pair_mirror_augment,
-                     per_subgraph_distance_distribution)
+                     pairwise_euclidean_diff, per_pair_mirror_augment)
 
 
 def logged(search, gamma, i=0):
@@ -57,17 +55,6 @@ class TestPairDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pair_distance([1.0], [1.0, 2.0])
-
-    def test_unknown_metric(self):
-        """The two calls that still take a metric accept Euclidean alone,
-        and fail on any other in one line."""
-        sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
-        want = "metric: the distance is 'euclidean', got 'manhattan'"
-        with pytest.raises(ConfigError) as estimated:
-            estimate_distance_distribution(stack_subgraphs([sub]), "manhattan", 10, seed=0)
-        with pytest.raises(ConfigError) as augmented:
-            mirror_augment(sub, 1.0, semantics_of([0, 0]), "manhattan")
-        assert str(estimated.value) == str(augmented.value) == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -154,92 +141,6 @@ class TestSemantics:
             assert np.array_equal(semantic_assignment(g, "degree-bucket", n_buckets), want)
 
 
-class TestDistanceDistribution:
-    def test_single_pair(self):
-        sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
-        dist = estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
-        assert dist.dtype == np.float64 and np.array_equal(dist, [3.0])
-
-    def test_budget_covers_all_pairs_exact_multiset(self, rng):
-        g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
-        dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=1)
-        expected = []
-        for sub in subs:
-            x = sub.node_features[sub.parent_indices]
-            for i in range(sub.size):
-                for j in range(i + 1, sub.size):
-                    if sub.parent_indices[i] != sub.parent_indices[j]:
-                        expected.append(np.linalg.norm(x[i] - x[j]))
-        assert np.allclose(dist, np.sort(expected))
-
-    def test_deterministic_per_seed(self, rng):
-        g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
-        a = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
-        b = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
-        c = estimate_distance_distribution(subs, "euclidean", 50, seed=4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_no_valid_pair_raises(self):
-        sub = make_subgraph([[0.0], [0.0]], np.zeros((2, 2)), parents=[3, 3])
-        with pytest.raises(EmptyDistributionError):
-            estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
-
-    def test_sorted_ascending(self, rng):
-        g = random_graph(rng, n=15)
-        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
-        dist = estimate_distance_distribution(subs, "euclidean", 64, seed=5)
-        assert (np.diff(dist) >= 0).all()
-
-
-class TestStackedDistanceEstimate:
-    """The stacked estimate against the per-subgraph loops it replaced, bit
-    for bit: budgets around the pair total, centre-padded subgraphs and
-    blocks of chosen pairs that end mid-subgraph."""
-
-    @staticmethod
-    def assert_same(subs, budget, seed):
-        got = estimate_distance_distribution(subs, "euclidean", budget, seed)
-        want = per_subgraph_distance_distribution(subs, budget, seed)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("block", [7, augment.PAIR_BLOCK])
-    def test_budgets_around_the_pair_total(self, rng, monkeypatch, block):
-        monkeypatch.setattr(augment, "PAIR_BLOCK", block)
-        edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
-        padded = graph_from_edges(13, edges, features=rng.standard_normal((13, 3)))
-        for g, k in ((random_graph(rng, n=30), 8), (padded, 6)):
-            subs = sample_all_subgraphs(g, k=k, teleport=0.15)
-            total = len(per_subgraph_distance_distribution(subs, 10 ** 9, 0))
-            if g is padded:
-                assert total < len(subs) * k * (k - 1) // 2
-            for budget in (1, 50, total - 1, total, total + 1, 10 ** 9):
-                for seed in (0, 1):
-                    self.assert_same(subs, budget, seed)
-
-    def test_more_chosen_pairs_than_a_block(self, rng):
-        subs = sample_all_subgraphs(random_graph(rng, n=200, p=0.05), k=8, teleport=0.15)
-        for budget in (augment.PAIR_BLOCK + 1, 10 ** 9):
-            self.assert_same(subs, budget, 2)
-
-    def test_single_pair_and_zero_vectors(self):
-        x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
-        single = Subgraph(np.array([0, 1]), np.eye(2)[::-1], x)
-        zeros = Subgraph(np.array([2, 3]), np.zeros((2, 2)), x)
-        for subs in (stack_subgraphs([single]), stack_subgraphs([single, zeros])):
-            for budget in (1, 2, 3):
-                self.assert_same(subs, budget, 0)
-
-    def test_no_distinct_pair_raises_in_both(self):
-        subs = stack_subgraphs([make_subgraph([[1.0], [1.0]], np.zeros((2, 2)), parents=[3, 3])])
-        with pytest.raises(EmptyDistributionError):
-            estimate_distance_distribution(subs, "euclidean", 10, 0)
-        with pytest.raises(EmptyDistributionError):
-            per_subgraph_distance_distribution(subs, 10, 0)
-
-
 class TestQuantile:
     DIST = np.arange(1.0, 11.0)
 
@@ -308,7 +209,20 @@ class TestFindMirrorPair:
         assert got == want
 
 
+def search_one(sub, sem):
+    """The mirror search of ``sub`` alone, as a one-subgraph stack."""
+    return mirror_search(stack_subgraphs([sub]), sem)
+
+
+def mirrors_of(sub, gamma, sem):
+    """The positive and negative mirror adjacencies of ``sub`` alone at gamma."""
+    (positive,), (negative,) = search_one(sub, sem).adjacencies(gamma)
+    return positive, negative
+
+
 class TestMirrorAugment:
+    """The mirror search of one subgraph, thresholded at a gamma."""
+
     def _random_case(self, rng, k=8, n_labels=3):
         features = rng.standard_normal((k, 2))
         adj = (rng.random((k, k)) < 0.4).astype(float)
@@ -320,15 +234,13 @@ class TestMirrorAugment:
 
     def test_gamma_zero_is_identity(self, rng):
         sub, sem = self._random_case(rng)
-        m = mirror_augment(sub, 0.0, sem, "euclidean")
-        assert np.array_equal(m.positive_adjacency, sub.adjacency)
-        assert np.array_equal(m.negative_adjacency, sub.adjacency)
-        assert logged(m.search, 0.0) == [[], []]
+        for adj in mirrors_of(sub, 0.0, sem):
+            assert np.array_equal(adj, sub.adjacency)
+        assert logged(search_one(sub, sem), 0.0) == [[], []]
 
     def test_symmetric_zero_diagonal(self, rng):
         sub, sem = self._random_case(rng)
-        m = mirror_augment(sub, 1.5, sem, "euclidean")
-        for adj in (m.positive_adjacency, m.negative_adjacency):
+        for adj in mirrors_of(sub, 1.5, sem):
             assert np.array_equal(adj, adj.T)
             assert adj.diagonal().sum() == 0
 
@@ -336,9 +248,7 @@ class TestMirrorAugment:
         for _ in range(5):
             sub, sem = self._random_case(rng)
             gamma = float(rng.uniform(0.3, 2.0))
-            m = mirror_augment(sub, gamma, sem, "euclidean")
-            for polarity, adj in (("positive", m.positive_adjacency),
-                                  ("negative", m.negative_adjacency)):
+            for polarity, adj in zip(("positive", "negative"), mirrors_of(sub, gamma, sem)):
                 for a in range(sub.size):
                     for b in range(a + 1, sub.size):
                         mirror = find_mirror_pair(sub, (a, b), gamma, sem, polarity)
@@ -348,7 +258,7 @@ class TestMirrorAugment:
     def test_replacement_records_satisfy_constraints(self, rng):
         sub, sem = self._random_case(rng, k=10)
         gamma = 1.2
-        pos_log, neg_log = logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma)
+        pos_log, neg_log = logged(search_one(sub, sem), gamma)
         labels = sem[sub.parent_indices]
         assert pos_log   # loose sanity: something was replaced
         for r in pos_log:
@@ -361,8 +271,9 @@ class TestMirrorAugment:
 
     def test_monotone_reach(self, rng):
         sub, sem = self._random_case(rng, k=9)
+        search = search_one(sub, sem)
         def replaced_pairs(gamma):
-            pos_log, neg_log = logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma)
+            pos_log, neg_log = logged(search, gamma)
             return {(r.a, r.b) for r in pos_log}, {(r.a, r.b) for r in neg_log}
         lo_pos, lo_neg = replaced_pairs(0.6)
         hi_pos, hi_neg = replaced_pairs(1.4)
@@ -378,14 +289,14 @@ class TestMirrorAugment:
         adj[2, 3] = adj[3, 2] = 1.0
         sub = make_subgraph(features, adj)
         sem = semantics_of([0, 1, 0, 1, 2, 2])
-        m = mirror_augment(sub, gamma=0.5, semantics=sem, metric="euclidean")
-        assert m.positive_adjacency[0, 1] == 1.0
-        assert m.negative_adjacency[0, 1] == 0.0
+        positive, negative = mirrors_of(sub, 0.5, sem)
+        assert positive[0, 1] == 1.0
+        assert negative[0, 1] == 0.0
 
     def test_padded_duplicates_not_paired(self):
         sub = make_subgraph([[0.0], [1.0], [0.0]], np.zeros((3, 3)), parents=[4, 7, 4])
         sem = np.zeros(10, dtype=np.int64)
-        pos_log, _ = logged(mirror_augment(sub, 100.0, sem, "euclidean").search, 100.0)
+        pos_log, _ = logged(search_one(sub, sem), 100.0)
         pairs = {(r.a, r.b) for r in pos_log}
         assert (0, 2) not in pairs   # same parent twice is not a pair
 
@@ -397,6 +308,7 @@ class TestMirrorSearch:
 
     def assert_matches_oracle(self, subs, sem):
         search = mirror_search(subs, sem)
+        alone = [mirror_search(subs[i:i + 1], sem) for i in range(len(subs))]
         for theta in self.THETAS:
             gamma = quantile(search.distances, theta)
             positive, negative = search.adjacencies(gamma)
@@ -408,7 +320,7 @@ class TestMirrorSearch:
                 assert np.array_equal(negative[i], want.negative_adjacency)
                 want_log = [want.stats.pos_replacements, want.stats.neg_replacements]
                 assert logged(search, gamma, i) == want_log
-                assert logged(mirror_augment(sub, gamma, sem, "euclidean").search, gamma) == want_log
+                assert logged(alone[i], gamma) == want_log
                 assert search.pair_counts[i] - len(want_log[0]) == want.stats.pos_unmatched
                 assert search.pair_counts[i] - len(want_log[1]) == want.stats.neg_unmatched
                 for p in range(2):
@@ -470,22 +382,6 @@ class TestMirrorSearch:
             flat, search.argmin.astype(np.int64), axis=2))
 
 
-class TestOneSubgraphSearch:
-    """``mirror_augment`` of one subgraph is its row of the stacked search."""
-
-    def test_mirror_augment_equals_the_search_row(self, rng):
-        g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
-        sem = semantic_assignment(g)
-        search = mirror_search(subs, sem)
-        for gamma in (0.0, 0.5, 1.0, 3.0):
-            positive, negative = search.adjacencies(gamma)
-            for i in range(len(subs)):
-                mirrors = mirror_augment(subs[i], gamma, sem, "euclidean")
-                assert np.array_equal(mirrors.positive_adjacency, positive[i])
-                assert np.array_equal(mirrors.negative_adjacency, negative[i])
-
-
 def assert_same_tables(got, want):
     for name in ("adjacency", "best", "argmin", "edge", "pair_counts", "distances"):
         a, b = getattr(got, name), getattr(want, name)
@@ -538,3 +434,93 @@ class TestSeparableScan:
         search = mirror_search(stack_subgraphs([sub]), sem)
         assert_same_tables(search, chunked_mirror_search(stack_subgraphs([sub]), sem))
         assert divmod(int(search.argmin[0, 0, packed_pair(5, 2, 3)]), 5) == (4, 0)
+
+
+class TestBenchShims:
+    """``estimate_distance_distribution``, ``mirror_augment`` and
+    ``MirrorGraphs`` stay in the package for the benchmark alone; these are
+    their contract tests, and the only tests that name them
+    (``tests/test_bench_contract.py`` checks)."""
+
+    def test_unknown_metric(self):
+        """The two calls that still take a metric accept Euclidean alone,
+        and fail on any other in one line."""
+        sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
+        want = "metric: the distance is 'euclidean', got 'manhattan'"
+        with pytest.raises(ConfigError) as estimated:
+            estimate_distance_distribution(stack_subgraphs([sub]), "manhattan", 10, seed=0)
+        with pytest.raises(ConfigError) as augmented:
+            mirror_augment(sub, 1.0, semantics_of([0, 0]), "manhattan")
+        assert str(estimated.value) == str(augmented.value) == want
+
+    def test_single_pair(self):
+        sub = make_subgraph([[0.0], [3.0]], [[0, 1], [1, 0]])
+        dist = estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
+        assert dist.dtype == np.float64 and np.array_equal(dist, [3.0])
+
+    def test_budget_covers_all_pairs_exact_multiset(self, rng):
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
+        dist = estimate_distance_distribution(subs, "euclidean", 10_000, seed=1)
+        expected = []
+        for sub in subs:
+            x = sub.node_features[sub.parent_indices]
+            for i in range(sub.size):
+                for j in range(i + 1, sub.size):
+                    if sub.parent_indices[i] != sub.parent_indices[j]:
+                        expected.append(np.linalg.norm(x[i] - x[j]))
+        assert np.allclose(dist, np.sort(expected))
+
+    def test_deterministic_per_seed(self, rng):
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
+        a = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
+        b = estimate_distance_distribution(subs, "euclidean", 50, seed=3)
+        c = estimate_distance_distribution(subs, "euclidean", 50, seed=4)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_no_valid_pair_raises(self):
+        sub = make_subgraph([[0.0], [0.0]], np.zeros((2, 2)), parents=[3, 3])
+        with pytest.raises(EmptyDistributionError):
+            estimate_distance_distribution(stack_subgraphs([sub]), "euclidean", 10, seed=0)
+
+    def test_sorted_ascending(self, rng):
+        g = random_graph(rng, n=15)
+        subs = sample_all_subgraphs(g, k=5, teleport=0.15)
+        dist = estimate_distance_distribution(subs, "euclidean", 64, seed=5)
+        assert (np.diff(dist) >= 0).all()
+
+    def test_estimate_is_a_seeded_sample_of_the_search_distances(self, rng):
+        """Below the pair total the estimate is the ``default_rng(seed)``
+        choice from ``MirrorSearch.distances``, sorted; at or above it, all
+        of them, sorted. The semantics the search is given do not matter."""
+        edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
+        padded = graph_from_edges(13, edges, features=rng.standard_normal((13, 3)))
+        for g, k in ((random_graph(rng, n=30), 8), (padded, 6)):
+            subs = sample_all_subgraphs(g, k=k, teleport=0.15)
+            distances = mirror_search(subs, semantic_assignment(g, "degree-bucket", 3)).distances
+            total = len(distances)
+            assert (total < len(subs) * k * (k - 1) // 2) == (g is padded)
+            for budget in (1, 50, total - 1, total, total + 1, 10 ** 9):
+                for seed in (0, 1):
+                    want = distances
+                    if budget < total:
+                        want = distances[np.random.default_rng(seed).choice(
+                            total, size=budget, replace=False)]
+                    got = estimate_distance_distribution(subs, "euclidean", budget, seed)
+                    assert got.dtype == np.float64 and np.array_equal(got, np.sort(want))
+
+    def test_mirror_augment_equals_the_search_row(self, rng):
+        """``mirror_augment`` of one subgraph is its row of the stacked search."""
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
+        sem = semantic_assignment(g)
+        search = mirror_search(subs, sem)
+        for gamma in (0.0, 0.5, 1.0, 3.0):
+            positive, negative = search.adjacencies(gamma)
+            for i in range(len(subs)):
+                mirrors = mirror_augment(subs[i], gamma, sem, "euclidean")
+                assert isinstance(mirrors, MirrorGraphs)
+                assert np.array_equal(mirrors.positive_adjacency, positive[i])
+                assert np.array_equal(mirrors.negative_adjacency, negative[i])

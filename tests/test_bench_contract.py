@@ -6,7 +6,8 @@ traced layer or capture silently reads 0, so a rename or deletion in the
 package must fail here first. The bench sources are only read: ``child.py``
 is imported for its ``LAYERS`` table, the rest is parsed. The other way
 round, no package code calls a function that stays for the benchmark alone,
-so deleting them with the benchmark's hooks touches no package path.
+so deleting them with the benchmark's hooks touches no package path, and no
+test outside ``test_augment.py::TestBenchShims`` names the augment shims.
 """
 
 import ast
@@ -90,3 +91,40 @@ def test_no_package_code_calls_the_bench_only_names():
                 if name in BENCH_ONLY:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+# The augment shims among them, and their result type. Tier-1 names these only
+# here, in test_augment.py's import line and in test_augment.py::TestBenchShims,
+# so deleting them deletes those tests and rewrites no other. extract_subgraph
+# is left out: tests/test_sampler.py still checks the batched gather against it.
+SHIMS = BENCH_ONLY - {"extract_subgraph"} | {"MirrorGraphs"}
+
+
+def identifier(node):
+    """The name a node writes, if any: a name, an attribute, an imported
+    alias, or a def or class."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    return None
+
+
+def test_tests_name_the_augment_shims_only_in_their_own_class():
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        if path.name == Path(__file__).name:
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "test_augment.py":
+            for node in tree.body:
+                if ((isinstance(node, ast.ImportFrom) and node.module == "acgcl.augment")
+                        or (isinstance(node, ast.ClassDef) and node.name == "TestBenchShims")):
+                    allowed.update(ast.walk(node))
+        found += [f"{path.name}:{node.lineno} {identifier(node)}" for node in ast.walk(tree)
+                  if identifier(node) in SHIMS and node not in allowed]
+    assert found == []

@@ -414,7 +414,8 @@ class TestRetiredConfigKeys:
     or while TrainConfig had a patience margin, a loss normalisation, a
     Sinkhorn tolerance, a distance sample budget and a distance metric, echo
     those keys in their config; they still load, and the keys are gone
-    everywhere else."""
+    everywhere else. Its params object may repeat the format version and the
+    layer count, as every checkpoint's did until each was written once."""
 
     def test_checkpoint_with_the_retired_keys_evaluates_the_same(self, tmp_path, config_file,
                                                                  dataset_dir, capsys):
@@ -422,9 +423,13 @@ class TestRetiredConfigKeys:
                      "--out", str(tmp_path / "run")]) == 0
         current = tmp_path / "run" / "checkpoint.json"
         payload = json.loads(current.read_text())
+        assert list(payload) == ["format_version", "config", "params"]
+        assert list(payload["params"]) == ["weights", "slopes"]
         payload["config"].update(probe_iters=500, probe_lr=0.5, improvement_tol=0.0001,
                                  normalize_weighted_loss=False, sinkhorn_tol=1e-6,
                                  dis_sample_budget=50000, distance_metric="manhattan")
+        payload["params"] = {"format_version": 1, "n_layers": len(payload["params"]["weights"]),
+                             **payload["params"]}
         old = tmp_path / "old_checkpoint.json"
         old.write_text(json.dumps(payload))
         printed = []

@@ -305,7 +305,9 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     def test_loads_earlier_format_and_rewrites_it_byte_for_byte(self, tmp_path):
-        # The layout every release so far has written, nested params version included.
+        # The layout written until the params object dropped its copies of the
+        # format version and layer count, which no load reads; the rewrite
+        # is that text, byte for byte, without the two copies.
         text = ('{"format_version": 1, "config": {"seed": 3, "embedding_dim": 2}, '
                 '"params": {"format_version": 1, "n_layers": 1, '
                 '"weights": [[[0.5, -0.25], [0.125, 1.0], [-2.0, 0.0]]], "slopes": [0.25]}}')
@@ -321,5 +323,7 @@ class TestCheckpoint:
         written = json.loads(path.read_text())
         expected = json.loads(text)
         expected["config"] = config.to_dict()
+        del expected["params"]["format_version"], expected["params"]["n_layers"]
         assert path.read_text() == json.dumps(expected)
         assert list(written) == ["format_version", "config", "params"]
+        assert list(written["params"]) == ["weights", "slopes"]

@@ -3,16 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import sampler
 from acgcl.errors import ContractError, SizeError
-from acgcl.graph import Graph, SbmConfig, generate_sbm
+from acgcl.graph import SbmConfig, generate_sbm
 from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
                            sample_all_subgraphs, top_k_indices)
-from conftest import graph_from_edges, random_graph
+from conftest import graph_from_dense, graph_from_edges, random_graph
 from oracles import (column_normalize, dense_adjacency, dense_solve_ppr, power_iteration_ppr,
                      searched_induced, subgraph_indices, top_rank)
 
@@ -36,7 +35,7 @@ class TestColumnNormalize:
 
 class TestPprScores:
     def test_self_loop_fixed_point(self):
-        g = Graph(features=np.zeros((1, 1)), adjacency=sp.csr_array(np.ones((1, 1))))
+        g = graph_from_dense(np.ones((1, 1)), np.zeros((1, 1)))
         scores = compute_ppr_scores(g, teleport=0.15)
         assert np.allclose(scores, [[1.0]])
 
@@ -76,7 +75,7 @@ def self_loop_graph(rng, n=30):
     dense = dense_adjacency(g)
     loops = rng.choice(n, size=n // 3, replace=False)
     dense[loops, loops] = 1.0
-    return Graph(features=g.features, adjacency=sp.csr_array(dense))
+    return graph_from_dense(dense, g.features)
 
 
 def oracle_graphs(rng):
@@ -86,10 +85,10 @@ def oracle_graphs(rng):
                        min_degree_ring=bool(rng.integers(2))) for _ in range(6)),
         graph_from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]),   # 8 isolated
         self_loop_graph(rng),
-        Graph(features=np.zeros((3, 1)), adjacency=sp.csr_array(np.diag([1.0, 0.0, 1.0]))),
+        graph_from_dense(np.diag([1.0, 0.0, 1.0]), np.zeros((3, 1))),
         graph_from_edges(6, []),
         graph_from_edges(1, []),
-        Graph(features=np.zeros((1, 1)), adjacency=sp.csr_array(np.ones((1, 1)))),
+        graph_from_dense(np.ones((1, 1)), np.zeros((1, 1))),
     ]
 
 
@@ -186,7 +185,7 @@ class TestBlockInverse:
         isolated, loops = [5, 150, 250, 299], [10, 191, 192, 260]
         dense[isolated, :] = dense[:, isolated] = 0.0
         dense[loops, loops] = 1.0
-        g = Graph(features=np.zeros((n, 1)), adjacency=sp.csr_array(dense))
+        g = graph_from_dense(dense, np.zeros((n, 1)))
         for teleport in (0.15, 0.9):
             got = compute_ppr_scores(g, teleport)
             assert np.abs(got - dense_solve_ppr(g, teleport)).max() <= 1e-12
@@ -396,7 +395,7 @@ class TestBitTable:
 
     def test_single_node(self):
         for loop in (0.0, 1.0):
-            g = Graph(features=np.zeros((1, 1)), adjacency=sp.csr_array([[loop]]))
+            g = graph_from_dense([[loop]], np.zeros((1, 1)))
             assert sampler._bit_table(g).nbytes == 1
             self.assert_matches_search(g, np.zeros((3, 2), dtype=np.int64))
 
