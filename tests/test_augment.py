@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acgcl import augment
 from acgcl import autodiff as ad
 from acgcl.augment import (MirrorGraphs, estimate_distance_distribution, mirror_augment,
                            mirror_search, quantile, semantic_assignment)
@@ -439,8 +440,8 @@ class TestSeparableScan:
 class TestBenchShims:
     """``estimate_distance_distribution``, ``mirror_augment`` and
     ``MirrorGraphs`` stay in the package for the benchmark alone; these are
-    their contract tests, and the only tests that name them
-    (``tests/test_bench_contract.py`` checks)."""
+    their contract tests, and with ``TestStackedDistanceEstimate`` the only
+    tests that name them (``tests/test_bench_contract.py`` checks)."""
 
     def test_unknown_metric(self):
         """The two calls that still take a metric accept Euclidean alone,
@@ -491,10 +492,32 @@ class TestBenchShims:
         dist = estimate_distance_distribution(subs, "euclidean", 64, seed=5)
         assert (np.diff(dist) >= 0).all()
 
-    def test_estimate_is_a_seeded_sample_of_the_search_distances(self, rng):
+    def test_mirror_augment_equals_the_search_row(self, rng):
+        """``mirror_augment`` of one subgraph is its row of the stacked search."""
+        g = random_graph(rng, n=20)
+        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
+        sem = semantic_assignment(g)
+        search = mirror_search(subs, sem)
+        for gamma in (0.0, 0.5, 1.0, 3.0):
+            positive, negative = search.adjacencies(gamma)
+            for i in range(len(subs)):
+                mirrors = mirror_augment(subs[i], gamma, sem, "euclidean")
+                assert isinstance(mirrors, MirrorGraphs)
+                assert np.array_equal(mirrors.positive_adjacency, positive[i])
+                assert np.array_equal(mirrors.negative_adjacency, negative[i])
+
+
+class TestStackedDistanceEstimate:
+    """The estimate is a seeded sample of ``MirrorSearch.distances``, for
+    budgets around the pair total, centre-padded subgraphs and search blocks
+    that end mid-subgraph. Like ``TestBenchShims`` it names a shim."""
+
+    @pytest.mark.parametrize("block", [7, augment.PAIR_BLOCK])
+    def test_budgets_around_the_pair_total(self, rng, monkeypatch, block):
         """Below the pair total the estimate is the ``default_rng(seed)``
         choice from ``MirrorSearch.distances``, sorted; at or above it, all
         of them, sorted. The semantics the search is given do not matter."""
+        monkeypatch.setattr(augment, "PAIR_BLOCK", block)
         edges = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]
         padded = graph_from_edges(13, edges, features=rng.standard_normal((13, 3)))
         for g, k in ((random_graph(rng, n=30), 8), (padded, 6)):
@@ -510,17 +533,3 @@ class TestBenchShims:
                             total, size=budget, replace=False)]
                     got = estimate_distance_distribution(subs, "euclidean", budget, seed)
                     assert got.dtype == np.float64 and np.array_equal(got, np.sort(want))
-
-    def test_mirror_augment_equals_the_search_row(self, rng):
-        """``mirror_augment`` of one subgraph is its row of the stacked search."""
-        g = random_graph(rng, n=20)
-        subs = sample_all_subgraphs(g, k=6, teleport=0.15)
-        sem = semantic_assignment(g)
-        search = mirror_search(subs, sem)
-        for gamma in (0.0, 0.5, 1.0, 3.0):
-            positive, negative = search.adjacencies(gamma)
-            for i in range(len(subs)):
-                mirrors = mirror_augment(subs[i], gamma, sem, "euclidean")
-                assert isinstance(mirrors, MirrorGraphs)
-                assert np.array_equal(mirrors.positive_adjacency, positive[i])
-                assert np.array_equal(mirrors.negative_adjacency, negative[i])

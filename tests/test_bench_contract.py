@@ -7,7 +7,8 @@ package must fail here first. The bench sources are only read: ``child.py``
 is imported for its ``LAYERS`` table, the rest is parsed. The other way
 round, no package code calls a function that stays for the benchmark alone,
 so deleting them with the benchmark's hooks touches no package path, and no
-test outside ``test_augment.py::TestBenchShims`` names the augment shims.
+test outside ``test_augment.py::TestBenchShims`` and
+``TestStackedDistanceEstimate`` names the augment shims.
 """
 
 import ast
@@ -94,10 +95,12 @@ def test_no_package_code_calls_the_bench_only_names():
 
 
 # The augment shims among them, and their result type. Tier-1 names these only
-# here, in test_augment.py's import line and in test_augment.py::TestBenchShims,
-# so deleting them deletes those tests and rewrites no other. extract_subgraph
+# here, in test_augment.py's import line and in its classes TestBenchShims and
+# TestStackedDistanceEstimate, so deleting them deletes those tests and rewrites
+# no other. extract_subgraph
 # is left out: tests/test_sampler.py still checks the batched gather against it.
 SHIMS = BENCH_ONLY - {"extract_subgraph"} | {"MirrorGraphs"}
+SHIM_CLASSES = {"TestBenchShims", "TestStackedDistanceEstimate"}
 
 
 def identifier(node):
@@ -123,7 +126,7 @@ def test_tests_name_the_augment_shims_only_in_their_own_class():
         if path.name == "test_augment.py":
             for node in tree.body:
                 if ((isinstance(node, ast.ImportFrom) and node.module == "acgcl.augment")
-                        or (isinstance(node, ast.ClassDef) and node.name == "TestBenchShims")):
+                        or (isinstance(node, ast.ClassDef) and node.name in SHIM_CLASSES)):
                     allowed.update(ast.walk(node))
         found += [f"{path.name}:{node.lineno} {identifier(node)}" for node in ast.walk(tree)
                   if identifier(node) in SHIMS and node not in allowed]
