@@ -17,12 +17,18 @@ File formats (one directory per dataset):
   [0, n_nodes) covering every node exactly once.
 * ``splits.json`` : optional, ``{"train": [...], "val": [...], "test": [...]}``.
 
+``load_dataset`` keeps the parsed graph in ``.acgcl-cache.npz`` beside the
+files, keyed by a hash of their bytes, and while they stay the same rebuilds
+the graph from the stored arrays instead of parsing the text again.
+``load_graph`` always parses.
+
 A :class:`Graph` is a frozen dataclass checked once, when built;
 ``with_splits`` returns a new graph rather than changing its argument.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -34,12 +40,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GraphParseError, NodeIdError, ShapeError
-from .util import ROLE_SPLITS, rng_for
+from .util import ROLE_SPLITS, rng_for, write_atomic
 
 EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.csv"
 LABEL_FILE = "labels.csv"
 SPLIT_FILE = "splits.json"
+DATASET_FILES = (FEATURE_FILE, EDGE_FILE, LABEL_FILE, SPLIT_FILE)
+CACHE_FILE = ".acgcl-cache.npz"
+# The first bytes the cache key hashes: a new layout of the stored arrays
+# takes a new tag, so no older cache file can match.
+CACHE_FORMAT = b"acgcl parsed graph 1\n"
 
 
 @dataclass(frozen=True)
@@ -143,21 +154,40 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     The feature file defines the node count; edge endpoints must stay below
     it. Directed input edges are symmetrized, duplicate edges collapse.
     """
-    features = _read_features(Path(feature_path))
+    return _parse_graph(Path(edge_path), Path(feature_path),
+                        None if label_path is None else Path(label_path), None)
+
+
+def _parse_graph(edge_path: Path, feature_path: Path, label_path: Path | None,
+                 raw: dict | None) -> Graph:
+    """``load_graph`` of the files' bytes in ``raw`` (see ``_lines``), or of
+    the files themselves when ``raw`` is None."""
+    features = _read_features(feature_path, raw)
     n = features.shape[0]
-    rows, cols = _read_edges(Path(edge_path), n)
-    labels = _read_labels(Path(label_path), n) if label_path is not None else None
+    rows, cols = _read_edges(edge_path, n, raw)
+    labels = _read_labels(label_path, n, raw) if label_path is not None else None
     return Graph(features=features, adjacency=_both_directions(n, rows, cols), labels=labels)
 
 
-def read_text(path: Path) -> str:
-    """The text of an input file decoded as UTF-8; bytes that are not UTF-8
-    fail with a GraphParseError naming the file."""
+def read_text(path: Path, data: bytes | None = None) -> str:
+    """The text of an input file decoded as UTF-8, line ends as a text-mode
+    read gives them; ``data`` is the file's bytes when the caller has already
+    read them. Bytes that are not UTF-8 fail with a GraphParseError naming
+    the file."""
+    if data is None:
+        data = path.read_bytes()
     try:
-        return path.read_text(encoding="utf-8")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise GraphParseError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
                               f"at offset {exc.start}") from None
+
+
+def _lines(path: Path, raw: dict | None) -> list[str]:
+    """The lines of ``path``. ``raw`` maps each dataset path to its bytes;
+    they are taken out of it, so they are freed once decoded, before the
+    split. With ``raw`` None the file is read."""
+    return read_text(path, None if raw is None else raw.pop(path)).splitlines()
 
 
 def data_lines(path: Path, lines: list[str] | None = None):
@@ -172,21 +202,31 @@ def data_lines(path: Path, lines: list[str] | None = None):
             yield f"{path}:{lineno}", text
 
 
-def _read_features(path: Path) -> np.ndarray:
-    """The feature matrix of ``path``. One ``np.loadtxt`` call parses the
-    lines of a well-formed file; a file it rejects goes through
-    ``_read_feature_lines``, which loads it or names its first bad line.
-    Both read the same lines, and the file's text is freed before either."""
-    lines = read_text(path).splitlines()
+def _one_loadtxt(lines: list[str], dtype, delimiter=None) -> np.ndarray | None:
+    """``lines`` as a 2-d ``dtype`` table from one ``np.loadtxt`` call, or None
+    where it rejects them or warns: on no rows it only warns, and so does an
+    older numpy on an integer written as a float. A ``#`` line is rejected,
+    not skipped."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")   # on no rows, loadtxt only warns
-            features = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None,
-                                  ndmin=2)
-        if np.isfinite(features).all():
-            return features
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, delimiter=delimiter, dtype=dtype, comments=None, ndmin=2)
     except (ValueError, Warning):
-        pass
+        return None
+
+
+# Each reader parses a file's lines in one ``np.loadtxt`` call. Where that
+# call rejects a line, or the table fails a check, the per-line reader
+# below it reads the same lines: it loads what the call could not, or
+# names the first bad line. The call accepts no line the per-line reader
+# rejects, so a file loads to the same arrays, or fails with the same
+# message, either way.
+
+def _read_features(path: Path, raw: dict | None = None) -> np.ndarray:
+    lines = _lines(path, raw)
+    features = _one_loadtxt(lines, np.float64, ",")
+    if features is not None and np.isfinite(features).all():
+        return features
     return _read_feature_lines(path, lines)
 
 
@@ -211,9 +251,18 @@ def _read_feature_lines(path: Path, lines: list[str]) -> np.ndarray:
     return features
 
 
-def _read_edges(path: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_edges(path: Path, n_nodes: int,
+                raw: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    lines = _lines(path, raw)
+    edges = _one_loadtxt(lines, np.int64)
+    if edges is not None and edges.shape[1] == 2 and edges.min() >= 0 and edges.max() < n_nodes:
+        return edges[:, 0], edges[:, 1]
+    return _read_edge_lines(path, lines, n_nodes)
+
+
+def _read_edge_lines(path: Path, lines: list[str], n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = [], []
-    for where, text in data_lines(path):
+    for where, text in data_lines(path, lines):
         parts = text.split()
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'src dst', got {text!r}")
@@ -230,9 +279,21 @@ def _read_edges(path: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
 
 
-def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
+def _read_labels(path: Path, n_nodes: int, raw: dict | None = None) -> np.ndarray:
+    lines = _lines(path, raw)
+    table = _one_loadtxt(lines, np.int64, ",")
+    if table is not None and table.shape == (n_nodes, 2) and table.min() >= 0 \
+            and table.max() < n_nodes:
+        labels = np.full(n_nodes, -1, dtype=np.int64)
+        labels[table[:, 0]] = table[:, 1]
+        if labels.min() >= 0:          # n rows, every node once
+            return labels
+    return _read_label_lines(path, lines, n_nodes)
+
+
+def _read_label_lines(path: Path, lines: list[str], n_nodes: int) -> np.ndarray:
     labels = np.full(n_nodes, -1, dtype=np.int64)
-    for where, text in data_lines(path):
+    for where, text in data_lines(path, lines):
         parts = text.split(",")
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'node_id,label', got {text!r}")
@@ -254,21 +315,89 @@ def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
 
 
 def load_dataset(directory) -> Graph:
+    """The graph of a dataset directory, with its labels and splits if there.
+
+    Each file is read once. The sha256 of ``CACHE_FORMAT`` and of each
+    file's name, presence, length and bytes keys ``CACHE_FILE``: while it
+    holds that key, the graph is rebuilt from its arrays through ``Graph``
+    and ``with_splits``, so every check runs again. Otherwise the bytes
+    are parsed and the cache written; a directory that cannot be written
+    is parsed every time, and a cache that cannot be read is a miss."""
+    import hashlib      # loading OpenSSL takes ~3 ms; gen-sbm loads no dataset
     directory = Path(directory)
+    paths = [directory / name for name in DATASET_FILES]
+    try:                # labels and splits are optional: None when absent
+        raw = {path: path.read_bytes() if path.name in (FEATURE_FILE, EDGE_FILE)
+               or path.exists() else None for path in paths}
+    except OSError:     # fail on the file, and in the order, that parsing reaches first
+        return _parse_dataset(directory, None)
+    digest = hashlib.sha256(CACHE_FORMAT)
+    for path, data in raw.items():
+        digest.update(f"{path.name} {-1 if data is None else len(data)}\n".encode())
+        digest.update(data or b"")
+    key = np.frombuffer(digest.digest(), dtype=np.uint8)
+    graph = _cached_graph(directory / CACHE_FILE, key)
+    if graph is None:
+        graph = _parse_dataset(directory, raw)
+        _write_cache(directory / CACHE_FILE, key, graph)
+    return graph
+
+
+def _parse_dataset(directory: Path, raw: dict | None) -> Graph:
+    """The dataset parsed from ``raw`` (see ``_lines``), where an optional
+    file is absent if its bytes are None, or from the files."""
+    def present(path: Path) -> bool:
+        return path.exists() if raw is None else raw[path] is not None
+
     label_path = directory / LABEL_FILE
-    graph = load_graph(
-        directory / EDGE_FILE,
-        directory / FEATURE_FILE,
-        label_path if label_path.exists() else None,
-    )
+    graph = _parse_graph(directory / EDGE_FILE, directory / FEATURE_FILE,
+                         label_path if present(label_path) else None, raw)
     split_path = directory / SPLIT_FILE
-    if split_path.exists():
-        text = read_text(split_path)
+    if present(split_path):
+        text = read_text(split_path, None if raw is None else raw.pop(split_path))
         try:   # bad JSON, nesting, keys or ids; ids out of range, repeated or in two splits
             graph = with_splits(graph, _parse_splits(json.loads(text)))
         except (ValueError, OverflowError, RecursionError) as exc:
             raise GraphParseError(f"{split_path}: {exc}") from None
     return graph
+
+
+# The dtype and dimensions of each array a cache file may hold. Labels are
+# optional, and the three splits are there together or not at all.
+_CACHE_ARRAYS = {"key": (np.uint8, 1), "features": (np.float64, 2),
+                 "adjacency": (np.int64, 1), "labels": (np.int64, 1),
+                 "train": (np.int64, 1), "val": (np.int64, 1), "test": (np.int64, 1)}
+
+
+def _cached_graph(cache: Path, key: np.ndarray) -> Graph | None:
+    """The graph stored in ``cache`` under ``key``; None when the file is
+    missing, holds another key, or is not what ``_write_cache`` writes."""
+    try:
+        with np.load(cache, allow_pickle=False) as stored:
+            if not np.array_equal(stored["key"], key):
+                return None
+            arrays = {name: stored[name] for name in stored.files}
+        for name, array in arrays.items():
+            dtype, ndim = _CACHE_ARRAYS[name]
+            if array.dtype != dtype or array.ndim != ndim or not array.flags.c_contiguous:
+                return None
+        graph = Graph(arrays["features"], arrays["adjacency"], arrays.get("labels"))
+        if arrays.keys() & {"train", "val", "test"}:
+            graph = with_splits(graph, Splits(arrays["train"], arrays["val"], arrays["test"]))
+        return graph
+    except Exception:   # np.load of arbitrary bytes fails in many ways; all are a miss
+        return None
+
+
+def _write_cache(cache: Path, key: np.ndarray, graph: Graph) -> None:
+    arrays = {"key": key, "features": graph.features, "adjacency": graph.adjacency,
+              "labels": graph.labels, **(vars(graph.splits) if graph.splits else {})}
+    buffer = io.BytesIO()
+    np.savez(buffer, **{name: array for name, array in arrays.items() if array is not None})
+    try:
+        write_atomic(cache, buffer.getbuffer())
+    except OSError:     # a directory that cannot be written is parsed on every load
+        pass
 
 
 def _parse_splits(raw) -> Splits:
@@ -307,7 +436,7 @@ def save_dataset(graph: Graph, directory) -> None:
                 {name: [int(i) for i in getattr(graph.splits, name)]
                  for name in ("train", "val", "test")}))
         directory.mkdir(exist_ok=True)
-        for name in (EDGE_FILE, FEATURE_FILE, LABEL_FILE, SPLIT_FILE):
+        for name in (*DATASET_FILES, CACHE_FILE):
             if (staging / name).exists():
                 os.replace(staging / name, directory / name)
             else:

@@ -50,13 +50,17 @@ def linear_quantile(values: np.ndarray, q):
     return out
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then move it into place,
-    so a write that fails leaves the previous file whole and no temp file."""
+def write_atomic(path, content) -> None:
+    """Write ``content``, text or bytes, to a temp file beside ``path``, then
+    move it into place, so a write that fails leaves the previous file whole
+    and no temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        if isinstance(content, str):
+            tmp.write_text(content)
+        else:
+            tmp.write_bytes(content)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

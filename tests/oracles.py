@@ -44,12 +44,13 @@ replaced, and which it keeps as its fallback. ``probe_baselines`` gives the
 two probe accuracies a trained encoder is compared with.
 ``one_pass_difficulty_curve`` encodes every subgraph and both mirror views
 in one forward pass each, the form the package's blocked
-``difficulty_curve`` replaced.
+``difficulty_curve`` replaced. ``assert_same_tables`` compares two
+``MirrorSearch`` results table for table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -745,3 +746,11 @@ def one_pass_difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search:
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
         rows.append((float(theta), float(losses.mean()), float(losses.std())))
     return rows
+
+
+def assert_same_tables(got: MirrorSearch, want: MirrorSearch) -> None:
+    """Every table of ``got`` equals ``want``'s in dtype and values. The
+    names are ``MirrorSearch``'s fields, so no table can be left out."""
+    for table in fields(MirrorSearch):
+        a, b = getattr(got, table.name), getattr(want, table.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), table.name

@@ -11,8 +11,8 @@ from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
 from conftest import graph_from_edges, packed_pair, random_graph, stack_subgraphs
-from oracles import (Replacement, chunked_mirror_search, dense_adjacency, distance_matrix,
-                     exhaustive_mirror_pair, find_mirror_pair, pair_distance,
+from oracles import (Replacement, assert_same_tables, chunked_mirror_search, dense_adjacency,
+                     distance_matrix, exhaustive_mirror_pair, find_mirror_pair, pair_distance,
                      pairwise_euclidean_diff, per_pair_mirror_augment)
 
 
@@ -381,12 +381,6 @@ class TestMirrorSearch:
         flat = subs.adjacency.reshape(1, n, k * k)
         assert np.array_equal(search.edge, np.take_along_axis(
             flat, search.argmin.astype(np.int64), axis=2))
-
-
-def assert_same_tables(got, want):
-    for name in ("adjacency", "best", "argmin", "edge", "pair_counts", "distances"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestSeparableScan:

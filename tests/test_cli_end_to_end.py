@@ -10,6 +10,7 @@ import shutil
 import pytest
 
 from acgcl.cli import main
+from acgcl.graph import CACHE_FILE
 from acgcl.sampler import INVERSE_LEAF
 from acgcl.trainer import PROBE_TOL
 from conftest import run_python
@@ -55,6 +56,26 @@ def test_crlf_comment_and_blank_feature_lines_evaluate_the_same(tmp_path, evalua
     (copy / "features.csv").write_bytes("".join(line + "\r\n" for line in lines).encode())
     assert run_cli(["evaluate", "--checkpoint", str(checkpoint), "--data", str(copy)]) == \
         (0, printed)
+
+
+def test_cold_and_warm_evaluate_print_the_same(tmp_path, evaluated):
+    """``evaluate`` in a fresh process that parses the dataset and writes its
+    parsed-graph cache, then in one that reads the cache, prints the same
+    lines as the in-process command."""
+    data, checkpoint, printed = evaluated
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    cache = copy / CACHE_FILE
+    cache.unlink()      # the fixture's commands wrote it
+    outputs, caches = [], []
+    for _ in range(2):
+        done = run_python("-m", "acgcl.cli", "evaluate", "--checkpoint", str(checkpoint),
+                          "--data", str(copy))
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+        caches.append((cache.stat().st_mtime_ns, cache.read_bytes()))
+    assert caches[0] == caches[1]       # the second process did not write it again
+    assert outputs == [printed, printed]
 
 
 def test_evaluate_prints_a_probe_gradient_norm_within_tolerance(evaluated):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from acgcl import graph as graph_module
 from acgcl.cli import main
-from acgcl.errors import ConfigError, GraphParseError, NodeIdError, ShapeError
-from acgcl.graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
-                         make_splits, save_dataset, with_splits)
+from acgcl.errors import AcgclError, ConfigError, GraphParseError, NodeIdError, ShapeError
+from acgcl.graph import (CACHE_FILE, DATASET_FILES, Graph, SbmConfig, Splits, generate_sbm,
+                         load_dataset, load_graph, make_splits, save_dataset, with_splits)
 from oracles import dense_adjacency, read_features_by_line
 
 
@@ -228,12 +228,14 @@ class TestRoundTrip:
                                    feature_dim=2), seed=1)
         save_dataset(with_splits(g, make_splits(g, seed=1, train_frac=0.3, val_frac=0.2)),
                      tmp_path)
+        load_dataset(tmp_path)
+        assert (tmp_path / CACHE_FILE).is_file()
         (tmp_path / "notes.txt").write_text("kept")
         save_dataset(Graph(g.features, g.adjacency), tmp_path)
-        back = load_dataset(tmp_path)
-        assert back.labels is None and back.splits is None
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "edges.txt", "features.csv", "notes.txt"]
+        back = load_dataset(tmp_path)
+        assert back.labels is None and back.splits is None
 
 
 class TestGenerateSbm:
@@ -415,3 +417,259 @@ class TestFeatureReader:
         features = load_dataset(data).features
         want = read_features_by_line(data / "features.csv")
         assert features.shape == (40, 6) and features.tobytes() == want.tobytes()
+
+
+# Fields, characters next to a field, and whole lines that the integer
+# readers meet: ones only ``int`` reads, ones no reader takes, ones out of
+# range, and separators.
+INT_FIELDS = ["1_0", "\u0661", "+3", "-0", "-1", "1.0", "1e3", "0x1", "99999999999999999999",
+              "", "x", "#5", "7", "3 4", "3,4"]
+INT_CHARS = [" ", "\t", "\x0c", "\x1f", "\xa0", "\u3000", "#", ",", "+", "-", "\x00"]
+
+
+@st.composite
+def integer_texts(draw, separators):
+    """The text of an edge or label file: up to six rows of two small ints
+    (some negative or past the node count, some rows repeated or missing),
+    then mutated a few times."""
+    n_nodes = draw(st.integers(1, 5))
+    rows = [[str(node), str(draw(st.integers(-1, n_nodes)))]
+            for node in draw(st.permutations(range(n_nodes)))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(0, len(rows[row]) - 1))
+        kind = draw(st.sampled_from(["field", "before", "after", "line", "extra", "drop",
+                                     "repeat"]))
+        if kind == "field":
+            rows[row][col] = draw(st.sampled_from(INT_FIELDS))
+        elif kind == "before":
+            rows[row][col] = draw(st.sampled_from(INT_CHARS)) + rows[row][col]
+        elif kind == "after":
+            rows[row][col] += draw(st.sampled_from(INT_CHARS))
+        elif kind == "line":
+            rows.insert(row, [draw(st.sampled_from(ODD_LINES))])
+        elif kind == "extra":
+            rows[row].append(draw(st.sampled_from(["0", ""])))
+        elif kind == "drop" and len(rows) > 1:
+            rows.pop(row)
+        else:
+            rows.append(list(rows[row]))
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], LINE_ENDS]))
+    text = "".join(draw(st.sampled_from(separators)).join(row) + draw(st.sampled_from(ends))
+                   for row in rows)
+    return n_nodes, text
+
+
+def integer_outcome(reader, *args):
+    try:
+        arrays = reader(*args)
+    except AcgclError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in np.atleast_2d(arrays)]
+
+
+class TestIntegerReaders:
+    """``_read_edges`` and ``_read_labels`` parse in one ``np.loadtxt`` call
+    and fall back to their line loops; either way they answer as the loop
+    alone does, so the call accepts no line the loop rejects."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=integer_texts([" ", "\t", "  ", "\xa0", "\x1f", "\u3000"]))
+    @example(case=(2, "0 1 0\n"))
+    @example(case=(1, ""))
+    @example(case=(2, "0 1.0\n"))
+    @example(case=(2, "0 99999999999999999999\n"))
+    @example(case=(2, "0 1 # note\n"))
+    def test_edges_match_the_line_loop(self, tmp_path, case):
+        n_nodes, text = case
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode())
+        lines = graph_module.read_text(path).splitlines()
+        assert integer_outcome(graph_module._read_edges, path, n_nodes) == integer_outcome(
+            graph_module._read_edge_lines, path, lines, n_nodes)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=integer_texts([",", " , ", ",\t", "\x1f,"]))
+    @example(case=(2, "0,1\n0,1\n"))
+    @example(case=(2, "0,1\n1,2\n"))
+    @example(case=(2, "1,0\n0,1\n"))
+    @example(case=(2, "0,1\n 1 , 1.0 \n"))
+    def test_labels_match_the_line_loop(self, tmp_path, case):
+        n_nodes, text = case
+        path = tmp_path / "labels.csv"
+        path.write_bytes(text.encode())
+        lines = graph_module.read_text(path).splitlines()
+        assert integer_outcome(graph_module._read_labels, path, n_nodes) == integer_outcome(
+            graph_module._read_label_lines, path, lines, n_nodes)
+
+    def test_well_formed_files_skip_the_loops(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
+                     "--seed", "3", "--out", str(data)]) == 0
+
+        def no_loop(path, lines, n_nodes):
+            raise AssertionError(f"{path} reached the line loop")
+
+        want = load_graph(data / "edges.txt", data / "features.csv", data / "labels.csv")
+        monkeypatch.setattr(graph_module, "_read_edge_lines", no_loop)
+        monkeypatch.setattr(graph_module, "_read_label_lines", no_loop)
+        got = load_graph(data / "edges.txt", data / "features.csv", data / "labels.csv")
+        assert_same_graph(got, want)
+
+
+def saved_dataset(directory, seed=4):
+    """A 30-node dataset with labels and splits, written by ``save_dataset``."""
+    g = generate_sbm(SbmConfig(block_sizes=(10, 20), p_intra=0.4, p_inter=0.05,
+                               feature_dim=5), seed=seed)
+    save_dataset(with_splits(g, make_splits(g, seed=seed, train_frac=0.3, val_frac=0.2)),
+                 directory)
+    return directory
+
+
+def assert_same_graph(got, want):
+    """Equal arrays, bit for bit, with equal dtypes, shapes and write flags."""
+    names = ["features", "adjacency", "labels"]
+    pairs = [(getattr(got, name), getattr(want, name)) for name in names]
+    assert (got.splits is None) == (want.splits is None)
+    if want.splits is not None:
+        pairs += [(getattr(got.splits, name), getattr(want.splits, name))
+                  for name in ("train", "val", "test")]
+    for a, b in pairs:
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert (a.dtype, a.shape, a.flags.writeable, a.flags.c_contiguous, a.tobytes()) == \
+                (b.dtype, b.shape, b.flags.writeable, b.flags.c_contiguous, b.tobytes())
+
+
+def no_parse(monkeypatch):
+    """Make a load that parses the dataset text fail."""
+    def parse(directory, raw):
+        raise AssertionError(f"{directory} was parsed")
+
+    monkeypatch.setattr(graph_module, "_parse_dataset", parse)
+
+
+def load_error(directory) -> str:
+    """The ``ErrorClass: message`` line a failing ``load_dataset`` prints."""
+    with pytest.raises((AcgclError, OSError)) as info:
+        load_dataset(directory)
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+class TestDatasetCache:
+    """``load_dataset`` keeps the parsed graph in ``CACHE_FILE``, keyed by
+    the bytes of the dataset files, and rebuilds it through ``Graph``."""
+
+    @pytest.mark.parametrize("parts", ["all", "no-splits", "no-labels"])
+    def test_warm_load_equals_cold_load(self, tmp_path, monkeypatch, parts):
+        data = saved_dataset(tmp_path / "data")
+        if parts != "all":
+            (data / "splits.json").unlink()
+        if parts == "no-labels":
+            (data / "labels.csv").unlink()
+        parsed = load_graph(data / "edges.txt", data / "features.csv",
+                            data / "labels.csv" if parts != "no-labels" else None)
+        cold = load_dataset(data)
+        assert (data / CACHE_FILE).is_file()
+        no_parse(monkeypatch)
+        warm = load_dataset(data)
+        assert_same_graph(warm, cold)
+        if parts != "all":
+            assert_same_graph(cold, parsed)
+
+    def test_same_length_edit_is_parsed_again(self, tmp_path):
+        data = saved_dataset(tmp_path / "data")
+        before = load_dataset(data)
+        text = (data / "features.csv").read_bytes()
+        at = text.index(b"1", 20)
+        (data / "features.csv").write_bytes(text[:at] + b"2" + text[at + 1:])
+        after = load_dataset(data)
+        assert not np.array_equal(after.features, before.features)
+        assert_same_graph(after, with_splits(
+            load_graph(data / "edges.txt", data / "features.csv", data / "labels.csv"),
+            before.splits))
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "mistyped", "missing",
+                                        "unknown", "pickled", "bad-graph"])
+    def test_unreadable_cache_is_a_miss_and_rewritten(self, tmp_path, monkeypatch, damage):
+        data = saved_dataset(tmp_path / "data")
+        cold = load_dataset(data)
+        cache = data / CACHE_FILE
+        good = cache.read_bytes()
+        with np.load(cache) as stored:
+            arrays = dict(stored)
+        if damage == "truncated":
+            cache.write_bytes(good[:len(good) // 2])
+        elif damage in ("garbage", "empty"):
+            cache.write_bytes(b"not a cache" * (damage == "garbage"))
+        else:
+            if damage == "mistyped":
+                arrays["features"] = arrays["features"].astype(np.float32)
+            elif damage == "missing":
+                del arrays["adjacency"]
+            elif damage == "unknown":
+                arrays["weights"] = np.zeros(3)
+            elif damage == "pickled":
+                arrays["labels"] = arrays["labels"].astype(object)
+            else:           # an asymmetric adjacency under the right key
+                arrays["adjacency"] = arrays["adjacency"][1:]
+            with open(cache, "wb") as out:
+                np.savez(out, **arrays)
+        assert_same_graph(load_dataset(data), cold)
+        assert cache.read_bytes() == good
+        no_parse(monkeypatch)
+        assert_same_graph(load_dataset(data), cold)
+
+    def test_failed_cache_write_still_loads_and_leaves_no_file(self, tmp_path, monkeypatch):
+        data = saved_dataset(tmp_path / "data")
+
+        def read_only(self, data):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(Path, "write_bytes", read_only)
+        loaded = load_dataset(data)
+        assert sorted(path.name for path in data.iterdir()) == sorted(DATASET_FILES)
+        monkeypatch.undo()
+        assert_same_graph(loaded, load_dataset(data))
+        assert sorted(path.name for path in data.iterdir()) == sorted(
+            [*DATASET_FILES, CACHE_FILE])
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("features.csv", b"1.0,x\n", "GraphParseError: {}/features.csv:1: bad feature value"),
+        ("edges.txt", b"0 1\n0 1 2\n", "GraphParseError: {}/edges.txt:2: expected 'src dst'"),
+        ("edges.txt", b"0 1\n-1 2\n", "GraphParseError: {}/edges.txt:2: negative node id"),
+        ("edges.txt", b"0 30\n", "NodeIdError: {}/edges.txt:1: edge endpoint 30 >= 30 nodes"),
+        ("edges.txt", b"0 \xff\n", "GraphParseError: {}/edges.txt: not UTF-8 text"),
+        ("labels.csv", b"0,1\n0,1\n", "GraphParseError: {}/labels.csv:2: duplicate label"),
+        ("labels.csv", b"0,1\n", "GraphParseError: {}/labels.csv: missing label for node 1"),
+        ("splits.json", b'{"train": [0], "val": [0], "test": []}',
+         "GraphParseError: {}/splits.json: split 'val' overlaps another split"),
+        ("features.csv", None, "FileNotFoundError: [Errno 2] No such file or directory: "
+                               "'{}/features.csv'"),
+    ], ids=["feature", "edge-fields", "edge-sign", "edge-range", "edge-utf8", "label-repeat",
+            "label-missing", "splits", "no-features"])
+    def test_bad_file_fails_the_same_with_a_stale_cache_and_without(self, tmp_path, name,
+                                                                    text, message):
+        data = saved_dataset(tmp_path / "data")
+        load_dataset(data)
+        cache = (data / CACHE_FILE).read_bytes()
+        if text is None:
+            (data / name).unlink()
+        else:
+            (data / name).write_bytes(text)
+        with_stale = load_error(data)
+        assert with_stale.startswith(message.format(data))
+        assert (data / CACHE_FILE).read_bytes() == cache
+        (data / CACHE_FILE).unlink()
+        assert load_error(data) == with_stale
+        assert not (data / CACHE_FILE).exists()
+
+    def test_errors_keep_the_parse_order(self, tmp_path):
+        """A bad ``features.csv`` is named before a missing ``edges.txt``, as
+        the parse reads features first."""
+        data = saved_dataset(tmp_path / "data")
+        (data / "features.csv").write_bytes(b"1.0,x\n")
+        (data / "edges.txt").unlink()
+        assert load_error(data).startswith(f"GraphParseError: {data}/features.csv:1:")

@@ -22,16 +22,8 @@ from acgcl.augment import mirror_search
 from acgcl.graph import SbmConfig, generate_sbm
 from acgcl.sampler import Subgraph, SubgraphSet, sample_all_subgraphs
 from conftest import packed_pair, stack_subgraphs
-from oracles import (chunked_mirror_search, distance_matrix, find_mirror_pair,
-                     full_table_adjacencies, row_difference_distances)
-
-TABLES = ("adjacency", "best", "argmin", "edge", "pair_counts", "distances")
-
-
-def assert_same_tables(got, want):
-    for name in TABLES:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+from oracles import (assert_same_tables, chunked_mirror_search, distance_matrix,
+                     find_mirror_pair, full_table_adjacencies, row_difference_distances)
 
 
 def random_stack(rng, k, features, labels, padded, n_subgraphs=3):
