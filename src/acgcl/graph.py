@@ -33,7 +33,6 @@ import json
 import os
 import shutil
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,35 +201,8 @@ def data_lines(path: Path, lines: list[str] | None = None):
             yield f"{path}:{lineno}", text
 
 
-def _one_loadtxt(lines: list[str], dtype, delimiter=None) -> np.ndarray | None:
-    """``lines`` as a 2-d ``dtype`` table from one ``np.loadtxt`` call, or None
-    where it rejects them or warns: on no rows it only warns, and so does an
-    older numpy on an integer written as a float. A ``#`` line is rejected,
-    not skipped."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(lines, delimiter=delimiter, dtype=dtype, comments=None, ndmin=2)
-    except (ValueError, Warning):
-        return None
-
-
-# Each reader parses a file's lines in one ``np.loadtxt`` call. Where that
-# call rejects a line, or the table fails a check, the per-line reader
-# below it reads the same lines: it loads what the call could not, or
-# names the first bad line. The call accepts no line the per-line reader
-# rejects, so a file loads to the same arrays, or fails with the same
-# message, either way.
-
 def _read_features(path: Path, raw: dict | None = None) -> np.ndarray:
     lines = _lines(path, raw)
-    features = _one_loadtxt(lines, np.float64, ",")
-    if features is not None and np.isfinite(features).all():
-        return features
-    return _read_feature_lines(path, lines)
-
-
-def _read_feature_lines(path: Path, lines: list[str]) -> np.ndarray:
     rows = []
     width = None
     for where, text in data_lines(path, lines):
@@ -247,22 +219,16 @@ def _read_feature_lines(path: Path, lines: list[str]) -> np.ndarray:
         raise GraphParseError(f"{path}: no feature rows")
     features = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(features).all():
-        raise GraphParseError(f"{path}: non-finite feature value")
+        first = int(np.isfinite(features).all(axis=1).argmin())
+        where = [at for at, _ in data_lines(path, lines)][first]
+        raise GraphParseError(f"{where}: non-finite feature value")
     return features
 
 
 def _read_edges(path: Path, n_nodes: int,
                 raw: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    lines = _lines(path, raw)
-    edges = _one_loadtxt(lines, np.int64)
-    if edges is not None and edges.shape[1] == 2 and edges.min() >= 0 and edges.max() < n_nodes:
-        return edges[:, 0], edges[:, 1]
-    return _read_edge_lines(path, lines, n_nodes)
-
-
-def _read_edge_lines(path: Path, lines: list[str], n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = [], []
-    for where, text in data_lines(path, lines):
+    for where, text in data_lines(path, _lines(path, raw)):
         parts = text.split()
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'src dst', got {text!r}")
@@ -280,20 +246,8 @@ def _read_edge_lines(path: Path, lines: list[str], n_nodes: int) -> tuple[np.nda
 
 
 def _read_labels(path: Path, n_nodes: int, raw: dict | None = None) -> np.ndarray:
-    lines = _lines(path, raw)
-    table = _one_loadtxt(lines, np.int64, ",")
-    if table is not None and table.shape == (n_nodes, 2) and table.min() >= 0 \
-            and table.max() < n_nodes:
-        labels = np.full(n_nodes, -1, dtype=np.int64)
-        labels[table[:, 0]] = table[:, 1]
-        if labels.min() >= 0:          # n rows, every node once
-            return labels
-    return _read_label_lines(path, lines, n_nodes)
-
-
-def _read_label_lines(path: Path, lines: list[str], n_nodes: int) -> np.ndarray:
     labels = np.full(n_nodes, -1, dtype=np.int64)
-    for where, text in data_lines(path, lines):
+    for where, text in data_lines(path, _lines(path, raw)):
         parts = text.split(",")
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'node_id,label', got {text!r}")

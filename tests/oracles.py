@@ -38,10 +38,8 @@ kernel-domain node replaced; it checks its marginals at the package's ``_TOL_CHE
 feature row difference, the reference for the Gram-form pair distances of
 ``MirrorSearch.distances``.
 ``gradient_descent_probe`` is the fixed-budget gradient-descent probe fit
-that the package's Newton-CG ``fit_probe`` replaced. ``read_features_by_line``
-is the line-by-line ``features.csv`` reader that the package's one-call parse
-replaced, and which it keeps as its fallback. ``probe_baselines`` gives the
-two probe accuracies a trained encoder is compared with.
+that the package's Newton-CG ``fit_probe`` replaced. ``probe_baselines`` gives
+the two probe accuracies a trained encoder is compared with.
 ``one_pass_difficulty_curve`` encodes every subgraph and both mirror views
 in one forward pass each, the form the package's blocked
 ``difficulty_curve`` replaced. ``assert_same_tables`` compares two
@@ -59,7 +57,7 @@ from acgcl import autodiff as ad
 from acgcl.augment import MirrorSearch, quantile
 from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
                            sym_normalized_adjacency)
-from acgcl.errors import GraphParseError, ShapeError, SizeError
+from acgcl.errors import ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
 from acgcl.sampler import Subgraph, SubgraphSet
 from acgcl.trainer import (encoded_views, evaluate_probe, mirror_views, probe_accuracy,
@@ -686,34 +684,6 @@ def gradient_descent_probe(x_train, labels, n_classes, iters, l2, lr):
         weight -= lr * (x_train.T @ delta + 2.0 * l2 * weight)
         bias -= lr * delta.sum(axis=0)
     return weight, bias
-
-
-def read_features_by_line(path):
-    """``features.csv`` read as UTF-8 one line at a time: each field stripped
-    and through ``float``, blank and ``#`` lines skipped, the first bad line
-    named."""
-    rows = []
-    width = None
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            row = [float(p.strip()) for p in text.split(",")]
-        except ValueError as exc:
-            raise GraphParseError(f"{where}: bad feature value ({exc})") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ShapeError(f"{where}: row has {len(row)} values, expected {width}")
-        rows.append(row)
-    if not rows:
-        raise GraphParseError(f"{path}: no feature rows")
-    features = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(features).all():
-        raise GraphParseError(f"{path}: non-finite feature value")
-    return features
 
 
 def probe_baselines(graph, subgraphs: SubgraphSet, config) -> dict[str, float]:

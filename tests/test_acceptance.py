@@ -3,9 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 7-9 share one
 module-scoped fixture that trains ten encoders (five seeds, each with
 ``soft_acl`` and ``uniform`` on one shared set-up and mirror search), so the
-first of them pays the training cost once. The whole tier-1 suite took
-68-86 s on a shared 2-core machine, 37-49 s of it in this fixture.
+first of them pays the training cost once. In three runs on a shared 2-core
+machine the whole tier-1 suite took 80-114 s, 47-62 s of it in this fixture.
 """
+
+import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -297,6 +301,37 @@ def test_criterion_9_ablation_direction(sbm_runs):
     uniform = float(np.mean([run["uniform"] for run in sbm_runs]))
     report("9 ablation-direction", soft >= uniform - 0.01,
            f"soft {soft:.3f} vs no-curriculum {uniform:.3f}")
+
+
+def test_curriculum_modes_report(tmp_path):
+    """Reports, and does not gate, how ``spl``, ``hard_acl`` and ``soft_acl``
+    weigh the criterion 7-9 graph (seed 0, 3 epochs of 10 steps, one shared
+    set-up): each mode's mean zero-weight share and largest fractional share
+    over the step records, and which modes wrote byte-identical
+    ``metrics.jsonl``. Only the three weight shares of every step are checked:
+    each in [0, 1], together 1."""
+    graph = experiment_graph(0)
+    modes = ("spl", "hard_acl", "soft_acl")
+    inputs = curriculum_inputs(graph, experiment_config(0))
+    written, steps = {}, {}
+    for mode in modes:
+        path = tmp_path / f"{mode}.jsonl"
+        train(graph, dataclasses.replace(experiment_config(0, mode), epochs=3), path,
+              inputs=inputs)
+        written[mode] = path.read_bytes()
+        steps[mode] = [record for record in map(json.loads, written[mode].splitlines())
+                       if record["kind"] == "step"]
+    for record in itertools.chain(*steps.values()):
+        shares = [record[f"weight_{part}_frac"] for part in ("zero", "fractional", "one")]
+        assert all(0.0 <= share <= 1.0 for share in shares), shares
+        assert sum(shares) == pytest.approx(1.0, abs=1e-12), shares
+    same = [f"{a}={b}" for a, b in itertools.combinations(modes, 2) if written[a] == written[b]]
+    shares = ", ".join(
+        f"{mode} zero {np.mean([r['weight_zero_frac'] for r in steps[mode]]):.3f} "
+        f"fractional max {max(r['weight_fractional_frac'] for r in steps[mode]):.3f}"
+        for mode in modes)
+    print(f"\nREPORT curriculum-modes: {shares}; byte-identical metrics.jsonl: "
+          f"{' '.join(same) or 'none'}")
 
 
 def test_criterion_10_determinism():

@@ -7,8 +7,9 @@ package must fail here first. The bench sources are only read: ``child.py``
 is imported for its ``LAYERS`` table, the rest is parsed. The other way
 round, no package code calls a function that stays for the benchmark alone,
 so deleting them with the benchmark's hooks touches no package path, and no
-test outside ``test_augment.py::TestBenchShims`` and
-``TestStackedDistanceEstimate`` names the augment shims.
+test outside their own (``test_augment.py::TestBenchShims`` and
+``TestStackedDistanceEstimate``, ``test_sampler.py::TestExtractSubgraph`` and
+one case of ``test_error_path.py``) names them.
 """
 
 import ast
@@ -94,13 +95,17 @@ def test_no_package_code_calls_the_bench_only_names():
     assert calls == []
 
 
-# The augment shims among them, and their result type. Tier-1 names these only
-# here, in test_augment.py's import line and in its classes TestBenchShims and
-# TestStackedDistanceEstimate, so deleting them deletes those tests and rewrites
-# no other. extract_subgraph
-# is left out: tests/test_sampler.py still checks the batched gather against it.
-SHIMS = BENCH_ONLY - {"extract_subgraph"} | {"MirrorGraphs"}
-SHIM_CLASSES = {"TestBenchShims", "TestStackedDistanceEstimate"}
+# The bench-only names and the augment shims' result type. Tier-1 names these
+# only here and, per test module, in the line that imports them from the
+# package and in the classes and functions below, so deleting them deletes
+# those tests and rewrites no other.
+SHIMS = BENCH_ONLY | {"MirrorGraphs"}
+SHIM_HOMES = {
+    "test_augment.py": ("acgcl.augment", {"TestBenchShims", "TestStackedDistanceEstimate"}),
+    "test_sampler.py": ("acgcl.sampler", {"TestExtractSubgraph"}),
+    "test_error_path.py": ("acgcl.sampler",
+                           {"test_range_errors_are_acgcl_errors_with_their_builtin_base"}),
+}
 
 
 def identifier(node):
@@ -123,11 +128,12 @@ def test_tests_name_the_augment_shims_only_in_their_own_class():
             continue
         tree = ast.parse(path.read_text())
         allowed = set()
-        if path.name == "test_augment.py":
-            for node in tree.body:
-                if ((isinstance(node, ast.ImportFrom) and node.module == "acgcl.augment")
-                        or (isinstance(node, ast.ClassDef) and node.name in SHIM_CLASSES)):
-                    allowed.update(ast.walk(node))
+        module, homes = SHIM_HOMES.get(path.name, (None, set()))
+        for node in tree.body:
+            if ((isinstance(node, ast.ImportFrom) and node.module == module)
+                    or (isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                        and node.name in homes)):
+                allowed.update(ast.walk(node))
         found += [f"{path.name}:{node.lineno} {identifier(node)}" for node in ast.walk(tree)
                   if identifier(node) in SHIMS and node not in allowed]
     assert found == []

@@ -46,8 +46,7 @@ def evaluated(tmp_path_factory):
 
 def test_crlf_comment_and_blank_feature_lines_evaluate_the_same(tmp_path, evaluated):
     """A ``features.csv`` with CRLF endings, a comment line and a
-    whitespace-only line, which the one-call parse rejects, loads through the
-    line loop and evaluates to the same printed lines."""
+    whitespace-only line loads and evaluates to the same printed lines."""
     data, checkpoint, printed = evaluated
     copy = tmp_path / "data"
     shutil.copytree(data, copy)

@@ -484,7 +484,7 @@ class TestProbeL2MustBePositive:
                          ids=["empty", "blank-lines", "comment-lines"])
 def test_evaluate_without_feature_rows_prints_one_line(tmp_path, dataset_dir, text):
     """A ``features.csv`` with no rows fails a fresh ``evaluate`` process
-    with one stderr line, and no warning from the one-call parse."""
+    with one stderr line and no warning."""
     checkpoint = tmp_path / "checkpoint.json"
     config = TrainConfig(embedding_dim=8)
     save_checkpoint(init_gcn_params(4, config.embedding_dim, config.gcn_layers, config.seed),

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import graph as graph_module
@@ -12,7 +12,7 @@ from acgcl.cli import main
 from acgcl.errors import AcgclError, ConfigError, GraphParseError, NodeIdError, ShapeError
 from acgcl.graph import (CACHE_FILE, DATASET_FILES, Graph, SbmConfig, Splits, generate_sbm,
                          load_dataset, load_graph, make_splits, save_dataset, with_splits)
-from oracles import dense_adjacency, read_features_by_line
+from oracles import dense_adjacency
 
 
 def write_dataset(tmp_path, edges, features, labels=None):
@@ -44,8 +44,29 @@ class TestLoadGraph:
         assert g.adjacency.tolist() == [1, 2]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "# header\n\n0 1\n", "1\n2\n")
-        assert dense_adjacency(load_graph(e, f))[0, 1] == 1
+        e, f, l = write_dataset(tmp_path, "# header\n\n0 1\n", "1\n2\n",
+                                "# node,label\n\n0,1\n \n1,0\n")
+        g = load_graph(e, f, l)
+        assert dense_adjacency(g)[0, 1] == 1
+        assert np.array_equal(g.labels, [1, 0])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_every_line_end_of_splitlines_ends_a_line(self, tmp_path, end):
+        e, f, l = write_dataset(tmp_path, f"0 1{end}1 2{end}", f"1,2{end}3,4{end}5,6",
+                                f"0,1{end}1,0{end}2,2{end}")
+        g = load_graph(e, f, l)
+        assert np.array_equal(dense_adjacency(g), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(g.labels, [1, 0, 2])
+
+    def test_integer_fields_take_what_int_reads(self, tmp_path):
+        # 1_0 reads as 10 and the Arabic-Indic digit \u0661 as 1
+        labels = "".join(f"{node},0\n" for node in range(10)) + "1_0,\u0661\n"
+        e, f, l = write_dataset(tmp_path, "1_0 \u0661\n", "0\n" * 11, labels)
+        g = load_graph(e, f, l)
+        assert g.adjacency.tolist() == [1 * 11 + 10, 10 * 11 + 1]
+        assert g.labels.tolist() == [0] * 10 + [1]
 
     def test_malformed_edge_line_names_the_line(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "0 1\n0 x\n", "1\n2\n")
@@ -84,7 +105,7 @@ class TestLoadGraph:
 
     def test_non_finite_feature_rejected(self, tmp_path):
         e, f, _ = write_dataset(tmp_path, "", "1\nnan\n")
-        with pytest.raises(GraphParseError, match="features.csv"):
+        with pytest.raises(GraphParseError, match="features.csv:2: non-finite feature value$"):
             load_graph(e, f)
 
     def test_valid_splits_load_beside_a_self_loop(self, tmp_path):
@@ -133,6 +154,23 @@ class TestLoadGraph:
         assert code == 1
         assert err == [f"GraphParseError: {data / 'labels.csv'}:{row + 1}: label {label} "
                        "out of range [0, 40)"]
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_train_names_the_line_of_a_non_finite_feature(self, tmp_path, capsys, value):
+        data = tmp_path / "data"
+        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
+                     "--feature-dim", "3", "--out", str(data)]) == 0
+        rows = (data / "features.csv").read_text().splitlines()
+        rows[6] = f"{value},0.5,0.5"
+        # a comment and a blank line put the seventh row on line 9
+        (data / "features.csv").write_text("# features\n\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data_dir = {data}\nepochs = 1\ninner_steps = 1\nsubgraph_size = 4\n")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"GraphParseError: {data / 'features.csv'}:9: non-finite feature value"]
 
 
 class TestAdjacency:
@@ -312,87 +350,9 @@ class TestSplits:
             with_splits(g, bad)
 
 
-# Field texts that only ``float`` reads, that no reader takes, or that read as
-# non-finite.
-ODD_FIELDS = ["1_0", "\u0661\u0662", "", "x", "nan", "inf", "-inf", "1e400", "1e-400", "1.0#x",
-              "#5", "1\r2", "1\n2"]
-# Whitespace, line breaks of ``str.splitlines`` and comment marks, put next
-# to a field.
-ODD_CHARS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
-             "\u2028", "\u2029", "\u3000", "#"]
-# Whole lines put between the rows.
-ODD_LINES = ["", "   ", "\t", "# comment", "#", " # indented", "\x0c", "\x1f", "\x85"]
-LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-             "\u2029", "\r\r\n"]
-
-
-@st.composite
-def feature_texts(draw):
-    """The text of a feature file written from a random finite matrix, as
-    ``save_dataset`` writes it, then mutated a few times."""
-    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    values = st.floats(allow_nan=False, allow_infinity=False)
-    rows = [[repr(draw(values)) for _ in range(width)] for _ in range(n_rows)]
-    for _ in range(draw(st.integers(0, 3))):
-        row = draw(st.integers(0, len(rows) - 1))
-        col = draw(st.integers(0, len(rows[row]) - 1))
-        kind = draw(st.sampled_from(["field", "before", "after", "line", "pad",
-                                     "trailing-comma", "ragged"]))
-        if kind == "field":
-            rows[row][col] = draw(st.sampled_from(ODD_FIELDS))
-        elif kind == "before":
-            rows[row][col] = draw(st.sampled_from(ODD_CHARS)) + rows[row][col]
-        elif kind == "after":
-            rows[row][col] += draw(st.sampled_from(ODD_CHARS))
-        elif kind == "line":
-            rows.insert(row, [draw(st.sampled_from(ODD_LINES))])
-        elif kind == "pad":
-            rows[row] = [f" {field} " for field in rows[row]]
-        elif kind == "trailing-comma":
-            rows[row].append("")
-        elif len(rows[row]) > 1:
-            rows[row].pop()
-    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n"], LINE_ENDS]))
-    text = "".join(",".join(row) + draw(st.sampled_from(ends)) for row in rows)
-    if draw(st.booleans()):
-        text = text.rstrip("".join(LINE_ENDS))    # no final line break
-    return "" if draw(st.integers(0, 20)) == 0 else text
-
-
-def read_outcome(reader, path):
-    try:
-        features = reader(path)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return features.dtype, features.shape, features.tobytes()
-
-
 class TestFeatureReader:
-    """``_read_features`` parses in one ``np.loadtxt`` call and falls back to
-    the line loop; either way it answers as the line-by-line oracle does."""
-
-    @settings(max_examples=400, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=feature_texts())
-    # np.loadtxt reads the first three differently from the loop when it
-    # splits the text itself; it strips U+001F around a field wherever it
-    # sits, and so does the loop, which strips each field (the next four)
-    @example(text="1,\x0c2\n3,4\n")
-    @example(text="1,\x1c2\n3,4\n")
-    @example(text="1,\u20282\n3,4\n")
-    @example(text="1\x1f,2\n3,4\n")
-    @example(text="1,\x1f2\n3,4\n")
-    @example(text="1,2\x1f\n3,4\n")
-    @example(text="\x1f1,2\n3,4\n")
-    @example(text="1.0#x,2\n")
-    @example(text="nan,1\n")
-    @example(text="\n \n")
-    @example(text="\r")
-    def test_matches_the_line_by_line_oracle(self, tmp_path, text):
-        path = tmp_path / "features.csv"
-        path.write_bytes(text.encode())
-        assert read_outcome(graph_module._read_features, path) == read_outcome(
-            read_features_by_line, path)
+    """``_read_features`` reads each field through ``float``, so syntax only
+    it reads loads, and skips blank and ``#`` lines, whatever ends them."""
 
     @pytest.mark.parametrize("text, want", [
         ("1_0,2\n", [[10.0, 2.0]]),
@@ -404,119 +364,6 @@ class TestFeatureReader:
         path = tmp_path / "features.csv"
         path.write_bytes(text.encode())
         assert np.array_equal(graph_module._read_features(path), want)
-
-    def test_well_formed_file_skips_the_loop(self, tmp_path, monkeypatch):
-        data = tmp_path / "data"
-        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
-                     "--feature-dim", "6", "--seed", "3", "--out", str(data)]) == 0
-
-        def no_loop(path, lines):
-            raise AssertionError(f"{path} reached the line loop")
-
-        monkeypatch.setattr(graph_module, "_read_feature_lines", no_loop)
-        features = load_dataset(data).features
-        want = read_features_by_line(data / "features.csv")
-        assert features.shape == (40, 6) and features.tobytes() == want.tobytes()
-
-
-# Fields, characters next to a field, and whole lines that the integer
-# readers meet: ones only ``int`` reads, ones no reader takes, ones out of
-# range, and separators.
-INT_FIELDS = ["1_0", "\u0661", "+3", "-0", "-1", "1.0", "1e3", "0x1", "99999999999999999999",
-              "", "x", "#5", "7", "3 4", "3,4"]
-INT_CHARS = [" ", "\t", "\x0c", "\x1f", "\xa0", "\u3000", "#", ",", "+", "-", "\x00"]
-
-
-@st.composite
-def integer_texts(draw, separators):
-    """The text of an edge or label file: up to six rows of two small ints
-    (some negative or past the node count, some rows repeated or missing),
-    then mutated a few times."""
-    n_nodes = draw(st.integers(1, 5))
-    rows = [[str(node), str(draw(st.integers(-1, n_nodes)))]
-            for node in draw(st.permutations(range(n_nodes)))]
-    for _ in range(draw(st.integers(0, 3))):
-        row = draw(st.integers(0, len(rows) - 1))
-        col = draw(st.integers(0, len(rows[row]) - 1))
-        kind = draw(st.sampled_from(["field", "before", "after", "line", "extra", "drop",
-                                     "repeat"]))
-        if kind == "field":
-            rows[row][col] = draw(st.sampled_from(INT_FIELDS))
-        elif kind == "before":
-            rows[row][col] = draw(st.sampled_from(INT_CHARS)) + rows[row][col]
-        elif kind == "after":
-            rows[row][col] += draw(st.sampled_from(INT_CHARS))
-        elif kind == "line":
-            rows.insert(row, [draw(st.sampled_from(ODD_LINES))])
-        elif kind == "extra":
-            rows[row].append(draw(st.sampled_from(["0", ""])))
-        elif kind == "drop" and len(rows) > 1:
-            rows.pop(row)
-        else:
-            rows.append(list(rows[row]))
-    ends = draw(st.sampled_from([["\n"], ["\r\n"], LINE_ENDS]))
-    text = "".join(draw(st.sampled_from(separators)).join(row) + draw(st.sampled_from(ends))
-                   for row in rows)
-    return n_nodes, text
-
-
-def integer_outcome(reader, *args):
-    try:
-        arrays = reader(*args)
-    except AcgclError as exc:
-        return type(exc), str(exc)
-    return [(a.dtype, a.shape, a.tobytes()) for a in np.atleast_2d(arrays)]
-
-
-class TestIntegerReaders:
-    """``_read_edges`` and ``_read_labels`` parse in one ``np.loadtxt`` call
-    and fall back to their line loops; either way they answer as the loop
-    alone does, so the call accepts no line the loop rejects."""
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=integer_texts([" ", "\t", "  ", "\xa0", "\x1f", "\u3000"]))
-    @example(case=(2, "0 1 0\n"))
-    @example(case=(1, ""))
-    @example(case=(2, "0 1.0\n"))
-    @example(case=(2, "0 99999999999999999999\n"))
-    @example(case=(2, "0 1 # note\n"))
-    def test_edges_match_the_line_loop(self, tmp_path, case):
-        n_nodes, text = case
-        path = tmp_path / "edges.txt"
-        path.write_bytes(text.encode())
-        lines = graph_module.read_text(path).splitlines()
-        assert integer_outcome(graph_module._read_edges, path, n_nodes) == integer_outcome(
-            graph_module._read_edge_lines, path, lines, n_nodes)
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=integer_texts([",", " , ", ",\t", "\x1f,"]))
-    @example(case=(2, "0,1\n0,1\n"))
-    @example(case=(2, "0,1\n1,2\n"))
-    @example(case=(2, "1,0\n0,1\n"))
-    @example(case=(2, "0,1\n 1 , 1.0 \n"))
-    def test_labels_match_the_line_loop(self, tmp_path, case):
-        n_nodes, text = case
-        path = tmp_path / "labels.csv"
-        path.write_bytes(text.encode())
-        lines = graph_module.read_text(path).splitlines()
-        assert integer_outcome(graph_module._read_labels, path, n_nodes) == integer_outcome(
-            graph_module._read_label_lines, path, lines, n_nodes)
-
-    def test_well_formed_files_skip_the_loops(self, tmp_path, monkeypatch):
-        data = tmp_path / "data"
-        assert main(["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
-                     "--seed", "3", "--out", str(data)]) == 0
-
-        def no_loop(path, lines, n_nodes):
-            raise AssertionError(f"{path} reached the line loop")
-
-        want = load_graph(data / "edges.txt", data / "features.csv", data / "labels.csv")
-        monkeypatch.setattr(graph_module, "_read_edge_lines", no_loop)
-        monkeypatch.setattr(graph_module, "_read_label_lines", no_loop)
-        got = load_graph(data / "edges.txt", data / "features.csv", data / "labels.csv")
-        assert_same_graph(got, want)
 
 
 def saved_dataset(directory, seed=4):

@@ -342,6 +342,7 @@ class TestExtractSubgraph:
         assert np.array_equal(sub.adjacency, [[0, 1], [1, 0]])
         assert np.array_equal(sub.node_features[sub.parent_indices], [[20.0], [10.0]])
         assert sub.parent_indices.tolist() == [1, 0]
+        assert sub.node_features is g.features
 
     def test_singleton(self):
         g = graph_from_edges(3, [(0, 1)])
@@ -434,10 +435,12 @@ class TestSampleAllSubgraphs:
                 subs = sample_all_subgraphs(g, k=k, teleport=0.15)
                 indices = top_k_indices(compute_ppr_scores(g, 0.15), k)
                 for sub, ids in zip(subs, indices, strict=True):
-                    want = extract_subgraph(g, ids)
-                    for name in ("parent_indices", "node_features", "adjacency"):
-                        got, ref = getattr(sub, name), getattr(want, name)
-                        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+                    assert sub.parent_indices.dtype == np.int64
+                    assert np.array_equal(sub.parent_indices, ids)
+                    assert sub.node_features is g.features
+                    want = searched_induced(g, ids)
+                    assert sub.adjacency.dtype == want.dtype
+                    assert np.array_equal(sub.adjacency, want)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_blocked_fill_matches_extract_subgraph(self, rng, monkeypatch, block):
@@ -447,7 +450,7 @@ class TestSampleAllSubgraphs:
         for g in (random_graph(rng, n=30), graph_from_edges(10, edges)):
             subs = sample_all_subgraphs(g, k=6, teleport=0.15)
             for sub in subs:
-                want = extract_subgraph(g, sub.parent_indices).adjacency
+                want = searched_induced(g, sub.parent_indices)
                 assert sub.adjacency.dtype == want.dtype
                 assert np.array_equal(sub.adjacency, want)
 
@@ -503,7 +506,8 @@ class TestSubgraphSet:
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         for view in (subs, subs[7], subs[3:9], subs[3:9][0]):
             assert view.node_features is g.features and not hasattr(view, "features")
-        assert extract_subgraph(g, np.array([2, 0])).node_features is g.features
+        ids = top_k_indices(compute_ppr_scores(g, 0.15), 5)
+        assert np.array_equal(subs.parent_indices, ids)
         for cls in (Subgraph, SubgraphSet):
             assert not hasattr(cls, "features")
             assert "features" not in {f.name for f in dataclasses.fields(cls)}
