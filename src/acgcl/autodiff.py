@@ -4,24 +4,33 @@ A Tensor wraps a float64 ndarray plus, when it participates in
 differentiation, links to its parents and a closure producing the parents'
 gradient contributions: None for a parent that needs no gradient (a constant
 operand), so no time goes into forming it. ``backward`` walks the recorded
-graph once in reverse topological order, accumulating into ``.grad``, and
-drops a node's contributions once it has passed them on. Closures may return
-read-only views and one array for several parents, so the sweep writes only
-into buffers it created: the sum it makes at a parent's second contribution,
-which later ones are added into.
+graph once in reverse topological order, accumulating into ``.grad``. Once
+it has passed a node's contributions on it drops them, the node's closure
+and parent links and its own reference to the node, so what a node saved
+for its backward pass is freed as the sweep passes it, unless the caller
+still holds the node; nodes keep their ``.value``. A graph is therefore
+swept once. Closures may return read-only views and one array for several
+parents, so the sweep writes only into buffers it created: the sum it makes
+at a parent's second contribution, which later ones are added into.
 
 A gather (``take_rows``, whose rows must be distinct) contributes only the
-rows it read, as a ``Rows`` pair of indices and (m, d) upstream rows. The
-sweep writes them into a zero gradient it makes, or in place into one it
-owns (copying one it does not own first), so rows outside the indices keep
-their bits: a -0.0 stays -0.0. A node may keep a product's operands rather
-than the product and form it again in its backward pass, to the same bits:
-``linear_prelu`` does.
+rows it read, as a ``Rows`` pair of indices and (m, d) upstream rows. A
+``Rows`` stays sparse as its parent's gradient until a dense reader needs
+it. Two merge into one on the ascending union of their indices, the first
+assigned into zeros and later ones added in arrival order: the arithmetic
+of scattering them into a zero full array. A dense contribution, or a
+closure that does not read ``Rows`` (and a leaf), gets the dense form, made
+then; only ``linear_prelu`` reads ``Rows``. A ``Rows`` reaching a dense
+gradient is added in place, into a copy if the sweep did not make it. Rows
+outside the indices keep their bits: a -0.0 stays -0.0. A node may keep a
+product's operands rather than the product and form it again in its
+backward pass, to the same bits: ``linear_prelu`` does.
 
 The two row-wise nodes of a training step work only on live rows, those
-whose upstream gradient has a nonzero entry: ``row_sq_dist`` contributes
-``Rows`` to both operands, and ``linear_prelu`` forms its product again,
-its weight and slope sums and its ``Rows`` for x on the live rows alone.
+whose upstream gradient has a nonzero entry, in ascending order:
+``row_sq_dist`` contributes ``Rows`` to both operands, and ``linear_prelu``
+forms its product again, its weight and slope sums and its ``Rows`` for x
+on the live rows alone.
 A dead row contributes nothing, even where its product is not finite (a
 non-finite forward pass is the caller's to catch). Each live row keeps
 the bits of the dense form; the weight and slope sums lose the dead rows'
@@ -51,7 +60,7 @@ class Tensor:
 
     def __init__(self, value, requires_grad: bool = False, _parents=(), _backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | Rows | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward_fn = _backward_fn
@@ -90,6 +99,14 @@ def _node(value, parents, backward_fn) -> Tensor:
     if not requires:
         return Tensor(value)
     return Tensor(value, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn)
+
+
+def _reads_rows(backward_fn):
+    """Mark a closure that takes a ``Rows`` upstream gradient as it is; the
+    sweep hands any other closure, a wrapper of this one among them, the
+    dense form."""
+    backward_fn.reads_rows = True
+    return backward_fn
 
 
 def add(a, b) -> Tensor:
@@ -180,6 +197,40 @@ class Rows(NamedTuple):
     rows: np.ndarray
 
 
+def _merge_rows(first: Rows, second: Rows) -> Rows:
+    """first + second as one ``Rows`` on the ascending union of their
+    indices: first is assigned into zeros and second added, which is the
+    arithmetic of scattering both into a zero full array."""
+    both = np.concatenate([first.indices, second.indices])
+    both.sort()
+    distinct = np.ones(both.size, dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=distinct[1:])
+    indices = both[distinct]
+    rows = np.zeros((indices.size, *first.rows.shape[1:]))
+    rows[np.searchsorted(indices, first.indices)] = first.rows
+    rows[np.searchsorted(indices, second.indices)] += second.rows
+    return Rows(indices, rows)
+
+
+def _densify(grad: Rows, like: np.ndarray) -> np.ndarray:
+    """A ``Rows`` gradient written into zeros shaped like ``like``."""
+    dense = np.zeros_like(like)
+    dense[grad.indices] = grad.rows
+    return dense
+
+
+def _live_rows(g: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending indices of the rows of an upstream gradient that have a
+    nonzero entry, and those rows; a ``Rows`` gives the same ones as its
+    dense form."""
+    if isinstance(g, Rows):
+        live = np.flatnonzero(g.rows.any(axis=1))
+        live = live[np.argsort(g.indices[live])]
+        return g.indices[live], g.rows[live]
+    live = np.flatnonzero(g.any(axis=1))
+    return live, g[live]
+
+
 def take_rows(a, indices: np.ndarray) -> Tensor:
     """Rows ``indices`` of ``a``, which must be distinct (a ``ContractError``
     otherwise); the backward pass returns the upstream rows as ``Rows``."""
@@ -222,9 +273,10 @@ def linear_prelu(x, weight, slope) -> Tensor:
     value = s * product
     (np.maximum if s <= 1 else np.minimum)(product, value, out=value)
 
+    @_reads_rows
     def backward_fn(g):
-        live = np.flatnonzero(g.any(axis=1))    # rows with a nonzero upstream gradient
-        g, x_live = g[live], x.value[live]
+        live, g = _live_rows(g)                 # rows with a nonzero upstream gradient
+        x_live = x.value[live]
         out = x_live @ w                        # their product, formed again
         mask = out > 0
         dslope = None
@@ -349,9 +401,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Reverse-mode sweep from a scalar root; accumulates into ``.grad``.
 
-    Leaves keep their gradients. An interior node's gradient and its
-    contributions are dropped once they have been passed to the parents, so
-    the sweep holds only the gradients still waiting to be passed on."""
+    Leaves keep their gradients, as dense arrays. An interior node's
+    gradient and its contributions are dropped once they have been passed
+    to the parents, and so are its closure, its parent links and the
+    sweep's own reference to it: a node the caller does not hold is freed
+    as soon as the sweep has passed it, and the graph cannot be swept again.
+    A ``Rows`` gradient stays sparse until a dense contribution meets it or
+    a node that does not read ``Rows`` (a leaf among them) takes it."""
     if root.value.shape != ():
         raise ContractError(f"backward root must be a scalar, got shape {root.value.shape}")
     if not root.requires_grad:
@@ -360,31 +416,42 @@ def backward(root: Tensor) -> None:
     for node in order:
         node.grad = None
     root.grad = np.asarray(1.0)
-    owned: set[int] = set()     # ids of the nodes whose .grad the sweep made
-    for node in reversed(order):
-        if node._backward_fn is None or node.grad is None:
+    owned: set[int] = set()     # ids of the nodes whose dense .grad the sweep made
+    for position in range(len(order) - 1, -1, -1):
+        node, order[position] = order[position], None
+        backward_fn, parents = node._backward_fn, node._parents
+        node._backward_fn, node._parents = None, ()
+        if isinstance(node.grad, Rows) and not getattr(backward_fn, "reads_rows", False):
+            node.grad = _densify(node.grad, node.value)
+        if backward_fn is None or node.grad is None:
             continue
-        contributions = node._backward_fn(node.grad)
-        for parent, contrib in zip(node._parents, contributions):
+        contributions = backward_fn(node.grad)
+        node.grad = backward_fn = None
+        for parent, contrib in zip(parents, contributions):
             if not parent.requires_grad or contrib is None:
                 continue
             if isinstance(contrib, Rows):
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                    parent.grad[contrib.indices] = contrib.rows
+                    parent.grad = contrib
+                elif isinstance(parent.grad, Rows):
+                    parent.grad = _merge_rows(parent.grad, contrib)
                 else:
                     if id(parent) not in owned:
                         parent.grad = parent.grad.copy()
+                        owned.add(id(parent))
                     parent.grad[contrib.indices] += contrib.rows
+                continue
+            if isinstance(parent.grad, Rows):
+                parent.grad = _densify(parent.grad, parent.value)
                 owned.add(id(parent))
-            elif parent.grad is None:
+            if parent.grad is None:
                 parent.grad = contrib
             elif id(parent) in owned:
                 parent.grad += contrib
             else:
                 parent.grad = parent.grad + contrib
                 owned.add(id(parent))
-        node.grad = contributions = contrib = None
+        contributions = contrib = parents = None
 
 
 def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:

@@ -202,22 +202,22 @@ def data_lines(path: Path, lines: list[str] | None = None):
 
 
 def _read_features(path: Path, raw: dict | None = None) -> np.ndarray:
+    """The (data lines, width) float64 features, filled row by row, so no
+    more than one row of Python floats is alive at a time."""
     lines = _lines(path, raw)
-    rows = []
-    width = None
-    for where, text in data_lines(path, lines):
+    features = None
+    for count, (where, text) in enumerate(data_lines(path, lines)):
         try:
             row = [float(p.strip()) for p in text.split(",")]
         except ValueError as exc:
             raise GraphParseError(f"{where}: bad feature value ({exc})") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ShapeError(f"{where}: row has {len(row)} values, expected {width}")
-        rows.append(row)
-    if not rows:
+        if features is None:
+            features = np.empty((sum(1 for _ in data_lines(path, lines)), len(row)))
+        elif len(row) != features.shape[1]:
+            raise ShapeError(f"{where}: row has {len(row)} values, expected {features.shape[1]}")
+        features[count] = row
+    if features is None:
         raise GraphParseError(f"{path}: no feature rows")
-    features = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(features).all():
         first = int(np.isfinite(features).all(axis=1).argmin())
         where = [at for at, _ in data_lines(path, lines)][first]

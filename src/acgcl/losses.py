@@ -19,8 +19,11 @@ pass replays the recorded scaling iterations in reverse (in the kernel
 domain, two matvecs per iteration and one GEMM for the cost), so finite
 differences and reverse mode agree as long as the iteration count does not
 change under perturbation (set ``tol=0`` to pin it at ``max_iters``).
-The adaptive regularization (``reg=None`` selects 5% of the median ground
-cost) is treated as a constant with respect to the inputs.
+Between the passes a solve keeps the kernel and the u and v of the
+iterations it ran, nothing sized by ``max_iters``; its backward pass forms
+C/reg and the transport plan again with the forward pass's expressions, to
+the same bits. The adaptive regularization (``reg=None`` selects 5% of the
+median ground cost) is treated as a constant with respect to the inputs.
 """
 
 from __future__ import annotations
@@ -164,36 +167,36 @@ def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: floa
     """
     m, n = cost.value.shape
     c = cost.value
-    c_over = c / reg
-    kernel = np.exp(-c_over)
+    kernel = np.exp(-(c / reg))
     a, b = 1.0 / m, 1.0 / n
 
     def marginal_err(u, kv):    # l1 row-marginal violation of the plan ab u K v, kv = K v
         return float(np.abs(a * b * u * kv - a).sum())
 
-    u_hist = np.zeros((max_iters, m))
-    v_hist = np.ones((max_iters + 1, n))    # v_hist[0] is the all-ones start
+    def transport_plan():       # the plan of the last iterates
+        return (a * b) * u_hist[-1][:, None] * kernel * v_hist[-1][None, :]
+
+    u_hist: list[np.ndarray] = []
+    v_hist = [np.ones(n)]       # v_hist[0] is the all-ones start
     # K v of the latest v: the next u, the tolerance check and the stats read it.
     kv = kernel @ v_hist[0]
-    used = 0
-    for t in range(max_iters):
+    for _ in range(max_iters):
         u = 1.0 / (b * kv)
         v = 1.0 / (a * (kernel.T @ u))
         kv = kernel @ v
-        u_hist[t] = u
-        v_hist[t + 1] = v
-        used = t + 1
-        if tol > 0 and used % _TOL_CHECK_EVERY == 0 and marginal_err(u, kv) < tol:
+        u_hist.append(u)
+        v_hist.append(v)
+        if tol > 0 and len(u_hist) % _TOL_CHECK_EVERY == 0 and marginal_err(u, kv) < tol:
             break
-    u, v = u_hist[used - 1], v_hist[used]
-    plan = (a * b) * u[:, None] * kernel * v[None, :]
-    value = float((plan * c).sum())
+    used = len(u_hist)
+    value = float((transport_plan() * c).sum())
 
     def backward_fn(upstream):
         # Step t computed u_t from v_t, then v_{t+1} from u_t. Each step adds
         # K * outer(left, right) twice to the cost gradient: once through
         # v_{t+1} (left a u_t, right v_{t+1} lam_g) and once through u_t
         # (left b u_t lam_f, right v_t).
+        plan = transport_plan()
         left = np.empty((2 * used, m))
         right = np.empty((2 * used, n))
         lam_f = upstream * (plan * c).sum(axis=1) / reg
@@ -206,9 +209,9 @@ def _sinkhorn_kernel_node(cost: ad.Tensor, reg: float, max_iters: int, tol: floa
             right[2 * t + 1] = v_hist[t]
             lam_g = -(kernel.T @ left[2 * t + 1]) * v_hist[t]
             lam_f = 0.0
-        return (upstream * plan * (1.0 - c_over) + kernel * (left.T @ right),)
+        return (upstream * plan * (1.0 - c / reg) + kernel * (left.T @ right),)
 
-    err = marginal_err(u, kv)
+    err = marginal_err(u_hist[-1], kv)
     stats = SinkhornStats(used, err, err < tol)
     return ad._node(np.asarray(value), (cost,), backward_fn), stats
 

@@ -291,29 +291,15 @@ def _append_record(sink, path, record: dict):
 # ---------------------------------------------------------------------------
 # Training
 
-def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSet,
-                   mirrors: np.ndarray, epoch: int, step: int,
-                   config: TrainConfig, window: AclThresholds | None,
-                   ) -> tuple[dict, OptimizerState, AclThresholds | None]:
-    """Step ``step`` of epoch ``epoch``: one reweighted Adam update on a
-    batch of ``min(batch_size, n)`` subgraphs. The batch, the summary shuffle
-    and the transport subsample come from ``rng_for(config.seed, role, epoch,
-    step)``; ``mirrors`` is the bool (2, n, k, k) stack of the positive and
-    negative mirror adjacencies (``MirrorSearch.adjacencies``). Each view,
-    the subgraphs' own first, is normalized for the batch alone just before
-    it propagates, so a step holds no float (n, k, k) view. Step 0 opens the
-    admission window on its own losses and ignores ``window``. Returns the
-    step's ``metrics.jsonl`` fields, from the window it weighed with to the
-    larger Sinkhorn figures of its two balance solves and whether both
-    converged, with ``weighted_loss`` split into its weighted terms,
-    sum(w * l_intra), alpha * balance * mean(w) and beta * sum(w * l_inter);
-    the Adam state; and the window widened for the next step."""
-    batch_rng, shuffle_rng, balance_rng = (rng_for(config.seed, role, epoch, step)
-                                           for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
-    n, k = subgraphs.parent_indices.shape
-    b = min(config.batch_size, n)
-    ids = np.sort(batch_rng.choice(n, size=b, replace=False))
-
+def _batch_losses(params: GcnParams, subgraphs: SubgraphSet, mirrors: np.ndarray,
+                  ids: np.ndarray, shuffle_rng: np.random.Generator,
+                  balance_rng: np.random.Generator, config: TrainConfig):
+    """The forward pass of a step on the subgraphs ``ids``: the (b,) sample
+    losses, their intra- and inter-graph terms, the balance loss and its two
+    solves' ``SinkhornStats``. The activations of the three views are held
+    by the tape alone once this returns, so the backward sweep frees each
+    one as it passes it."""
+    b, k = len(ids), subgraphs.parent_indices.shape[1]
     feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
     h = gcn_forward_batched(params, encoded_views(subgraphs, ids), feats, centers_only=False)
     h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view, ids), feats,
@@ -337,6 +323,32 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
 
     sample_losses = per_sample_losses_batched(intra_vec, inter_vec, l_bal, config.alpha,
                                               config.beta, b)
+    return sample_losses, intra_vec, inter_vec, l_bal, solves
+
+
+def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSet,
+                   mirrors: np.ndarray, epoch: int, step: int,
+                   config: TrainConfig, window: AclThresholds | None,
+                   ) -> tuple[dict, OptimizerState, AclThresholds | None]:
+    """Step ``step`` of epoch ``epoch``: one reweighted Adam update on a
+    batch of ``min(batch_size, n)`` subgraphs. The batch, the summary shuffle
+    and the transport subsample come from ``rng_for(config.seed, role, epoch,
+    step)``; ``mirrors`` is the bool (2, n, k, k) stack of the positive and
+    negative mirror adjacencies (``MirrorSearch.adjacencies``). Each view,
+    the subgraphs' own first, is normalized for the batch alone just before
+    it propagates, so a step holds no float (n, k, k) view. Step 0 opens the
+    admission window on its own losses and ignores ``window``. Returns the
+    step's ``metrics.jsonl`` fields, from the window it weighed with to the
+    larger Sinkhorn figures of its two balance solves and whether both
+    converged, with ``weighted_loss`` split into its weighted terms,
+    sum(w * l_intra), alpha * balance * mean(w) and beta * sum(w * l_inter);
+    the Adam state; and the window widened for the next step."""
+    batch_rng, shuffle_rng, balance_rng = (rng_for(config.seed, role, epoch, step)
+                                           for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
+    n = subgraphs.parent_indices.shape[0]
+    ids = np.sort(batch_rng.choice(n, size=min(config.batch_size, n), replace=False))
+    sample_losses, intra_vec, inter_vec, l_bal, solves = _batch_losses(
+        params, subgraphs, mirrors, ids, shuffle_rng, balance_rng, config)
     detached = sample_losses.value.copy()
     if not np.isfinite(detached).all():
         raise TrainingDiverged(f"non-finite sample loss in batch {ids.tolist()}")

@@ -369,6 +369,26 @@ def take_rows_dense(a, indices: np.ndarray) -> ad.Tensor:
     return ad._node(a.value[indices], (a,), backward_fn)
 
 
+def dense_scatter_sum(contributions, shape) -> np.ndarray:
+    """The gradient that ``contributions``, in arrival order, give a leaf of
+    ``shape`` when every row contribution is scattered into a full array:
+    an (indices, rows) pair is assigned into zeros when it comes first and
+    added into the rows ``indices`` after; a full array is taken as it is
+    when it comes first and added after."""
+    grad = None
+    for contrib in contributions:
+        if isinstance(contrib, tuple):
+            indices, rows = contrib
+            if grad is None:
+                grad = np.zeros(shape)
+                grad[indices] = rows
+            else:
+                grad[indices] += rows
+        else:
+            grad = contrib.copy() if grad is None else grad + contrib
+    return grad
+
+
 def inter_graph_loss(h, h_pos, h_neg, xi: float) -> ad.Tensor:
     """Mean over nodes of [|h - h+|^2 - |h - h-|^2 + xi]_+ for one subgraph;
     the reference for one group of ``inter_graph_losses_grouped``."""

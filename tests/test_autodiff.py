@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from acgcl import autodiff as ad
 from acgcl.errors import ContractError, ShapeError
-from oracles import (directional_grad_check, matmul, pairwise_euclidean_diff, prelu, prelu_where,
-                     row_sq_norm, take_rows_dense)
+from oracles import (dense_scatter_sum, directional_grad_check, matmul, pairwise_euclidean_diff,
+                     prelu, prelu_where, row_sq_norm, take_rows_dense)
 
 
 def test_sum_of_parameter_gives_ones():
@@ -177,19 +177,91 @@ def test_row_contribution_leaves_other_rows_untouched():
                           np.array([[-0.0, 1.0], [3.0, 4.0], [-0.0, -0.0]]).view(np.int64))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+                min_size=2, max_size=3),
+       st.integers(0, 3), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_row_gradients_stay_sparse_and_keep_the_dense_scatter_bits(ids, dense_at, order, seed):
+    """A leaf reached by two or three gathers, with overlapping or disjoint
+    ids, and one dense product, the terms summed in a drawn order. Its
+    gradient has the bits of the dense-scatter oracle fed the contributions
+    in the order they arrived, -0.0 entries among them."""
+    rng = np.random.default_rng(seed)
+    n, d = 10, 3
+    x = ad.parameter(rng.standard_normal((n, d)))
+    dense = rng.standard_normal((n, d))
+    weights = [rng.standard_normal((len(i), d)) for i in ids]
+    for w in (dense, *weights):             # -0.0 + -0.0 alone keeps the sign of a zero
+        w[rng.random(w.shape) < 0.3] = -0.0
+    arrived = []
+
+    def logged(node, contribution):
+        first = node._backward_fn
+        node._backward_fn = lambda g: (arrived.append(contribution), first(g))[1]
+        return node
+
+    terms = [ad.sum_all(ad.mul(logged(ad.take_rows(x, i), (np.asarray(i), w)), ad.Tensor(w)))
+             for i, w in zip(ids, weights)]
+    terms.insert(min(dense_at, len(terms)),
+                 ad.sum_all(logged(ad.mul(x, ad.Tensor(dense)), dense)))
+    order.shuffle(terms)
+    root = terms[0]
+    for term in terms[1:]:
+        root = ad.add(root, term)
+    (grad,) = ad.gradients(root, [x])
+    assert len(arrived) == len(terms)
+    assert_same_bits(grad, dense_scatter_sum(arrived, (n, d)))
+
+
+@pytest.mark.parametrize("slope", [0.25, 1.5])
+def test_linear_prelu_reads_a_row_gradient_as_its_dense_form(slope, rng):
+    """A layer reads a ``Rows`` upstream as it is: one gather's, in the
+    gather's order, or two overlapping gathers' merged into one. Its weight,
+    slope and input gradients have the bits of the same layer fed the dense
+    form of that upstream, whether called directly or swept with gathers
+    that scatter densely."""
+    x0, w0 = rng.standard_normal((40, 16)), rng.standard_normal((16, 8))
+    first, second = (ad.Rows(rng.permutation(40)[:30], rng.standard_normal((30, 8)))
+                     for _ in range(2))
+    first.rows[3] = 0.0                     # a dead row of the first, maybe live through the second
+    merged = ad._merge_rows(first, second)
+    assert np.array_equal(merged.indices, np.sort(np.unique(np.r_[first.indices, second.indices])))
+    for parts, upstream in (((first,), first), ((first, second), merged)):
+        dense = dense_scatter_sum([tuple(part) for part in parts], (40, 8))
+        node = ad.linear_prelu(ad.parameter(x0), ad.parameter(w0), ad.parameter(np.asarray(slope)))
+        (dx, dw, ds), (want_dx, want_dw, want_ds) = (node._backward_fn(g) for g in (upstream, dense))
+        assert np.array_equal(dx.indices, want_dx.indices)
+        for got, want in ((dx.rows, want_dx.rows), (dw, want_dw), (ds, want_ds)):
+            assert_same_bits(got, want)
+
+        swept = []
+        for take in (ad.take_rows, take_rows_dense):
+            x, w, s = ad.parameter(x0), ad.parameter(w0), ad.parameter(np.asarray(slope))
+            h = ad.linear_prelu(x, w, s)
+            terms = [ad.sum_all(ad.mul(take(h, part.indices), ad.Tensor(part.rows)))
+                     for part in parts]
+            swept.append(ad.gradients(terms[0] if len(terms) == 1 else ad.add(*terms), [x, w, s]))
+        for got, want in zip(*swept):
+            assert_same_bits(got, want)
+
+
 def test_sweep_never_writes_into_a_shared_contribution(rng):
     """``add`` hands both its parents one array. A leaf that keeps it as its
     first contribution, then gets a second and a third, must get the right
-    sum while the other parent's gradient, the same array, stays as it was."""
+    sum while the other parent's gradient, the same array, stays as it was.
+    A sweep frees the graph it passes, so each sweep gets a graph of its own."""
     x, y = ad.parameter(rng.standard_normal((4, 3))), ad.parameter(rng.standard_normal((4, 3)))
     c1, c2, c3 = (rng.integers(-9, 10, size=(4, 3)).astype(float) for _ in range(3))
-    shared = ad.mul(ad.add(x, y), ad.Tensor(c1))
-    root = ad.add(ad.add(ad.sum_all(shared), ad.sum_all(ad.mul(x, ad.Tensor(c2)))),
-                  ad.sum_all(ad.mul(x, ad.Tensor(c3))))
-    ad.backward(root)
+
+    def graph():
+        shared = ad.mul(ad.add(x, y), ad.Tensor(c1))
+        return ad.add(ad.add(ad.sum_all(shared), ad.sum_all(ad.mul(x, ad.Tensor(c2)))),
+                      ad.sum_all(ad.mul(x, ad.Tensor(c3))))
+
+    ad.backward(graph())
     assert np.array_equal(y.grad, c1)
     assert np.array_equal(x.grad, c1 + c2 + c3)
-    gx, gy = ad.gradients(root, [x, y])
+    gx, gy = ad.gradients(graph(), [x, y])
     assert np.array_equal(gy, c1) and np.array_equal(gx, c1 + c2 + c3)
     assert gx.flags.writeable and gy.flags.writeable
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,27 @@ class TestSinkhornStats:
         assert stats == [SinkhornStats(0, 0.0, True)]
         sinkhorn_w1(np.ones((4, 2)), np.ones((3, 2)), None, 200, 0.0, stats)
         assert stats[1] == SinkhornStats(0, 0.0, False)
+
+
+    def test_what_a_solve_holds_does_not_grow_with_its_cap(self, rng):
+        """A solve that stops after 10 iterations holds the same bytes after
+        its forward pass at a cap of 200 and of 20 000: the kernel and the
+        iterates it ran, no (cap, points) history (two of them would be
+        82 MB at the larger cap)."""
+        p, q = rng.standard_normal((256, 16)), rng.standard_normal((256, 16))
+        held = {}
+        for cap in (200, 20_000):
+            a, b = ad.parameter(p), ad.parameter(q)
+            stats = []
+            tracemalloc.start()
+            try:
+                out = sinkhorn_w1(a, b, None, cap, SINKHORN_TOL, stats)
+                held[cap], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stats[0].converged and stats[0].iters < 20
+            del out
+        assert abs(held[200] - held[20_000]) <= 64 * 1024
 
 
 class TestBalanceLoss:

@@ -435,6 +435,31 @@ class TestStepMemory:
         assert peak < 8.5 * (64 * 20) * 64 * 8
 
 
+    def test_step_peak_on_a_train_mirror_shaped_graph(self):
+        """One step on a graph shaped like the ``train-mirror`` benchmark's
+        (3 x 100 nodes, 16-d features, k 30, embedding 64, a batch of all
+        300 subgraphs) peaks at 6.4-6.5 of the batch's (b * k, d) float64
+        row arrays above what the step starts with: row gradients stay
+        sparse, the sweep frees what it has passed on and a balance solve
+        keeps only the iterations it ran. Without those three it peaked at
+        8.3; the bound lies between."""
+        g = generate_sbm(SbmConfig(block_sizes=(100, 100, 100), p_intra=0.15, p_inter=0.005,
+                                   feature_dim=16, feature_noise=1.0), seed=1)
+        cfg = TrainConfig(seed=1, subgraph_size=30, balance_max_points=64, sinkhorn_iters=50)
+        subs, search = curriculum_inputs(g, cfg)
+        mirrors = search.adjacencies(quantile(search.distances, cfg.theta0))
+        params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
+        opt = init_optimizer([t.value for t in params.all_parameters()])
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 7.4 * (300 * 30) * 64 * 8
+
+
 class TestTwoLayerStep:
     def test_matches_a_dense_reference_step(self, monkeypatch):
         """One step at gcn_layers = 2 on a graph shaped like the benchmark's
