@@ -11,15 +11,16 @@ identity augmentation. Mirror graphs share the node set and features of the
 source subgraph; only edges move.
 
 Gamma only bounds a pair's best sum, so ``mirror_search`` finds each pair's
-best mirror once per run, among the subgraph's own nodes. A sum is separable
-in c and d and rounded addition is monotone, so one sort of each node's
-distance row gives short lists of its nearest candidates, from which a
-pair's best mirror is read in O(1): O(k^2 log k) per subgraph. A pair the
-lists cannot settle exactly (a tie at their cut, or a subgraph padded with
-a repeated centre) takes an exact O(k) scan instead. Both give the same
-first row-major (c, d) on ties as the O(k^2) sweep of every (c, d). The
-sums are stored for the pairs a < b alone, and each new gamma then costs one
-threshold over them (``MirrorSearch.adjacencies``). The pairs' distances are
+best mirror once per dataset and config, among the subgraph's own nodes
+(``trainer.curriculum_inputs`` keeps the search in the dataset directory).
+A sum is separable in c and d and rounded addition is monotone, so one sort
+of each node's distance row gives short lists of its nearest candidates,
+from which a pair's best mirror is read in O(1): O(k^2 log k) per
+subgraph. A pair the lists cannot settle exactly (a tie at their cut, or a
+subgraph padded with a repeated centre) takes an exact O(k) scan instead.
+Both give the same first row-major (c, d) on ties as the O(k^2) sweep of
+every (c, d). The sums are stored for the pairs a < b alone, and each new
+gamma then costs one threshold over them (``MirrorSearch.adjacencies``). The pairs' distances are
 the run's distribution, whose percentiles are the gammas (``quantile``).
 
 Every distance is Euclidean: the paper's abstract names no metric, so its

@@ -9,9 +9,11 @@ it has passed a node's contributions on it drops them, the node's closure
 and parent links and its own reference to the node, so what a node saved
 for its backward pass is freed as the sweep passes it, unless the caller
 still holds the node; nodes keep their ``.value``. A graph is therefore
-swept once. Closures may return read-only views and one array for several
-parents, so the sweep writes only into buffers it created: the sum it makes
-at a parent's second contribution, which later ones are added into.
+swept once: a sweep that reaches a node an earlier one passed fails with a
+ContractError instead of giving zeros. Closures may return read-only views
+and one array for several parents, so the sweep writes only into buffers it
+created: the sum it makes at a parent's second contribution, which later
+ones are added into.
 
 A gather (``take_rows``, whose rows must be distinct) contributes only the
 rows it read, as a ``Rows`` pair of indices and (m, d) upstream rows. A
@@ -380,6 +382,13 @@ def pairwise_euclidean(p, q) -> Tensor:
     return _node(dist, (p, q), backward_fn)
 
 
+def _swept(g=None):
+    """The closure a sweep leaves on an interior node it has passed: the
+    arrays the node saved are gone, so a later sweep that reaches it fails."""
+    raise ContractError("a sweep reached a node that an earlier sweep passed; "
+                        "build the graph again to differentiate it again")
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -391,6 +400,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._backward_fn is _swept:
+            _swept()
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -405,7 +416,8 @@ def backward(root: Tensor) -> None:
     gradient and its contributions are dropped once they have been passed
     to the parents, and so are its closure, its parent links and the
     sweep's own reference to it: a node the caller does not hold is freed
-    as soon as the sweep has passed it, and the graph cannot be swept again.
+    as soon as the sweep has passed it. Its closure becomes ``_swept``, so
+    a later sweep that reaches the node fails before it changes a gradient.
     A ``Rows`` gradient stays sparse until a dense contribution meets it or
     a node that does not read ``Rows`` (a leaf among them) takes it."""
     if root.value.shape != ():
@@ -420,7 +432,7 @@ def backward(root: Tensor) -> None:
     for position in range(len(order) - 1, -1, -1):
         node, order[position] = order[position], None
         backward_fn, parents = node._backward_fn, node._parents
-        node._backward_fn, node._parents = None, ()
+        node._backward_fn, node._parents = (None if backward_fn is None else _swept), ()
         if isinstance(node.grad, Rows) and not getattr(backward_fn, "reads_rows", False):
             node.grad = _densify(node.grad, node.value)
         if backward_fn is None or node.grad is None:

@@ -20,7 +20,9 @@ File formats (one directory per dataset):
 ``load_dataset`` keeps the parsed graph in ``.acgcl-cache.npz`` beside the
 files, keyed by a hash of their bytes, and while they stay the same rebuilds
 the graph from the stored arrays instead of parsing the text again.
-``load_graph`` always parses.
+``load_graph`` always parses. The run set-up keeps its subgraphs and mirror
+search in ``.acgcl-inputs.npz`` in the same directory
+(``trainer.curriculum_inputs``); ``save_dataset`` removes both caches.
 
 A :class:`Graph` is a frozen dataclass checked once, when built;
 ``with_splits`` returns a new graph rather than changing its argument.
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GraphParseError, NodeIdError, ShapeError
-from .util import ROLE_SPLITS, rng_for, write_atomic
+from .util import ROLE_SPLITS, read_keyed_npz, rng_for, write_keyed_npz
 
 EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.csv"
@@ -47,6 +49,7 @@ LABEL_FILE = "labels.csv"
 SPLIT_FILE = "splits.json"
 DATASET_FILES = (FEATURE_FILE, EDGE_FILE, LABEL_FILE, SPLIT_FILE)
 CACHE_FILE = ".acgcl-cache.npz"
+INPUTS_FILE = ".acgcl-inputs.npz"      # written by trainer.curriculum_inputs
 # The first bytes the cache key hashes: a new layout of the stored arrays
 # takes a new tag, so no older cache file can match.
 CACHE_FORMAT = b"acgcl parsed graph 1\n"
@@ -316,42 +319,33 @@ def _parse_dataset(directory: Path, raw: dict | None) -> Graph:
     return graph
 
 
-# The dtype and dimensions of each array a cache file may hold. Labels are
+# The dtype and shape of each array a cache file may hold. Labels are
 # optional, and the three splits are there together or not at all.
-_CACHE_ARRAYS = {"key": (np.uint8, 1), "features": (np.float64, 2),
-                 "adjacency": (np.int64, 1), "labels": (np.int64, 1),
-                 "train": (np.int64, 1), "val": (np.int64, 1), "test": (np.int64, 1)}
+_CACHE_ARRAYS = {"features": (np.float64, (None, None)), "adjacency": (np.int64, (None,)),
+                 "labels": (np.int64, (None,)), "train": (np.int64, (None,)),
+                 "val": (np.int64, (None,)), "test": (np.int64, (None,))}
 
 
 def _cached_graph(cache: Path, key: np.ndarray) -> Graph | None:
     """The graph stored in ``cache`` under ``key``; None when the file is
     missing, holds another key, or is not what ``_write_cache`` writes."""
+    arrays = read_keyed_npz(cache, key, _CACHE_ARRAYS, optional=("labels", "train", "val", "test"))
+    if arrays is None:
+        return None
     try:
-        with np.load(cache, allow_pickle=False) as stored:
-            if not np.array_equal(stored["key"], key):
-                return None
-            arrays = {name: stored[name] for name in stored.files}
-        for name, array in arrays.items():
-            dtype, ndim = _CACHE_ARRAYS[name]
-            if array.dtype != dtype or array.ndim != ndim or not array.flags.c_contiguous:
-                return None
         graph = Graph(arrays["features"], arrays["adjacency"], arrays.get("labels"))
         if arrays.keys() & {"train", "val", "test"}:
             graph = with_splits(graph, Splits(arrays["train"], arrays["val"], arrays["test"]))
         return graph
-    except Exception:   # np.load of arbitrary bytes fails in many ways; all are a miss
+    except Exception:   # arrays that break a Graph invariant, or a split without the others
         return None
 
 
 def _write_cache(cache: Path, key: np.ndarray, graph: Graph) -> None:
-    arrays = {"key": key, "features": graph.features, "adjacency": graph.adjacency,
+    arrays = {"features": graph.features, "adjacency": graph.adjacency,
               "labels": graph.labels, **(vars(graph.splits) if graph.splits else {})}
-    buffer = io.BytesIO()
-    np.savez(buffer, **{name: array for name, array in arrays.items() if array is not None})
-    try:
-        write_atomic(cache, buffer.getbuffer())
-    except OSError:     # a directory that cannot be written is parsed on every load
-        pass
+    write_keyed_npz(cache, key, {name: array for name, array in arrays.items()
+                                 if array is not None})
 
 
 def _parse_splits(raw) -> Splits:
@@ -368,7 +362,8 @@ def save_dataset(graph: Graph, directory) -> None:
     """Write a graph in the load format; round-trips bit-exactly.
 
     The files are written into a temporary sibling of ``directory``, then
-    moved into it, and a dataset file the graph has no part for is removed.
+    moved into it, and a dataset file the graph has no part for is removed,
+    as are both caches (``CACHE_FILE`` and ``INPUTS_FILE``).
     A write that fails therefore leaves the directory as it was, and no
     temporary directory; other files in the directory are not touched."""
     directory = Path(directory)
@@ -390,7 +385,7 @@ def save_dataset(graph: Graph, directory) -> None:
                 {name: [int(i) for i in getattr(graph.splits, name)]
                  for name in ("train", "val", "test")}))
         directory.mkdir(exist_ok=True)
-        for name in (*DATASET_FILES, CACHE_FILE):
+        for name in (*DATASET_FILES, CACHE_FILE, INPUTS_FILE):
             if (staging / name).exists():
                 os.replace(staging / name, directory / name)
             else:

@@ -4,7 +4,8 @@ validation probe.
 
 ``curriculum_inputs`` is the run set-up that train, augment-inspect and
 validate-difficulty share: the subgraphs and their mirror search, which
-finds every pair's best mirror once per run and keeps every pair distance.
+finds every pair's best mirror once per dataset and config and keeps every
+pair distance. Both are kept in the dataset directory's ``INPUTS_FILE``.
 A difficulty's distance threshold is an exact percentile of those, a
 non-decreasing function of the paced difficulty. Each epoch thresholds the
 stored mirrors at its distance into one bool stack of both views, then runs
@@ -27,6 +28,7 @@ prints.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,12 +42,14 @@ from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_di
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
-from .graph import LABEL_FILE, SPLIT_FILE, Graph, Splits, load_dataset, make_splits
+from .graph import (INPUTS_FILE, LABEL_FILE, SPLIT_FILE, Graph, Splits, load_dataset,
+                    make_splits)
 from .losses import (SINKHORN_TOL, balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
 from .sampler import SubgraphSet, sample_all_subgraphs
-from .util import ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, rng_for, write_atomic
+from .util import (ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, read_keyed_npz, rng_for,
+                   write_atomic, write_keyed_npz)
 
 CHECKPOINT_VERSION = 1
 # Config keys that older checkpoints echo and TrainConfig no longer has: the
@@ -67,6 +71,15 @@ PROBE_HALVINGS = 40
 ARMIJO_C = 1e-4
 REPORT_COLUMNS = ("epoch", "theta", "gamma", "lambda1", "lambda2", "mean_loss",
                   "active_fraction", "val_accuracy")
+# The first bytes the inputs key hashes: a new layout of the stored tables
+# takes a new tag, so no older cache file can match.
+INPUTS_FORMAT = b"acgcl curriculum inputs 1\n"
+# The package's source files, all of which the inputs key hashes.
+PACKAGE_DIR = Path(__file__).resolve().parent
+# Thread counts that can change the last bits of PageRank and of the
+# distances, so the inputs key holds each one's value.
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +408,70 @@ def curriculum_inputs(graph: Graph, config: TrainConfig) -> tuple[SubgraphSet, M
     same gamma, ``quantile(search.distances, theta)``.
 
     Semantics come first, so a graph that cannot supply them fails before
-    any sampling."""
+    any sampling. With a ``data_dir``, both are kept in its ``INPUTS_FILE``
+    under ``_inputs_key``: a call whose key matches rebuilds them from the
+    file, with the same bits, and neither samples nor searches. A miss
+    computes them and writes the file, one key per directory; a file that
+    cannot be read is a miss, and one that cannot be written is skipped."""
     semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
+    cache = key = None
+    if config.data_dir:
+        cache = Path(config.data_dir) / INPUTS_FILE
+        key = _inputs_key(graph, semantics, config)
+        inputs = _cached_inputs(cache, key, graph, config.subgraph_size)
+        if inputs is not None:
+            return inputs
     subgraphs = sample_all_subgraphs(graph, config.subgraph_size, config.teleport)
-    return subgraphs, mirror_search(subgraphs, semantics)
+    search = mirror_search(subgraphs, semantics)
+    if cache is not None:
+        write_keyed_npz(cache, key, {"parent_indices": subgraphs.parent_indices, **vars(search)})
+    return subgraphs, search
+
+
+def _inputs_key(graph: Graph, semantics: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """The sha256 of everything the run set-up reads: ``INPUTS_FORMAT``, the
+    dtype, shape and bytes of the features, the edge keys and the semantics
+    (labels or degree buckets), the subgraph size and teleport, the bytes of
+    every source file in ``PACKAGE_DIR``, numpy's version and each of
+    ``THREAD_VARIABLES``, so that a hit gives the bits a miss computes."""
+    import hashlib      # loading OpenSSL takes ~3 ms; only a run with a data_dir needs it
+    digest = hashlib.sha256(INPUTS_FORMAT)
+    for array in (graph.features, graph.adjacency, semantics):
+        digest.update(f"{array.dtype.str} {array.shape}\n".encode())
+        digest.update(np.ascontiguousarray(array).data)
+    digest.update(f"subgraph_size {config.subgraph_size} teleport {config.teleport!r}\n"
+                  .encode())
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name} {len(source)}\n".encode())
+        digest.update(source)
+    digest.update(f"numpy {np.__version__}\n".encode())
+    for name in THREAD_VARIABLES:
+        digest.update(f"{name} {os.environ.get(name)!r}\n".encode())
+    return np.frombuffer(digest.digest(), dtype=np.uint8)
+
+
+def _cached_inputs(cache: Path, key: np.ndarray, graph: Graph,
+                   k: int) -> tuple[SubgraphSet, MirrorSearch] | None:
+    """The subgraphs and mirror search stored in ``cache`` under ``key``,
+    sharing one adjacency array and the graph's features; None unless every
+    table has the dtype and shape ``mirror_search`` gives it, the ids are in
+    range with each subgraph's centre first, and ``distances`` holds one
+    entry per counted pair."""
+    n, tables = graph.n_nodes, (2, graph.n_nodes, k * (k - 1) // 2)
+    arrays = read_keyed_npz(cache, key, {
+        "parent_indices": (np.int64, (n, k)), "adjacency": (np.bool_, (n, k, k)),
+        "best": (np.float64, tables), "argmin": (np.min_scalar_type(k * k - 1), tables),
+        "edge": (np.bool_, tables), "pair_counts": (np.int64, (n,)),
+        "distances": (np.float64, (None,))})
+    if arrays is None:
+        return None
+    ids = arrays.pop("parent_indices")
+    if (ids.min() < 0 or ids.max() >= n or not np.array_equal(ids[:, 0], np.arange(n))
+            or len(arrays["distances"]) != arrays["pair_counts"].sum()):
+        return None
+    search = MirrorSearch(**arrays)
+    return SubgraphSet(ids, search.adjacency, graph.features), search
 
 
 def train(graph: Graph, config: TrainConfig, metrics_path=None,

@@ -1,5 +1,5 @@
-"""Seed fan-out, numpy's median and quantile without importing numpy.ma, and
-atomic file writes.
+"""Seed fan-out, numpy's median and quantile without importing numpy.ma,
+atomic file writes, and the keyed npz files that hold the package's caches.
 
 All randomness in a run flows from one integer seed. Components derive their
 own generators with ``rng_for(seed, role, *indices)`` where ``role`` is one of
@@ -51,16 +51,57 @@ def linear_quantile(values: np.ndarray, q):
 
 
 def write_atomic(path, content) -> None:
-    """Write ``content``, text or bytes, to a temp file beside ``path``, then
-    move it into place, so a write that fails leaves the previous file whole
-    and no temp file."""
+    """Write ``content`` to a temp file beside ``path``, then move it into
+    place, so a write that fails leaves the previous file whole and no temp
+    file. ``content`` is text, or a function that writes bytes into the open
+    temp file, so that a large file goes to disk without a copy in memory.
+    The temp file's name holds the process id, so two processes writing one
+    path never share it, and the last to move its file into place wins."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         if isinstance(content, str):
             tmp.write_text(content)
         else:
-            tmp.write_bytes(content)
+            with tmp.open("wb") as out:
+                content(out)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_keyed_npz(path, key: np.ndarray, arrays: dict[str, np.ndarray]) -> None:
+    """Store ``arrays`` and ``key`` in the npz file ``path``, written by
+    ``np.savez`` straight into ``write_atomic``'s temp file. A write that
+    fails with an OSError is skipped: every later read is then a miss."""
+    try:
+        write_atomic(path, lambda out: np.savez(out, key=key, **arrays))
+    except OSError:
+        pass
+
+
+def read_keyed_npz(path, key: np.ndarray, layout: dict[str, tuple],
+                   optional=()) -> dict[str, np.ndarray] | None:
+    """The arrays that ``write_keyed_npz`` stored in ``path`` under ``key``,
+    by name; only the key is read when it differs. ``layout`` maps each name
+    to its dtype and shape, where None matches any length. The result is
+    None, a miss, when the file is missing or not an npz file, holds another
+    key, lacks a name of ``layout`` that is not ``optional``, or holds an
+    array that ``layout`` does not name or that is not of its dtype and
+    shape and C-contiguous."""
+    try:
+        with np.load(path, allow_pickle=False) as stored:
+            found = stored["key"]
+            if found.dtype != key.dtype or not np.array_equal(found, key):
+                return None
+            arrays = {name: stored[name] for name in stored.files if name != "key"}
+    except Exception:   # np.load of arbitrary bytes fails in many ways; all are a miss
+        return None
+    if arrays.keys() - layout.keys() or layout.keys() - arrays.keys() - set(optional):
+        return None
+    for name, array in arrays.items():
+        dtype, shape = layout[name]
+        if (array.dtype != dtype or array.ndim != len(shape) or not array.flags.c_contiguous
+                or any(want not in (None, got) for want, got in zip(shape, array.shape))):
+            return None
+    return arrays

@@ -23,6 +23,18 @@ def run_python(*args, timeout=120, env=None):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def refuse_writes(monkeypatch):
+    """Make opening any file for writing fail, as on a read-only file system."""
+    open_path = Path.open
+
+    def opened(self, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            raise OSError(30, "Read-only file system")
+        return open_path(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", opened)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -19,7 +19,7 @@ from acgcl.augment import mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, weights_for_mode
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
-from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
+from acgcl.graph import INPUTS_FILE, SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
@@ -367,3 +367,48 @@ def test_criterion_10_determinism_across_processes(tmp_path):
     identical = outputs[0] == outputs[1]
     report("10 determinism across processes", identical,
            f"{', '.join(files)} byte-identical in a second process: {identical}")
+
+
+# ``acgcl`` with the run set-up's sampler and search counted: the process
+# prints "set-up calls:" and their names once the command has finished.
+COUNTED_CLI = """
+import sys
+import acgcl.cli, acgcl.trainer
+calls = []
+for name in ("sample_all_subgraphs", "mirror_search"):
+    def counted(*args, name=name, fn=getattr(acgcl.trainer, name)):
+        calls.append(name)
+        return fn(*args)
+    setattr(acgcl.trainer, name, counted)
+code = acgcl.cli.main(sys.argv[1:])
+print("set-up calls:", *calls)
+sys.exit(code)
+"""
+
+
+def test_cold_warm_and_cold_again_runs_write_the_same_bytes(tmp_path):
+    """``train`` in three fresh processes, at one BLAS thread: cold (it
+    samples, searches and writes the inputs cache), warm (it reads the
+    cache, and neither samples nor searches) and cold again once the cache
+    is deleted. All three write the same checkpoint, metrics and report
+    bytes."""
+    data, config = tmp_path / "data", tmp_path / "run.cfg"
+    done = run_python("-m", "acgcl.cli", "gen-sbm", "--blocks", "30,30", "--p-intra", "0.25",
+                      "--p-inter", "0.02", "--feature-dim", "4", "--seed", "1", "--out", str(data))
+    assert done.returncode == 0, done.stderr
+    config.write_text(f"data_dir = {data}\nsubgraph_size = 5\nembedding_dim = 8\n"
+                      "batch_size = 20\nepochs = 2\ninner_steps = 2\n")
+    files = ("checkpoint.json", "metrics.jsonl", "report.csv")
+    outputs, calls = [], []
+    for run in ("cold", "warm", "cold-again"):
+        if run == "cold-again":
+            (data / INPUTS_FILE).unlink()
+        done = run_python("-c", COUNTED_CLI, "train", "--config", str(config),
+                          "--out", str(tmp_path / run), env={"OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 0, done.stderr
+        assert (data / INPUTS_FILE).is_file()
+        calls.append(done.stdout.splitlines()[-1].split()[2:])
+        outputs.append([(tmp_path / run / name).read_bytes() for name in files])
+    both = ["sample_all_subgraphs", "mirror_search"]
+    assert calls == [both, [], both]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -266,6 +266,29 @@ def test_sweep_never_writes_into_a_shared_contribution(rng):
     assert gx.flags.writeable and gy.flags.writeable
 
 
+def test_a_second_sweep_of_a_swept_graph_fails(rng):
+    """The sweep frees what it passes, so a second sweep from the same root,
+    or from a new root built on a swept node, fails with a ContractError
+    instead of giving zeros, and leaves the first sweep's leaf gradient as
+    it was."""
+    x = ad.Tensor([[3.0, 5.0, 7.0]])
+    w = ad.parameter(rng.uniform(0.5, 1.0, size=(3, 2)))
+    s = ad.parameter(0.25)
+    h = ad.linear_prelu(x, w, s)
+    loss = ad.sum_all(h)
+    ad.backward(loss)
+    want = np.array([[3.0, 3.0], [5.0, 5.0], [7.0, 7.0]])
+    assert np.array_equal(w.grad, want)
+    with pytest.raises(ContractError, match="earlier sweep"):
+        ad.backward(loss)
+    assert np.array_equal(w.grad, want)
+    for root in (loss, ad.sum_all(ad.mul(h, ad.Tensor(2.0)))):
+        with pytest.raises(ContractError, match="earlier sweep"):
+            ad.gradients(root, [w])
+    (fresh,) = ad.gradients(ad.sum_all(ad.linear_prelu(x, w, s)), [w])
+    assert np.array_equal(fresh, want)
+
+
 def test_row_sq_dist_is_bit_identical_to_the_sub_mul_sum_chain(rng):
     a, b = rng.standard_normal((50, 16)), rng.standard_normal((50, 16))
     a[3] = b[3]                             # one coincident row

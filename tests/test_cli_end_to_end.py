@@ -1,7 +1,8 @@
 """Whole commands on small ``gen-sbm`` graphs: inputs that differ only in
 their layout give the same output, ``evaluate`` prints a converged probe,
-a removed option is a usage error, and the subgraph ids do not depend on
-the number of BLAS threads."""
+commands write only their caches into a dataset directory, a removed option
+is a usage error, and the subgraph ids do not depend on the number of BLAS
+threads."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ import shutil
 import pytest
 
 from acgcl.cli import main
-from acgcl.graph import CACHE_FILE
+from acgcl.graph import CACHE_FILE, DATASET_FILES, INPUTS_FILE
 from acgcl.sampler import INVERSE_LEAF
 from acgcl.trainer import PROBE_TOL
 from conftest import run_python
@@ -75,6 +76,38 @@ def test_cold_and_warm_evaluate_print_the_same(tmp_path, evaluated):
         caches.append((cache.stat().st_mtime_ns, cache.read_bytes()))
     assert caches[0] == caches[1]       # the second process did not write it again
     assert outputs == [printed, printed]
+
+
+def test_commands_write_only_caches_into_the_dataset(tmp_path, monkeypatch):
+    """``evaluate`` alone writes only the parsed-graph cache into a fresh
+    dataset directory and samples its subgraphs itself: its call of
+    ``sample_all_subgraphs`` is where a timed ``evaluate``'s main work
+    begins. After ``train``, ``augment-inspect`` and ``validate-difficulty``
+    too, the directory holds the dataset files and the two caches alone."""
+    import acgcl.trainer
+    data, config = tmp_path / "data", tmp_path / "run.cfg"
+    assert run_cli([*GEN_SBM, "--out", str(data)])[0] == 0
+    config.write_text(f"data_dir = {data}\nsubgraph_size = 5\nembedding_dim = 8\n"
+                      "batch_size = 20\nepochs = 1\ninner_steps = 2\n")
+    ckpt = tmp_path / "ckpt" / "checkpoint.json"
+    assert run_cli(["train", "--config", str(config), "--set", "patience=0",
+                    "--out", str(ckpt.parent)])[0] == 0
+    sampled = []
+    sample = acgcl.trainer.sample_all_subgraphs
+    monkeypatch.setattr(acgcl.trainer, "sample_all_subgraphs",
+                        lambda *args: sampled.append(args) or sample(*args))
+    evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]
+    assert run_cli(evaluate)[0] == 0
+    assert len(sampled) == 1
+    assert sorted(path.name for path in data.iterdir()) == sorted([*DATASET_FILES, CACHE_FILE])
+    for argv in (["train", "--config", str(config), "--out", str(tmp_path / "run")], evaluate,
+                 ["augment-inspect", "--config", str(config), "--node", "3", "--theta", "30",
+                  "--out", str(tmp_path / "inspect")],
+                 ["validate-difficulty", "--config", str(config), "--checkpoint", str(ckpt),
+                  "--out", str(tmp_path / "curve.csv")]):
+        assert run_cli(argv)[0] == 0
+    assert sorted(path.name for path in data.iterdir()) == sorted(
+        [*DATASET_FILES, CACHE_FILE, INPUTS_FILE])
 
 
 def test_evaluate_prints_a_probe_gradient_norm_within_tolerance(evaluated):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from acgcl import graph as graph_module
 from acgcl.cli import main
 from acgcl.errors import AcgclError, ConfigError, GraphParseError, NodeIdError, ShapeError
-from acgcl.graph import (CACHE_FILE, DATASET_FILES, Graph, SbmConfig, Splits, generate_sbm,
-                         load_dataset, load_graph, make_splits, save_dataset, with_splits)
+from acgcl.graph import (CACHE_FILE, DATASET_FILES, INPUTS_FILE, Graph, SbmConfig, Splits,
+                         generate_sbm, load_dataset, load_graph, make_splits, save_dataset,
+                         with_splits)
+from conftest import refuse_writes
 from oracles import dense_adjacency
 
 
@@ -261,6 +263,19 @@ class TestRoundTrip:
         assert load_dataset(out).n_nodes == 60
         assert [path.name for path in tmp_path.iterdir()] == ["data"]
 
+    def test_gen_sbm_removes_both_caches(self, tmp_path, capsys):
+        """A dataset directory with the parsed-graph cache and the run set-up
+        cache holds neither after ``gen-sbm`` writes a new dataset there."""
+        data, config = tmp_path / "data", tmp_path / "run.cfg"
+        argv = ["gen-sbm", "--blocks", "20,20", "--p-intra", "0.3", "--p-inter", "0.02",
+                "--out", str(data)]
+        assert main(argv) == 0
+        config.write_text(f"data_dir = {data}\nepochs = 1\ninner_steps = 1\nsubgraph_size = 4\n")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert {CACHE_FILE, INPUTS_FILE} <= {path.name for path in data.iterdir()}
+        assert main([*argv, "--seed", "2"]) == 0
+        assert sorted(path.name for path in data.iterdir()) == sorted(DATASET_FILES)
+
     def test_saving_drops_the_parts_a_graph_lacks(self, tmp_path):
         g = generate_sbm(SbmConfig(block_sizes=(6, 6), p_intra=0.6, p_inter=0.1,
                                    feature_dim=2), seed=1)
@@ -471,11 +486,7 @@ class TestDatasetCache:
 
     def test_failed_cache_write_still_loads_and_leaves_no_file(self, tmp_path, monkeypatch):
         data = saved_dataset(tmp_path / "data")
-
-        def read_only(self, data):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr(Path, "write_bytes", read_only)
+        refuse_writes(monkeypatch)
         loaded = load_dataset(data)
         assert sorted(path.name for path in data.iterdir()) == sorted(DATASET_FILES)
         monkeypatch.undo()

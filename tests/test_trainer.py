@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl.augment import mirror_search, quantile, semantic_assignment
+from acgcl.augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, pacing_difficulty
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.errors import ContractError, TrainingDiverged
-from acgcl.graph import Graph, SbmConfig, Splits, generate_sbm, make_splits, with_splits
+from acgcl.graph import (INPUTS_FILE, Graph, SbmConfig, Splits, generate_sbm, make_splits,
+                         with_splits)
 from acgcl.sampler import sample_all_subgraphs
 from acgcl.losses import balance_loss, inter_graph_losses_grouped
 from acgcl import autodiff as ad, trainer
@@ -20,6 +23,7 @@ from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
                            fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
+from conftest import refuse_writes
 from oracles import (gradient_descent_probe, matmul, one_pass_difficulty_curve,
                      per_pair_mirror_augment, prelu, row_sq_norm, take_rows_dense)
 
@@ -628,3 +632,183 @@ class TestUnlabeledTraining:
         _, report = train(unlabeled, cfg)
         assert len(report) == 2
         assert all(r["val_accuracy"] is None for r in report)
+
+
+def without_cache(graph, config):
+    """The run set-up computed afresh, with no cache read or written."""
+    return curriculum_inputs(graph, dataclasses.replace(config, data_dir=""))
+
+
+def assert_same_inputs(got, want):
+    """Every table of two (subgraphs, search) pairs bit-equal, with equal
+    dtypes and contiguity; ``got``'s two objects share one adjacency array
+    and the graph's features."""
+    (got_subs, got_search), (want_subs, want_search) = got, want
+    pairs = [(got_subs.parent_indices, want_subs.parent_indices),
+             (got_subs.adjacency, want_subs.adjacency)]
+    pairs += [(getattr(got_search, f.name), getattr(want_search, f.name))
+              for f in dataclasses.fields(MirrorSearch)]
+    for a, b in pairs:
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
+        assert np.array_equal(a, b)
+    assert got_search.adjacency is got_subs.adjacency
+    assert got_subs.node_features is want_subs.node_features
+
+
+def count_set_up_calls(monkeypatch) -> list[str]:
+    """The names of the sampler and search calls ``curriculum_inputs`` makes
+    from now on, in order."""
+    calls = []
+    for name in ("sample_all_subgraphs", "mirror_search"):
+        def counted(*args, name=name, fn=getattr(trainer, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(trainer, name, counted)
+    return calls
+
+
+def changed_feature(graph, config, tmp_path, monkeypatch):
+    features = graph.features.copy()
+    features[7, 2] += 0.25
+    return Graph(features, graph.adjacency, graph.labels, graph.splits), config
+
+
+def changed_edge(graph, config, tmp_path, monkeypatch):
+    n, edges = graph.n_nodes, set(graph.adjacency.tolist())
+    j = next(j for j in range(1, n) if j not in edges)      # 0 - j is no edge: add it
+    keys = np.concatenate([graph.adjacency, [j, j * n]])
+    return Graph(graph.features, keys, graph.labels, graph.splits), config
+
+
+def changed_label(graph, config, tmp_path, monkeypatch):
+    labels = graph.labels.copy()
+    labels[3] = 1 - labels[3]
+    return Graph(graph.features, graph.adjacency, labels, graph.splits), config
+
+
+def changed_source(graph, config, tmp_path, monkeypatch):
+    source = tmp_path / "source" / "util.py"
+    source.write_bytes(source.read_bytes().replace(b"#", b"%", 1))
+    return graph, config
+
+
+def changed_numpy(graph, config, tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+    return graph, config
+
+
+def changed_threads(graph, config, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1") + "0")
+    return graph, config
+
+
+def changed_config(**kw):
+    def change(graph, config, tmp_path, monkeypatch):
+        return graph, dataclasses.replace(config, **kw)
+    return change
+
+
+class TestInputsCache:
+    """``curriculum_inputs`` keeps its subgraphs and mirror search in the
+    dataset directory's INPUTS_FILE; a call with the same key reads them
+    back with the bits a cold call computes, and any change to the key
+    recomputes them."""
+
+    @pytest.fixture(autouse=True)
+    def source_copy(self, tmp_path, monkeypatch):
+        """Point the key's source digest at a copy of the package."""
+        copy = tmp_path / "source"
+        copy.mkdir()
+        for path in trainer.PACKAGE_DIR.glob("*.py"):
+            (copy / path.name).write_bytes(path.read_bytes())
+        monkeypatch.setattr(trainer, "PACKAGE_DIR", copy)
+
+    def test_warm_inputs_equal_cold_inputs(self, tmp_path, monkeypatch):
+        graph, config = small_graph(), small_config(data_dir=str(tmp_path))
+        cold = curriculum_inputs(graph, config)
+        assert (tmp_path / INPUTS_FILE).is_file()
+        assert_same_inputs(cold, without_cache(graph, config))
+        calls = count_set_up_calls(monkeypatch)
+        warm = curriculum_inputs(graph, config)
+        assert calls == []
+        assert_same_inputs(warm, cold)
+
+    @pytest.mark.parametrize("base, change", [
+        ({}, changed_feature),
+        ({}, changed_edge),
+        ({}, changed_label),
+        ({}, changed_config(semantics="degree-bucket")),
+        ({"semantics": "degree-bucket"}, changed_config(degree_buckets=2)),
+        ({}, changed_config(subgraph_size=6)),
+        ({}, changed_config(teleport=0.2)),
+        ({}, changed_source),
+        ({}, changed_numpy),
+        ({}, changed_threads),
+    ], ids=["feature", "edge", "label", "semantics", "degree_buckets", "subgraph_size",
+            "teleport", "source", "numpy", "threads"])
+    def test_a_changed_key_input_recomputes(self, tmp_path, monkeypatch, base, change):
+        graph, config = small_graph(), small_config(data_dir=str(tmp_path), **base)
+        calls = count_set_up_calls(monkeypatch)
+        curriculum_inputs(graph, config)
+        curriculum_inputs(graph, config)
+        assert calls == ["sample_all_subgraphs", "mirror_search"]
+        graph, config = change(graph, config, tmp_path, monkeypatch)
+        calls.clear()
+        changed = curriculum_inputs(graph, config)
+        assert calls == ["sample_all_subgraphs", "mirror_search"]
+        assert_same_inputs(changed, without_cache(graph, config))
+        calls.clear()
+        assert_same_inputs(curriculum_inputs(graph, config), changed)
+        assert calls == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "mistyped", "reshaped",
+                                        "missing", "unknown", "centre", "distances"])
+    def test_unreadable_file_is_a_miss_and_rewritten(self, tmp_path, monkeypatch, damage):
+        graph, config = small_graph(), small_config(data_dir=str(tmp_path))
+        cold = curriculum_inputs(graph, config)
+        cache = tmp_path / INPUTS_FILE
+        with np.load(cache) as stored:
+            arrays = dict(stored)
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
+        elif damage == "garbage":
+            cache.write_bytes(b"not a cache" * 100)
+        else:
+            if damage == "mistyped":
+                arrays["argmin"] = arrays["argmin"].astype(np.int64)
+            elif damage == "reshaped":
+                arrays["best"] = arrays["best"][:, :-1]
+            elif damage == "missing":
+                del arrays["edge"]
+            elif damage == "unknown":
+                arrays["extra"] = np.zeros(3)
+            elif damage == "centre":
+                arrays["parent_indices"][0, 0] = 1
+            else:
+                arrays["distances"] = arrays["distances"][:-1]
+            with open(cache, "wb") as out:
+                np.savez(out, **arrays)
+        calls = count_set_up_calls(monkeypatch)
+        assert_same_inputs(curriculum_inputs(graph, config), cold)
+        assert calls == ["sample_all_subgraphs", "mirror_search"]
+        calls.clear()
+        assert_same_inputs(curriculum_inputs(graph, config), cold)
+        assert calls == []
+
+    def test_read_only_directory_computes_and_writes_nothing(self, tmp_path, monkeypatch):
+        graph, config = small_graph(), small_config(data_dir=str(tmp_path / "data"))
+        (tmp_path / "data").mkdir()
+        want = without_cache(graph, config)
+        refuse_writes(monkeypatch)
+        calls = count_set_up_calls(monkeypatch)
+        for _ in range(2):
+            assert_same_inputs(curriculum_inputs(graph, config), want)
+        assert calls == ["sample_all_subgraphs", "mirror_search"] * 2
+        assert list((tmp_path / "data").iterdir()) == []
+
+    def test_empty_data_dir_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        graph = small_graph()
+        _, report = train(graph, small_config(epochs=1))
+        assert len(report) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "source"]
