@@ -5,8 +5,8 @@ from .config import TrainConfig, parse_config
 from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, open_window,
                          pacing_difficulty)
 from .encoder import GcnParams, init_gcn_params
-from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, load_graph,
-                    make_splits, save_dataset)
+from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, make_splits,
+                    save_dataset)
 from .losses import balance_loss, sinkhorn_w1, weighted_total_loss
 from .sampler import (Subgraph, SubgraphSet, compute_ppr_scores, sample_all_subgraphs,
                       top_k_indices)

@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 from .augment import check_semantics
 from .curriculum import MODES
 from .errors import ConfigError
-from .graph import check_split_fractions, data_lines
+from .graph import check_split_fractions, data_lines, read_text
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -158,7 +158,7 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        entries += data_lines(path)
+        entries += data_lines(path, read_text(path).splitlines())
     entries += [("--set", pair) for pair in overrides]
     annotations = get_type_hints(TrainConfig)
     raw: dict = {}

@@ -17,12 +17,13 @@ File formats (one directory per dataset):
   [0, n_nodes) covering every node exactly once.
 * ``splits.json`` : optional, ``{"train": [...], "val": [...], "test": [...]}``.
 
-``load_dataset`` keeps the parsed graph in ``.acgcl-cache.npz`` beside the
-files, keyed by a hash of their bytes, and while they stay the same rebuilds
-the graph from the stored arrays instead of parsing the text again.
-``load_graph`` always parses. The run set-up keeps its subgraphs and mirror
-search in ``.acgcl-inputs.npz`` in the same directory
-(``trainer.curriculum_inputs``); ``save_dataset`` removes both caches.
+``load_dataset`` is the one reader: it reads each file once and parses
+only those bytes. It keeps the parsed graph in ``.acgcl-cache.npz`` beside
+the files, keyed by a hash of their bytes, and while they stay the same
+rebuilds the graph from the stored arrays instead of parsing the text again.
+The run set-up keeps its subgraphs and mirror search in
+``.acgcl-inputs.npz`` in the same directory (``trainer.curriculum_inputs``);
+``save_dataset`` removes both caches.
 
 A :class:`Graph` is a frozen dataclass checked once, when built;
 ``with_splits`` returns a new graph rather than changing its argument.
@@ -150,27 +151,6 @@ def _both_directions(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.concatenate([rows * n + cols, cols * n + rows])
 
 
-def load_graph(edge_path, feature_path, label_path=None) -> Graph:
-    """Load a graph from an edge list, a feature CSV and an optional label CSV.
-
-    The feature file defines the node count; edge endpoints must stay below
-    it. Directed input edges are symmetrized, duplicate edges collapse.
-    """
-    return _parse_graph(Path(edge_path), Path(feature_path),
-                        None if label_path is None else Path(label_path), None)
-
-
-def _parse_graph(edge_path: Path, feature_path: Path, label_path: Path | None,
-                 raw: dict | None) -> Graph:
-    """``load_graph`` of the files' bytes in ``raw`` (see ``_lines``), or of
-    the files themselves when ``raw`` is None."""
-    features = _read_features(feature_path, raw)
-    n = features.shape[0]
-    rows, cols = _read_edges(edge_path, n, raw)
-    labels = _read_labels(label_path, n, raw) if label_path is not None else None
-    return Graph(features=features, adjacency=_both_directions(n, rows, cols), labels=labels)
-
-
 def read_text(path: Path, data: bytes | None = None) -> str:
     """The text of an input file decoded as UTF-8, line ends as a text-mode
     read gives them; ``data`` is the file's bytes when the caller has already
@@ -185,29 +165,30 @@ def read_text(path: Path, data: bytes | None = None) -> str:
                               f"at offset {exc.start}") from None
 
 
-def _lines(path: Path, raw: dict | None) -> list[str]:
-    """The lines of ``path``. ``raw`` maps each dataset path to its bytes;
-    they are taken out of it, so they are freed once decoded, before the
-    split. With ``raw`` None the file is read."""
-    return read_text(path, None if raw is None else raw.pop(path)).splitlines()
+def _text(path: Path, raw: dict) -> str:
+    """The text of ``path``. ``raw`` maps each dataset path to its bytes, or
+    to the OSError its read raised, which is raised here, so that a file
+    fails when the parse reaches it. The bytes are taken out of ``raw``, so
+    they are freed once decoded."""
+    data = raw.pop(path)
+    if isinstance(data, OSError):
+        raise data
+    return read_text(path, data)
 
 
-def data_lines(path: Path, lines: list[str] | None = None):
-    """(``path:lineno``, stripped text) of every line of a text file that is
-    neither blank nor a ``#`` comment, lines numbered from 1. ``lines`` are
-    the file's lines when the caller has already read them."""
-    if lines is None:
-        lines = read_text(path).splitlines()
+def data_lines(path: Path, lines: list[str]):
+    """(``path:lineno``, stripped text) of every one of a text file's
+    ``lines`` that is neither blank nor a ``#`` comment, numbered from 1."""
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if text and not text.startswith("#"):
             yield f"{path}:{lineno}", text
 
 
-def _read_features(path: Path, raw: dict | None = None) -> np.ndarray:
+def _read_features(path: Path, raw: dict) -> np.ndarray:
     """The (data lines, width) float64 features, filled row by row, so no
     more than one row of Python floats is alive at a time."""
-    lines = _lines(path, raw)
+    lines = _text(path, raw).splitlines()
     features = None
     for count, (where, text) in enumerate(data_lines(path, lines)):
         try:
@@ -228,10 +209,9 @@ def _read_features(path: Path, raw: dict | None = None) -> np.ndarray:
     return features
 
 
-def _read_edges(path: Path, n_nodes: int,
-                raw: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _read_edges(path: Path, n_nodes: int, raw: dict) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = [], []
-    for where, text in data_lines(path, _lines(path, raw)):
+    for where, text in data_lines(path, _text(path, raw).splitlines()):
         parts = text.split()
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'src dst', got {text!r}")
@@ -248,9 +228,9 @@ def _read_edges(path: Path, n_nodes: int,
     return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
 
 
-def _read_labels(path: Path, n_nodes: int, raw: dict | None = None) -> np.ndarray:
+def _read_labels(path: Path, n_nodes: int, raw: dict) -> np.ndarray:
     labels = np.full(n_nodes, -1, dtype=np.int64)
-    for where, text in data_lines(path, _lines(path, raw)):
+    for where, text in data_lines(path, _text(path, raw).splitlines()):
         parts = text.split(",")
         if len(parts) != 2:
             raise GraphParseError(f"{where}: expected 'node_id,label', got {text!r}")
@@ -274,20 +254,26 @@ def _read_labels(path: Path, n_nodes: int, raw: dict | None = None) -> np.ndarra
 def load_dataset(directory) -> Graph:
     """The graph of a dataset directory, with its labels and splits if there.
 
-    Each file is read once. The sha256 of ``CACHE_FORMAT`` and of each
-    file's name, presence, length and bytes keys ``CACHE_FILE``: while it
-    holds that key, the graph is rebuilt from its arrays through ``Graph``
-    and ``with_splits``, so every check runs again. Otherwise the bytes
-    are parsed and the cache written; a directory that cannot be written
-    is parsed every time, and a cache that cannot be read is a miss."""
+    Each file is read once, and only those bytes are parsed. A read that
+    fails is raised when the parse reaches that file, so the first bad file
+    in parse order is named, and the cache is neither read nor written.
+    Else the sha256 of ``CACHE_FORMAT`` and of each file's name, presence,
+    length and bytes keys ``CACHE_FILE``: while it holds that key, the graph
+    is rebuilt from its arrays through ``Graph`` and ``with_splits``, so
+    every check runs again. On a miss the bytes are parsed and the cache
+    written; a directory that cannot be written is parsed every time, and a
+    cache that cannot be read is a miss."""
     import hashlib      # loading OpenSSL takes ~3 ms; gen-sbm loads no dataset
     directory = Path(directory)
-    paths = [directory / name for name in DATASET_FILES]
-    try:                # labels and splits are optional: None when absent
-        raw = {path: path.read_bytes() if path.name in (FEATURE_FILE, EDGE_FILE)
-               or path.exists() else None for path in paths}
-    except OSError:     # fail on the file, and in the order, that parsing reaches first
-        return _parse_dataset(directory, None)
+    raw = {}
+    for path in (directory / name for name in DATASET_FILES):
+        try:            # labels and splits are optional: None when absent
+            raw[path] = (path.read_bytes() if path.name in (FEATURE_FILE, EDGE_FILE)
+                         or path.exists() else None)
+        except OSError as exc:
+            raw[path] = exc
+    if any(isinstance(data, OSError) for data in raw.values()):
+        return _parse_dataset(directory, raw)   # raises at the first bad file it reaches
     digest = hashlib.sha256(CACHE_FORMAT)
     for path, data in raw.items():
         digest.update(f"{path.name} {-1 if data is None else len(data)}\n".encode())
@@ -300,18 +286,20 @@ def load_dataset(directory) -> Graph:
     return graph
 
 
-def _parse_dataset(directory: Path, raw: dict | None) -> Graph:
-    """The dataset parsed from ``raw`` (see ``_lines``), where an optional
-    file is absent if its bytes are None, or from the files."""
-    def present(path: Path) -> bool:
-        return path.exists() if raw is None else raw[path] is not None
-
-    label_path = directory / LABEL_FILE
-    graph = _parse_graph(directory / EDGE_FILE, directory / FEATURE_FILE,
-                         label_path if present(label_path) else None, raw)
-    split_path = directory / SPLIT_FILE
-    if present(split_path):
-        text = read_text(split_path, None if raw is None else raw.pop(split_path))
+def _parse_dataset(directory: Path, raw: dict) -> Graph:
+    """The dataset parsed from ``raw`` (see ``_text``), features first, then
+    edges, labels and splits; an optional file whose bytes are None is
+    absent. The feature file defines the node count, and edge endpoints must
+    stay below it. Directed input edges are symmetrized, duplicate edges
+    collapse."""
+    features = _read_features(directory / FEATURE_FILE, raw)
+    n = features.shape[0]
+    rows, cols = _read_edges(directory / EDGE_FILE, n, raw)
+    label_path, split_path = directory / LABEL_FILE, directory / SPLIT_FILE
+    labels = None if raw[label_path] is None else _read_labels(label_path, n, raw)
+    graph = Graph(features=features, adjacency=_both_directions(n, rows, cols), labels=labels)
+    if raw[split_path] is not None:
+        text = _text(split_path, raw)
         try:   # bad JSON, nesting, keys or ids; ids out of range, repeated or in two splits
             graph = with_splits(graph, _parse_splits(json.loads(text)))
         except (ValueError, OverflowError, RecursionError) as exc:

@@ -108,7 +108,7 @@ def sinkhorn_w1(points_a, points_b, reg: float | None, max_iters: int, tol: floa
         a, b = b, a
     cost = ad.pairwise_euclidean(a, b)
     peak = cost.value.max()
-    if peak == 0.0:     # identical multisets
+    if peak == 0.0:     # all points of both sets coincide; equal distinct sets take the kernel
         out, info = ad.scale(ad.sum_all(cost), 0.0), SinkhornStats(0, 0.0, tol > 0)
     else:
         reg = _resolve_reg(cost.value, reg)

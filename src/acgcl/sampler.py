@@ -22,8 +22,8 @@ costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
 ``SubgraphSet`` of (n, k) ids and (n, k, k) bool induced adjacencies, k^2
 bytes per subgraph, filled RANK_BLOCK_ROWS subgraphs at a time into one
 preallocated array from a table of one bit per adjacency entry; its readers
-gather feature rows by parent id from the graph's own matrix.
-``extract_subgraph`` gives one ``Subgraph``.
+gather feature rows by parent id from the graph's own matrix. An int index
+of the set gives one node's ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import operator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NodeIdError, SizeError
+from .errors import ConfigError, ContractError, SizeError
 from .graph import Graph
 
 RANK_BLOCK_ROWS = 256
@@ -257,18 +257,6 @@ def _smallest_first(rows: np.ndarray, width: int) -> np.ndarray:
     if tied.any():
         ranked[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :width]
     return ranked
-
-
-def extract_subgraph(graph: Graph, indices: np.ndarray) -> Subgraph:
-    """Induced adjacency restriction, in index order (repeated indices
-    duplicate their rows), over the graph's own feature matrix."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        raise SizeError("indices must be non-empty")
-    if indices.min() < 0 or indices.max() >= graph.n_nodes:
-        raise NodeIdError(f"subgraph index out of range [0, {graph.n_nodes})")
-    adjacency = _induced(_bit_table(graph), graph.n_nodes, indices)
-    return Subgraph(parent_indices=indices, adjacency=adjacency, node_features=graph.features)
 
 
 _BITS = (1 << np.arange(8)).astype(np.uint8)

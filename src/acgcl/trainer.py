@@ -577,11 +577,13 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
 
 def save_checkpoint(params: GcnParams, config: TrainConfig, path) -> None:
     """JSON of the format version, the config and every weight matrix and
-    slope."""
+    slope. The config leaves out ``data_dir``, so that a dataset trains to
+    the same bytes wherever it lies; ``evaluate`` is told the data anyway."""
     stored = {"weights": [w.value.tolist() for w in params.weights],
               "slopes": [float(s.value) for s in params.slopes]}
+    echo = {key: value for key, value in config.to_dict().items() if key != "data_dir"}
     write_atomic(path, json.dumps({"format_version": CHECKPOINT_VERSION,
-                                    "config": config.to_dict(), "params": stored}))
+                                    "config": echo, "params": stored}))
 
 
 def load_checkpoint(path) -> tuple[GcnParams, TrainConfig]:

@@ -3,22 +3,26 @@
 The benchmark wraps, marks and imports functions by name. A missing set-up
 marker stops ``bench/run.py`` on ``marks["main_work_start"]``, and a missing
 traced layer or capture silently reads 0, so a rename or deletion in the
-package must fail here first. The bench sources are only read: ``child.py``
-is imported for its ``LAYERS`` table, the rest is parsed. The other way
-round, no package code calls a function that stays for the benchmark alone,
-so deleting them with the benchmark's hooks touches no package path, and no
-test outside their own (``test_augment.py::TestBenchShims`` and
-``TestStackedDistanceEstimate``, ``test_sampler.py::TestExtractSubgraph`` and
-one case of ``test_error_path.py``) names them.
+package must fail here first; a traced layer the package has deleted on
+purpose is listed in ``RETIRED_LAYERS``. The bench sources are only read:
+``child.py`` is imported for its ``LAYERS`` table, the rest is parsed. The
+other way round, no package code calls a function that stays for the
+benchmark alone, so deleting them with the benchmark's hooks touches no
+package path, and no test outside their own
+(``test_augment.py::TestBenchShims`` and ``TestStackedDistanceEstimate``)
+names them. Every package definition is named by package code or imported
+by a bench file, so none stays for the tests alone.
 """
 
 import ast
 import importlib
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = BENCH.parent / "src" / "acgcl"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
@@ -51,9 +55,15 @@ def acgcl_imports(source):
             for alias in node.names]
 
 
+# Traced layers whose function the package has deleted. The benchmark
+# reports each one absent and reads it as 0 until its harness drops the row.
+RETIRED_LAYERS = {("acgcl.sampler", "extract_subgraph")}
+
+
 def test_traced_layers_exist():
     assert len(child.LAYERS) > 10
-    assert missing((module, name) for _, module, name in child.LAYERS) == []
+    assert set(missing((module, name) for _, module, name in child.LAYERS)) == {
+        f"{module}.{name}" for module, name in RETIRED_LAYERS}
 
 
 def test_setup_markers_exist():
@@ -79,13 +89,12 @@ def test_imported_names_exist():
 
 # Kept in the package for the benchmark alone: its definitions and the
 # package's exports may name them, no package code calls them.
-BENCH_ONLY = {"estimate_distance_distribution", "mirror_augment", "extract_subgraph"}
+BENCH_ONLY = {"estimate_distance_distribution", "mirror_augment"}
 
 
 def test_no_package_code_calls_the_bench_only_names():
-    package = Path(__file__).resolve().parent.parent / "src" / "acgcl"
     calls = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -95,6 +104,25 @@ def test_no_package_code_calls_the_bench_only_names():
     assert calls == []
 
 
+def test_every_package_definition_is_named_by_package_code_or_the_bench():
+    """A module-level def or class that no package code outside
+    ``__init__.py`` and its own definition names, and no bench file
+    imports, is kept for the tests alone: the per-item references of
+    batched code belong in ``tests/oracles.py``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    names = Counter(identifier(node) for tree in trees.values() for node in ast.walk(tree))
+    imported = {name for source in sorted(BENCH.glob("*.py"))
+                for _, name in acgcl_imports(source.name)}
+    unused = [f"{module}:{definition.lineno} {definition.name}"
+              for module, tree in trees.items() for definition in tree.body
+              if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+              and definition.name not in imported
+              and names[definition.name] == sum(identifier(node) == definition.name
+                                                for node in ast.walk(definition))]
+    assert unused == []
+
+
 # The bench-only names and the augment shims' result type. Tier-1 names these
 # only here and, per test module, in the line that imports them from the
 # package and in the classes and functions below, so deleting them deletes
@@ -102,9 +130,6 @@ def test_no_package_code_calls_the_bench_only_names():
 SHIMS = BENCH_ONLY | {"MirrorGraphs"}
 SHIM_HOMES = {
     "test_augment.py": ("acgcl.augment", {"TestBenchShims", "TestStackedDistanceEstimate"}),
-    "test_sampler.py": ("acgcl.sampler", {"TestExtractSubgraph"}),
-    "test_error_path.py": ("acgcl.sampler",
-                           {"test_range_errors_are_acgcl_errors_with_their_builtin_base"}),
 }
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import re
 import shlex
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -415,7 +416,9 @@ class TestRetiredConfigKeys:
     Sinkhorn tolerance, a distance sample budget and a distance metric, echo
     those keys in their config; they still load, and the keys are gone
     everywhere else. Its params object may repeat the format version and the
-    layer count, as every checkpoint's did until each was written once."""
+    layer count, as every checkpoint's did until each was written once, and
+    its config may echo ``data_dir``, as every one did until the echo left it
+    out."""
 
     def test_checkpoint_with_the_retired_keys_evaluates_the_same(self, tmp_path, config_file,
                                                                  dataset_dir, capsys):
@@ -425,6 +428,7 @@ class TestRetiredConfigKeys:
         payload = json.loads(current.read_text())
         assert list(payload) == ["format_version", "config", "params"]
         assert list(payload["params"]) == ["weights", "slopes"]
+        payload["config"] = {"data_dir": str(dataset_dir), **payload["config"]}
         payload["config"].update(probe_iters=500, probe_lr=0.5, improvement_tol=0.0001,
                                  normalize_weighted_loss=False, sinkhorn_tol=1e-6,
                                  dis_sample_budget=50000, distance_metric="manhattan")
@@ -455,6 +459,24 @@ class TestRetiredConfigKeys:
         with pytest.raises(ConfigError, match=f"unknown config key: '{key}'$"):
             parse_config(overrides=[f"{key}=1"])
         assert key not in TrainConfig().to_dict()
+
+
+class TestCheckpointLeavesOutTheDataDir:
+    """``checkpoint.json`` does not echo ``data_dir``, so one dataset trains
+    to the same bytes wherever it lies; ``evaluate`` is told the data anyway.
+    Checkpoints that echo it still load (``TestRetiredConfigKeys``)."""
+
+    def test_two_copies_of_a_dataset_train_to_the_same_checkpoint(self, tmp_path, config_file,
+                                                                   dataset_dir):
+        copy = shutil.copytree(dataset_dir, tmp_path / "copy")
+        written = []
+        for data in (dataset_dir, copy):
+            out = tmp_path / f"run-{data.name}"
+            assert main(["train", "--config", str(config_file), "--set", "epochs=1",
+                         "--set", f"data_dir={data}", "--out", str(out)]) == 0
+            written.append((out / "checkpoint.json").read_bytes())
+        assert written[0] == written[1]
+        assert "data_dir" not in json.loads(written[0])["config"]
 
 
 class TestProbeL2MustBePositive:

@@ -322,7 +322,8 @@ class TestCheckpoint:
         save_checkpoint(params, config, path)
         written = json.loads(path.read_text())
         expected = json.loads(text)
-        expected["config"] = config.to_dict()
+        expected["config"] = {key: value for key, value in config.to_dict().items()
+                              if key != "data_dir"}
         del expected["params"]["format_version"], expected["params"]["n_layers"]
         assert path.read_text() == json.dumps(expected)
         assert list(written) == ["format_version", "config", "params"]

@@ -17,8 +17,8 @@ from acgcl.cli import main
 from acgcl.config import TrainConfig
 from acgcl.curriculum import pacing_difficulty
 from acgcl.errors import AcgclError, ConfigError, NodeIdError, SizeError
-from acgcl.graph import load_graph
-from acgcl.sampler import compute_ppr_scores, extract_subgraph
+from acgcl.graph import load_dataset
+from acgcl.sampler import compute_ppr_scores
 from conftest import graph_from_edges
 
 DATA_FILES = ("edges.txt", "features.csv", "labels.csv", "splits.json")
@@ -83,25 +83,25 @@ def dataset(tmp_path, base):
     return tmp_path
 
 
-def _write(tmp_path, name, text):
-    (tmp_path / name).write_text(text)
-    return tmp_path / name
+def _write(tmp_path, texts):
+    """``tmp_path`` with a file of each name and text in ``texts``."""
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
 
 
 @pytest.mark.parametrize("call, cls, builtin", [
-    (lambda tmp: load_graph(_write(tmp, "edges.txt", "0 5\n"), _write(tmp, "f.csv", "1\n2\n")),
+    (lambda tmp: load_dataset(_write(tmp, {"edges.txt": "0 5\n", "features.csv": "1\n2\n"})),
      NodeIdError, IndexError),
-    (lambda tmp: load_graph(_write(tmp, "edges.txt", ""), _write(tmp, "f.csv", "1\n2\n"),
-                            _write(tmp, "labels.csv", "0,0\n7,1\n")),
-     NodeIdError, IndexError),
-    (lambda tmp: extract_subgraph(graph_from_edges(2, [(0, 1)]), np.array([0, 5])),
+    (lambda tmp: load_dataset(_write(tmp, {"edges.txt": "", "features.csv": "1\n2\n",
+                                           "labels.csv": "0,0\n7,1\n"})),
      NodeIdError, IndexError),
     (lambda tmp: compute_ppr_scores(graph_from_edges(2, [(0, 1)]), teleport=1.0),
      ConfigError, ValueError),
     (lambda tmp: quantile(np.arange(3.0), 100.5),
      ConfigError, ValueError),
     (lambda tmp: pacing_difficulty(-1, TrainConfig()), SizeError, ValueError),
-], ids=["edge-endpoint", "label-node-id", "subgraph-index", "teleport", "theta", "epoch"])
+], ids=["edge-endpoint", "label-node-id", "teleport", "theta", "epoch"])
 def test_range_errors_are_acgcl_errors_with_their_builtin_base(tmp_path, call, cls, builtin):
     with pytest.raises(cls) as info:
         call(tmp_path)

@@ -1,4 +1,5 @@
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,53 +12,54 @@ from acgcl import graph as graph_module
 from acgcl.cli import main
 from acgcl.errors import AcgclError, ConfigError, GraphParseError, NodeIdError, ShapeError
 from acgcl.graph import (CACHE_FILE, DATASET_FILES, INPUTS_FILE, Graph, SbmConfig, Splits,
-                         generate_sbm, load_dataset, load_graph, make_splits, save_dataset,
-                         with_splits)
+                         generate_sbm, load_dataset, make_splits, save_dataset, with_splits)
 from conftest import refuse_writes
 from oracles import dense_adjacency
 
 
 def write_dataset(tmp_path, edges, features, labels=None):
+    """``tmp_path`` with the dataset files of the given texts."""
     (tmp_path / "edges.txt").write_text(edges)
     (tmp_path / "features.csv").write_text(features)
     if labels is not None:
         (tmp_path / "labels.csv").write_text(labels)
-        return tmp_path / "edges.txt", tmp_path / "features.csv", tmp_path / "labels.csv"
-    return tmp_path / "edges.txt", tmp_path / "features.csv", None
+    return tmp_path
 
 
 class TestLoadGraph:
+    """``load_dataset`` on edges, features and labels alone."""
+
     def test_minimal_two_node_graph(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "0 1\n", "1.0\n2.0\n")
-        g = load_graph(e, f)
+        data = write_dataset(tmp_path, "0 1\n", "1.0\n2.0\n")
+        g = load_dataset(data)
         assert g.n_nodes == 2
         assert np.array_equal(dense_adjacency(g), [[0, 1], [1, 0]])
         assert np.array_equal(g.features, [[1.0], [2.0]])
 
     def test_empty_edge_file_gives_edgeless_graph(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "", "1\n2\n3\n")
-        g = load_graph(e, f)
+        data = write_dataset(tmp_path, "", "1\n2\n3\n")
+        g = load_dataset(data)
         assert g.n_nodes == 3
         assert g.adjacency.size == 0
 
     def test_duplicate_edges_stay_binary(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "0 1\n0 1\n1 0\n", "1\n2\n")
-        g = load_graph(e, f)
+        data = write_dataset(tmp_path, "0 1\n0 1\n1 0\n", "1\n2\n")
+        g = load_dataset(data)
         assert g.adjacency.tolist() == [1, 2]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
-        e, f, l = write_dataset(tmp_path, "# header\n\n0 1\n", "1\n2\n",
-                                "# node,label\n\n0,1\n \n1,0\n")
-        g = load_graph(e, f, l)
+        data = write_dataset(tmp_path, "# header\n\n0 1\n", "1\n2\n",
+                             "# node,label\n\n0,1\n \n1,0\n")
+        g = load_dataset(data)
         assert dense_adjacency(g)[0, 1] == 1
         assert np.array_equal(g.labels, [1, 0])
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
                                      "\x1e", "\x85", "\u2028", "\u2029"])
     def test_every_line_end_of_splitlines_ends_a_line(self, tmp_path, end):
-        e, f, l = write_dataset(tmp_path, f"0 1{end}1 2{end}", f"1,2{end}3,4{end}5,6",
-                                f"0,1{end}1,0{end}2,2{end}")
-        g = load_graph(e, f, l)
+        data = write_dataset(tmp_path, f"0 1{end}1 2{end}", f"1,2{end}3,4{end}5,6",
+                             f"0,1{end}1,0{end}2,2{end}")
+        g = load_dataset(data)
         assert np.array_equal(dense_adjacency(g), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert np.array_equal(g.labels, [1, 0, 2])
@@ -65,50 +67,50 @@ class TestLoadGraph:
     def test_integer_fields_take_what_int_reads(self, tmp_path):
         # 1_0 reads as 10 and the Arabic-Indic digit \u0661 as 1
         labels = "".join(f"{node},0\n" for node in range(10)) + "1_0,\u0661\n"
-        e, f, l = write_dataset(tmp_path, "1_0 \u0661\n", "0\n" * 11, labels)
-        g = load_graph(e, f, l)
+        data = write_dataset(tmp_path, "1_0 \u0661\n", "0\n" * 11, labels)
+        g = load_dataset(data)
         assert g.adjacency.tolist() == [1 * 11 + 10, 10 * 11 + 1]
         assert g.labels.tolist() == [0] * 10 + [1]
 
     def test_malformed_edge_line_names_the_line(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "0 1\n0 x\n", "1\n2\n")
+        data = write_dataset(tmp_path, "0 1\n0 x\n", "1\n2\n")
         with pytest.raises(GraphParseError, match="edges.txt:2"):
-            load_graph(e, f)
+            load_dataset(data)
 
     @pytest.mark.parametrize("space", ["\x1f", "\t", "\xa0", "\u3000"])
     def test_whitespace_around_a_field_is_ignored_wherever_it_sits(self, tmp_path, space):
-        e, f, l = write_dataset(tmp_path, f"{space}0{space}1{space}\n",
-                                f"1{space},{space}2\n{space}3,4{space}\n",
-                                f"0{space},{space}1\n{space}1,0{space}\n")
-        g = load_graph(e, f, l)
+        data = write_dataset(tmp_path, f"{space}0{space}1{space}\n",
+                             f"1{space},{space}2\n{space}3,4{space}\n",
+                             f"0{space},{space}1\n{space}1,0{space}\n")
+        g = load_dataset(data)
         assert g.adjacency.tolist() == [1, 2]
         assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(g.labels, [1, 0])
 
     def test_edge_endpoint_out_of_range(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "0 1\n0 5\n", "1\n2\n")
-        with pytest.raises(NodeIdError,
-                           match=rf"^{re.escape(str(e))}:2: edge endpoint 5 >= 2 nodes$"):
-            load_graph(e, f)
+        data = write_dataset(tmp_path, "0 1\n0 5\n", "1\n2\n")
+        where = re.escape(str(data / "edges.txt"))
+        with pytest.raises(NodeIdError, match=rf"^{where}:2: edge endpoint 5 >= 2 nodes$"):
+            load_dataset(data)
 
     def test_ragged_feature_rows_rejected(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "", "1,2\n3\n")
+        data = write_dataset(tmp_path, "", "1,2\n3\n")
         with pytest.raises(ShapeError, match="features.csv:2"):
-            load_graph(e, f)
+            load_dataset(data)
 
     @pytest.mark.parametrize("rows", ["1.0,,2.0\n3.0,,4.0\n", "1.0,2.0,\n3.0,4.0,\n"],
                              ids=["mid_row", "trailing_comma"])
     def test_empty_feature_field_rejected(self, tmp_path, rows):
         # every row has the same gap, so dropping empty fields would load a
         # consistent but shifted matrix
-        e, f, _ = write_dataset(tmp_path, "", rows)
+        data = write_dataset(tmp_path, "", rows)
         with pytest.raises(GraphParseError, match="features.csv:1: bad feature value"):
-            load_graph(e, f)
+            load_dataset(data)
 
     def test_non_finite_feature_rejected(self, tmp_path):
-        e, f, _ = write_dataset(tmp_path, "", "1\nnan\n")
+        data = write_dataset(tmp_path, "", "1\nnan\n")
         with pytest.raises(GraphParseError, match="features.csv:2: non-finite feature value$"):
-            load_graph(e, f)
+            load_dataset(data)
 
     def test_valid_splits_load_beside_a_self_loop(self, tmp_path):
         write_dataset(tmp_path, "0 0\n0 1\n", "1\n2\n3\n")
@@ -118,26 +120,26 @@ class TestLoadGraph:
         assert [list(part) for part in (g.splits.train, g.splits.val, g.splits.test)] == [[0], [1], [2]]
 
     def test_labels_loaded_and_gaps_rejected(self, tmp_path):
-        e, f, l = write_dataset(tmp_path, "0 1\n", "1\n2\n", "0,1\n1,0\n")
-        g = load_graph(e, f, l)
+        data = write_dataset(tmp_path, "0 1\n", "1\n2\n", "0,1\n1,0\n")
+        g = load_dataset(data)
         assert np.array_equal(g.labels, [1, 0])
         (tmp_path / "labels.csv").write_text("0,1\n")
         with pytest.raises(GraphParseError, match="missing label"):
-            load_graph(e, f, l)
+            load_dataset(data)
 
     def test_duplicate_label_rejected(self, tmp_path):
-        e, f, l = write_dataset(tmp_path, "", "1\n2\n", "0,1\n0,2\n")
+        data = write_dataset(tmp_path, "", "1\n2\n", "0,1\n0,2\n")
         with pytest.raises(GraphParseError, match="duplicate"):
-            load_graph(e, f, l)
+            load_dataset(data)
 
     @pytest.mark.parametrize("label", ["-1", "2", "1000000000", "99999999999999999999"])
     def test_label_outside_node_range_rejected(self, tmp_path, label):
         """A class id is below the node count: a larger one would size the
         probe's one-hot matrix, or overflow the int64 label array."""
-        e, f, l = write_dataset(tmp_path, "0 1\n", "1\n2\n", f"0,0\n1,{label}\n")
+        data = write_dataset(tmp_path, "0 1\n", "1\n2\n", f"0,0\n1,{label}\n")
         with pytest.raises(GraphParseError,
                            match=rf"labels\.csv:2: label {label} out of range \[0, 2\)$"):
-            load_graph(e, f, l)
+            load_dataset(data)
 
     @pytest.mark.parametrize("label", ["1000000000", "99999999999999999999"])
     def test_train_rejects_out_of_range_label_in_one_line(self, tmp_path, capsys, label):
@@ -376,17 +378,21 @@ class TestFeatureReader:
         ("# header\r\n1,2\r\n\t\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
     ], ids=["underscore", "arabic-indic-digits", "whitespace-line", "crlf-comment-blank"])
     def test_syntax_only_float_reads_still_loads(self, tmp_path, text, want):
-        path = tmp_path / "features.csv"
-        path.write_bytes(text.encode())
-        assert np.array_equal(graph_module._read_features(path), want)
+        (tmp_path / "features.csv").write_bytes(text.encode())
+        (tmp_path / "edges.txt").write_bytes(b"")
+        assert np.array_equal(load_dataset(tmp_path).features, want)
+
+
+def saved_graph(seed=4):
+    """A 30-node graph with labels and splits."""
+    g = generate_sbm(SbmConfig(block_sizes=(10, 20), p_intra=0.4, p_inter=0.05,
+                               feature_dim=5), seed=seed)
+    return with_splits(g, make_splits(g, seed=seed, train_frac=0.3, val_frac=0.2))
 
 
 def saved_dataset(directory, seed=4):
-    """A 30-node dataset with labels and splits, written by ``save_dataset``."""
-    g = generate_sbm(SbmConfig(block_sizes=(10, 20), p_intra=0.4, p_inter=0.05,
-                               feature_dim=5), seed=seed)
-    save_dataset(with_splits(g, make_splits(g, seed=seed, train_frac=0.3, val_frac=0.2)),
-                 directory)
+    """``saved_graph`` written by ``save_dataset``."""
+    save_dataset(saved_graph(seed), directory)
     return directory
 
 
@@ -431,15 +437,16 @@ class TestDatasetCache:
             (data / "splits.json").unlink()
         if parts == "no-labels":
             (data / "labels.csv").unlink()
-        parsed = load_graph(data / "edges.txt", data / "features.csv",
-                            data / "labels.csv" if parts != "no-labels" else None)
+        saved = saved_graph()
+        if parts != "all":
+            saved = Graph(saved.features, saved.adjacency,
+                          saved.labels if parts != "no-labels" else None)
         cold = load_dataset(data)
         assert (data / CACHE_FILE).is_file()
         no_parse(monkeypatch)
         warm = load_dataset(data)
         assert_same_graph(warm, cold)
-        if parts != "all":
-            assert_same_graph(cold, parsed)
+        assert_same_graph(cold, saved)
 
     def test_same_length_edit_is_parsed_again(self, tmp_path):
         data = saved_dataset(tmp_path / "data")
@@ -449,9 +456,9 @@ class TestDatasetCache:
         (data / "features.csv").write_bytes(text[:at] + b"2" + text[at + 1:])
         after = load_dataset(data)
         assert not np.array_equal(after.features, before.features)
-        assert_same_graph(after, with_splits(
-            load_graph(data / "edges.txt", data / "features.csv", data / "labels.csv"),
-            before.splits))
+        fresh = tmp_path / "fresh"      # the same bytes, with no cache beside them
+        shutil.copytree(data, fresh, ignore=shutil.ignore_patterns(CACHE_FILE))
+        assert_same_graph(after, load_dataset(fresh))
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "mistyped", "missing",
                                         "unknown", "pickled", "bad-graph"])
@@ -531,3 +538,20 @@ class TestDatasetCache:
         (data / "features.csv").write_bytes(b"1.0,x\n")
         (data / "edges.txt").unlink()
         assert load_error(data).startswith(f"GraphParseError: {data}/features.csv:1:")
+
+    @pytest.mark.parametrize("name, features, message", [
+        ("labels.csv", None, "IsADirectoryError: [Errno 21] Is a directory: '{}/labels.csv'"),
+        ("labels.csv", b"1.0,x\n", "GraphParseError: {}/features.csv:1: bad feature value"),
+        ("splits.json", None, "IsADirectoryError: [Errno 21] Is a directory: '{}/splits.json'"),
+    ], ids=["labels", "labels-after-bad-features", "splits"])
+    def test_a_file_that_cannot_be_read_fails_when_the_parse_reaches_it(self, tmp_path, name,
+                                                                       features, message):
+        """The read error is kept until the parse reaches the file, so a bad
+        ``features.csv`` is named first; no cache is written either way."""
+        data = saved_dataset(tmp_path / "data")
+        (data / name).unlink()
+        (data / name).mkdir()
+        if features is not None:
+            (data / "features.csv").write_bytes(features)
+        assert load_error(data).startswith(message.format(data))
+        assert not (data / CACHE_FILE).exists()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from acgcl import sampler
 from acgcl.errors import ContractError, SizeError
 from acgcl.graph import SbmConfig, generate_sbm
-from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, extract_subgraph,
-                           sample_all_subgraphs, top_k_indices)
+from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, sample_all_subgraphs,
+                           top_k_indices)
 from conftest import graph_from_dense, graph_from_edges, random_graph
 from oracles import (column_normalize, dense_adjacency, dense_solve_ppr, power_iteration_ppr,
                      searched_induced, subgraph_indices, top_rank)
@@ -335,35 +335,6 @@ class TestBlockRanking:
         assert np.array_equal(parents, oracle_indices(matrix, 8))
 
 
-class TestExtractSubgraph:
-    def test_relabeling(self):
-        g = graph_from_edges(2, [(0, 1)], features=[[10.0], [20.0]])
-        sub = extract_subgraph(g, np.array([1, 0]))
-        assert np.array_equal(sub.adjacency, [[0, 1], [1, 0]])
-        assert np.array_equal(sub.node_features[sub.parent_indices], [[20.0], [10.0]])
-        assert sub.parent_indices.tolist() == [1, 0]
-        assert sub.node_features is g.features
-
-    def test_singleton(self):
-        g = graph_from_edges(3, [(0, 1)])
-        sub = extract_subgraph(g, np.array([0]))
-        assert sub.adjacency.shape == (1, 1) and sub.adjacency[0, 0] == 0
-
-    def test_matches_double_loop(self, rng):
-        g = random_graph(rng, n=25)
-        dense = dense_adjacency(g)
-        for _ in range(5):
-            ids = rng.choice(25, size=8, replace=False)
-            sub = extract_subgraph(g, ids)
-            expected = np.array([[dense[i, j] for j in ids] for i in ids])
-            assert np.array_equal(sub.adjacency, expected)
-
-    def test_out_of_range_index(self):
-        g = graph_from_edges(2, [(0, 1)])
-        with pytest.raises(IndexError):
-            extract_subgraph(g, np.array([0, 5]))
-
-
 class TestBitTable:
     """The bit-table lookup of induced adjacencies against the edge-key
     search it replaced."""
@@ -428,7 +399,7 @@ class TestSampleAllSubgraphs:
             assert np.array_equal(sub.adjacency, sub.adjacency.T)
 
     @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)], []])
-    def test_one_pass_gather_matches_extract_subgraph(self, rng, edges):
+    def test_one_pass_gather_matches_searched_induced(self, rng, edges):
         # Padded subgraphs, isolated nodes and an edgeless graph included.
         for g in (random_graph(rng, n=30), graph_from_edges(10, edges)):
             for k in (1, 4, 12):
@@ -443,7 +414,7 @@ class TestSampleAllSubgraphs:
                     assert np.array_equal(sub.adjacency, want)
 
     @pytest.mark.parametrize("block", [1, 7])
-    def test_blocked_fill_matches_extract_subgraph(self, rng, monkeypatch, block):
+    def test_blocked_fill_matches_searched_induced(self, rng, monkeypatch, block):
         # blocks of subgraphs that end mid-set, padded subgraphs included
         monkeypatch.setattr(sampler, "RANK_BLOCK_ROWS", block)
         edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)]
