@@ -1,7 +1,8 @@
 """Training configuration: flat ``key = value`` files plus overrides.
 
 Lines starting with ``#`` and blank lines are ignored. Every key has a typed
-default; unknown keys and type mismatches raise ConfigError naming the key.
+default; unknown keys, type mismatches and a key that a file sets twice
+raise ConfigError naming the key.
 ``auto`` is accepted where the annotation admits None (ramp_epochs tracks
 epochs, sinkhorn_reg scales with the data). TrainConfig is the one settings
 object; it is frozen and checks every key's range when built, so no invalid
@@ -152,7 +153,8 @@ def _convert(key: str, text: str, annotation) -> object:
 
 def parse_config(path=None, overrides=()) -> TrainConfig:
     """Build a TrainConfig from an optional file plus ``key=value`` overrides,
-    which win over the file."""
+    which win over the file and over each other in order. A file that sets
+    a key twice fails, naming both lines."""
     entries = []    # (where, "key = value")
     if path is not None:
         path = Path(path)
@@ -161,7 +163,7 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
         entries += data_lines(path, read_text(path).splitlines())
     entries += [("--set", pair) for pair in overrides]
     annotations = get_type_hints(TrainConfig)
-    raw: dict = {}
+    raw, set_at = {}, {}
     for where, text in entries:
         if "=" not in text:
             raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
@@ -169,5 +171,8 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
         key = key.strip()
         if key not in annotations:
             raise ConfigError(f"{where}: unknown config key: {key!r}")
+        if key in set_at and where != "--set":     # overrides follow every file line
+            raise ConfigError(f"{where}: config key {key!r} is already set at {set_at[key]}")
+        set_at[key] = where
         raw[key] = _convert(key, value, annotations[key])
     return TrainConfig.from_dict(raw)

@@ -25,7 +25,7 @@ class ShapeError(AcgclError, ValueError):
 
 
 class SizeError(AcgclError, ValueError):
-    """A count argument is out of range (e.g. K larger than the node count)."""
+    """A count argument is out of range (e.g. a subgraph size k < 1)."""
 
 
 class ConfigError(AcgclError, ValueError):
@@ -33,7 +33,7 @@ class ConfigError(AcgclError, ValueError):
 
 
 class EmptyDistributionError(AcgclError, ValueError):
-    """No valid node pair was available to estimate a distance distribution."""
+    """No subgraph holds a pair of distinct nodes, so a run has no pair distances."""
 
 
 class ContractError(AcgclError, ValueError):

@@ -19,11 +19,12 @@ File formats (one directory per dataset):
 
 ``load_dataset`` is the one reader: it reads each file once and parses
 only those bytes. It keeps the parsed graph in ``.acgcl-cache.npz`` beside
-the files, keyed by a hash of their bytes, and while they stay the same
-rebuilds the graph from the stored arrays instead of parsing the text again.
-The run set-up keeps its subgraphs and mirror search in
-``.acgcl-inputs.npz`` in the same directory (``trainer.curriculum_inputs``);
-``save_dataset`` removes both caches.
+the files, under ``util.cache_key`` of their bytes, and while neither they
+nor the package's code change rebuilds the graph from the stored arrays
+instead of parsing the text again. The run set-up keeps its subgraphs and
+mirror search in ``.acgcl-inputs.npz`` in the same directory, under a key
+of the same recipe (``trainer.curriculum_inputs``); ``save_dataset``
+removes both caches.
 
 A :class:`Graph` is a frozen dataclass checked once, when built;
 ``with_splits`` returns a new graph rather than changing its argument.
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GraphParseError, NodeIdError, ShapeError
-from .util import ROLE_SPLITS, read_keyed_npz, rng_for, write_keyed_npz
+from .util import ROLE_SPLITS, cache_key, read_keyed_npz, rng_for, write_keyed_npz
 
 EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.csv"
@@ -51,9 +52,6 @@ SPLIT_FILE = "splits.json"
 DATASET_FILES = (FEATURE_FILE, EDGE_FILE, LABEL_FILE, SPLIT_FILE)
 CACHE_FILE = ".acgcl-cache.npz"
 INPUTS_FILE = ".acgcl-inputs.npz"      # written by trainer.curriculum_inputs
-# The first bytes the cache key hashes: a new layout of the stored arrays
-# takes a new tag, so no older cache file can match.
-CACHE_FORMAT = b"acgcl parsed graph 1\n"
 
 
 @dataclass(frozen=True)
@@ -257,13 +255,12 @@ def load_dataset(directory) -> Graph:
     Each file is read once, and only those bytes are parsed. A read that
     fails is raised when the parse reaches that file, so the first bad file
     in parse order is named, and the cache is neither read nor written.
-    Else the sha256 of ``CACHE_FORMAT`` and of each file's name, presence,
-    length and bytes keys ``CACHE_FILE``: while it holds that key, the graph
-    is rebuilt from its arrays through ``Graph`` and ``with_splits``, so
-    every check runs again. On a miss the bytes are parsed and the cache
-    written; a directory that cannot be written is parsed every time, and a
-    cache that cannot be read is a miss."""
-    import hashlib      # loading OpenSSL takes ~3 ms; gen-sbm loads no dataset
+    Else ``cache_key`` of each file's name, presence and bytes, with no
+    thread variable as the parse reads no BLAS, keys ``CACHE_FILE``: while
+    it holds that key, the graph is rebuilt from its arrays through
+    ``Graph`` and ``with_splits``, so every check runs again. On a miss the
+    bytes are parsed and the cache written; a directory that cannot be
+    written is parsed every time, and a cache that cannot be read is a miss."""
     directory = Path(directory)
     raw = {}
     for path in (directory / name for name in DATASET_FILES):
@@ -274,11 +271,8 @@ def load_dataset(directory) -> Graph:
             raw[path] = exc
     if any(isinstance(data, OSError) for data in raw.values()):
         return _parse_dataset(directory, raw)   # raises at the first bad file it reaches
-    digest = hashlib.sha256(CACHE_FORMAT)
-    for path, data in raw.items():
-        digest.update(f"{path.name} {-1 if data is None else len(data)}\n".encode())
-        digest.update(data or b"")
-    key = np.frombuffer(digest.digest(), dtype=np.uint8)
+    key = cache_key(*(part for path, data in raw.items()
+                      for part in (f"{path.name} {data is not None}".encode(), data or b"")))
     graph = _cached_graph(directory / CACHE_FILE, key)
     if graph is None:
         graph = _parse_dataset(directory, raw)

@@ -5,7 +5,8 @@ validation probe.
 ``curriculum_inputs`` is the run set-up that train, augment-inspect and
 validate-difficulty share: the subgraphs and their mirror search, which
 finds every pair's best mirror once per dataset and config and keeps every
-pair distance. Both are kept in the dataset directory's ``INPUTS_FILE``.
+pair distance. Both are kept in the dataset directory's ``INPUTS_FILE``,
+under ``util.cache_key``.
 A difficulty's distance threshold is an exact percentile of those, a
 non-decreasing function of the paced difficulty. Each epoch thresholds the
 stored mirrors at its distance into one bool stack of both views, then runs
@@ -48,8 +49,8 @@ from .losses import (SINKHORN_TOL, balance_loss, inter_graph_losses_grouped,
                      intra_graph_losses_batched, per_sample_losses_batched,
                      weighted_total_loss)
 from .sampler import SubgraphSet, sample_all_subgraphs
-from .util import (ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, read_keyed_npz, rng_for,
-                   write_atomic, write_keyed_npz)
+from .util import (ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, cache_key, read_keyed_npz,
+                   rng_for, write_atomic, write_keyed_npz)
 
 CHECKPOINT_VERSION = 1
 # Config keys that older checkpoints echo and TrainConfig no longer has: the
@@ -71,11 +72,6 @@ PROBE_HALVINGS = 40
 ARMIJO_C = 1e-4
 REPORT_COLUMNS = ("epoch", "theta", "gamma", "lambda1", "lambda2", "mean_loss",
                   "active_fraction", "val_accuracy")
-# The first bytes the inputs key hashes: a new layout of the stored tables
-# takes a new tag, so no older cache file can match.
-INPUTS_FORMAT = b"acgcl curriculum inputs 1\n"
-# The package's source files, all of which the inputs key hashes.
-PACKAGE_DIR = Path(__file__).resolve().parent
 # Thread counts that can change the last bits of PageRank and of the
 # distances, so the inputs key holds each one's value.
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -122,17 +118,12 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # ---------------------------------------------------------------------------
 # Batched encoding helpers
 
-def encoded_views(subgraphs: SubgraphSet, ids=slice(None)) -> np.ndarray:
+def encoded_views(adjacency: np.ndarray, ids=slice(None)) -> np.ndarray:
     """(b, k, k) normalized adjacencies of the subgraphs ``ids``, all of them
-    by default: with the feature rows gathered by their parent indices, the
-    constant inputs of the forward pass."""
-    return sym_normalized_adjacency(subgraphs.adjacency[ids])
-
-
-def mirror_views(adjacency: np.ndarray, ids=slice(None)) -> np.ndarray:
-    """(b, k, k) normalized adjacencies of the subgraphs ``ids`` of one bool
-    (n, k, k) mirror view of ``MirrorSearch.adjacencies``; mirror graphs
-    keep the subgraph features."""
+    by default, of one bool (n, k, k) view: ``SubgraphSet.adjacency`` or a
+    mirror view of ``MirrorSearch.adjacencies``. With the feature rows
+    gathered by their parent indices, which every view shares, the constant
+    inputs of the forward pass."""
     return sym_normalized_adjacency(adjacency[ids])
 
 
@@ -146,8 +137,8 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
     for start in range(0, len(subgraphs), EMBED_BLOCK):
         block = subgraphs[start:start + EMBED_BLOCK]
         ids = block.parent_indices
-        h = gcn_forward_batched(params, encoded_views(block), block.node_features[ids.ravel()],
-                                centers_only=True)
+        h = gcn_forward_batched(params, encoded_views(block.adjacency),
+                                block.node_features[ids.ravel()], centers_only=True)
         blocks.append(h.value)
     return np.concatenate(blocks)
 
@@ -314,9 +305,9 @@ def _batch_losses(params: GcnParams, subgraphs: SubgraphSet, mirrors: np.ndarray
     one as it passes it."""
     b, k = len(ids), subgraphs.parent_indices.shape[1]
     feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
-    h = gcn_forward_batched(params, encoded_views(subgraphs, ids), feats, centers_only=False)
-    h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view, ids), feats,
-                                        centers_only=False) for view in mirrors)
+    h, h_pos, h_neg = (gcn_forward_batched(params, encoded_views(view, ids), feats,
+                                           centers_only=False)
+                       for view in (subgraphs.adjacency, *mirrors))
 
     inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, config.xi, k)
 
@@ -409,15 +400,19 @@ def curriculum_inputs(graph: Graph, config: TrainConfig) -> tuple[SubgraphSet, M
 
     Semantics come first, so a graph that cannot supply them fails before
     any sampling. With a ``data_dir``, both are kept in its ``INPUTS_FILE``
-    under ``_inputs_key``: a call whose key matches rebuilds them from the
-    file, with the same bits, and neither samples nor searches. A miss
-    computes them and writes the file, one key per directory; a file that
-    cannot be read is a miss, and one that cannot be written is skipped."""
+    under the ``cache_key`` of the features, edge keys, semantics, subgraph
+    size, teleport and ``THREAD_VARIABLES``: a call whose key matches
+    rebuilds them from the file, with the bits a miss computes, and neither
+    samples nor searches. A miss computes them and writes the file, one key
+    per directory; a file that cannot be read is a miss, and one that cannot
+    be written is skipped."""
     semantics = semantic_assignment(graph, config.semantics, config.degree_buckets)
     cache = key = None
     if config.data_dir:
         cache = Path(config.data_dir) / INPUTS_FILE
-        key = _inputs_key(graph, semantics, config)
+        key = cache_key(graph.features, graph.adjacency, semantics,
+                        repr((config.subgraph_size, config.teleport,
+                              *map(os.environ.get, THREAD_VARIABLES))).encode())
         inputs = _cached_inputs(cache, key, graph, config.subgraph_size)
         if inputs is not None:
             return inputs
@@ -426,29 +421,6 @@ def curriculum_inputs(graph: Graph, config: TrainConfig) -> tuple[SubgraphSet, M
     if cache is not None:
         write_keyed_npz(cache, key, {"parent_indices": subgraphs.parent_indices, **vars(search)})
     return subgraphs, search
-
-
-def _inputs_key(graph: Graph, semantics: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """The sha256 of everything the run set-up reads: ``INPUTS_FORMAT``, the
-    dtype, shape and bytes of the features, the edge keys and the semantics
-    (labels or degree buckets), the subgraph size and teleport, the bytes of
-    every source file in ``PACKAGE_DIR``, numpy's version and each of
-    ``THREAD_VARIABLES``, so that a hit gives the bits a miss computes."""
-    import hashlib      # loading OpenSSL takes ~3 ms; only a run with a data_dir needs it
-    digest = hashlib.sha256(INPUTS_FORMAT)
-    for array in (graph.features, graph.adjacency, semantics):
-        digest.update(f"{array.dtype.str} {array.shape}\n".encode())
-        digest.update(np.ascontiguousarray(array).data)
-    digest.update(f"subgraph_size {config.subgraph_size} teleport {config.teleport!r}\n"
-                  .encode())
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        source = path.read_bytes()
-        digest.update(f"{path.name} {len(source)}\n".encode())
-        digest.update(source)
-    digest.update(f"numpy {np.__version__}\n".encode())
-    for name in THREAD_VARIABLES:
-        digest.update(f"{name} {os.environ.get(name)!r}\n".encode())
-    return np.frombuffer(digest.digest(), dtype=np.uint8)
 
 
 def _cached_inputs(cache: Path, key: np.ndarray, graph: Graph,
@@ -561,10 +533,11 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
         rows = slice(start, start + EMBED_BLOCK)
         block = subgraphs[rows]
         feats = block.node_features[block.parent_indices.ravel()]
-        h = gcn_forward_batched(params, encoded_views(block), feats, centers_only=False)
+        h = gcn_forward_batched(params, encoded_views(block.adjacency), feats,
+                                centers_only=False)
         mirrors = search[rows]
         for out, gamma in zip(losses, gammas):
-            h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
+            h_pos, h_neg = (gcn_forward_batched(params, encoded_views(view), feats,
                                                 centers_only=False)
                             for view in mirrors.adjacencies(gamma))
             out[rows] = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value

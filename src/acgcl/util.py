@@ -1,5 +1,6 @@
 """Seed fan-out, numpy's median and quantile without importing numpy.ma,
-atomic file writes, and the keyed npz files that hold the package's caches.
+atomic file writes, and the keyed npz files that hold the package's caches
+with the one key they are read under.
 
 All randomness in a run flows from one integer seed. Components derive their
 own generators with ``rng_for(seed, role, *indices)`` where ``role`` is one of
@@ -22,6 +23,9 @@ ROLE_SPLITS = 3
 ROLE_BATCH = 5
 ROLE_SHUFFLE = 6
 ROLE_BALANCE = 7
+
+# The package's source files, all of which every cache key hashes.
+PACKAGE_DIR = Path(__file__).resolve().parent
 
 
 def rng_for(seed: int, role: int, *indices: int) -> np.random.Generator:
@@ -68,6 +72,26 @@ def write_atomic(path, content) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def cache_key(*parts) -> np.ndarray:
+    """The (32,) uint8 sha256 of ``parts``, then of the name and bytes of
+    every source file in ``PACKAGE_DIR`` and of numpy's version, so a cache
+    under this key misses once the code changes. A bytes part is framed by
+    its length and an array by its dtype and shape; only the first frame
+    starts with a digit, so no two lists of parts hash the same bytes."""
+    import hashlib      # loading OpenSSL takes ~3 ms; gen-sbm keys no cache
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        parts += (path.name.encode(), path.read_bytes())
+    digest = hashlib.sha256()
+    for part in (*parts, np.__version__.encode()):
+        if isinstance(part, np.ndarray):
+            digest.update(f"{part.dtype.str} {part.shape}\n".encode())
+            part = np.ascontiguousarray(part).data
+        else:
+            digest.update(b"%d\n" % len(part))
+        digest.update(part)
+    return np.frombuffer(digest.digest(), dtype=np.uint8)
 
 
 def write_keyed_npz(path, key: np.ndarray, arrays: dict[str, np.ndarray]) -> None:

@@ -60,8 +60,7 @@ from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
 from acgcl.errors import ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
 from acgcl.sampler import Subgraph, SubgraphSet
-from acgcl.trainer import (encoded_views, evaluate_probe, mirror_views, probe_accuracy,
-                           probe_splits)
+from acgcl.trainer import encoded_views, evaluate_probe, probe_accuracy, probe_splits
 
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, polarity):
@@ -723,14 +722,14 @@ def probe_baselines(graph, subgraphs: SubgraphSet, config) -> dict[str, float]:
 def one_pass_difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
                               theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """``trainer.difficulty_curve`` with all n subgraphs in each forward pass."""
-    a_hat = encoded_views(subgraphs)
+    a_hat = encoded_views(subgraphs.adjacency)
     n, k = a_hat.shape[:2]
     feats = subgraphs.node_features[subgraphs.parent_indices].reshape(n * k, -1)
     h = gcn_forward_batched(params, a_hat, feats, centers_only=False)
     rows = []
     for theta in theta_grid:
         gamma = quantile(search.distances, float(theta))
-        h_pos, h_neg = (gcn_forward_batched(params, mirror_views(view), feats,
+        h_pos, h_neg = (gcn_forward_batched(params, encoded_views(view), feats,
                                             centers_only=False)
                         for view in search.adjacencies(gamma))
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value

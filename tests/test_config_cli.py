@@ -44,6 +44,15 @@ class TestParseConfig:
         assert cfg.subgraph_size == 5
         assert cfg.learning_rate == 0.01
 
+    def test_a_key_set_twice_in_a_file_fails_naming_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 2\n# epochs = 3\nseed = 1\n epochs=5\n")
+        with pytest.raises(ConfigError) as caught:
+            parse_config(path)
+        assert str(caught.value) == f"{path}:4: config key 'epochs' is already set at {path}:1"
+        path.write_text("epochs = 2\n")      # repeated overrides: the last one wins
+        assert parse_config(path, overrides=["epochs=3", "seed=4", "epochs=5"]).epochs == 5
+
     def test_theta0_above_max_rejected_naming_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         for key, value in (("theta0", "60"), ("theta0", "0"), ("ramp_epochs", "0"),

@@ -10,7 +10,7 @@ from acgcl.encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn
                            sym_normalized_adjacency)
 from acgcl.errors import ConfigError, SizeError
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.trainer import encoded_views, load_checkpoint, mirror_views, save_checkpoint
+from acgcl.trainer import encoded_views, load_checkpoint, save_checkpoint
 from conftest import graph_from_edges, random_graph
 from oracles import gcn_forward, scaled_sym_normalized_adjacency
 
@@ -79,9 +79,9 @@ class TestBatchNormalization:
         assert subs.adjacency.dtype == np.bool_
         sem = rng.integers(0, 2, size=20)
         mirrors = mirror_search(subs, sem).adjacencies(0.8)
-        whole = [encoded_views(subs), *(mirror_views(view) for view in mirrors)]
+        whole = [encoded_views(view) for view in (subs.adjacency, *mirrors)]
         for ids in (np.array([0, 3, 4, 11, 19]), np.arange(20)):
-            batch = [encoded_views(subs, ids), *(mirror_views(view, ids) for view in mirrors)]
+            batch = [encoded_views(view, ids) for view in (subs.adjacency, *mirrors)]
             for got, want in zip(batch, whole):
                 assert np.array_equal(got.view(np.uint64), want[ids].view(np.uint64))
 
@@ -198,9 +198,9 @@ class TestEncodeTriple:
         g = random_graph(rng, n=12)
         subs = sample_all_subgraphs(g, k=4, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
-        views = encoded_views(subs)
+        views = encoded_views(subs.adjacency)
         original, positive, negative = self.encode(
-            params, subs, views, *mirror_views(self.identity_adjacencies(subs)))
+            params, subs, views, *encoded_views(self.identity_adjacencies(subs)))
         assert np.array_equal(original, positive)
         assert np.array_equal(original, negative)
 
@@ -208,12 +208,12 @@ class TestEncodeTriple:
         g = random_graph(rng, n=12)
         subs = sample_all_subgraphs(g, k=4, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
-        views = encoded_views(subs)
+        views = encoded_views(subs.adjacency)
         adjacencies = self.identity_adjacencies(subs)
         perturbed = adjacencies.copy()
         perturbed[1, 0, 0, 1] = perturbed[1, 0, 1, 0] = 1.0 - perturbed[1, 0, 0, 1]
-        a = self.encode(params, subs, views, *mirror_views(adjacencies))
-        b = self.encode(params, subs, views, *mirror_views(perturbed))
+        a = self.encode(params, subs, views, *encoded_views(adjacencies))
+        b = self.encode(params, subs, views, *encoded_views(perturbed))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2][4:], b[2][4:])    # other subgraphs' negatives
@@ -223,8 +223,8 @@ class TestEncodeTriple:
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 7, n_layers=1, seed=3)
         sem = np.zeros(10, dtype=np.int64)
-        views = encoded_views(subs)
-        pos, neg = mirror_views(mirror_search(subs, sem).adjacencies(0.5))
+        views = encoded_views(subs.adjacency)
+        pos, neg = encoded_views(mirror_search(subs, sem).adjacencies(0.5))
         for emb in self.encode(params, subs, views, pos, neg):
             assert emb.shape == (10 * 5, 7)
 

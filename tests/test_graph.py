@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl import graph as graph_module
+from acgcl import graph as graph_module, util
 from acgcl.cli import main
 from acgcl.errors import AcgclError, ConfigError, GraphParseError, NodeIdError, ShapeError
 from acgcl.graph import (CACHE_FILE, DATASET_FILES, INPUTS_FILE, Graph, SbmConfig, Splits,
@@ -419,6 +419,18 @@ def no_parse(monkeypatch):
     monkeypatch.setattr(graph_module, "_parse_dataset", parse)
 
 
+def count_parses(monkeypatch) -> list:
+    """The directories that later loads parse, in order."""
+    parses, parse = [], graph_module._parse_dataset
+
+    def counted(directory, raw):
+        parses.append(directory)
+        return parse(directory, raw)
+
+    monkeypatch.setattr(graph_module, "_parse_dataset", counted)
+    return parses
+
+
 def load_error(directory) -> str:
     """The ``ErrorClass: message`` line a failing ``load_dataset`` prints."""
     with pytest.raises((AcgclError, OSError)) as info:
@@ -459,6 +471,26 @@ class TestDatasetCache:
         fresh = tmp_path / "fresh"      # the same bytes, with no cache beside them
         shutil.copytree(data, fresh, ignore=shutil.ignore_patterns(CACHE_FILE))
         assert_same_graph(after, load_dataset(fresh))
+
+    def test_a_changed_source_byte_is_parsed_again(self, tmp_path, monkeypatch):
+        """The key covers the package's code, so a changed parser never gets
+        the graph an older one cached."""
+        copy = tmp_path / "source"
+        copy.mkdir()
+        for path in util.PACKAGE_DIR.glob("*.py"):
+            (copy / path.name).write_bytes(path.read_bytes())
+        monkeypatch.setattr(util, "PACKAGE_DIR", copy)
+        data = saved_dataset(tmp_path / "data")
+        cold = load_dataset(data)
+        parses = count_parses(monkeypatch)
+        assert_same_graph(load_dataset(data), cold)
+        assert parses == []
+        source = copy / "graph.py"
+        source.write_bytes(source.read_bytes().replace(b"#", b"%", 1))
+        assert_same_graph(load_dataset(data), cold)
+        assert parses == [data]
+        assert_same_graph(load_dataset(data), cold)
+        assert parses == [data]
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "mistyped", "missing",
                                         "unknown", "pickled", "bad-graph"])

@@ -18,7 +18,7 @@ from acgcl.graph import (INPUTS_FILE, Graph, SbmConfig, Splits, generate_sbm, ma
                          with_splits)
 from acgcl.sampler import sample_all_subgraphs
 from acgcl.losses import balance_loss, inter_graph_losses_grouped
-from acgcl import autodiff as ad, trainer
+from acgcl import autodiff as ad, trainer, util
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
                            fit_probe, init_optimizer, load_checkpoint,
@@ -534,7 +534,7 @@ class TestDifficultyCurve:
         grid = [0.0, 15.0, 30.0, 50.0, 80.0, 100.0]
         curve = difficulty_curve(params, subs, search, grid, xi=0.5)
 
-        views = encoded_views(subs)
+        views = encoded_views(subs.adjacency)
         feats = subs.node_features[subs.parent_indices].reshape(len(subs) * 6, -1)
         h = gcn_forward_batched(params, views, feats, centers_only=False)
         for theta, (got_theta, mean, std) in zip(grid, curve):
@@ -563,7 +563,7 @@ class TestCenterEmbeddings:
         cfg = small_config()
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 2, 0)
-        views = encoded_views(subs)
+        views = encoded_views(subs.adjacency)
         k = cfg.subgraph_size
         ids = np.arange(len(subs))
         feats = subs.node_features[subs.parent_indices][ids].reshape(len(ids) * k, -1)
@@ -719,9 +719,9 @@ class TestInputsCache:
         """Point the key's source digest at a copy of the package."""
         copy = tmp_path / "source"
         copy.mkdir()
-        for path in trainer.PACKAGE_DIR.glob("*.py"):
+        for path in util.PACKAGE_DIR.glob("*.py"):
             (copy / path.name).write_bytes(path.read_bytes())
-        monkeypatch.setattr(trainer, "PACKAGE_DIR", copy)
+        monkeypatch.setattr(util, "PACKAGE_DIR", copy)
 
     def test_warm_inputs_equal_cold_inputs(self, tmp_path, monkeypatch):
         graph, config = small_graph(), small_config(data_dir=str(tmp_path))

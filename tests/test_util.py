@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acgcl.util import linear_quantile, median, rng_for
+from acgcl.util import cache_key, linear_quantile, median, rng_for
 
 
 def test_rng_for_deterministic_and_role_separated():
@@ -11,6 +11,23 @@ def test_rng_for_deterministic_and_role_separated():
     c = rng_for(7, 2, 3).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_cache_key_frames_each_part():
+    """Moving a byte across a part boundary, swapping two parts or reading
+    an array as another dtype or shape changes the key; equal parts give
+    equal keys, whatever an array's memory layout."""
+    key = cache_key(b"ab", b"cd")
+    assert key.dtype == np.uint8 and key.shape == (32,)
+    assert np.array_equal(cache_key(b"ab", b"cd"), key)
+    for parts in [(b"a", b"bcd"), (b"abc", b"d"), (b"cd", b"ab"), (b"abcd",), (b"ab", b"cd", b"")]:
+        assert not np.array_equal(cache_key(*parts), key)
+    array = np.arange(6, dtype=np.int64)
+    keys = [cache_key(array), cache_key(array.reshape(2, 3)), cache_key(array.view(np.uint64)),
+            cache_key(array.tobytes()), cache_key(array[:3], array[3:]),
+            cache_key(array[3:], array[:3])]
+    assert len({k.tobytes() for k in keys}) == len(keys)
+    assert np.array_equal(cache_key(array[::2]), cache_key(np.array([0, 2, 4])))
 
 
 # Few distinct values, signed zeros among them, so that ties are common.
