@@ -2,8 +2,8 @@
 
 from .augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from .config import TrainConfig, parse_config
-from .curriculum import (AclThresholds, SampleWeights, decay_thresholds, open_window,
-                         pacing_difficulty)
+from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
+                         weight_fields, weights_for_mode)
 from .encoder import GcnParams, init_gcn_params
 from .graph import (Graph, SbmConfig, Splits, generate_sbm, load_dataset, make_splits,
                     save_dataset)

@@ -13,6 +13,9 @@ Reweighting modes, all closed forms over the current per-sample losses:
   (easy samples keep a reduced weight), 0 at or above lambda1.
 * ``uniform``  : w = 1 everywhere.
 
+``weights_for_mode`` returns the weights as one float64 array, and
+``weight_fields`` turns it into a step record's four weight keys.
+
 The admission window opens on an epoch's first-step losses at the median
 (lambda1) and 0.95x the minimum (lambda2), then widens every step: lambda1
 grows by eta1 > 1 and lambda2 shrinks by eta2 < 1, so the set of admitted
@@ -56,22 +59,6 @@ class AclThresholds:
             raise ConfigError(f"thresholds: lambda2 ({self.lambda2}) must be < lambda1 ({self.lambda1})")
 
 
-@dataclass(frozen=True)
-class SampleWeights:
-    values: np.ndarray      # each in [0, 1]
-
-    def active_fraction(self) -> float:
-        return float(np.mean(self.values > 0)) if self.values.size else 0.0
-
-    def histogram(self) -> dict[str, float]:
-        """Fractions of zero, strictly fractional, and full weights."""
-        v = self.values
-        n = max(1, v.size)
-        zero = float(np.sum(v == 0.0)) / n
-        one = float(np.sum(v == 1.0)) / n
-        return {"zero": zero, "fractional": 1.0 - zero - one, "one": one}
-
-
 def open_window(first_step_losses, mode: str) -> AclThresholds | None:
     """The epoch's admission window: lambda1 = median of the first step's
     losses, lambda2 = 0.95 * their minimum. None, which weighs uniformly, in
@@ -92,31 +79,42 @@ def window_fields(window: AclThresholds | None) -> dict:
             "lambda2": window.lambda2 if window else None}
 
 
+def weight_fields(weights: np.ndarray) -> dict:
+    """The weight fields of a step record: the share of positive weights (0
+    for none), then the shares of zero, strictly fractional and full ones."""
+    n = max(1, weights.size)
+    zero, one = (float(np.sum(weights == value)) / n for value in (0.0, 1.0))
+    return {"active_fraction": float(np.mean(weights > 0)) if weights.size else 0.0,
+            "weight_zero_frac": zero, "weight_fractional_frac": 1.0 - zero - one,
+            "weight_one_frac": one}
+
+
 def decay_thresholds(thresholds: AclThresholds, eta1: float, eta2: float) -> AclThresholds:
     """Widen the admission window one step: lambda1 * eta1, lambda2 * eta2."""
     return AclThresholds(lambda1=thresholds.lambda1 * eta1, lambda2=thresholds.lambda2 * eta2)
 
 
-def weights_for_mode(mode: str, losses, thresholds: AclThresholds | None) -> SampleWeights:
-    """The closed-form weights of ``mode`` (module docstring) over the losses;
-    every mode but ``uniform`` needs thresholds, and ``spl`` reads lambda1."""
+def weights_for_mode(mode: str, losses, thresholds: AclThresholds | None) -> np.ndarray:
+    """The float64 (n,) closed-form weights of ``mode`` (module docstring)
+    over the n losses; every mode but ``uniform`` needs thresholds, and
+    ``spl`` reads lambda1."""
     losses = np.asarray(losses, dtype=np.float64)
     if mode == "uniform":
-        return SampleWeights(values=np.ones(losses.size))
+        return np.ones(losses.size)
     if thresholds is None:
         raise ConfigError(f"acl_mode: mode {mode!r} needs thresholds")
     lambda1, lambda2 = thresholds.lambda1, thresholds.lambda2
     if mode == "spl":
         if lambda1 <= 0:
             raise ConfigError("spl threshold: must be positive")
-        return SampleWeights(values=(losses < lambda1).astype(np.float64))
+        return (losses < lambda1).astype(np.float64)
     if mode == "hard_acl":
-        return SampleWeights(values=((lambda2 < losses) & (losses < lambda1)).astype(np.float64))
+        return ((lambda2 < losses) & (losses < lambda1)).astype(np.float64)
     if mode == "soft_acl":
         if lambda2 <= 0:
             raise ConfigError("thresholds: soft mode needs lambda2 > 0")
-        values = ((lambda2 <= losses) & (losses < lambda1)).astype(np.float64)
+        weights = ((lambda2 <= losses) & (losses < lambda1)).astype(np.float64)
         easy = losses < lambda2
-        values[easy] = losses[easy] / lambda2
-        return SampleWeights(values=values)
+        weights[easy] = losses[easy] / lambda2
+        return weights
     raise ConfigError(f"acl_mode: unknown mode {mode!r}, expected one of {MODES}")

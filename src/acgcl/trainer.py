@@ -39,7 +39,7 @@ from . import autodiff as ad
 from .augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from .config import TrainConfig
 from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
-                         weights_for_mode, window_fields)
+                         weight_fields, weights_for_mode, window_fields)
 from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
                       sym_normalized_adjacency)
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
@@ -360,8 +360,8 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     if step == 0:
         window = open_window(detached, config.acl_mode)
     mode = config.acl_mode if window is not None else "uniform"
-    weights = weights_for_mode(mode, detached, window)
-    total = weighted_total_loss(sample_losses, weights.values)
+    w = weights_for_mode(mode, detached, window)
+    total = weighted_total_loss(sample_losses, w)
     if not np.isfinite(total.value):
         raise TrainingDiverged(f"non-finite weighted loss in batch {ids.tolist()}")
 
@@ -371,8 +371,6 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     for tensor, value in zip(tensors, new_values):
         tensor.value = value
 
-    hist = weights.histogram()
-    w = weights.values
     return {
         **window_fields(window),
         "mean_sample_loss": float(detached.mean()),
@@ -383,10 +381,7 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
         "balance_loss": float(l_bal.value),
         "mean_intra": float(intra_vec.value.mean()),
         "mean_inter": float(inter_vec.value.mean()),
-        "active_fraction": weights.active_fraction(),
-        "weight_zero_frac": hist["zero"],
-        "weight_fractional_frac": hist["fractional"],
-        "weight_one_frac": hist["one"],
+        **weight_fields(w),
         "sinkhorn_iters": max(s.iters for s in solves),
         "sinkhorn_marginal_err": max(s.marginal_err for s in solves),
         "sinkhorn_converged": all(s.converged for s in solves),

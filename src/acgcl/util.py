@@ -33,11 +33,14 @@ def rng_for(seed: int, role: int, *indices: int) -> np.random.Generator:
 
 
 def median(values: np.ndarray) -> float:
-    """``np.median(values)``: the same partition and mean, so the same bits."""
+    """``np.median(values)``, with the same bits from one select at n // 2:
+    below it lies the lower middle value of an even n, and NaN is the max."""
     n = values.size
-    part = np.partition(values, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1],
-                        axis=None)
-    return np.nan if np.isnan(part[-1]) else float(part[(n - 1) // 2:n // 2 + 1].mean())
+    part = np.partition(values, n // 2, axis=None)
+    if np.isnan(part.max()):
+        return np.nan
+    middle = part[n // 2:n // 2 + 1] if n % 2 else np.array([part[:n // 2].max(), part[n // 2]])
+    return float(middle.mean())
 
 
 def linear_quantile(values: np.ndarray, q):

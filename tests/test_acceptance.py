@@ -15,16 +15,18 @@ import numpy as np
 import pytest
 
 from acgcl import autodiff as ad
+from acgcl import trainer
 from acgcl.augment import mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
-from acgcl.curriculum import AclThresholds, weights_for_mode
+from acgcl.curriculum import AclThresholds, open_window, weights_for_mode
 from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
 from acgcl.graph import INPUTS_FILE, SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
 from acgcl.trainer import (curriculum_inputs, difficulty_curve, evaluate_probe, probe_accuracy,
-                           train)
+                           run_inner_step, train)
+from acgcl.util import ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, rng_for
 from conftest import random_graph, run_python
 from oracles import (acl_oracle_weights, directional_grad_check, exact_w1_1d,
                      power_iteration_ppr, probe_baselines, spearman)
@@ -95,8 +97,8 @@ def test_criterion_1_acl_closed_forms_match_oracle():
         lam2 = float(rng.uniform(0.05, 1.0))
         lam1 = lam2 + float(rng.uniform(0.05, 2.0))
         thresholds = AclThresholds(lambda1=lam1, lambda2=lam2)
-        hard = weights_for_mode("hard_acl", losses, thresholds).values
-        soft = weights_for_mode("soft_acl", losses, thresholds).values
+        hard = weights_for_mode("hard_acl", losses, thresholds)
+        soft = weights_for_mode("soft_acl", losses, thresholds)
         worst = max(worst,
                     np.abs(hard - acl_oracle_weights(losses, lam1, lam2, "hard")).max(),
                     np.abs(soft - acl_oracle_weights(losses, lam1, lam2, "soft")).max())
@@ -114,11 +116,11 @@ def test_criterion_2_weight_monotonicity():
         thresholds = AclThresholds(lambda1=lam1, lambda2=lam2)
         lo, hi = np.sort(rng.uniform(lam2, lam1 + 2.0, size=2))
         for mode in ("hard_acl", "soft_acl"):
-            w = weights_for_mode(mode, np.array([lo, hi]), thresholds).values
+            w = weights_for_mode(mode, np.array([lo, hi]), thresholds)
             if w[1] > w[0] + 1e-12:
                 failures += 1
         easy = float(rng.uniform(0.0, lam2))
-        w_easy = weights_for_mode("soft_acl", np.array([easy]), thresholds).values[0]
+        w_easy = weights_for_mode("soft_acl", np.array([easy]), thresholds)[0]
         if abs(w_easy - easy / lam2) > 1e-12:
             failures += 1
     report("2 weight-monotonicity", failures == 0, f"{failures} violations in 10000 triples")
@@ -332,6 +334,61 @@ def test_curriculum_modes_report(tmp_path):
         for mode in modes)
     print(f"\nREPORT curriculum-modes: {shares}; byte-identical metrics.jsonl: "
           f"{' '.join(same) or 'none'}")
+
+
+def test_balance_term_report(monkeypatch):
+    """Reports, and does not gate, how much each weighted term of the step
+    objective moves the encoder on the criterion 7-9 graph (seed 0, 3 epochs
+    of 10 steps): the gradient norms of sum(w * l_intra), beta * sum(w *
+    l_inter) and alpha * mean(w) * balance at step 0 of epochs 0 and 2, and
+    the test accuracy at alpha 0, 1 and b, where the balance counts once per
+    sample. Each norm comes from its own forward pass on the step's
+    ``rng_for`` streams, because a swept tape cannot be swept again. Only
+    the norms are checked: each finite."""
+    graph = experiment_graph(0)
+    config = dataclasses.replace(experiment_config(0), epochs=3)
+    inputs = curriculum_inputs(graph, config)
+    norms = {}
+
+    def step_losses(params, subgraphs, mirrors, epoch, config):
+        """A fresh forward pass of step 0 of ``epoch``, as ``run_inner_step`` draws it."""
+        batch_rng, *rngs = (rng_for(config.seed, role, epoch, 0)
+                            for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
+        n = len(subgraphs)
+        ids = np.sort(batch_rng.choice(n, size=min(config.batch_size, n), replace=False))
+        return trainer._batch_losses(params, subgraphs, mirrors, ids, *rngs, config)
+
+    def spy(params, opt, subgraphs, mirrors, epoch, step, config, window):
+        if step == 0 and epoch in (0, 2):
+            sample_losses, intra, *_ = step_losses(params, subgraphs, mirrors, epoch, config)
+            losses = sample_losses.value
+            window0 = open_window(losses, config.acl_mode)
+            w = weights_for_mode(config.acl_mode if window0 else "uniform", losses, window0)
+            inter = step_losses(params, subgraphs, mirrors, epoch, config)[2]
+            l_bal = step_losses(params, subgraphs, mirrors, epoch, config)[3]
+            terms = {"intra": weighted_total_loss(intra, w),
+                     "inter": ad.scale(weighted_total_loss(inter, w), config.beta),
+                     "balance": ad.scale(l_bal, config.alpha * w.mean())}
+            norms[epoch] = {name: float(np.sqrt(sum(np.sum(g ** 2) for g in ad.gradients(
+                term, params.all_parameters())))) for name, term in terms.items()}
+        return run_inner_step(params, opt, subgraphs, mirrors, epoch, step, config, window)
+
+    b = min(config.batch_size, graph.n_nodes)
+    accuracy = {}
+    for alpha in (0.0, 1.0, float(b)):
+        with monkeypatch.context() as patch:
+            if alpha == 1.0:
+                patch.setattr(trainer, "run_inner_step", spy)
+            params, _ = train(graph, dataclasses.replace(config, alpha=alpha), inputs=inputs)
+        accuracy[alpha] = probe_accuracy(params, inputs[0], graph, config)["test"]
+    assert sorted(norms) == [0, 2]
+    assert all(np.isfinite(list(by_term.values())).all() for by_term in norms.values()), norms
+    grads = "; ".join(
+        f"epoch {epoch} " + " ".join(f"{name} {norm:.3g}" for name, norm in by_term.items())
+        + f" (balance {by_term['balance'] / sum(by_term.values()):.2%} of the sum)"
+        for epoch, by_term in norms.items())
+    accs = ", ".join(f"alpha {alpha:g} {acc:.3f}" for alpha, acc in accuracy.items())
+    print(f"\nREPORT balance-term: grad norms {grads}; test accuracy {accs}")
 
 
 def test_criterion_10_determinism():

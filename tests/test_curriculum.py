@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl.config import TrainConfig
-from acgcl.curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
-                              weights_for_mode)
+from acgcl.curriculum import (MODES, AclThresholds, decay_thresholds, open_window,
+                              pacing_difficulty, weight_fields, weights_for_mode)
 from acgcl.errors import ConfigError, SizeError
 from oracles import acl_oracle_weights
 
@@ -40,39 +40,39 @@ class TestPacing:
 
 class TestSplWeights:
     def test_threshold_split(self):
-        assert spl([0.1, 0.9], 0.5).values.tolist() == [1.0, 0.0]
+        assert spl([0.1, 0.9], 0.5).tolist() == [1.0, 0.0]
 
     def test_huge_threshold_all_ones(self, rng):
         losses = rng.random(20)
-        assert spl(losses, 1e9).values.sum() == 20
+        assert spl(losses, 1e9).sum() == 20
 
     def test_boundary_is_strict(self):
-        assert spl([0.5], 0.5).values.tolist() == [0.0]
+        assert spl([0.5], 0.5).tolist() == [0.0]
 
 
 class TestHardAcl:
     def test_interior(self):
-        assert weights_for_mode("hard_acl", [0.5], WINDOW).values.tolist() == [1.0]
+        assert weights_for_mode("hard_acl", [0.5], WINDOW).tolist() == [1.0]
 
     def test_exterior(self):
-        assert weights_for_mode("hard_acl", [0.05, 1.5], WINDOW).values.tolist() == [0.0, 0.0]
+        assert weights_for_mode("hard_acl", [0.05, 1.5], WINDOW).tolist() == [0.0, 0.0]
 
     def test_lower_boundary_strict(self):
-        assert weights_for_mode("hard_acl", [0.1], WINDOW).values.tolist() == [0.0]
+        assert weights_for_mode("hard_acl", [0.1], WINDOW).tolist() == [0.0]
 
     def test_upper_boundary_strict(self):
-        assert weights_for_mode("hard_acl", [1.0], WINDOW).values.tolist() == [0.0]
+        assert weights_for_mode("hard_acl", [1.0], WINDOW).tolist() == [0.0]
 
 
 class TestSoftAcl:
     def test_easy_branch_scales(self):
-        assert weights_for_mode("soft_acl", [0.05], WINDOW).values.tolist() == [pytest.approx(0.5)]
+        assert weights_for_mode("soft_acl", [0.05], WINDOW).tolist() == [pytest.approx(0.5)]
 
     def test_lower_boundary_inclusive(self):
-        assert weights_for_mode("soft_acl", [0.1], WINDOW).values.tolist() == [1.0]
+        assert weights_for_mode("soft_acl", [0.1], WINDOW).tolist() == [1.0]
 
     def test_upper_branch_zero(self):
-        assert weights_for_mode("soft_acl", [1.0, 5.0], WINDOW).values.tolist() == [0.0, 0.0]
+        assert weights_for_mode("soft_acl", [1.0, 5.0], WINDOW).tolist() == [0.0, 0.0]
 
     def test_needs_positive_lambda2(self):
         thr = AclThresholds(lambda1=1.0, lambda2=0.0)
@@ -90,8 +90,8 @@ class TestOracleEquivalence:
         lam2 = float(r.uniform(0.05, 1.0))
         lam1 = lam2 + float(r.uniform(0.05, 2.0))
         thr = AclThresholds(lambda1=lam1, lambda2=lam2)
-        hard = weights_for_mode("hard_acl", losses, thr).values
-        soft = weights_for_mode("soft_acl", losses, thr).values
+        hard = weights_for_mode("hard_acl", losses, thr)
+        soft = weights_for_mode("soft_acl", losses, thr)
         assert np.abs(hard - acl_oracle_weights(losses, lam1, lam2, "hard")).max() <= 1e-3
         assert np.abs(soft - acl_oracle_weights(losses, lam1, lam2, "soft")).max() <= 1e-3
 
@@ -106,10 +106,10 @@ class TestMonotonicity:
         thr = AclThresholds(lambda1=lam1, lambda2=lam2)
         above = np.sort(r.uniform(lam2, lam1 + 3.0, size=8))
         for mode in ("hard_acl", "soft_acl"):
-            w = weights_for_mode(mode, above, thr).values
+            w = weights_for_mode(mode, above, thr)
             assert (np.diff(w) <= 1e-12).all()
         below = np.sort(r.uniform(0.0, lam2, size=8))
-        w = weights_for_mode("soft_acl", below, thr).values
+        w = weights_for_mode("soft_acl", below, thr)
         assert np.allclose(w, below / lam2)
         assert (np.diff(w) >= -1e-12).all()
 
@@ -117,11 +117,12 @@ class TestMonotonicity:
     @given(st.integers(0, 2 ** 31 - 1))
     def test_weights_unit_interval(self, seed):
         r = np.random.default_rng(seed)
-        losses = r.uniform(0, 5, size=10)
+        losses = r.uniform(0, 5, size=int(r.integers(0, 12))).tolist()
         thr = AclThresholds(lambda1=2.0, lambda2=0.5)
-        for mode in ("uniform", "spl", "hard_acl", "soft_acl"):
-            values = weights_for_mode(mode, losses, thr).values
-            assert (values >= 0).all() and (values <= 1).all()
+        for mode in MODES:
+            w = weights_for_mode(mode, losses, thr)
+            assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (len(losses),)
+            assert (w >= 0).all() and (w <= 1).all()
 
 
 class TestThresholds:
@@ -187,8 +188,8 @@ class TestThresholds:
         thr = AclThresholds(lambda1=float(r.uniform(0.5, 2.0)), lambda2=float(r.uniform(0.01, 0.4)))
         wider = decay_thresholds(thr, TrainConfig.eta1, TrainConfig.eta2)
         for mode in ("hard_acl", "soft_acl"):
-            before = weights_for_mode(mode, losses, thr).values > 0
-            after = weights_for_mode(mode, losses, wider).values > 0
+            before = weights_for_mode(mode, losses, thr) > 0
+            after = weights_for_mode(mode, losses, wider) > 0
             assert (after | ~before).all()   # active set only grows
 
     def test_order_enforced(self):
@@ -201,13 +202,12 @@ class TestSplDegeneration:
         losses = rng.uniform(0.01, 2.0, size=30)
         lam = 0.8
         thr = AclThresholds(lambda1=lam, lambda2=1e-12)
-        assert np.array_equal(weights_for_mode("hard_acl", losses, thr).values,
-                              spl(losses, lam).values)
+        assert np.array_equal(weights_for_mode("hard_acl", losses, thr), spl(losses, lam))
 
 
 class TestModeDispatch:
     def test_uniform(self):
-        assert weights_for_mode("uniform", [1.0, 2.0], None).values.tolist() == [1.0, 1.0]
+        assert weights_for_mode("uniform", [1.0, 2.0], None).tolist() == [1.0, 1.0]
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -221,3 +221,38 @@ class TestModeDispatch:
         thr = AclThresholds(lambda1=0.0, lambda2=-1.0)
         with pytest.raises(ConfigError, match="^spl threshold: must be positive$"):
             weights_for_mode("spl", [0.5], thr)
+
+
+class TestWeightFields:
+    @staticmethod
+    def expected(w):
+        """The four record fields as the step wrote them before the weights
+        were a bare array: the active share, then the zero / fractional /
+        one histogram."""
+        n = max(1, w.size)
+        zero, one = float(np.sum(w == 0.0)) / n, float(np.sum(w == 1.0)) / n
+        return [("active_fraction", float(np.mean(w > 0)) if w.size else 0.0),
+                ("weight_zero_frac", zero), ("weight_fractional_frac", 1.0 - zero - one),
+                ("weight_one_frac", one)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_same_bits_in_record_order(self, seed):
+        r = np.random.default_rng(seed)
+        losses = r.uniform(0, 3, size=int(r.integers(1, 40)))
+        thr = AclThresholds(lambda1=float(r.uniform(1.0, 2.0)), lambda2=float(r.uniform(0.1, 0.9)))
+        for w in [weights_for_mode(mode, losses, thr) for mode in MODES] + [r.random(7)]:
+            got = list(weight_fields(w).items())
+            assert [k for k, _ in got] == [k for k, _ in self.expected(w)]
+            assert all(type(v) is float for _, v in got)
+            assert np.array([v for _, v in got]).tobytes() == \
+                np.array([v for _, v in self.expected(w)]).tobytes()
+
+    @pytest.mark.parametrize("w, fields", [
+        (np.zeros(0), [0.0, 0.0, 1.0, 0.0]),
+        (np.zeros(4), [0.0, 1.0, 0.0, 0.0]),
+        (np.ones(3), [1.0, 0.0, 0.0, 1.0]),
+        (np.array([0.0, 0.5, 1.0, 1.0]), [0.75, 0.25, 0.25, 0.5]),
+    ])
+    def test_edge_weights(self, w, fields):
+        assert list(weight_fields(w).values()) == fields == [v for _, v in self.expected(w)]

@@ -354,7 +354,7 @@ class TestWeightedTotal:
         from acgcl.curriculum import AclThresholds, weights_for_mode
         losses = np.array([0.05, 0.5, 2.0])
         weights = weights_for_mode("soft_acl", losses, AclThresholds(lambda1=1.0, lambda2=0.1))
-        got = weighted_total_loss(ad.Tensor(losses), weights.values).item()
+        got = weighted_total_loss(ad.Tensor(losses), weights).item()
         assert got == pytest.approx(0.5 * 0.05 + 1.0 * 0.5 + 0.0 * 2.0)
 
     def test_length_mismatch(self):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +52,18 @@ def test_median_is_bit_identical_to_numpy(values):
     assert same_bits(np.float64(median(values)), np.float64(np.median(values)))
     if values.size % 2 == 1 and values.size > 1:     # odd and even sizes both
         assert same_bits(np.float64(median(values[1:])), np.float64(np.median(values[1:])))
+
+
+@pytest.mark.parametrize("values", [
+    [2.0], [3.0, -1.0], [1.0, 3.0, 2.0], [4.0, 1.0, 3.0, 2.0], [-0.0, 0.0], [0.0, -0.0, 0.0, -0.0],
+    [np.inf, 1.0], [-np.inf, 1.0, 2.0], [np.inf, -np.inf], [np.inf, np.inf, -np.inf],
+    [np.nan], [1.0, np.nan], [np.nan, 2.0, 1.0], [np.inf, np.nan, -np.inf, 0.0]])
+def test_median_of_small_infinite_and_nan_arrays_is_bit_identical(values):
+    """Sizes 1 and 2, odd and even sizes, signed zeros, infinities and NaN;
+    the mean of two opposite infinities is NaN, which numpy warns of."""
+    values = np.array(values)
+    with np.errstate(invalid="ignore"):
+        assert same_bits(np.float64(median(values)), np.float64(np.median(values)))
 
 
 def test_median_of_a_matrix_and_with_nan():
