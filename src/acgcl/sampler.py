@@ -11,19 +11,22 @@ where its first-half recursion meets blocks that still hold only the graph's
 entries it multiplies by them entry by entry, and it forms each symmetric
 product's lower block triangle only: about 4/7 n^3 flops against 4/3 n^3
 for four GEMMs a level, with no temporary of more than (n / 2 + 64)^2 entries.
+The inverse is scaled to S and clamped at zero RANK_BLOCK_ROWS rows at a time.
 
 Each node gets a subgraph of exactly ``k`` nodes: the node itself first, then
-the k-1 best-scoring nodes of its score row, ties by ascending id. Scores that
-agree to TIE_RTOL of the row maximum are ties, so that rounding error in the
-inverse cannot reorder nodes that score the same in exact arithmetic. Rows are
-ranked together in blocks of RANK_BLOCK_ROWS. When fewer than k nodes are
-reachable the index list is padded by repeating the center, so every subgraph
-costs O(k^2) downstream regardless of graph shape. All n subgraphs are one
-``SubgraphSet`` of (n, k) ids and (n, k, k) bool induced adjacencies, k^2
-bytes per subgraph, filled RANK_BLOCK_ROWS subgraphs at a time into one
-preallocated array from a table of one bit per adjacency entry; its readers
-gather feature rows by parent id from the graph's own matrix. An int index
-of the set gives one node's ``Subgraph``.
+the k-1 best-scoring nodes of its score row, ties by ascending id. Scores are
+rounded to multiples of TIE_RTOL of the row maximum and scores that round
+alike tie, so that rounding error in the inverse cannot reorder nodes that
+score the same in exact arithmetic. Rows are ranked RANK_BLOCK_ROWS at a time:
+one partition of the raw scores, then a sort of the few rounded scores near or
+above each row's k-th largest. When fewer than k nodes are reachable the index
+list is padded by repeating the center, so every subgraph costs O(k^2)
+downstream regardless of graph shape. All n subgraphs are one ``SubgraphSet``
+of (n, k) ids and (n, k, k) bool induced adjacencies, k^2 bytes per subgraph,
+filled RANK_BLOCK_ROWS subgraphs at a time into one preallocated array from a
+table of one bit per adjacency entry; its readers gather feature rows by
+parent id from the graph's own matrix. An int index of the set gives one
+node's ``Subgraph``.
 """
 
 from __future__ import annotations
@@ -37,11 +40,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, SizeError
 from .graph import Graph
 
-RANK_BLOCK_ROWS = 256
+RANK_BLOCK_ROWS = 64
 REACH_RTOL = 1e-12        # scores at or below this share of the row maximum are unreachable
-# Scores are ranked after rounding to multiples of this share of the row
-# maximum, so that scores equal up to rounding error tie and rank by id.
-TIE_RTOL = 1e-12
+TIE_RTOL = 1e-12          # ranking rounds scores to multiples of this share of the row maximum
 INVERSE_LEAF = 128        # blocks of at most this many rows are inverted directly
 INVERSE_ALIGN = 64        # a split's first half is a multiple of this many rows
 PRODUCT_LEAF = 256        # symmetric products form blocks of at most this many rows whole
@@ -107,9 +108,12 @@ def compute_ppr_scores(graph: Graph, teleport: float) -> np.ndarray:
     b[np.diag_indices(n)] += 1.0
     upper = rows < cols
     _invert_in_place(b, (rows[upper], cols[upper], entries[upper]))
-    b *= (teleport * root)[:, None]
-    b *= inv_root
-    np.maximum(b, 0.0, out=b)                   # clear rounding noise below zero
+    scale = teleport * root
+    for start in range(0, n, RANK_BLOCK_ROWS):  # a block stays in cache for all three
+        block = b[start:start + RANK_BLOCK_ROWS]
+        block *= scale[start:start + RANK_BLOCK_ROWS, None]
+        block *= inv_root
+        np.maximum(block, 0.0, out=block)       # clear rounding noise below zero
     isolated = np.flatnonzero(degree == 0)
     b[isolated, isolated] = teleport
     return b
@@ -217,6 +221,12 @@ def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
     of score row i, descending, ties by ascending id. Scores tie when they
     round to the same multiple of TIE_RTOL of the row maximum.
 
+    A partition of a block's raw scores, centers at +inf, finds each row's
+    k-th largest, ``cut``. Rounding is monotone, and a score over two
+    multiples below ``cut`` rounds below it (quotients stay below 1e12, so
+    division errs by under 2e-4 of a multiple), so only the centers and the
+    scores above that are rounded and sorted.
+
     Nodes scoring at or below REACH_RTOL of the row maximum are unreachable;
     their slots, and the slots past n when k > n, hold the center instead.
     """
@@ -227,36 +237,25 @@ def top_k_indices(matrix: np.ndarray, k: int) -> np.ndarray:
     out = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, RANK_BLOCK_ROWS):
         block = matrix[start:start + RANK_BLOCK_ROWS]
-        centers = np.arange(start, start + len(block))
+        rows = np.arange(len(block))
+        centers = rows + start
         top = block.max(axis=1, keepdims=True)
-        negated = block / np.where(top > 0, top * -TIE_RTOL, -1.0)   # a zero row: all tie
-        np.rint(negated, out=negated)
-        negated[np.arange(len(block)), centers] = -np.inf    # the center ranks first
-        ranked = _smallest_first(negated, width)
-        cutoff = top * REACH_RTOL
-        reachable = np.take_along_axis(block, ranked, axis=1) > cutoff
-        rows = out[start:start + len(block)]
-        rows[:, :width] = np.where(reachable, ranked, centers[:, None])
-        rows[:, width:] = centers[:, None]
+        unit = np.where(top > 0, top * -TIE_RTOL, -1.0)     # a zero row: all tie
+        raw = block.copy()
+        raw[rows, centers] = np.inf                         # the center is always kept
+        raw.partition(n - width, axis=1)
+        candidates = block >= raw[:, n - width, None] + 2.0 * unit
+        candidates[rows, centers] = True
+        row, col = np.divmod(np.flatnonzero(candidates), n)
+        rounded = np.rint(block[row, col] / unit[row, 0])
+        rounded[col == centers[row]] = -np.inf              # and ranks first
+        first = np.searchsorted(row, rows)                  # each row's first candidate
+        ranked = col[np.lexsort((col, rounded, row))][first[:, None] + np.arange(width)]
+        reachable = np.take_along_axis(block, ranked, axis=1) > top * REACH_RTOL
+        ids = out[start:start + len(block)]
+        ids[:, :width] = np.where(reachable, ranked, centers[:, None])
+        ids[:, width:] = centers[:, None]
     return out
-
-
-def _smallest_first(rows: np.ndarray, width: int) -> np.ndarray:
-    """Column ids of each row's ``width`` smallest entries, ascending, ties by
-    ascending id: the first ``width`` columns of a stable argsort.
-
-    A partition finds the kept set. Rows with more than ``width`` entries at
-    or below their width-th value have ties across the cut, so they alone
-    take the full stable sort.
-    """
-    kept = np.argpartition(rows, width - 1, axis=1)[:, :width]
-    kept.sort(axis=1)                      # ascending ids break value ties
-    values = np.take_along_axis(rows, kept, axis=1)
-    ranked = np.take_along_axis(kept, np.argsort(values, axis=1, kind="stable"), axis=1)
-    tied = np.count_nonzero(rows <= values.max(axis=1, keepdims=True), axis=1) > width
-    if tied.any():
-        ranked[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :width]
-    return ranked
 
 
 _BITS = (1 << np.arange(8)).astype(np.uint8)

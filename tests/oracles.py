@@ -2,7 +2,7 @@
 
 Most of what is here is deliberately naive (python loops, exhaustive
 enumeration, grids) and shares no code with the production paths it checks.
-Two groups share some:
+Three groups share some:
 
 * the per-pair mirror oracles and ``chunked_mirror_search`` (the O(k^4)
   sweep the separable scan replaced) take the distance matrix from the
@@ -14,7 +14,9 @@ Two groups share some:
   ``per_sample_loss``) handle one subgraph, one center or one sample at a
   time. They are built from ``acgcl.autodiff`` operations, so their gradients
   can be checked too, and ``gcn_forward`` normalizes with
-  ``acgcl.encoder.sym_normalized_adjacency``.
+  ``acgcl.encoder.sym_normalized_adjacency``;
+* ``three_pass_ppr_scores`` inverts with ``acgcl.sampler._invert_in_place``,
+  so that its scaling compares bit for bit with ``compute_ppr_scores``.
 
 ``full_table_adjacencies`` thresholds the full (k, k) float tables that
 the ``MirrorSearch`` triangle replaced, and ``scaled_sym_normalized_adjacency``
@@ -31,6 +33,8 @@ replaced. ``dense_solve_ppr`` is the
 resolvent solve on the column-normalized adjacency that the package's
 symmetric in-place inverse replaced, and ``searched_induced`` the edge-key
 search that the package's bit table of induced entries replaced.
+``three_pass_ppr_scores`` scales the inverse in three passes over the whole
+array, the form that the row-blocked scaling replaced.
 ``sinkhorn_log_node`` is the log-domain Sinkhorn solve that the package's
 kernel-domain node replaced; it checks its marginals at the package's ``_TOL_CHECK_EVERY`` and returns a
 ``SinkhornStats``, so iteration counts compare directly.
@@ -59,7 +63,7 @@ from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
                            sym_normalized_adjacency)
 from acgcl.errors import ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
-from acgcl.sampler import Subgraph, SubgraphSet
+from acgcl.sampler import Subgraph, SubgraphSet, _invert_in_place
 from acgcl.trainer import encoded_views, evaluate_probe, probe_accuracy, probe_splits
 
 
@@ -454,6 +458,31 @@ def dense_solve_ppr(graph, teleport=0.15):
     system = np.eye(n) - (1.0 - teleport) * column_normalize(dense_adjacency(graph))
     scores = np.linalg.solve(system, teleport * np.eye(n))
     return np.maximum(scores, 0.0, out=scores)
+
+
+def three_pass_ppr_scores(graph, teleport=0.15):
+    """``compute_ppr_scores`` with its scaling as three passes over the whole
+    inverse: rows by t D^1/2, columns by D^-1/2, then the clamp at zero. The
+    symmetric resolvent is built and inverted as the package does it, by
+    ``acgcl.sampler._invert_in_place``."""
+    n = graph.n_nodes
+    degree = graph.degrees()
+    root = np.sqrt(degree)
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=degree > 0)
+    rows, cols = np.divmod(graph.adjacency, n)
+    b = np.zeros((n, n))
+    entries = inv_root[rows] * inv_root[cols]
+    entries *= -(1.0 - teleport)
+    b.ravel()[graph.adjacency] = entries
+    b[np.diag_indices(n)] += 1.0
+    upper = rows < cols
+    _invert_in_place(b, (rows[upper], cols[upper], entries[upper]))
+    b *= (teleport * root)[:, None]
+    b *= inv_root
+    np.maximum(b, 0.0, out=b)
+    isolated = np.flatnonzero(degree == 0)
+    b[isolated, isolated] = teleport
+    return b
 
 
 def power_iteration_ppr(graph, teleport, tol=1e-6, max_iters=1000):

@@ -1,9 +1,10 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acgcl import sampler
@@ -13,7 +14,7 @@ from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, sample_all
                            top_k_indices)
 from conftest import graph_from_dense, graph_from_edges, random_graph
 from oracles import (column_normalize, dense_adjacency, dense_solve_ppr, power_iteration_ppr,
-                     searched_induced, subgraph_indices, top_rank)
+                     searched_induced, subgraph_indices, three_pass_ppr_scores, top_rank)
 
 
 class TestColumnNormalize:
@@ -105,6 +106,22 @@ class TestCholeskyMatchesSolve:
                 assert got.shape == want.shape and got.flags.c_contiguous
                 assert np.abs(got - want).max() <= 1e-12
                 assert got.min() >= 0.0
+
+    def test_blocked_scaling_matches_three_passes(self, rng):
+        """Scaling and clamping one block of rows at a time keeps the bits
+        of three passes over the whole inverse: graphs with isolated nodes,
+        and sizes that end in a partial block."""
+        block = sampler.RANK_BLOCK_ROWS
+        graphs = [*oracle_graphs(rng),
+                  random_graph(rng, n=block + 1, p=0.05),
+                  random_graph(rng, n=3 * block - 5, p=4.0 / (3 * block), dim=1)]
+        dense = dense_adjacency(graphs[-1])
+        dense[[3, block, 2 * block + 7], :] = dense[:, [3, block, 2 * block + 7]] = 0.0
+        graphs.append(graph_from_dense(dense, np.zeros((len(dense), 1))))
+        for g in graphs:
+            for teleport in (0.15, 0.9):
+                assert np.array_equal(compute_ppr_scores(g, teleport),
+                                      three_pass_ppr_scores(g, teleport))
 
     def test_isolated_nodes_keep_the_teleport_mass(self):
         g = graph_from_edges(4, [(0, 1)])
@@ -310,7 +327,7 @@ class TestBlockRanking:
             assert all(sorted(set(row.tolist())) == list(range(12)) for row in out)
 
     def test_partial_last_block(self, rng):
-        for n in (257, 513):
+        for n in (sampler.RANK_BLOCK_ROWS + 1, 2 * sampler.RANK_BLOCK_ROWS + 1):
             g = random_graph(rng, n=n, p=6.0 / n)
             matrix = compute_ppr_scores(g, 0.15)
             assert np.array_equal(top_k_indices(matrix, 10), oracle_indices(matrix, 10))
@@ -333,6 +350,76 @@ class TestBlockRanking:
         subs = sample_all_subgraphs(g, k=8, teleport=0.15)
         parents = np.stack([s.parent_indices for s in subs])
         assert np.array_equal(parents, oracle_indices(matrix, 8))
+
+
+@st.composite
+def straddling_cases(draw):
+    """A square score matrix whose entries lie 0 to 4 multiples of TIE_RTOL
+    below its row's scale, with fractions of a multiple that round up, down
+    or onto a half, so that rounding ties straddle the raw k-th largest
+    score; some entries far below, some zero, some rows zero. Then k and a
+    rank block size, so that blocks end mid-matrix."""
+    n = draw(st.integers(1, 9))
+    levels = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 10 ** 9, 10 ** 12]),
+                           min_size=n * n, max_size=n * n))
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.3, 0.45, 0.5, 0.55, 0.7]),
+                              min_size=n * n, max_size=n * n))
+    scales = draw(st.lists(st.sampled_from([1.0, 0.37, 0.0]), min_size=n, max_size=n))
+    offsets = np.reshape(np.add(levels, fractions), (n, n)) * sampler.TIE_RTOL
+    matrix = np.array(scales)[:, None] * (1.0 - offsets)
+    return matrix, draw(st.integers(1, n + 2)), draw(st.integers(1, 4))
+
+
+class TestRankingPath:
+    """The one ranking path of ``top_k_indices``: a partition of raw scores
+    and a sort of the rounded candidates near each row's cut, against the
+    row-at-a-time stable sort of ``oracle_indices``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(straddling_cases())
+    # Entry 1 lies 0.4 multiples below the cut (entry 2), rounds alike and
+    # has the smaller id, so it is ranked although the partition drops it.
+    @example((np.array([[0.5, 1 - 1.3e-12, 1 - 0.9e-12], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+              2, 64))
+    def test_rounding_ties_straddling_the_raw_cut(self, case):
+        matrix, k, block = case
+        with mock.patch.object(sampler, "RANK_BLOCK_ROWS", block):
+            assert np.array_equal(top_k_indices(matrix, k), oracle_indices(matrix, k))
+
+    def test_integer_ties_across_two_blocks(self, rng):
+        n = sampler.RANK_BLOCK_ROWS + 9
+        matrix = rng.integers(0, 3, size=(n, n)).astype(float)
+        for k in (1, 2, 5, n - 1):
+            assert np.array_equal(top_k_indices(matrix, k), oracle_indices(matrix, k))
+
+    def test_zero_and_negative_rows(self, rng):
+        n = sampler.RANK_BLOCK_ROWS + 3
+        matrix = rng.standard_normal((n, n))
+        matrix[::5] = 0.0                           # all tie, and none is reachable
+        matrix[1::5] = -np.abs(matrix[1::5])        # no score above the reach cut
+        for k in (1, 4, n, n + 2):
+            out = top_k_indices(matrix, k)
+            assert np.array_equal(out, oracle_indices(matrix, k))
+            assert (out[::5] == np.arange(0, n, 5)[:, None]).all()
+            assert (out[1::5] == np.arange(1, n, 5)[:, None]).all()
+
+    def test_center_scoring_below_the_cut(self, rng):
+        matrix = rng.random((40, 40)) + 1.0
+        np.fill_diagonal(matrix, 0.5)               # below every other score, yet first
+        for k in (1, 3, 39):
+            out = top_k_indices(matrix, k)
+            assert np.array_equal(out, oracle_indices(matrix, k))
+            assert np.array_equal(out[:, 0], np.arange(40))
+
+    def test_k_one_and_k_at_least_n(self, rng):
+        matrix = compute_ppr_scores(random_graph(rng, n=sampler.RANK_BLOCK_ROWS + 5, p=0.05),
+                                    0.15)
+        n = len(matrix)
+        for k in (1, n, n + 1, n + 4):
+            out = top_k_indices(matrix, k)
+            assert out.shape == (n, k)
+            assert np.array_equal(out, oracle_indices(matrix, k))
+        assert np.array_equal(top_k_indices(matrix, 1), np.arange(n)[:, None])
 
 
 class TestBitTable:
