@@ -8,12 +8,20 @@ graph once in reverse topological order, accumulating into ``.grad``. Once
 it has passed a node's contributions on it drops them, the node's closure
 and parent links and its own reference to the node, so what a node saved
 for its backward pass is freed as the sweep passes it, unless the caller
-still holds the node; nodes keep their ``.value``. A graph is therefore
-swept once: a sweep that reaches a node an earlier one passed fails with a
-ContractError instead of giving zeros. Closures may return read-only views
-and one array for several parents, so the sweep writes only into buffers it
-created: the sum it makes at a parent's second contribution, which later
-ones are added into.
+still holds the node. A graph is therefore swept once: a sweep that reaches
+a node an earlier one passed fails with a ContractError instead of giving
+zeros. Closures may return read-only views and one array for several
+parents, so the sweep writes only into buffers it created: the sum it makes
+at a parent's second contribution, which later ones are added into.
+
+A node keeps its ``.value`` unless it can form any rows of it again, to the
+forward pass's bits, from the operands it keeps: a ``linear_prelu`` node
+keeps x and the weight, not their product, and is the one such node. The
+sweep drops the value of each such node when it starts, so a step holds no
+GCN layer output through its sweep. A closure that reads such a node's
+value (``row_sq_dist``) forms only its live rows, through ``_rows_of``, and
+a read of ``.value`` forms all of it again and keeps it; ``.shape`` needs
+no value.
 
 A gather (``take_rows``, whose rows must be distinct) contributes only the
 rows it read, as a ``Rows`` pair of indices and (m, d) upstream rows. A
@@ -24,9 +32,7 @@ of scattering them into a zero full array. A dense contribution, or a
 closure that does not read ``Rows`` (and a leaf), gets the dense form, made
 then; only ``linear_prelu`` reads ``Rows``. A ``Rows`` reaching a dense
 gradient is added in place, into a copy if the sweep did not make it. Rows
-outside the indices keep their bits: a -0.0 stays -0.0. A node may keep a
-product's operands rather than the product and form it again in its
-backward pass, to the same bits: ``linear_prelu`` does.
+outside the indices keep their bits: a -0.0 stays -0.0.
 
 The two row-wise nodes of a training step work only on live rows, those
 whose upstream gradient has a nonzero entry, in ascending order:
@@ -58,24 +64,34 @@ from .errors import ContractError, ShapeError
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("_value", "shape", "grad", "requires_grad", "_parents", "_backward_fn", "_form")
 
-    def __init__(self, value, requires_grad: bool = False, _parents=(), _backward_fn=None):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, value, requires_grad: bool = False, _parents=(), _backward_fn=None,
+                 _form=None):
+        self.value = value
         self.grad: np.ndarray | Rows | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward_fn = _backward_fn
+        self._form = _form      # rows -> those rows of the value, all of them for None
 
     @property
-    def shape(self):
-        return self.value.shape
+    def value(self) -> np.ndarray:
+        """The node's array; a node that a sweep dropped it from forms it again."""
+        if self._value is None:
+            self._value = self._form()
+        return self._value
+
+    @value.setter
+    def value(self, value):
+        self._value = np.asarray(value, dtype=np.float64)
+        self.shape = self._value.shape
 
     def item(self) -> float:
         return float(self.value)
 
     def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -96,11 +112,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _node(value, parents, backward_fn) -> Tensor:
+def _node(value, parents, backward_fn, form=None) -> Tensor:
     requires = any(p.requires_grad for p in parents)
     if not requires:
         return Tensor(value)
-    return Tensor(value, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn)
+    return Tensor(value, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn,
+                  _form=form)
 
 
 def _reads_rows(backward_fn):
@@ -214,23 +231,48 @@ def _merge_rows(first: Rows, second: Rows) -> Rows:
     return Rows(indices, rows)
 
 
-def _densify(grad: Rows, like: np.ndarray) -> np.ndarray:
-    """A ``Rows`` gradient written into zeros shaped like ``like``."""
-    dense = np.zeros_like(like)
+def _densify(grad: Rows, shape: tuple[int, ...]) -> np.ndarray:
+    """A ``Rows`` gradient written into zeros of ``shape``."""
+    dense = np.zeros(shape)
     dense[grad.indices] = grad.rows
     return dense
 
 
 def _live_rows(g: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
     """The ascending indices of the rows of an upstream gradient that have a
-    nonzero entry, and those rows; a ``Rows`` gives the same ones as its
-    dense form."""
+    nonzero entry, and those rows (g itself when every row is live); a
+    ``Rows`` gives the same ones as its dense form."""
+    rows = g.rows if isinstance(g, Rows) else g
+    live = np.flatnonzero((rows != 0) @ np.ones(rows.shape[1], dtype=bool))
     if isinstance(g, Rows):
-        live = np.flatnonzero(g.rows.any(axis=1))
         live = live[np.argsort(g.indices[live])]
-        return g.indices[live], g.rows[live]
-    live = np.flatnonzero(g.any(axis=1))
-    return live, g[live]
+        return g.indices[live], np.take(rows, live, axis=0)
+    return live, (g if live.size == len(g) else np.take(g, live, axis=0))
+
+
+def _rows_of(a: Tensor, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a's value, formed again if a sweep dropped it; the
+    array may be shared with another reader, so it is read, never written."""
+    return a._form(rows) if a._value is None else np.take(a._value, rows, axis=0)
+
+
+# Rows per block of the row-wise forward passes (linear_prelu, row_sq_dist):
+# a block's temporaries stay small beside the node's value.
+ROW_BLOCK = 1024
+
+
+def _blocks(count: int):
+    """Slices of ``ROW_BLOCK`` rows that cover range(count)."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, count, ROW_BLOCK))
+
+
+def _row_product(x_rows: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """x_rows @ w for rows of an (n, m) x, each row with the bits GEMM gives
+    it in x @ w: numpy hands a one-row product to GEMV, whose bits differ,
+    so one row of several is multiplied as two."""
+    if len(x_rows) == 1 < n:
+        return (np.repeat(x_rows, 2, axis=0) @ w)[:1]
+    return x_rows @ w
 
 
 def take_rows(a, indices: np.ndarray) -> Tensor:
@@ -261,25 +303,51 @@ def relu(a) -> Tensor:
 def linear_prelu(x, weight, slope) -> Tensor:
     """p = x @ weight where p > 0, slope * p elsewhere, for a scalar slope.
 
-    The node keeps x and weight, not the (rows, d_out) product p: the backward
-    pass forms p again for the live rows, into one buffer that holds both
-    gradients in turn, and hands x those rows' gradient as ``Rows``. The
-    value is max(p, slope * p) for slope <= 1 and min(p, slope * p) above 1,
-    with no select on a sign; at p = +-0 numpy returns the second, slope * p."""
+    The node keeps x and weight, not the (rows, d_out) product p, and forms
+    any rows of its value again from them, to the forward pass's bits: a
+    sweep drops the value when it starts, ``row_sq_dist`` reads the rows it
+    needs through that form (a second read of the same rows, the other
+    triplet distance's, gets the first one's array), and a read of
+    ``.value`` forms all of it. One row of several is multiplied as two
+    (``_row_product``), so every row has GEMM's bits.
+    The backward pass forms p again for the live rows, into one buffer that
+    holds both gradients in turn, and hands x those rows' gradient as
+    ``Rows``. The value is max(p, slope * p) for slope <= 1 and min(p, slope
+    * p) above 1, with no select on a sign; at p = +-0 numpy returns the
+    second, slope * p. Values are formed ``ROW_BLOCK`` rows at a time."""
     x, weight, slope = as_tensor(x), as_tensor(weight), as_tensor(slope)
     if weight.value.ndim != 2 or x.shape[1:] != weight.shape[:1] or slope.value.ndim != 0:
         raise ShapeError(f"linear_prelu: x {x.shape}, weight {weight.shape}, slope {slope.shape}"
                          " must be (n, m), (m, d) and ()")
-    w, s = weight.value, slope.value
-    product = x.value @ w
-    value = s * product
-    (np.maximum if s <= 1 else np.minimum)(product, value, out=value)
+    xv, w, s = x.value, weight.value, slope.value
+    n = len(xv)
+    select = np.maximum if s <= 1 else np.minimum
+    last = None     # the last rows formed for a reader, kept for a second reader of them
+
+    def form(rows=None):
+        """prelu(x[rows] @ w) for ascending indices ``rows``, or every row."""
+        nonlocal last
+        if rows is not None and last is not None and np.array_equal(last[0], rows):
+            value, last = last[1], None
+            return value
+        count = n if rows is None else rows.size
+        value = np.empty((count, w.shape[1]))
+        for block in _blocks(count):
+            x_rows = xv[block] if rows is None else np.take(xv, rows[block], axis=0)
+            product = _row_product(x_rows, w, n)
+            np.multiply(s, product, out=value[block])
+            select(product, value[block], out=value[block])
+        if rows is not None:
+            last = rows, value
+        return value
 
     @_reads_rows
     def backward_fn(g):
+        nonlocal last
+        last = None
         live, g = _live_rows(g)                 # rows with a nonzero upstream gradient
-        x_live = x.value[live]
-        out = x_live @ w                        # their product, formed again
+        x_live = xv if live.size == n else np.take(xv, live, axis=0)
+        out = _row_product(x_live, w, n)        # their product, formed again
         mask = out > 0
         dslope = None
         if slope.requires_grad:
@@ -296,7 +364,7 @@ def linear_prelu(x, weight, slope) -> Tensor:
         return (Rows(live, out @ w.T) if x.requires_grad else None,
                 x_live.T @ out if weight.requires_grad else None, dslope)
 
-    return _node(value, (x, weight, slope), backward_fn)
+    return _node(form(), (x, weight, slope), backward_fn, form)
 
 
 def sigmoid(a) -> Tensor:
@@ -315,19 +383,25 @@ def sigmoid(a) -> Tensor:
 
 def row_sq_dist(a, b) -> Tensor:
     """Per-row squared distance (n, d), (n, d) -> (n,): sub -> mul -> sum_axis
-    in one node, which keeps no (n, d) array between the passes."""
+    in one node, which keeps no (n, d) array between the passes. The forward
+    pass works ``ROW_BLOCK`` rows at a time; the backward pass reads the
+    operands' live rows alone, through the form of an operand whose value
+    a sweep dropped."""
     a, b = as_tensor(a), as_tensor(b)
-    squares = a.value - b.value
-    squares *= squares
+    value = np.empty(len(a.value))
+    for block in _blocks(len(value)):
+        squares = a.value[block] - b.value[block]
+        squares *= squares
+        value[block] = np.sum(squares, axis=1)
 
     def backward_fn(g):
         live = np.flatnonzero(g)
         # the difference, formed again on the rows with a nonzero upstream gradient
-        grad = (2.0 * g[live])[:, None] * (a.value[live] - b.value[live])
+        grad = (2.0 * g[live])[:, None] * (_rows_of(a, live) - _rows_of(b, live))
         return (Rows(live, grad) if a.requires_grad else None,
                 Rows(live, -grad) if b.requires_grad else None)
 
-    return _node(np.sum(squares, axis=1), (a, b), backward_fn)
+    return _node(value, (a, b), backward_fn)
 
 
 # A pair whose squared distance is not above this fraction of |p|^2 + |q|^2
@@ -412,21 +486,25 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Reverse-mode sweep from a scalar root; accumulates into ``.grad``.
 
-    Leaves keep their gradients, as dense arrays. An interior node's
-    gradient and its contributions are dropped once they have been passed
-    to the parents, and so are its closure, its parent links and the
-    sweep's own reference to it: a node the caller does not hold is freed
-    as soon as the sweep has passed it. Its closure becomes ``_swept``, so
-    a later sweep that reaches the node fails before it changes a gradient.
+    The sweep starts by dropping the value of every node that can form its
+    rows again (``linear_prelu``). Leaves keep their gradients, as dense
+    arrays. An interior node's gradient and its contributions are dropped
+    once they have been passed to the parents, and so are its closure, its
+    parent links and the sweep's own reference to it: a node the caller
+    does not hold is freed as soon as the sweep has passed it. Its closure
+    becomes ``_swept``, so a later sweep that reaches the node fails before
+    it changes a gradient.
     A ``Rows`` gradient stays sparse until a dense contribution meets it or
     a node that does not read ``Rows`` (a leaf among them) takes it."""
-    if root.value.shape != ():
-        raise ContractError(f"backward root must be a scalar, got shape {root.value.shape}")
+    if root.shape != ():
+        raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
     if not root.requires_grad:
         return
     order = _toposort(root)
     for node in order:
         node.grad = None
+        if node._form is not None:
+            node._value = None
     root.grad = np.asarray(1.0)
     owned: set[int] = set()     # ids of the nodes whose dense .grad the sweep made
     for position in range(len(order) - 1, -1, -1):
@@ -434,7 +512,7 @@ def backward(root: Tensor) -> None:
         backward_fn, parents = node._backward_fn, node._parents
         node._backward_fn, node._parents = (None if backward_fn is None else _swept), ()
         if isinstance(node.grad, Rows) and not getattr(backward_fn, "reads_rows", False):
-            node.grad = _densify(node.grad, node.value)
+            node.grad = _densify(node.grad, node.shape)
         if backward_fn is None or node.grad is None:
             continue
         contributions = backward_fn(node.grad)
@@ -454,7 +532,7 @@ def backward(root: Tensor) -> None:
                     parent.grad[contrib.indices] += contrib.rows
                 continue
             if isinstance(parent.grad, Rows):
-                parent.grad = _densify(parent.grad, parent.value)
+                parent.grad = _densify(parent.grad, parent.shape)
                 owned.add(id(parent))
             if parent.grad is None:
                 parent.grad = contrib

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgcl import autodiff as ad
+from acgcl.augment import quantile
+from acgcl.config import TrainConfig
+from acgcl.encoder import init_gcn_params
 from acgcl.errors import ContractError, ShapeError
+from acgcl.graph import SbmConfig, generate_sbm
+from acgcl.trainer import curriculum_inputs, init_optimizer, run_inner_step
 from oracles import (dense_scatter_sum, directional_grad_check, matmul, pairwise_euclidean_diff,
                      prelu, prelu_where, row_sq_norm, take_rows_dense)
 
@@ -467,6 +472,97 @@ def test_linear_prelu_keeps_no_product_after_the_forward_pass(rng):
     array = rows * d_out * 8
     assert held["pair"] > 2 * array
     assert held["node"] < array + array // 4
+
+
+@pytest.mark.parametrize("rows", [40, ad.ROW_BLOCK + 1], ids=["one-block", "one-row-tail"])
+@pytest.mark.parametrize("slope", [0.25, 1.0, 1.5, -0.5])
+def test_a_dropped_linear_prelu_value_comes_back_with_the_forward_bytes(slope, rows, rng):
+    """A sweep drops the layer's value; a later read of ``.value`` forms it
+    again with the bits of the forward pass, which are the two-node layer's,
+    and so does a form of any rows, a single row among them. The zero row
+    of x and zero column of w put exact zeros in the product."""
+    x0, w0 = rng.standard_normal((rows, 16)), rng.standard_normal((16, 8))
+    x0[3] = 0.0
+    w0[:, 5] = 0.0
+    w, s = ad.parameter(w0), ad.parameter(np.asarray(slope))
+    out = ad.linear_prelu(ad.Tensor(x0), w, s)
+    forward = out.value.copy()
+    assert_same_bits(forward, two_node_layer(ad.Tensor(x0), w, s).value)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(rng.standard_normal((rows, 8))))))
+    assert out._value is None and out.shape == (rows, 8)
+    for picked in ([rows - 1], [3], [0, 3, rows - 1], np.arange(0, rows, 3)):
+        assert_same_bits(out._form(np.asarray(picked)), forward[picked])
+    assert_same_bits(out.value, forward)
+    assert out._value is not None           # formed once, then kept
+
+
+def test_row_sq_dist_reads_dropped_layer_rows_with_the_bits_of_constant_copies(rng):
+    """The two triplet distances of three layer outputs read their live rows
+    through the layers' forms, since the sweep dropped the values, and their
+    contributions have the bytes that row_sq_dist gives over parameter
+    copies of those values. Upstream rows of +-0 stay dead."""
+    n = ad.ROW_BLOCK + 300
+    w, s = ad.parameter(rng.standard_normal((16, 8))), ad.parameter(np.asarray(0.25))
+    views = [ad.linear_prelu(ad.Tensor(rng.standard_normal((n, 16))), w, s) for _ in range(3)]
+    copies = [ad.parameter(view.value.copy()) for view in views]
+    g = zero_upstream_rows(rng.standard_normal(n), [0, 5, n - 1], [7])
+    contributions = {}
+
+    def recorded(name, node):
+        backward_fn = node._backward_fn
+
+        def record(up):
+            contributions[name] = backward_fn(up)
+            return contributions[name]
+
+        node._backward_fn = record
+        return node
+
+    h, h_pos, h_neg = views
+    pos = recorded("pos", ad.row_sq_dist(h, h_pos))
+    neg = recorded("neg", ad.row_sq_dist(h, h_neg))
+    ad.backward(ad.sum_all(ad.mul(ad.sub(pos, neg), ad.Tensor(g))))
+    assert all(view._value is None for view in views)
+    # the sweep hands pos the upstream g and neg -g
+    want = {"pos": ad.row_sq_dist(copies[0], copies[1])._backward_fn(g),
+            "neg": ad.row_sq_dist(copies[0], copies[2])._backward_fn(-g)}
+    live = np.setdiff1d(np.arange(n), [0, 5, 7, n - 1])
+    for name in ("pos", "neg"):
+        for got, expected in zip(contributions[name], want[name]):
+            assert np.array_equal(got.indices, live) and np.array_equal(expected.indices, live)
+            assert_same_bits(got.rows, expected.rows)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_a_training_step_forms_no_full_layer_value_in_its_sweep(layers, monkeypatch):
+    """Every GCN layer of a step's three views drops its value when the
+    sweep starts, and no reader of it forms all of its rows again: the
+    triplet distances form their live rows, and nothing reads ``.value``."""
+    g = generate_sbm(SbmConfig(block_sizes=(20, 20), p_intra=0.3, p_inter=0.02, feature_dim=4,
+                               feature_noise=0.5), seed=0)
+    cfg = TrainConfig(seed=0, subgraph_size=5, embedding_dim=8, gcn_layers=layers, batch_size=20,
+                      balance_max_points=16, sinkhorn_iters=20)
+    subs, search = curriculum_inputs(g, cfg)
+    mirrors = search.adjacencies(quantile(search.distances, cfg.theta0))
+    params = init_gcn_params(g.feature_dim, cfg.embedding_dim, layers, cfg.seed)
+    opt = init_optimizer([t.value for t in params.all_parameters()])
+    layer_nodes, forms = [], []
+    linear_prelu = ad.linear_prelu
+
+    def counting_layer(x, w, s):
+        node = linear_prelu(x, w, s)
+        form = node._form
+        node._form = lambda rows=None: (forms.append("all" if rows is None else rows.size),
+                                        form(rows))[1]
+        layer_nodes.append(node)
+        return node
+
+    monkeypatch.setattr(ad, "linear_prelu", counting_layer)
+    run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
+    assert len(layer_nodes) == 3 * layers
+    assert all(node._value is None for node in layer_nodes)
+    assert "all" not in forms
+    assert len(forms) == 4                  # h twice, h_pos and h_neg once
 
 
 def test_sweep_holds_at_most_two_contributions(rng):

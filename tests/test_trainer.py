@@ -414,16 +414,39 @@ class TestTrainLoop:
             assert np.array_equal(replayed.value, reference.value)
 
 
+def bench_step_peak(**config) -> int:
+    """The traced peak, in bytes above its start, of step 0 on a graph shaped
+    like the benchmark's train graph (3 x 100 nodes, 16-d features) at
+    seed 1, with TrainConfig's defaults but ``config``."""
+    g = generate_sbm(SbmConfig(block_sizes=(100, 100, 100), p_intra=0.15, p_inter=0.005,
+                               feature_dim=16, feature_noise=1.0), seed=1)
+    cfg = TrainConfig(seed=1, **config)
+    subs, search = curriculum_inputs(g, cfg)
+    mirrors = search.adjacencies(quantile(search.distances, cfg.theta0))
+    params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
+    opt = init_optimizer([t.value for t in params.all_parameters()])
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+TRAIN_MIRROR_STEP = dict(subgraph_size=30, balance_max_points=64, sinkhorn_iters=50)
+
+
 class TestStepMemory:
     def test_step_peak_stays_under_eight_and_a_half_batch_row_arrays(self):
         """One step at k = 20, d = 64 and a batch of 64 subgraphs keeps its
         traced peak under 8.5 arrays of the batch's (b * k, d) float64 rows:
-        about 8.17 of them with a GCN layer that forms x @ W again, on the
-        rows with a nonzero upstream gradient only, and a sweep that drops
-        each node's contributions once passed on (8.20 when the layer formed
-        every row), 12.1 when the tape kept x @ W and the last contributions
-        (14.2 before that, when gathers and ``row_sq_dist`` held full
-        arrays)."""
+        about 4.58 of them with a sweep that drops each GCN layer's output
+        and forms again only the rows a reader needs, 6.58 when the tape
+        held the three outputs (12.1 when the tape kept x @ W and the last
+        contributions, 14.2 before that, when gathers and ``row_sq_dist``
+        held full arrays)."""
         g = small_graph(seed=3, n_per_block=40)
         cfg = small_config(seed=3, subgraph_size=20, embedding_dim=64, batch_size=64)
         subs, search = curriculum_inputs(g, cfg)
@@ -440,28 +463,31 @@ class TestStepMemory:
 
 
     def test_step_peak_on_a_train_mirror_shaped_graph(self):
-        """One step on a graph shaped like the ``train-mirror`` benchmark's
-        (3 x 100 nodes, 16-d features, k 30, embedding 64, a batch of all
-        300 subgraphs) peaks at 6.4-6.5 of the batch's (b * k, d) float64
-        row arrays above what the step starts with: row gradients stay
-        sparse, the sweep frees what it has passed on and a balance solve
-        keeps only the iterations it ran. Without those three it peaked at
-        8.3; the bound lies between."""
-        g = generate_sbm(SbmConfig(block_sizes=(100, 100, 100), p_intra=0.15, p_inter=0.005,
-                                   feature_dim=16, feature_noise=1.0), seed=1)
-        cfg = TrainConfig(seed=1, subgraph_size=30, balance_max_points=64, sinkhorn_iters=50)
-        subs, search = curriculum_inputs(g, cfg)
-        mirrors = search.adjacencies(quantile(search.distances, cfg.theta0))
-        params = init_gcn_params(g.feature_dim, cfg.embedding_dim, cfg.gcn_layers, cfg.seed)
-        opt = init_optimizer([t.value for t in params.all_parameters()])
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            run_inner_step(params, opt, subs, mirrors, 0, 0, cfg, None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 7.4 * (300 * 30) * 64 * 8
+        """One step shaped like the ``train-mirror`` benchmark's (k 30,
+        embedding 64, a batch of all 300 subgraphs) peaks at 4.7 of the
+        batch's (b * k, d) float64 row arrays above what the step starts
+        with: the sweep drops the three views' layer outputs, row gradients
+        stay sparse, the sweep frees what it has passed on and a balance
+        solve keeps only the iterations it ran. With the outputs held it
+        peaked at 6.5, and without the other three at 8.3; the bound lies
+        between those two."""
+        assert bench_step_peak(**TRAIN_MIRROR_STEP) < 7.4 * (300 * 30) * 64 * 8
+
+
+    def test_the_sweep_drops_the_layer_outputs(self):
+        """The backward sweep drops each GCN layer's output and forms again
+        only the rows a closure reads, so a step holds no (b * k, d) output
+        of the three views through it. The ``train-mirror``-shaped step peaks
+        at 4.70 row arrays above its start (6.48 with the outputs held) and
+        the default-config step at k = 20 at 5.79 (7.40)."""
+        report = []
+        for name, config, bound in (("train-mirror", TRAIN_MIRROR_STEP, 5.5),
+                                    ("default k=20", {}, 6.6)):
+            peak = bench_step_peak(**config)
+            rows = 300 * TrainConfig(**config).subgraph_size * 64 * 8
+            report.append(f"{name} {peak / rows:.2f} row arrays ({peak / 2**20:.1f} MiB)")
+            assert peak < bound * rows, report[-1]
+        print(f"\nREPORT step-memory: {'; '.join(report)}")
 
 
 class TestTwoLayerStep:
