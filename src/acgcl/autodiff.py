@@ -251,8 +251,8 @@ def _live_rows(g: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows_of(a: Tensor, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of a's value, formed again if a sweep dropped it; the
-    array may be shared with another reader, so it is read, never written."""
+    """Rows ``rows`` of a's value, formed again if a sweep dropped it, in an
+    array of the caller's own."""
     return a._form(rows) if a._value is None else np.take(a._value, rows, axis=0)
 
 
@@ -306,8 +306,7 @@ def linear_prelu(x, weight, slope) -> Tensor:
     The node keeps x and weight, not the (rows, d_out) product p, and forms
     any rows of its value again from them, to the forward pass's bits: a
     sweep drops the value when it starts, ``row_sq_dist`` reads the rows it
-    needs through that form (a second read of the same rows, the other
-    triplet distance's, gets the first one's array), and a read of
+    needs through that form, each read forming its own, and a read of
     ``.value`` forms all of it. One row of several is multiplied as two
     (``_row_product``), so every row has GEMM's bits.
     The backward pass forms p again for the live rows, into one buffer that
@@ -322,14 +321,9 @@ def linear_prelu(x, weight, slope) -> Tensor:
     xv, w, s = x.value, weight.value, slope.value
     n = len(xv)
     select = np.maximum if s <= 1 else np.minimum
-    last = None     # the last rows formed for a reader, kept for a second reader of them
 
     def form(rows=None):
         """prelu(x[rows] @ w) for ascending indices ``rows``, or every row."""
-        nonlocal last
-        if rows is not None and last is not None and np.array_equal(last[0], rows):
-            value, last = last[1], None
-            return value
         count = n if rows is None else rows.size
         value = np.empty((count, w.shape[1]))
         for block in _blocks(count):
@@ -337,14 +331,10 @@ def linear_prelu(x, weight, slope) -> Tensor:
             product = _row_product(x_rows, w, n)
             np.multiply(s, product, out=value[block])
             select(product, value[block], out=value[block])
-        if rows is not None:
-            last = rows, value
         return value
 
     @_reads_rows
     def backward_fn(g):
-        nonlocal last
-        last = None
         live, g = _live_rows(g)                 # rows with a nonzero upstream gradient
         x_live = xv if live.size == n else np.take(xv, live, axis=0)
         out = _row_product(x_live, w, n)        # their product, formed again
