@@ -6,9 +6,10 @@ For every unordered node pair (a, b) of a subgraph we look for a mirror pair
 ``2 * gamma``. A *positive* mirror must match both semantic values
 (y_c == y_a and y_d == y_b); a *negative* mirror must differ in at least one.
 The augmented graphs copy each mirror pair's edge state onto (a, b); pairs
-with no admissible mirror keep their original edge, so gamma = 0 is the
-identity augmentation. Mirror graphs share the node set and features of the
-source subgraph; only edges move.
+with no admissible mirror keep their original edge, and a self loop (a, a)
+is no pair and stays as it is, so gamma = 0 is the identity augmentation.
+Mirror graphs share the node set and features of the source subgraph; only
+edges move.
 
 Gamma only bounds a pair's best sum, so ``mirror_search`` finds each pair's
 best mirror once per dataset and config, among the subgraph's own nodes
@@ -134,13 +135,16 @@ class MirrorSearch:
 
     def adjacencies(self, gamma: float) -> np.ndarray:
         """(2, n, k, k) bool: positive then negative mirror adjacencies at
-        gamma, symmetric with a zero diagonal."""
+        gamma, symmetric, with the source's diagonal: no pair rewrites a
+        self loop, so gamma = 0 gives the source adjacency twice."""
         n, k = self.adjacency.shape[:2]
         a, b = np.triu_indices(k, 1)
         upper = np.where(self.best < 2.0 * gamma, self.edge, self.adjacency[:, a, b])
         out = np.zeros((2, n, k, k), dtype=bool)
         out[..., a, b] = upper
         out[..., b, a] = upper
+        diagonal = np.arange(k)
+        out[..., diagonal, diagonal] = self.adjacency[:, diagonal, diagonal]
         return out
 
     def match_rates(self, gamma: float) -> tuple[float, float]:

@@ -4,8 +4,9 @@ mirrors.
 Propagation per layer: H <- prelu((An @ H) @ W, slope) where An is the
 symmetrically normalized adjacency with self loops added. Every subgraph of a
 batch has the same size k, so a batch is one (n, k, k) stack of An blocks and
-one (n * k, d) feature matrix. Training keeps its adjacencies as bool and
-normalizes only the batch a step propagates (``sym_normalized_adjacency``).
+one (n * k, d) feature matrix. A run keeps its views as bool 0/1 stacks,
+and ``gcn_forward_batched`` normalizes each batch it is given as it
+propagates it (``sym_normalized_adjacency``).
 A layer is the propagation An @ H and one ``linear_prelu`` node, which keeps
 An @ H and W but not their product. On the constant input features An @ X
 is a constant: layer 1 records no propagation, and its backward pass forms
@@ -75,17 +76,21 @@ def sym_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a_hat
 
 
-def gcn_forward_batched(params: GcnParams, a_hat_blocks: np.ndarray, features_flat, *,
-                        centers_only: bool) -> ad.Tensor:
+def gcn_forward_batched(params: GcnParams, views: np.ndarray, features_flat, *,
+                        centers_only: bool, ids=slice(None)) -> ad.Tensor:
     """Embed many subgraphs at once.
 
-    a_hat_blocks: (n_subgraphs, k, k) normalized adjacencies (constants);
+    views: a (n, k, k) stack of 0/1 adjacencies, bool or numbers, of which
+    the n_subgraphs rows ``ids``, all by default, are normalized here into
+    the constant An blocks. Gathering them here frees the gathered 0/1
+    batch before it propagates.
     features_flat: (n_subgraphs * k, in_dim). Row block i of the result is
     the (k, d) embedding of subgraph i. With ``centers_only`` the last
     layer propagates at full width but sends only each subgraph's center
     row (its first) through its weight and slope, and row i of the
     (n_subgraphs, d) result is the center embedding of subgraph i.
     """
+    a_hat_blocks = sym_normalized_adjacency(views[ids])
     h = ad.as_tensor(features_flat)
     last = params.n_layers - 1
     for layer, (weight, slope) in enumerate(zip(params.weights, params.slopes)):

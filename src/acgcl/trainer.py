@@ -10,9 +10,10 @@ under ``util.cache_key``.
 A difficulty's distance threshold is an exact percentile of those, a
 non-decreasing function of the paced difficulty. Each epoch thresholds the
 stored mirrors at its distance into one bool stack of both views, then runs
-``inner_steps`` mini-batch updates, each of which normalizes its batch of
-every view; a step is a function of (epoch, step) and the carried params,
-Adam state and admission window, which step 0 opens and every step widens.
+``inner_steps`` mini-batch updates, each of which hands its batch of every
+view to the encoder, which normalizes it; a step is a function of (epoch,
+step) and the carried params, Adam state and admission window, which step
+0 opens and every step widens.
 Patience decrements whenever validation accuracy is not strictly above its
 best so far; it never resets.
 
@@ -40,8 +41,7 @@ from .augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from .config import TrainConfig
 from .curriculum import (AclThresholds, decay_thresholds, open_window, pacing_difficulty,
                          weight_fields, weights_for_mode, window_fields)
-from .encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn_params,
-                      sym_normalized_adjacency)
+from .encoder import GcnParams, derangement, gcn_forward_batched, init_gcn_params
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from .graph import (INPUTS_FILE, LABEL_FILE, SPLIT_FILE, Graph, Splits, load_dataset,
                     make_splits)
@@ -118,15 +118,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 # ---------------------------------------------------------------------------
 # Batched encoding helpers
 
-def encoded_views(adjacency: np.ndarray, ids=slice(None)) -> np.ndarray:
-    """(b, k, k) normalized adjacencies of the subgraphs ``ids``, all of them
-    by default, of one bool (n, k, k) view: ``SubgraphSet.adjacency`` or a
-    mirror view of ``MirrorSearch.adjacencies``. With the feature rows
-    gathered by their parent indices, which every view shares, the constant
-    inputs of the forward pass."""
-    return sym_normalized_adjacency(adjacency[ids])
-
-
 def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.ndarray:
     """Embedding of every node = center row of its own subgraph embedding.
 
@@ -137,8 +128,8 @@ def compute_center_embeddings(params: GcnParams, subgraphs: SubgraphSet) -> np.n
     for start in range(0, len(subgraphs), EMBED_BLOCK):
         block = subgraphs[start:start + EMBED_BLOCK]
         ids = block.parent_indices
-        h = gcn_forward_batched(params, encoded_views(block.adjacency),
-                                block.node_features[ids.ravel()], centers_only=True)
+        h = gcn_forward_batched(params, block.adjacency, block.node_features[ids.ravel()],
+                                centers_only=True)
         blocks.append(h.value)
     return np.concatenate(blocks)
 
@@ -305,8 +296,7 @@ def _batch_losses(params: GcnParams, subgraphs: SubgraphSet, mirrors: np.ndarray
     one as it passes it."""
     b, k = len(ids), subgraphs.parent_indices.shape[1]
     feats = subgraphs.node_features[subgraphs.parent_indices[ids]].reshape(b * k, -1)
-    h, h_pos, h_neg = (gcn_forward_batched(params, encoded_views(view, ids), feats,
-                                           centers_only=False)
+    h, h_pos, h_neg = (gcn_forward_batched(params, view, feats, centers_only=False, ids=ids)
                        for view in (subgraphs.adjacency, *mirrors))
 
     inter_vec = inter_graph_losses_grouped(h, h_pos, h_neg, config.xi, k)
@@ -339,14 +329,15 @@ def run_inner_step(params: GcnParams, opt: OptimizerState, subgraphs: SubgraphSe
     and the transport subsample come from ``rng_for(config.seed, role, epoch,
     step)``; ``mirrors`` is the bool (2, n, k, k) stack of the positive and
     negative mirror adjacencies (``MirrorSearch.adjacencies``). Each view,
-    the subgraphs' own first, is normalized for the batch alone just before
-    it propagates, so a step holds no float (n, k, k) view. Step 0 opens the
-    admission window on its own losses and ignores ``window``. Returns the
-    step's ``metrics.jsonl`` fields, from the window it weighed with to the
-    larger Sinkhorn figures of its two balance solves and whether both
-    converged, with ``weighted_loss`` split into its weighted terms,
-    sum(w * l_intra), alpha * balance * mean(w) and beta * sum(w * l_inter);
-    the Adam state; and the window widened for the next step."""
+    the subgraphs' own first, goes to the encoder with the batch's ids, and
+    the encoder normalizes the batch alone as it propagates it, so a step
+    holds no float (n, k, k) view. Step 0 opens the admission window on its
+    own losses and ignores ``window``. Returns the step's ``metrics.jsonl``
+    fields, from the window it weighed with to the larger Sinkhorn figures
+    of its two balance solves and whether both converged, with
+    ``weighted_loss`` split into its weighted terms, sum(w * l_intra),
+    alpha * balance * mean(w) and beta * sum(w * l_inter); the Adam state;
+    and the window widened for the next step."""
     batch_rng, shuffle_rng, balance_rng = (rng_for(config.seed, role, epoch, step)
                                            for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
     n = subgraphs.parent_indices.shape[0]
@@ -528,12 +519,10 @@ def difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSe
         rows = slice(start, start + EMBED_BLOCK)
         block = subgraphs[rows]
         feats = block.node_features[block.parent_indices.ravel()]
-        h = gcn_forward_batched(params, encoded_views(block.adjacency), feats,
-                                centers_only=False)
+        h = gcn_forward_batched(params, block.adjacency, feats, centers_only=False)
         mirrors = search[rows]
         for out, gamma in zip(losses, gammas):
-            h_pos, h_neg = (gcn_forward_batched(params, encoded_views(view), feats,
-                                                centers_only=False)
+            h_pos, h_neg = (gcn_forward_batched(params, view, feats, centers_only=False)
                             for view in mirrors.adjacencies(gamma))
             out[rows] = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
     return [(float(theta), float(out.mean()), float(out.std()))

@@ -83,3 +83,10 @@ def random_graph(rng, n, p=0.15, dim=4, n_classes=3, min_degree_ring=True):
             dense[i, j] = dense[j, i] = 1.0
     return graph_from_dense(dense, rng.standard_normal((n, dim)),
                             rng.integers(0, n_classes, size=n))
+
+
+def self_loop_graph(rng, n=30):
+    """A ``random_graph`` with self loops on a third of its nodes."""
+    g = random_graph(rng, n=n)
+    loops = rng.choice(n, size=n // 3, replace=False)
+    return Graph(g.features, np.r_[g.adjacency, loops * (n + 1)], g.labels)

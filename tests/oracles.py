@@ -64,7 +64,7 @@ from acgcl.encoder import (GcnParams, gcn_forward_batched, init_gcn_params,
 from acgcl.errors import ShapeError, SizeError
 from acgcl.losses import _TOL_CHECK_EVERY, SinkhornStats, inter_graph_losses_grouped
 from acgcl.sampler import Subgraph, SubgraphSet, _invert_in_place
-from acgcl.trainer import encoded_views, evaluate_probe, probe_accuracy, probe_splits
+from acgcl.trainer import evaluate_probe, probe_accuracy, probe_splits
 
 
 def exhaustive_mirror_pair(features, parents, labels, a, b, gamma, polarity):
@@ -214,8 +214,6 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: np.ndarray) ->
                 else:
                     setattr(stats, unmatched_attr, getattr(stats, unmatched_attr) + 1)
 
-    np.fill_diagonal(pos_adj, 0.0)
-    np.fill_diagonal(neg_adj, 0.0)
     return PerPairMirrors(positive_adjacency=pos_adj, negative_adjacency=neg_adj, stats=stats)
 
 
@@ -265,16 +263,14 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
 def full_table_adjacencies(search: MirrorSearch, gamma) -> np.ndarray:
     """(2, n, k, k) float mirror adjacencies at gamma, thresholded as when
     the search kept both triangles of every table: the pair tables spread to
-    symmetric (k, k) ones, where infinite sums sit on the diagonal."""
+    symmetric (k, k) ones, where infinite sums on the diagonal keep the
+    source's self loops."""
     n, k = search.adjacency.shape[:2]
     a, b = np.triu_indices(k, 1)
     best, edge = np.full((2, n, k, k), np.inf), np.zeros((2, n, k, k))
     best[..., a, b] = best[..., b, a] = search.best
     edge[..., a, b] = edge[..., b, a] = search.edge
-    out = np.where(best < 2.0 * gamma, edge, search.adjacency.astype(np.float64))
-    diagonal = np.arange(k)
-    out[..., diagonal, diagonal] = 0.0
-    return out
+    return np.where(best < 2.0 * gamma, edge, search.adjacency.astype(np.float64))
 
 
 def scaled_sym_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -751,15 +747,13 @@ def probe_baselines(graph, subgraphs: SubgraphSet, config) -> dict[str, float]:
 def one_pass_difficulty_curve(params: GcnParams, subgraphs: SubgraphSet, search: MirrorSearch,
                               theta_grid, xi: float) -> list[tuple[float, float, float]]:
     """``trainer.difficulty_curve`` with all n subgraphs in each forward pass."""
-    a_hat = encoded_views(subgraphs.adjacency)
-    n, k = a_hat.shape[:2]
+    n, k = subgraphs.adjacency.shape[:2]
     feats = subgraphs.node_features[subgraphs.parent_indices].reshape(n * k, -1)
-    h = gcn_forward_batched(params, a_hat, feats, centers_only=False)
+    h = gcn_forward_batched(params, subgraphs.adjacency, feats, centers_only=False)
     rows = []
     for theta in theta_grid:
         gamma = quantile(search.distances, float(theta))
-        h_pos, h_neg = (gcn_forward_batched(params, encoded_views(view), feats,
-                                            centers_only=False)
+        h_pos, h_neg = (gcn_forward_batched(params, view, feats, centers_only=False)
                         for view in search.adjacencies(gamma))
         losses = inter_graph_losses_grouped(h, h_pos, h_neg, xi, k).value
         rows.append((float(theta), float(losses.mean()), float(losses.std())))

@@ -19,7 +19,7 @@ from acgcl import trainer
 from acgcl.augment import mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, open_window, weights_for_mode
-from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
+from acgcl.encoder import gcn_forward_batched, init_gcn_params
 from acgcl.graph import INPUTS_FILE, SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
@@ -208,8 +208,7 @@ def test_criterion_5_gradient_checks():
         params = init_gcn_params(values[0].shape[1], 3, n_layers=2, seed=0)
         params.weights = [w1, w2]
         params.slopes = [s1, s2]
-        out = gcn_forward_batched(params, sym_normalized_adjacency(ADJ)[None], x,
-                                  centers_only=False)
+        out = gcn_forward_batched(params, ADJ[None], x, centers_only=False)
         return ad.sum_all(ad.mul(out, ad.Tensor(MIX))), [x, w1, w2, s1, s2]
 
     global ADJ, MIX

@@ -10,7 +10,8 @@ from acgcl.augment import (MirrorGraphs, estimate_distance_distribution, mirror_
 from acgcl.config import parse_config
 from acgcl.errors import ConfigError, EmptyDistributionError, ShapeError
 from acgcl.sampler import Subgraph, sample_all_subgraphs
-from conftest import graph_from_edges, packed_pair, random_graph, stack_subgraphs
+from conftest import (graph_from_edges, packed_pair, random_graph, self_loop_graph,
+                      stack_subgraphs)
 from oracles import (Replacement, assert_same_tables, chunked_mirror_search, dense_adjacency,
                      distance_matrix, exhaustive_mirror_pair, find_mirror_pair, pair_distance,
                      pairwise_euclidean_diff, per_pair_mirror_augment)
@@ -348,6 +349,22 @@ class TestMirrorSearch:
                              labels=rng.integers(0, 2, size=13))
         subs = sample_all_subgraphs(g, k=6, teleport=0.15)
         assert any(len(set(s.parent_indices.tolist())) < s.size for s in subs)
+        self.assert_matches_oracle(subs, semantic_assignment(g))
+
+    @pytest.mark.parametrize("n, k", [(8, 4), (30, 6)])
+    def test_self_loops_are_kept(self, rng, n, k):
+        """A self loop is no pair: gamma = 0 gives the source views, every
+        gamma keeps the source's diagonal, and the per-pair oracle agrees."""
+        g = self_loop_graph(rng, n=n)
+        subs = sample_all_subgraphs(g, k, 0.15)
+        source = np.diagonal(subs.adjacency, axis1=1, axis2=2)
+        assert source.any() and not source.all()
+        search = mirror_search(subs, semantic_assignment(g))
+        assert np.array_equal(search.adjacencies(0.0), np.stack([subs.adjacency] * 2))
+        for theta in self.THETAS:
+            mirrors = search.adjacencies(quantile(search.distances, theta))
+            for view in mirrors:
+                assert np.array_equal(np.diagonal(view, axis1=1, axis2=2), source)
         self.assert_matches_oracle(subs, semantic_assignment(g))
 
     @pytest.mark.parametrize("k", [2, 3])

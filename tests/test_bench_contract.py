@@ -57,7 +57,8 @@ def acgcl_imports(source):
 
 # Traced layers whose function the package has deleted. The benchmark
 # reports each one absent and reads it as 0 until its harness drops the row.
-RETIRED_LAYERS = {("acgcl.sampler", "extract_subgraph"), ("acgcl.trainer", "mirror_views")}
+RETIRED_LAYERS = {("acgcl.sampler", "extract_subgraph"), ("acgcl.trainer", "mirror_views"),
+                  ("acgcl.trainer", "encoded_views")}
 
 
 def test_traced_layers_exist():

@@ -10,8 +10,8 @@ from acgcl.encoder import (GcnParams, derangement, gcn_forward_batched, init_gcn
                            sym_normalized_adjacency)
 from acgcl.errors import ConfigError, SizeError
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.trainer import encoded_views, load_checkpoint, save_checkpoint
-from conftest import graph_from_edges, random_graph
+from acgcl.trainer import load_checkpoint, save_checkpoint
+from conftest import graph_from_edges, random_graph, self_loop_graph
 from oracles import gcn_forward, scaled_sym_normalized_adjacency
 
 
@@ -22,8 +22,7 @@ def identity_params(dim):
 
 def forward_one(params, adjacency, features):
     """One subgraph through the batched forward pass, as a one-block stack."""
-    return gcn_forward_batched(params, sym_normalized_adjacency(adjacency)[None], features,
-                               centers_only=False)
+    return gcn_forward_batched(params, adjacency[None], features, centers_only=False)
 
 
 class TestSymNormalizedAdjacency:
@@ -79,11 +78,17 @@ class TestBatchNormalization:
         assert subs.adjacency.dtype == np.bool_
         sem = rng.integers(0, 2, size=20)
         mirrors = mirror_search(subs, sem).adjacencies(0.8)
-        whole = [encoded_views(view) for view in (subs.adjacency, *mirrors)]
+        whole = [sym_normalized_adjacency(view) for view in (subs.adjacency, *mirrors)]
+        params = init_gcn_params(g.feature_dim, 3, n_layers=2, seed=0)
         for ids in (np.array([0, 3, 4, 11, 19]), np.arange(20)):
-            batch = [encoded_views(view, ids) for view in (subs.adjacency, *mirrors)]
+            batch = [sym_normalized_adjacency(view[ids]) for view in (subs.adjacency, *mirrors)]
             for got, want in zip(batch, whole):
                 assert np.array_equal(got.view(np.uint64), want[ids].view(np.uint64))
+            feats = subs.node_features[subs.parent_indices[ids].ravel()]
+            for view in (subs.adjacency, *mirrors):
+                assert np.array_equal(
+                    gcn_forward_batched(params, view, feats, centers_only=False, ids=ids).value,
+                    gcn_forward_batched(params, view[ids], feats, centers_only=False).value)
 
 
 class TestGcnForward:
@@ -123,9 +128,8 @@ class TestGcnForward:
         g = random_graph(rng, n=18)
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 6, n_layers=2, seed=1)
-        a_hat = np.stack([sym_normalized_adjacency(s.adjacency) for s in subs])
         feats = np.concatenate([s.node_features[s.parent_indices] for s in subs])
-        batched = gcn_forward_batched(params, a_hat, feats, centers_only=False).value
+        batched = gcn_forward_batched(params, subs.adjacency, feats, centers_only=False).value
         for i, sub in enumerate(subs):
             single = gcn_forward(params, sub.adjacency, sub.node_features[sub.parent_indices]).value
             assert np.allclose(batched[5 * i:5 * (i + 1)], single, atol=1e-12)
@@ -138,10 +142,10 @@ class TestGcnForward:
         rows as ``Rows``."""
         n, k, dim = 3, 4, 5
         adjacency = np.triu((rng.random((n, k, k)) < 0.5).astype(float), 1)
-        a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
+        views = adjacency + adjacency.transpose(0, 2, 1)
         x = rng.standard_normal((n * k, dim))
         params = init_gcn_params(dim, 3, n_layers=2, seed=0)
-        out = gcn_forward_batched(params, a_hat, x, centers_only=False)
+        out = gcn_forward_batched(params, views, x, centers_only=False)
         propagated2, w2, s2 = out._parents
         (h1,) = propagated2._parents
         propagated1, w1, s1 = h1._parents
@@ -149,7 +153,8 @@ class TestGcnForward:
         assert propagated2.requires_grad
         assert not propagated1.requires_grad and propagated1._backward_fn is None
         assert np.array_equal(propagated1.value,
-                              (a_hat @ x.reshape(n, k, dim)).reshape(n * k, dim))
+                              (sym_normalized_adjacency(views) @ x.reshape(n, k, dim))
+                              .reshape(n * k, dim))
         d_propagated1, d_w1, d_s1 = h1._backward_fn(np.ones(h1.shape))
         assert d_propagated1 is None and d_w1.shape == w1.shape and d_s1.shape == ()
         d_propagated2, d_w2, d_s2 = out._backward_fn(np.ones(out.shape))
@@ -164,11 +169,11 @@ class TestGcnForward:
         are the gradients they send back."""
         n, k, dim = 5, 4, 3
         adjacency = np.triu((rng.random((n, k, k)) < 0.5).astype(float), 1)
-        a_hat = sym_normalized_adjacency(adjacency + adjacency.transpose(0, 2, 1))
+        views = adjacency + adjacency.transpose(0, 2, 1)
         x = rng.standard_normal((n * k, dim))
         params = init_gcn_params(dim, 6, n_layers=n_layers, seed=2)
-        full = gcn_forward_batched(params, a_hat, x, centers_only=False)
-        centers = gcn_forward_batched(params, a_hat, x, centers_only=True)
+        full = gcn_forward_batched(params, views, x, centers_only=False)
+        centers = gcn_forward_batched(params, views, x, centers_only=True)
         assert centers.shape == (n, 6)
         assert np.array_equal(centers.value, full.value[::k])
         grads = [ad.gradients(ad.sum_all(out), params.all_parameters())
@@ -198,9 +203,20 @@ class TestEncodeTriple:
         g = random_graph(rng, n=12)
         subs = sample_all_subgraphs(g, k=4, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
-        views = encoded_views(subs.adjacency)
         original, positive, negative = self.encode(
-            params, subs, views, *encoded_views(self.identity_adjacencies(subs)))
+            params, subs, subs.adjacency, *self.identity_adjacencies(subs))
+        assert np.array_equal(original, positive)
+        assert np.array_equal(original, negative)
+
+    def test_identity_mirrors_of_a_graph_with_self_loops(self, rng):
+        """The mirrors that gamma = 0 gives keep the subgraphs' self loops,
+        so all three views embed to the same bits."""
+        g = self_loop_graph(rng, n=12)
+        subs = sample_all_subgraphs(g, k=4, teleport=0.15)
+        assert np.diagonal(subs.adjacency, axis1=1, axis2=2).any()
+        params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
+        original, positive, negative = self.encode(
+            params, subs, subs.adjacency, *mirror_search(subs, g.labels).adjacencies(0.0))
         assert np.array_equal(original, positive)
         assert np.array_equal(original, negative)
 
@@ -208,12 +224,11 @@ class TestEncodeTriple:
         g = random_graph(rng, n=12)
         subs = sample_all_subgraphs(g, k=4, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 3, n_layers=1, seed=0)
-        views = encoded_views(subs.adjacency)
         adjacencies = self.identity_adjacencies(subs)
         perturbed = adjacencies.copy()
         perturbed[1, 0, 0, 1] = perturbed[1, 0, 1, 0] = 1.0 - perturbed[1, 0, 0, 1]
-        a = self.encode(params, subs, views, *encoded_views(adjacencies))
-        b = self.encode(params, subs, views, *encoded_views(perturbed))
+        a = self.encode(params, subs, subs.adjacency, *adjacencies)
+        b = self.encode(params, subs, subs.adjacency, *perturbed)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2][4:], b[2][4:])    # other subgraphs' negatives
@@ -223,9 +238,8 @@ class TestEncodeTriple:
         subs = sample_all_subgraphs(g, k=5, teleport=0.15)
         params = init_gcn_params(g.feature_dim, 7, n_layers=1, seed=3)
         sem = np.zeros(10, dtype=np.int64)
-        views = encoded_views(subs.adjacency)
-        pos, neg = encoded_views(mirror_search(subs, sem).adjacencies(0.5))
-        for emb in self.encode(params, subs, views, pos, neg):
+        pos, neg = mirror_search(subs, sem).adjacencies(0.5)
+        for emb in self.encode(params, subs, subs.adjacency, pos, neg):
             assert emb.shape == (10 * 5, 7)
 
 

@@ -12,7 +12,7 @@ from acgcl.errors import ContractError, SizeError
 from acgcl.graph import SbmConfig, generate_sbm
 from acgcl.sampler import (Subgraph, SubgraphSet, compute_ppr_scores, sample_all_subgraphs,
                            top_k_indices)
-from conftest import graph_from_dense, graph_from_edges, random_graph
+from conftest import graph_from_dense, graph_from_edges, random_graph, self_loop_graph
 from oracles import (column_normalize, dense_adjacency, dense_solve_ppr, power_iteration_ppr,
                      searched_induced, subgraph_indices, three_pass_ppr_scores, top_rank)
 
@@ -68,15 +68,6 @@ class TestPprScores:
             compute_ppr_scores(g, teleport=0.0)
         with pytest.raises(ValueError):
             compute_ppr_scores(g, teleport=1.0)
-
-
-def self_loop_graph(rng, n=30):
-    """A random graph with self-loops on a third of its nodes."""
-    g = random_graph(rng, n=n)
-    dense = dense_adjacency(g)
-    loops = rng.choice(n, size=n // 3, replace=False)
-    dense[loops, loops] = 1.0
-    return graph_from_dense(dense, g.features)
 
 
 def oracle_graphs(rng):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from acgcl.augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, pacing_difficulty
-from acgcl.encoder import gcn_forward_batched, init_gcn_params, sym_normalized_adjacency
+from acgcl.encoder import gcn_forward_batched, init_gcn_params
 from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import (INPUTS_FILE, Graph, SbmConfig, Splits, generate_sbm, make_splits,
                          with_splits)
@@ -20,7 +20,7 @@ from acgcl.sampler import sample_all_subgraphs
 from acgcl.losses import balance_loss, inter_graph_losses_grouped
 from acgcl import autodiff as ad, trainer, util
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
-                           curriculum_inputs, difficulty_curve, encoded_views, evaluate_probe,
+                           curriculum_inputs, difficulty_curve, evaluate_probe,
                            fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
 from conftest import refuse_writes
@@ -563,14 +563,13 @@ class TestDifficultyCurve:
         grid = [0.0, 15.0, 30.0, 50.0, 80.0, 100.0]
         curve = difficulty_curve(params, subs, search, grid, xi=0.5)
 
-        views = encoded_views(subs.adjacency)
         feats = subs.node_features[subs.parent_indices].reshape(len(subs) * 6, -1)
-        h = gcn_forward_batched(params, views, feats, centers_only=False)
+        h = gcn_forward_batched(params, subs.adjacency, feats, centers_only=False)
         for theta, (got_theta, mean, std) in zip(grid, curve):
             gamma = quantile(search.distances, theta)
             mirrors = [per_pair_mirror_augment(s, gamma, sem) for s in subs]
             h_pos, h_neg = (gcn_forward_batched(
-                params, np.stack([sym_normalized_adjacency(getattr(m, side)) for m in mirrors]),
+                params, np.stack([getattr(m, side) for m in mirrors]),
                 feats, centers_only=False) for side in ("positive_adjacency", "negative_adjacency"))
             losses = inter_graph_losses_grouped(h, h_pos, h_neg, 0.5, 6).value
             assert (got_theta, mean, std) == (theta, float(losses.mean()), float(losses.std()))
@@ -592,11 +591,10 @@ class TestCenterEmbeddings:
         cfg = small_config()
         subs = sample_all_subgraphs(g, cfg.subgraph_size, cfg.teleport)
         params = init_gcn_params(g.feature_dim, cfg.embedding_dim, 2, 0)
-        views = encoded_views(subs.adjacency)
         k = cfg.subgraph_size
         ids = np.arange(len(subs))
         feats = subs.node_features[subs.parent_indices][ids].reshape(len(ids) * k, -1)
-        h = gcn_forward_batched(params, views[ids], feats, centers_only=False).value
+        h = gcn_forward_batched(params, subs.adjacency[ids], feats, centers_only=False).value
         assert np.array_equal(compute_center_embeddings(params, subs), h[ids * k])
 
 
