@@ -174,11 +174,10 @@ class MirrorSearch:
 
 @dataclass(frozen=True)
 class MirrorGraphs:
-    """``mirror_augment``'s result, kept with it for the benchmark; ROADMAP
+    """``mirror_augment``'s two views, kept with it for the benchmark; ROADMAP
     item 1 step C deletes both."""
     positive_adjacency: np.ndarray
     negative_adjacency: np.ndarray
-    search: MirrorSearch       # the one-subgraph tables both were thresholded from
 
 
 def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch:
@@ -388,14 +387,12 @@ def _separable_min(x: np.ndarray, y: np.ndarray, c_ok: np.ndarray, d_ok: np.ndar
 
 def mirror_augment(subgraph: Subgraph, gamma: float, semantics: np.ndarray,
                    metric: str) -> MirrorGraphs:
-    """Positive and negative mirror adjacencies of one subgraph at gamma, and
-    the search they came from; features are untouched. ``metric`` must be
-    "euclidean". No package code calls this; it stays for the benchmark,
-    and ROADMAP item 1 step C deletes it, its ``metric`` argument and
-    ``MirrorGraphs``."""
+    """Positive and negative mirror adjacencies of one subgraph at gamma;
+    features are untouched. ``metric`` must be "euclidean". No package code
+    calls this; it stays for the benchmark, and ROADMAP item 1 step C
+    deletes it, its ``metric`` argument and ``MirrorGraphs``."""
     _euclidean_only(metric)
     one = SubgraphSet(subgraph.parent_indices[None], subgraph.adjacency[None],
                       subgraph.node_features)
-    search = mirror_search(one, semantics)
-    (positive,), (negative,) = search.adjacencies(gamma)
-    return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative, search=search)
+    (positive,), (negative,) = mirror_search(one, semantics).adjacencies(gamma)
+    return MirrorGraphs(positive_adjacency=positive, negative_adjacency=negative)

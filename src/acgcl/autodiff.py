@@ -87,9 +87,6 @@ class Tensor:
         self._value = np.asarray(value, dtype=np.float64)
         self.shape = self._value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -55,10 +55,6 @@ class Subgraph:
     adjacency: np.ndarray        # (k, k) bool
     node_features: np.ndarray    # (n_nodes, dim) the graph's own matrix, shared
 
-    @property
-    def size(self) -> int:
-        return len(self.parent_indices)
-
 
 @dataclass(frozen=True)
 class SubgraphSet:

@@ -121,7 +121,7 @@ def find_mirror_pair(subgraph: Subgraph, pair, gamma, semantics: np.ndarray,
     """Best admissible mirror of (a, b), or None. Positions index the
     subgraph; ties break to the lexicographically smallest (c, d)."""
     a, b = pair
-    k = subgraph.size
+    k = len(subgraph.parent_indices)
     if not (0 <= a < k and 0 <= b < k) or a == b:
         raise ValueError(f"pair {pair} invalid for subgraph of size {k}")
     if polarity not in ("positive", "negative"):
@@ -176,7 +176,7 @@ def per_pair_mirror_augment(subgraph: Subgraph, gamma, semantics: np.ndarray) ->
     one Python step per pair (a, b), with the replacement log in (a, b)
     order: the bit-exact reference for ``acgcl.augment.mirror_search``, its
     thresholded adjacencies and ``MirrorSearch.replacements``."""
-    k = subgraph.size
+    k = len(subgraph.parent_indices)
     adj = subgraph.adjacency
     dmat = distance_matrix(subgraph.node_features[subgraph.parent_indices])
     parents, labels, parent_neq, label_eq = _candidate_masks(subgraph, semantics)
@@ -670,7 +670,7 @@ def directional_grad_check(fn, values, rng, step=1e-5, n_directions=3):
             minus = [v.copy() for v in values]
             plus[idx] = plus[idx] + step * direction
             minus[idx] = minus[idx] - step * direction
-            fd = (fn(plus)[0].item() - fn(minus)[0].item()) / (2 * step)
+            fd = (float(fn(plus)[0].value) - float(fn(minus)[0].value)) / (2 * step)
             advalue = float((grads[idx] * direction).sum())
             err = abs(advalue - fd) / max(abs(fd), abs(advalue), 1e-6)
             worst = max(worst, err)
@@ -704,7 +704,7 @@ def row_difference_distances(subgraphs):
     row difference: the reference for ``MirrorSearch.distances``."""
     values = []
     for sub in subgraphs:
-        iu, iv = np.triu_indices(sub.size, k=1)
+        iu, iv = np.triu_indices(len(sub.parent_indices), k=1)
         distinct = sub.parent_indices[iu] != sub.parent_indices[iv]
         x = sub.node_features[sub.parent_indices]
         diff = x[iu[distinct]] - x[iv[distinct]]

@@ -155,9 +155,9 @@ def test_criterion_4_sinkhorn_accuracy():
         p = rng.random(m)
         q = rng.random(m) + rng.uniform(0.5, 2.0)
         exact = exact_w1_1d(p, q)
-        approx = sinkhorn_w1(p[:, None], q[:, None], *solve).item()
+        approx = float(sinkhorn_w1(p[:, None], q[:, None], *solve).value)
         worst_rel = max(worst_rel, abs(approx - exact) / exact)
-        flipped = sinkhorn_w1(q[:, None], p[:, None], *solve).item()
+        flipped = float(sinkhorn_w1(q[:, None], p[:, None], *solve).value)
         worst_sym = max(worst_sym, abs(approx - flipped))
     passed = worst_rel < 0.05 and worst_sym < 1e-8
     report("4 sinkhorn-accuracy", passed,

@@ -11,7 +11,9 @@ benchmark alone, so deleting them with the benchmark's hooks touches no
 package path, and no test outside their own
 (``test_augment.py::TestBenchShims`` and ``TestStackedDistanceEstimate``)
 names them. Every package definition is named by package code or imported
-by a bench file, so none stays for the tests alone.
+by a bench file, and every member of a package class is read by package
+code or a bench file, so no definition and no member stays for the tests
+alone.
 """
 
 import ast
@@ -121,6 +123,46 @@ def test_every_package_definition_is_named_by_package_code_or_the_bench():
               and definition.name not in imported
               and names[definition.name] == sum(identifier(node) == definition.name
                                                 for node in ast.walk(definition))]
+    assert unused == []
+
+
+def members(cls):
+    """(name, node) of each method, property, ``__slots__`` entry and
+    dataclass or NamedTuple field of a class, dunders aside."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        elif isinstance(node, ast.Assign) and "__slots__" in map(identifier, node.targets):
+            names = [e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def attribute_reads(node):
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_package_class_member_is_read_by_package_code_or_the_bench():
+    """A member of a package class that no package code reads as an
+    attribute outside its own definition, and no bench file reads, is kept
+    for the tests alone. Members match by name, not by type, so a member
+    named like an attribute read off an ndarray or another class, such as
+    ``size`` or ``shape``, reads as used: this guard cannot flag it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = sum(map(attribute_reads, trees.values()), Counter())
+    bench = set().union(*(attribute_reads(ast.parse(path.read_text()))
+                          for path in sorted(BENCH.glob("*.py"))))
+    unused = [f"{module}:{node.lineno} {cls.name}.{name}"
+              for module, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              for name, node in members(cls)
+              if name not in bench and reads[name] == attribute_reads(node)[name]]
     assert unused == []
 
 

@@ -66,7 +66,7 @@ class TestInterGraphLoss:
         grouped = inter_graph_losses_grouped(h, hp, hn, xi=1.0, group_size=3).value
         for i in range(2):
             s = slice(3 * i, 3 * (i + 1))
-            single = inter_graph_loss(h[s], hp[s], hn[s], xi=1.0).item()
+            single = float(inter_graph_loss(h[s], hp[s], hn[s], xi=1.0).value)
             assert grouped[i] == pytest.approx(single, abs=1e-12)
 
 
@@ -92,23 +92,24 @@ class TestIntraGraphLoss:
         batched = intra_graph_losses_batched(h, s, sn, epsilon=0.1).value
         for i in range(5):
             assert batched[i] == pytest.approx(
-                intra_graph_loss(h[i], s[i], sn[i], epsilon=0.1).item(), abs=1e-12)
+                float(intra_graph_loss(h[i], s[i], sn[i], epsilon=0.1).value), abs=1e-12)
 
 
 class TestSinkhorn:
     def test_identity_bias_shrinks_with_reg(self, rng):
         p = rng.standard_normal((10, 2))
-        big = sinkhorn_w1(p, p.copy(), 0.5, 500, 1e-9).item()
-        small = sinkhorn_w1(p, p.copy(), 0.01, 2000, 1e-9).item()
+        big = float(sinkhorn_w1(p, p.copy(), 0.5, 500, 1e-9).value)
+        small = float(sinkhorn_w1(p, p.copy(), 0.01, 2000, 1e-9).value)
         assert small < big
         assert small < 0.05
 
     def test_singletons_exact(self):
-        got = sinkhorn_w1(np.zeros((1, 2)), np.array([[3.0, 4.0]]), *DEFAULT_SOLVE).item()
+        got = float(sinkhorn_w1(np.zeros((1, 2)), np.array([[3.0, 4.0]]), *DEFAULT_SOLVE).value)
         assert got == pytest.approx(5.0)
 
     def test_one_d_example(self):
-        got = sinkhorn_w1(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]), *DEFAULT_SOLVE).item()
+        got = float(sinkhorn_w1(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]),
+                                *DEFAULT_SOLVE).value)
         assert abs(got - 2.0) / 2.0 < 0.05
 
     def test_one_d_oracle_five_percent(self, rng):
@@ -118,17 +119,17 @@ class TestSinkhorn:
             p = rng.random(m)
             q = rng.random(m) + rng.uniform(0.5, 2.0)
             exact = exact_w1_1d(p, q)
-            got = sinkhorn_w1(p[:, None], q[:, None], *solve).item()
+            got = float(sinkhorn_w1(p[:, None], q[:, None], *solve).value)
             assert abs(got - exact) / exact < 0.05
 
     def test_symmetry(self, rng):
         a, b = rng.standard_normal((8, 3)), rng.standard_normal((6, 3))
-        ab, ba = (sinkhorn_w1(x, y, *DEFAULT_SOLVE).item() for x, y in ((a, b), (b, a)))
+        ab, ba = (float(sinkhorn_w1(x, y, *DEFAULT_SOLVE).value) for x, y in ((a, b), (b, a)))
         assert abs(ab - ba) < 1e-8
 
     def test_all_identical_points_zero(self):
         p = np.ones((4, 2))
-        assert sinkhorn_w1(p, p.copy(), *DEFAULT_SOLVE).item() == 0.0
+        assert float(sinkhorn_w1(p, p.copy(), *DEFAULT_SOLVE).value) == 0.0
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
@@ -166,7 +167,7 @@ def assert_matches_log_domain(h, other, solve, reg):
     wa, wb = ad.parameter(h), ad.parameter(other)
     want, want_stats = log_domain(wa, wb, reg, *solve[1:])
     want_grads = ad.gradients(want, [wa, wb])
-    assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+    assert abs(float(got.value) - float(want.value)) <= 1e-12 * abs(float(want.value))
     for g, w in zip(got_grads, want_grads):
         assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
     assert stats[0].iters == want_stats.iters
@@ -193,7 +194,8 @@ class TestSinkhornPaths:
 
         solve = (None, 200, 0.0)
         got = sinkhorn_w1(h, other, *solve)
-        assert got.item() == _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0].item()
+        want = _sinkhorn_kernel_node(ad.Tensor(cost), reg, 200, 0.0)[0]
+        assert float(got.value) == float(want.value)
         assert assert_matches_log_domain(h, other, solve, reg).iters == 200
 
     def test_kernel_matches_log_domain_at_an_early_stop(self, rng):
@@ -293,13 +295,13 @@ class TestSinkhornStats:
 class TestBalanceLoss:
     def test_identical_sets_near_zero(self, rng):
         h = rng.standard_normal((6, 3))
-        assert balance_loss(h, h.copy(), h.copy(), *DEFAULT_SOLVE).item() < 0.2
+        assert float(balance_loss(h, h.copy(), h.copy(), *DEFAULT_SOLVE).value) < 0.2
 
     def test_compositional(self, rng):
         h, hp, hn = (rng.standard_normal((7, 3)) for _ in range(3))
         solve = (0.1, 200, 0.0)
-        total = balance_loss(h, hp, hn, *solve).item()
-        parts = sinkhorn_w1(h, hp, *solve).item() + sinkhorn_w1(h, hn, *solve).item()
+        total = float(balance_loss(h, hp, hn, *solve).value)
+        parts = float(sinkhorn_w1(h, hp, *solve).value) + float(sinkhorn_w1(h, hn, *solve).value)
         assert total == pytest.approx(parts, abs=1e-10)
 
 
@@ -324,7 +326,7 @@ class TestPerSampleLoss:
         lb = 0.9
         vec = per_sample_losses_batched(li, lc, lb, 0.5, 2.0, n=4).value
         for i in range(4):
-            want = per_sample_loss(li[i], lc[i], lb, 0.5, 2.0, 4).item()
+            want = float(per_sample_loss(li[i], lc[i], lb, 0.5, 2.0, 4).value)
             assert vec[i] == pytest.approx(want, abs=1e-12)
 
     def test_sum_consistent_with_full_loss(self, rng):
@@ -342,11 +344,11 @@ class TestPerSampleLoss:
 class TestWeightedTotal:
     def test_masking(self):
         losses = ad.Tensor(np.array([2.0, 3.0]))
-        assert weighted_total_loss(losses, np.array([1.0, 0.0])).item() == pytest.approx(2.0)
+        assert float(weighted_total_loss(losses, np.array([1.0, 0.0])).value) == pytest.approx(2.0)
 
     def test_all_ones_plain_sum(self, rng):
         values = rng.random(5)
-        got = weighted_total_loss(ad.Tensor(values), np.ones(5)).item()
+        got = float(weighted_total_loss(ad.Tensor(values), np.ones(5)).value)
         assert got == pytest.approx(values.sum())
 
     def test_soft_weight_composition(self):
@@ -354,7 +356,7 @@ class TestWeightedTotal:
         from acgcl.curriculum import AclThresholds, weights_for_mode
         losses = np.array([0.05, 0.5, 2.0])
         weights = weights_for_mode("soft_acl", losses, AclThresholds(lambda1=1.0, lambda2=0.1))
-        got = weighted_total_loss(ad.Tensor(losses), weights).item()
+        got = float(weighted_total_loss(ad.Tensor(losses), weights).value)
         assert got == pytest.approx(0.5 * 0.05 + 1.0 * 0.5 + 0.0 * 2.0)
 
     def test_length_mismatch(self):

@@ -473,7 +473,7 @@ class TestSampleAllSubgraphs:
     def test_shapes_and_symmetry(self, rng):
         g = random_graph(rng, n=20)
         for sub in sample_all_subgraphs(g, k=5, teleport=0.15):
-            assert sub.size == 5
+            assert len(sub.parent_indices) == 5
             assert np.array_equal(sub.adjacency, sub.adjacency.T)
 
     @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)], []])
