@@ -17,10 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from acgcl.config import TrainConfig
+from acgcl.curriculum import MODES
 from acgcl.graph import SbmConfig, generate_sbm, make_splits, with_splits
 from acgcl.trainer import curriculum_inputs, evaluate_probe, probe_accuracy, train
-
-MODES = ["uniform", "spl", "hard_acl", "soft_acl"]
 
 
 def main():

@@ -112,34 +112,36 @@ class MirrorSearch:
     pairs a < b in ``np.triu_indices(k, 1)`` order, which is row-major (a,
     b) order. The leading axis is the polarity: 0 positive, 1 negative. For
     subgraph i and its q-th pair (a, b), ``best[p, i, q]`` is the smallest
-    admissible distance sum, ``argmin`` its first row-major position
-    c * k + d and ``edge`` the mirror edge adjacency[c, d]. Pairs without
+    admissible distance sum and ``argmin`` its first row-major position
+    c * k + d, where ``adjacency`` holds the mirror edge. Pairs without
     an admissible mirror, and padded duplicates, hold an infinite sum, so no
-    gamma replaces them. ``best`` is float64, ``edge`` bool and ``argmin``
-    the smallest unsigned type that holds k * k - 1 (uint8 up to k = 16,
-    uint16 up to k = 256). ``distances`` holds D[a, b] of the pairs a < b with
-    distinct parents, subgraph by subgraph. In all, 30 bytes per pair a < b
-    at k = 20, 5700 per subgraph.
+    gamma replaces them. ``best`` is float64 and ``argmin`` the smallest
+    unsigned type that holds k * k - 1 (uint8 up to k = 16, uint16 up to
+    k = 256). ``distances`` holds D[a, b] of the pairs a < b with distinct
+    parents, subgraph by subgraph. In all, 28 bytes per pair a < b at
+    k = 20, 5320 per subgraph.
     """
     adjacency: np.ndarray      # (n, k, k) bool source adjacencies, symmetric
     best: np.ndarray           # (2, n, k (k - 1) / 2) float64
     argmin: np.ndarray         # (2, n, k (k - 1) / 2) np.min_scalar_type(k * k - 1)
-    edge: np.ndarray           # (2, n, k (k - 1) / 2) bool
     pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
     distances: np.ndarray      # (pair_counts.sum(),) float64: the run's, slices share it
 
     def __getitem__(self, rows: slice) -> MirrorSearch:
         """The search of the subgraphs ``rows``, as views of these tables."""
         return MirrorSearch(self.adjacency[rows], self.best[:, rows], self.argmin[:, rows],
-                            self.edge[:, rows], self.pair_counts[rows], self.distances)
+                            self.pair_counts[rows], self.distances)
 
     def adjacencies(self, gamma: float) -> np.ndarray:
         """(2, n, k, k) bool: positive then negative mirror adjacencies at
         gamma, symmetric, with the source's diagonal: no pair rewrites a
-        self loop, so gamma = 0 gives the source adjacency twice."""
+        self loop, so gamma = 0 gives the source adjacency twice. Each pair
+        a < b reads the source at its mirror's position c * k + d, or at its
+        own a * k + b where gamma replaces nothing."""
         n, k = self.adjacency.shape[:2]
         a, b = np.triu_indices(k, 1)
-        upper = np.where(self.best < 2.0 * gamma, self.edge, self.adjacency[:, a, b])
+        at = np.where(self.best < 2.0 * gamma, self.argmin, (a * k + b).astype(self.argmin.dtype))
+        upper = np.take_along_axis(self.adjacency.reshape(1, n, k * k), at, axis=2)
         out = np.zeros((2, n, k, k), dtype=bool)
         out[..., a, b] = upper
         out[..., b, a] = upper
@@ -168,7 +170,7 @@ class MirrorSearch:
             c, d = np.divmod(self.argmin[p, i, q], k)
             log.append((a, b, c, d, self.best[p, i, q],
                         self.adjacency[i, a, b].astype(np.int64),
-                        self.edge[p, i, q].astype(np.int64)))
+                        self.adjacency[i, c, d].astype(np.int64)))
         return log
 
 
@@ -239,8 +241,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
         for p, (value, flat) in enumerate((pos, (neg_best, neg_flat))):
             best[p, i, q] = value
             argmin[p, i, q] = np.where(value < np.inf, flat, 0)
-    edge = np.take_along_axis(adjacency.reshape(1, n, k * k), argmin, axis=2)
-    return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
+    return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin,
                         pair_counts=pair_counts, distances=np.concatenate(distances))
 
 

@@ -257,8 +257,8 @@ def load_dataset(directory) -> Graph:
     in parse order is named, and the cache is neither read nor written.
     Else ``cache_key`` of each file's name, presence and bytes, with no
     thread variable as the parse reads no BLAS, keys ``CACHE_FILE``: while
-    it holds that key, the graph is rebuilt from its arrays through
-    ``Graph`` and ``with_splits``, so every check runs again. On a miss the
+    it holds that key, the graph and its splits are rebuilt from its arrays
+    in one ``Graph``, so every check runs again, once. On a miss the
     bytes are parsed and the cache written; a directory that cannot be
     written is parsed every time, and a cache that cannot be read is a miss."""
     directory = Path(directory)
@@ -315,10 +315,9 @@ def _cached_graph(cache: Path, key: np.ndarray) -> Graph | None:
     if arrays is None:
         return None
     try:
-        graph = Graph(arrays["features"], arrays["adjacency"], arrays.get("labels"))
-        if arrays.keys() & {"train", "val", "test"}:
-            graph = with_splits(graph, Splits(arrays["train"], arrays["val"], arrays["test"]))
-        return graph
+        splits = (Splits(arrays["train"], arrays["val"], arrays["test"])
+                  if arrays.keys() & {"train", "val", "test"} else None)
+        return Graph(arrays["features"], arrays["adjacency"], arrays.get("labels"), splits)
     except Exception:   # arrays that break a Graph invariant, or a split without the others
         return None
 

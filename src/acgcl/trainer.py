@@ -420,8 +420,7 @@ def _cached_inputs(cache: Path, key: np.ndarray, graph: Graph,
     arrays = read_keyed_npz(cache, key, {
         "parent_indices": (np.int64, (n, k)), "adjacency": (np.bool_, (n, k, k)),
         "best": (np.float64, tables), "argmin": (np.min_scalar_type(k * k - 1), tables),
-        "edge": (np.bool_, tables), "pair_counts": (np.int64, (n,)),
-        "distances": (np.float64, (None,))})
+        "pair_counts": (np.int64, (n,)), "distances": (np.float64, (None,))})
     if arrays is None:
         return None
     ids = arrays.pop("parent_indices")

@@ -19,7 +19,8 @@ Three groups share some:
   so that its scaling compares bit for bit with ``compute_ppr_scores``.
 
 ``full_table_adjacencies`` thresholds the full (k, k) float tables that
-the ``MirrorSearch`` triangle replaced, and ``scaled_sym_normalized_adjacency``
+the ``MirrorSearch`` triangle replaced, with the mirror edges that its
+positions replaced, and ``scaled_sym_normalized_adjacency``
 scales the float A + I on both sides, the form the package's masked outer
 product replaced.
 ``prelu`` of a ``matmul`` is the two-node GCN layer that the package's
@@ -255,21 +256,22 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
                 argmin[p, i, a, bs] = argmin[p, i, bs, a] = flat
     upper = np.triu_indices(k, 1)
     best, argmin = best[..., upper[0], upper[1]], argmin[..., upper[0], upper[1]]
-    edge = np.take_along_axis(adjacency.reshape(1, n, k * k), argmin, axis=2)
-    return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin, edge=edge,
+    return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin,
                         pair_counts=pair_counts, distances=np.concatenate(distances))
 
 
 def full_table_adjacencies(search: MirrorSearch, gamma) -> np.ndarray:
     """(2, n, k, k) float mirror adjacencies at gamma, thresholded as when
-    the search kept both triangles of every table: the pair tables spread to
-    symmetric (k, k) ones, where infinite sums on the diagonal keep the
-    source's self loops."""
+    the search kept both triangles of every table and the mirror edge of
+    each: the pair tables spread to symmetric (k, k) ones, where infinite
+    sums on the diagonal keep the source's self loops, and each pair's
+    mirror edge is the source's at (c, d) = divmod(argmin, k)."""
     n, k = search.adjacency.shape[:2]
     a, b = np.triu_indices(k, 1)
+    c, d = np.divmod(search.argmin.astype(np.int64), k)
     best, edge = np.full((2, n, k, k), np.inf), np.zeros((2, n, k, k))
     best[..., a, b] = best[..., b, a] = search.best
-    edge[..., a, b] = edge[..., b, a] = search.edge
+    edge[..., a, b] = edge[..., b, a] = search.adjacency[np.arange(n)[:, None], c, d]
     return np.where(best < 2.0 * gamma, edge, search.adjacency.astype(np.float64))
 
 

@@ -382,22 +382,17 @@ class TestMirrorSearch:
     @pytest.mark.parametrize("k, index_type", [(5, np.uint8), (16, np.uint8), (17, np.uint16),
                                                (20, np.uint16)])
     def test_table_dtypes(self, rng, k, index_type):
-        """``best`` float64, ``edge`` bool and ``argmin`` the smallest type
-        that holds k * k - 1, each (2, n, k (k - 1) / 2); edge agrees with
-        the source adjacency."""
+        """``best`` float64 and ``argmin`` the smallest type that holds
+        k * k - 1, each (2, n, k (k - 1) / 2)."""
         g = random_graph(rng, n=2 * k, p=0.3)
         subs = sample_all_subgraphs(g, k, 0.15)
         search = mirror_search(subs, semantic_assignment(g))
         n = len(subs)
-        for table in (search.best, search.argmin, search.edge):
+        for table in (search.best, search.argmin):
             assert table.shape == (2, n, k * (k - 1) // 2)
         assert search.best.dtype == np.float64
-        assert search.edge.dtype == np.bool_
         assert search.argmin.dtype == index_type
         assert search.argmin.max() <= k * k - 1
-        flat = subs.adjacency.reshape(1, n, k * k)
-        assert np.array_equal(search.edge, np.take_along_axis(
-            flat, search.argmin.astype(np.int64), axis=2))
 
 
 class TestSeparableScan:

@@ -492,8 +492,24 @@ class TestDatasetCache:
         assert_same_graph(load_dataset(data), cold)
         assert parses == [data]
 
+    def test_warm_load_checks_the_graph_once(self, tmp_path, monkeypatch):
+        """A warm load builds its graph and splits in one ``Graph``."""
+        data = saved_dataset(tmp_path / "data")
+        cold = load_dataset(data)
+        checks, check = [], Graph.__post_init__
+
+        def counted(graph):
+            checks.append(graph)
+            check(graph)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        warm = load_dataset(data)
+        assert checks == [warm]
+        assert_same_graph(warm, cold)
+
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "mistyped", "missing",
-                                        "unknown", "pickled", "bad-graph"])
+                                        "unknown", "pickled", "bad-graph", "bad-split",
+                                        "split-part"])
     def test_unreadable_cache_is_a_miss_and_rewritten(self, tmp_path, monkeypatch, damage):
         data = saved_dataset(tmp_path / "data")
         cold = load_dataset(data)
@@ -514,6 +530,10 @@ class TestDatasetCache:
                 arrays["weights"] = np.zeros(3)
             elif damage == "pickled":
                 arrays["labels"] = arrays["labels"].astype(object)
+            elif damage == "bad-split":     # a node in two splits
+                arrays["val"] = arrays["train"]
+            elif damage == "split-part":
+                del arrays["test"]
             else:           # an asymmetric adjacency under the right key
                 arrays["adjacency"] = arrays["adjacency"][1:]
             with open(cache, "wb") as out:

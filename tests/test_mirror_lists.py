@@ -124,7 +124,7 @@ class TestPackedTables:
         subs, sem = random_stack(np.random.default_rng(seed), k, features, labels, padded)
         search = mirror_search(subs, sem)
         pairs = list(zip(*np.triu_indices(k, 1)))
-        for table in (search.best, search.argmin, search.edge):
+        for table in (search.best, search.argmin):
             assert table.shape == (2, len(subs), len(pairs))
         for i, sub in enumerate(subs):
             dmat = distance_matrix(sub.node_features[sub.parent_indices])
@@ -140,7 +140,6 @@ class TestPackedTables:
                     c, d = mirror
                     assert search.best[p, i, q] == dmat[c, a] + dmat[d, b]
                     assert search.argmin[p, i, q] == c * k + d
-                    assert search.edge[p, i, q] == sub.adjacency[c, d]
 
     @settings(max_examples=40, deadline=None)
     @given(STACKS)

@@ -11,19 +11,21 @@ from hypothesis import strategies as st
 
 from acgcl.augment import MirrorSearch, mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
-from acgcl.curriculum import AclThresholds, pacing_difficulty
+from acgcl.curriculum import AclThresholds, open_window, pacing_difficulty, weights_for_mode
 from acgcl.encoder import gcn_forward_batched, init_gcn_params
 from acgcl.errors import ContractError, TrainingDiverged
 from acgcl.graph import (INPUTS_FILE, Graph, SbmConfig, Splits, generate_sbm, make_splits,
                          with_splits)
 from acgcl.sampler import sample_all_subgraphs
-from acgcl.losses import balance_loss, inter_graph_losses_grouped
+from acgcl.losses import balance_loss, inter_graph_losses_grouped, weighted_total_loss
 from acgcl import autodiff as ad, trainer, util
+from acgcl.util import ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, rng_for
 from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            curriculum_inputs, difficulty_curve, evaluate_probe,
                            fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
 from conftest import refuse_writes
+from test_acceptance import experiment_config, experiment_graph
 from oracles import (gradient_descent_probe, matmul, one_pass_difficulty_curve,
                      per_pair_mirror_augment, prelu, row_sq_norm, take_rows_dense)
 
@@ -412,6 +414,39 @@ class TestTrainLoop:
                     "gamma": gamma, **fields} == record
         for replayed, reference in zip(params.all_parameters(), trained.all_parameters()):
             assert np.array_equal(replayed.value, reference.value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_zero_lowers_its_batch_loss_and_moves_every_parameter(seed):
+    """Step 0 of the criterion 7-9 fixture's config descends: recomputed
+    after the update with the same ids, random streams and curriculum
+    weights, its batch's weighted loss is lower, and every parameter entry
+    has moved (seed 0 went from 182.913 to 182.671)."""
+    graph, config = experiment_graph(seed), experiment_config(seed)
+    subgraphs, search = curriculum_inputs(graph, config)
+    mirrors = search.adjacencies(quantile(search.distances, pacing_difficulty(0, config)))
+    params = init_gcn_params(graph.feature_dim, config.embedding_dim, config.gcn_layers,
+                             config.seed)
+    start = [t.value for t in params.all_parameters()]
+
+    def batch_losses():
+        batch_rng, *rngs = (rng_for(config.seed, role, 0, 0)
+                            for role in (ROLE_BATCH, ROLE_SHUFFLE, ROLE_BALANCE))
+        n = len(subgraphs)
+        ids = np.sort(batch_rng.choice(n, size=min(config.batch_size, n), replace=False))
+        return trainer._batch_losses(params, subgraphs, mirrors, ids, *rngs, config)[0]
+
+    losses = batch_losses()
+    window = open_window(losses.value, config.acl_mode)
+    w = weights_for_mode(config.acl_mode if window else "uniform", losses.value, window)
+    before = float(weighted_total_loss(losses, w).value)
+    fields, _, _ = run_inner_step(params, init_optimizer(start), subgraphs, mirrors, 0, 0,
+                                  config, None)
+    assert fields["weighted_loss"] == before       # the step's own batch and weights
+    after = float(weighted_total_loss(batch_losses(), w).value)
+    assert after < before, (before, after)
+    for tensor, value in zip(params.all_parameters(), start):
+        assert (tensor.value != value).all()
 
 
 def bench_step_peak(**config) -> int:
@@ -806,7 +841,7 @@ class TestInputsCache:
             elif damage == "reshaped":
                 arrays["best"] = arrays["best"][:, :-1]
             elif damage == "missing":
-                del arrays["edge"]
+                del arrays["pair_counts"]
             elif damage == "unknown":
                 arrays["extra"] = np.zeros(3)
             elif damage == "centre":
