@@ -117,20 +117,20 @@ class MirrorSearch:
     an admissible mirror, and padded duplicates, hold an infinite sum, so no
     gamma replaces them. ``best`` is float64 and ``argmin`` the smallest
     unsigned type that holds k * k - 1 (uint8 up to k = 16, uint16 up to
-    k = 256). ``distances`` holds D[a, b] of the pairs a < b with distinct
-    parents, subgraph by subgraph. In all, 28 bytes per pair a < b at
-    k = 20, 5320 per subgraph.
+    k = 256). ``distances`` holds D[a, b] of the run's pairs a < b with
+    distinct parents, subgraph by subgraph, and a slice shares it: its size
+    is the pair count that ``match_rates`` divides by. In all, 28 bytes per
+    pair a < b at k = 20, 5320 per subgraph.
     """
     adjacency: np.ndarray      # (n, k, k) bool source adjacencies, symmetric
     best: np.ndarray           # (2, n, k (k - 1) / 2) float64
     argmin: np.ndarray         # (2, n, k (k - 1) / 2) np.min_scalar_type(k * k - 1)
-    pair_counts: np.ndarray    # (n,) pairs a < b with distinct parents
-    distances: np.ndarray      # (pair_counts.sum(),) float64: the run's, slices share it
+    distances: np.ndarray      # (pairs a < b with distinct parents,) float64: the run's
 
     def __getitem__(self, rows: slice) -> MirrorSearch:
         """The search of the subgraphs ``rows``, as views of these tables."""
         return MirrorSearch(self.adjacency[rows], self.best[:, rows], self.argmin[:, rows],
-                            self.pair_counts[rows], self.distances)
+                            self.distances)
 
     def adjacencies(self, gamma: float) -> np.ndarray:
         """(2, n, k, k) bool: positive then negative mirror adjacencies at
@@ -151,7 +151,7 @@ class MirrorSearch:
 
     def match_rates(self, gamma: float) -> tuple[float, float]:
         """Share of real pairs with a positive, and a negative, mirror at gamma."""
-        total = int(self.pair_counts.sum())
+        total = self.distances.size
         if total == 0:
             return 0.0, 0.0
         matched = np.count_nonzero(self.best < 2.0 * gamma, axis=(1, 2))
@@ -210,7 +210,6 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
     upper_a, upper_b = np.triu_indices(k, 1)
     best = np.full((2, n, len(upper_a)), np.inf)
     argmin = np.zeros((2, n, len(upper_a)), dtype=np.min_scalar_type(k * k - 1))
-    pair_counts = np.zeros(n, dtype=np.int64)
     distances = [np.empty(0)]
     step = max(1, PAIR_BLOCK // max(1, len(upper_a)))
     for start in range(0, n, step):
@@ -219,7 +218,6 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
         dmat = euclidean_matrix(x, x)[0]
         labels = semantics[parents]
         pairs = parents[:, upper_a] != parents[:, upper_b]
-        pair_counts[start:start + len(parents)] = pairs.sum(axis=1)
         g, q = np.nonzero(pairs)             # pairs a < b with distinct parents
         a, b = upper_a[q], upper_b[q]
         distances.append(dmat[g, a, b])
@@ -242,7 +240,7 @@ def mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> MirrorSearch
             best[p, i, q] = value
             argmin[p, i, q] = np.where(value < np.inf, flat, 0)
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin,
-                        pair_counts=pair_counts, distances=np.concatenate(distances))
+                        distances=np.concatenate(distances))
 
 
 # The candidate sets of slot v: slots of v's semantics, of another, of any.

@@ -414,18 +414,20 @@ def _cached_inputs(cache: Path, key: np.ndarray, graph: Graph,
     """The subgraphs and mirror search stored in ``cache`` under ``key``,
     sharing one adjacency array and the graph's features; None unless every
     table has the dtype and shape ``mirror_search`` gives it, the ids are in
-    range with each subgraph's centre first, and ``distances`` holds one
-    entry per counted pair."""
+    range with each subgraph's centre first, ``distances`` holds one entry
+    per pair a < b of distinct ids, and each mirror position is below k * k."""
     n, tables = graph.n_nodes, (2, graph.n_nodes, k * (k - 1) // 2)
     arrays = read_keyed_npz(cache, key, {
         "parent_indices": (np.int64, (n, k)), "adjacency": (np.bool_, (n, k, k)),
         "best": (np.float64, tables), "argmin": (np.min_scalar_type(k * k - 1), tables),
-        "pair_counts": (np.int64, (n,)), "distances": (np.float64, (None,))})
+        "distances": (np.float64, (None,))})
     if arrays is None:
         return None
     ids = arrays.pop("parent_indices")
+    a, b = np.triu_indices(k, 1)
     if (ids.min() < 0 or ids.max() >= n or not np.array_equal(ids[:, 0], np.arange(n))
-            or len(arrays["distances"]) != arrays["pair_counts"].sum()):
+            or len(arrays["distances"]) != np.count_nonzero(ids[:, a] != ids[:, b])
+            or np.any(arrays["argmin"] >= k * k)):
         return None
     search = MirrorSearch(**arrays)
     return SubgraphSet(ids, search.adjacency, graph.features), search

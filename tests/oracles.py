@@ -228,7 +228,6 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
     n, k = adjacency.shape[:2]
     best = np.full((2, n, k, k), np.inf)
     argmin = np.zeros((2, n, k, k), dtype=np.min_scalar_type(k * k - 1))
-    pair_counts = np.zeros(n, dtype=np.int64)
     distances = [np.empty(0)]
     for i, sub in enumerate(subgraphs):
         dmat = distance_matrix(sub.node_features[sub.parent_indices])
@@ -242,7 +241,6 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
             bs = a + 1 + np.flatnonzero(parent_neq[a, a + 1:])
             if bs.size == 0:
                 continue
-            pair_counts[i] += bs.size
             distances.append(dmat[a, bs])
             sums = dmat[a][None, :, None] + dmat[bs][:, None, :]   # dmat[a, c] + dmat[b, d]
             ok = parent_neq[a][None, :] & parent_neq[bs]            # ok[b, c]
@@ -257,7 +255,7 @@ def chunked_mirror_search(subgraphs: SubgraphSet, semantics: np.ndarray) -> Mirr
     upper = np.triu_indices(k, 1)
     best, argmin = best[..., upper[0], upper[1]], argmin[..., upper[0], upper[1]]
     return MirrorSearch(adjacency=adjacency, best=best, argmin=argmin,
-                        pair_counts=pair_counts, distances=np.concatenate(distances))
+                        distances=np.concatenate(distances))
 
 
 def full_table_adjacencies(search: MirrorSearch, gamma) -> np.ndarray:

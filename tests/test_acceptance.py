@@ -3,13 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 7-9 share one
 module-scoped fixture that trains ten encoders (five seeds, each with
 ``soft_acl`` and ``uniform`` on one shared set-up and mirror search), so the
-first of them pays the training cost once. In three runs on a shared 2-core
-machine the whole tier-1 suite took 80-114 s, 47-62 s of it in this fixture.
+first of them pays the training cost once. The fixture runs its seeds in a
+pool of two spawned processes (``sbm_experiment.seed_run``).
 """
 
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,16 +23,16 @@ from acgcl.augment import mirror_search, quantile, semantic_assignment
 from acgcl.config import TrainConfig
 from acgcl.curriculum import AclThresholds, open_window, weights_for_mode
 from acgcl.encoder import gcn_forward_batched, init_gcn_params
-from acgcl.graph import INPUTS_FILE, SbmConfig, generate_sbm, make_splits, with_splits
+from acgcl.graph import INPUTS_FILE, SbmConfig, generate_sbm
 from acgcl.losses import (balance_loss, inter_graph_losses_grouped, intra_graph_losses_batched,
                           per_sample_losses_batched, sinkhorn_w1, weighted_total_loss)
 from acgcl.sampler import compute_ppr_scores, sample_all_subgraphs
-from acgcl.trainer import (curriculum_inputs, difficulty_curve, evaluate_probe, probe_accuracy,
-                           run_inner_step, train)
+from acgcl.trainer import curriculum_inputs, probe_accuracy, run_inner_step, train
 from acgcl.util import ROLE_BALANCE, ROLE_BATCH, ROLE_SHUFFLE, rng_for
 from conftest import random_graph, run_python
 from oracles import (acl_oracle_weights, directional_grad_check, exact_w1_1d,
-                     power_iteration_ppr, probe_baselines, spearman)
+                     power_iteration_ppr, spearman)
+from sbm_experiment import THETA_GRID, experiment_config, experiment_graph, seed_run
 
 
 def report(name: str, passed: bool, detail: str = ""):
@@ -38,50 +41,19 @@ def report(name: str, passed: bool, detail: str = ""):
 
 
 # ---------------------------------------------------------------------------
-# Shared desk-scale experiment: 3-block SBM, n=300, 16-dim features/embeddings,
-# K=10, feature noise calibrated so the raw-feature probe lands in [0.65, 0.80].
+# Shared desk-scale experiment (``sbm_experiment``), five seeds.
 
-SBM = SbmConfig(block_sizes=(100, 100, 100), p_intra=0.10, p_inter=0.002,
-                feature_dim=16, feature_noise=0.55)
-THETA_GRID = [10.0, 20.0, 30.0, 40.0, 50.0]
 N_SEEDS = 5
-
-
-def experiment_graph(seed: int):
-    g = generate_sbm(SBM, seed=seed)
-    return with_splits(g, make_splits(g, seed, TrainConfig.split_train, TrainConfig.split_val))
-
-
-def experiment_config(seed: int, mode: str = "soft_acl", theta0: float = 15.0) -> TrainConfig:
-    return TrainConfig(seed=seed, subgraph_size=10, embedding_dim=16, epochs=30,
-                       patience=30, inner_steps=10, batch_size=500, acl_mode=mode,
-                       theta0=theta0, balance_max_points=128, sinkhorn_iters=60)
 
 
 @pytest.fixture(scope="module")
 def sbm_runs():
-    runs = []
-    for seed in range(N_SEEDS):
-        graph = experiment_graph(seed)
-        config = experiment_config(seed)
-        raw_acc = evaluate_probe(graph.features, graph.labels, graph.splits,
-                                 config.probe_l2)["test"]
-
-        subgraphs, search = curriculum_inputs(graph, config)
-        params, _ = train(graph, config, inputs=(subgraphs, search))
-        soft_acc = probe_accuracy(params, subgraphs, graph, config)["test"]
-
-        curve = difficulty_curve(params, subgraphs, search, THETA_GRID, config.xi)
-        rho = spearman(THETA_GRID, [row[1] for row in curve])
-
-        uniform_cfg = experiment_config(seed, mode="uniform", theta0=50.0)
-        # mode and theta0 do not enter the set-up, so the uniform run shares it
-        uniform_params, _ = train(graph, uniform_cfg, inputs=(subgraphs, search))
-        uniform_acc = probe_accuracy(uniform_params, subgraphs, graph, uniform_cfg)["test"]
-        runs.append({"raw": raw_acc, "soft": soft_acc, "uniform": uniform_acc,
-                     "rho": rho, "curve": [row[1] for row in curve],
-                     **probe_baselines(graph, subgraphs, config)})
-    return runs
+    """``seed_run`` of each seed, in seed order. The seeds are independent,
+    so they run in a pool of spawned processes, which inherit the suite's
+    one-thread BLAS variables; no worker outlives the fixture."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=context) as pool:
+        return list(pool.map(seed_run, range(N_SEEDS)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +274,24 @@ def test_criterion_9_ablation_direction(sbm_runs):
     uniform = float(np.mean([run["uniform"] for run in sbm_runs]))
     report("9 ablation-direction", soft >= uniform - 0.01,
            f"soft {soft:.3f} vs no-curriculum {uniform:.3f}")
+
+
+def test_untrained_control_report(sbm_runs):
+    """Reports, and does not gate, criteria 7-9's statistics for the seeded
+    untrained encoder beside the trained one, as 5-seed means: the Spearman
+    correlation of its difficulty curve with theta, and the test accuracies
+    of the raw features, the untrained encoder and the ``soft_acl`` and
+    ``uniform`` training, with each encoder's gain over raw features."""
+    def mean(key):
+        return float(np.mean([run[key] for run in sbm_runs]))
+
+    untrained_rho = float(np.mean([spearman(THETA_GRID, run["untrained_curve"])
+                                   for run in sbm_runs]))
+    raw, untrained, soft, uniform = map(mean, ("raw", "untrained", "soft", "uniform"))
+    print(f"\nREPORT untrained-control: mean spearman untrained {untrained_rho:.3f} "
+          f"trained {mean('rho'):.3f}; test accuracy raw {raw:.3f}, "
+          f"untrained {untrained:.3f} (gain {untrained - raw:+.3f}), "
+          f"soft {soft:.3f} (gain {soft - raw:+.3f}), uniform {uniform:.3f}")
 
 
 def test_curriculum_modes_report(tmp_path):

@@ -323,8 +323,8 @@ class TestMirrorSearch:
                 want_log = [want.stats.pos_replacements, want.stats.neg_replacements]
                 assert logged(search, gamma, i) == want_log
                 assert logged(alone[i], gamma) == want_log
-                assert search.pair_counts[i] - len(want_log[0]) == want.stats.pos_unmatched
-                assert search.pair_counts[i] - len(want_log[1]) == want.stats.neg_unmatched
+                assert alone[i].distances.size - len(want_log[0]) == want.stats.pos_unmatched
+                assert alone[i].distances.size - len(want_log[1]) == want.stats.neg_unmatched
                 for p in range(2):
                     matched[p] += len(want_log[p])
                 unmatched[0] += want.stats.pos_unmatched

@@ -101,10 +101,9 @@ class TestDistances:
         monkeypatch.setattr(augment, "PAIR_BLOCK", block)
         subs, sem = random_stack(rng, 9, "continuous", "few", padded, n_subgraphs=12)
         search = mirror_search(subs, sem)
-        total = int(search.pair_counts.sum())
-        assert (total < len(subs) * 36) == padded
-        assert search.distances.dtype == np.float64 and search.distances.shape == (total,)
         want = row_difference_distances(subs)
+        assert (want.size < len(subs) * 36) == padded
+        assert search.distances.dtype == np.float64 and search.distances.shape == want.shape
         assert np.abs(search.distances - want).max() <= 1e-12 * want.max()
         assert search[3:5].distances is search.distances
 
@@ -164,7 +163,7 @@ class TestRouting:
         subs, sem = random_stack(rng, 8, features, "few", False, n_subgraphs=6)
         search = mirror_search(subs, sem)
         assert sum(scanned_rows) > 0
-        assert sum(scanned_rows) < search.pair_counts.sum()
+        assert sum(scanned_rows) < search.distances.size
         assert_same_tables(search, chunked_mirror_search(subs, sem))
 
     def test_every_pair_of_a_padded_subgraph_goes_to_the_exact_scan(self, rng, scanned_rows):
@@ -174,7 +173,8 @@ class TestRouting:
         subs = stack_subgraphs([plain, padded])
         sem = rng.integers(0, 2, size=20)
         search = mirror_search(subs, sem)
-        assert search.pair_counts.tolist() == [15, 12]
+        assert [row_difference_distances(subs[i:i + 1]).size for i in range(2)] == [15, 12]
+        assert search.distances.size == 27
         assert scanned_rows == [12]
         assert_same_tables(search, chunked_mirror_search(subs, sem))
 
@@ -199,7 +199,7 @@ class TestRouting:
             with monkeypatch.context() as patched:
                 scan_everything(patched)
                 assert_same_tables(search, mirror_search(subs, sem))
-            assert sum(scanned_rows) == search.pair_counts.sum()
+            assert sum(scanned_rows) == search.distances.size
             scanned_rows.clear()
 
 

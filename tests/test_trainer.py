@@ -25,9 +25,9 @@ from acgcl.trainer import (OptimizerState, adam_step, compute_center_embeddings,
                            fit_probe, init_optimizer, load_checkpoint,
                            run_inner_step, save_checkpoint, train, write_report)
 from conftest import refuse_writes
-from test_acceptance import experiment_config, experiment_graph
 from oracles import (gradient_descent_probe, matmul, one_pass_difficulty_curve,
                      per_pair_mirror_augment, prelu, row_sq_norm, take_rows_dense)
+from sbm_experiment import experiment_config, experiment_graph
 
 
 def small_graph(seed=0, n_per_block=25, p_intra=0.25, p_inter=0.02, noise=0.5):
@@ -824,8 +824,13 @@ class TestInputsCache:
         assert calls == []
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "mistyped", "reshaped",
-                                        "missing", "unknown", "centre", "distances"])
+                                        "missing", "unknown", "centre", "distances", "ids",
+                                        "mirror"])
     def test_unreadable_file_is_a_miss_and_rewritten(self, tmp_path, monkeypatch, damage):
+        """A file that does not hold what ``curriculum_inputs`` wrote is a
+        miss: ``ids`` gives two slots of an unpadded subgraph one parent,
+        so ``distances`` no longer has one entry per pair of distinct ids,
+        and ``mirror`` points one finite pair past the k * k positions."""
         graph, config = small_graph(), small_config(data_dir=str(tmp_path))
         cold = curriculum_inputs(graph, config)
         cache = tmp_path / INPUTS_FILE
@@ -841,11 +846,18 @@ class TestInputsCache:
             elif damage == "reshaped":
                 arrays["best"] = arrays["best"][:, :-1]
             elif damage == "missing":
-                del arrays["pair_counts"]
+                del arrays["best"]
             elif damage == "unknown":
                 arrays["extra"] = np.zeros(3)
             elif damage == "centre":
                 arrays["parent_indices"][0, 0] = 1
+            elif damage == "ids":
+                ids = arrays["parent_indices"]
+                row = next(i for i, row in enumerate(ids) if len(set(row)) == len(row))
+                ids[row, 1] = ids[row, 2]
+            elif damage == "mirror":
+                p, i, q = np.argwhere(np.isfinite(arrays["best"]))[0]
+                arrays["argmin"][p, i, q] = config.subgraph_size ** 2
             else:
                 arrays["distances"] = arrays["distances"][:-1]
             with open(cache, "wb") as out:
